@@ -260,7 +260,6 @@ def cmd_ldp(args) -> int:
     f = dynamics.DepthKFunction(space, 1, [1.0, 0.0])
     rows = []
     for n in range(1, n_max + 1):
-        exact = dynamics.partition_integral_exact(p, t, n)
         if mc_samples > 0:
             sampler = dynamics.OrbitSampler.bernoulli(
                 [1.0 - p, p], n_orbits=mc_samples, seed=seed
@@ -272,7 +271,6 @@ def cmd_ldp(args) -> int:
         rows.append([n, t, dynamics.c_n_exact(p, t, n), c_mc, lo, hi, seed])
         rows.append([n, b, est.rates[n - 1], float("nan"), float("nan"),
                      float("nan"), seed])
-        _ = exact
     config = {"subcommand": "ldp", "p": p, "b": b, "t": t, "n_max": n_max,
               "seed": seed, "mc_samples": mc_samples}
     if args.out:

@@ -11,7 +11,9 @@ seeds, so reruns are reproducible.
 
 from __future__ import annotations
 
+import os
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -554,9 +556,9 @@ def check_nonlinear_quadratic() -> GoldenResult:
     # scores strictly below the maximum
     uniform = np.array([[0.5, 0.5]])
     mid_val = simplex.shannon_entropy_table(uniform)[0] + 2.0 * float(
-        (uniform @ spec.A.array()) ** 2
+        (uniform @ spec.A.array())[0] ** 2
     )
-    non_convex = mid_val < res.value - 0.1
+    non_convex = bool(mid_val < res.value - 0.1)
 
     passed = two and swapped and off_uniform and non_convex
     return _result(
@@ -588,10 +590,22 @@ ALL_CHECKS: Dict[str, Callable[[], GoldenResult]] = {
 
 
 def run_all(names: Optional[Sequence[str]] = None) -> List[GoldenResult]:
+    """Run the selected checks in order.  A check that raises is reported
+    as a FAIL naming the exception, and the battery goes on."""
     selected = list(ALL_CHECKS) if names is None else list(names)
-    results = []
     for name in selected:
         if name not in ALL_CHECKS:
             raise KeyError(f"unknown check {name!r}; known: {sorted(ALL_CHECKS)}")
-        results.append(ALL_CHECKS[name]())
+    results = []
+    for name in selected:
+        start = time.time()
+        try:
+            results.append(ALL_CHECKS[name]())
+        except Exception as exc:
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            results.append(_result(
+                name, start, False,
+                f"raised {type(exc).__name__}: {exc} "
+                f"({os.path.basename(where.filename)}:{where.lineno})",
+            ))
     return results

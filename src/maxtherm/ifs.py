@@ -17,13 +17,13 @@ and the induced operator on pressures, which are mutually dual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .semiring import BOTTOM, DensitySample, IdempotentPressure, MaxPlus
-from .shift import CylinderMeasure, Jacobian, ShiftSpace, dual_apply
+from .semiring import BOTTOM, MaxPlus
+from .shift import CylinderMeasure, Jacobian, dual_apply
 from .transport import w1_tree
 
 NORMALIZATION_TOL = 1e-12

@@ -9,8 +9,9 @@ handles non-concave objectives whose maximizer set may be disconnected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+import functools
+from dataclasses import dataclass
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -121,6 +122,14 @@ def _compositions(m: int, d: int) -> np.ndarray:
     return np.vstack(rows)
 
 
+@functools.lru_cache(maxsize=8)
+def _lattice(m: int, d: int) -> np.ndarray:
+    """The 1/m lattice on the d-simplex, built once per (m, d)."""
+    pts = _compositions(m, d) / float(m)
+    pts.flags.writeable = False
+    return pts
+
+
 @dataclass(frozen=True)
 class SimplexGrid:
     """Lattice of probability vectors with masses in multiples of 1/m.
@@ -145,30 +154,13 @@ class SimplexGrid:
             raise ValueError("shrink factor must be in (0, 1)")
 
     def points(self) -> np.ndarray:
-        return _compositions(self.m, self.d) / float(self.m)
+        """The lattice as an (N, d) array, shared and read-only."""
+        return _lattice(self.m, self.d)
 
     def __len__(self) -> int:
         from math import comb
 
         return comb(self.m + self.d - 1, self.d - 1)
-
-
-def _local_patch(center: np.ndarray, width: float, d: int, n_axis: int) -> np.ndarray:
-    """Lattice patch of the simplex around ``center`` with half-width ``width``.
-
-    The first d-1 coordinates are free; the last is 1 - sum and rows that
-    would make it negative are dropped.
-    """
-    axes = [
-        np.linspace(max(0.0, c - width), min(1.0, c + width), n_axis)
-        for c in center[: d - 1]
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    free = np.column_stack([m.ravel() for m in mesh])
-    last = 1.0 - free.sum(axis=1)
-    keep = last >= -1e-12
-    pts = np.column_stack([free[keep], np.clip(last[keep], 0.0, 1.0)])
-    return pts
 
 
 def _spread_candidates(
@@ -180,16 +172,13 @@ def _spread_candidates(
     separation keeps distinct near-maximizers alive for refinement.
     """
     order = np.argsort(values)[::-1]
+    order = order[np.isfinite(values[order])]
     chosen: List[int] = []
-    for i in order:
-        if not np.isfinite(values[i]):
-            continue
-        if all(
-            np.max(np.abs(points[i] - points[j])) >= min_sep for j in chosen
-        ):
-            chosen.append(int(i))
-        if len(chosen) == k:
-            break
+    for i in order.tolist():
+        if not chosen or np.abs(points[chosen] - points[i]).max(axis=1).min() >= min_sep:
+            chosen.append(i)
+            if len(chosen) == k:
+                break
     return chosen
 
 
@@ -198,6 +187,93 @@ class SimplexMax:
     value: float
     argmax: np.ndarray          # (k, d) all near-maximizers found
     evaluations: int = 0
+
+
+PATCH_AXIS = 9  # patch points per free axis in each refinement round
+
+
+def _refine(
+    objective: Callable[[np.ndarray], np.ndarray],
+    centers: np.ndarray,
+    bests: np.ndarray,
+    width: float,
+    rounds: int,
+    shrink: float,
+    on_simplex: bool,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Refine all candidates in lock-step; returns (centers, bests, evaluations).
+
+    Each round rescans, around every candidate, a patch of ``PATCH_AXIS``
+    points per free axis with half-width ``width`` clipped to [0, 1], the
+    candidate itself being the patch's last row.  All patches go to the
+    objective in one stacked call.  On the simplex the last coordinate is
+    1 - sum of the others, and patch rows that would make it negative are
+    not evaluated: they are masked to -inf, so ``argmax`` sees the same
+    rows in the same order as a per-candidate scan.  ``width`` shrinks by
+    ``shrink`` per round.
+    """
+    k, d = centers.shape
+    n_free = d - 1 if on_simplex else d
+    # (R, n_free) axis indices of the R patch rows, in meshgrid "ij" order
+    ij = np.indices((PATCH_AXIS,) * n_free).reshape(n_free, -1).T
+    rows_k = np.arange(k)
+    n_eval = 0
+    for _ in range(rounds):
+        c = centers[:, :n_free]
+        axes = np.linspace(
+            np.maximum(0.0, c - width), np.minimum(1.0, c + width), PATCH_AXIS, axis=-1
+        )
+        free = axes[:, np.arange(n_free), ij]                 # (k, R, n_free)
+        if on_simplex:
+            last = 1.0 - free.sum(axis=2)
+            keep = last >= -1e-12
+            patch = np.concatenate([free, np.clip(last, 0.0, 1.0)[..., None]], axis=2)
+        else:
+            keep = np.ones(free.shape[:2], dtype=bool)
+            patch = free
+        patch = np.concatenate([patch, centers[:, None, :]], axis=1)
+        keep = np.concatenate([keep, np.ones((k, 1), dtype=bool)], axis=1)
+        pv = np.full(keep.shape, -np.inf)
+        pv[keep] = np.asarray(objective(patch[keep]), dtype=float)
+        n_eval += int(keep.sum())
+        j = pv.argmax(axis=1)
+        top = pv[rows_k, j]
+        better = top > bests
+        centers = np.where(better[:, None], patch[rows_k, j], centers)
+        bests = np.where(better, top, bests)
+        width *= shrink
+    return centers, bests, n_eval
+
+
+def _scan_and_refine(
+    objective: Callable[[np.ndarray], np.ndarray],
+    points: np.ndarray,
+    m: int,
+    rounds: int,
+    shrink: float,
+    on_simplex: bool,
+    top_k: int,
+    argmax_tol: float,
+    dedup_tol: float,
+) -> SimplexMax:
+    """Scan ``points`` (a lattice of spacing 1/m), refine the ``top_k``
+    spread-out candidates, and collect the near-maximizers."""
+    vals = np.asarray(objective(points), dtype=float)
+    cand_idx = _spread_candidates(points, vals, top_k, min_sep=2.5 / m)
+    if not cand_idx:
+        raise ValueError("objective is -inf on the whole grid")
+    centers, bests, n_refine = _refine(
+        objective, points[cand_idx], vals[cand_idx], 1.0 / m, rounds, shrink, on_simplex
+    )
+
+    top = float(bests.max())
+    near = np.flatnonzero(bests >= top - argmax_tol)
+    near = near[np.argsort(-bests[near], kind="stable")]
+    argmax: List[np.ndarray] = []
+    for p in centers[near]:
+        if all(np.max(np.abs(p - q)) > dedup_tol for q in argmax):
+            argmax.append(p)
+    return SimplexMax(value=top, argmax=np.array(argmax), evaluations=len(vals) + n_refine)
 
 
 def maximize_on_simplex(
@@ -215,37 +291,10 @@ def maximize_on_simplex(
     below the coarse-grid max.  Returns all refined candidates within
     ``argmax_tol`` of the best, deduplicated at ``dedup_tol``.
     """
-    pts = grid.points()
-    vals = np.asarray(objective(pts), dtype=float)
-    n_eval = len(vals)
-    cand_idx = _spread_candidates(pts, vals, top_k, min_sep=2.5 / grid.m)
-    if not cand_idx:
-        raise ValueError("objective is -inf on the whole grid")
-
-    n_axis = 9
-    finals: List[Tuple[np.ndarray, float]] = []
-    for i in cand_idx:
-        center, best = pts[i].copy(), float(vals[i])
-        width = 1.0 / grid.m
-        for _ in range(grid.refine_rounds):
-            patch = _local_patch(center, width, grid.d, n_axis)
-            patch = np.vstack([patch, center[None, :]])
-            pv = np.asarray(objective(patch), dtype=float)
-            n_eval += len(pv)
-            j = int(np.argmax(pv))
-            if pv[j] > best:
-                center, best = patch[j].copy(), float(pv[j])
-            width *= grid.shrink
-        finals.append((center, best))
-
-    top = max(v for _, v in finals)
-    near = [(p, v) for p, v in finals if v >= top - argmax_tol]
-    near.sort(key=lambda t: -t[1])
-    argmax: List[np.ndarray] = []
-    for p, _ in near:
-        if all(np.max(np.abs(p - q)) > dedup_tol for q in argmax):
-            argmax.append(p)
-    return SimplexMax(value=top, argmax=np.array(argmax), evaluations=n_eval)
+    return _scan_and_refine(
+        objective, grid.points(), grid.m, grid.refine_rounds, grid.shrink,
+        on_simplex=True, top_k=top_k, argmax_tol=argmax_tol, dedup_tol=dedup_tol,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -501,34 +550,10 @@ class MarkovFamily:
         axis = np.linspace(0.0, 1.0, self.resolution + 1)
         mesh = np.meshgrid(axis, axis, indexing="ij")
         pts = np.column_stack([m.ravel() for m in mesh])
-        vals = obj(pts)
-        cand = _spread_candidates(pts, vals, 8, min_sep=2.5 / self.resolution)
-        finals = []
-        for i in cand:
-            center, best = pts[i].copy(), float(vals[i])
-            width = 1.0 / self.resolution
-            for _ in range(self.refine_rounds):
-                axes = [
-                    np.linspace(max(0.0, c - width), min(1.0, c + width), 9)
-                    for c in center
-                ]
-                mg = np.meshgrid(*axes, indexing="ij")
-                patch = np.column_stack([m.ravel() for m in mg])
-                patch = np.vstack([patch, center[None, :]])
-                pv = obj(patch)
-                j = int(np.argmax(pv))
-                if pv[j] > best:
-                    center, best = patch[j].copy(), float(pv[j])
-                width *= self.shrink
-            finals.append((center, best))
-        top = max(v for _, v in finals)
-        near = [(p, v) for p, v in finals if v >= top - argmax_tol]
-        near.sort(key=lambda t: -t[1])
-        argmax: List[np.ndarray] = []
-        for p, _ in near:
-            if all(np.max(np.abs(p - q)) > 1e-6 for q in argmax):
-                argmax.append(p)
-        return SimplexMax(value=top, argmax=np.array(argmax))
+        return _scan_and_refine(
+            obj, pts, self.resolution, self.refine_rounds, self.shrink,
+            on_simplex=False, top_k=8, argmax_tol=argmax_tol, dedup_tol=1e-6,
+        )
 
 
 def nonlinear_pressure(
