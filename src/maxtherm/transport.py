@@ -6,9 +6,16 @@ give the level-j to level-(j+1) edges weight (gamma^j - gamma^(j+1))/2,
 except gamma^(n-1)/2 at the leaf level.  Leaf-to-leaf path lengths then
 telescope to exactly gamma^(first difference), and W1 between two leaf
 distributions is the weighted sum over edges of the absolute subtree-mass
-imbalance.  That closed form is the production path; a transportation LP
-over the full distance matrix is kept as an independent small-instance
-oracle with a dual certificate.
+imbalance.  That closed form is the production path.
+
+A transportation LP over the word distance matrix is kept as an
+independent small-instance oracle with a dual certificate.  By
+Kantorovich-Rubinstein duality W1 depends only on mu - nu, so the LP moves
+only the excess mass: from the words where mu > nu to the words where
+nu > mu.  Its certificate still bounds the full problem.  The reduced plan
+plus the common mass min(mu, nu) left in place is a coupling of mu and nu,
+so the LP value is >= W1; the potential built from its duals is
+1-Lipschitz, so mu(f) - nu(f) <= W1.  A small gap between the two pins W1.
 """
 
 from __future__ import annotations
@@ -105,6 +112,7 @@ class TransportReport:
     truncation_error: float
     potential: Optional[DepthKFunction] = None
     duality_gap: Optional[float] = None
+    lp_solves: int = 0   # 2 when the LP was retried without presolve
 
 
 def w1_tree_report(mu: CylinderMeasure, nu: CylinderMeasure) -> TransportReport:
@@ -115,13 +123,35 @@ def w1_tree_report(mu: CylinderMeasure, nu: CylinderMeasure) -> TransportReport:
     )
 
 
-def w1_lp_oracle(mu: CylinderMeasure, nu: CylinderMeasure) -> TransportReport:
-    """Solve the transportation LP and certify it with a dual potential.
+def _transport_constraints(n_src: int, n_snk: int) -> sparse.csr_matrix:
+    """Marginal constraints of an n_src x n_snk plan flattened row-major:
+    one row-sum row per source, then one column-sum row per sink."""
+    cells = np.arange(n_src * n_snk)
+    indices = np.concatenate([cells, cells.reshape(n_src, n_snk).T.ravel()])
+    indptr = np.concatenate([
+        np.arange(0, n_src * n_snk + 1, n_snk),
+        n_src * n_snk + n_src * np.arange(1, n_snk + 1),
+    ])
+    return sparse.csr_matrix(
+        (np.ones(indices.size), indices, indptr), shape=(n_src + n_snk, cells.size)
+    )
 
-    The primal is min <pi, D> over couplings of the two tables.  From the
-    LP equality duals we build f(x) = min_y [D(x, y) - v(y)], which is
-    automatically 1-Lipschitz for the word metric; after shifting its min
-    to 0 it lies in [0, 1] and satisfies mu(f) - nu(f) >= W1 - 1e-9.
+
+def w1_lp_oracle(mu: CylinderMeasure, nu: CylinderMeasure) -> TransportReport:
+    """Solve the transportation LP of the excess mass and certify it with a
+    dual potential.
+
+    Sources are the words where mu > nu, with supply mu - nu; sinks are the
+    words where nu > mu, with demand nu - mu; the cost is the sub-block of
+    the word distance matrix between them.  The primal is min <pi, D> over
+    such plans.  Adding the common mass min(mu, nu) on the diagonal turns
+    a plan into a coupling of mu and nu at the same cost, so the primal is
+    >= W1.  From the LP equality duals v of the sinks we build
+    f(x) = min over sinks y of [D(x, y) - v(y)] on every word; a min of
+    1-Lipschitz functions is 1-Lipschitz for the word metric, so
+    mu(f) - nu(f) <= W1.  The gap between the two bounds is reported as
+    ``duality_gap``; after shifting its min to 0, f lies in [0, 1].  Equal
+    tables need no LP: W1 is 0 and the potential is 0.
     """
     _check_pair(mu, nu)
     n_words = mu.space.n_words(mu.depth)
@@ -132,47 +162,56 @@ def w1_lp_oracle(mu: CylinderMeasure, nu: CylinderMeasure) -> TransportReport:
     if mu.depth == 0:
         return TransportReport(0.0, "lp-oracle", 1.0, None, 0.0)
 
+    truncation = mu.space.gamma ** mu.depth
+    excess = mu.masses - nu.masses
+    src = np.flatnonzero(excess > 0.0)
+    snk = np.flatnonzero(excess < 0.0)
+    if src.size == 0 or snk.size == 0:
+        # equal tables; a one-sided excess is normalization rounding only
+        zero = DepthKFunction(mu.space, mu.depth, np.zeros(n_words))
+        return TransportReport(0.0, "lp-oracle", truncation, zero, 0.0)
+
     D = distance_matrix(mu.space, mu.depth)
-    eye = sparse.identity(n_words, format="csr")
-    ones = np.ones((1, n_words))
-    A_eq = sparse.vstack(
-        [sparse.kron(eye, ones, format="csr"), sparse.kron(ones, eye, format="csr")],
-        format="csr",
-    )
-    b_eq = np.concatenate([mu.masses, nu.masses])
-    # the 2N marginal constraints have rank 2N - 1; dropping the last keeps
-    # presolve from flagging near-degenerate instances infeasible.  Dual
-    # simplex lands on an exact basic solution; the default tolerances
+    cost = D[np.ix_(src, snk)].ravel()
+    # the marginal constraints have rank one less than their count;
+    # dropping the last keeps presolve from flagging near-degenerate
+    # instances infeasible.
+    A_eq = _transport_constraints(src.size, snk.size)[:-1]
+    b_eq = np.concatenate([excess[src], -excess[snk]])[:-1]
+    # Dual simplex lands on an exact basic solution; the default tolerances
     # (1e-7) are too loose for the 1e-9 oracle contract.
     opts = {
         "primal_feasibility_tolerance": 1e-10,
         "dual_feasibility_tolerance": 1e-10,
     }
     res = linprog(
-        D.ravel(), A_eq=A_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None),
+        cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
         method="highs-ds", options=opts,
     )
+    solves = 1
     if res.status != 0:
         res = linprog(
-            D.ravel(), A_eq=A_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None),
+            cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
             method="highs-ds", options={**opts, "presolve": False},
         )
+        solves = 2
     if res.status != 0:
         raise RuntimeError(f"transportation LP failed: {res.message}")
     primal = float(res.fun)
 
     # dual of the dropped redundant constraint is pinned to 0
-    v = np.append(res.eqlin.marginals[n_words:], 0.0)
-    f_vals = (D - v[None, :]).min(axis=1)
+    v = np.append(res.eqlin.marginals[src.size:], 0.0)
+    f_vals = (D[:, snk] - v[None, :]).min(axis=1)
     f_vals = f_vals - f_vals.min()
     dual_value = float(mu.masses @ f_vals - nu.masses @ f_vals)
     potential = DepthKFunction(mu.space, mu.depth, f_vals)
     return TransportReport(
         w1=primal,
         method="lp-oracle",
-        truncation_error=mu.space.gamma ** mu.depth,
+        truncation_error=truncation,
         potential=potential,
         duality_gap=abs(primal - dual_value),
+        lp_solves=solves,
     )
 
 

@@ -12,6 +12,15 @@ def test_check_passes(name):
     assert result.passed is True, result.detail
 
 
+@pytest.mark.parametrize("seed", [19, 22])
+def test_mpifs_operators_accepts_perturbed_densities_that_stay_invariant(seed):
+    # at these seeds a 2-point system has the fixed density [0, 0], and
+    # lowering one of its points leaves it invariant
+    result = goldens.check_mpifs_operators(seed=seed)
+    assert result.passed is True, result.detail
+    assert "perturbed densities rejected: 98/100" in result.detail
+
+
 def _raising_check():
     raise ZeroDivisionError("boom")
 

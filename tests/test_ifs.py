@@ -337,6 +337,16 @@ class TestInvarianceEquivalence:
             assert not any(rep.passes())
             assert rep.consistent()
 
+    def test_lowered_density_can_stay_invariant(self):
+        # each point keeps itself at weight 0, so every density is fixed:
+        # lowering a point of the fixed density [0, 0] leaves it invariant
+        sys = MpIFSSystem.constant_maps(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        lam, _ = mpifs_fixed_density(sys)
+        assert np.array_equal(lam, [0.0, 0.0])
+        rep = mpifs_invariance_check(np.array([0.0, -0.7]), sys)
+        assert all(rep.passes())
+        assert rep.consistent()
+
     def test_inverse_problem_solution_is_invariant(self):
         rng = np.random.default_rng(6)
         h = -rng.exponential(1.0, 12)
@@ -351,6 +361,59 @@ class TestInvarianceEquivalence:
         for i, f in enumerate(fams):
             assert f[i] == 0.0
             assert (np.delete(f, i) < -1e6).all()
+
+
+def _per_observable_report(lam, sys, f_family):
+    """Invariance residuals with one pass over the maps per observable."""
+    transfer = ifs._inf_aware_gap(mpifs_transfer(lam, sys), lam)
+    markov = ruelle = 0.0
+    for f in f_family:
+        base = mpifs_pressure(lam, f)
+        markov = max(markov, abs(mpifs_markov(lam, f, sys) - base))
+        ruelle = max(ruelle, abs(mpifs_pressure(lam, mpifs_ruelle(f, sys)) - base))
+    return ifs.InvarianceReport(markov, transfer, ruelle)
+
+
+class TestBatchedInvarianceCheck:
+    """The family-wide check against the per-observable loop it replaced:
+    the additions are the same, so the residuals must be bit-identical."""
+
+    @pytest.mark.parametrize("constant", [True, False])
+    def test_residuals_identical_on_random_systems(self, constant):
+        rng = np.random.default_rng(21 + constant)
+        for trial in range(30):
+            n = int(rng.integers(2, 6)) if trial % 4 == 0 else int(rng.integers(2, 81))
+            sys = random_mpifs(n, rng, constant_maps=constant)
+            lam, _ = mpifs_fixed_density(sys)
+            off = lam.copy()
+            off[int(rng.integers(0, n))] -= 0.7
+            for dens in (lam, off, -rng.exponential(1.0, n)):
+                assert mpifs_invariance_check(dens, sys) == _per_observable_report(
+                    dens, sys, spike_family(n)
+                )
+            fams = [rng.uniform(-3, 3, n) for _ in range(int(rng.integers(1, 8)))]
+            assert mpifs_invariance_check(off, sys, fams) == _per_observable_report(
+                off, sys, fams
+            )
+
+    def test_bottom_values_and_empty_family(self):
+        rng = np.random.default_rng(23)
+        sys = random_mpifs(6, rng, constant_maps=False)
+        lam = np.array([0.0, -np.inf, -1.0, -np.inf, -2.0, -0.5])
+        fams = [np.full(6, -np.inf), np.where(np.arange(6) % 2, -np.inf, 1.0),
+                rng.uniform(-2, 2, 6)]
+        assert mpifs_invariance_check(lam, sys, fams) == _per_observable_report(
+            lam, sys, fams
+        )
+        empty = mpifs_invariance_check(lam, sys, [])
+        assert (empty.markov_residual, empty.ruelle_residual) == (0.0, 0.0)
+        # a -inf weight against a +inf observable scores nan for one map
+        sys = MpIFSSystem.constant_maps(np.array([[0.0, -np.inf], [-np.inf, 0.0]]))
+        lam = np.array([0.0, -1.0])
+        fams = [np.array([np.inf, 0.0]), np.array([0.0, -2.0])]
+        with np.errstate(invalid="ignore"):
+            batched = mpifs_invariance_check(lam, sys, fams)
+            assert batched == _per_observable_report(lam, sys, fams)
 
 
 class TestInverseProblem:
