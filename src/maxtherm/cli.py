@@ -1,17 +1,24 @@
 """Command-line experiment runner.
 
-Every subcommand validates its parameters, runs one reproducible
-experiment, and optionally writes a CSV artifact.  Artifacts embed the
-resolved configuration and seed; apart from the timestamp header line,
-identical configurations produce byte-identical files.  Floats print with
-17 significant digits so regressions show up in diffs.
+``pressure``, ``transport`` and ``mpifs`` are golden checks run at the
+user's parameters: ``gibbs-equilibrium``; ``contraction-bounds`` and
+``transport-oracle``, whose LP leg is skipped beyond the oracle's size
+limit; ``mpifs-operators``.  ``verify`` runs the whole battery at its own
+seeds.  They print one ``[PASS|FAIL] name (s) detail`` line per check.
+``gamma``, ``ifs`` and ``ldp`` print the numbers of one experiment.
 
-Exit codes: 0 success, 1 invalid parameters, 2 failed verification.
+Every subcommand but ``verify`` can write a CSV artifact.  Artifacts
+embed the resolved configuration and seed; apart from the timestamp
+header line, identical configurations produce byte-identical files.
+Floats print with 17 significant digits so regressions show up in diffs.
+
+Exit codes: 0 success, 1 invalid parameters or usage, 2 a check failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 import time
 from typing import Dict, List, Optional, Sequence
@@ -29,14 +36,36 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: str, config: Dict, header: List[str], rows: List[List]) -> None:
-    lines = [f"# timestamp={time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}"]
     cfg = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(config.items()))
-    lines.append(f"# config: {cfg}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# timestamp={time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}\n")
+        fh.write(f"# config: {cfg}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def _report(
+    results: List[goldens.GoldenResult],
+    out: Optional[str] = None,
+    config: Optional[Dict] = None,
+) -> int:
+    """Print one line per check and a summary, write the results to ``out``
+    (without the seconds, which vary between runs), and return the exit
+    code: 0 if every check passed, else 2."""
+    width = max(len(r.name) for r in results)
+    for r in results:
+        status = "PASS" if r.passed else "FAIL"
+        print(f"[{status}] {r.name:<{width}}  ({r.seconds:6.2f}s)  {r.detail}")
+    passed = sum(r.passed for r in results)
+    print(
+        f"{passed}/{len(results)} golden checks passed "
+        f"in {sum(r.seconds for r in results):.1f}s"
+    )
+    if out:
+        _write_csv(out, config, ["check", "passed", "detail"],
+                   [[r.name, r.passed, r.detail] for r in results])
+    return 0 if passed == len(results) else 2
 
 
 def _read_config_file(path: str) -> Dict[str, str]:
@@ -53,16 +82,30 @@ def _read_config_file(path: str) -> Dict[str, str]:
     return out
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: Sequence[str]):
-    """Pre-scan for --config and install its values as parser defaults.
+def _apply_config_file(parser: argparse.ArgumentParser, args, argv: List[str]):
+    """Parse ``argv`` again with the ``--config`` file's values as flags of
+    the chosen subcommand, placed before the user's own flags so that these
+    win.  Precedence: built-in defaults < config file < command-line flags.
+    Keys are flag names with ``_`` for ``-`` (``n_max``), as in ``args``."""
+    values = _read_config_file(args.config)
+    flags = set(vars(args)) - {"command", "fn", "config"}
+    unknown = sorted(set(values) - flags)
+    if unknown:
+        raise ValueError(
+            f"config keys {unknown} are not flags of {args.command!r}; "
+            f"known: {sorted(flags)}"
+        )
+    tokens = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    return parser.parse_args([argv[0], *tokens, *argv[1:]])
 
-    Precedence: built-in defaults < config file < command-line flags.
-    """
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    if known.config:
-        parser.set_defaults(**_read_config_file(known.config))
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ValueError``, so that
+    they exit 1 like any other invalid parameter.  Subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -72,33 +115,9 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: Sequence[str]):
 
 def cmd_pressure(args) -> int:
     d, m, trials, seed = int(args.d), int(args.m), int(args.trials), int(args.seed)
-    grid = simplex.SimplexGrid(d, m)
-    rng = np.random.default_rng(seed)
-    rows = []
-    for trial in range(trials):
-        g = simplex.Level1Observable(rng.uniform(-2.0, 2.0, d))
-        res = simplex.level2_pressure(
-            simplex.shannon_entropy_table, simplex.inclusion_j(g), grid
-        )
-        closed = simplex.log_sum_exp(g)
-        target = simplex.gibbs_solution(g)
-        gap = float(np.abs(res.argmax[0] - target).max())
-        rows.append([trial, _fmt_list(g.coeffs), res.value, closed,
-                     abs(res.value - closed), gap])
-        print(
-            f"trial {trial}: pressure {res.value:.17g} closed form "
-            f"{closed:.17g} argmax gap {gap:.3e}"
-        )
+    result = goldens.check_gibbs_equilibrium(seed, per_d=trials, grids=((d, m),))
     config = {"subcommand": "pressure", "d": d, "m": m, "trials": trials, "seed": seed}
-    if args.out:
-        _write_csv(args.out, config,
-                   ["trial", "coefficients", "pressure", "closed_form",
-                    "value_gap", "argmax_gap"], rows)
-    return 0
-
-
-def _fmt_list(vals) -> str:
-    return ";".join(f"{float(v):.17g}" for v in vals)
+    return _report([result], args.out, config)
 
 
 def cmd_gamma(args) -> int:
@@ -132,39 +151,20 @@ def cmd_gamma(args) -> int:
 def cmd_transport(args) -> int:
     d, gamma_ = int(args.d), float(args.gamma)
     depth, trials, seed = int(args.depth), int(args.trials), int(args.seed)
-    space = ShiftSpace(d, gamma_)
-    rng = np.random.default_rng(seed)
-    r = space.contraction_rate
-    worst_ratio, worst_perturb, worst_joint, worst_oracle = 0.0, -np.inf, -np.inf, 0.0
-    oracle_trials = min(trials, 50)
-    for i in range(trials):
-        J1 = goldens.random_jacobian(space, int(rng.integers(1, 3)), rng)
-        J2 = goldens.random_jacobian(space, J1.depth, rng)
-        mu = goldens.random_measure(space, depth, rng)
-        nu = goldens.random_measure(space, depth, rng)
-        worst_ratio = max(worst_ratio, transport.contraction_check(J1, mu, nu))
-        w1, bound = transport.jacobian_perturbation_check(J1, J2, mu)
-        worst_perturb = max(worst_perturb, w1 - bound)
-        joint = transport.joint_contraction_check(J1, J2, mu, nu)
-        worst_joint = max(worst_joint, -joint.slack)
-        if i < oracle_trials and space.n_words(depth) <= transport.LP_MAX_POINTS:
-            rep = transport.w1_lp_oracle(mu, nu)
-            worst_oracle = max(worst_oracle, abs(transport.w1_tree(mu, nu) - rep.w1))
-    print(
-        f"{trials} trials: max contraction ratio {worst_ratio:.17g} "
-        f"(bound {r:.17g})"
-    )
-    print(f"perturbation excess {worst_perturb:.3e}, joint excess {worst_joint:.3e}")
-    print(f"tree vs LP oracle gap {worst_oracle:.3e} over {oracle_trials} pairs")
+    results = [
+        goldens.check_contraction_bounds(seed, trials, d=d, gamma=gamma_, depth=depth)
+    ]
+    if d ** depth <= transport.LP_MAX_POINTS:
+        plan = ((d, gamma_, depth, min(trials, 50)),)
+        results.append(goldens.check_transport_oracle(seed, plan=plan))
+    else:
+        print(
+            f"transport-oracle skipped: {d}^{depth} = {d ** depth} words exceed "
+            f"the LP oracle limit {transport.LP_MAX_POINTS}, no tree vs LP gap"
+        )
     config = {"subcommand": "transport", "d": d, "gamma": gamma_,
               "depth": depth, "trials": trials, "seed": seed}
-    if args.out:
-        _write_csv(args.out, config,
-                   ["max_contraction_ratio", "rate_bound", "perturbation_excess",
-                    "joint_excess", "oracle_gap"],
-                   [[worst_ratio, r, worst_perturb, worst_joint, worst_oracle]])
-    ok = worst_ratio <= r + 1e-10 and worst_perturb <= 1e-10 and worst_joint <= 1e-10
-    return 0 if ok else 2
+    return _report(results, args.out, config)
 
 
 def cmd_ifs(args) -> int:
@@ -206,37 +206,9 @@ def cmd_ifs(args) -> int:
 
 def cmd_mpifs(args) -> int:
     n, systems, seed = int(args.points), int(args.systems), int(args.seed)
-    rng = np.random.default_rng(seed)
-    worst_dual = 0.0
-    consistent = True
-    for _ in range(systems):
-        sys_ = goldens.random_mpifs(n, rng, constant_maps=True)
-        lam = -rng.exponential(1.0, n)
-        lam -= lam.max()
-        f = rng.uniform(-2, 2, n)
-        lhs = ifs.mpifs_markov(lam, f, sys_)
-        rhs = ifs.mpifs_pressure(lam, ifs.mpifs_ruelle(f, sys_))
-        worst_dual = max(worst_dual, abs(lhs - rhs))
-        fixed, iters = ifs.mpifs_fixed_density(sys_)
-        rep = ifs.mpifs_invariance_check(fixed, sys_)
-        consistent &= rep.consistent() and all(rep.passes())
-    h = -rng.exponential(1.0, n)
-    h -= h.max()
-    sol = ifs.inverse_problem_solve(h)
-    print(f"{systems} systems of {n} points: duality residual {worst_dual:.3e}")
-    print(f"invariance three-way consistent: {consistent}")
-    print(
-        f"inverse problem: equation residual {sol.eq_residual!r}, "
-        f"normalization residual {sol.normalization_residual!r}"
-    )
+    result = goldens.check_mpifs_operators(seed, systems, points=n)
     config = {"subcommand": "mpifs", "points": n, "systems": systems, "seed": seed}
-    if args.out:
-        _write_csv(args.out, config,
-                   ["duality_residual", "consistent", "inverse_eq_residual",
-                    "inverse_norm_residual"],
-                   [[worst_dual, consistent, sol.eq_residual,
-                     sol.normalization_residual]])
-    return 0 if (worst_dual <= 1e-12 and consistent) else 2
+    return _report([result], args.out, config)
 
 
 def cmd_ldp(args) -> int:
@@ -282,18 +254,7 @@ def cmd_ldp(args) -> int:
 
 def cmd_verify(args) -> int:
     names = args.checks.split(",") if args.checks else None
-    results = goldens.run_all(names)
-    width = max(len(r.name) for r in results)
-    failures = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name:<{width}}  ({r.seconds:6.2f}s)  {r.detail}")
-        failures += 0 if r.passed else 1
-    print(
-        f"{len(results) - failures}/{len(results)} golden checks passed "
-        f"in {sum(r.seconds for r in results):.1f}s"
-    )
-    return 0 if failures == 0 else 2
+    return _report(goldens.run_all(names))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +263,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maxtherm",
         description="Max-plus pressure, transport, IFS, and large-deviation "
         "experiments",
@@ -375,9 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    _apply_config_file(parser, argv)
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            args = _apply_config_file(parser, args, argv)
         return args.fn(args)
     except (ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,12 +113,17 @@ def _result(name: str, start: float, passed: bool, detail: str) -> GoldenResult:
 # ---------------------------------------------------------------------------
 
 
-def check_gibbs_equilibrium(seed: int = 11, per_d: int = 25) -> GoldenResult:
-    """Lattice search recovers the softmax equilibrium and its pressure."""
+def check_gibbs_equilibrium(
+    seed: int = 11,
+    per_d: int = 25,
+    grids: Sequence[Tuple[int, int]] = ((2, 400), (3, 60)),
+) -> GoldenResult:
+    """Lattice search recovers the softmax equilibrium and its pressure:
+    ``per_d`` random observables on each ``(d, m)`` simplex grid."""
     start = time.time()
     rng = np.random.default_rng(seed)
     worst_point, worst_value = 0.0, 0.0
-    for d, m in ((2, 400), (3, 60)):
+    for d, m in grids:
         grid = simplex.SimplexGrid(d, m)
         for _ in range(per_d):
             g = simplex.Level1Observable(rng.uniform(-2.0, 2.0, d))
@@ -143,17 +148,25 @@ def check_gibbs_equilibrium(seed: int = 11, per_d: int = 25) -> GoldenResult:
 # ---------------------------------------------------------------------------
 
 
-def check_transport_oracle(seed: int = 12) -> GoldenResult:
-    """Closed-form tree W1 equals the transportation LP within 1e-9."""
+_ORACLE_PLAN = tuple(
+    [(2, 0.3, depth, 24) for depth in (1, 2, 3, 4, 5)]
+    + [(3, 0.24, depth, 17) for depth in (1, 2, 3, 4)]
+    + [(3, 0.24, 5, 12)]
+)
+
+
+def check_transport_oracle(
+    seed: int = 12, plan: Sequence[Tuple[int, float, int, int]] = _ORACLE_PLAN
+) -> GoldenResult:
+    """Closed-form tree W1 equals the transportation LP within 1e-9.  Each
+    plan entry ``(d, gamma, depth, reps)`` draws ``reps`` pairs of depth-
+    ``depth`` measures on the shift space ``(d, gamma)``."""
     start = time.time()
     rng = np.random.default_rng(seed)
-    plan = [(2, depth, 24) for depth in (1, 2, 3, 4, 5)]
-    plan += [(3, depth, 17) for depth in (1, 2, 3, 4)]
-    plan += [(3, 5, 12)]
     worst = 0.0
     count = 0
-    for d, depth, reps in plan:
-        space = ShiftSpace(d, 0.3 if d == 2 else 0.24)
+    for d, gamma, depth, reps in plan:
+        space = ShiftSpace(d, gamma)
         for i in range(reps):
             mu = random_measure(space, depth, rng, spiky=(i % 3 == 0))
             nu = random_measure(space, depth, rng)
@@ -173,11 +186,15 @@ def check_transport_oracle(seed: int = 12) -> GoldenResult:
 # ---------------------------------------------------------------------------
 
 
-def check_contraction_bounds(seed: int = 13, trials: int = 1000) -> GoldenResult:
-    """Three theorem bounds hold on every randomized trial (slack 1e-10)."""
+def check_contraction_bounds(
+    seed: int = 13, trials: int = 1000, d: int = 2, gamma: float = 0.3, depth: int = 4
+) -> GoldenResult:
+    """Three theorem bounds hold on every randomized trial (slack 1e-10),
+    for random kernels on the shift space ``(d, gamma)`` acting on pairs of
+    depth-``depth`` measures."""
     start = time.time()
     rng = np.random.default_rng(seed)
-    space = ShiftSpace(2, 0.3)
+    space = ShiftSpace(d, gamma)
     r = space.contraction_rate
     worst_ratio = 0.0
     worst_perturb = -np.inf
@@ -186,8 +203,8 @@ def check_contraction_bounds(seed: int = 13, trials: int = 1000) -> GoldenResult
         depth_j = int(rng.integers(1, 3))
         J1 = random_jacobian(space, depth_j, rng)
         J2 = random_jacobian(space, depth_j, rng)
-        mu = random_measure(space, 4, rng)
-        nu = random_measure(space, 4, rng)
+        mu = random_measure(space, depth, rng)
+        nu = random_measure(space, depth, rng)
         worst_ratio = max(worst_ratio, transport.contraction_check(J1, mu, nu))
         w1, bound = transport.jacobian_perturbation_check(J1, J2, mu)
         worst_perturb = max(worst_perturb, w1 - bound)
@@ -359,7 +376,12 @@ def check_ifs_invariant_pressure(seed: int = 16) -> GoldenResult:
 # ---------------------------------------------------------------------------
 
 
-def check_mpifs_operators(seed: int = 17, systems: int = 100) -> GoldenResult:
+def check_mpifs_operators(
+    seed: int = 17, systems: int = 100, points: Optional[int] = None
+) -> GoldenResult:
+    """Duality, three-way invariance and the inverse problem on random
+    max-plus IFS systems of ``points`` points each (``None``: a size drawn
+    from 2..50 per system)."""
     start = time.time()
     rng = np.random.default_rng(seed)
     worst_dual = 0.0
@@ -367,7 +389,7 @@ def check_mpifs_operators(seed: int = 17, systems: int = 100) -> GoldenResult:
     worst_inverse = 0.0
     rejected = 0
     for _ in range(systems):
-        n = int(rng.integers(2, 51))
+        n = int(rng.integers(2, 51)) if points is None else points
         sys = random_mpifs(n, rng, constant_maps=True)
         lam = -rng.exponential(1.0, n)
         lam -= lam.max()
