@@ -2,7 +2,7 @@
 
 Subpackages by topic:
 
-- ``semiring``: max-plus scalars, density tables, pressure functionals
+- ``semiring``: max-plus scalars and the array pressure of a density table
 - ``simplex``: pressures and equilibria on the probability simplex
 - ``shift``: cylinder measures and transfer operators on shift spaces
 - ``transport``: exact W1 between cylinder tables, contraction checks
@@ -12,17 +12,7 @@ Subpackages by topic:
 - ``cli``: reproducible experiment runner
 """
 
-from .semiring import (
-    BOTTOM,
-    AxiomsReport,
-    DensitySample,
-    IdempotentPressure,
-    MaxPlus,
-    axioms_check,
-    odot,
-    oplus,
-    pressure_eval,
-)
+from .semiring import BOTTOM, MaxPlus, pressure
 from .shift import (
     CylinderMeasure,
     DepthKFunction,
@@ -42,14 +32,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BOTTOM",
-    "AxiomsReport",
-    "DensitySample",
-    "IdempotentPressure",
     "MaxPlus",
-    "axioms_check",
-    "odot",
-    "oplus",
-    "pressure_eval",
+    "pressure",
     "CylinderMeasure",
     "DepthKFunction",
     "Jacobian",

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .shift import DepthKFunction, ShiftSpace, symbol_table
+from .shift import DepthKFunction
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +118,8 @@ def maxplus_birkhoff(f: DepthKFunction, orbit: Sequence[int], n: int) -> float:
     return float(birkhoff_max_table(f, orbit[None, :], n)[0])
 
 
-def birkhoff_max_table(f: DepthKFunction, orbits: np.ndarray, n: int) -> np.ndarray:
-    """Vector of running maxes over the first n windows of each orbit row."""
+def _window_values(f: DepthKFunction, orbits: np.ndarray, n: int) -> np.ndarray:
+    """(orbits, n) table of f on the first n windows of each orbit row."""
     k = max(f.depth, 1)
     d = f.space.d
     if orbits.shape[1] < n + k - 1:
@@ -128,7 +128,12 @@ def birkhoff_max_table(f: DepthKFunction, orbits: np.ndarray, n: int) -> np.ndar
     for j in range(k):
         codes = codes * d + (orbits[:, j : j + n] - 1)
     table = f.values if f.depth > 0 else np.repeat(f.values, d)
-    return table[codes].max(axis=1)
+    return table[codes]
+
+
+def birkhoff_max_table(f: DepthKFunction, orbits: np.ndarray, n: int) -> np.ndarray:
+    """Vector of running maxes over the first n windows of each orbit row."""
+    return _window_values(f, orbits, n).max(axis=1)
 
 
 @dataclass
@@ -156,18 +161,15 @@ def birkhoff_limit_test(
     orbits = sampler.sample(length + k - 1)
     sup_f = float(f.values.max())
 
-    codes = np.zeros((orbits.shape[0], length), dtype=np.int64)
-    for j in range(k):
-        codes = codes * sampler.d + (orbits[:, j : j + length] - 1)
-    table = f.values if f.depth > 0 else np.repeat(f.values, sampler.d)
-    vals = table[codes]
-    hit = vals >= sup_f - tol
+    hit = _window_values(f, orbits, length) >= sup_f - tol
     attained = hit.any(axis=1)
     first = np.where(attained, hit.argmax(axis=1) + 1, length + 1)
 
     # exact per-window miss probability for depth-1 observables
     if f.depth <= 1 and sampler.kind == "bernoulli":
-        top_mass = float(sampler.probs[table >= sup_f - tol].sum())
+        # the depth-1 table, or the depth-0 constant repeated per symbol
+        top = np.broadcast_to(f.values, sampler.d) >= sup_f - tol
+        top_mass = float(sampler.probs[top].sum())
         miss = (1.0 - top_mass) ** length
     else:
         miss = float(1.0 - attained.mean())

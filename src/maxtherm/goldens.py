@@ -19,7 +19,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import dynamics, ifs, shift, simplex, transport
+from . import dynamics, ifs, simplex, transport
+from .semiring import pressure
 from .shift import (
     CylinderMeasure,
     DepthKFunction,
@@ -108,6 +109,12 @@ def _result(name: str, start: float, passed: bool, detail: str) -> GoldenResult:
     return GoldenResult(name, passed, detail, time.time() - start)
 
 
+def _require_count(name: str, value: int) -> None:
+    """A check over zero draws would pass vacuously."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # 1. Gibbs equilibria on the simplex
 # ---------------------------------------------------------------------------
@@ -120,6 +127,7 @@ def check_gibbs_equilibrium(
 ) -> GoldenResult:
     """Lattice search recovers the softmax equilibrium and its pressure:
     ``per_d`` random observables on each ``(d, m)`` simplex grid."""
+    _require_count("per_d", per_d)
     start = time.time()
     rng = np.random.default_rng(seed)
     worst_point, worst_value = 0.0, 0.0
@@ -161,6 +169,8 @@ def check_transport_oracle(
     """Closed-form tree W1 equals the transportation LP within 1e-9.  Each
     plan entry ``(d, gamma, depth, reps)`` draws ``reps`` pairs of depth-
     ``depth`` measures on the shift space ``(d, gamma)``."""
+    for _, _, _, reps in plan:
+        _require_count("reps", reps)
     start = time.time()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -192,6 +202,7 @@ def check_contraction_bounds(
     """Three theorem bounds hold on every randomized trial (slack 1e-10),
     for random kernels on the shift space ``(d, gamma)`` acting on pairs of
     depth-``depth`` measures."""
+    _require_count("trials", trials)
     start = time.time()
     rng = np.random.default_rng(seed)
     space = ShiftSpace(d, gamma)
@@ -382,6 +393,9 @@ def check_mpifs_operators(
     """Duality, three-way invariance and the inverse problem on random
     max-plus IFS systems of ``points`` points each (``None``: a size drawn
     from 2..50 per system)."""
+    _require_count("systems", systems)
+    if points is not None:
+        _require_count("points", points)
     start = time.time()
     rng = np.random.default_rng(seed)
     worst_dual = 0.0
@@ -396,7 +410,7 @@ def check_mpifs_operators(
         for _ in range(3):
             f = rng.uniform(-2.0, 2.0, n)
             lhs = ifs.mpifs_markov(lam, f, sys)
-            rhs = ifs.mpifs_pressure(lam, ifs.mpifs_ruelle(f, sys))
+            rhs, _ = pressure(lam, ifs.mpifs_ruelle(f, sys))
             worst_dual = max(worst_dual, abs(lhs - rhs))
 
         fixed, _ = ifs.mpifs_fixed_density(sys)

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .semiring import BOTTOM, MaxPlus
+from .semiring import BOTTOM, MaxPlus, pressure
 from .shift import CylinderMeasure, Jacobian, dual_apply
 from .transport import w1_tree
 
@@ -204,21 +204,23 @@ class DensityEstimate:
 def density_entropy_estimate(
     sample: AttractorSample, mu: CylinderMeasure
 ) -> DensityEstimate:
-    """Best cumulative weight among leaves within eps of ``mu`` (else bottom)."""
+    """Best cumulative weight among leaves within eps of ``mu`` (else bottom):
+    the pressure of the max-plus indicator of that ball (0 in it, -inf out)."""
     margin = sample.rate ** sample.word_length / (1.0 - sample.rate)
-    best = BOTTOM
-    matched = 0
-    for leaf in sample.leaves:
-        if leaf.measure.depth != mu.depth:
-            raise ValueError(
-                "target depth differs from the sample leaves; bring the "
-                "measure to the same depth first"
-            )
-        if w1_tree(leaf.measure, mu) <= sample.epsilon:
-            matched += 1
-            if best.is_bottom or leaf.weight > best.value:
-                best = MaxPlus(leaf.weight)
-    return DensityEstimate(value=best, w1_margin=margin, matched=matched)
+    if not sample.leaves:   # everything pruned: an empty density
+        return DensityEstimate(BOTTOM, w1_margin=margin, matched=0)
+    if any(leaf.measure.depth != mu.depth for leaf in sample.leaves):
+        raise ValueError(
+            "target depth differs from the sample leaves; bring the "
+            "measure to the same depth first"
+        )
+    near = np.array(
+        [w1_tree(leaf.measure, mu) <= sample.epsilon for leaf in sample.leaves]
+    )
+    value, _ = pressure(
+        [leaf.weight for leaf in sample.leaves], np.where(near, 0.0, -np.inf)
+    )
+    return DensityEstimate(MaxPlus(value), w1_margin=margin, matched=int(near.sum()))
 
 
 @dataclass
@@ -248,8 +250,14 @@ def invariant_pressure_solve(
     r = fam.contraction_rate
     bound = lip_g * r ** word_length / (1.0 - r)
 
+    weights = np.array([leaf.weight for leaf in sample.leaves])
+
     def pressure_of(fn: Callable[[CylinderMeasure], float]) -> float:
-        return max(leaf.weight + fn(leaf.measure) for leaf in sample.leaves)
+        # one observable at a time: a leaves x kernels table would add to
+        # the peak memory that the m^N leaf measures already set
+        scores = np.fromiter((fn(leaf.measure) for leaf in sample.leaves), float,
+                             weights.size)
+        return pressure(weights, scores)[0]
 
     value = pressure_of(g)
     reapplied = max(
@@ -294,7 +302,8 @@ def pushforward_invariance_check(
     the pushforward equals the pressure of g for every test observable,
     and that the density satisfies the fiber-sup characterization: h at a
     grid point in the image equals the sup of h over its preimages, and h
-    is -inf off the image.
+    is -inf off the image.  ``h_values`` is checked as a density by
+    ``pressure``: NaN, +inf or an empty support raise ``ValueError``.
     """
     pts = np.asarray(points, dtype=float)
     h = np.asarray(h_values, dtype=float)
@@ -324,22 +333,23 @@ def pushforward_invariance_check(
             )
         sigma[i] = index[key]
 
-    worst_fn = 0.0
-    witness = None
-    for k, g in enumerate(observables):
-        gv = np.asarray(g(pts), dtype=float)
-        lhs = np.max(h + gv[sigma])   # pressure of g after the pushforward
-        rhs = np.max(h + gv)
-        if abs(lhs - rhs) > worst_fn:
-            worst_fn = abs(lhs - rhs)
-            witness = f"observable #{k}"
+    # one observable per column; a gap of -inf against -inf (nan) is skipped
+    G = np.asarray([g(pts) for g in observables], dtype=float)
+    G = G.reshape(len(observables), n).T
+    lhs, _ = pressure(h, G[sigma])   # pressure of g after the pushforward
+    rhs, _ = pressure(h, G)
+    with np.errstate(invalid="ignore"):
+        gaps = np.abs(lhs - rhs)
+    gaps[np.isnan(gaps)] = 0.0
+    worst_fn = float(gaps.max(initial=0.0))
 
     # fiber characterization: h at an image point = sup of h over preimages,
     # and -inf off the image (h_fiber starts at -inf, so off-image stays there)
     h_fiber = np.full(n, -np.inf)
     np.maximum.at(h_fiber, sigma, h)
     worst_dens = _inf_aware_gap(h, h_fiber)
-    return PushforwardReport(worst_fn, worst_dens, witness if worst_fn > 1e-9 else None)
+    witness = f"observable #{int(gaps.argmax())}" if worst_fn > 1e-9 else None
+    return PushforwardReport(worst_fn, worst_dens, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +407,6 @@ def mpifs_transfer(lam: np.ndarray, sys: MpIFSSystem) -> np.ndarray:
         scores = sys.weights[m] + lam
         np.maximum.at(out, targets, scores)
     return out
-
-
-def mpifs_pressure(lam: np.ndarray, f: np.ndarray) -> float:
-    """Pressure of f for the density lam: max of lam + f."""
-    return float(np.max(np.asarray(lam, dtype=float) + np.asarray(f, dtype=float)))
 
 
 def mpifs_markov(lam: np.ndarray, f: np.ndarray, sys: MpIFSSystem) -> float:
@@ -474,14 +479,13 @@ def mpifs_invariance_check(
     """Evaluate the three equivalent invariance conditions of a density.
 
     On finite systems with a separating observable family the three
-    residuals pass or fail together; disagreement indicates a bug.
+    residuals pass or fail together; disagreement indicates a bug.  ``lam``
+    is checked as a density by ``pressure``: NaN, +inf or an empty support
+    raise ``ValueError``.
     """
     lam = np.asarray(lam, dtype=float)
     if f_family is None:
         f_family = spike_family(sys.n_points)
-
-    transferred = mpifs_transfer(lam, sys)
-    transfer_residual = _inf_aware_gap(transferred, lam)
 
     # One pass over the maps for the whole family, one observable per
     # column (row gathers are contiguous), with the additions of
@@ -490,14 +494,15 @@ def mpifs_invariance_check(
     F = np.asarray(f_family, dtype=float).reshape(-1, sys.n_points)
     F = np.ascontiguousarray(F.T)
     lam_col = lam[:, None]
-    base = (lam_col + F).max(axis=0)
+    base, _ = pressure(lam, F)
     markov = np.full(F.shape[1], -np.inf)
     ruelle = np.full(F.shape, -np.inf)
     for m in range(sys.n_maps):
         scores = sys.weights[m][:, None] + F[sys.maps[m]]
         np.fmax(markov, (lam_col + scores).max(axis=0), out=markov)
         np.maximum(ruelle, scores, out=ruelle)
-    composed = (lam_col + ruelle).max(axis=0)
+    composed, _ = pressure(lam, ruelle)
+    transfer_residual = _inf_aware_gap(mpifs_transfer(lam, sys), lam)
     return InvarianceReport(
         _residual(markov, base), transfer_residual, _residual(composed, base)
     )

@@ -1,25 +1,24 @@
-"""Max-plus scalars and pressure functionals with tabulated densities.
+"""Max-plus scalars and the idempotent pressure of a density table.
 
-The scalar semiring is the reals together with a bottom element that is
-neutral for ``oplus`` (max) and absorbing for ``odot`` (+).  A pressure
-functional is represented by a density table on a finite point set; its
-value on an observable g is the max over the table of g + density, and the
-points attaining that max (up to a tolerance) are the equilibrium states.
+The max-plus semiring is the reals together with a bottom element, IEEE
+-inf, that is neutral for its addition (max) and absorbing for its
+multiplication (+).  A density entropy on a finite point set is a 1-D
+table with -inf off the support.  Its idempotent pressure is the max over
+the table of density + observable; the points attaining that max (up to a
+tolerance) are the equilibrium states, which need not be unique.
+``pressure`` evaluates it on an array, for one observable or a column
+batch of them at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Generic, List, Sequence, TypeVar, Union
+from typing import Tuple, Union
 
 import numpy as np
 
-P = TypeVar("P")
-
 _NEG_INF = float("-inf")
-
-MaxPlusLike = Union["MaxPlus", float, int]
 
 
 @dataclass(frozen=True)
@@ -52,149 +51,35 @@ class MaxPlus:
 BOTTOM = MaxPlus(_NEG_INF)
 
 
-def as_maxplus(x: MaxPlusLike) -> MaxPlus:
-    return x if isinstance(x, MaxPlus) else MaxPlus(float(x))
+def pressure(
+    density, g, argmax_tol: float = 1e-9
+) -> Tuple[Union[float, np.ndarray], np.ndarray]:
+    """The pressure max over points of density + g, and its equilibria.
 
-
-def oplus(a: MaxPlusLike, b: MaxPlusLike) -> MaxPlus:
-    """Semiring addition: max.  Bottom is the neutral element."""
-    a, b = as_maxplus(a), as_maxplus(b)
-    return MaxPlus(max(a.value, b.value))
-
-
-def odot(a: MaxPlusLike, b: MaxPlusLike) -> MaxPlus:
-    """Semiring multiplication: +.  Bottom is absorbing."""
-    a, b = as_maxplus(a), as_maxplus(b)
-    if a.is_bottom or b.is_bottom:
-        return BOTTOM
-    return MaxPlus(a.value + b.value)
-
-
-def _to_value_array(values) -> np.ndarray:
-    vals = np.asarray(
-        [v.value if isinstance(v, MaxPlus) else float(v) for v in values],
-        dtype=float,
-    )
-    if np.isnan(vals).any():
+    ``density`` is a 1-D table with -inf off the support; the support must
+    be nonempty, and NaN and +inf are rejected.  ``g`` has shape ``(n,)``
+    for one observable or ``(n, k)`` for one observable per column.  The
+    value is a float for 1-D ``g`` and a ``(k,)`` array otherwise.  The
+    equilibria are the boolean mask, shaped like ``g``, of the scores
+    within ``argmax_tol`` of their column's max: ties are kept, not broken.
+    """
+    dens = np.asarray(density, dtype=float)
+    if dens.ndim != 1:
+        raise ValueError("density must be a 1-D table")
+    if dens.size == 0:
+        raise ValueError("empty density")
+    if np.isnan(dens).any():
         raise ValueError("density values cannot be NaN")
-    if (vals == math.inf).any():
+    if (dens == math.inf).any():
         raise ValueError("density values cannot be +inf")
-    return vals
-
-
-class DensitySample(Generic[P]):
-    """A density entropy tabulated on a finite ordered point set.
-
-    ``values[i]`` is the density at ``points[i]``; -inf marks points
-    outside the support.  The support must be nonempty.  A normalized
-    sample has max value 0.
-    """
-
-    def __init__(self, points: Sequence[P], values):
-        self.points: List[P] = list(points)
-        if not self.points:
-            raise ValueError("empty density")
-        vals = _to_value_array(values)
-        if vals.size != len(self.points):
-            raise ValueError(
-                f"{len(self.points)} points but {vals.size} density values"
-            )
-        if not np.isfinite(vals).any():
-            raise ValueError("density has empty support")
-        self.values = vals
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def support_indices(self) -> np.ndarray:
-        return np.flatnonzero(np.isfinite(self.values))
-
-    @property
-    def is_normalized(self) -> bool:
-        return self.values.max() == 0.0
-
-    def normalized(self) -> "DensitySample[P]":
-        """Shift values so the max is exactly 0."""
-        return DensitySample(self.points, self.values - self.values.max())
-
-
-@dataclass
-class PressureValue(Generic[P]):
-    value: MaxPlus
-    argmax_indices: List[int]
-    argmax: List[P]
-
-
-class IdempotentPressure(Generic[P]):
-    """Pressure functional g -> max_i [g(points[i]) + values[i]]."""
-
-    def __init__(self, density: DensitySample[P]):
-        self.density = density
-
-    def eval(
-        self, g: Callable[[P], float], argmax_tol: float = 1e-9
-    ) -> PressureValue[P]:
-        return pressure_eval(self, g, argmax_tol)
-
-    def __call__(self, g: Callable[[P], float]) -> float:
-        return self.eval(g).value.value
-
-
-def pressure_eval(
-    ell: IdempotentPressure[P],
-    g: Callable[[P], float],
-    argmax_tol: float = 1e-9,
-) -> PressureValue[P]:
-    """Evaluate the pressure and return the set of equilibrium states.
-
-    The equilibrium set holds every point whose score is within
-    ``argmax_tol`` of the max; ties are kept, not broken, because in this
-    setting the maximizer need not be unique.
-    """
-    dens = ell.density
-    scores = np.array([g(p) for p in dens.points], dtype=float) + dens.values
-    best = scores.max()
-    if best == _NEG_INF:
-        # g is real-valued and the support is nonempty, so this cannot
-        # happen for valid inputs; guard anyway.
-        raise ValueError("pressure evaluated to bottom on a valid density")
-    idx = np.flatnonzero(scores >= best - argmax_tol)
-    return PressureValue(
-        value=MaxPlus(best),
-        argmax_indices=[int(i) for i in idx],
-        argmax=[dens.points[int(i)] for i in idx],
-    )
-
-
-@dataclass
-class AxiomsReport:
-    """Residuals of the two max-plus linearity axioms."""
-
-    homogeneity_residual: float   # |l(c (.) g) - (c + l(g))|
-    additivity_residual: float    # |l(g (+) g') - max(l(g), l(g'))|
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.homogeneity_residual, self.additivity_residual)
-
-
-def axioms_check(
-    ell: IdempotentPressure[P],
-    g: Callable[[P], float],
-    g2: Callable[[P], float],
-    c: float,
-) -> AxiomsReport:
-    """Check max-plus homogeneity and additivity on a finite tabulation.
-
-    Both identities are exact for tabulated densities up to float
-    rounding; residuals meaningfully above 1e-12 indicate a bug.
-    """
-    lg = ell(g)
-    lg2 = ell(g2)
-    shifted = ell(lambda p: c + g(p))
-    combined = ell(lambda p: max(g(p), g2(p)))
-    return AxiomsReport(
-        homogeneity_residual=abs(shifted - (c + lg)),
-        additivity_residual=abs(combined - max(lg, lg2)),
-    )
+    if not np.isfinite(dens).any():
+        raise ValueError("density has empty support")
+    g = np.asarray(g, dtype=float)
+    if g.ndim not in (1, 2) or g.shape[0] != dens.size:
+        raise ValueError(
+            f"{dens.size} density values but observables of shape {g.shape}"
+        )
+    scores = (dens if g.ndim == 1 else dens[:, None]) + g
+    best = scores.max(axis=0)
+    equilibria = scores >= best - argmax_tol
+    return (float(best) if g.ndim == 1 else best), equilibria

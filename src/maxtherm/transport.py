@@ -21,13 +21,15 @@ so the LP value is >= W1; the potential built from its duals is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .shift import CylinderMeasure, DepthKFunction, Jacobian, ShiftSpace, dual_apply
+from .shift import (
+    CylinderMeasure, DepthKFunction, Jacobian, ShiftSpace, dual_apply, symbol_table,
+)
 
 LP_MAX_POINTS = 1024
 
@@ -94,12 +96,9 @@ def w1_tree(mu: CylinderMeasure, nu: CylinderMeasure) -> float:
 
 def distance_matrix(space: ShiftSpace, depth: int) -> np.ndarray:
     """Pairwise gamma^(first difference) over all depth-n words."""
-    n_words = space.n_words(depth)
-    digits = np.empty((n_words, depth), dtype=np.int64)
-    codes = np.arange(n_words)
-    for j in range(depth - 1, -1, -1):
-        digits[:, j] = codes % space.d
-        codes //= space.d
+    if depth == 0:
+        return np.zeros((1, 1))   # the empty word; argmax needs a digit
+    digits = symbol_table(depth, space.d)
     diff = digits[:, None, :] != digits[None, :, :]
     first = np.argmax(diff, axis=2)
     return np.where(diff.any(axis=2), space.gamma ** first, 0.0)

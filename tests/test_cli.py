@@ -120,3 +120,16 @@ def test_config_file_with_an_unknown_key_exits_1(capsys, tmp_path):
     assert cli.main(["pressure", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert "config keys ['trails'] are not flags of 'pressure'" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pressure", "--trials", "-3"], "per_d must be at least 1, got -3"),
+    (["transport", "--trials", "0"], "trials must be at least 1, got 0"),
+    (["mpifs", "--systems", "0"], "systems must be at least 1, got 0"),
+    (["mpifs", "--points", "0"], "points must be at least 1, got 0"),
+])
+def test_counts_below_one_exit_1(capsys, argv, message):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "[PASS]" not in captured.out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from maxtherm.dynamics import (
+    BirkhoffReport,
     OrbitSampler,
     bernoulli_ldp_bound,
     birkhoff_limit_test,
@@ -72,7 +73,47 @@ class TestSampler:
             birkhoff_limit_test(s, F_FIRST, length=100)
 
 
+def _inline_limit_report(sampler, f, length, tol=1e-9):
+    """birkhoff_limit_test with its window codes and depth-0 table built
+    in place, as it was before it shared them with birkhoff_max_table."""
+    k = max(f.depth, 1)
+    orbits = sampler.sample(length + k - 1)
+    sup_f = float(f.values.max())
+    codes = np.zeros((orbits.shape[0], length), dtype=np.int64)
+    for j in range(k):
+        codes = codes * sampler.d + (orbits[:, j : j + length] - 1)
+    table = f.values if f.depth > 0 else np.repeat(f.values, sampler.d)
+    hit = table[codes] >= sup_f - tol
+    attained = hit.any(axis=1)
+    first = np.where(attained, hit.argmax(axis=1) + 1, length + 1)
+    if f.depth <= 1 and sampler.kind == "bernoulli":
+        miss = (1.0 - float(sampler.probs[table >= sup_f - tol].sum())) ** length
+    else:
+        miss = float(1.0 - attained.mean())
+    return BirkhoffReport(
+        sup_value=sup_f,
+        attained_fraction=float(attained.mean()),
+        first_hit_mean=float(first[attained].mean()) if attained.any() else np.inf,
+        miss_probability_estimate=miss,
+    )
+
+
 class TestBirkhoffLimit:
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_report_equals_the_inline_window_code(self, depth):
+        rng = np.random.default_rng(40 + depth)
+        samplers = [
+            OrbitSampler.bernoulli([0.3, 0.7], n_orbits=60, seed=depth),
+            OrbitSampler.markov([[0.2, 0.8], [0.6, 0.4]], n_orbits=60, seed=depth),
+        ]
+        for sampler in samplers:
+            for length in (1, 3, 12):
+                # few distinct values, so ties at the sup and misses occur
+                f = DepthKFunction(SPACE, depth, rng.integers(0, 3, 2 ** depth) / 2)
+                assert birkhoff_limit_test(sampler, f, length) == _inline_limit_report(
+                    sampler, f, length
+                )
+
     def test_fair_coin_attains_quickly(self):
         s = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=100, seed=7)
         rep = birkhoff_limit_test(s, F_FIRST, length=200)

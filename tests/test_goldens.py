@@ -21,6 +21,18 @@ def test_mpifs_operators_accepts_perturbed_densities_that_stay_invariant(seed):
     assert "perturbed densities rejected: 98/100" in result.detail
 
 
+@pytest.mark.parametrize("check, kwargs", [
+    (goldens.check_gibbs_equilibrium, {"per_d": 0}),
+    (goldens.check_contraction_bounds, {"trials": -1}),
+    (goldens.check_transport_oracle, {"plan": ((2, 0.3, 2, 3), (2, 0.3, 3, 0))}),
+    (goldens.check_mpifs_operators, {"systems": 0}),
+    (goldens.check_mpifs_operators, {"points": 0}),
+])
+def test_a_count_below_one_is_rejected(check, kwargs):
+    with pytest.raises(ValueError, match="must be at least 1"):
+        check(**kwargs)
+
+
 def _raising_check():
     raise ZeroDivisionError("boom")
 

@@ -17,12 +17,12 @@ from maxtherm.ifs import (
     mpifs_fixed_density,
     mpifs_invariance_check,
     mpifs_markov,
-    mpifs_pressure,
     mpifs_ruelle,
     mpifs_transfer,
     pushforward_invariance_check,
     spike_family,
 )
+from maxtherm.semiring import BOTTOM, MaxPlus
 from maxtherm.shift import CylinderMeasure, ShiftSpace, dual_apply, make_bernoulli_jacobian
 from maxtherm.simplex import SimplexGrid, shannon_entropy_table
 from maxtherm.transport import w1_tree
@@ -133,6 +133,18 @@ class TestAttractor:
         assert obj["measures"][0]["masses"] == list(sample.leaves[0].measure.masses)
 
 
+def _per_leaf_estimate(sample, mu):
+    """The best weight and the count of leaves within eps of mu, one leaf
+    at a time (bottom when none is)."""
+    best, matched = BOTTOM, 0
+    for leaf in sample.leaves:
+        if w1_tree(leaf.measure, mu) <= sample.epsilon:
+            matched += 1
+            if best.is_bottom or leaf.weight > best.value:
+                best = MaxPlus(leaf.weight)
+    return best, matched
+
+
 class TestDensityEstimate:
     def test_single_kernel_zero_at_fixed_point_bottom_elsewhere(self):
         p = 0.4
@@ -162,6 +174,31 @@ class TestDensityEstimate:
         assert est.w1_margin == pytest.approx(
             SPACE.contraction_rate ** 6 / (1 - SPACE.contraction_rate)
         )
+
+    def test_equals_the_per_leaf_loop(self):
+        rng = np.random.default_rng(31)
+        fam = WeightedJacobianFamily(
+            [make_bernoulli_jacobian(0.3, SPACE), make_bernoulli_jacobian(0.7, SPACE)],
+            [0.0, -0.75],
+        )
+        bottoms = 0
+        for N, eps in ((4, None), (5, 1e-3), (6, 0.0), (6, 0.05)):
+            sample = attractor_build(fam, N, NU0, eps=eps)
+            depth = sample.leaves[0].measure.depth
+            targets = [leaf.measure for leaf in sample.leaves[::3]] + [
+                CylinderMeasure(SPACE, depth, rng.dirichlet(np.ones(2 ** depth)))
+                for _ in range(3)
+            ] + [CylinderMeasure.point_mass(SPACE, (1,) * depth)]
+            for mu in targets:
+                est = density_entropy_estimate(sample, mu)
+                assert (est.value, est.matched) == _per_leaf_estimate(sample, mu)
+                bottoms += est.value.is_bottom
+        assert bottoms >= 4
+        # a floor above every weight prunes all words
+        empty = attractor_build(fam, 3, NU0, prune_floor=0.5)
+        mu = CylinderMeasure.point_mass(SPACE, (1,) * 4)
+        est = density_entropy_estimate(empty, mu)
+        assert (est.value, est.matched) == _per_leaf_estimate(empty, mu) == (BOTTOM, 0)
 
     def test_depth_mismatch_rejected(self):
         fam = WeightedJacobianFamily([make_bernoulli_jacobian(0.4, SPACE)], [0.0])
@@ -214,6 +251,26 @@ class TestInvariantPressure:
         assert abs(a.value - b.value) <= SPACE.contraction_rate ** 8 + 1e-12
 
 
+def _per_observable_pushforward(pts, h, symbol_map, observables):
+    """The pushforward report with the pushed grid matched by search and
+    one pressure per observable written out."""
+    push = np.zeros_like(pts)
+    for i, t in enumerate(symbol_map):
+        push[:, t - 1] += pts[:, i]
+    sigma = np.array([int(np.flatnonzero(np.abs(pts - q).max(axis=1) < 1e-9)[0])
+                      for q in push])
+    worst_fn, witness = 0.0, None
+    with np.errstate(invalid="ignore"):
+        for k, g in enumerate(observables):
+            gv = g(pts)
+            gap = abs(np.max(h + gv[sigma]) - np.max(h + gv))
+            if gap > worst_fn:
+                worst_fn, witness = gap, f"observable #{k}"
+    fiber = np.array([max(h[sigma == i], default=-np.inf) for i in range(len(pts))])
+    worst_dens = max(0.0 if a == b == -np.inf else abs(a - b) for a, b in zip(h, fiber))
+    return ifs.PushforwardReport(worst_fn, worst_dens, witness if worst_fn > 1e-9 else None)
+
+
 class TestPushforwardInvariance:
     def _observables(self, seed=0, count=8):
         rng = np.random.default_rng(seed)
@@ -250,6 +307,36 @@ class TestPushforwardInvariance:
         rep = pushforward_invariance_check(pts, h, [1, 1], self._observables(2))
         assert not rep.invariant
         assert rep.witness is not None
+
+    def test_equals_the_per_observable_loop(self):
+        rng = np.random.default_rng(32)
+        maps = {2: ([2, 1], [1, 2], [1, 1], [2, 2]),
+                3: ([2, 3, 1], [1, 3, 2], [1, 1, 1], [3, 3, 1])}
+        witnessed = 0
+        for trial in range(60):
+            d = 2 + trial % 2
+            pts = SimplexGrid(d, 12 if d == 2 else 6).points()
+            n = len(pts)
+            h = rng.uniform(-3, 0, n)
+            h[rng.random(n) < 0.3] = -np.inf
+            h[int(rng.integers(0, n))] = 0.0
+            symbol_map = maps[d][trial // 2 % 4]
+            obs = []
+            for _ in range(int(rng.integers(0, 6))):
+                a = rng.uniform(-2, 2, d)
+                cut = rng.uniform(-0.2, 1.0)   # -inf on part of the grid
+                obs.append(lambda p, a=a, cut=cut: np.where(p[:, 0] > cut, -np.inf, p @ a))
+            rep = pushforward_invariance_check(pts, h, symbol_map, obs)
+            assert rep == _per_observable_pushforward(pts, h, symbol_map, obs)
+            witnessed += rep.witness is not None
+        assert witnessed >= 10
+
+    def test_invalid_density_rejected(self):
+        pts = SimplexGrid(2, 10).points()
+        for h, message in ((np.full(len(pts), -np.inf), "empty support"),
+                           (np.where(pts[:, 0] > 0.5, np.nan, 0.0), "NaN")):
+            with pytest.raises(ValueError, match=message):
+                pushforward_invariance_check(pts, h, [2, 1], self._observables())
 
     def test_grid_not_closed_rejected(self):
         pts = np.array([[0.3, 0.7], [0.6, 0.4]])
@@ -305,9 +392,7 @@ class TestMpIFSOperators:
             lam = -rng.exponential(1.0, n)
             lam -= lam.max()
             f = rng.uniform(-3, 3, n)
-            assert mpifs_markov(lam, f, sys) == mpifs_pressure(
-                lam, mpifs_ruelle(f, sys)
-            )
+            assert mpifs_markov(lam, f, sys) == np.max(lam + mpifs_ruelle(f, sys))
 
     def test_weight_normalization_enforced(self):
         with pytest.raises(ValueError, match="max over maps"):
@@ -368,9 +453,9 @@ def _per_observable_report(lam, sys, f_family):
     transfer = ifs._inf_aware_gap(mpifs_transfer(lam, sys), lam)
     markov = ruelle = 0.0
     for f in f_family:
-        base = mpifs_pressure(lam, f)
+        base = float(np.max(lam + f))
         markov = max(markov, abs(mpifs_markov(lam, f, sys) - base))
-        ruelle = max(ruelle, abs(mpifs_pressure(lam, mpifs_ruelle(f, sys)) - base))
+        ruelle = max(ruelle, abs(float(np.max(lam + mpifs_ruelle(f, sys))) - base))
     return ifs.InvarianceReport(markov, transfer, ruelle)
 
 
@@ -395,6 +480,14 @@ class TestBatchedInvarianceCheck:
             assert mpifs_invariance_check(off, sys, fams) == _per_observable_report(
                 off, sys, fams
             )
+
+    def test_invalid_density_rejected(self):
+        sys = random_mpifs(4, np.random.default_rng(24))
+        for lam, message in ((np.full(4, -np.inf), "empty support"),
+                             (np.array([0.0, np.nan, -1.0, -2.0]), "NaN"),
+                             (np.array([0.0, np.inf, -1.0, -2.0]), r"\+inf")):
+            with pytest.raises(ValueError, match=message):
+                mpifs_invariance_check(lam, sys)
 
     def test_bottom_values_and_empty_family(self):
         rng = np.random.default_rng(23)

@@ -1,56 +1,73 @@
-"""Tests for max-plus scalars and tabulated pressure functionals."""
+"""Tests for max-plus scalars and the array pressure of a density table.
+
+The semiring laws are checked on float arrays through ``pressure``: its
+max is the semiring addition (written oplus below, bottom -inf neutral)
+and its density + observable the multiplication (odot, -inf absorbing).
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from maxtherm.semiring import (
-    BOTTOM,
-    DensitySample,
-    IdempotentPressure,
-    MaxPlus,
-    axioms_check,
-    odot,
-    oplus,
-    pressure_eval,
-)
+from maxtherm.semiring import BOTTOM, MaxPlus, pressure
 from maxtherm.simplex import SimplexGrid, shannon_entropy
 
 LOG3 = 1.0986122886681098
+NEG_INF = -np.inf
+
+
+def oplus(*values):
+    """max of the values: their pressure on the zero density."""
+    return pressure(np.zeros(len(values)), np.array(values, dtype=float))[0]
+
+
+def odot(a, b):
+    """a + b: the pressure of g = b on the density a, next to a point
+    whose observable -inf keeps it out of the max."""
+    return pressure(np.array([a, 0.0]), np.array([b, NEG_INF]))[0]
 
 
 class TestScalars:
     def test_oplus_neutral_bottom(self):
-        assert oplus(2.0, BOTTOM) == MaxPlus(2.0)
-        assert oplus(BOTTOM, -7.5) == MaxPlus(-7.5)
+        assert oplus(2.0, NEG_INF) == 2.0
+        assert oplus(NEG_INF, -7.5) == -7.5
 
     def test_oplus_idempotent(self):
-        assert oplus(3.0, 3.0) == MaxPlus(3.0)
+        value, equilibria = pressure(np.array([3.0, 3.0]), np.zeros(2))
+        assert value == 3.0
+        assert equilibria.tolist() == [True, True]
 
     def test_oplus_max(self):
-        assert oplus(-1.5, 2.5) == MaxPlus(2.5)
+        assert oplus(-1.5, 2.5) == 2.5
 
     def test_odot_absorbing_bottom(self):
-        assert odot(BOTTOM, 5.0).is_bottom
-        assert odot(5.0, BOTTOM).is_bottom
-        assert odot(BOTTOM, BOTTOM).is_bottom
+        # a point off the support scores -inf whatever the observable
+        value, equilibria = pressure(np.array([NEG_INF, 0.0]), np.array([5.0, 1.0]))
+        assert value == 1.0
+        assert equilibria.tolist() == [False, True]
+        # an observable at -inf absorbs a finite density value
+        value, _ = pressure(np.array([0.0, -1.0]), np.array([NEG_INF, NEG_INF]))
+        assert value == NEG_INF
+        assert odot(NEG_INF, 5.0) == NEG_INF
 
     def test_odot_addition(self):
-        assert odot(2.0, 3.0) == MaxPlus(5.0)
+        assert pressure(np.array([2.0]), np.array([3.0]))[0] == 5.0
 
     def test_odot_zero_neutral(self):
         for x in (-3.25, 0.0, 17.5):
-            assert odot(0.0, x) == MaxPlus(x)
+            assert pressure(np.array([x]), np.zeros(1))[0] == x
 
     def test_bottom_is_distinct_state_not_sentinel(self):
         big = MaxPlus(-1e308)
         assert not big.is_bottom
         assert BOTTOM != big
         # neutrality and absorption are exact even against huge finite values
-        assert oplus(big, BOTTOM) == big
-        assert odot(big, 0.0) == big
-        assert odot(BOTTOM, 1e300).is_bottom
+        assert oplus(-1e308, NEG_INF) == -1e308
+        assert pressure(np.array([-1e308]), np.zeros(1))[0] == -1e308
+        value, equilibria = pressure(np.array([-1e308, NEG_INF]), np.array([0.0, 1e300]))
+        assert value == -1e308
+        assert equilibria.tolist() == [True, False]
 
     def test_rejects_nan_and_plus_inf(self):
         with pytest.raises(ValueError):
@@ -64,13 +81,12 @@ class TestSemiringLaws:
 
     def test_laws_on_random_triples(self):
         rng = np.random.default_rng(42)
-        pool = [MaxPlus(v) for v in rng.uniform(-10, 10, 30)] + [BOTTOM] * 6
+        pool = np.concatenate([rng.uniform(-10, 10, 30), np.full(6, NEG_INF)])
         rng.shuffle(pool)
-        triples = [tuple(rng.choice(len(pool), 3)) for _ in range(300)]
-        for ia, ib, ic in triples:
-            a, b, c = pool[ia], pool[ib], pool[ic]
+        for _ in range(300):
+            a, b, c = pool[rng.choice(pool.size, 3)]
             # max-based laws are exact in floats
-            assert oplus(oplus(a, b), c) == oplus(a, oplus(b, c))
+            assert oplus(oplus(a, b), c) == oplus(a, oplus(b, c)) == oplus(a, b, c)
             assert oplus(a, b) == oplus(b, a)
             assert oplus(a, a) == a
             assert odot(a, b) == odot(b, a)
@@ -80,93 +96,151 @@ class TestSemiringLaws:
             # + regroups with rounding, so associativity holds to ulp scale
             lhs = odot(odot(a, b), c)
             rhs = odot(a, odot(b, c))
-            if lhs.is_bottom or rhs.is_bottom:
-                assert lhs.is_bottom and rhs.is_bottom
+            if lhs == NEG_INF or rhs == NEG_INF:
+                assert lhs == rhs == NEG_INF
             else:
-                assert abs(lhs.value - rhs.value) <= 1e-12
+                assert abs(lhs - rhs) <= 1e-12
+
+    def test_laws_on_arrays_with_bottom(self):
+        # the same laws column-wise: density + (g (+) g') and its parts
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            n, k = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+            dens = rng.uniform(-4, 4, n)
+            dens[rng.random(n) < 0.3] = NEG_INF
+            dens[int(rng.integers(0, n))] = float(rng.uniform(-4, 4))
+            g, h = rng.uniform(-3, 3, (2, n, k))
+            g[rng.random((n, k)) < 0.2] = NEG_INF
+            both, _ = pressure(dens, np.maximum(g, h))
+            assert np.array_equal(both, np.maximum(pressure(dens, g)[0], pressure(dens, h)[0]))
+            assert np.array_equal(pressure(dens, np.maximum(g, g))[0], pressure(dens, g)[0])
+            # a -inf column is bottom, neutral in the max over columns
+            bottom, _ = pressure(dens, np.full((n, 1), NEG_INF))
+            assert bottom.tolist() == [NEG_INF]
 
 
 class TestDensitySample:
+    """``pressure`` checks its density table with these messages."""
+
     def test_requires_nonempty_support(self):
-        with pytest.raises(ValueError, match="support"):
-            DensitySample(["a", "b"], [BOTTOM, BOTTOM])
+        with pytest.raises(ValueError, match="empty support"):
+            pressure(np.array([NEG_INF, NEG_INF]), np.zeros(2))
 
     def test_requires_points(self):
         with pytest.raises(ValueError, match="empty density"):
-            DensitySample([], [])
+            pressure(np.array([]), np.zeros(0))
+
+    def test_rejects_nan_plus_inf_and_non_tables(self):
+        with pytest.raises(ValueError, match="cannot be NaN"):
+            pressure(np.array([0.0, math.nan]), np.zeros(2))
+        with pytest.raises(ValueError, match=r"cannot be \+inf"):
+            pressure(np.array([0.0, math.inf]), np.zeros(2))
+        with pytest.raises(ValueError, match="1-D table"):
+            pressure(np.zeros((2, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="1-D table"):
+            pressure(np.float64(0.0), np.zeros(1))
+        with pytest.raises(ValueError, match="3 density values"):
+            pressure(np.zeros(3), np.zeros(2))
+        with pytest.raises(ValueError, match="3 density values"):
+            pressure(np.zeros(3), np.zeros((3, 2, 1)))
 
     def test_normalization(self):
-        dens = DensitySample([0, 1, 2], [-1.0, -3.0, BOTTOM])
-        assert not dens.is_normalized
-        normed = dens.normalized()
-        assert normed.is_normalized
-        assert normed.values[0] == 0.0
-        assert np.isneginf(normed.values[2])
+        # a normalized density (max 0) gives the zero observable pressure 0;
+        # shifting by the max keeps -inf off the support
+        dens = np.array([-1.0, -3.0, NEG_INF])
+        assert pressure(dens, np.zeros(3))[0] == -1.0
+        normed = dens - dens.max()
+        value, equilibria = pressure(normed, np.zeros(3))
+        assert value == 0.0
+        assert normed[0] == 0.0
+        assert np.isneginf(normed[2])
+        assert equilibria.tolist() == [True, False, False]
 
 
 class TestPressureEval:
     def test_pure_max(self):
-        ell = IdempotentPressure(DensitySample(["p1", "p2"], [0.0, 0.0]))
-        g = {"p1": 1.0, "p2": 4.0}.get
-        res = pressure_eval(ell, g)
-        assert res.value == MaxPlus(4.0)
-        assert res.argmax == ["p2"]
+        value, equilibria = pressure(np.array([0.0, 0.0]), np.array([1.0, 4.0]))
+        assert value == 4.0
+        assert isinstance(value, float)
+        assert np.flatnonzero(equilibria).tolist() == [1]
 
     def test_bottom_excludes_point(self):
-        ell = IdempotentPressure(DensitySample(["p1", "p2"], [0.0, BOTTOM]))
-        g = {"p1": 1.0, "p2": 100.0}.get
-        res = pressure_eval(ell, g)
-        assert res.value == MaxPlus(1.0)
-        assert res.argmax == ["p1"]
+        value, equilibria = pressure(np.array([0.0, NEG_INF]), np.array([1.0, 100.0]))
+        assert value == 1.0
+        assert np.flatnonzero(equilibria).tolist() == [0]
 
     def test_shannon_on_simplex_grid_peaks_at_barycenter(self):
         # m divisible by 3 so the barycenter is a grid point
-        grid = SimplexGrid(3, 30)
-        pts = [tuple(p) for p in grid.points()]
-        ell = IdempotentPressure(
-            DensitySample(pts, [shannon_entropy(p) for p in pts])
-        )
-        res = pressure_eval(ell, lambda p: 0.0)
-        assert res.value.value == pytest.approx(LOG3, abs=1e-12)
-        assert len(res.argmax) == 1
-        assert res.argmax[0] == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+        pts = SimplexGrid(3, 30).points()
+        dens = np.array([shannon_entropy(p) for p in pts])
+        value, equilibria = pressure(dens, np.zeros(len(pts)))
+        assert value == pytest.approx(LOG3, abs=1e-12)
+        assert equilibria.sum() == 1
+        assert pts[equilibria][0] == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
     def test_normalized_density_constant_observable(self):
         rng = np.random.default_rng(3)
-        dens = DensitySample(list(range(8)), rng.uniform(-5, 0, 8)).normalized()
-        ell = IdempotentPressure(dens)
+        dens = rng.uniform(-5, 0, 8)
+        dens -= dens.max()
         for c in (-2.5, 0.0, 7.0):
-            assert ell(lambda p, c=c: c) == c
+            assert pressure(dens, np.full(8, c))[0] == c
+        columns, _ = pressure(dens, np.tile([-2.5, 0.0, 7.0], (8, 1)))
+        assert columns.tolist() == [-2.5, 0.0, 7.0]
 
     def test_argmax_tolerance_collects_ties(self):
-        ell = IdempotentPressure(DensitySample([0, 1, 2], [0.0, 0.0, -1.0]))
-        res = pressure_eval(ell, lambda p: 0.0)
-        assert set(res.argmax_indices) == {0, 1}
+        _, equilibria = pressure(np.array([0.0, 0.0, -1.0]), np.zeros(3))
+        assert np.flatnonzero(equilibria).tolist() == [0, 1]
+        _, near = pressure(np.array([0.0, -1e-10, -1e-8]), np.zeros(3))
+        assert near.tolist() == [True, True, False]
+        _, wide = pressure(np.array([0.0, -1e-10, -1e-8]), np.zeros(3), argmax_tol=1e-7)
+        assert wide.tolist() == [True, True, True]
+
+    def test_columns_are_independent_pressures(self):
+        rng = np.random.default_rng(8)
+        dens = rng.uniform(-3, 0, 6)
+        dens[[1, 4]] = NEG_INF
+        G = rng.uniform(-2, 2, (6, 4))
+        values, equilibria = pressure(dens, G)
+        assert values.shape == (4,) and equilibria.shape == (6, 4)
+        for j in range(4):
+            value, mask = pressure(dens, G[:, j])
+            assert values[j] == value
+            assert np.array_equal(equilibria[:, j], mask)
+        empty, none = pressure(dens, np.empty((6, 0)))
+        assert empty.shape == (0,) and none.shape == (6, 0)
+
+
+def _axiom_residuals(dens, g, g2, c):
+    """|l(c (.) g) - (c + l(g))| and |l(g (+) g') - max(l(g), l(g'))|."""
+    lg, lg2 = pressure(dens, g)[0], pressure(dens, g2)[0]
+    return (
+        abs(pressure(dens, c + g)[0] - (c + lg)),
+        abs(pressure(dens, np.maximum(g, g2))[0] - max(lg, lg2)),
+    )
 
 
 class TestAxioms:
     def test_zero_scalar_identity(self):
-        ell = IdempotentPressure(DensitySample([0, 1], [-0.5, 0.0]))
-        rep = axioms_check(ell, lambda p: float(p), lambda p: -float(p), 0.0)
-        assert rep.homogeneity_residual == 0.0
+        dens = np.array([-0.5, 0.0])
+        g = np.array([0.0, 1.0])
+        homogeneity, _ = _axiom_residuals(dens, g, -g, 0.0)
+        assert homogeneity == 0.0
 
     def test_random_densities_and_observables(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             n = int(rng.integers(2, 12))
             vals = rng.uniform(-4, 4, n)
-            vals[rng.random(n) < 0.2] = -np.inf
+            vals[rng.random(n) < 0.2] = NEG_INF
             if not np.isfinite(vals).any():
                 vals[0] = 0.0
-            ell = IdempotentPressure(DensitySample(list(range(n)), vals))
             ga = rng.uniform(-3, 3, n)
             gb = rng.uniform(-3, 3, n)
             c = float(rng.uniform(-5, 5))
-            rep = axioms_check(ell, lambda p: ga[p], lambda p: gb[p], c)
-            assert rep.max_residual <= 1e-12
+            assert max(_axiom_residuals(vals, ga, gb, c)) <= 1e-12
 
     def test_additivity_reduces_to_idempotency(self):
-        ell = IdempotentPressure(DensitySample([0, 1], [0.0, -1.0]))
-        g = lambda p: float(p)
-        rep = axioms_check(ell, g, g, 2.5)
-        assert rep.additivity_residual == 0.0
+        dens = np.array([0.0, -1.0])
+        g = np.array([0.0, 1.0])
+        _, additivity = _axiom_residuals(dens, g, g, 2.5)
+        assert additivity == 0.0

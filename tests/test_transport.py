@@ -19,6 +19,19 @@ from maxtherm.transport import (
 SPACE = ShiftSpace(2, 0.3)
 
 
+def _digit_loop_matrix(space, depth):
+    """distance_matrix with 0-based digits built by a loop of its own."""
+    n_words = space.n_words(depth)
+    digits = np.empty((n_words, depth), dtype=np.int64)
+    codes = np.arange(n_words)
+    for j in range(depth - 1, -1, -1):
+        digits[:, j] = codes % space.d
+        codes //= space.d
+    diff = digits[:, None, :] != digits[None, :, :]
+    first = np.argmax(diff, axis=2)
+    return np.where(diff.any(axis=2), space.gamma ** first, 0.0)
+
+
 class TestPrefixTree:
     def test_leaf_distances_telescope_exactly(self):
         for d, gamma in ((2, 0.3), (3, 0.2), (2, 0.05)):
@@ -34,6 +47,17 @@ class TestPrefixTree:
 
     def test_truncation_error(self):
         assert PrefixTreeMetric(SPACE, 4).truncation_error() == pytest.approx(0.3 ** 4)
+
+
+    def test_distance_matrix_equals_its_digit_loop(self):
+        for d, gamma in ((2, 0.3), (3, 0.24)):
+            space = ShiftSpace(d, gamma)
+            # the single empty word, where the digit loop has no digit
+            assert distance_matrix(space, 0).tolist() == [[0.0]]
+            for depth in range(1, 6):
+                assert np.array_equal(
+                    distance_matrix(space, depth), _digit_loop_matrix(space, depth)
+                )
 
 
 class TestTreeFormula:
