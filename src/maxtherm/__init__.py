@@ -1,15 +1,22 @@
 """Max-plus thermodynamic numerics.
 
-Subpackages by topic:
+Modules by topic:
 
 - ``semiring``: max-plus scalars and the array pressure of a density table
 - ``simplex``: pressures and equilibria on the probability simplex
-- ``shift``: cylinder measures and transfer operators on shift spaces
+- ``shift``: cylinder measures, the transfer operator and its dual on
+  shift spaces
 - ``transport``: exact W1 between cylinder tables, contraction checks
-- ``ifs``: weighted kernel families, attractors, max-plus IFS operators
+- ``ifs``: weighted kernel families, attractors and their density entropy,
+  pushforward invariance, max-plus IFS operators
 - ``dynamics``: running-max Birkhoff sums and large-deviation bounds
-- ``goldens``: the golden verification battery
+- ``goldens``: the golden verification battery, one check per closed-form
+  result
 - ``cli``: reproducible experiment runner
+
+Every public function and class is reached from a golden check or a
+subcommand; the package re-exports the max-plus scalars, the pressure and
+the shift-space layer that the others build on.
 """
 
 from .semiring import BOTTOM, MaxPlus, pressure
@@ -24,7 +31,6 @@ from .shift import (
     make_bernoulli_jacobian,
     pushforward_apply,
     transfer_apply,
-    word_metric,
 )
 from .transport import w1_lp_oracle, w1_tree
 
@@ -44,7 +50,6 @@ __all__ = [
     "make_bernoulli_jacobian",
     "pushforward_apply",
     "transfer_apply",
-    "word_metric",
     "w1_lp_oracle",
     "w1_tree",
     "__version__",

@@ -106,24 +106,25 @@ class OrbitSampler:
         return orbits
 
 
-def maxplus_birkhoff(f: DepthKFunction, orbit: Sequence[int], n: int) -> float:
-    """Running max of f over the first n shift iterates of one orbit."""
-    k = max(f.depth, 1)
-    orbit = np.asarray(orbit, dtype=np.int64)
-    if orbit.size < n + k - 1:
+def _check_alphabet(sampler: OrbitSampler, f: DepthKFunction) -> None:
+    if sampler.d != f.space.d:
         raise ValueError(
-            f"orbit of length {orbit.size} too short for {n} windows of "
-            f"depth {k}"
+            f"the sampler draws {sampler.d} symbols but f reads {f.space.d}"
         )
-    return float(birkhoff_max_table(f, orbit[None, :], n)[0])
 
 
 def _window_values(f: DepthKFunction, orbits: np.ndarray, n: int) -> np.ndarray:
-    """(orbits, n) table of f on the first n windows of each orbit row."""
+    """(orbits, n) table of f on the first n windows of each orbit row.
+
+    Symbols outside 1..d are rejected: their codes would read other words'
+    values, or wrap around the table, instead of failing.
+    """
     k = max(f.depth, 1)
     d = f.space.d
     if orbits.shape[1] < n + k - 1:
         raise ValueError("orbits too short for the requested window count")
+    if orbits.min() < 1 or orbits.max() > d:
+        raise ValueError(f"orbit symbols must lie in 1..{d}")
     codes = np.zeros((orbits.shape[0], n), dtype=np.int64)
     for j in range(k):
         codes = codes * d + (orbits[:, j : j + n] - 1)
@@ -157,6 +158,7 @@ def birkhoff_limit_test(
     """
     if not sampler.positive_on_cylinders:
         raise ValueError("sampling measure must be positive on all cylinders")
+    _check_alphabet(sampler, f)
     k = max(f.depth, 1)
     orbits = sampler.sample(length + k - 1)
     sup_f = float(f.values.max())
@@ -223,24 +225,21 @@ class McEstimate:
     n_samples: int
     seed: int
 
-    def contains(self, x: float) -> bool:
-        return self.ci_low <= x <= self.ci_high
-
 
 def _log_mean_exp(x: np.ndarray) -> float:
     m = x.max()
     return float(m + np.log(np.mean(np.exp(x - m))))
 
 
+N_BOOT = 200      # bootstrap resamples behind the confidence interval
+CI_LEVEL = 0.95   # its coverage
+
+
 def partition_function_mc(
-    sampler: OrbitSampler,
-    f: DepthKFunction,
-    t: float,
-    n: int,
-    n_boot: int = 200,
-    ci: float = 0.95,
+    sampler: OrbitSampler, f: DepthKFunction, t: float, n: int
 ) -> McEstimate:
     """Monte Carlo estimate of c_n(t) with a bootstrap confidence interval."""
+    _check_alphabet(sampler, f)
     k = max(f.depth, 1)
     orbits = sampler.sample(n + k - 1)
     maxes = birkhoff_max_table(f, orbits, n)
@@ -249,11 +248,11 @@ def partition_function_mc(
 
     rng = np.random.default_rng(sampler.seed + 0x9E3779B9)
     m = maxes.size
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
+    boots = np.empty(N_BOOT)
+    for b in range(N_BOOT):
         idx = rng.integers(0, m, m)
         boots[b] = _log_mean_exp(expo[idx]) / n
-    alpha = (1.0 - ci) / 2.0
+    alpha = (1.0 - CI_LEVEL) / 2.0
     lo, hi = np.quantile(boots, [alpha, 1.0 - alpha])
     return McEstimate(value, float(lo), float(hi), m, sampler.seed)
 
@@ -399,6 +398,7 @@ def c_maxplus_convexity_check(
     if c_exact is not None:
         c = c_exact
     else:
+        _check_alphabet(sampler, f)
         k = max(f.depth, 1)
         orbits = sampler.sample(n + k - 1)
         maxes = birkhoff_max_table(f, orbits, n)

@@ -6,7 +6,8 @@ callable individually, from the test suite, or through the command-line
 ``verify`` subcommand, which prints one line per check.
 
 Randomized checks draw through ``numpy.random.default_rng`` with explicit
-seeds, so reruns are reproducible.
+seeds, so reruns are reproducible.  A line added to a check draws from a
+generator of its own, so that the check's earlier numbers stay put.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .shift import (
     lipschitz_constant,
     make_bernoulli_jacobian,
     pushforward_apply,
+    transfer_apply,
 )
 
 
@@ -234,26 +236,36 @@ def check_contraction_bounds(
 
 
 # ---------------------------------------------------------------------------
-# 4. Section identity of pushforward after dual transfer
+# 4. Section identity of pushforward after dual transfer, and duality
 # ---------------------------------------------------------------------------
 
 
 def check_section_identity(seed: int = 14, trials: int = 1000) -> GoldenResult:
-    """Pushforward undoes the dual transfer exactly (1e-12)."""
+    """Pushforward undoes the dual transfer exactly (1e-12), and the dual
+    transfer is the adjoint of the transfer: mu(L f) = (L* mu)(f) (1e-12)."""
     start = time.time()
     rng = np.random.default_rng(seed)
+    f_rng = np.random.default_rng([seed, 1])
     space = ShiftSpace(2, 0.3)
-    worst = 0.0
+    worst = worst_dual = 0.0
     for _ in range(trials):
         depth = int(rng.integers(1, 5))
         J = random_jacobian(space, int(rng.integers(1, min(depth + 1, 3) + 1)), rng)
         mu = random_measure(space, depth, rng)
-        back = pushforward_apply(dual_apply(J, mu))
+        image = dual_apply(J, mu)
+        back = pushforward_apply(image)
         worst = max(worst, float(np.abs(back.masses - mu.masses).max()))
-    passed = worst <= 1e-12
+        f = DepthKFunction(
+            space, depth + 1, f_rng.uniform(-2.0, 2.0, space.n_words(depth + 1))
+        )
+        worst_dual = max(
+            worst_dual, abs(mu.integrate(transfer_apply(J, f)) - image.integrate(f))
+        )
+    passed = worst <= 1e-12 and worst_dual <= 1e-12
     return _result(
         "section-identity", start, passed,
-        f"{trials} trials, max |recovered - original| = {worst:.2e} (tol 1e-12)",
+        f"{trials} trials, max |recovered - original| = {worst:.2e} (tol 1e-12); "
+        f"max |mu(Lf) - (L*mu)(f)| = {worst_dual:.2e} (tol 1e-12)",
     )
 
 
@@ -308,7 +320,7 @@ def check_product_formula() -> GoldenResult:
 
 
 # ---------------------------------------------------------------------------
-# 6. Invariant pressure of weighted kernel families
+# 6. Invariant pressure and density entropy of weighted kernel families
 # ---------------------------------------------------------------------------
 
 
@@ -379,6 +391,23 @@ def check_ifs_invariant_pressure(seed: int = 16) -> GoldenResult:
     ok &= exact
     notes.append(f"2^{N} words match brute force exactly: {exact}")
 
+    # density entropy on a short exact sample (a query costs one W1 per
+    # leaf): the image of a word carries that word's weight, and a point
+    # mass off the attractor carries bottom
+    small = ifs.attractor_build(fam2, 5, nu0, eps=0.0)
+    density = all(
+        (est.value.value, est.matched) == (leaf.weight, 1)
+        for leaf in small.leaves[::4]
+        for est in [ifs.density_entropy_estimate(small, leaf.measure)]
+    )
+    far = CylinderMeasure.point_mass(space, (1,) * small.leaves[0].measure.depth)
+    density &= ifs.density_entropy_estimate(small, far).value.is_bottom
+    ok &= density
+    notes.append(
+        f"density at 8 of the 2^5 word images is their weight, bottom off "
+        f"them: {density}"
+    )
+
     return _result("ifs-invariant-pressure", start, bool(ok), "; ".join(notes))
 
 
@@ -440,7 +469,7 @@ def check_mpifs_operators(
 
 
 # ---------------------------------------------------------------------------
-# 8. Two-symbol large-deviation worked example
+# 8. Two-symbol large-deviation worked example, Chebyshev step, convexity
 # ---------------------------------------------------------------------------
 
 
@@ -460,12 +489,14 @@ def check_ldp_worked_example() -> GoldenResult:
     notes = []
     ok = True
 
-    worst_integral = 0.0
+    worst_integral = worst_step = 0.0
     for n in (1, 2, 3, 5, 10, 20):
         for t in (0.0, 0.1, 0.5, np.log(2.0), 2.0):
             closed = dynamics.partition_integral_exact(p, t, n)
             brute = _partition_bruteforce(p, t, n)
             worst_integral = max(worst_integral, abs(closed - brute))
+            prob, step_bound = dynamics.chebyshev_step_exact(p, t, b, n)
+            worst_step = max(worst_step, prob / step_bound)
     ok &= worst_integral <= 1e-10
     notes.append(f"cylinder summation gap {worst_integral:.2e} (tol 1e-10)")
 
@@ -492,6 +523,29 @@ def check_ldp_worked_example() -> GoldenResult:
     notes.append(
         f"rate gap {rate_gap:.2e}; strict gap log p={est.limit_rate:.5f} < "
         f"bound={est.ldp_bound:.5f}: {strict}"
+    )
+
+    ok &= worst_step <= 1.0
+    notes.append(f"Chebyshev step P(max-sum <= b) / bound <= {worst_step:.3f}")
+
+    # max-plus convexity of c for f + 1 >= 1: c(u) = max(u, log p) + u in
+    # the limit, and at n = 30 on sampled orbits, where it holds pathwise
+    f_up = DepthKFunction(ShiftSpace(2, 0.3), 1, [2.0, 1.0])
+    sampler = dynamics.OrbitSampler.bernoulli([1.0 - p, p], n_orbits=2000, seed=18)
+    convexity = [
+        dynamics.c_maxplus_convexity_check(
+            f_up, sampler, s=-0.8, t=0.3, alpha=0.0, beta=-0.5,
+            c_exact=lambda u: max(u, np.log(p)) + u,
+        ),
+        dynamics.c_maxplus_convexity_check(
+            f_up, sampler, s=0.4, t=0.2, alpha=0.0, beta=-0.3, n=30
+        ),
+    ]
+    ok &= all(rep.holds for rep in convexity)
+    notes.append(
+        f"max-plus convexity of c, closed form and 2000 orbits: equality "
+        f"residual {max(rep.equality_residual for rep in convexity):.2e}, "
+        f"slack {min(rep.convexity_slack for rep in convexity):.2e}"
     )
     return _result("ldp-worked-example", start, bool(ok), "; ".join(notes))
 
@@ -577,7 +631,7 @@ def check_convex_pressure_suite(seed: int = 20) -> GoldenResult:
 
 
 # ---------------------------------------------------------------------------
-# 11. Quadratic nonlinear pressure: symmetric non-unique equilibria
+# 11. Nonlinear pressure: symmetric non-unique equilibria, Markov family
 # ---------------------------------------------------------------------------
 
 
@@ -601,12 +655,57 @@ def check_nonlinear_quadratic() -> GoldenResult:
     )
     non_convex = bool(mid_val < res.value - 0.1)
 
-    passed = two and swapped and off_uniform and non_convex
+    # a symbol potential under F(x) = x: over one-step Markov measures the
+    # pressure is still log-sum-exp, attained at a Bernoulli measure
+    A = simplex.Level1Observable((0.5, -0.2))
+    markov = simplex.nonlinear_pressure(
+        simplex.NonlinearSpec(F=lambda x: x, A=A), simplex.MarkovFamily()
+    )
+    markov_gap = abs(markov.value - simplex.log_sum_exp(A))
+
+    passed = two and swapped and off_uniform and non_convex and markov_gap <= 1e-4
     return _result(
         "nonlinear-quadratic", start, passed,
         f"{len(points)} equilibria, swap-symmetric: {swapped}, away from "
         f"uniform: {off_uniform}, midpoint value {mid_val:.4f} < max "
-        f"{res.value:.4f}: {non_convex}",
+        f"{res.value:.4f}: {non_convex}; Markov-family pressure of a symbol "
+        f"potential vs log-sum-exp gap {markov_gap:.2e} (tol 1e-4)",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 12. Pushforward invariance of a density on simplex grids
+# ---------------------------------------------------------------------------
+
+
+def check_pushforward_invariance(seed: int = 21) -> GoldenResult:
+    """The Shannon density is invariant under a symbol permutation on the
+    (2, 400) and (3, 60) simplex grids (1e-9), and, charging points off the
+    image of a non-injective symbol map, is rejected with a witness
+    observable.  The observables are random quadratics in the masses."""
+    start = time.time()
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    witnesses = []
+    for d, m, perm, collapse in (
+        (2, 400, [2, 1], [1, 1]), (3, 60, [2, 3, 1], [1, 1, 2])
+    ):
+        pts = simplex.SimplexGrid(d, m).points()
+        h = simplex.shannon_entropy_table(pts)
+        observables = []
+        for _ in range(8):
+            a, c = rng.uniform(-2.0, 2.0, d), float(rng.uniform(-1.0, 1.0))
+            observables.append(lambda q, a=a, c=c: q @ a + c * q[:, 0] ** 2)
+        kept = ifs.pushforward_invariance_check(pts, h, perm, observables)
+        worst = max(worst, kept.functional_residual, kept.density_residual)
+        lost = ifs.pushforward_invariance_check(pts, h, collapse, observables)
+        witnesses.append(None if lost.invariant else lost.witness)
+    passed = worst <= 1e-9 and None not in witnesses
+    return _result(
+        "pushforward-invariance", start, passed,
+        f"Shannon density under [2, 1] and [2, 3, 1]: residual {worst:.2e} "
+        f"(tol 1e-9); off the image of [1, 1] and [1, 1, 2] rejected with "
+        f"witnesses {', '.join(map(str, witnesses))}",
     )
 
 
@@ -627,6 +726,7 @@ ALL_CHECKS: Dict[str, Callable[[], GoldenResult]] = {
     "birkhoff-attainment": check_birkhoff_attainment,
     "convex-pressure-suite": check_convex_pressure_suite,
     "nonlinear-quadratic": check_nonlinear_quadratic,
+    "pushforward-invariance": check_pushforward_invariance,
 }
 
 

@@ -22,11 +22,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .semiring import BOTTOM, MaxPlus, pressure
+from .semiring import MaxPlus, pressure
 from .shift import CylinderMeasure, Jacobian, dual_apply
 from .transport import w1_tree
 
 NORMALIZATION_TOL = 1e-12
+MAX_WORDS = 1 << 17   # enumeration budget of attractor_build
+POLISH_ITER = 50      # transfer steps settling mpifs_fixed_density's rounding
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +80,6 @@ class AttractorSample:
     rate: float
     word_length: int
     raw_count: int
-    pruned_count: int
-    prune_floor: Optional[float]
-
-    def max_weight_leaf(self) -> AttractorLeaf:
-        return max(self.leaves, key=lambda leaf: leaf.weight)
 
     def to_json(self) -> str:
         import json
@@ -113,8 +110,6 @@ def attractor_build(
     word_length: int,
     nu0: CylinderMeasure,
     eps: Optional[float] = None,
-    prune_floor: Optional[float] = None,
-    max_words: int = 1 << 17,
 ) -> AttractorSample:
     """Enumerate all composition images of length ``word_length``.
 
@@ -125,19 +120,16 @@ def attractor_build(
     to max(r^N, gamma^final_depth), the resolution below which distinct
     clusters are not meaningful.  Passing eps=0.0 disables merging,
     yielding the exact m^N enumeration (the reference behavior).
-
-    Branches whose cumulative weight drops below ``prune_floor`` are cut;
-    pruning is off by default.
     """
     m = len(fam)
     if word_length < 1:
         raise ValueError("word length must be >= 1")
-    if m ** word_length > max_words:
+    if m ** word_length > MAX_WORDS:
         import math
 
-        suggestion = int(math.log(max_words) / math.log(m))
+        suggestion = int(math.log(MAX_WORDS) / math.log(m))
         raise ValueError(
-            f"{m}^{word_length} words exceed the budget {max_words}; "
+            f"{m}^{word_length} words exceed the budget {MAX_WORDS}; "
             f"use word_length <= {suggestion}"
         )
     r = fam.contraction_rate
@@ -147,17 +139,12 @@ def attractor_build(
 
     # grow suffixes: after t steps every length-t suffix has been applied
     suffixes: List[Tuple[Tuple[int, ...], float, CylinderMeasure]] = [((), 0.0, nu0)]
-    pruned = 0
     for _ in range(word_length):
-        nxt: List[Tuple[Tuple[int, ...], float, CylinderMeasure]] = []
-        for word, weight, rho in suffixes:
-            for i in range(m):
-                w2 = weight + fam.weights[i]
-                if prune_floor is not None and w2 < prune_floor:
-                    pruned += 1
-                    continue
-                nxt.append(((i + 1,) + word, w2, dual_apply(fam.jacobians[i], rho)))
-        suffixes = nxt
+        suffixes = [
+            ((i + 1,) + word, weight + fam.weights[i], dual_apply(fam.jacobians[i], rho))
+            for word, weight, rho in suffixes
+            for i in range(m)
+        ]
     raw = len(suffixes)
 
     leaves: List[AttractorLeaf] = []
@@ -181,8 +168,6 @@ def attractor_build(
         rate=r,
         word_length=word_length,
         raw_count=raw,
-        pruned_count=pruned,
-        prune_floor=prune_floor,
     )
 
 
@@ -207,8 +192,6 @@ def density_entropy_estimate(
     """Best cumulative weight among leaves within eps of ``mu`` (else bottom):
     the pressure of the max-plus indicator of that ball (0 in it, -inf out)."""
     margin = sample.rate ** sample.word_length / (1.0 - sample.rate)
-    if not sample.leaves:   # everything pruned: an empty density
-        return DensityEstimate(BOTTOM, w1_margin=margin, matched=0)
     if any(leaf.measure.depth != mu.depth for leaf in sample.leaves):
         raise ValueError(
             "target depth differs from the sample leaves; bring the "
@@ -319,13 +302,13 @@ def pushforward_invariance_check(
             raise ValueError("symbol map targets must lie in 1..d")
         push[:, t - 1] += pts[:, i]
 
-    # match pushed points back onto the grid
-    index: Dict[Tuple[int, ...], int] = {
-        tuple(np.round(p * 1e9).astype(np.int64)): i for i, p in enumerate(pts)
-    }
+    # match pushed points back onto the grid, keyed by rounded masses
+    def keys(rows: np.ndarray):
+        return map(tuple, np.round(rows * 1e9).astype(np.int64).tolist())
+
+    index: Dict[Tuple[int, ...], int] = {key: i for i, key in enumerate(keys(pts))}
     sigma = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        key = tuple(np.round(push[i] * 1e9).astype(np.int64))
+    for i, key in enumerate(keys(push)):
         if key not in index:
             raise ValueError(
                 f"grid is not closed under the pushforward: image of point "
@@ -508,9 +491,7 @@ def mpifs_invariance_check(
     )
 
 
-def mpifs_fixed_density(
-    sys: MpIFSSystem, polish_iter: int = 50
-) -> Tuple[np.ndarray, int]:
+def mpifs_fixed_density(sys: MpIFSSystem) -> Tuple[np.ndarray, int]:
     """The limit of transfer iteration from the zero density, in closed form.
 
     Iterating the transfer operator from 0 is monotone decreasing (weights
@@ -546,7 +527,7 @@ def mpifs_fixed_density(
     lam = reach.max(axis=0)
     lam[zero_cycle] = np.maximum(lam[zero_cycle], 0.0)  # empty path
 
-    for it in range(1, polish_iter + 1):
+    for it in range(1, POLISH_ITER + 1):
         nxt = mpifs_transfer(lam, sys)
         if np.array_equal(nxt, lam):
             return lam, it
@@ -556,7 +537,7 @@ def mpifs_fixed_density(
         raise RuntimeError(
             f"transfer iteration residual {residual!r} after polishing"
         )
-    return lam, polish_iter
+    return lam, POLISH_ITER
 
 
 # ---------------------------------------------------------------------------

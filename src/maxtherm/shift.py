@@ -9,9 +9,8 @@ significant, which makes prepend/marginalize operations pure reshapes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -56,14 +55,6 @@ def word_index(word: Sequence[int], d: int) -> int:
     return idx
 
 
-def index_word(idx: int, depth: int, d: int) -> Tuple[int, ...]:
-    out = []
-    for _ in range(depth):
-        out.append(idx % d + 1)
-        idx //= d
-    return tuple(reversed(out))
-
-
 def symbol_table(depth: int, d: int) -> np.ndarray:
     """(d^depth, depth) array listing every word in lexicographic order."""
     n = d ** depth
@@ -73,16 +64,6 @@ def symbol_table(depth: int, d: int) -> np.ndarray:
         out[:, j] = codes % d + 1
         codes //= d
     return out
-
-
-def word_metric(u: Sequence[int], v: Sequence[int], space: ShiftSpace) -> float:
-    """gamma^(first differing 0-based position); 0 if the words are equal."""
-    if len(u) != len(v):
-        raise ValueError("words must have equal length")
-    for i, (a, b) in enumerate(zip(u, v)):
-        if a != b:
-            return space.gamma ** i
-    return 0.0
 
 
 class DepthKFunction:
@@ -108,11 +89,6 @@ class DepthKFunction:
         if depth < self.depth:
             raise ValueError("cannot view a table at a shallower depth")
         return np.repeat(self.values, self.space.d ** (depth - self.depth))
-
-    def value_at(self, word: Sequence[int]) -> float:
-        if len(word) < self.depth:
-            raise ValueError("word shorter than the table depth")
-        return float(self.values[word_index(word[: self.depth], self.space.d)])
 
     def __sub__(self, other: "DepthKFunction") -> "DepthKFunction":
         k = max(self.depth, other.depth)
@@ -174,9 +150,6 @@ class Jacobian:
         self.depth = depth
         self.values = vals
         self.fn = fn
-
-    def lipschitz(self) -> float:
-        return lipschitz_constant(self.fn)
 
 
 def make_bernoulli_jacobian(p: float, space: ShiftSpace) -> Jacobian:
@@ -268,22 +241,6 @@ class CylinderMeasure:
         if f.depth > self.depth:
             raise ValueError("observable deeper than the measure table")
         return float(self.masses @ f.at_depth(self.depth))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d": self.space.d,
-                "gamma": self.space.gamma,
-                "depth": self.depth,
-                "masses": [float(x) for x in self.masses],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CylinderMeasure":
-        obj = json.loads(text)
-        space = ShiftSpace(int(obj["d"]), float(obj["gamma"]))
-        return cls(space, int(obj["depth"]), np.asarray(obj["masses"], dtype=float))
 
 
 def transfer_apply(J: Jacobian, f: DepthKFunction) -> DepthKFunction:

@@ -67,23 +67,19 @@ class Level1Observable:
 class Level2Observable:
     """A function on the simplex, evaluated row-wise on (N, d) arrays."""
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], label: str = ""):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
         self._fn = fn
-        self.label = label
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.asarray(self._fn(pts), dtype=float)
         return out
 
-    def at(self, p) -> float:
-        return float(self(np.atleast_2d(p))[0])
-
 
 def inclusion_j(phi: Level1Observable) -> Level2Observable:
     """Embed a level-1 observable as integration: p -> sum_j phi_j p_j."""
     coeffs = phi.array()
-    return Level2Observable(lambda pts: pts @ coeffs, label=f"j{phi.coeffs}")
+    return Level2Observable(lambda pts: pts @ coeffs)
 
 
 def gibbs_solution(g: Level1Observable) -> np.ndarray:
@@ -419,25 +415,6 @@ def entropy_recovery(
     best = np.inf
     for phi in phi_family:
         val = convex_pressure_gamma(h, phi, grid) - float(phi.array() @ p)
-        best = min(best, val)
-    return float(best)
-
-
-def concave_density_identity(
-    h: Callable[[np.ndarray], np.ndarray],
-    mu,
-    g_family: Sequence[Level2Observable],
-    grid: SimplexGrid,
-) -> float:
-    """min over level-2 observables of l(g) - g(mu), for concave densities.
-
-    For u.s.c. concave h this recovers h(mu) in the limit of a rich
-    family; with a finite family it is a decreasing upper bound.
-    """
-    p = np.atleast_2d(as_prob_vector(mu))
-    best = np.inf
-    for g in g_family:
-        val = level2_pressure(h, g, grid).value - float(g(p)[0])
         best = min(best, val)
     return float(best)
 

@@ -34,36 +34,6 @@ from .shift import (
 LP_MAX_POINTS = 1024
 
 
-@dataclass(frozen=True)
-class PrefixTreeMetric:
-    """Edge weights of the prefix tree realizing the word ultrametric."""
-
-    space: ShiftSpace
-    depth: int
-
-    def edge_weights(self) -> np.ndarray:
-        """Weight of edges entering each level j+1, for j = 0 .. depth-1."""
-        g = self.space.gamma
-        n = self.depth
-        w = np.array([(g ** j - g ** (j + 1)) / 2.0 for j in range(n)])
-        if n >= 1:
-            w[n - 1] = g ** (n - 1) / 2.0
-        return w
-
-    def leaf_distance_residual(self) -> float:
-        """Worst |path length - gamma^L| over all first-difference levels L."""
-        w = self.edge_weights()
-        worst = 0.0
-        for L in range(self.depth):
-            path = 2.0 * w[L:].sum()
-            worst = max(worst, abs(path - self.space.gamma ** L))
-        return worst
-
-    def truncation_error(self) -> float:
-        """Resolution limit of depth-n tables for the underlying W1."""
-        return self.space.gamma ** self.depth
-
-
 def _check_pair(mu: CylinderMeasure, nu: CylinderMeasure):
     if mu.space != nu.space:
         raise ValueError("measures live on different spaces")
@@ -107,19 +77,10 @@ def distance_matrix(space: ShiftSpace, depth: int) -> np.ndarray:
 @dataclass
 class TransportReport:
     w1: float
-    method: str
     truncation_error: float
     potential: Optional[DepthKFunction] = None
     duality_gap: Optional[float] = None
     lp_solves: int = 0   # 2 when the LP was retried without presolve
-
-
-def w1_tree_report(mu: CylinderMeasure, nu: CylinderMeasure) -> TransportReport:
-    return TransportReport(
-        w1=w1_tree(mu, nu),
-        method="tree-closed-form",
-        truncation_error=mu.space.gamma ** mu.depth,
-    )
 
 
 def _transport_constraints(n_src: int, n_snk: int) -> sparse.csr_matrix:
@@ -159,7 +120,7 @@ def w1_lp_oracle(mu: CylinderMeasure, nu: CylinderMeasure) -> TransportReport:
             f"{n_words} support points exceed the oracle limit {LP_MAX_POINTS}"
         )
     if mu.depth == 0:
-        return TransportReport(0.0, "lp-oracle", 1.0, None, 0.0)
+        return TransportReport(0.0, 1.0, None, 0.0)
 
     truncation = mu.space.gamma ** mu.depth
     excess = mu.masses - nu.masses
@@ -168,7 +129,7 @@ def w1_lp_oracle(mu: CylinderMeasure, nu: CylinderMeasure) -> TransportReport:
     if src.size == 0 or snk.size == 0:
         # equal tables; a one-sided excess is normalization rounding only
         zero = DepthKFunction(mu.space, mu.depth, np.zeros(n_words))
-        return TransportReport(0.0, "lp-oracle", truncation, zero, 0.0)
+        return TransportReport(0.0, truncation, zero, 0.0)
 
     D = distance_matrix(mu.space, mu.depth)
     cost = D[np.ix_(src, snk)].ravel()
@@ -206,7 +167,6 @@ def w1_lp_oracle(mu: CylinderMeasure, nu: CylinderMeasure) -> TransportReport:
     potential = DepthKFunction(mu.space, mu.depth, f_vals)
     return TransportReport(
         w1=primal,
-        method="lp-oracle",
         truncation_error=truncation,
         potential=potential,
         duality_gap=abs(primal - dual_value),

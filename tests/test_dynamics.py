@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
+from oracles import maxplus_birkhoff
+
 from maxtherm.dynamics import (
     BirkhoffReport,
     OrbitSampler,
     bernoulli_ldp_bound,
     birkhoff_limit_test,
+    birkhoff_max_table,
     c_limit_exact,
     c_maxplus_convexity_check,
     c_n_exact,
     chebyshev_step_exact,
     empirical_rate,
     ldp_upper_bound,
-    maxplus_birkhoff,
     partition_function_mc,
     partition_integral_exact,
 )
@@ -25,26 +27,40 @@ F_FIRST = DepthKFunction(SPACE, 1, [1.0, 0.0])   # indicator of first symbol 1
 LOG2 = 0.6931471805599453
 
 
+def running_max(f, orbit, n):
+    """birkhoff_max_table on one orbit, checked against the window loop."""
+    got = float(birkhoff_max_table(f, np.array([orbit]), n)[0])
+    assert got == maxplus_birkhoff(f, orbit, n)
+    return got
+
+
 class TestBirkhoffMax:
     def test_single_window(self):
-        assert maxplus_birkhoff(F_FIRST, [2, 1, 2], 1) == 0.0
-        assert maxplus_birkhoff(F_FIRST, [1, 2, 2], 1) == 1.0
+        assert running_max(F_FIRST, [2, 1, 2], 1) == 0.0
+        assert running_max(F_FIRST, [1, 2, 2], 1) == 1.0
 
     def test_hit_at_step_two(self):
-        assert maxplus_birkhoff(F_FIRST, [2, 2, 1, 2], 3) == 1.0
+        assert running_max(F_FIRST, [2, 2, 1, 2], 3) == 1.0
 
     def test_all_twos_stays_zero(self):
         for n in (1, 5, 20):
-            assert maxplus_birkhoff(F_FIRST, [2] * (n + 3), n) == 0.0
+            assert running_max(F_FIRST, [2] * (n + 3), n) == 0.0
 
     def test_depth2_windows(self):
         f = DepthKFunction(SPACE, 2, [0.0, 1.0, 2.0, 3.0])
         # windows of (2,1,2): (2,1) -> 2.0, (1,2) -> 1.0
-        assert maxplus_birkhoff(f, [2, 1, 2], 2) == 2.0
+        assert running_max(f, [2, 1, 2], 2) == 2.0
 
     def test_short_orbit_rejected(self):
         with pytest.raises(ValueError, match="too short"):
-            maxplus_birkhoff(F_FIRST, [1, 2], 3)
+            birkhoff_max_table(F_FIRST, np.array([[1, 2]]), 3)
+
+    def test_symbols_outside_the_alphabet_rejected(self):
+        # symbol 0 would give a negative code that wraps around the table
+        f = DepthKFunction(ShiftSpace(3, 0.2), 2, [0.0] * 8 + [1.0])
+        for orbit in ([1, 2, 2, 0], [1, 4, 2, 2]):
+            with pytest.raises(ValueError, match="1..3"):
+                birkhoff_max_table(f, np.array([orbit]), 3)
 
 
 class TestSampler:
@@ -71,6 +87,18 @@ class TestSampler:
         s = OrbitSampler.bernoulli([1.0, 0.0], n_orbits=10, seed=0)
         with pytest.raises(ValueError, match="positive"):
             birkhoff_limit_test(s, F_FIRST, length=100)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_sampler_on_another_alphabet_rejected_by_limit_test(self, depth):
+        s = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=10, seed=0)
+        f = DepthKFunction(ShiftSpace(3, 0.2), depth, [0.0] * (3 ** depth - 1) + [1.0])
+        with pytest.raises(ValueError, match="sampler draws 2 symbols but f reads 3"):
+            birkhoff_limit_test(s, f, length=20)
+
+    def test_sampler_on_another_alphabet_rejected_by_partition_mc(self):
+        s = OrbitSampler.bernoulli([0.2, 0.3, 0.5], n_orbits=10, seed=0)
+        with pytest.raises(ValueError, match="sampler draws 3 symbols but f reads 2"):
+            partition_function_mc(s, F_FIRST, -0.2, 5)
 
 
 def _inline_limit_report(sampler, f, length, tol=1e-9):

@@ -110,16 +110,6 @@ class TestAttractor:
         with pytest.raises(ValueError, match="word_length <="):
             attractor_build(fam, 30, NU0)
 
-    def test_pruning_drops_heavy_penalty_branches(self):
-        fam = WeightedJacobianFamily(
-            [make_bernoulli_jacobian(0.3, SPACE), make_bernoulli_jacobian(0.7, SPACE)],
-            [0.0, -2.0],
-        )
-        pruned = attractor_build(fam, 5, NU0, eps=0.0, prune_floor=-3.0)
-        assert pruned.pruned_count > 0
-        assert pruned.raw_count < 2 ** 5
-        assert all(leaf.weight >= -3.0 for leaf in pruned.leaves)
-
     def test_json_export_roundtrips_measures(self):
         fam = WeightedJacobianFamily(
             [make_bernoulli_jacobian(0.3, SPACE), make_bernoulli_jacobian(0.7, SPACE)],
@@ -194,11 +184,6 @@ class TestDensityEstimate:
                 assert (est.value, est.matched) == _per_leaf_estimate(sample, mu)
                 bottoms += est.value.is_bottom
         assert bottoms >= 4
-        # a floor above every weight prunes all words
-        empty = attractor_build(fam, 3, NU0, prune_floor=0.5)
-        mu = CylinderMeasure.point_mass(SPACE, (1,) * 4)
-        est = density_entropy_estimate(empty, mu)
-        assert (est.value, est.matched) == _per_leaf_estimate(empty, mu) == (BOTTOM, 0)
 
     def test_depth_mismatch_rejected(self):
         fam = WeightedJacobianFamily([make_bernoulli_jacobian(0.4, SPACE)], [0.0])

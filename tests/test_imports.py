@@ -1,23 +1,27 @@
-"""Every name a ``maxtherm`` module imports is used in that module.
+"""Lints over the ``maxtherm`` sources.
+
+Every name a module imports is used in that module, and every public
+function, class and method is reached from elsewhere in the package: a
+name that only tests or nothing call is either made a check, moved into
+the tests as an oracle, or deleted.
 
 No linter is a dependency, so this parses the sources with ``ast``.  The
-package ``__init__`` is exempt: its imports are the re-exports.
+package ``__init__`` is exempt from the import rule, since its imports are
+the re-exports; re-exporting a name is not a reference to it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    path
-    for path in (Path(__file__).resolve().parents[1] / "src" / "maxtherm").glob("*.py")
-    if path.name != "__init__.py"
-)
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "maxtherm"
+TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+SOURCES = [name for name in TREES if name != "__init__.py"]
 
 
-def unused_imports(source: str) -> list:
-    tree = ast.parse(source)
+def unused_imports(tree: ast.AST) -> list:
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -30,15 +34,71 @@ def unused_imports(source: str) -> list:
     return sorted(name for name in imported if name not in used)
 
 
+def public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public top-level def or class, and of
+    each public method of a public class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def references(node: ast.AST) -> Counter:
+    """How often each name is loaded as ``name`` or ``obj.name`` in ``node``."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def unreached(trees: dict) -> list:
+    """``module:name`` of each public definition that no code outside its
+    own body references.  Methods match by attribute name alone."""
+    total = sum((references(tree) for tree in trees.values()), Counter())
+    out = []
+    for module, tree in trees.items():
+        for qualname, node in public_definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            if total[name] <= references(node)[name]:
+                out.append(f"{module}:{qualname}")
+    return out
+
+
 def test_the_sources_are_found():
-    assert {"ifs.py", "semiring.py", "transport.py"} <= {p.name for p in SOURCES}
+    assert {"ifs.py", "semiring.py", "transport.py"} <= set(SOURCES)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_module_uses_every_name_it_imports(path):
-    assert unused_imports(path.read_text()) == []
+@pytest.mark.parametrize("name", SOURCES)
+def test_module_uses_every_name_it_imports(name):
+    assert unused_imports(TREES[name]) == []
 
 
 def test_an_unused_import_is_reported():
     source = "import os\nfrom typing import List, Tuple\n\nx: Tuple[int] = os.sep\n"
-    assert unused_imports(source) == ["List"]
+    assert unused_imports(ast.parse(source)) == ["List"]
+
+
+def test_every_public_name_is_reached_from_the_package():
+    assert unreached(TREES) == []
+
+
+def test_an_unreached_name_is_reported():
+    source = (
+        "def used(): pass\n"
+        "def recursive(): return recursive()\n"
+        "class Box:\n"
+        "    def read(self): pass\n"
+        "    def write(self): self.read()\n"
+        "class _Hidden:\n"
+        "    def error(self): pass\n"
+        "used()\n"
+        "Box\n"
+    )
+    other = "from a import recursive\n"
+    trees = {"a.py": ast.parse(source), "b.py": ast.parse(other)}
+    assert unreached(trees) == ["a.py:recursive", "a.py:Box.write"]

@@ -1,7 +1,13 @@
 """Tests for cylinder measures and transfer operators on shift spaces."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import index_word, word_metric
 
 from maxtherm.goldens import random_jacobian, random_measure
 from maxtherm.shift import (
@@ -11,14 +17,12 @@ from maxtherm.shift import (
     ShiftSpace,
     compose_duals,
     dual_apply,
-    index_word,
     lipschitz_constant,
     make_bernoulli_jacobian,
     pushforward_apply,
     symbol_table,
     transfer_apply,
     word_index,
-    word_metric,
 )
 
 SPACE = ShiftSpace(2, 0.3)
@@ -97,8 +101,8 @@ class TestJacobianValidation:
     def test_bernoulli_values_and_lipschitz(self):
         j = make_bernoulli_jacobian(0.3, SPACE)
         assert j.values == pytest.approx([0.3, 0.7])
-        assert j.lipschitz() == pytest.approx(0.4)
-        assert make_bernoulli_jacobian(0.5, SPACE).lipschitz() == 0.0
+        assert lipschitz_constant(j.fn) == pytest.approx(0.4)
+        assert lipschitz_constant(make_bernoulli_jacobian(0.5, SPACE).fn) == 0.0
 
     def test_p_range(self):
         with pytest.raises(ValueError):
@@ -136,14 +140,6 @@ class TestCylinderMeasure:
             CylinderMeasure(SPACE, 1, [0.7, 0.7])
         with pytest.raises(ValueError, match="nonnegative"):
             CylinderMeasure(SPACE, 1, [1.5, -0.5])
-
-    def test_json_roundtrip_bit_exact(self):
-        rng = np.random.default_rng(5)
-        mu = random_measure(SPACE, 4, rng)
-        back = CylinderMeasure.from_json(mu.to_json())
-        assert back.space == mu.space
-        assert back.depth == mu.depth
-        assert np.array_equal(back.masses, mu.masses)
 
     def test_bernoulli_constructor(self):
         mu = CylinderMeasure.bernoulli(SPACE, [0.3, 0.7], 2)
@@ -301,3 +297,43 @@ class TestComposeDuals:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             compose_duals([], CylinderMeasure.trivial(SPACE))
+
+
+SPACES = {2: SPACE, 3: ShiftSpace(3, 0.2)}
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.sampled_from((2, 3)), depth=st.integers(0, 4),
+           kernel_depth=st.integers(1, 3), spiky=st.booleans(), seed=SEEDS)
+    def test_pushforward_undoes_the_dual_transfer(self, d, depth, kernel_depth,
+                                                  spiky, seed):
+        rng = np.random.default_rng(seed)
+        J = random_jacobian(SPACES[d], min(kernel_depth, depth + 1), rng)
+        mu = random_measure(SPACES[d], depth, rng, spiky=spiky)
+        back = pushforward_apply(dual_apply(J, mu))
+        assert back.depth == mu.depth
+        assert np.abs(back.masses - mu.masses).max() <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.sampled_from((2, 3)), count=st.integers(1, 4),
+           seed_depth=st.integers(0, 2), seed=SEEDS)
+    def test_symbol_kernels_compose_to_the_product_measure(self, d, count,
+                                                           seed_depth, seed):
+        # depth-1 kernels are symbol distributions p_i: composing them on
+        # nu0 gives p_1 x ... x p_count x nu0, and with one repeated kernel
+        # from the trivial seed the product is shift invariant
+        rng = np.random.default_rng(seed)
+        space = SPACES[d]
+        probs = [rng.dirichlet(np.ones(d)) for _ in range(count)]
+        nu0 = random_measure(space, seed_depth, rng)
+        js = [Jacobian(space, 1, p) for p in probs]
+        rho = compose_duals(js, nu0, track_trace=False).measure
+        product = functools.reduce(np.kron, probs + [nu0.masses])
+        assert np.abs(rho.masses - product).max() <= 1e-15
+
+        const = compose_duals([js[0]] * (count + 1), CylinderMeasure.trivial(space),
+                              track_trace=False).measure
+        shifted = pushforward_apply(const).masses
+        assert np.abs(shifted - const.coarsen().masses).max() <= 1e-15

@@ -12,7 +12,6 @@ from maxtherm.simplex import (
     NonlinearSpec,
     SimplexGrid,
     affine_observable_family,
-    concave_density_identity,
     concave_envelope_1d,
     convex_pressure_gamma,
     entropy_recovery,
@@ -68,7 +67,7 @@ class TestInclusion:
 
     def test_expectation(self):
         j = inclusion_j(Level1Observable((1.0, 0.0)))
-        assert j.at(np.array([0.3, 0.7])) == pytest.approx(0.3, abs=1e-15)
+        assert j(np.array([0.3, 0.7]))[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_pointwise_max_dominates_included_max(self):
         # integrating the pointwise max dominates the max of integrals,
@@ -239,16 +238,12 @@ class TestEntropyRecovery:
 
 
 class TestConcaveIdentity:
+    # min over observables g of (pressure of g) - g(mu); for affine g,
+    # p -> a p_1, this is entropy recovery over the family (a, 0)
     def test_affine_family_at_uniform(self):
         grid = SimplexGrid(2, 2000)
-        # affine level-2 observables in the first mass
-        g_family = [
-            simplex.Level2Observable(lambda pts, a=a: a * pts[:, 0])
-            for a in np.linspace(-4, 4, 161)
-        ]
-        val = concave_density_identity(
-            shannon_entropy_table, [0.5, 0.5], g_family, grid
-        )
+        family = [Level1Observable((a, 0.0)) for a in np.linspace(-4, 4, 161)]
+        val = entropy_recovery(shannon_entropy_table, [0.5, 0.5], family, grid)
         assert val == pytest.approx(LOG2, abs=1e-4)
 
     def test_affine_density_exact_with_negated_self(self):
@@ -259,9 +254,8 @@ class TestConcaveIdentity:
 
         # g = -h (up to a constant) makes h + g constant, so the pressure
         # is attained everywhere and the identity is exact at any mu
-        g_family = [simplex.Level2Observable(lambda pts: -0.75 * pts[:, 0])]
         mu = np.array([0.3, 0.7])
-        val = concave_density_identity(h, mu, g_family, grid)
+        val = entropy_recovery(h, mu, [Level1Observable((-0.75, 0.0))], grid)
         assert val == pytest.approx(float(h(mu[None, :])[0]), abs=1e-12)
 
     def test_envelope_projects_identically(self):

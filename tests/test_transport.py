@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
+from oracles import word_metric
+
 from maxtherm.goldens import random_jacobian, random_measure
 from maxtherm.shift import CylinderMeasure, ShiftSpace, make_bernoulli_jacobian
 from maxtherm.transport import (
-    PrefixTreeMetric,
     contraction_check,
     distance_matrix,
     jacobian_perturbation_check,
     joint_contraction_check,
     w1_lp_oracle,
     w1_tree,
-    w1_tree_report,
 )
 
 SPACE = ShiftSpace(2, 0.3)
@@ -34,20 +34,17 @@ def _digit_loop_matrix(space, depth):
 
 class TestPrefixTree:
     def test_leaf_distances_telescope_exactly(self):
-        for d, gamma in ((2, 0.3), (3, 0.2), (2, 0.05)):
-            for depth in range(1, 7):
-                tree = PrefixTreeMetric(ShiftSpace(d, gamma), depth)
-                assert tree.leaf_distance_residual() <= 1e-15
-
-    def test_edge_weights_shape(self):
-        tree = PrefixTreeMetric(SPACE, 3)
-        w = tree.edge_weights()
-        assert w[0] == pytest.approx((1 - 0.3) / 2)
-        assert w[2] == pytest.approx(0.3 ** 2 / 2)   # leaf level keeps gamma^2/2
-
-    def test_truncation_error(self):
-        assert PrefixTreeMetric(SPACE, 4).truncation_error() == pytest.approx(0.3 ** 4)
-
+        # W1 between the point masses at two leaves is the leaf-to-leaf path
+        # length of w1_tree's edge weights: it must be gamma^(first difference)
+        for d, gamma in ((2, 0.3), (3, 0.2)):
+            space = ShiftSpace(d, gamma)
+            for depth in range(1, 6):
+                n = space.n_words(depth)
+                D = distance_matrix(space, depth)
+                diracs = [CylinderMeasure(space, depth, row) for row in np.eye(n)]
+                for u in range(n):
+                    for v in range(u, n):
+                        assert abs(w1_tree(diracs[u], diracs[v]) - D[u, v]) <= 1e-15
 
     def test_distance_matrix_equals_its_digit_loop(self):
         for d, gamma in ((2, 0.3), (3, 0.24)):
@@ -109,13 +106,6 @@ class TestTreeFormula:
         with pytest.raises(ValueError, match="space"):
             w1_tree(a, b)
 
-    def test_report_carries_truncation(self):
-        a = random_measure(SPACE, 3, np.random.default_rng(5))
-        b = random_measure(SPACE, 3, np.random.default_rng(6))
-        rep = w1_tree_report(a, b)
-        assert rep.method == "tree-closed-form"
-        assert rep.truncation_error == pytest.approx(0.3 ** 3)
-
 
 class TestLpOracle:
     def test_point_mass_transport(self):
@@ -129,6 +119,12 @@ class TestLpOracle:
         nu = CylinderMeasure(SPACE, 1, [0.4, 0.6])
         rep = w1_lp_oracle(mu, nu)
         assert rep.w1 == pytest.approx(0.3, abs=1e-12)
+
+    def test_report_carries_truncation(self):
+        a = random_measure(SPACE, 3, np.random.default_rng(5))
+        b = random_measure(SPACE, 3, np.random.default_rng(6))
+        assert w1_lp_oracle(a, b).truncation_error == pytest.approx(0.3 ** 3)
+        assert w1_lp_oracle(a, a).truncation_error == pytest.approx(0.3 ** 3)
 
     def test_agrees_with_tree_formula(self):
         rng = np.random.default_rng(7)
@@ -164,7 +160,7 @@ class TestLpOracle:
             w1_lp_oracle(mu, mu)
 
     def test_distance_matrix_matches_word_metric(self):
-        from maxtherm.shift import symbol_table, word_metric
+        from maxtherm.shift import symbol_table
 
         D = distance_matrix(SPACE, 3)
         words = [tuple(w) for w in symbol_table(3, 2)]

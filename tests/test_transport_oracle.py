@@ -163,8 +163,3 @@ class TestExcessMassOracle:
         assert rep.lp_solves == 2
         assert abs(rep.w1 - transport.w1_tree(mu, nu)) <= TOL
         assert rep.duality_gap <= TOL
-
-    def test_tree_report_solves_no_lp(self):
-        mu = CylinderMeasure.point_mass(SPACES[2], (1, 1))
-        nu = CylinderMeasure.point_mass(SPACES[2], (2, 1))
-        assert transport.w1_tree_report(mu, nu).lp_solves == 0
