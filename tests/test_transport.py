@@ -46,6 +46,31 @@ class TestPrefixTree:
                     for v in range(u, n):
                         assert abs(w1_tree(diracs[u], diracs[v]) - D[u, v]) <= 1e-15
 
+    def test_edge_weights_shape(self):
+        # w1_tree between leaf point masses reads off its edge weights:
+        # first difference at level L costs 2 * (w[L] + ... + w[n-1])
+        def dirac(word):
+            return CylinderMeasure.point_mass(SPACE, word)
+
+        root_split = w1_tree(dirac((1, 1, 1)), dirac((2, 1, 1)))
+        level1_split = w1_tree(dirac((1, 1, 1)), dirac((1, 2, 1)))
+        leaf_split = w1_tree(dirac((1, 1, 1)), dirac((1, 1, 2)))
+        assert (root_split - level1_split) / 2 == pytest.approx((1 - 0.3) / 2)
+        assert leaf_split / 2 == pytest.approx(0.3 ** 2 / 2)   # leaf level keeps gamma^2/2
+
+    def test_truncation_error(self):
+        # one more level of the tables moves W1 up by at most gamma^depth,
+        # the truncation error the transport report carries
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            a = random_measure(SPACE, 5, rng)
+            b = random_measure(SPACE, 5, rng)
+            coarse = w1_tree(a.at_depth(4), b.at_depth(4))
+            step = w1_tree(a, b) - coarse
+            bound = w1_lp_oracle(a.at_depth(4), b.at_depth(4)).truncation_error
+            assert bound == pytest.approx(0.3 ** 4)
+            assert -1e-12 <= step <= bound + 1e-12
+
     def test_distance_matrix_equals_its_digit_loop(self):
         for d, gamma in ((2, 0.3), (3, 0.24)):
             space = ShiftSpace(d, gamma)
@@ -106,6 +131,14 @@ class TestTreeFormula:
         with pytest.raises(ValueError, match="space"):
             w1_tree(a, b)
 
+    def test_report_carries_truncation(self):
+        a = random_measure(SPACE, 3, np.random.default_rng(5))
+        b = random_measure(SPACE, 3, np.random.default_rng(6))
+        rep = w1_lp_oracle(a, b)
+        assert rep.w1 == pytest.approx(w1_tree(a, b), abs=1e-9)
+        assert rep.truncation_error == pytest.approx(0.3 ** 3)
+        assert w1_lp_oracle(a, a).truncation_error == pytest.approx(0.3 ** 3)
+
 
 class TestLpOracle:
     def test_point_mass_transport(self):
@@ -119,12 +152,6 @@ class TestLpOracle:
         nu = CylinderMeasure(SPACE, 1, [0.4, 0.6])
         rep = w1_lp_oracle(mu, nu)
         assert rep.w1 == pytest.approx(0.3, abs=1e-12)
-
-    def test_report_carries_truncation(self):
-        a = random_measure(SPACE, 3, np.random.default_rng(5))
-        b = random_measure(SPACE, 3, np.random.default_rng(6))
-        assert w1_lp_oracle(a, b).truncation_error == pytest.approx(0.3 ** 3)
-        assert w1_lp_oracle(a, a).truncation_error == pytest.approx(0.3 ** 3)
 
     def test_agrees_with_tree_formula(self):
         rng = np.random.default_rng(7)
