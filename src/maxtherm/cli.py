@@ -132,9 +132,9 @@ def cmd_gamma(args) -> int:
         f"convexity {report.convexity:.3e}"
     )
     mu = np.full(d, 1.0 / d)
-    family = simplex.affine_observable_family(d) + [
-        simplex.shannon_recovery_minimizer(mu)
-    ]
+    family = np.vstack([
+        simplex.affine_observable_family(d), simplex.shannon_recovery_minimizer(mu)
+    ])
     rec = simplex.entropy_recovery(simplex.shannon_entropy_table, mu, family, grid)
     target = simplex.shannon_entropy(mu)
     print(f"entropy recovery at uniform: {rec:.17g} (Shannon {target:.17g})")
@@ -219,6 +219,10 @@ def cmd_ldp(args) -> int:
         raise ValueError("p must lie in (0, 1)")
     if not (0.0 < b < 1.0):
         raise ValueError("b must lie in (0, 1)")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if mc_samples < 0:
+        raise ValueError(f"mc_samples must be at least 0 (0 is off), got {mc_samples}")
     t_star, bound = dynamics.bernoulli_ldp_bound(p, b)
     est = dynamics.empirical_rate(p, b, list(range(1, n_max + 1)))
     print(f"upper large-deviation bound: {bound:.17g} at t* = {t_star:.17g}")

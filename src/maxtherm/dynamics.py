@@ -374,7 +374,7 @@ class ConvexityReport:
 
 def c_maxplus_convexity_check(
     f: DepthKFunction,
-    sampler: OrbitSampler,
+    sampler: Optional[OrbitSampler],
     s: float,
     t: float,
     alpha: float,
@@ -388,7 +388,7 @@ def c_maxplus_convexity_check(
     inequality to c(t) <= c(t)).  All evaluations reuse one orbit sample,
     under which both relations hold pathwise, so residuals are at float
     precision rather than Monte Carlo scale.  Passing ``c_exact`` checks
-    the closed form instead of sampling.
+    the closed form instead of sampling, and ``sampler`` may then be None.
     """
     if float(f.values.min()) < 1.0:
         raise ValueError("the convexity check needs f >= 1")
@@ -397,6 +397,8 @@ def c_maxplus_convexity_check(
 
     if c_exact is not None:
         c = c_exact
+    elif sampler is None:
+        raise ValueError("the convexity check needs a sampler or c_exact")
     else:
         _check_alphabet(sampler, f)
         k = max(f.depth, 1)

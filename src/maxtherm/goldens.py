@@ -136,9 +136,9 @@ def check_gibbs_equilibrium(
     for d, m in grids:
         grid = simplex.SimplexGrid(d, m)
         for _ in range(per_d):
-            g = simplex.Level1Observable(rng.uniform(-2.0, 2.0, d))
+            g = rng.uniform(-2.0, 2.0, d)
             res = simplex.level2_pressure(
-                simplex.shannon_entropy_table, simplex.inclusion_j(g), grid
+                simplex.shannon_entropy_table, lambda pts: pts @ g, grid
             )
             target = simplex.gibbs_solution(g)
             worst_point = max(
@@ -328,7 +328,7 @@ def _mass_of_one(mu: CylinderMeasure) -> float:
     return mu.mass_of((1,))
 
 
-def check_ifs_invariant_pressure(seed: int = 16) -> GoldenResult:
+def check_ifs_invariant_pressure() -> GoldenResult:
     start = time.time()
     space = ShiftSpace(2, 0.3)
     r = space.contraction_rate
@@ -534,7 +534,7 @@ def check_ldp_worked_example() -> GoldenResult:
     sampler = dynamics.OrbitSampler.bernoulli([1.0 - p, p], n_orbits=2000, seed=18)
     convexity = [
         dynamics.c_maxplus_convexity_check(
-            f_up, sampler, s=-0.8, t=0.3, alpha=0.0, beta=-0.5,
+            f_up, None, s=-0.8, t=0.3, alpha=0.0, beta=-0.5,
             c_exact=lambda u: max(u, np.log(p)) + u,
         ),
         dynamics.c_maxplus_convexity_check(
@@ -605,7 +605,7 @@ def check_convex_pressure_suite(seed: int = 20) -> GoldenResult:
     )
 
     mu = np.array([np.e / (1 + np.e), 1 / (1 + np.e)])
-    fam_with_min = list(family) + [simplex.shannon_recovery_minimizer(mu)]
+    fam_with_min = np.vstack([family, simplex.shannon_recovery_minimizer(mu)])
     rec = simplex.entropy_recovery(
         simplex.shannon_entropy_table, mu, fam_with_min, grid
     )
@@ -637,11 +637,9 @@ def check_convex_pressure_suite(seed: int = 20) -> GoldenResult:
 
 def check_nonlinear_quadratic() -> GoldenResult:
     start = time.time()
-    spec = simplex.NonlinearSpec(
-        F=lambda x: 2.0 * x ** 2, A=simplex.Level1Observable((1.0, -1.0))
-    )
+    A = np.array([1.0, -1.0])
     family = simplex.BernoulliFamily(simplex.SimplexGrid(2, 2000))
-    res = simplex.nonlinear_pressure(spec, family, argmax_tol=1e-6)
+    res = family.maximize(lambda x: 2.0 * x ** 2, A, argmax_tol=1e-6)
     points = res.argmax
     two = len(points) >= 2
     swapped = two and bool(np.abs(points[0] - points[1][::-1]).max() <= 1e-3)
@@ -651,17 +649,15 @@ def check_nonlinear_quadratic() -> GoldenResult:
     # scores strictly below the maximum
     uniform = np.array([[0.5, 0.5]])
     mid_val = simplex.shannon_entropy_table(uniform)[0] + 2.0 * float(
-        (uniform @ spec.A.array())[0] ** 2
+        (uniform @ A)[0] ** 2
     )
     non_convex = bool(mid_val < res.value - 0.1)
 
     # a symbol potential under F(x) = x: over one-step Markov measures the
     # pressure is still log-sum-exp, attained at a Bernoulli measure
-    A = simplex.Level1Observable((0.5, -0.2))
-    markov = simplex.nonlinear_pressure(
-        simplex.NonlinearSpec(F=lambda x: x, A=A), simplex.MarkovFamily()
-    )
-    markov_gap = abs(markov.value - simplex.log_sum_exp(A))
+    symbol = np.array([0.5, -0.2])
+    markov = simplex.MarkovFamily.maximize(lambda x: x, symbol)
+    markov_gap = abs(markov.value - simplex.log_sum_exp(symbol))
 
     passed = two and swapped and off_uniform and non_convex and markov_gap <= 1e-4
     return _result(

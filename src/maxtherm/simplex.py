@@ -1,17 +1,20 @@
 """Pressure on the probability simplex of a finite alphabet.
 
-Observables come in two levels: vectors g in R^d act on alphabet symbols,
-and their inclusion j(g) acts on probability vectors by integration
-j(g)(p) = sum_j g_j p_j.  Pressures of densities on the simplex are
-computed by a coarse lattice scan followed by local refinement, which
-handles non-concave objectives whose maximizer set may be disconnected.
+A level-1 observable, a function on the alphabet {1..d}, is a float array
+of shape ``(d,)``; a family of them is one ``(k, d)`` array, one
+observable per row.  A level-2 observable, a function on the simplex, is
+a plain function evaluated row-wise: ``(N, d)`` points to ``N`` values.
+The inclusion j(phi)(p) = p . phi takes the first kind to the second.
+Pressures of densities on the simplex are computed by a coarse lattice
+scan followed by local refinement, which handles non-concave objectives
+whose maximizer set may be disconnected.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -44,57 +47,19 @@ def shannon_entropy_table(points: np.ndarray) -> np.ndarray:
     return -(np.where(pts > ZERO_MASS, pts * np.log(safe), 0.0)).sum(axis=1)
 
 
-@dataclass(frozen=True)
-class Level1Observable:
-    """A vector of coefficients, i.e. a function on the alphabet {1..d}."""
-
-    coeffs: Tuple[float, ...]
-
-    def __init__(self, coeffs):
-        arr = np.asarray(coeffs, dtype=float)
-        if not np.isfinite(arr).all():
-            raise ValueError("level-1 observable must have finite entries")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in arr))
-
-    @property
-    def d(self) -> int:
-        return len(self.coeffs)
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=float)
-
-
-class Level2Observable:
-    """A function on the simplex, evaluated row-wise on (N, d) arrays."""
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
-        self._fn = fn
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.asarray(self._fn(pts), dtype=float)
-        return out
-
-
-def inclusion_j(phi: Level1Observable) -> Level2Observable:
-    """Embed a level-1 observable as integration: p -> sum_j phi_j p_j."""
-    coeffs = phi.array()
-    return Level2Observable(lambda pts: pts @ coeffs)
-
-
-def gibbs_solution(g: Level1Observable) -> np.ndarray:
-    """The softmax vector e^{g_j} / sum_k e^{g_k}.
+def gibbs_solution(g) -> np.ndarray:
+    """The softmax vector e^{g_j} / sum_k e^{g_k} of a level-1 observable.
 
     This is the unique maximizer of Shannon entropy + j(g), and the
     pressure value there is log sum_k e^{g_k}.
     """
-    a = g.array()
+    a = np.asarray(g, dtype=float)
     w = np.exp(a - a.max())
     return w / w.sum()
 
 
-def log_sum_exp(g: Level1Observable) -> float:
-    a = g.array()
+def log_sum_exp(g) -> float:
+    a = np.asarray(g, dtype=float)
     m = a.max()
     return float(m + np.log(np.exp(a - m).sum()))
 
@@ -128,35 +93,20 @@ def _lattice(m: int, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimplexGrid:
-    """Lattice of probability vectors with masses in multiples of 1/m.
-
-    ``refine_rounds`` and ``shrink`` configure the local refinement used by
-    :func:`maximize_on_simplex`: around each surviving candidate a box of
-    half-width one lattice cell is rescanned, shrinking by ``shrink`` per
-    round.
-    """
+    """Lattice of probability vectors with masses in multiples of 1/m."""
 
     d: int
     m: int
-    refine_rounds: int = 6
-    shrink: float = 0.2
 
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("simplex dimension d must be >= 2")
         if self.m < 1:
             raise ValueError("grid resolution m must be >= 1")
-        if not (0.0 < self.shrink < 1.0):
-            raise ValueError("shrink factor must be in (0, 1)")
 
     def points(self) -> np.ndarray:
         """The lattice as an (N, d) array, shared and read-only."""
         return _lattice(self.m, self.d)
-
-    def __len__(self) -> int:
-        from math import comb
-
-        return comb(self.m + self.d - 1, self.d - 1)
 
 
 def _spread_candidates(
@@ -185,7 +135,11 @@ class SimplexMax:
     evaluations: int = 0
 
 
-PATCH_AXIS = 9  # patch points per free axis in each refinement round
+PATCH_AXIS = 9      # patch points per free axis in each refinement round
+REFINE_ROUNDS = 6   # refinement rounds after the lattice scan
+SHRINK = 0.2        # patch half-width factor per round, from one lattice cell
+TOP_K = 8           # spread-out lattice candidates that are refined
+DEDUP_TOL = 1e-6    # near-maximizers closer than this in sup norm are one
 
 
 def _refine(
@@ -275,21 +229,19 @@ def _scan_and_refine(
 def maximize_on_simplex(
     objective: Callable[[np.ndarray], np.ndarray],
     grid: SimplexGrid,
-    top_k: int = 8,
     argmax_tol: float = 1e-9,
-    dedup_tol: float = 1e-6,
 ) -> SimplexMax:
     """Maximize a row-wise objective over the simplex.
 
-    Coarse lattice scan, then ``grid.refine_rounds`` rounds of local
-    rescans around the ``top_k`` spread-out candidates.  The incumbent
-    point is carried into every local patch, so the result can never fall
-    below the coarse-grid max.  Returns all refined candidates within
-    ``argmax_tol`` of the best, deduplicated at ``dedup_tol``.
+    Coarse lattice scan, then ``REFINE_ROUNDS`` rounds of local rescans
+    around the ``TOP_K`` spread-out candidates.  The incumbent point is
+    carried into every local patch, so the result can never fall below
+    the coarse-grid max.  Returns all refined candidates within
+    ``argmax_tol`` of the best, deduplicated at ``DEDUP_TOL``.
     """
     return _scan_and_refine(
-        objective, grid.points(), grid.m, grid.refine_rounds, grid.shrink,
-        on_simplex=True, top_k=top_k, argmax_tol=argmax_tol, dedup_tol=dedup_tol,
+        objective, grid.points(), grid.m, REFINE_ROUNDS, SHRINK,
+        on_simplex=True, top_k=TOP_K, argmax_tol=argmax_tol, dedup_tol=DEDUP_TOL,
     )
 
 
@@ -300,15 +252,16 @@ def maximize_on_simplex(
 
 def level2_pressure(
     h: Callable[[np.ndarray], np.ndarray],
-    g: Level2Observable,
+    g: Callable[[np.ndarray], np.ndarray],
     grid: SimplexGrid,
     argmax_tol: float = 1e-9,
 ) -> SimplexMax:
     """max over the simplex of h(p) + g(p) with the equilibrium set.
 
-    h is a density table evaluator: row-wise over (N, d) points, -inf
-    allowed outside its support.  The returned set of near-maximizers may
-    have several elements and need not be convex.
+    h is a density table evaluator and g a level-2 observable, both
+    row-wise over (N, d) points; h may be -inf outside its support.  The
+    returned set of near-maximizers may have several elements and need
+    not be convex.
     """
 
     def obj(pts: np.ndarray) -> np.ndarray:
@@ -319,11 +272,12 @@ def level2_pressure(
 
 def convex_pressure_gamma(
     h: Callable[[np.ndarray], np.ndarray],
-    phi: Level1Observable,
+    phi,
     grid: SimplexGrid,
 ) -> float:
-    """The level-1 projection: pressure of the included observable j(phi)."""
-    return level2_pressure(h, inclusion_j(phi), grid).value
+    """The level-1 projection Gamma(phi): pressure of the included
+    observable j(phi)(p) = p . phi of a ``(d,)`` array phi."""
+    return level2_pressure(h, lambda pts: pts @ phi, grid).value
 
 
 @dataclass
@@ -333,7 +287,6 @@ class PressureAxiomsReport:
     monotonicity: float
     translation: float
     convexity: float
-    trials: int
 
     @property
     def worst(self) -> float:
@@ -345,76 +298,79 @@ def pressure_axioms_check(
     grid: SimplexGrid,
     trials: int = 20,
     seed: int = 0,
-    coeff_scale: float = 2.0,
 ) -> PressureAxiomsReport:
-    """Property-check the three convex-pressure axioms on random observables.
+    """Property-check the three convex-pressure axioms on random observables
+    with coefficients uniform in [-2, 2].
 
     Violations are bounded by the grid error of the maximization, so they
     must be small but need not be exactly zero.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     worst_mono = worst_trans = worst_conv = 0.0
     for _ in range(trials):
-        a = rng.uniform(-coeff_scale, coeff_scale, grid.d)
-        b = rng.uniform(-coeff_scale, coeff_scale, grid.d)
-        phi, psi = Level1Observable(a), Level1Observable(b)
-        gam_phi = convex_pressure_gamma(h, phi, grid)
-        gam_psi = convex_pressure_gamma(h, psi, grid)
+        a = rng.uniform(-2.0, 2.0, grid.d)
+        b = rng.uniform(-2.0, 2.0, grid.d)
+        gam_phi = convex_pressure_gamma(h, a, grid)
+        gam_psi = convex_pressure_gamma(h, b, grid)
 
-        bigger = Level1Observable(a + np.abs(rng.uniform(0, 1, grid.d)))
+        bigger = a + np.abs(rng.uniform(0, 1, grid.d))
         worst_mono = max(worst_mono, gam_phi - convex_pressure_gamma(h, bigger, grid))
 
         c = float(rng.uniform(-3, 3))
-        shifted = convex_pressure_gamma(h, Level1Observable(a + c), grid)
+        shifted = convex_pressure_gamma(h, a + c, grid)
         worst_trans = max(worst_trans, abs(shifted - gam_phi - c))
 
         t = float(rng.uniform(0, 1))
-        mix = convex_pressure_gamma(h, Level1Observable(t * a + (1 - t) * b), grid)
+        mix = convex_pressure_gamma(h, t * a + (1 - t) * b, grid)
         worst_conv = max(worst_conv, mix - t * gam_phi - (1 - t) * gam_psi)
-    return PressureAxiomsReport(worst_mono, worst_trans, worst_conv, trials)
+    return PressureAxiomsReport(worst_mono, worst_trans, worst_conv)
 
 
 def affine_observable_family(
     d: int, lo: float = -6.0, hi: float = 6.0, num: int = 241
-) -> List[Level1Observable]:
-    """Coefficient grid of observables with last coordinate pinned to 0.
+) -> np.ndarray:
+    """Coefficient grid of observables with last coordinate pinned to 0, as
+    a ``(k, d)`` array with one observable per row.
 
     Translation invariance makes the pinned coordinate harmless: adding a
     constant changes the recovered value by nothing.
     """
     if d == 2:
-        return [Level1Observable((a, 0.0)) for a in np.linspace(lo, hi, num)]
-    per_axis = max(3, int(round(num ** (1.0 / (d - 1)))))
-    axes = [np.linspace(lo, hi, per_axis)] * (d - 1)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    free = np.column_stack([m.ravel() for m in mesh])
-    return [Level1Observable(tuple(row) + (0.0,)) for row in free]
+        free = np.linspace(lo, hi, num)[:, None]
+    else:
+        per_axis = max(3, int(round(num ** (1.0 / (d - 1)))))
+        mesh = np.meshgrid(*[np.linspace(lo, hi, per_axis)] * (d - 1), indexing="ij")
+        free = np.column_stack([m.ravel() for m in mesh])
+    return np.column_stack([free, np.zeros(len(free))])
 
 
-def shannon_recovery_minimizer(mu) -> Level1Observable:
+def shannon_recovery_minimizer(mu) -> np.ndarray:
     """The analytic minimizer log mu for recovering Shannon entropy."""
     p = as_prob_vector(mu)
     if (p <= ZERO_MASS).any():
         raise ValueError("analytic minimizer needs strictly positive masses")
-    return Level1Observable(np.log(p))
+    return np.log(p)
 
 
 def entropy_recovery(
     h: Callable[[np.ndarray], np.ndarray],
     mu,
-    phi_family: Sequence[Level1Observable],
+    phi_family,
     grid: SimplexGrid,
 ) -> float:
     """Recover the concave entropy bound at mu from the pressure projection.
 
-    Returns min over the family of Gamma(phi) - integral of phi d(mu).
-    This is an upper approximation that decreases as the family grows; it
-    majorizes h(mu) whenever mu is one of the scanned lattice points.
+    Returns min over the rows phi of the ``(k, d)`` family of
+    Gamma(phi) - integral of phi d(mu).  This is an upper approximation
+    that decreases as the family grows; it majorizes h(mu) whenever mu is
+    one of the scanned lattice points.
     """
     p = as_prob_vector(mu)
     best = np.inf
-    for phi in phi_family:
-        val = convex_pressure_gamma(h, phi, grid) - float(phi.array() @ p)
+    for phi in np.asarray(phi_family, dtype=float):
+        val = convex_pressure_gamma(h, phi, grid) - float(phi @ p)
         best = min(best, val)
     return float(best)
 
@@ -452,29 +408,23 @@ def concave_envelope_1d(xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonlinearSpec:
-    """A scalar transform F applied to the integral of a potential A."""
-
-    F: Callable[[np.ndarray], np.ndarray]
-    A: Level1Observable
-
-
 class BernoulliFamily:
     """Bernoulli measures on {1..d}: KS entropy is the Shannon entropy."""
 
     def __init__(self, grid: SimplexGrid):
         self.grid = grid
-        self.d = grid.d
 
-    def maximize(self, spec: NonlinearSpec, argmax_tol: float = 1e-9) -> SimplexMax:
-        coeffs = spec.A.array()
-        if len(coeffs) != self.d:
+    def maximize(
+        self, F: Callable[[np.ndarray], np.ndarray], A, argmax_tol: float = 1e-9
+    ) -> SimplexMax:
+        """Maximize KS entropy + F(integral of the ``(d,)`` potential A)."""
+        coeffs = np.asarray(A, dtype=float)
+        if coeffs.shape != (self.grid.d,):
             raise ValueError("potential dimension does not match the family")
 
         def obj(pts: np.ndarray) -> np.ndarray:
             x = pts @ coeffs
-            fx = np.asarray(spec.F(x), dtype=float)
+            fx = np.asarray(F(x), dtype=float)
             if not np.isfinite(fx).all():
                 raise ValueError("nonlinear transform is not finite on the range")
             return shannon_entropy_table(pts) + fx
@@ -489,10 +439,7 @@ class MarkovFamily:
     KS entropy is the stationary average of the row entropies.
     """
 
-    def __init__(self, resolution: int = 60, refine_rounds: int = 6, shrink: float = 0.2):
-        self.resolution = resolution
-        self.refine_rounds = refine_rounds
-        self.shrink = shrink
+    RESOLUTION = 60  # lattice cells per side of the scanned unit square
 
     @staticmethod
     def stationary(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -509,32 +456,28 @@ class MarkovFamily:
         )
         return (pi * rows).sum(axis=1)
 
-    def maximize(self, spec: NonlinearSpec, argmax_tol: float = 1e-9) -> SimplexMax:
-        coeffs = spec.A.array()
-        if len(coeffs) != 2:
+    @classmethod
+    def maximize(
+        cls, F: Callable[[np.ndarray], np.ndarray], A, argmax_tol: float = 1e-9
+    ) -> SimplexMax:
+        """Maximize KS entropy + F(stationary integral of the potential A)."""
+        coeffs = np.asarray(A, dtype=float)
+        if coeffs.shape != (2,):
             raise ValueError("Markov family is implemented for d=2 potentials")
 
         def obj(params: np.ndarray) -> np.ndarray:
             a, b = params[:, 0], params[:, 1]
-            pi = self.stationary(a, b)
-            x = pi @ coeffs
-            fx = np.asarray(spec.F(x), dtype=float)
+            x = cls.stationary(a, b) @ coeffs
+            fx = np.asarray(F(x), dtype=float)
             if not np.isfinite(fx).all():
                 raise ValueError("nonlinear transform is not finite on the range")
-            return self.ks_entropy(a, b) + fx
+            return cls.ks_entropy(a, b) + fx
 
         # coarse scan of the unit square, then shrinking local patches
-        axis = np.linspace(0.0, 1.0, self.resolution + 1)
+        axis = np.linspace(0.0, 1.0, cls.RESOLUTION + 1)
         mesh = np.meshgrid(axis, axis, indexing="ij")
         pts = np.column_stack([m.ravel() for m in mesh])
         return _scan_and_refine(
-            obj, pts, self.resolution, self.refine_rounds, self.shrink,
-            on_simplex=False, top_k=8, argmax_tol=argmax_tol, dedup_tol=1e-6,
+            obj, pts, cls.RESOLUTION, REFINE_ROUNDS, SHRINK,
+            on_simplex=False, top_k=TOP_K, argmax_tol=argmax_tol, dedup_tol=DEDUP_TOL,
         )
-
-
-def nonlinear_pressure(
-    spec: NonlinearSpec, family, argmax_tol: float = 1e-9
-) -> SimplexMax:
-    """Maximize KS entropy + F(integral of A) over a measure family."""
-    return family.maximize(spec, argmax_tol=argmax_tol)

@@ -127,6 +127,9 @@ def test_config_file_with_an_unknown_key_exits_1(capsys, tmp_path):
     (["transport", "--trials", "0"], "trials must be at least 1, got 0"),
     (["mpifs", "--systems", "0"], "systems must be at least 1, got 0"),
     (["mpifs", "--points", "0"], "points must be at least 1, got 0"),
+    (["gamma", "--trials", "-2"], "trials must be at least 1, got -2"),
+    (["ldp", "--n-max", "0"], "n_max must be at least 1, got 0"),
+    (["ldp", "--mc-samples", "-3"], "mc_samples must be at least 0 (0 is off), got -3"),
 ])
 def test_counts_below_one_exit_1(capsys, argv, message):
     assert cli.main(argv) == 1

@@ -302,16 +302,21 @@ class TestMaxPlusConvexity:
 
     def test_closed_form_shifted_example(self):
         # shifting f up by 1 shifts c by t: c_new(u) = max(u, log p) + u
+        # with the closed form no sampler is needed
         p = 0.4
         c_shifted = lambda u: max(u, np.log(p)) + u
-        sampler = OrbitSampler.bernoulli([1 - p, p], n_orbits=10, seed=18)
         f = DepthKFunction(SPACE, 1, [2.0, 1.0])
         rep = c_maxplus_convexity_check(
-            f, sampler, s=-0.8, t=0.3, alpha=0.0, beta=-0.5, n=20,
+            f, None, s=-0.8, t=0.3, alpha=0.0, beta=-0.5, n=20,
             c_exact=c_shifted,
         )
         assert rep.equality_residual <= 1e-12
         assert rep.convexity_slack >= -1e-12
+
+    def test_needs_a_sampler_or_closed_form(self):
+        f = DepthKFunction(SPACE, 1, [2.0, 1.0])
+        with pytest.raises(ValueError, match="a sampler or c_exact"):
+            c_maxplus_convexity_check(f, None, 0.1, 0.2, 0.0, -1.0)
 
     def test_weights_must_be_normalized(self):
         sampler = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=100, seed=19)

@@ -3,7 +3,8 @@
 Every name a module imports is used in that module, and every public
 function, class and method is reached from elsewhere in the package: a
 name that only tests or nothing call is either made a check, moved into
-the tests as an oracle, or deleted.
+the tests as an oracle, or deleted.  Every parameter of a function is
+read in its body, so that no argument is silently ignored.
 
 No linter is a dependency, so this parses the sources with ``ast``.  The
 package ``__init__`` is exempt from the import rule, since its imports are
@@ -69,6 +70,26 @@ def unreached(trees: dict) -> list:
     return out
 
 
+def unread_parameters(tree: ast.AST) -> list:
+    """``function:parameter`` of each parameter of a def, other than
+    ``self`` and ``cls``, that its body never loads.  Lambdas are exempt:
+    a constant function ignores its argument by design."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        read = {
+            sub.id for stmt in node.body for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        out += [f"{node.name}:{p}" for p in params
+                if p not in read and p not in ("self", "cls")]
+    return out
+
+
 def test_the_sources_are_found():
     assert {"ifs.py", "semiring.py", "transport.py"} <= set(SOURCES)
 
@@ -81,6 +102,25 @@ def test_module_uses_every_name_it_imports(name):
 def test_an_unused_import_is_reported():
     source = "import os\nfrom typing import List, Tuple\n\nx: Tuple[int] = os.sep\n"
     assert unused_imports(ast.parse(source)) == ["List"]
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_every_parameter_is_read(name):
+    assert unread_parameters(TREES[name]) == []
+
+
+def test_an_unread_parameter_is_reported():
+    source = (
+        "def f(a, b=1, *args, c, **kw):\n"
+        "    def g(self, d):\n"
+        "        return d\n"
+        "    return a + c + g(None, kw)\n"
+        "class K:\n"
+        "    @classmethod\n"
+        "    def make(cls, seed):\n"
+        "        return lambda x: 0\n"
+    )
+    assert unread_parameters(ast.parse(source)) == ["f:b", "f:args", "make:seed"]
 
 
 def test_every_public_name_is_reached_from_the_package():

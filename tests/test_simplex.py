@@ -1,5 +1,7 @@
 """Tests for pressures and equilibria on the probability simplex."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -7,19 +9,15 @@ from scipy.optimize import brentq
 from maxtherm import simplex
 from maxtherm.simplex import (
     BernoulliFamily,
-    Level1Observable,
     MarkovFamily,
-    NonlinearSpec,
     SimplexGrid,
     affine_observable_family,
     concave_envelope_1d,
     convex_pressure_gamma,
     entropy_recovery,
     gibbs_solution,
-    inclusion_j,
     level2_pressure,
     log_sum_exp,
-    nonlinear_pressure,
     pressure_axioms_check,
     shannon_entropy,
     shannon_entropy_table,
@@ -59,59 +57,69 @@ class TestShannon:
             simplex.as_prob_vector([1.5, -0.5])
 
 
+def point_mass_density(mu):
+    """The density that is 0 at the lattice point mu and -inf elsewhere:
+    its pressure Gamma(phi) is the inclusion j(phi)(mu) = mu . phi."""
+    mu = np.asarray(mu, dtype=float)
+    return lambda pts: np.where(np.abs(pts - mu).max(axis=1) < 1e-12, 0.0, -np.inf)
+
+
 class TestInclusion:
+    # the inclusion j(phi)(p) = p . phi, read through the pressure of a
+    # point-mass density
     def test_zero_observable(self):
-        j = inclusion_j(Level1Observable((0.0, 0.0, 0.0)))
-        pts = np.random.default_rng(1).dirichlet(np.ones(3), size=10)
-        assert np.all(j(pts) == 0.0)
+        grid = SimplexGrid(3, 10)
+        for mu in grid.points()[::7]:
+            gamma = convex_pressure_gamma(point_mass_density(mu), np.zeros(3), grid)
+            assert gamma == 0.0
 
     def test_expectation(self):
-        j = inclusion_j(Level1Observable((1.0, 0.0)))
-        assert j(np.array([0.3, 0.7]))[0] == pytest.approx(0.3, abs=1e-15)
+        gamma = convex_pressure_gamma(
+            point_mass_density([0.3, 0.7]), np.array([1.0, 0.0]), SimplexGrid(2, 10)
+        )
+        assert gamma == pytest.approx(0.3, abs=1e-15)
 
     def test_pointwise_max_dominates_included_max(self):
         # integrating the pointwise max dominates the max of integrals,
         # with strict gap when the observables cross on the support
         phi = np.array([1.0, 0.0])
         psi = np.array([0.0, 1.0])
-        pointwise_max = inclusion_j(Level1Observable(np.maximum(phi, psi)))
-        j_phi = inclusion_j(Level1Observable(phi))
-        j_psi = inclusion_j(Level1Observable(psi))
-        rng = np.random.default_rng(2)
-        pts = rng.dirichlet(np.ones(2), size=200)
-        lhs = pointwise_max(pts)
-        rhs = np.maximum(j_phi(pts), j_psi(pts))
-        assert np.all(lhs >= rhs - 1e-15)
+        grid = SimplexGrid(2, 20)
+        for mu in grid.points():
+            h = point_mass_density(mu)
+            lhs = convex_pressure_gamma(h, np.maximum(phi, psi), grid)
+            rhs = max(convex_pressure_gamma(h, phi, grid), convex_pressure_gamma(h, psi, grid))
+            assert lhs >= rhs - 1e-15
         # strict witness at the uniform measure: 1 > 1/2
-        mid = np.array([[0.5, 0.5]])
-        assert pointwise_max(mid)[0] == pytest.approx(1.0)
-        assert max(j_phi(mid)[0], j_psi(mid)[0]) == pytest.approx(0.5)
+        h = point_mass_density([0.5, 0.5])
+        assert convex_pressure_gamma(h, np.maximum(phi, psi), grid) == pytest.approx(1.0)
+        assert max(convex_pressure_gamma(h, phi, grid),
+                   convex_pressure_gamma(h, psi, grid)) == pytest.approx(0.5)
 
 
 class TestGibbs:
     def test_symmetric(self):
-        assert gibbs_solution(Level1Observable((0.0, 0.0, 0.0))) == pytest.approx(
+        assert gibbs_solution(np.zeros(3)) == pytest.approx(
             np.full(3, 1 / 3)
         )
 
     def test_closed_form_1_0(self):
-        assert gibbs_solution(Level1Observable((1.0, 0.0))) == pytest.approx(
+        assert gibbs_solution(np.array([1.0, 0.0])) == pytest.approx(
             GIBBS_10, abs=1e-15
         )
 
     def test_grid_oracle_matches_closed_form(self):
         # brute-force maximization of entropy + included observable on a
         # fine lattice, the stated independent route to the equilibrium
-        g = Level1Observable((1.0, 0.0))
-        grid = SimplexGrid(2, 2000, refine_rounds=0)
-        pts = grid.points()
-        vals = shannon_entropy_table(pts) + inclusion_j(g)(pts)
+        g = np.array([1.0, 0.0])
+        pts = SimplexGrid(2, 2000).points()
+        vals = shannon_entropy_table(pts) + pts @ g
         best = pts[np.argmax(vals)]
         assert np.abs(best - gibbs_solution(g)).max() <= 1e-3
 
     def test_refined_search_sharpens_the_oracle(self):
-        g = Level1Observable((1.0, 0.0))
-        res = level2_pressure(shannon_entropy_table, inclusion_j(g), SimplexGrid(2, 2000))
+        g = np.array([1.0, 0.0])
+        res = level2_pressure(shannon_entropy_table, lambda pts: pts @ g, SimplexGrid(2, 2000))
         assert np.abs(res.argmax[0] - gibbs_solution(g)).max() <= 1e-6
         assert res.value == pytest.approx(LOG_1PE, abs=1e-10)
 
@@ -121,8 +129,8 @@ class TestLevel2Pressure:
         rng = np.random.default_rng(5)
         grid = SimplexGrid(2, 500)
         for _ in range(5):
-            g = Level1Observable(rng.uniform(-2, 2, 2))
-            res = level2_pressure(shannon_entropy_table, inclusion_j(g), grid)
+            g = rng.uniform(-2, 2, 2)
+            res = level2_pressure(shannon_entropy_table, lambda pts: pts @ g, grid)
             assert res.value == pytest.approx(log_sum_exp(g), abs=1e-6)
             assert np.abs(res.argmax[0] - gibbs_solution(g)).max() <= 1e-4
 
@@ -133,9 +141,9 @@ class TestLevel2Pressure:
             lambda p: np.log((1 - p) / p) + 16 * p - 8, 1e-12, 0.4, xtol=1e-15
         )
         beta = 2.0
-        g = simplex.Level2Observable(
-            lambda pts: beta * (pts[:, 0] - pts[:, 1]) ** 2
-        )
+        def g(pts):
+            return beta * (pts[:, 0] - pts[:, 1]) ** 2
+
         res = level2_pressure(
             shannon_entropy_table, g, SimplexGrid(2, 2000), argmax_tol=1e-6
         )
@@ -157,8 +165,7 @@ class TestLevel2Pressure:
             hit = np.abs(pts[:, 0] - mu0[0]) < 1e-12
             return np.where(hit, 0.0, -np.inf)
 
-        g = simplex.Level2Observable(lambda pts: 3.0 * pts[:, 0])
-        res = level2_pressure(h, g, grid)
+        res = level2_pressure(h, lambda pts: 3.0 * pts[:, 0], grid)
         assert res.value == pytest.approx(0.75, abs=1e-12)
         assert len(res.argmax) == 1
         assert res.argmax[0] == pytest.approx(mu0)
@@ -167,25 +174,19 @@ class TestLevel2Pressure:
 class TestConvexPressure:
     def test_uniform_case(self):
         grid = SimplexGrid(2, 1000)
-        val = convex_pressure_gamma(
-            shannon_entropy_table, Level1Observable((0.0, 0.0)), grid
-        )
+        val = convex_pressure_gamma(shannon_entropy_table, np.zeros(2), grid)
         assert val == pytest.approx(LOG2, abs=1e-9)
 
     def test_log_sum_exp_closed_form(self):
         grid = SimplexGrid(2, 1000)
-        val = convex_pressure_gamma(
-            shannon_entropy_table, Level1Observable((1.0, 0.0)), grid
-        )
+        val = convex_pressure_gamma(shannon_entropy_table, np.array([1.0, 0.0]), grid)
         assert val == pytest.approx(LOG_1PE, abs=1e-9)
 
     def test_translation_invariance_exact_on_grid(self):
         grid = SimplexGrid(2, 500)
-        phi = Level1Observable((0.7, -0.3))
+        phi = np.array([0.7, -0.3])
         base = convex_pressure_gamma(shannon_entropy_table, phi, grid)
-        shifted = convex_pressure_gamma(
-            shannon_entropy_table, Level1Observable((0.7 - 3.0, -0.3 - 3.0)), grid
-        )
+        shifted = convex_pressure_gamma(shannon_entropy_table, phi - 3.0, grid)
         assert shifted == pytest.approx(base - 3.0, abs=1e-12)
 
     def test_axioms_random(self):
@@ -196,8 +197,8 @@ class TestConvexPressure:
 
     def test_monotone_under_plus_one(self):
         grid = SimplexGrid(2, 200)
-        phi = Level1Observable((0.2, -0.4))
-        up = Level1Observable((1.2, 0.6))
+        phi = np.array([0.2, -0.4])
+        up = phi + 1.0
         a = convex_pressure_gamma(shannon_entropy_table, phi, grid)
         b = convex_pressure_gamma(shannon_entropy_table, up, grid)
         assert a <= b + 1e-12
@@ -213,9 +214,8 @@ class TestEntropyRecovery:
     def test_gibbs_point_recovers_its_shannon_entropy(self):
         grid = SimplexGrid(2, 1000)
         mu = np.array(GIBBS_10)
-        family = affine_observable_family(2, -6, 6, 121) + [
-            shannon_recovery_minimizer(mu)
-        ]
+        family = np.vstack([affine_observable_family(2, -6, 6, 121),
+                            shannon_recovery_minimizer(mu)])
         rec = entropy_recovery(shannon_entropy_table, mu, family, grid)
         assert rec == pytest.approx(SHANNON_AT_GIBBS_10, abs=1e-4)
 
@@ -242,7 +242,7 @@ class TestConcaveIdentity:
     # p -> a p_1, this is entropy recovery over the family (a, 0)
     def test_affine_family_at_uniform(self):
         grid = SimplexGrid(2, 2000)
-        family = [Level1Observable((a, 0.0)) for a in np.linspace(-4, 4, 161)]
+        family = np.column_stack([np.linspace(-4, 4, 161), np.zeros(161)])
         val = entropy_recovery(shannon_entropy_table, [0.5, 0.5], family, grid)
         assert val == pytest.approx(LOG2, abs=1e-4)
 
@@ -255,7 +255,7 @@ class TestConcaveIdentity:
         # g = -h (up to a constant) makes h + g constant, so the pressure
         # is attained everywhere and the identity is exact at any mu
         mu = np.array([0.3, 0.7])
-        val = entropy_recovery(h, mu, [Level1Observable((-0.75, 0.0))], grid)
+        val = entropy_recovery(h, mu, [[-0.75, 0.0]], grid)
         assert val == pytest.approx(float(h(mu[None, :])[0]), abs=1e-12)
 
     def test_envelope_projects_identically(self):
@@ -279,47 +279,35 @@ class TestConcaveIdentity:
 
 class TestNonlinearPressure:
     def test_identity_transform_reduces_to_classical_pressure(self):
-        spec = NonlinearSpec(F=lambda x: x, A=Level1Observable((0.8, -0.5)))
-        family = BernoulliFamily(SimplexGrid(2, 1000))
-        res = nonlinear_pressure(spec, family)
-        assert res.value == pytest.approx(
-            log_sum_exp(Level1Observable((0.8, -0.5))), abs=1e-4
-        )
+        A = np.array([0.8, -0.5])
+        res = BernoulliFamily(SimplexGrid(2, 1000)).maximize(lambda x: x, A)
+        assert res.value == pytest.approx(log_sum_exp(A), abs=1e-4)
 
     def test_quadratic_has_swapped_pair(self):
-        spec = NonlinearSpec(
-            F=lambda x: 2.0 * x ** 2, A=Level1Observable((1.0, -1.0))
-        )
         family = BernoulliFamily(SimplexGrid(2, 2000))
-        res = nonlinear_pressure(spec, family, argmax_tol=1e-6)
+        res = family.maximize(lambda x: 2.0 * x ** 2, np.array([1.0, -1.0]), argmax_tol=1e-6)
         assert len(res.argmax) == 2
         a, b = res.argmax
         assert np.abs(a - b[::-1]).max() <= 1e-4
         assert all(abs(p[0] - 0.5) > 0.4 for p in res.argmax)
 
     def test_zero_beta_gives_uniform(self):
-        spec = NonlinearSpec(F=lambda x: 0.0 * x, A=Level1Observable((1.0, -1.0)))
         family = BernoulliFamily(SimplexGrid(2, 1000))
-        res = nonlinear_pressure(spec, family)
+        res = family.maximize(lambda x: 0.0 * x, np.array([1.0, -1.0]))
         assert res.value == pytest.approx(LOG2, abs=1e-9)
         assert res.argmax[0] == pytest.approx([0.5, 0.5], abs=1e-6)
 
     def test_infinite_transform_rejected(self):
-        spec = NonlinearSpec(
-            F=lambda x: np.log(x), A=Level1Observable((1.0, -1.0))
-        )
         family = BernoulliFamily(SimplexGrid(2, 50))
         with pytest.raises(ValueError, match="finite"):
             with np.errstate(divide="ignore", invalid="ignore"):
-                nonlinear_pressure(spec, family)
+                family.maximize(np.log, np.array([1.0, -1.0]))
 
     def test_markov_family_matches_bernoulli_for_depth1(self):
         # for a symbol potential the classical pressure over one-step
         # Markov measures is attained at the Bernoulli solution
-        A = Level1Observable((0.5, -0.2))
-        spec = NonlinearSpec(F=lambda x: x, A=A)
-        markov = MarkovFamily(resolution=50)
-        res = nonlinear_pressure(spec, markov)
+        A = np.array([0.5, -0.2])
+        res = MarkovFamily.maximize(lambda x: x, A)
         assert res.value == pytest.approx(log_sum_exp(A), abs=1e-4)
 
     def test_markov_entropy_formula(self):
@@ -335,9 +323,8 @@ class TestNonlinearPressure:
 
 class TestGridMechanics:
     def test_grid_points_are_valid_and_counted(self):
-        grid = SimplexGrid(3, 7)
-        pts = grid.points()
-        assert pts.shape[0] == len(grid)
+        pts = SimplexGrid(3, 7).points()
+        assert pts.shape[0] == comb(7 + 3 - 1, 3 - 1)
         assert np.allclose(pts.sum(axis=1), 1.0, atol=1e-12)
         assert (pts >= 0).all()
 
@@ -346,5 +333,3 @@ class TestGridMechanics:
             SimplexGrid(1, 10)
         with pytest.raises(ValueError):
             SimplexGrid(2, 0)
-        with pytest.raises(ValueError):
-            SimplexGrid(2, 10, shrink=1.5)

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 
 from maxtherm import simplex
 from maxtherm.simplex import (
-    Level1Observable,
+    DEDUP_TOL,
+    REFINE_ROUNDS,
+    SHRINK,
+    TOP_K,
     MarkovFamily,
-    NonlinearSpec,
     SimplexGrid,
     maximize_on_simplex,
-    nonlinear_pressure,
     shannon_entropy_table,
 )
 
@@ -102,25 +103,26 @@ def _oracle_search(objective, pts, m, rounds, shrink, on_simplex, top_k,
     return simplex.SimplexMax(value=top, argmax=np.array(argmax), evaluations=n_eval)
 
 
-def oracle_maximize(objective, grid, top_k=8, argmax_tol=1e-9, dedup_tol=1e-6):
+def oracle_maximize(objective, grid, rounds=REFINE_ROUNDS, shrink=SHRINK, top_k=TOP_K,
+                    argmax_tol=1e-9):
     pts = _oracle_compositions(grid.m, grid.d) / float(grid.m)
-    return _oracle_search(objective, pts, grid.m, grid.refine_rounds, grid.shrink,
-                          True, top_k, argmax_tol, dedup_tol)
+    return _oracle_search(objective, pts, grid.m, rounds, shrink,
+                          True, top_k, argmax_tol, DEDUP_TOL)
 
 
-def oracle_markov(family, spec, argmax_tol=1e-9):
-    coeffs = spec.A.array()
-
+def markov_objective(F, A):
     def obj(params):
         a, b = params[:, 0], params[:, 1]
-        x = MarkovFamily.stationary(a, b) @ coeffs
-        return MarkovFamily.ks_entropy(a, b) + np.asarray(spec.F(x), dtype=float)
+        x = MarkovFamily.stationary(a, b) @ A
+        return MarkovFamily.ks_entropy(a, b) + np.asarray(F(x), dtype=float)
 
-    axis = np.linspace(0.0, 1.0, family.resolution + 1)
+    return obj
+
+
+def unit_square(resolution):
+    axis = np.linspace(0.0, 1.0, resolution + 1)
     mesh = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    return _oracle_search(obj, pts, family.resolution, family.refine_rounds,
-                          family.shrink, False, 8, argmax_tol, 1e-6)
+    return np.column_stack([m.ravel() for m in mesh])
 
 
 def assert_identical(got, want):
@@ -176,40 +178,56 @@ def search_cases(draw):
     )
 
 
-def check_against_oracle(objective, grid, **kwargs):
+def check_against_oracle(search, objective, grid, **kwargs):
+    """``search(objective)`` against the oracle at the same settings."""
     try:
         want = oracle_maximize(objective, grid, **kwargs)
     except ValueError:
         with pytest.raises(ValueError, match="-inf on the whole grid"):
-            maximize_on_simplex(objective, grid, **kwargs)
+            search(objective)
         return
-    assert_identical(maximize_on_simplex(objective, grid, **kwargs), want)
+    assert_identical(search(objective), want)
 
 
 class TestLockStepMatchesOracle:
     @settings(max_examples=150, deadline=None)
     @given(search_cases())
     def test_value_argmax_and_evaluations_identical(self, case):
-        grid = SimplexGrid(case["d"], case["m"], refine_rounds=case["rounds"],
-                           shrink=case["shrink"])
+        grid = SimplexGrid(case["d"], case["m"])
+        knobs = dict(rounds=case["rounds"], shrink=case["shrink"],
+                     top_k=case["top_k"], argmax_tol=case["argmax_tol"])
+
+        def search(objective):
+            return simplex._scan_and_refine(
+                objective, grid.points(), grid.m, on_simplex=True,
+                dedup_tol=DEDUP_TOL, **knobs,
+            )
+
         objective = random_objective(case["seed"], case["d"], case["kind"])
-        check_against_oracle(objective, grid, top_k=case["top_k"],
-                             argmax_tol=case["argmax_tol"])
+        check_against_oracle(search, objective, grid, **knobs)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("d,m", [(2, 2000), (3, 60), (4, 12)])
     def test_default_grids(self, d, m, kind):
         grid = SimplexGrid(d, m)
         for seed in range(2):
-            check_against_oracle(random_objective(seed, d, kind), grid)
+            check_against_oracle(lambda obj: maximize_on_simplex(obj, grid),
+                                 random_objective(seed, d, kind), grid)
 
     @pytest.mark.parametrize("resolution", [50, 60])
     @pytest.mark.parametrize("k", [2.0, 0.5, -1.0])
     def test_markov_family(self, resolution, k):
-        spec = NonlinearSpec(F=lambda x: k * x ** 2 + x, A=Level1Observable((0.5, -0.2)))
-        family = MarkovFamily(resolution=resolution)
-        assert_identical(nonlinear_pressure(spec, family, argmax_tol=1e-6),
-                         oracle_markov(family, spec, argmax_tol=1e-6))
+        F, A = (lambda x: k * x ** 2 + x), np.array([0.5, -0.2])
+        obj, pts = markov_objective(F, A), unit_square(resolution)
+        want = _oracle_search(obj, pts, resolution, REFINE_ROUNDS, SHRINK, False,
+                              TOP_K, 1e-6, DEDUP_TOL)
+        assert_identical(
+            simplex._scan_and_refine(obj, pts, resolution, REFINE_ROUNDS, SHRINK,
+                                     False, TOP_K, 1e-6, DEDUP_TOL),
+            want,
+        )
+        if resolution == MarkovFamily.RESOLUTION:
+            assert_identical(MarkovFamily.maximize(F, A, argmax_tol=1e-6), want)
 
 
 class TestLattice:
@@ -220,6 +238,6 @@ class TestLattice:
 
     def test_lattice_is_shared_and_read_only(self):
         pts = SimplexGrid(3, 9).points()
-        assert SimplexGrid(3, 9, refine_rounds=2).points() is pts
+        assert SimplexGrid(3, 9).points() is pts
         with pytest.raises(ValueError):
             pts[0, 0] = 0.5
