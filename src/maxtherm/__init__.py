@@ -6,7 +6,7 @@ Modules by topic:
 - ``simplex``: pressures and equilibria on the probability simplex
 - ``shift``: cylinder measures, the transfer operator and its dual on
   shift spaces
-- ``transport``: exact W1 between cylinder tables, contraction checks
+- ``transport``: exact W1 between cylinder tables and its LP oracle
 - ``ifs``: weighted kernel families, attractors and their density entropy,
   pushforward invariance, max-plus IFS operators
 - ``dynamics``: running-max Birkhoff sums and large-deviation bounds

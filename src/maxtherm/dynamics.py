@@ -48,6 +48,8 @@ class OrbitSampler:
     ):
         if (probs is None) == (transition is None):
             raise ValueError("specify exactly one of probs / transition")
+        if int(n_orbits) < 1:
+            raise ValueError(f"n_orbits must be at least 1, got {n_orbits}")
         self.d = d
         self.n_orbits = int(n_orbits)
         self.seed = int(seed)
@@ -332,6 +334,8 @@ def empirical_rate(p: float, b: float, n_values: Sequence[int]) -> RateEstimate:
     """
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie in (0, 1)")
+    if len(n_values) == 0:
+        raise ValueError("n_values must name at least one n")
     rates = []
     for n in n_values:
         if b >= 1.0:
@@ -351,7 +355,7 @@ def empirical_rate(p: float, b: float, n_values: Sequence[int]) -> RateEstimate:
         b=b,
         n_values=list(n_values),
         rates=rates,
-        limit_rate=rates[-1] if rates else float(np.log(p)),
+        limit_rate=rates[-1],
         ldp_bound=bound,
         bound_minimizer=t_star,
     )

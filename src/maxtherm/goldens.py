@@ -218,11 +218,16 @@ def check_contraction_bounds(
         J2 = random_jacobian(space, depth_j, rng)
         mu = random_measure(space, depth, rng)
         nu = random_measure(space, depth, rng)
-        worst_ratio = max(worst_ratio, transport.contraction_check(J1, mu, nu))
-        w1, bound = transport.jacobian_perturbation_check(J1, J2, mu)
-        worst_perturb = max(worst_perturb, w1 - bound)
-        joint = transport.joint_contraction_check(J1, J2, mu, nu)
-        worst_joint = max(worst_joint, -joint.slack)
+        J1mu, J1nu, J2mu = dual_apply(J1, mu), dual_apply(J1, nu), dual_apply(J2, mu)
+        base = transport.w1_tree(mu, nu)
+        sup = (J1.fn - J2.fn).sup_norm()
+        # W1(L1* mu, L1* nu) <= r W1(mu, nu)
+        worst_ratio = max(worst_ratio, transport.w1_tree(J1mu, J1nu) / base)
+        # W1(L1* mu, L2* mu) <= d sup|J1 - J2|
+        worst_perturb = max(worst_perturb, transport.w1_tree(J1mu, J2mu) - d * sup)
+        # W1(L1* mu, L2* nu) <= r [W1(mu, nu) + (d/r) sup|J1 - J2|]
+        joint = transport.w1_tree(J1mu, dual_apply(J2, nu))
+        worst_joint = max(worst_joint, joint - r * (base + (d / r) * sup))
     passed = (
         worst_ratio <= r + 1e-10
         and worst_perturb <= 1e-10

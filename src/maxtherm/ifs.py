@@ -81,29 +81,6 @@ class AttractorSample:
     word_length: int
     raw_count: int
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {
-                "words": [list(l.word) for l in self.leaves],
-                "weights": [l.weight for l in self.leaves],
-                "measure_refs": list(range(len(self.leaves))),
-                "measures": [
-                    {
-                        "d": l.measure.space.d,
-                        "gamma": l.measure.space.gamma,
-                        "depth": l.measure.depth,
-                        "masses": [float(x) for x in l.measure.masses],
-                    }
-                    for l in self.leaves
-                ],
-                "epsilon": self.epsilon,
-                "N": self.word_length,
-                "r": self.rate,
-            }
-        )
-
 
 def attractor_build(
     fam: WeightedJacobianFamily,

@@ -21,15 +21,13 @@ so the LP value is >= W1; the potential built from its duals is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .shift import (
-    CylinderMeasure, DepthKFunction, Jacobian, ShiftSpace, dual_apply, symbol_table,
-)
+from .shift import CylinderMeasure, DepthKFunction, ShiftSpace, symbol_table
 
 LP_MAX_POINTS = 1024
 
@@ -173,54 +171,3 @@ def w1_lp_oracle(mu: CylinderMeasure, nu: CylinderMeasure) -> TransportReport:
         lp_solves=solves,
     )
 
-
-def contraction_check(
-    J: Jacobian, mu: CylinderMeasure, nu: CylinderMeasure
-) -> float:
-    """Ratio W1(L*mu, L*nu) / W1(mu, nu); bounded by (d+1) gamma."""
-    base = w1_tree(mu, nu)
-    if base == 0.0:
-        raise ValueError("contraction ratio is undefined for equal tables")
-    image = w1_tree(dual_apply(J, mu), dual_apply(J, nu))
-    return image / base
-
-
-def jacobian_perturbation_check(
-    J1: Jacobian, J2: Jacobian, mu: CylinderMeasure
-) -> Tuple[float, float]:
-    """(W1 between the two dual images, d * sup|J1 - J2|) for one measure."""
-    if J1.depth != J2.depth:
-        raise ValueError("kernels must have equal depth")
-    w1 = w1_tree(dual_apply(J1, mu), dual_apply(J2, mu))
-    bound = J1.space.d * (J1.fn - J2.fn).sup_norm()
-    return w1, bound
-
-
-@dataclass
-class JointContractionReport:
-    w1: float
-    bound: float
-    measure_term: float
-    kernel_term: float
-
-    @property
-    def slack(self) -> float:
-        return self.bound - self.w1
-
-
-def joint_contraction_check(
-    J1: Jacobian,
-    J2: Jacobian,
-    mu1: CylinderMeasure,
-    mu2: CylinderMeasure,
-) -> JointContractionReport:
-    """Combined bound r [W1(mu1, mu2) + (d/r) sup|J1 - J2|]."""
-    if J1.depth != J2.depth:
-        raise ValueError("kernels must have equal depth")
-    r = J1.space.contraction_rate
-    w1 = w1_tree(dual_apply(J1, mu1), dual_apply(J2, mu2))
-    base = w1_tree(mu1, mu2)
-    kernel = (J1.space.d / r) * (J1.fn - J2.fn).sup_norm()
-    return JointContractionReport(
-        w1=w1, bound=r * (base + kernel), measure_term=base, kernel_term=kernel
-    )

@@ -1,13 +1,17 @@
 """Every subcommand at small sizes: the check-backed ones print their
 golden check's detail line, usage and config errors exit 1, a wrong LP
-oracle exits 2, and CSV artifacts are reproducible and parseable."""
+oracle exits 2, and JSON reports are strict, reproducible, exact and
+enough to rerun their configuration."""
 
-import csv
 import dataclasses
+import json
+import re
 
+import numpy as np
 import pytest
 
-from maxtherm import cli, goldens, transport
+from maxtherm import cli, dynamics, goldens, ifs, simplex, transport
+from maxtherm.shift import CylinderMeasure, ShiftSpace, make_bernoulli_jacobian
 
 
 def _run(capsys, *argv):
@@ -74,27 +78,157 @@ def test_experiment_subcommand_exits_0(capsys, argv):
     assert out
 
 
-@pytest.mark.parametrize("argv", [["pressure", "--bogus", "1"], ["nosuch"], []])
+@pytest.mark.parametrize("argv", [
+    ["pressure", "--bogus", "1"], ["nosuch"], [], ["ifs", "--json-out", "x"],
+])
 def test_usage_errors_exit_1(capsys, argv):
     assert cli.main(argv) == 1
     assert "error: maxtherm" in capsys.readouterr().err
 
 
-def test_out_files_are_reproducible_and_quoted(capsys, tmp_path):
-    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-    for path in paths:
-        code, out = _run(capsys, "pressure", "--m", "50", "--trials", "2",
-                         "--out", str(path))
-        assert code == 0
-    first, second = (p.read_text().splitlines() for p in paths)
-    assert first[0].startswith("# timestamp=")
-    assert first[1:] == second[1:]
-    assert first[1] == "# config: d=2 m=50 seed=0 subcommand=pressure trials=2"
-    rows = list(csv.reader(first[2:]))
-    detail = goldens.check_gibbs_equilibrium(0, per_d=2, grids=((2, 50),)).detail
-    assert "," in detail
-    assert rows == [["check", "passed", "detail"],
-                    ["gibbs-equilibrium", "True", detail]]
+# Each subcommand with --out, and its flags with their parsed types.
+REPORTS = [
+    (["pressure", "--m", "50", "--trials", "2"],
+     {"d": 2, "m": 50, "trials": 2, "seed": 0}),
+    (["gamma", "--m", "200", "--trials", "2"],
+     {"d": 2, "m": 200, "trials": 2, "seed": 0}),
+    (["transport", "--trials", "20", "--seed", "5"],
+     {"d": 2, "gamma": 0.3, "depth": 4, "trials": 20, "seed": 5}),
+    (["ifs", "--length", "4", "--q2", "-0.5"],
+     {"gamma": 0.3, "p": 0.3, "p2": 0.7, "q2": -0.5, "length": 4}),
+    (["mpifs", "--points", "5", "--systems", "3", "--seed", "2"],
+     {"points": 5, "systems": 3, "seed": 2}),
+    (["ldp", "--n-max", "3", "--mc-samples", "50"],
+     {"p": 0.5, "b": 0.5, "t": 0.2, "n_max": 3, "seed": 0, "mc_samples": 50}),
+]
+REPORT_IDS = [argv[0] for argv, _ in REPORTS]
+TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
+
+
+def _no_constants(name):
+    raise AssertionError(f"report holds the non-JSON constant {name}")
+
+
+def _write(capsys, path, *argv):
+    code, _ = _run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    text = path.read_text()
+    return text, json.loads(text, parse_constant=_no_constants)
+
+
+@pytest.mark.parametrize("argv, config", REPORTS, ids=REPORT_IDS)
+def test_report_is_strict_json_reproducible_and_holds_the_parsed_flags(
+    capsys, tmp_path, argv, config
+):
+    first, report = _write(capsys, tmp_path / "a.json", *argv)
+    second, _ = _write(capsys, tmp_path / "b.json", *argv)
+    assert sorted(report) == ["config", "results", "subcommand", "timestamp"]
+    assert report["subcommand"] == argv[0]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", report["timestamp"])
+    assert TIMESTAMP.sub("", first) == TIMESTAMP.sub("", second)
+    typed = {key: (type(value), value) for key, value in report["config"].items()}
+    assert typed == {key: (type(value), value) for key, value in config.items()}
+
+
+@pytest.mark.parametrize("argv, config", REPORTS, ids=REPORT_IDS)
+def test_report_config_as_a_config_file_reruns_the_report(
+    capsys, tmp_path, argv, config
+):
+    first, report = _write(capsys, tmp_path / "a.json", *argv)
+    config_file = tmp_path / "run.cfg"
+    config_file.write_text(
+        "".join(f"{key}={value}\n" for key, value in report["config"].items())
+    )
+    again, _ = _write(capsys, tmp_path / "b.json", argv[0], "--config", str(config_file))
+    assert TIMESTAMP.sub("", again) == TIMESTAMP.sub("", first)
+
+
+def test_check_report_holds_every_checks_line(capsys, tmp_path):
+    _, report = _write(capsys, tmp_path / "a.json", "transport", "--trials", "20",
+                       "--seed", "5")
+    plan = ((2, 0.3, 4, 20),)
+    expected = [goldens.check_contraction_bounds(5, 20),
+                goldens.check_transport_oracle(5, plan=plan)]
+    assert report["results"] == [
+        {"check": r.name, "passed": True, "detail": r.detail} for r in expected
+    ]
+
+
+def test_gamma_report_holds_the_residuals_and_the_recovery(capsys, tmp_path):
+    _, report = _write(capsys, tmp_path / "a.json", "gamma", "--m", "200",
+                       "--trials", "2")
+    grid = simplex.SimplexGrid(2, 200)
+    axioms = simplex.pressure_axioms_check(
+        simplex.shannon_entropy_table, grid, trials=2, seed=0
+    )
+    mu = np.full(2, 0.5)
+    family = np.vstack([
+        simplex.affine_observable_family(2), simplex.shannon_recovery_minimizer(mu)
+    ])
+    assert report["results"] == {
+        "monotonicity": axioms.monotonicity,
+        "translation": axioms.translation,
+        "convexity": axioms.convexity,
+        "recovered_entropy": simplex.entropy_recovery(
+            simplex.shannon_entropy_table, mu, family, grid
+        ),
+        "shannon": simplex.shannon_entropy(mu),
+    }
+
+
+def test_ifs_report_holds_the_attractor_and_pressure_exactly(capsys, tmp_path):
+    _, report = _write(capsys, tmp_path / "a.json", "ifs", "--length", "4",
+                       "--q2", "-0.5")
+    space = ShiftSpace(2, 0.3)
+    fam = ifs.WeightedJacobianFamily(
+        [make_bernoulli_jacobian(0.3, space), make_bernoulli_jacobian(0.7, space)],
+        [0.0, -0.5],
+    )
+    nu0 = CylinderMeasure.point_mass(space, (2,))
+    sample = ifs.attractor_build(fam, 4, nu0)
+    pres = ifs.invariant_pressure_solve(
+        fam, lambda mu: mu.mass_of((1,)), 4, nu0, lip_g=1.0
+    )
+    results = report["results"]
+    assert results["N"] == 4 and results["d"] == 2
+    assert results["r"] == space.contraction_rate
+    assert results["raw_words"] == sample.raw_count == 16
+    assert results["epsilon"] == sample.epsilon
+    assert results["clusters"] == len(sample.leaves) == len(results["leaves"])
+    for leaf, got in zip(sample.leaves, results["leaves"]):
+        assert got["word"] == list(leaf.word)
+        assert got["weight"] == leaf.weight
+        assert got["depth"] == leaf.measure.depth
+        assert got["masses"] == leaf.measure.masses.tolist()
+    assert (results["pressure"], results["error_bound"],
+            results["fixed_point_residual"]) == (
+        pres.value, pres.error_bound, pres.fixed_point_residual
+    )
+
+
+@pytest.mark.parametrize("mc_samples", [0, 50])
+def test_ldp_report_has_one_record_per_n_and_mc_keys_only_when_sampling(
+    capsys, tmp_path, mc_samples
+):
+    _, report = _write(capsys, tmp_path / "a.json", "ldp", "--n-max", "3",
+                       "--t", "0.4", "--mc-samples", str(mc_samples))
+    f = dynamics.DepthKFunction(ShiftSpace(2, 0.3), 1, [1.0, 0.0])
+    rates = dynamics.empirical_rate(0.5, 0.5, [1, 2, 3]).rates
+    expected = []
+    for n in (1, 2, 3):
+        record = {"n": n, "c_exact": dynamics.c_n_exact(0.5, 0.4, n),
+                  "rate": rates[n - 1]}
+        if mc_samples:
+            sampler = dynamics.OrbitSampler.bernoulli([0.5, 0.5], n_orbits=50, seed=0)
+            mc = dynamics.partition_function_mc(sampler, f, -0.4, n)
+            record.update(c_mc=mc.value, ci_low=mc.ci_low, ci_high=mc.ci_high)
+        expected.append(record)
+    assert report["results"] == expected
+
+
+def test_unwritable_out_exits_1(capsys, tmp_path):
+    assert cli.main(["ifs", "--length", "2", "--out", str(tmp_path)]) == 1
+    assert "error: " in capsys.readouterr().err
 
 
 def test_config_file_sets_the_subcommands_flags_below_the_command_line(

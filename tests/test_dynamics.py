@@ -69,6 +69,13 @@ class TestSampler:
         s2 = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=10, seed=3)
         assert np.array_equal(s1.sample(50), s2.sample(50))
 
+    @pytest.mark.parametrize("n_orbits", [0, -4])
+    def test_fewer_than_one_orbit_rejected(self, n_orbits):
+        with pytest.raises(ValueError, match=f"n_orbits must be at least 1, got {n_orbits}"):
+            OrbitSampler.bernoulli([0.5, 0.5], n_orbits=n_orbits, seed=0)
+        with pytest.raises(ValueError, match="n_orbits must be at least 1"):
+            OrbitSampler.markov([[0.5, 0.5], [0.5, 0.5]], n_orbits=n_orbits, seed=0)
+
     def test_markov_rows_and_stationarity(self):
         P = np.array([[0.9, 0.1], [0.4, 0.6]])
         s = OrbitSampler.markov(P, n_orbits=4000, seed=5)
@@ -265,6 +272,10 @@ class TestEmpiricalRate:
     def test_threshold_above_sup_gives_zero_rate(self):
         est = empirical_rate(0.4, 1.5, [3, 7])
         assert est.rates == [0.0, 0.0]
+
+    def test_no_n_values_rejected(self):
+        with pytest.raises(ValueError, match="at least one n"):
+            empirical_rate(0.5, 0.5, [])
 
 
 class TestChebyshevStep:

@@ -1,7 +1,5 @@
 """Tests for weighted kernel families, attractors, and max-plus IFS."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -109,18 +107,6 @@ class TestAttractor:
         )
         with pytest.raises(ValueError, match="word_length <="):
             attractor_build(fam, 30, NU0)
-
-    def test_json_export_roundtrips_measures(self):
-        fam = WeightedJacobianFamily(
-            [make_bernoulli_jacobian(0.3, SPACE), make_bernoulli_jacobian(0.7, SPACE)],
-            [0.0, -1.0],
-        )
-        sample = attractor_build(fam, 3, NU0)
-        obj = json.loads(sample.to_json())
-        assert obj["N"] == 3
-        assert obj["r"] == pytest.approx(SPACE.contraction_rate)
-        assert len(obj["words"]) == len(sample.leaves)
-        assert obj["measures"][0]["masses"] == list(sample.leaves[0].measure.masses)
 
 
 def _per_leaf_estimate(sample, mu):
