@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Dict, List, Optional, Sequence
@@ -99,6 +100,17 @@ def _apply_config_file(parser: argparse.ArgumentParser, args, argv: List[str]):
         )
     tokens = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
     return parser.parse_args([argv[0], *tokens, *argv[1:]])
+
+
+def _finite_float(text: str) -> float:
+    """The type of every float flag: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -294,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transport", help="W1 distances and contraction checks")
     common(p)
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--gamma", type=float, default=0.3)
+    p.add_argument("--gamma", type=_finite_float, default=0.3)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -302,10 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ifs", help="attractor and invariant pressure")
     common(p)
-    p.add_argument("--gamma", type=float, default=0.3)
-    p.add_argument("--p", type=float, default=0.3)
-    p.add_argument("--p2", type=float, default=0.7)
-    p.add_argument("--q2", type=float, default=-1.0)
+    p.add_argument("--gamma", type=_finite_float, default=0.3)
+    p.add_argument("--p", type=_finite_float, default=0.3)
+    p.add_argument("--p2", type=_finite_float, default=0.7)
+    p.add_argument("--q2", type=_finite_float, default=-1.0)
     p.add_argument("--length", type=int, default=8)
     p.set_defaults(fn=cmd_ifs)
 
@@ -318,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ldp", help="partition function, bounds, rates")
     common(p)
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--b", type=float, default=0.5)
-    p.add_argument("--t", type=float, default=0.2)
+    p.add_argument("--p", type=_finite_float, default=0.5)
+    p.add_argument("--b", type=_finite_float, default=0.5)
+    p.add_argument("--t", type=_finite_float, default=0.2)
     p.add_argument("--n-max", dest="n_max", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mc-samples", dest="mc_samples", type=int, default=0)

@@ -17,14 +17,22 @@ and the induced operator on pressures, which are mutually dual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .semiring import MaxPlus, pressure
-from .shift import CylinderMeasure, Jacobian, dual_apply
-from .transport import w1_tree
+from .shift import (
+    CylinderMeasure,
+    Jacobian,
+    check_probability_rows,
+    dual_apply,
+    lifted_kernel,
+    symbol_table,
+)
+from .transport import w1_tree, w1_tree_rows
 
 NORMALIZATION_TOL = 1e-12
 MAX_WORDS = 1 << 17   # enumeration budget of attractor_build
@@ -48,6 +56,8 @@ class WeightedJacobianFamily:
         w = np.asarray(weights, dtype=float)
         if w.size != len(jacobians):
             raise ValueError("one weight per kernel required")
+        if np.isnan(w).any():
+            raise ValueError("weights must not be NaN")
         if (w > NORMALIZATION_TOL).any():
             raise ValueError("weights must be <= 0")
         if abs(w.max()) > NORMALIZATION_TOL:
@@ -90,54 +100,75 @@ def attractor_build(
 ) -> AttractorSample:
     """Enumerate all composition images of length ``word_length``.
 
-    Suffix compositions are shared across words, so the enumeration costs
-    about m^(N+1)/(m-1) dual applications instead of N m^N.  Leaves are
-    merged greedily in word order: a leaf joins the first existing cluster
-    within W1 <= eps, and the cluster keeps the max weight.  eps defaults
-    to max(r^N, gamma^final_depth), the resolution below which distinct
-    clusters are not meaningful.  Passing eps=0.0 disables merging,
-    yielding the exact m^N enumeration (the reference behavior).
+    The images of all length-t suffixes form one (m^t, d^(depth+t)) table,
+    whose row k*m + i is kernel i applied to row k, so suffix compositions
+    are shared and each level costs one broadcast multiply per kernel.
+    Every level is checked and clipped like a ``CylinderMeasure``, so the
+    rows carry the bits of the ``dual_apply`` chain.  Leaves are then
+    merged greedily, one cluster at a time: the first unclustered word
+    becomes a leaf, every remaining word within W1 <= eps of it joins it,
+    and the cluster keeps the max weight.  That is one batched tree-W1
+    pass per cluster over the remaining words, and the same clusters as
+    letting each word in turn join the first earlier leaf within eps.
+    eps defaults to max(r^N, gamma^final_depth), the resolution below
+    which distinct clusters are not meaningful.  Passing eps=0.0 disables
+    merging, yielding the exact m^N enumeration (the reference behavior).
     """
     m = len(fam)
     if word_length < 1:
         raise ValueError("word length must be >= 1")
     if m ** word_length > MAX_WORDS:
-        import math
-
         suggestion = int(math.log(MAX_WORDS) / math.log(m))
         raise ValueError(
             f"{m}^{word_length} words exceed the budget {MAX_WORDS}; "
             f"use word_length <= {suggestion}"
         )
+    space = fam.space
     r = fam.contraction_rate
     final_depth = nu0.depth + word_length
     if eps is None:
-        eps = max(r ** word_length, fam.space.gamma ** final_depth)
+        eps = max(r ** word_length, space.gamma ** final_depth)
 
     # grow suffixes: after t steps every length-t suffix has been applied
-    suffixes: List[Tuple[Tuple[int, ...], float, CylinderMeasure]] = [((), 0.0, nu0)]
+    table, weights, depth = nu0.masses[None], np.zeros(1), nu0.depth
     for _ in range(word_length):
-        suffixes = [
-            ((i + 1,) + word, weight + fam.weights[i], dual_apply(fam.jacobians[i], rho))
-            for word, weight, rho in suffixes
-            for i in range(m)
-        ]
-    raw = len(suffixes)
+        cells = table.shape[1]
+        # each kernel writes its rows in place: stacking per-kernel products
+        # would hold a second copy of the largest level at the peak
+        grown = np.empty((table.shape[0], m, space.d, cells))
+        for i, J in enumerate(fam.jacobians):
+            np.multiply(lifted_kernel(J, nu0.space, depth), table[:, None, :],
+                        out=grown[:, i])
+        table = check_probability_rows(grown.reshape(-1, space.d * cells))
+        weights = (weights[:, None] + fam.weights[None, :]).ravel()
+        depth += 1
+    raw = table.shape[0]
+    # row k's word lists its base-m digits, least significant (outermost) first
+    words = [tuple(w) for w in symbol_table(word_length, m)[:, ::-1].tolist()]
 
-    leaves: List[AttractorLeaf] = []
+    def leaf(row: int, weight, **merge) -> AttractorLeaf:
+        # at eps > 0 a leaf owns its row, so the sample does not pin the table
+        masses = table[row].copy() if eps > 0.0 else table[row]
+        measure = CylinderMeasure._checked(space, depth, masses)
+        return AttractorLeaf(words[row], measure, weight, **merge)
+
     if eps > 0.0:
-        for word, weight, rho in suffixes:
-            for leaf in leaves:
-                dist = w1_tree(rho, leaf.measure)
-                if dist <= eps:
-                    leaf.weight = max(leaf.weight, weight)
-                    leaf.radius = max(leaf.radius, dist)
-                    leaf.merged += 1
-                    break
-            else:
-                leaves.append(AttractorLeaf(word, rho, weight))
+        leaves = []
+        remaining = np.arange(raw)
+        while remaining.size:
+            rep, rest = remaining[0], remaining[1:]
+            dist = w1_tree_rows(space, table, rest, rep)
+            near = dist <= eps
+            joined = rest[near]
+            leaves.append(leaf(
+                rep,
+                max(weights[rep], weights[joined].max(initial=-np.inf)),
+                radius=float(dist[near].max(initial=0.0)),
+                merged=1 + joined.size,
+            ))
+            remaining = rest[~near]
     else:
-        leaves = [AttractorLeaf(w, rho, wt) for w, wt, rho in suffixes]
+        leaves = [leaf(row, weights[row]) for row in range(raw)]
 
     return AttractorSample(
         leaves=leaves,

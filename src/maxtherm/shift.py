@@ -9,6 +9,7 @@ significant, which makes prepend/marginalize operations pure reshapes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -161,25 +162,48 @@ def make_bernoulli_jacobian(p: float, space: ShiftSpace) -> Jacobian:
     return Jacobian(space, 1, [p, 1.0 - p])
 
 
+def check_probability_rows(table: np.ndarray) -> np.ndarray:
+    """Check that each row of a 2-D table is a probability vector, then
+    clip the table at 0 in place and return it.
+
+    Every mass must be finite and at least -NORMALIZATION_TOL, and every
+    row must sum to 1 within NORMALIZATION_TOL.  Only row-length
+    temporaries are made: a non-finite mass makes its row sum non-finite.
+    """
+    gaps = np.abs(table.sum(axis=1) - 1.0)
+    worst = float(gaps.max())
+    if not math.isfinite(worst):
+        raise ValueError("masses must be finite")
+    if table.min() < -NORMALIZATION_TOL:
+        raise ValueError("masses must be nonnegative")
+    if worst > NORMALIZATION_TOL:
+        raise ValueError(f"masses sum to {table[gaps.argmax()].sum()!r}, not 1")
+    return np.clip(table, 0.0, None, out=table)
+
+
 class CylinderMeasure:
     """A probability specified on all words of a fixed depth."""
 
     def __init__(self, space: ShiftSpace, depth: int, masses):
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        m = np.asarray(masses, dtype=float).reshape(-1)
+        m = np.array(masses, dtype=float).reshape(-1)
         if m.size != space.n_words(depth):
             raise ValueError(
                 f"depth-{depth} measure needs {space.n_words(depth)} masses, "
                 f"got {m.size}"
             )
-        if (m < -NORMALIZATION_TOL).any():
-            raise ValueError("masses must be nonnegative")
-        if abs(m.sum() - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"masses sum to {m.sum()!r}, not 1")
+        check_probability_rows(m[None])
         self.space = space
         self.depth = depth
-        self.masses = np.clip(m, 0.0, None)
+        self.masses = m
+
+    @classmethod
+    def _checked(cls, space: ShiftSpace, depth: int, masses: np.ndarray):
+        """Wrap a row that ``check_probability_rows`` already accepted."""
+        out = cls.__new__(cls)
+        out.space, out.depth, out.masses = space, depth, masses
+        return out
 
     @classmethod
     def trivial(cls, space: ShiftSpace) -> "CylinderMeasure":
@@ -264,17 +288,22 @@ def dual_apply(J: Jacobian, mu: CylinderMeasure) -> CylinderMeasure:
     when it is not, so the cost of deeper tables stays visible at the call
     site.
     """
-    if mu.space != J.space:
+    lifted = lifted_kernel(J, mu.space, mu.depth)
+    return CylinderMeasure(J.space, mu.depth + 1, lifted * mu.masses)
+
+
+def lifted_kernel(J: Jacobian, space: ShiftSpace, depth: int) -> np.ndarray:
+    """Kernel values on the words one symbol deeper than a depth-``depth``
+    measure on ``space``, as a (d, d^depth) table whose row a holds the
+    words a.w: the factor of every dual transfer image of such a measure."""
+    if space != J.space:
         raise ValueError("kernel and measure live on different spaces")
-    if J.depth > mu.depth + 1:
+    if J.depth > depth + 1:
         raise ValueError(
-            f"kernel depth {J.depth} exceeds measure depth {mu.depth} + 1; "
+            f"kernel depth {J.depth} exceeds measure depth {depth} + 1; "
             "refine the measure first"
         )
-    d = J.space.d
-    lifted = J.fn.at_depth(mu.depth + 1)
-    out = lifted * np.tile(mu.masses, d)
-    return CylinderMeasure(J.space, mu.depth + 1, out)
+    return J.fn.at_depth(depth + 1).reshape(space.d, -1)
 
 
 def pushforward_apply(mu: CylinderMeasure) -> CylinderMeasure:

@@ -8,6 +8,17 @@ telescope to exactly gamma^(first difference), and W1 between two leaf
 distributions is the weighted sum over edges of the absolute subtree-mass
 imbalance.  That closed form is the production path.
 
+The closed form is a weighted L1 norm, so it is evaluated on many tables
+at once: with A a (k, d^n) table of rows and b one reference row,
+
+    W1(A[i], b) = sum over levels j of w_j * sum_x |A_j[i, x] - b_j[x]|,
+
+where A_j and b_j are the subtree masses at depth j + 1 (A_j sums A over
+the last n - j - 1 symbols) and w_j is the edge weight above that depth.
+``w1_tree_rows`` gathers rows of one table by index, with the reference
+row appended, in blocks of about ``BLOCK_CELLS`` cells, so a pass over a
+large table never copies it whole; ``w1_tree`` is its one-row case.
+
 A transportation LP over the word distance matrix is kept as an
 independent small-instance oracle with a dual certificate.  By
 Kantorovich-Rubinstein duality W1 depends only on mu - nu, so the LP moves
@@ -20,6 +31,7 @@ so the LP value is >= W1; the potential built from its duals is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,6 +42,7 @@ from scipy.optimize import linprog
 from .shift import CylinderMeasure, DepthKFunction, ShiftSpace, symbol_table
 
 LP_MAX_POINTS = 1024
+BLOCK_CELLS = 1 << 15   # cells per gathered block of w1_tree_rows
 
 
 def _check_pair(mu: CylinderMeasure, nu: CylinderMeasure):
@@ -42,6 +55,24 @@ def _check_pair(mu: CylinderMeasure, nu: CylinderMeasure):
         )
 
 
+def _tree_distances(B: np.ndarray, d: int, gamma: float) -> np.ndarray:
+    """W1 from each row of a (k + 1, d^n) table but the last to its last
+    row.  Each level coarsens all rows at once by summing the d strided
+    slices in symbol order, which gives the bits of
+    ``reshape(-1, d).sum(axis=1)`` without its slow length-d reduce."""
+    n = round(math.log(B.shape[1], d))
+    total = np.zeros(B.shape[0] - 1)
+    for j in range(n - 1, -1, -1):
+        w = gamma ** (n - 1) / 2.0 if j == n - 1 else (gamma ** j - gamma ** (j + 1)) / 2.0
+        total += w * np.abs(B[:-1] - B[-1]).sum(axis=1)
+        if j:
+            coarse = B[:, 0::d] + B[:, 1::d]
+            for k in range(2, d):
+                coarse += B[:, k::d]
+            B = coarse
+    return total
+
+
 def w1_tree(mu: CylinderMeasure, nu: CylinderMeasure) -> float:
     """W1 between equal-depth tables via the prefix-tree closed form.
 
@@ -49,17 +80,23 @@ def w1_tree(mu: CylinderMeasure, nu: CylinderMeasure) -> float:
     inner loops.
     """
     _check_pair(mu, nu)
-    n, d, g = mu.depth, mu.space.d, mu.space.gamma
-    if n == 0:
-        return 0.0
-    total = 0.0
-    a, b = mu.masses, nu.masses
-    for j in range(n - 1, -1, -1):
-        w = g ** (n - 1) / 2.0 if j == n - 1 else (g ** j - g ** (j + 1)) / 2.0
-        total += w * float(np.abs(a - b).sum())
-        a = a.reshape(-1, d).sum(axis=1)
-        b = b.reshape(-1, d).sum(axis=1)
-    return total
+    pair = np.stack((mu.masses, nu.masses))
+    return float(_tree_distances(pair, mu.space.d, mu.space.gamma)[0])
+
+
+def w1_tree_rows(
+    space: ShiftSpace, table: np.ndarray, rows: np.ndarray, ref: int
+) -> np.ndarray:
+    """W1 from each row ``table[rows]`` to the row ``table[ref]``, all
+    cylinder tables of one depth on ``space``; equal to ``w1_tree`` on each
+    pair, bit for bit.  Rows are gathered, with the reference row,
+    ``BLOCK_CELLS`` cells at a time."""
+    out = np.empty(len(rows))
+    step = max(1, BLOCK_CELLS // table.shape[1])
+    for start in range(0, len(rows), step):
+        block = table[np.append(rows[start:start + step], ref)]
+        out[start:start + step] = _tree_distances(block, space.d, space.gamma)
+    return out
 
 
 def distance_matrix(space: ShiftSpace, depth: int) -> np.ndarray:

@@ -1,13 +1,17 @@
 """Reference implementations that the tests compare the library against.
 
 Each one is a direct loop over the definition, written without the
-library's table arithmetic, so that an agreement between the two is
-evidence rather than a tautology.
+library's table arithmetic (or, for the attractor, with its per-measure
+operations in place of its batched tables), so that an agreement between
+the two is evidence rather than a tautology.
 """
 
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from maxtherm.shift import DepthKFunction, ShiftSpace
+import numpy as np
+
+from maxtherm.ifs import AttractorLeaf, WeightedJacobianFamily
+from maxtherm.shift import CylinderMeasure, DepthKFunction, ShiftSpace, dual_apply
 
 
 def word_metric(u: Sequence[int], v: Sequence[int], space: ShiftSpace) -> float:
@@ -41,3 +45,48 @@ def maxplus_birkhoff(f: DepthKFunction, orbit: Sequence[int], n: int) -> float:
             code = code * f.space.d + (s - 1)
         best = max(best, float(f.values[code]))
     return best
+
+
+def tree_w1(mu: CylinderMeasure, nu: CylinderMeasure) -> float:
+    """W1 of two equal-depth tables on the prefix tree, one pair and one
+    level at a time: each level's edge weight times the L1 gap of the
+    subtree masses, coarsening by a length-d reshape."""
+    n, d, g = mu.depth, mu.space.d, mu.space.gamma
+    total = 0.0
+    a, b = mu.masses, nu.masses
+    for j in range(n - 1, -1, -1):
+        w = g ** (n - 1) / 2.0 if j == n - 1 else (g ** j - g ** (j + 1)) / 2.0
+        total += w * float(np.abs(a - b).sum())
+        a = a.reshape(-1, d).sum(axis=1)
+        b = b.reshape(-1, d).sum(axis=1)
+    return total
+
+
+def attractor_leaves(
+    fam: WeightedJacobianFamily, word_length: int, nu0: CylinderMeasure, eps: float
+) -> List[AttractorLeaf]:
+    """The leaves of ``attractor_build`` at a resolved eps, one measure at
+    a time: every suffix composed by one ``dual_apply``, and each word in
+    turn joining the first earlier leaf within W1 <= eps (by ``tree_w1``)
+    or else starting a leaf of its own."""
+    suffixes = [((), 0.0, nu0)]
+    for _ in range(word_length):
+        suffixes = [
+            ((i + 1,) + word, weight + fam.weights[i], dual_apply(J, rho))
+            for word, weight, rho in suffixes
+            for i, J in enumerate(fam.jacobians)
+        ]
+    if eps == 0.0:
+        return [AttractorLeaf(word, rho, weight) for word, weight, rho in suffixes]
+    leaves: List[AttractorLeaf] = []
+    for word, weight, rho in suffixes:
+        for leaf in leaves:
+            dist = tree_w1(rho, leaf.measure)
+            if dist <= eps:
+                leaf.weight = max(leaf.weight, weight)
+                leaf.radius = max(leaf.radius, dist)
+                leaf.merged += 1
+                break
+        else:
+            leaves.append(AttractorLeaf(word, rho, weight))
+    return leaves

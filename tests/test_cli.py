@@ -86,6 +86,28 @@ def test_usage_errors_exit_1(capsys, argv):
     assert "error: maxtherm" in capsys.readouterr().err
 
 
+FLOAT_FLAGS = [("transport", "--gamma"), ("ifs", "--gamma"), ("ifs", "--p"),
+               ("ifs", "--p2"), ("ifs", "--q2"), ("ldp", "--p"), ("ldp", "--b"),
+               ("ldp", "--t")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+@pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+def test_float_flags_reject_non_finite_values(capsys, command, flag, value):
+    # "--t -inf" would read -inf as a flag; "--t=-inf" reaches the type
+    assert cli.main([command, f"{flag}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert f"argument {flag}: expected a finite number, got {value!r}" in captured.err
+    assert captured.out == ""
+
+
+def test_config_file_floats_pass_the_same_check(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("t=nan\n")
+    assert cli.main(["ldp", "--n-max", "2", "--config", str(config)]) == 1
+    assert "argument --t: expected a finite number, got 'nan'" in capsys.readouterr().err
+
+
 # Each subcommand with --out, and its flags with their parsed types.
 REPORTS = [
     (["pressure", "--m", "50", "--trials", "2"],

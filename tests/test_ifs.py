@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxtherm import ifs
-from maxtherm.goldens import random_mpifs
+from maxtherm.goldens import random_jacobian, random_mpifs
 from maxtherm.ifs import (
     MpIFSSystem,
     WeightedJacobianFamily,
@@ -24,6 +26,7 @@ from maxtherm.semiring import BOTTOM, MaxPlus
 from maxtherm.shift import CylinderMeasure, ShiftSpace, dual_apply, make_bernoulli_jacobian
 from maxtherm.simplex import SimplexGrid, shannon_entropy_table
 from maxtherm.transport import w1_tree
+from oracles import attractor_leaves
 
 SPACE = ShiftSpace(2, 0.3)
 NU0 = CylinderMeasure.point_mass(SPACE, (2,))
@@ -42,6 +45,13 @@ class TestFamilyValidation:
             WeightedJacobianFamily([J, J], [0.0, 0.5])
         with pytest.raises(ValueError, match="at least one"):
             WeightedJacobianFamily([], [])
+
+    def test_nan_weight_rejected_and_minus_inf_kept(self):
+        J = make_bernoulli_jacobian(0.3, SPACE)
+        with pytest.raises(ValueError, match="NaN"):
+            WeightedJacobianFamily([J, J], [0.0, np.nan])
+        fam = WeightedJacobianFamily([J, J], [0.0, -np.inf])
+        assert fam.weights[1] == -np.inf
 
 
 class TestAttractor:
@@ -99,6 +109,65 @@ class TestAttractor:
                 shared += 1
             slack = 2 * SPACE.gamma ** by_word[u].depth
             assert w1_tree(by_word[u], by_word[v]) <= r ** shared + slack
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3]),
+        m=st.integers(1, 3),
+        kernel_depth=st.integers(1, 2),
+        seed_depth=st.integers(0, 1),
+        N=st.integers(1, 6),
+        eps=st.sampled_from([None, 0.0, 1e-3, 0.05]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_leaves_equal_the_per_measure_oracle_bit_for_bit(
+        self, d, m, kernel_depth, seed_depth, N, eps, seed
+    ):
+        rng = np.random.default_rng(seed)
+        space = ShiftSpace(d, rng.uniform(0.05, 0.95) / (d + 1))
+        weights = -np.round(rng.exponential(size=m) * 4) / 4   # ties happen
+        weights[rng.integers(m)] = 0.0
+        fam = WeightedJacobianFamily(
+            [random_jacobian(space, kernel_depth, rng) for _ in range(m)], weights
+        )
+        depth = max(seed_depth, kernel_depth - 1)
+        nu0 = CylinderMeasure(space, depth, rng.dirichlet(np.ones(d ** depth)))
+        N = min(N, 5 if m == 3 else 6)
+        sample = attractor_build(fam, N, nu0, eps=eps)
+        expected = attractor_leaves(fam, N, nu0, sample.epsilon)
+
+        def bits(leaf):
+            return (leaf.word, np.float64(leaf.weight).tobytes(), leaf.merged,
+                    np.float64(leaf.radius).tobytes(), leaf.measure.depth,
+                    leaf.measure.masses.tobytes())
+
+        assert sample.raw_count == m ** N
+        assert [bits(leaf) for leaf in sample.leaves] == [bits(leaf) for leaf in expected]
+
+    @pytest.mark.parametrize("nu0, kernel", [
+        (CylinderMeasure.trivial(SPACE), random_jacobian(SPACE, 2, np.random.default_rng(0))),
+        (CylinderMeasure.point_mass(ShiftSpace(2, 0.2), (1,)),
+         make_bernoulli_jacobian(0.3, SPACE)),
+    ], ids=["kernel-too-deep", "space-mismatch"])
+    def test_invalid_seed_raises_the_dual_apply_message(self, nu0, kernel):
+        fam = WeightedJacobianFamily([make_bernoulli_jacobian(0.5, SPACE), kernel],
+                                     [0.0, 0.0])
+        with pytest.raises(ValueError) as applied:
+            dual_apply(kernel, nu0)
+        with pytest.raises(ValueError) as built:
+            attractor_build(fam, 3, nu0)
+        assert str(built.value) == str(applied.value)
+
+    def test_merged_leaves_own_their_rows(self):
+        fam = WeightedJacobianFamily(
+            [make_bernoulli_jacobian(0.3, SPACE), make_bernoulli_jacobian(0.7, SPACE)],
+            [0.0, -0.5],
+        )
+        sample = attractor_build(fam, 6, NU0, eps=0.05)
+        assert 1 < len(sample.leaves) < 2 ** 6
+        for leaf in sample.leaves:
+            assert leaf.measure.masses.base is None
+            assert leaf.measure.masses.flags.owndata
 
     def test_budget_error_suggests_length(self):
         fam = WeightedJacobianFamily(

@@ -141,6 +141,17 @@ class TestCylinderMeasure:
         with pytest.raises(ValueError, match="nonnegative"):
             CylinderMeasure(SPACE, 1, [1.5, -0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mass_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CylinderMeasure(SPACE, 1, [bad, 1.0])
+
+    def test_the_callers_array_is_not_clipped(self):
+        masses = np.array([1.0 + 1e-13, -1e-13])
+        mu = CylinderMeasure(SPACE, 1, masses)
+        assert mu.masses[1] == 0.0
+        assert masses[1] == -1e-13
+
     def test_bernoulli_constructor(self):
         mu = CylinderMeasure.bernoulli(SPACE, [0.3, 0.7], 2)
         assert mu.masses == pytest.approx([0.09, 0.21, 0.21, 0.49])

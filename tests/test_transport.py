@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from oracles import word_metric
+from oracles import tree_w1, word_metric
 
 from maxtherm.goldens import random_jacobian, random_measure
 from maxtherm.shift import CylinderMeasure, ShiftSpace, dual_apply, make_bernoulli_jacobian
-from maxtherm.transport import distance_matrix, w1_lp_oracle, w1_tree
+from maxtherm import transport
+from maxtherm.transport import distance_matrix, w1_lp_oracle, w1_tree, w1_tree_rows
 
 SPACE = ShiftSpace(2, 0.3)
 
@@ -111,6 +112,22 @@ class TestTreeFormula:
         b2[0] += 1e-6
         b2[1] -= 1e-6
         assert w1_tree(a, CylinderMeasure(SPACE, 3, b2)) > 0.0
+
+    @pytest.mark.parametrize("d, gamma", [(2, 0.3), (3, 0.2), (4, 0.15)])
+    def test_batched_rows_equal_the_per_pair_loop_bit_for_bit(self, monkeypatch, d, gamma):
+        # small blocks, so that a pass gathers several of them
+        monkeypatch.setattr(transport, "BLOCK_CELLS", 40)
+        space = ShiftSpace(d, gamma)
+        rng = np.random.default_rng(d)
+        for depth in range(5):
+            table = rng.dirichlet(np.ones(d ** depth), size=12)
+            rows = rng.permutation(12)[:9]
+            got = w1_tree_rows(space, table, rows, rows[0])
+            nu = CylinderMeasure(space, depth, table[rows[0]])
+            expected = [tree_w1(CylinderMeasure(space, depth, table[i]), nu) for i in rows]
+            assert got.tolist() == expected
+            assert [w1_tree(CylinderMeasure(space, depth, table[i]), nu)
+                    for i in rows] == expected
 
     def test_depth_mismatch_rejected(self):
         a = random_measure(SPACE, 2, np.random.default_rng(3))
