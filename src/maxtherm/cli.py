@@ -238,12 +238,14 @@ def cmd_ldp(args) -> int:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if mc_samples < 0:
         raise ValueError(f"mc_samples must be at least 0 (0 is off), got {mc_samples}")
-    t_star, bound = dynamics.bernoulli_ldp_bound(p, b)
     est = dynamics.empirical_rate(p, b, list(range(1, n_max + 1)))
-    print(f"upper large-deviation bound: {bound:.17g} at t* = {t_star:.17g}")
+    print(
+        f"upper large-deviation bound: {est.ldp_bound:.17g} "
+        f"at t* = {est.bound_minimizer:.17g}"
+    )
     print(f"empirical decay rate: {est.limit_rate:.17g}")
     print(
-        f"gap: rate {est.limit_rate:.17g} < bound {bound:.17g} "
+        f"gap: rate {est.limit_rate:.17g} < bound {est.ldp_bound:.17g} "
         f"(the bound is not tight)"
     )
     if not args.out:

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .shift import DepthKFunction
+from .shift import DepthKFunction, check_probability_rows
 
 
 # ---------------------------------------------------------------------------
@@ -54,20 +54,18 @@ class OrbitSampler:
         self.n_orbits = int(n_orbits)
         self.seed = int(seed)
         if probs is not None:
-            p = np.asarray(probs, dtype=float)
-            if p.size != d or abs(p.sum() - 1.0) > 1e-12 or (p < 0).any():
-                raise ValueError("invalid symbol distribution")
+            p = np.array(probs, dtype=float)
+            if p.size != d:
+                raise ValueError(f"{d} symbol probabilities needed, got {p.size}")
             self.kind = "bernoulli"
-            self.probs = p
+            self.probs = check_probability_rows(p.reshape(1, d))[0]
             self.transition = None
         else:
-            P = np.asarray(transition, dtype=float)
-            if P.shape != (d, d) or (np.abs(P.sum(axis=1) - 1.0) > 1e-12).any():
-                raise ValueError("transition matrix rows must sum to 1")
-            if (P < 0).any():
-                raise ValueError("transition probabilities must be nonnegative")
+            P = np.array(transition, dtype=float)
+            if P.shape != (d, d):
+                raise ValueError(f"the transition matrix must be {d} x {d}")
             self.kind = "markov"
-            self.transition = P
+            self.transition = check_probability_rows(P)
             # stationary row vector of P
             vals, vecs = np.linalg.eig(P.T)
             j = int(np.argmin(np.abs(vals - 1.0)))
@@ -317,8 +315,6 @@ def bernoulli_ldp_bound(p: float, b: float) -> Tuple[float, float]:
 
 @dataclass
 class RateEstimate:
-    b: float
-    n_values: List[int]
     rates: List[float]        # (1/n) log of the event probability
     limit_rate: float
     ldp_bound: float
@@ -352,8 +348,6 @@ def empirical_rate(p: float, b: float, n_values: Sequence[int]) -> RateEstimate:
     else:
         t_star, bound = 0.0, 0.0
     return RateEstimate(
-        b=b,
-        n_values=list(n_values),
         rates=rates,
         limit_rate=rates[-1],
         ldp_bound=bound,
@@ -413,18 +407,8 @@ def c_maxplus_convexity_check(
             return _log_mean_exp(n * u * maxes) / n
 
     equality_residual = abs(c(max(s, t)) - max(c(s), c(t)))
-    lhs_args = []
-    if alpha != -np.inf:
-        lhs_args.append(alpha + t)
-    if beta != -np.inf:
-        lhs_args.append(beta + s)
-    lhs = c(max(lhs_args))
-    rhs_terms = []
-    if alpha != -np.inf:
-        rhs_terms.append(alpha + c(t))
-    if beta != -np.inf:
-        rhs_terms.append(beta + c(s))
-    slack = max(rhs_terms) - lhs
+    # a -inf weight drops out of both maxes, as bottom does
+    slack = max(alpha + c(t), beta + c(s)) - c(max(alpha + t, beta + s))
     return ConvexityReport(equality_residual=equality_residual, convexity_slack=slack)
 
 

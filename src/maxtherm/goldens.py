@@ -514,13 +514,12 @@ def check_ldp_worked_example() -> GoldenResult:
     ok &= worst_c <= 0.01
     notes.append(f"c_2000 vs limit gap {worst_c:.2e} (tol 0.01)")
 
-    t_star, bound = dynamics.bernoulli_ldp_bound(p, b)
-    t_gap = abs(t_star - (-np.log(p)))
-    b_gap = abs(bound - (1 - b) * np.log(p))
+    est = dynamics.empirical_rate(p, b, [1, 5, 10, 50, 2000])
+    t_gap = abs(est.bound_minimizer - (-np.log(p)))
+    b_gap = abs(est.ldp_bound - (1 - b) * np.log(p))
     ok &= t_gap <= 1e-8 and b_gap <= 1e-8
     notes.append(f"minimizer gap {t_gap:.2e}, bound gap {b_gap:.2e} (tol 1e-8)")
 
-    est = dynamics.empirical_rate(p, b, [1, 5, 10, 50, 2000])
     rate_gap = max(abs(rate - np.log(p)) for rate in est.rates)
     ok &= rate_gap <= 1e-12
     strict = est.limit_rate < est.ldp_bound - 1e-9

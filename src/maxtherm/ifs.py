@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .semiring import MaxPlus, pressure
+from .semiring import MaxPlus, check_maxplus_probability, pressure
 from .shift import (
     CylinderMeasure,
     Jacobian,
@@ -34,7 +34,6 @@ from .shift import (
 )
 from .transport import w1_tree, w1_tree_rows
 
-NORMALIZATION_TOL = 1e-12
 MAX_WORDS = 1 << 17   # enumeration budget of attractor_build
 POLISH_ITER = 50      # transfer steps settling mpifs_fixed_density's rounding
 
@@ -53,17 +52,10 @@ class WeightedJacobianFamily:
         space = jacobians[0].space
         if any(J.space != space for J in jacobians):
             raise ValueError("all kernels must share one space")
-        w = np.asarray(weights, dtype=float)
-        if w.size != len(jacobians):
+        if np.size(weights) != len(jacobians):
             raise ValueError("one weight per kernel required")
-        if np.isnan(w).any():
-            raise ValueError("weights must not be NaN")
-        if (w > NORMALIZATION_TOL).any():
-            raise ValueError("weights must be <= 0")
-        if abs(w.max()) > NORMALIZATION_TOL:
-            raise ValueError("the largest weight must be 0")
         self.jacobians = list(jacobians)
-        self.weights = np.minimum(w, 0.0)
+        self.weights = check_maxplus_probability(weights)
         self.space = space
 
     def __len__(self) -> int:
@@ -128,6 +120,8 @@ def attractor_build(
     final_depth = nu0.depth + word_length
     if eps is None:
         eps = max(r ** word_length, space.gamma ** final_depth)
+    if not eps >= 0.0:
+        raise ValueError(f"eps must be >= 0 (0 disables merging), got {eps!r}")
 
     # grow suffixes: after t steps every length-t suffix has been applied
     table, weights, depth = nu0.masses[None], np.zeros(1), nu0.depth
@@ -329,16 +323,14 @@ def pushforward_invariance_check(
     G = G.reshape(len(observables), n).T
     lhs, _ = pressure(h, G[sigma])   # pressure of g after the pushforward
     rhs, _ = pressure(h, G)
-    with np.errstate(invalid="ignore"):
-        gaps = np.abs(lhs - rhs)
-    gaps[np.isnan(gaps)] = 0.0
+    gaps = _gaps(lhs, rhs)
     worst_fn = float(gaps.max(initial=0.0))
 
     # fiber characterization: h at an image point = sup of h over preimages,
     # and -inf off the image (h_fiber starts at -inf, so off-image stays there)
     h_fiber = np.full(n, -np.inf)
     np.maximum.at(h_fiber, sigma, h)
-    worst_dens = _inf_aware_gap(h, h_fiber)
+    worst_dens = float(_gaps(h, h_fiber).max())
     witness = f"observable #{int(gaps.argmax())}" if worst_fn > 1e-9 else None
     return PushforwardReport(worst_fn, worst_dens, witness)
 
@@ -363,13 +355,9 @@ class MpIFSSystem:
         self.n_maps, self.n_points = maps.shape
         if maps.min() < 0 or maps.max() >= self.n_points:
             raise ValueError("map targets must be point indices")
-        if (q > NORMALIZATION_TOL).any():
-            raise ValueError("weights must be <= 0")
-        col_max = q.max(axis=0)
-        if np.abs(col_max).max() > NORMALIZATION_TOL:
-            raise ValueError("weights must satisfy max over maps = 0 per point")
         self.maps = maps
-        self.weights = np.minimum(q, 0.0)
+        # per point, the weights over the maps are an idempotent probability
+        self.weights = check_maxplus_probability(q)
 
     @classmethod
     def constant_maps(cls, weights: np.ndarray) -> "MpIFSSystem":
@@ -435,31 +423,27 @@ class InvarianceReport:
     transfer_residual: float   # density fixed point, pointwise
     ruelle_residual: float     # pressure of composed observables, on the family
 
-    def passes(self, tol: float = 1e-12) -> Tuple[bool, bool, bool]:
+    def passes(self) -> Tuple[bool, bool, bool]:
         return (
-            self.markov_residual <= tol,
-            self.transfer_residual <= tol,
-            self.ruelle_residual <= tol,
+            self.markov_residual <= 1e-12,
+            self.transfer_residual <= 1e-12,
+            self.ruelle_residual <= 1e-12,
         )
 
-    def consistent(self, tol: float = 1e-12) -> bool:
-        p = self.passes(tol)
+    def consistent(self) -> bool:
+        p = self.passes()
         return all(p) or not any(p)
 
 
-def _inf_aware_gap(a: np.ndarray, b: np.ndarray) -> float:
-    both_bottom = np.isneginf(a) & np.isneginf(b)
-    with np.errstate(invalid="ignore"):
-        diff = np.where(both_bottom, 0.0, np.abs(a - b))
-    return float(np.max(np.where(np.isnan(diff), np.inf, diff)))
+def _gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| elementwise, with a NaN gap counted as 0.
 
-
-def _residual(values: np.ndarray, base: np.ndarray) -> float:
-    """max |values - base| over the family, 0 when empty; a pressure of -inf
-    on both sides (nan) is skipped."""
+    Weights and densities hold no NaN once checked, so a NaN gap is one
+    infinity against the same infinity (bottom on both sides), or a +inf
+    observable against a -inf weight: both sides agree.
+    """
     with np.errstate(invalid="ignore"):
-        gaps = np.abs(values - base)
-    return float(np.max(gaps, initial=0.0, where=~np.isnan(gaps)))
+        return np.fmax(np.abs(a - b), 0.0)
 
 
 def mpifs_invariance_check(
@@ -493,9 +477,10 @@ def mpifs_invariance_check(
         np.fmax(markov, (lam_col + scores).max(axis=0), out=markov)
         np.maximum(ruelle, scores, out=ruelle)
     composed, _ = pressure(lam, ruelle)
-    transfer_residual = _inf_aware_gap(mpifs_transfer(lam, sys), lam)
     return InvarianceReport(
-        _residual(markov, base), transfer_residual, _residual(composed, base)
+        float(_gaps(markov, base).max(initial=0.0)),
+        float(_gaps(mpifs_transfer(lam, sys), lam).max()),
+        float(_gaps(composed, base).max(initial=0.0)),
     )
 
 
@@ -520,19 +505,16 @@ def mpifs_fixed_density(sys: MpIFSSystem) -> Tuple[np.ndarray, int]:
     for m in range(sys.n_maps):
         np.maximum.at(edge, (np.arange(n), sys.maps[m]), sys.weights[m])
 
-    # closure[i, j] = best nonempty-path weight i -> j
+    # closure[i, j] = best nonempty-path weight i -> j; every entry is <= 0
+    # or -inf, so no sum of two is NaN
     closure = edge.copy()
-    with np.errstate(invalid="ignore"):
-        for k in range(n):
-            via = closure[:, k][:, None] + closure[k, None, :]
-            np.maximum(closure, np.where(np.isnan(via), -np.inf, via), out=closure)
+    for k in range(n):
+        np.maximum(closure, closure[:, k][:, None] + closure[k, None, :], out=closure)
 
     zero_cycle = np.diag(closure) >= -1e-300
     if not zero_cycle.any():
         raise RuntimeError("no zero-weight cycle; weights are not normalized")
-    with np.errstate(invalid="ignore"):
-        reach = closure[zero_cycle, :]  # paths from zero-cycle nodes
-    lam = reach.max(axis=0)
+    lam = closure[zero_cycle, :].max(axis=0)  # paths from zero-cycle nodes
     lam[zero_cycle] = np.maximum(lam[zero_cycle], 0.0)  # empty path
 
     for it in range(1, POLISH_ITER + 1):
@@ -540,7 +522,7 @@ def mpifs_fixed_density(sys: MpIFSSystem) -> Tuple[np.ndarray, int]:
         if np.array_equal(nxt, lam):
             return lam, it
         lam = nxt
-    residual = _inf_aware_gap(mpifs_transfer(lam, sys), lam)
+    residual = float(_gaps(mpifs_transfer(lam, sys), lam).max())
     if residual > 1e-14:
         raise RuntimeError(
             f"transfer iteration residual {residual!r} after polishing"
@@ -571,16 +553,13 @@ def inverse_problem_solve(h: np.ndarray) -> InverseProblemSolution:
     h = np.asarray(h, dtype=float)
     if h.ndim != 1 or h.size == 0:
         raise ValueError("density table must be a nonempty 1-D array")
+    check_maxplus_probability(h)
     if not np.isfinite(h).all():
         raise ValueError("density table must be finite")
-    if (h > NORMALIZATION_TOL).any():
-        raise ValueError("density must be <= 0 everywhere")
-    if abs(h.max()) > NORMALIZATION_TOL:
-        raise ValueError(f"density must attain 0; max is {h.max()!r}")
     n = h.size
     q = np.repeat(h[:, None], n, axis=1)
     sys = MpIFSSystem.constant_maps(q)
     recovered = mpifs_transfer(h, sys)
-    eq_residual = _inf_aware_gap(recovered, h)
+    eq_residual = float(_gaps(recovered, h).max())
     normalization_residual = float(np.abs(q.max(axis=0)).max())
     return InverseProblemSolution(q, eq_residual, normalization_residual, sys)

@@ -8,6 +8,14 @@ the table of density + observable; the points attaining that max (up to a
 tolerance) are the equilibrium states, which need not be unique.
 ``pressure`` evaluates it on an array, for one observable or a column
 batch of them at once.
+
+An idempotent probability, or max-plus density, has values <= 0 with
+bottom allowed and sup equal to 0.  Every table of that kind (kernel
+family weights, max-plus IFS weights per point, the inverse problem's
+density) goes through ``check_maxplus_probability``, the one max-plus
+counterpart of ``shift.check_probability_rows``; both read the tolerance
+``NORMALIZATION_TOL`` defined here.  Once a table has passed, it holds no
+NaN and no +inf, so sums of its entries never produce NaN.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from typing import Tuple, Union
 import numpy as np
 
 _NEG_INF = float("-inf")
+NORMALIZATION_TOL = 1e-12  # slack of both probability normalizations
 
 
 @dataclass(frozen=True)
@@ -83,3 +92,23 @@ def pressure(
     best = scores.max(axis=0)
     equilibria = scores >= best - argmax_tol
     return (float(best) if g.ndim == 1 else best), equilibria
+
+
+def check_maxplus_probability(table) -> np.ndarray:
+    """Check that ``table`` is an idempotent probability along axis 0 and
+    return it clipped at 0, as a new float array.
+
+    No value may be NaN, every value must be at most NORMALIZATION_TOL,
+    and the max over axis 0 (of each column of a 2-D table) must be 0
+    within NORMALIZATION_TOL.  Bottom, -inf, is allowed anywhere else.
+    """
+    table = np.asarray(table, dtype=float)
+    if np.isnan(table).any():
+        raise ValueError("max-plus weights cannot be NaN")
+    if (table > NORMALIZATION_TOL).any():
+        raise ValueError("max-plus weights must be <= 0")
+    tops = np.atleast_1d(table.max(axis=0))
+    worst = float(tops[np.abs(tops).argmax()])
+    if abs(worst) > NORMALIZATION_TOL:
+        raise ValueError(f"the largest weight must attain 0, not {worst!r}")
+    return np.minimum(table, 0.0)

@@ -5,6 +5,11 @@ differing in their first symbol are at distance gamma^0 = 1 (the space has
 diameter 1).  A depth-n table assigns one value per length-n word; words
 are stored in base-d lexicographic order with the first symbol most
 significant, which makes prepend/marginalize operations pure reshapes.
+
+Every linear probability table, whether a cylinder measure, the columns of
+a transfer kernel, a symbol distribution or a whole batch of attractor
+rows, goes through ``check_probability_rows``; the max-plus counterpart is
+``semiring.check_maxplus_probability``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-NORMALIZATION_TOL = 1e-12
+from .semiring import NORMALIZATION_TOL
+
 LIPSCHITZ_SLACK = 1e-9  # absorbs rounding in the Lip <= 1 admissibility check
 
 
@@ -136,14 +142,9 @@ class Jacobian:
             raise ValueError("a transfer kernel must read at least one symbol")
         fn = DepthKFunction(space, depth, values)
         vals = fn.values
-        if (vals < -NORMALIZATION_TOL).any() or (vals > 1 + NORMALIZATION_TOL).any():
-            raise ValueError("kernel values must lie in [0, 1]")
-        sums = vals.reshape(space.d, -1).sum(axis=0)
-        if np.abs(sums - 1.0).max() > NORMALIZATION_TOL:
-            raise ValueError(
-                f"kernel is not normalized: max |sum - 1| = "
-                f"{np.abs(sums - 1.0).max():.3e}"
-            )
+        # each column, one continuation word, is a distribution of the first
+        # symbol; the check clips a copy, so the kernel keeps its bits
+        check_probability_rows(vals.reshape(space.d, -1).T.copy())
         lip = lipschitz_constant(fn)
         if lip > 1.0 + LIPSCHITZ_SLACK:
             raise ValueError(f"kernel Lipschitz constant {lip!r} exceeds 1")
@@ -173,11 +174,13 @@ def check_probability_rows(table: np.ndarray) -> np.ndarray:
     gaps = np.abs(table.sum(axis=1) - 1.0)
     worst = float(gaps.max())
     if not math.isfinite(worst):
-        raise ValueError("masses must be finite")
+        raise ValueError("masses must be finite, not NaN or inf")
     if table.min() < -NORMALIZATION_TOL:
-        raise ValueError("masses must be nonnegative")
+        raise ValueError("masses must be nonnegative, so each lies in [0, 1]")
     if worst > NORMALIZATION_TOL:
-        raise ValueError(f"masses sum to {table[gaps.argmax()].sum()!r}, not 1")
+        raise ValueError(
+            f"masses sum to {table[gaps.argmax()].sum()!r}, not 1: not normalized"
+        )
     return np.clip(table, 0.0, None, out=table)
 
 
@@ -210,11 +213,6 @@ class CylinderMeasure:
         return cls(space, 0, [1.0])
 
     @classmethod
-    def uniform(cls, space: ShiftSpace, depth: int) -> "CylinderMeasure":
-        n = space.n_words(depth)
-        return cls(space, depth, np.full(n, 1.0 / n))
-
-    @classmethod
     def point_mass(cls, space: ShiftSpace, word: Sequence[int]) -> "CylinderMeasure":
         m = np.zeros(space.n_words(len(word)))
         m[word_index(word, space.d)] = 1.0
@@ -223,9 +221,10 @@ class CylinderMeasure:
     @classmethod
     def bernoulli(cls, space: ShiftSpace, probs, depth: int) -> "CylinderMeasure":
         """Product measure with the same symbol distribution per coordinate."""
-        p = np.asarray(probs, dtype=float)
-        if p.size != space.d or abs(p.sum() - 1.0) > NORMALIZATION_TOL:
-            raise ValueError("symbol probabilities must sum to 1")
+        p = np.array(probs, dtype=float).reshape(-1)
+        if p.size != space.d:
+            raise ValueError(f"{space.d} symbol probabilities needed, got {p.size}")
+        check_probability_rows(p[None])
         m = np.array([1.0])
         for _ in range(depth):
             m = np.kron(m, p)

@@ -5,6 +5,8 @@ of shape ``(d,)``; a family of them is one ``(k, d)`` array, one
 observable per row.  A level-2 observable, a function on the simplex, is
 a plain function evaluated row-wise: ``(N, d)`` points to ``N`` values.
 The inclusion j(phi)(p) = p . phi takes the first kind to the second.
+A probability vector handed in by a caller goes through
+``as_prob_vector``, which is ``shift.check_probability_rows`` on one row.
 Pressures of densities on the simplex are computed by a coarse lattice
 scan followed by local refinement, which handles non-concave objectives
 whose maximizer set may be disconnected.
@@ -18,19 +20,18 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
+from .semiring import NORMALIZATION_TOL
+from .shift import check_probability_rows
+
 ZERO_MASS = 1e-15  # masses below this are exact zeros for entropy terms
 
 
 def as_prob_vector(masses) -> np.ndarray:
     """Validate and return a probability vector as a float array."""
-    p = np.asarray(masses, dtype=float)
+    p = np.array(masses, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("probability vector must be a nonempty 1-D array")
-    if (p < -1e-12).any() or (p > 1 + 1e-12).any():
-        raise ValueError("masses must lie in [0, 1]")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError(f"masses sum to {p.sum()!r}, not 1")
-    return np.clip(p, 0.0, 1.0)
+    return check_probability_rows(p[None])[0]
 
 
 def shannon_entropy(p) -> float:
@@ -176,7 +177,7 @@ def _refine(
         free = axes[:, np.arange(n_free), ij]                 # (k, R, n_free)
         if on_simplex:
             last = 1.0 - free.sum(axis=2)
-            keep = last >= -1e-12
+            keep = last >= -NORMALIZATION_TOL
             patch = np.concatenate([free, np.clip(last, 0.0, 1.0)[..., None]], axis=2)
         else:
             keep = np.ones(free.shape[:2], dtype=bool)

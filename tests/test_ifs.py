@@ -90,6 +90,18 @@ class TestAttractor:
         words = {leaf.word for leaf in sample.leaves}
         assert len(words) == 2 ** 5
 
+    @pytest.mark.parametrize("eps", [np.nan, -1.0])
+    def test_nan_or_negative_eps_rejected(self, eps):
+        fam = WeightedJacobianFamily(
+            [make_bernoulli_jacobian(0.3, SPACE), make_bernoulli_jacobian(0.7, SPACE)],
+            [0.0, -1.0],
+        )
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            attractor_build(fam, 4, NU0, eps=eps)
+        # eps=0 is the exact enumeration and the default merges
+        assert len(attractor_build(fam, 4, NU0, eps=0.0).leaves) == 16
+        assert len(attractor_build(fam, 4, NU0).leaves) < 16
+
     def test_prefix_contraction_invariant(self):
         fam = WeightedJacobianFamily(
             [make_bernoulli_jacobian(0.2, SPACE), make_bernoulli_jacobian(0.8, SPACE)],
@@ -435,7 +447,7 @@ class TestMpIFSOperators:
             assert mpifs_markov(lam, f, sys) == np.max(lam + mpifs_ruelle(f, sys))
 
     def test_weight_normalization_enforced(self):
-        with pytest.raises(ValueError, match="max over maps"):
+        with pytest.raises(ValueError, match="attain 0"):
             MpIFSSystem.constant_maps(np.array([[-0.5, -1.0], [-1.0, -0.5]]))
 
 
@@ -490,7 +502,10 @@ class TestInvarianceEquivalence:
 
 def _per_observable_report(lam, sys, f_family):
     """Invariance residuals with one pass over the maps per observable."""
-    transfer = ifs._inf_aware_gap(mpifs_transfer(lam, sys), lam)
+    image = mpifs_transfer(lam, sys)
+    both_bottom = np.isneginf(image) & np.isneginf(lam)
+    with np.errstate(invalid="ignore"):
+        transfer = float(np.where(both_bottom, 0.0, np.abs(image - lam)).max())
     markov = ruelle = 0.0
     for f in f_family:
         base = float(np.max(lam + f))

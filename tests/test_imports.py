@@ -4,7 +4,9 @@ Every name a module imports is used in that module, and every public
 function, class and method is reached from elsewhere in the package: a
 name that only tests or nothing call is either made a check, moved into
 the tests as an oracle, or deleted.  Every parameter of a function is
-read in its body, so that no argument is silently ignored.
+read in its body, so that no argument is silently ignored.  No top-level
+name is bound (assigned, or defined by ``def`` or ``class``) in two
+modules, so that a constant such as a tolerance has one definition.
 
 No linter is a dependency, so this parses the sources with ``ast``.  The
 package ``__init__`` is exempt from the import rule, since its imports are
@@ -59,7 +61,12 @@ def references(node: ast.AST) -> Counter:
 
 def unreached(trees: dict) -> list:
     """``module:name`` of each public definition that no code outside its
-    own body references.  Methods match by attribute name alone."""
+    own body references.
+
+    Methods match by attribute name alone, so a method is missed when any
+    attribute of the same name is loaded anywhere: an unused
+    ``uniform`` classmethod counts as reached through ``rng.uniform``.
+    """
     total = sum((references(tree) for tree in trees.values()), Counter())
     out = []
     for module, tree in trees.items():
@@ -68,6 +75,27 @@ def unreached(trees: dict) -> list:
             if total[name] <= references(node)[name]:
                 out.append(f"{module}:{qualname}")
     return out
+
+
+def top_level_bindings(tree: ast.Module) -> set:
+    """Names a module binds at top level by assignment, ``def`` or
+    ``class``.  Imports are not counted: importing a name reuses the one
+    definition."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(sub.id for target in targets for sub in ast.walk(target)
+                         if isinstance(sub, ast.Name))
+    return names
+
+
+def bound_twice(trees: dict) -> list:
+    """Each top-level name that two or more modules bind."""
+    counts = Counter(name for tree in trees.values() for name in top_level_bindings(tree))
+    return sorted(name for name, count in counts.items() if count > 1)
 
 
 def unread_parameters(tree: ast.AST) -> list:
@@ -142,3 +170,14 @@ def test_an_unreached_name_is_reported():
     other = "from a import recursive\n"
     trees = {"a.py": ast.parse(source), "b.py": ast.parse(other)}
     assert unreached(trees) == ["a.py:recursive", "a.py:Box.write"]
+
+
+def test_no_top_level_name_is_bound_in_two_modules():
+    assert bound_twice(TREES) == []
+
+
+def test_a_name_bound_in_two_modules_is_reported():
+    a = "from b import shared\nTOL = 1e-12\nx, (y, z) = 1, (2, 3)\ndef f(): pass\n"
+    b = "TOL: float = 1e-9\nclass f: pass\ny = 0\nshared = 1\n"
+    trees = {"a.py": ast.parse(a), "b.py": ast.parse(b)}
+    assert bound_twice(trees) == ["TOL", "f", "y"]

@@ -10,8 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from maxtherm.semiring import BOTTOM, MaxPlus, pressure
-from maxtherm.simplex import SimplexGrid, shannon_entropy
+from maxtherm.dynamics import OrbitSampler
+from maxtherm.ifs import MpIFSSystem, WeightedJacobianFamily, inverse_problem_solve
+from maxtherm.semiring import BOTTOM, MaxPlus, check_maxplus_probability, pressure
+from maxtherm.shift import CylinderMeasure, Jacobian, ShiftSpace, make_bernoulli_jacobian
+from maxtherm.simplex import SimplexGrid, as_prob_vector, shannon_entropy
 
 LOG3 = 1.0986122886681098
 NEG_INF = -np.inf
@@ -230,3 +233,55 @@ class TestAxioms:
         g = np.array([0.0, 1.0])
         _, additivity = _axiom_residuals(dens, g, g, 2.5)
         assert additivity == 0.0
+
+
+SPACE = ShiftSpace(2, 0.3)
+KERNEL = make_bernoulli_jacobian(0.3, SPACE)
+LINEAR_NAN = "masses must be finite, not NaN"
+MAXPLUS_NAN = "max-plus weights cannot be NaN"
+
+
+class TestOneCheckPerKind:
+    """Each kind of probability has one check: linear tables go through
+    ``shift.check_probability_rows`` and idempotent ones through
+    ``semiring.check_maxplus_probability``, so NaN is a ``ValueError`` with
+    that check's message at every entry point."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: as_prob_vector([np.nan, 1.0]), LINEAR_NAN),
+        (lambda: shannon_entropy([np.nan, 1.0]), LINEAR_NAN),
+        (lambda: CylinderMeasure.bernoulli(SPACE, [np.nan, 1.0], 3), LINEAR_NAN),
+        # the function-table check comes first and already rejects NaN
+        (lambda: Jacobian(SPACE, 1, [np.nan, 1.0]), "must be finite"),
+        (lambda: OrbitSampler.bernoulli([np.nan, 1.0], 10, 0), LINEAR_NAN),
+        (lambda: OrbitSampler.markov([[0.5, 0.5], [np.nan, 1.0]], 10, 0), LINEAR_NAN),
+        (lambda: WeightedJacobianFamily([KERNEL, KERNEL], [0.0, np.nan]), MAXPLUS_NAN),
+        (lambda: MpIFSSystem.constant_maps([[0.0, np.nan], [np.nan, 0.0]]), MAXPLUS_NAN),
+        (lambda: inverse_problem_solve([0.0, np.nan]), MAXPLUS_NAN),
+    ], ids=["as_prob_vector", "shannon_entropy", "CylinderMeasure.bernoulli",
+            "Jacobian", "OrbitSampler.bernoulli", "OrbitSampler.markov",
+            "WeightedJacobianFamily", "MpIFSSystem", "inverse_problem_solve"])
+    def test_nan_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_bottom_weights_kept(self):
+        fam = WeightedJacobianFamily([KERNEL, KERNEL], [0.0, NEG_INF])
+        assert fam.weights.tolist() == [0.0, NEG_INF]
+        sys = MpIFSSystem.constant_maps([[0.0, NEG_INF], [NEG_INF, 0.0]])
+        assert sys.weights.tolist() == [[0.0, NEG_INF], [NEG_INF, 0.0]]
+        # the inverse problem keeps its own rule that the density is finite
+        with pytest.raises(ValueError, match="finite"):
+            inverse_problem_solve([0.0, NEG_INF])
+
+    def test_maxplus_check_per_column(self):
+        table = np.array([[1e-13, NEG_INF], [-2.0, -1e-13]])
+        out = check_maxplus_probability(table)
+        assert out.tolist() == [[0.0, NEG_INF], [-2.0, -1e-13]]
+        assert table[0, 0] == 1e-13   # the caller's table is not clipped
+        with pytest.raises(ValueError, match="<= 0"):
+            check_maxplus_probability([0.0, 1e-11])
+        with pytest.raises(ValueError, match="attain 0, not -inf"):
+            check_maxplus_probability([[0.0, NEG_INF], [-1.0, NEG_INF]])
+        with pytest.raises(ValueError, match="attain 0, not -0.5"):
+            check_maxplus_probability([-0.5, -1.0])

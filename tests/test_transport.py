@@ -192,7 +192,7 @@ class TestLpOracle:
 
     def test_size_limit(self):
         space = ShiftSpace(2, 0.3)
-        mu = CylinderMeasure.uniform(space, 11)     # 2048 > 1024
+        mu = CylinderMeasure(space, 11, np.full(2048, 1 / 2048))   # 2048 > 1024
         with pytest.raises(ValueError, match="oracle limit"):
             w1_lp_oracle(mu, mu)
 
