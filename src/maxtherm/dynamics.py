@@ -19,7 +19,7 @@ symbol 2 carries mass p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,13 @@ from .shift import DepthKFunction, check_probability_rows
 # ---------------------------------------------------------------------------
 # Orbit sampling
 # ---------------------------------------------------------------------------
+
+# Orbit tables are drawn and read this many rows at a time, so the int64
+# codes and float64 window values of a block take 2 MB each at 1,000
+# columns, however many orbits there are.  Blocks of rows take the
+# generator's draws in the same C order as one whole-table draw, so the
+# symbols do not depend on the block size.
+ROW_BLOCK = 256
 
 
 class OrbitSampler:
@@ -89,13 +96,24 @@ class OrbitSampler:
         return bool((self.transition > 0).all())
 
     def sample(self, length: int) -> np.ndarray:
-        """(n_orbits, length) array of symbols 1..d."""
+        """(n_orbits, length) table of symbols 1..d.
+
+        Its dtype is ``np.min_scalar_type(d)``, the smallest unsigned
+        integer type that holds d: uint8 for d <= 255.  Length 0 gives an
+        (n_orbits, 0) table.
+        """
+        if length < 0:
+            raise ValueError(f"the orbit length must be at least 0, got {length}")
         rng = np.random.default_rng(self.seed)
+        orbits = np.empty((self.n_orbits, length), dtype=np.min_scalar_type(self.d))
         if self.kind == "bernoulli":
-            return (
-                rng.choice(self.d, size=(self.n_orbits, length), p=self.probs) + 1
-            )
-        orbits = np.empty((self.n_orbits, length), dtype=np.int64)
+            for lo in range(0, self.n_orbits, ROW_BLOCK):
+                block = orbits[lo : lo + ROW_BLOCK]
+                block[...] = rng.choice(self.d, size=block.shape, p=self.probs)
+                block += 1
+            return orbits
+        if length == 0:
+            return orbits
         cum0 = np.cumsum(self.probs)
         orbits[:, 0] = np.searchsorted(cum0, rng.random(self.n_orbits)) + 1
         cum = np.cumsum(self.transition, axis=1)
@@ -113,28 +131,49 @@ def _check_alphabet(sampler: OrbitSampler, f: DepthKFunction) -> None:
         )
 
 
-def _window_values(f: DepthKFunction, orbits: np.ndarray, n: int) -> np.ndarray:
-    """(orbits, n) table of f on the first n windows of each orbit row.
+def _window_blocks(
+    f: DepthKFunction, orbits: np.ndarray, n: int
+) -> Iterator[np.ndarray]:
+    """f on the first n windows of each orbit row, one ROW_BLOCK of rows at a time.
 
-    Symbols outside 1..d are rejected: their codes would read other words'
-    values, or wrap around the table, instead of failing.
+    The whole table is checked before any block is read.  Symbols outside
+    1..d are rejected: their codes would read other words' values, or wrap
+    around the table, instead of failing.
     """
     k = max(f.depth, 1)
     d = f.space.d
+    orbits = np.asarray(orbits)
+    if orbits.ndim != 2 or orbits.shape[0] == 0:
+        raise ValueError(
+            f"orbits must be a 2-D table with at least one row, got {orbits.shape}"
+        )
+    if not np.issubdtype(orbits.dtype, np.integer):
+        raise ValueError(f"orbit symbols must be integers, got dtype {orbits.dtype}")
+    if n < 1:
+        raise ValueError(f"the window count must be at least 1, got {n}")
     if orbits.shape[1] < n + k - 1:
         raise ValueError("orbits too short for the requested window count")
     if orbits.min() < 1 or orbits.max() > d:
         raise ValueError(f"orbit symbols must lie in 1..{d}")
-    codes = np.zeros((orbits.shape[0], n), dtype=np.int64)
-    for j in range(k):
-        codes = codes * d + (orbits[:, j : j + n] - 1)
     table = f.values if f.depth > 0 else np.repeat(f.values, d)
-    return table[codes]
+
+    def values(block: np.ndarray) -> np.ndarray:
+        # int64 codes: 1 is never taken from a narrow symbol dtype, and a
+        # uint64 table adds as int64 rather than promoting to float64
+        codes = np.zeros((block.shape[0], n), dtype=np.int64)
+        for j in range(k):
+            codes *= d
+            np.add(codes, block[:, j : j + n], out=codes, dtype=np.int64)
+            codes -= 1
+        return table[codes]
+
+    rows = orbits.shape[0]
+    return (values(orbits[lo : lo + ROW_BLOCK]) for lo in range(0, rows, ROW_BLOCK))
 
 
 def birkhoff_max_table(f: DepthKFunction, orbits: np.ndarray, n: int) -> np.ndarray:
     """Vector of running maxes over the first n windows of each orbit row."""
-    return _window_values(f, orbits, n).max(axis=1)
+    return np.concatenate([block.max(axis=1) for block in _window_blocks(f, orbits, n)])
 
 
 @dataclass
@@ -163,9 +202,13 @@ def birkhoff_limit_test(
     orbits = sampler.sample(length + k - 1)
     sup_f = float(f.values.max())
 
-    hit = _window_values(f, orbits, length) >= sup_f - tol
-    attained = hit.any(axis=1)
-    first = np.where(attained, hit.argmax(axis=1) + 1, length + 1)
+    def first_hit(block: np.ndarray) -> np.ndarray:
+        hit = block >= sup_f - tol
+        return np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, length + 1)
+
+    # per orbit, the first window that hits the sup, or length + 1 if none does
+    first = np.concatenate([first_hit(b) for b in _window_blocks(f, orbits, length)])
+    attained = first <= length
 
     # exact per-window miss probability for depth-1 observables
     if f.depth <= 1 and sampler.kind == "bernoulli":

@@ -353,6 +353,11 @@ class MpIFSSystem:
         if maps.ndim != 2 or q.shape != maps.shape:
             raise ValueError("maps and weights must be equal-shape 2-D tables")
         self.n_maps, self.n_points = maps.shape
+        if maps.size == 0:
+            raise ValueError(
+                "a system needs at least one map and one point, got "
+                f"{self.n_maps} maps on {self.n_points} points"
+            )
         if maps.min() < 0 or maps.max() >= self.n_points:
             raise ValueError("map targets must be point indices")
         self.maps = maps

@@ -1,10 +1,15 @@
 """Tests for running-max Birkhoff sums and the large-deviation machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import maxplus_birkhoff
 
+from maxtherm import dynamics
 from maxtherm.dynamics import (
     BirkhoffReport,
     OrbitSampler,
@@ -62,6 +67,42 @@ class TestBirkhoffMax:
             with pytest.raises(ValueError, match="1..3"):
                 birkhoff_max_table(f, np.array([orbit]), 3)
 
+    def test_narrow_symbol_zero_rejected(self):
+        # a uint8 0 minus 1 would wrap to 255 if the check came after it
+        orbits = np.array([[1, 2, 0, 2]], dtype=np.uint8)
+        with pytest.raises(ValueError, match="1..2"):
+            birkhoff_max_table(F_FIRST, orbits, 2)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_fewer_than_one_window_rejected(self, n):
+        with pytest.raises(ValueError, match=f"window count must be at least 1, got {n}"):
+            birkhoff_max_table(F_FIRST, np.array([[1, 2, 1]]), n)
+
+    def test_window_count_zero_rejected_by_sampling_paths(self):
+        s = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=10, seed=0)
+        with pytest.raises(ValueError, match="window count must be at least 1, got 0"):
+            birkhoff_limit_test(s, F_FIRST, 0)
+        with pytest.raises(ValueError, match="window count must be at least 1, got 0"):
+            partition_function_mc(s, F_FIRST, -0.2, 0)
+
+    @pytest.mark.parametrize(
+        "orbits, message",
+        [
+            (np.array([[1.0, 2.0, 1.0]]), "must be integers, got dtype float64"),
+            (np.array([[True, True, True]]), "must be integers, got dtype bool"),
+            (np.array([1, 2, 1]), r"2-D table with at least one row, got \(3,\)"),
+            (np.zeros((0, 3), dtype=np.int64), r"at least one row, got \(0, 3\)"),
+        ],
+        ids=["float", "bool", "1-D", "no rows"],
+    )
+    def test_malformed_orbit_tables_rejected(self, orbits, message):
+        with pytest.raises(ValueError, match=message):
+            birkhoff_max_table(F_FIRST, orbits, 2)
+
+    def test_wide_unsigned_symbols_read(self):
+        orbits = np.array([[2, 1, 2], [2, 2, 2]], dtype=np.uint64)
+        assert birkhoff_max_table(F_FIRST, orbits, 3).tolist() == [1.0, 0.0]
+
 
 class TestSampler:
     def test_bernoulli_reproducible(self):
@@ -75,6 +116,14 @@ class TestSampler:
             OrbitSampler.bernoulli([0.5, 0.5], n_orbits=n_orbits, seed=0)
         with pytest.raises(ValueError, match="n_orbits must be at least 1"):
             OrbitSampler.markov([[0.5, 0.5], [0.5, 0.5]], n_orbits=n_orbits, seed=0)
+
+    @pytest.mark.parametrize("markov", [False, True], ids=["bernoulli", "markov"])
+    def test_length_zero_gives_empty_rows_and_negative_is_rejected(self, markov):
+        s = _sampler(2, 4, 0, markov)
+        empty = s.sample(0)
+        assert empty.shape == (4, 0) and empty.dtype == np.uint8
+        with pytest.raises(ValueError, match="orbit length must be at least 0, got -1"):
+            s.sample(-1)
 
     def test_markov_rows_and_stationarity(self):
         P = np.array([[0.9, 0.1], [0.4, 0.6]])
@@ -109,8 +158,8 @@ class TestSampler:
 
 
 def _inline_limit_report(sampler, f, length, tol=1e-9):
-    """birkhoff_limit_test with its window codes and depth-0 table built
-    in place, as it was before it shared them with birkhoff_max_table."""
+    """birkhoff_limit_test over the whole orbit table at once, with its
+    window codes and depth-0 table built in place."""
     k = max(f.depth, 1)
     orbits = sampler.sample(length + k - 1)
     sup_f = float(f.values.max())
@@ -163,6 +212,98 @@ class TestBirkhoffLimit:
         rep = birkhoff_limit_test(s, f, length=10)
         assert rep.attained_fraction == 1.0
         assert rep.first_hit_mean == 1.0
+
+
+def _markov_reference(sampler, length):
+    """The Markov sampler's draws written into an int64 table, one step
+    column at a time."""
+    rng = np.random.default_rng(sampler.seed)
+    orbits = np.empty((sampler.n_orbits, length), dtype=np.int64)
+    cum0 = np.cumsum(sampler.probs)
+    orbits[:, 0] = np.searchsorted(cum0, rng.random(sampler.n_orbits)) + 1
+    cum = np.cumsum(sampler.transition, axis=1)
+    for t in range(1, length):
+        u = rng.random(sampler.n_orbits)
+        orbits[:, t] = (cum[orbits[:, t - 1] - 1] < u[:, None]).sum(axis=1) + 1
+    return orbits
+
+
+def _sampler(d, rows, seed, markov):
+    rng = np.random.default_rng(seed)
+    if markov:
+        return OrbitSampler.markov(rng.dirichlet(np.ones(d), size=d), rows, seed)
+    return OrbitSampler.bernoulli(rng.dirichlet(np.ones(d)), rows, seed)
+
+
+# row counts just below, at and just past a multiple of the block
+block_rows = st.tuples(
+    st.sampled_from((1, 3, 7)), st.integers(1, 3), st.sampled_from((-1, 0, 1))
+).map(lambda t: (t[0], max(1, t[0] * t[1] + t[2])))
+
+
+class TestRowBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(block_rows=block_rows, d=st.sampled_from((2, 3)), depth=st.integers(0, 3),
+           n=st.integers(1, 8), seed=st.integers(0, 2 ** 16))
+    def test_max_table_equals_the_window_by_window_max(self, block_rows, d, depth, n,
+                                                       seed):
+        block, rows = block_rows
+        rng = np.random.default_rng(seed)
+        f = DepthKFunction(ShiftSpace(d, 0.2), depth, rng.integers(0, 3, d ** depth) / 2)
+        orbits = rng.integers(1, d + 1, (rows, n + max(depth, 1) - 1)).astype(np.uint8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "ROW_BLOCK", block)
+            got = birkhoff_max_table(f, orbits, n)
+        assert got.tolist() == [maxplus_birkhoff(f, row.tolist(), n) for row in orbits]
+
+    @settings(max_examples=100, deadline=None)
+    @given(block_rows=block_rows, d=st.sampled_from((2, 3)), depth=st.integers(0, 3),
+           length=st.integers(1, 8), seed=st.integers(0, 2 ** 16), markov=st.booleans())
+    def test_limit_report_equals_the_inline_window_code(self, block_rows, d, depth,
+                                                        length, seed, markov):
+        block, rows = block_rows
+        sampler = _sampler(d, rows, seed, markov)
+        rng = np.random.default_rng(seed)
+        f = DepthKFunction(ShiftSpace(d, 0.2), depth, rng.integers(0, 3, d ** depth) / 2)
+        # the oracle draws with the default block, so the draws are compared too
+        want = _inline_limit_report(sampler, f, length)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "ROW_BLOCK", block)
+            assert birkhoff_limit_test(sampler, f, length) == want
+
+    @pytest.mark.parametrize("block", [1, 3, 7, dynamics.ROW_BLOCK])
+    @pytest.mark.parametrize("d", [2, 3, 300])
+    @pytest.mark.parametrize("markov", [False, True], ids=["bernoulli", "markov"])
+    def test_draws_are_pinned(self, monkeypatch, block, d, markov):
+        monkeypatch.setattr(dynamics, "ROW_BLOCK", block)
+        sampler = _sampler(d, 15, 23, markov)
+        got = sampler.sample(6)
+        if markov:
+            want = _markov_reference(sampler, 6)
+        else:
+            rng = np.random.default_rng(23)
+            want = rng.choice(d, size=(15, 6), p=sampler.probs) + 1
+        assert got.dtype == (np.uint8 if d <= 255 else np.uint16)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("markov", [False, True], ids=["bernoulli", "markov"])
+    def test_limit_test_allocates_no_whole_table_temporary(self, markov):
+        """4,000 x 1,000 orbits take 3.8 MiB as uint8, and their whole-table
+        int64 codes or float64 window values 30.5 MiB each; with all three
+        the traced peak was about 122 MiB."""
+        sampler = _sampler(2, 4000, 29, markov)
+        f = DepthKFunction(SPACE, 3, np.linspace(0.0, 1.0, 8))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            birkhoff_limit_test(sampler, f, 998)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestPartitionFunction:

@@ -450,6 +450,13 @@ class TestMpIFSOperators:
         with pytest.raises(ValueError, match="attain 0"):
             MpIFSSystem.constant_maps(np.array([[-0.5, -1.0], [-1.0, -0.5]]))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_system_rejected(self, shape):
+        n_maps, n_points = shape
+        with pytest.raises(ValueError, match=f"at least one map and one point, got "
+                                             f"{n_maps} maps on {n_points} points"):
+            MpIFSSystem(np.zeros(shape, int), np.zeros(shape))
+
 
 class TestInvarianceEquivalence:
     def test_fixed_density_passes_all_three(self):
