@@ -5,11 +5,79 @@ import pytest
 from maxtherm import cli, goldens
 
 
+# The detail line of each check at its default arguments, as recorded.  A
+# refactor must reproduce every line byte for byte; a change that moves a
+# number re-records the line and says why.
+RECORDED_DETAILS = {
+    "gibbs-equilibrium": (
+        "worst argmax gap 7.30e-07 (tol 1e-3), worst pressure gap 8.94e-12 (tol 1e-4)"
+    ),
+    "transport-oracle": (
+        "200 pairs, worst |tree - LP| and duality gap 3.61e-16 (tol 1e-9)"
+    ),
+    "contraction-bounds": (
+        "1000 trials each: max ratio 0.506468 (bound 0.8999999999999999), "
+        "perturbation excess -6.28e-04, joint excess -3.41e-02"
+    ),
+    "section-identity": (
+        "1000 trials, max |recovered - original| = 1.11e-16 (tol 1e-12); "
+        "max |mu(Lf) - (L*mu)(f)| = 3.33e-16 (tol 1e-12)"
+    ),
+    "product-formula": (
+        "mass error 5.55e-17 over 3 seeds (tol 1e-12); "
+        "shift gap 0.240 inhomogeneous vs 2.78e-17 constant"
+    ),
+    "ifs-invariant-pressure": (
+        "decay ratios <= 0.300 (r=0.8999999999999999), limit gap 6.89e-06; "
+        "pressure of 0 = 0; single-kernel pressure gap 0.00e+00 <= bound 3.49e+00; "
+        "seed dependence 0.00e+00 <= r^10 = 3.49e-01; "
+        "2^10 words match brute force exactly: True; "
+        "density at 8 of the 2^5 word images is their weight, bottom off them: True"
+    ),
+    "mpifs-operators": (
+        "100 systems: duality residual 0.00e+00 (tol 1e-12), "
+        "three-way checks consistent: True, perturbed densities rejected: 100/100, "
+        "inverse-problem residual 0.0"
+    ),
+    "ldp-worked-example": (
+        "cylinder summation gap 1.11e-16 (tol 1e-10); "
+        "c_2000 vs limit gap 0.00e+00 (tol 0.01); minimizer gap 2.46e-11, "
+        "bound gap 1.23e-11 (tol 1e-8); rate gap 0.00e+00; "
+        "strict gap log p=-0.69315 < bound=-0.34657: True; "
+        "Chebyshev step P(max-sum <= b) / bound <= 0.500; max-plus convexity of c, "
+        "closed form and 2000 orbits: equality residual 0.00e+00, slack 0.00e+00"
+    ),
+    "birkhoff-attainment": (
+        "100 orbits of length 1e4 all attain sup: True; "
+        "per-orbit miss probability 0.5^10000 (~1e-3011, underflows to 0.0)"
+    ),
+    "convex-pressure-suite": (
+        "axiom violations 4.44e-16 (tol 1e-6); "
+        "density below recovered entropy within 0.00e+00 (tol 1e-6), "
+        "midpoint concavification gap 0.720; "
+        "Shannon recovery gap 7.77e-16 (tol 1e-4); "
+        "envelope projection gap 0.00e+00 (tol 1e-6)"
+    ),
+    "nonlinear-quadratic": (
+        "2 equilibria, swap-symmetric: True, away from uniform: True, "
+        "midpoint value 0.6931 < max 2.0003: True; "
+        "Markov-family pressure of a symbol potential vs log-sum-exp gap 1.17e-13 "
+        "(tol 1e-4)"
+    ),
+    "pushforward-invariance": (
+        "Shannon density under [2, 1] and [2, 3, 1]: residual 2.22e-16 (tol 1e-9); "
+        "off the image of [1, 1] and [1, 1, 2] rejected with witnesses "
+        "observable #4, observable #4"
+    ),
+}
+
+
 @pytest.mark.parametrize("name", list(goldens.ALL_CHECKS))
 def test_check_passes(name):
     result = goldens.ALL_CHECKS[name]()
     assert result.name == name
     assert result.passed is True, result.detail
+    assert result.detail == RECORDED_DETAILS[name]
 
 
 @pytest.mark.parametrize("seed", [19, 22])
