@@ -149,7 +149,8 @@ def cmd_gamma(args) -> int:
     family = np.vstack([
         simplex.affine_observable_family(d), simplex.shannon_recovery_minimizer(mu)
     ])
-    rec = simplex.entropy_recovery(simplex.shannon_entropy_table, mu, family, grid)
+    gamma = simplex.convex_pressure_gamma(simplex.shannon_entropy_table, family, grid)
+    rec = simplex.entropy_recovery(gamma, family, mu)
     target = simplex.shannon_entropy(mu)
     print(f"entropy recovery at uniform: {rec:.17g} (Shannon {target:.17g})")
     if args.out:

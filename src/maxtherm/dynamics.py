@@ -188,9 +188,8 @@ def birkhoff_limit_test(
     sampler: OrbitSampler,
     f: DepthKFunction,
     length: int,
-    tol: float = 1e-9,
 ) -> BirkhoffReport:
-    """Fraction of orbits whose running max reaches sup f within tol.
+    """Fraction of orbits whose running max reaches sup f within 1e-9.
 
     Requires the sampling measure to charge every cylinder (otherwise the
     sup over the whole space need not be seen along orbits).
@@ -203,7 +202,7 @@ def birkhoff_limit_test(
     sup_f = float(f.values.max())
 
     def first_hit(block: np.ndarray) -> np.ndarray:
-        hit = block >= sup_f - tol
+        hit = block >= sup_f - 1e-9
         return np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, length + 1)
 
     # per orbit, the first window that hits the sup, or length + 1 if none does
@@ -213,7 +212,7 @@ def birkhoff_limit_test(
     # exact per-window miss probability for depth-1 observables
     if f.depth <= 1 and sampler.kind == "bernoulli":
         # the depth-1 table, or the depth-0 constant repeated per symbol
-        top = np.broadcast_to(f.values, sampler.d) >= sup_f - tol
+        top = np.broadcast_to(f.values, sampler.d) >= sup_f - 1e-9
         top_mass = float(sampler.probs[top].sum())
         miss = (1.0 - top_mass) ** length
     else:
@@ -249,6 +248,8 @@ def c_n_exact(p: float, t: float, n: int) -> float:
     """
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie in (0, 1)")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     log_pn = n * np.log(p)
     # log(exp(-n t)(1 - p^n) + p^n)
     first = -n * t + np.log1p(-np.exp(log_pn)) if log_pn < -1e-17 else -n * t
@@ -310,13 +311,12 @@ def ldp_upper_bound(
     b: float,
     sup_f: float,
     t_max: Optional[float] = None,
-    tol: float = 1e-10,
 ) -> Tuple[float, float]:
     """Minimize t b + c(-t) over t >= 0; returns (minimizer, bound).
 
     The objective is convex in t (log-moment functions are convex), and
     typically has kinks, so the search is golden-section, which needs no
-    smoothness.
+    smoothness; it stops once the bracket is narrower than 1e-10.
     """
     if b >= sup_f:
         raise ValueError("threshold must lie strictly below sup f")
@@ -331,7 +331,7 @@ def ldp_upper_bound(
     c1 = d - invphi * (d - a)
     c2 = a + invphi * (d - a)
     f1, f2 = obj(c1), obj(c2)
-    while d - a > tol:
+    while d - a > 1e-10:
         if f1 <= f2:
             d, c2, f2 = c2, c1, f1
             c1 = d - invphi * (d - a)
@@ -375,6 +375,8 @@ def empirical_rate(p: float, b: float, n_values: Sequence[int]) -> RateEstimate:
         raise ValueError("p must lie in (0, 1)")
     if len(n_values) == 0:
         raise ValueError("n_values must name at least one n")
+    if min(n_values) < 1:
+        raise ValueError(f"every n must be at least 1, got {min(n_values)}")
     rates = []
     for n in n_values:
         if b >= 1.0:

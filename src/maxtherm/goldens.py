@@ -69,18 +69,11 @@ def random_measure(
     return CylinderMeasure(space, depth, masses)
 
 
-def two_bump_density(
-    centers=(0.2, 0.8), sharpness: float = 8.0
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Non-concave density on the d=2 simplex: the max of two downward
-    parabolas in the first mass, peaking at 0."""
-    c1, c2 = centers
-
-    def h(pts: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(pts)[:, 0]
-        return np.maximum(-sharpness * (x - c1) ** 2, -sharpness * (x - c2) ** 2)
-
-    return h
+def two_bump_density(pts: np.ndarray) -> np.ndarray:
+    """Non-concave density on the d=2 simplex, row-wise: the max of two
+    downward parabolas in the first mass, peaking at 0 at 0.2 and 0.8."""
+    x = np.atleast_2d(pts)[:, 0]
+    return np.maximum(-8.0 * (x - 0.2) ** 2, -8.0 * (x - 0.8) ** 2)
 
 
 def random_mpifs(
@@ -591,14 +584,14 @@ def check_convex_pressure_suite(seed: int = 20) -> GoldenResult:
     ok &= axioms.worst <= 1e-6
     notes.append(f"axiom violations {axioms.worst:.2e} (tol 1e-6)")
 
-    bump = two_bump_density()
-    family = simplex.affine_observable_family(2, -6, 6, 241)
+    family = simplex.affine_observable_family(2)
+    gamma = simplex.convex_pressure_gamma(two_bump_density, family, grid)
     worst_gap = 0.0
     mid_gap = None
     for x in (0.2, 0.35, 0.5, 0.65, 0.8):
         mu = np.array([x, 1 - x])
-        recovered = simplex.entropy_recovery(bump, mu, family, grid)
-        hm = float(bump(mu[None, :])[0])
+        recovered = simplex.entropy_recovery(gamma, family, mu)
+        hm = float(two_bump_density(mu[None, :])[0])
         worst_gap = max(worst_gap, hm - recovered)
         if x == 0.5:
             mid_gap = recovered - hm
@@ -611,7 +604,8 @@ def check_convex_pressure_suite(seed: int = 20) -> GoldenResult:
     mu = np.array([np.e / (1 + np.e), 1 / (1 + np.e)])
     fam_with_min = np.vstack([family, simplex.shannon_recovery_minimizer(mu)])
     rec = simplex.entropy_recovery(
-        simplex.shannon_entropy_table, mu, fam_with_min, grid
+        simplex.convex_pressure_gamma(simplex.shannon_entropy_table, fam_with_min, grid),
+        fam_with_min, mu,
     )
     gap = abs(rec - simplex.shannon_entropy(mu))
     ok &= gap <= 1e-4
@@ -620,7 +614,7 @@ def check_convex_pressure_suite(seed: int = 20) -> GoldenResult:
     # a non-concave density and its concave envelope project identically
     xs = np.linspace(0.0, 1.0, 2001)
     pts = np.column_stack([xs, 1 - xs])
-    vals = bump(pts)
+    vals = two_bump_density(pts)
     env = simplex.concave_envelope_1d(xs, vals)
     worst_env = 0.0
     rng = np.random.default_rng(seed + 1)

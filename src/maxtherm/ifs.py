@@ -404,20 +404,20 @@ def mpifs_markov(lam: np.ndarray, f: np.ndarray, sys: MpIFSSystem) -> float:
     return best
 
 
-def spike_family(n_points: int, floor: float = -1e8, extra: int = 5,
-                 seed: int = 0) -> List[np.ndarray]:
-    """Per-point spike observables plus a few smooth random ones.
+def spike_family(n_points: int) -> List[np.ndarray]:
+    """Per-point spike observables (0 at the point, -1e8 off it) plus five
+    random ones uniform in [-2, 2], drawn with seed 0.
 
     Spikes make the functional-level invariance checks separate points:
     the pressure of a spike at p reads off the density at p.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     fams = []
     for i in range(n_points):
-        f = np.full(n_points, floor)
+        f = np.full(n_points, -1e8)
         f[i] = 0.0
         fams.append(f)
-    for _ in range(extra):
+    for _ in range(5):
         fams.append(rng.uniform(-2, 2, n_points))
     return fams
 

@@ -5,6 +5,10 @@ of shape ``(d,)``; a family of them is one ``(k, d)`` array, one
 observable per row.  A level-2 observable, a function on the simplex, is
 a plain function evaluated row-wise: ``(N, d)`` points to ``N`` values.
 The inclusion j(phi)(p) = p . phi takes the first kind to the second.
+The convex pressure Gamma(phi) = max_p h(p) + p . phi of a density h is
+a ``(k,)`` table over a family, built once by ``convex_pressure_gamma``;
+``entropy_recovery`` is its conjugate at a target mu, min over the rows
+of Gamma(phi) - mu . phi, and runs no maximization.
 A probability vector handed in by a caller goes through
 ``as_prob_vector``, which is ``shift.check_probability_rows`` on one row.
 Pressures of densities on the simplex are computed by a coarse lattice
@@ -273,12 +277,16 @@ def level2_pressure(
 
 def convex_pressure_gamma(
     h: Callable[[np.ndarray], np.ndarray],
-    phi,
+    family,
     grid: SimplexGrid,
-) -> float:
-    """The level-1 projection Gamma(phi): pressure of the included
-    observable j(phi)(p) = p . phi of a ``(d,)`` array phi."""
-    return level2_pressure(h, lambda pts: pts @ phi, grid).value
+) -> np.ndarray:
+    """The Gamma table of a ``(k, d)`` family: row i is the pressure of
+    the included observable j(phi_i)(p) = p . phi_i, a ``(k,)`` array."""
+    phis = np.asarray(family, dtype=float)
+    if phis.ndim != 2 or phis.shape[1] != grid.d:
+        raise ValueError(f"family must be a (k, {grid.d}) array, got shape {phis.shape}")
+    return np.array([level2_pressure(h, lambda pts: pts @ phi, grid).value
+                     for phi in phis])
 
 
 @dataclass
@@ -313,18 +321,14 @@ def pressure_axioms_check(
     for _ in range(trials):
         a = rng.uniform(-2.0, 2.0, grid.d)
         b = rng.uniform(-2.0, 2.0, grid.d)
-        gam_phi = convex_pressure_gamma(h, a, grid)
-        gam_psi = convex_pressure_gamma(h, b, grid)
-
         bigger = a + np.abs(rng.uniform(0, 1, grid.d))
-        worst_mono = max(worst_mono, gam_phi - convex_pressure_gamma(h, bigger, grid))
-
         c = float(rng.uniform(-3, 3))
-        shifted = convex_pressure_gamma(h, a + c, grid)
-        worst_trans = max(worst_trans, abs(shifted - gam_phi - c))
-
         t = float(rng.uniform(0, 1))
-        mix = convex_pressure_gamma(h, t * a + (1 - t) * b, grid)
+        gam_phi, gam_psi, gam_bigger, shifted, mix = convex_pressure_gamma(
+            h, np.array([a, b, bigger, a + c, t * a + (1 - t) * b]), grid
+        ).tolist()
+        worst_mono = max(worst_mono, gam_phi - gam_bigger)
+        worst_trans = max(worst_trans, abs(shifted - gam_phi - c))
         worst_conv = max(worst_conv, mix - t * gam_phi - (1 - t) * gam_psi)
     return PressureAxiomsReport(worst_mono, worst_trans, worst_conv)
 
@@ -355,25 +359,23 @@ def shannon_recovery_minimizer(mu) -> np.ndarray:
     return np.log(p)
 
 
-def entropy_recovery(
-    h: Callable[[np.ndarray], np.ndarray],
-    mu,
-    phi_family,
-    grid: SimplexGrid,
-) -> float:
-    """Recover the concave entropy bound at mu from the pressure projection.
+def entropy_recovery(gamma, family, mu) -> float:
+    """Recover the concave entropy bound at mu from a Gamma table.
 
     Returns min over the rows phi of the ``(k, d)`` family of
-    Gamma(phi) - integral of phi d(mu).  This is an upper approximation
+    Gamma(phi) - integral of phi d(mu), where ``gamma`` is the family's
+    table from ``convex_pressure_gamma``.  This is an upper approximation
     that decreases as the family grows; it majorizes h(mu) whenever mu is
     one of the scanned lattice points.
     """
     p = as_prob_vector(mu)
-    best = np.inf
-    for phi in np.asarray(phi_family, dtype=float):
-        val = convex_pressure_gamma(h, phi, grid) - float(phi @ p)
-        best = min(best, val)
-    return float(best)
+    phis = np.asarray(family, dtype=float)
+    gam = np.asarray(gamma, dtype=float)
+    if phis.shape[1:] != p.shape or len(phis) == 0 or gam.shape != (len(phis),):
+        raise ValueError(f"recovery at mu in R^{p.size} needs a nonempty (k, {p.size}) "
+                         f"family and its (k,) Gamma table, got {phis.shape}, {gam.shape}")
+    # one 1-D dot per row: a matrix product may change the last bit
+    return float(min(g - float(phi @ p) for g, phi in zip(gam, phis)))
 
 
 def concave_envelope_1d(xs: np.ndarray, vals: np.ndarray) -> np.ndarray:

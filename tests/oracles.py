@@ -12,6 +12,7 @@ import numpy as np
 
 from maxtherm.ifs import AttractorLeaf, WeightedJacobianFamily
 from maxtherm.shift import CylinderMeasure, DepthKFunction, ShiftSpace, dual_apply
+from maxtherm.simplex import level2_pressure
 
 
 def word_metric(u: Sequence[int], v: Sequence[int], space: ShiftSpace) -> float:
@@ -90,3 +91,15 @@ def attractor_leaves(
         else:
             leaves.append(AttractorLeaf(word, rho, weight))
     return leaves
+
+
+def entropy_recovery_per_target(h, mu, family, grid) -> float:
+    """min over the rows phi of the family of Gamma(phi) - mu . phi, with
+    every Gamma(phi) maximized afresh by ``level2_pressure`` for this one
+    target, one row at a time."""
+    p = np.asarray(mu, dtype=float)
+    best = np.inf
+    for phi in np.asarray(family, dtype=float):
+        gamma = level2_pressure(h, lambda pts: pts @ phi, grid).value
+        best = min(best, gamma - float(phi @ p))
+    return float(best)

@@ -192,7 +192,8 @@ def test_gamma_report_holds_the_residuals_and_the_recovery(capsys, tmp_path):
         "translation": axioms.translation,
         "convexity": axioms.convexity,
         "recovered_entropy": simplex.entropy_recovery(
-            simplex.shannon_entropy_table, mu, family, grid
+            simplex.convex_pressure_gamma(simplex.shannon_entropy_table, family, grid),
+            family, mu,
         ),
         "shannon": simplex.shannon_entropy(mu),
     }

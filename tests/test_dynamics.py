@@ -337,6 +337,11 @@ class TestPartitionFunction:
                 total, abs=1e-12
             )
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+            c_n_exact(0.5, 0.2, n)
+
     def test_c_n_limit(self):
         # at p = 0.5, t = 0.2 the limit is max(-0.2, log 0.5) = -0.2
         assert c_limit_exact(0.5, 0.2) == pytest.approx(-0.2)
@@ -417,6 +422,9 @@ class TestEmpiricalRate:
     def test_no_n_values_rejected(self):
         with pytest.raises(ValueError, match="at least one n"):
             empirical_rate(0.5, 0.5, [])
+        for n_values, low in (([0, 1], 0), ([3, -2], -2)):
+            with pytest.raises(ValueError, match=f"every n must be at least 1, got {low}"):
+                empirical_rate(0.5, 0.5, n_values)
 
 
 class TestChebyshevStep:

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from maxtherm import simplex
+from maxtherm.goldens import two_bump_density
 from maxtherm.simplex import (
     BernoulliFamily,
     MarkovFamily,
@@ -70,14 +71,14 @@ class TestInclusion:
     def test_zero_observable(self):
         grid = SimplexGrid(3, 10)
         for mu in grid.points()[::7]:
-            gamma = convex_pressure_gamma(point_mass_density(mu), np.zeros(3), grid)
-            assert gamma == 0.0
+            gamma = convex_pressure_gamma(point_mass_density(mu), np.zeros((1, 3)), grid)
+            assert gamma.tolist() == [0.0]
 
     def test_expectation(self):
         gamma = convex_pressure_gamma(
-            point_mass_density([0.3, 0.7]), np.array([1.0, 0.0]), SimplexGrid(2, 10)
+            point_mass_density([0.3, 0.7]), [[1.0, 0.0]], SimplexGrid(2, 10)
         )
-        assert gamma == pytest.approx(0.3, abs=1e-15)
+        assert gamma[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_pointwise_max_dominates_included_max(self):
         # integrating the pointwise max dominates the max of integrals,
@@ -85,16 +86,15 @@ class TestInclusion:
         phi = np.array([1.0, 0.0])
         psi = np.array([0.0, 1.0])
         grid = SimplexGrid(2, 20)
+        family = np.array([np.maximum(phi, psi), phi, psi])
         for mu in grid.points():
-            h = point_mass_density(mu)
-            lhs = convex_pressure_gamma(h, np.maximum(phi, psi), grid)
-            rhs = max(convex_pressure_gamma(h, phi, grid), convex_pressure_gamma(h, psi, grid))
-            assert lhs >= rhs - 1e-15
+            lhs, g_phi, g_psi = convex_pressure_gamma(point_mass_density(mu), family, grid)
+            assert lhs >= max(g_phi, g_psi) - 1e-15
         # strict witness at the uniform measure: 1 > 1/2
-        h = point_mass_density([0.5, 0.5])
-        assert convex_pressure_gamma(h, np.maximum(phi, psi), grid) == pytest.approx(1.0)
-        assert max(convex_pressure_gamma(h, phi, grid),
-                   convex_pressure_gamma(h, psi, grid)) == pytest.approx(0.5)
+        uniform = point_mass_density([0.5, 0.5])
+        lhs, g_phi, g_psi = convex_pressure_gamma(uniform, family, grid)
+        assert lhs == pytest.approx(1.0)
+        assert max(g_phi, g_psi) == pytest.approx(0.5)
 
 
 class TestGibbs:
@@ -174,19 +174,18 @@ class TestLevel2Pressure:
 class TestConvexPressure:
     def test_uniform_case(self):
         grid = SimplexGrid(2, 1000)
-        val = convex_pressure_gamma(shannon_entropy_table, np.zeros(2), grid)
+        val, = convex_pressure_gamma(shannon_entropy_table, np.zeros((1, 2)), grid)
         assert val == pytest.approx(LOG2, abs=1e-9)
 
     def test_log_sum_exp_closed_form(self):
         grid = SimplexGrid(2, 1000)
-        val = convex_pressure_gamma(shannon_entropy_table, np.array([1.0, 0.0]), grid)
+        val, = convex_pressure_gamma(shannon_entropy_table, [[1.0, 0.0]], grid)
         assert val == pytest.approx(LOG_1PE, abs=1e-9)
 
     def test_translation_invariance_exact_on_grid(self):
         grid = SimplexGrid(2, 500)
         phi = np.array([0.7, -0.3])
-        base = convex_pressure_gamma(shannon_entropy_table, phi, grid)
-        shifted = convex_pressure_gamma(shannon_entropy_table, phi - 3.0, grid)
+        base, shifted = convex_pressure_gamma(shannon_entropy_table, [phi, phi - 3.0], grid)
         assert shifted == pytest.approx(base - 3.0, abs=1e-12)
 
     def test_axioms_random(self):
@@ -199,8 +198,7 @@ class TestConvexPressure:
         grid = SimplexGrid(2, 200)
         phi = np.array([0.2, -0.4])
         up = phi + 1.0
-        a = convex_pressure_gamma(shannon_entropy_table, phi, grid)
-        b = convex_pressure_gamma(shannon_entropy_table, up, grid)
+        a, b = convex_pressure_gamma(shannon_entropy_table, [phi, up], grid)
         assert a <= b + 1e-12
 
 
@@ -208,7 +206,8 @@ class TestEntropyRecovery:
     def test_uniform_recovers_log2(self):
         grid = SimplexGrid(2, 1000)
         family = affine_observable_family(2, -6, 6, 121)
-        rec = entropy_recovery(shannon_entropy_table, [0.5, 0.5], family, grid)
+        gamma = convex_pressure_gamma(shannon_entropy_table, family, grid)
+        rec = entropy_recovery(gamma, family, [0.5, 0.5])
         assert rec == pytest.approx(LOG2, abs=1e-4)
 
     def test_gibbs_point_recovers_its_shannon_entropy(self):
@@ -216,25 +215,36 @@ class TestEntropyRecovery:
         mu = np.array(GIBBS_10)
         family = np.vstack([affine_observable_family(2, -6, 6, 121),
                             shannon_recovery_minimizer(mu)])
-        rec = entropy_recovery(shannon_entropy_table, mu, family, grid)
+        gamma = convex_pressure_gamma(shannon_entropy_table, family, grid)
+        rec = entropy_recovery(gamma, family, mu)
         assert rec == pytest.approx(SHANNON_AT_GIBBS_10, abs=1e-4)
 
     def test_nonconcave_density_sits_below_recovery(self):
         grid = SimplexGrid(2, 400)
-        bump_l, bump_r, sharp = 0.2, 0.8, 8.0
-
-        def h(pts):
-            x = np.atleast_2d(pts)[:, 0]
-            return np.maximum(-sharp * (x - bump_l) ** 2, -sharp * (x - bump_r) ** 2)
-
+        h = two_bump_density
         family = affine_observable_family(2, -6, 6, 121)
+        gamma = convex_pressure_gamma(h, family, grid)
         for x in (0.2, 0.4, 0.5, 0.6, 0.8):
             mu = np.array([x, 1 - x])
-            rec = entropy_recovery(h, mu, family, grid)
+            rec = entropy_recovery(gamma, family, mu)
             assert rec >= float(h(mu[None, :])[0]) - 1e-6
         # strictly above between the bumps: recovery sees the concave hull
-        rec_mid = entropy_recovery(h, [0.5, 0.5], family, grid)
+        rec_mid = entropy_recovery(gamma, family, [0.5, 0.5])
         assert rec_mid > float(h(np.array([[0.5, 0.5]]))[0]) + 0.5
+
+    @pytest.mark.parametrize("gamma, family, mu, message", [
+        ([], np.empty((0, 2)), [0.5, 0.5], r"got \(0, 2\), \(0,\)"),
+        ([0.0], [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], r"got \(2, 2\), \(1,\)"),
+        ([0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.5, 0.5],
+         r"got \(2, 3\), \(2,\)"),
+    ])
+    def test_vacuous_or_mismatched_recovery_rejected(self, gamma, family, mu, message):
+        with pytest.raises(ValueError, match=message):
+            entropy_recovery(gamma, family, mu)
+
+    def test_family_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"\(k, 2\) array"):
+            convex_pressure_gamma(shannon_entropy_table, [1.0, 0.0], SimplexGrid(2, 10))
 
 
 class TestConcaveIdentity:
@@ -243,7 +253,8 @@ class TestConcaveIdentity:
     def test_affine_family_at_uniform(self):
         grid = SimplexGrid(2, 2000)
         family = np.column_stack([np.linspace(-4, 4, 161), np.zeros(161)])
-        val = entropy_recovery(shannon_entropy_table, [0.5, 0.5], family, grid)
+        gamma = convex_pressure_gamma(shannon_entropy_table, family, grid)
+        val = entropy_recovery(gamma, family, [0.5, 0.5])
         assert val == pytest.approx(LOG2, abs=1e-4)
 
     def test_affine_density_exact_with_negated_self(self):
@@ -255,7 +266,8 @@ class TestConcaveIdentity:
         # g = -h (up to a constant) makes h + g constant, so the pressure
         # is attained everywhere and the identity is exact at any mu
         mu = np.array([0.3, 0.7])
-        val = entropy_recovery(h, mu, [[-0.75, 0.0]], grid)
+        family = [[-0.75, 0.0]]
+        val = entropy_recovery(convex_pressure_gamma(h, family, grid), family, mu)
         assert val == pytest.approx(float(h(mu[None, :])[0]), abs=1e-12)
 
     def test_envelope_projects_identically(self):

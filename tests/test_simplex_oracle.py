@@ -3,7 +3,8 @@
 The oracle below is the earlier implementation: a lattice rebuilt on every
 call and one objective call per candidate and refinement round.  The fast
 path must agree with it bit for bit: same value, same near-maximizers in
-the same order, same evaluation count.
+the same order, same evaluation count.  Entropy recovery from one Gamma
+table is held to the per-target recovery it replaced in the same way.
 """
 
 from typing import List
@@ -21,9 +22,12 @@ from maxtherm.simplex import (
     TOP_K,
     MarkovFamily,
     SimplexGrid,
+    convex_pressure_gamma,
+    entropy_recovery,
     maximize_on_simplex,
     shannon_entropy_table,
 )
+from oracles import entropy_recovery_per_target
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +232,43 @@ class TestLockStepMatchesOracle:
         )
         if resolution == MarkovFamily.RESOLUTION:
             assert_identical(MarkovFamily.maximize(F, A, argmax_tol=1e-6), want)
+
+
+@st.composite
+def recovery_cases(draw):
+    d = draw(st.sampled_from((2, 3)))
+    return dict(
+        d=d,
+        m=draw(st.integers(1, 60 if d == 2 else 12)),
+        rows=draw(st.one_of(st.just(1), st.integers(2, 12))),
+        targets=draw(st.integers(1, 4)),
+        kind=draw(st.sampled_from(KINDS)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestRecoveryMatchesPerTargetOracle:
+    """One Gamma table, conjugated at every target, against a fresh
+    maximization per row and per target: the pressures are the same
+    calls, so the recoveries must be bit-identical."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(recovery_cases())
+    def test_recoveries_identical(self, case):
+        grid = SimplexGrid(case["d"], case["m"])
+        h = random_objective(case["seed"], case["d"], case["kind"])
+        rng = np.random.default_rng(case["seed"])
+        family = rng.uniform(-6.0, 6.0, (case["rows"], case["d"]))
+        mus = rng.dirichlet(np.ones(case["d"]), case["targets"])
+        try:
+            want = [entropy_recovery_per_target(h, mu, family, grid) for mu in mus]
+        except ValueError:
+            with pytest.raises(ValueError, match="-inf on the whole grid"):
+                convex_pressure_gamma(h, family, grid)
+            return
+        gamma = convex_pressure_gamma(h, family, grid)
+        got = [entropy_recovery(gamma, family, mu) for mu in mus]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestLattice:
