@@ -310,9 +310,9 @@ def ldp_upper_bound(
     c_neg: Callable[[float], float],
     b: float,
     sup_f: float,
-    t_max: Optional[float] = None,
+    t_max: float,
 ) -> Tuple[float, float]:
-    """Minimize t b + c(-t) over t >= 0; returns (minimizer, bound).
+    """Minimize t b + c(-t) over t in [0, t_max]; returns (minimizer, bound).
 
     The objective is convex in t (log-moment functions are convex), and
     typically has kinks, so the search is golden-section, which needs no
@@ -320,8 +320,6 @@ def ldp_upper_bound(
     """
     if b >= sup_f:
         raise ValueError("threshold must lie strictly below sup f")
-    if t_max is None:
-        t_max = 50.0
 
     def obj(t: float) -> float:
         return t * b + c_neg(t)

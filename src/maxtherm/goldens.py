@@ -198,6 +198,7 @@ def check_contraction_bounds(
     for random kernels on the shift space ``(d, gamma)`` acting on pairs of
     depth-``depth`` measures."""
     _require_count("trials", trials)
+    _require_count("depth", depth)
     start = time.time()
     rng = np.random.default_rng(seed)
     space = ShiftSpace(d, gamma)
@@ -636,8 +637,8 @@ def check_convex_pressure_suite(seed: int = 20) -> GoldenResult:
 def check_nonlinear_quadratic() -> GoldenResult:
     start = time.time()
     A = np.array([1.0, -1.0])
-    family = simplex.BernoulliFamily(simplex.SimplexGrid(2, 2000))
-    res = family.maximize(lambda x: 2.0 * x ** 2, A, argmax_tol=1e-6)
+    quadratic, grid = (lambda x: 2.0 * x ** 2), simplex.SimplexGrid(2, 2000)
+    res = simplex.bernoulli_nonlinear_pressure(quadratic, A, grid, argmax_tol=1e-6)
     points = res.argmax
     two = len(points) >= 2
     swapped = two and bool(np.abs(points[0] - points[1][::-1]).max() <= 1e-3)
@@ -654,7 +655,7 @@ def check_nonlinear_quadratic() -> GoldenResult:
     # a symbol potential under F(x) = x: over one-step Markov measures the
     # pressure is still log-sum-exp, attained at a Bernoulli measure
     symbol = np.array([0.5, -0.2])
-    markov = simplex.MarkovFamily.maximize(lambda x: x, symbol)
+    markov = simplex.markov_nonlinear_pressure(lambda x: x, symbol)
     markov_gap = abs(markov.value - simplex.log_sum_exp(symbol))
 
     passed = two and swapped and off_uniform and non_convex and markov_gap <= 1e-4

@@ -17,7 +17,6 @@ and the induced operator on pressures, which are mutually dual.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -34,7 +33,7 @@ from .shift import (
 )
 from .transport import w1_tree, w1_tree_rows
 
-MAX_WORDS = 1 << 17   # enumeration budget of attractor_build
+MAX_CELLS = 1 << 25   # cells of attractor_build's last table (256 MiB of float64)
 POLISH_ITER = 50      # transfer steps settling mpifs_fixed_density's rounding
 
 
@@ -109,13 +108,19 @@ def attractor_build(
     m = len(fam)
     if word_length < 1:
         raise ValueError("word length must be >= 1")
-    if m ** word_length > MAX_WORDS:
-        suggestion = int(math.log(MAX_WORDS) / math.log(m))
-        raise ValueError(
-            f"{m}^{word_length} words exceed the budget {MAX_WORDS}; "
-            f"use word_length <= {suggestion}"
-        )
     space = fam.space
+
+    def cells(n: int) -> int:
+        return m ** n * space.d ** (nu0.depth + n)
+
+    if cells(word_length) > MAX_CELLS:
+        suggestion = 0
+        while cells(suggestion + 1) <= MAX_CELLS:
+            suggestion += 1
+        raise ValueError(
+            f"{m}^{word_length} words of {space.d}^{nu0.depth + word_length} cells "
+            f"exceed the budget of {MAX_CELLS} cells; use word_length <= {suggestion}"
+        )
     r = fam.contraction_rate
     final_depth = nu0.depth + word_length
     if eps is None:

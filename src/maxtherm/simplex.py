@@ -13,7 +13,10 @@ A probability vector handed in by a caller goes through
 ``as_prob_vector``, which is ``shift.check_probability_rows`` on one row.
 Pressures of densities on the simplex are computed by a coarse lattice
 scan followed by local refinement, which handles non-concave objectives
-whose maximizer set may be disconnected.
+whose maximizer set may be disconnected.  Both nonlinear families are
+searched on a simplex: Bernoulli measures on the symbol simplex, and
+one-step Markov measures on {1, 2} on the simplex of their pair
+distributions.
 """
 
 from __future__ import annotations
@@ -152,42 +155,33 @@ def _refine(
     centers: np.ndarray,
     bests: np.ndarray,
     width: float,
-    rounds: int,
-    shrink: float,
-    on_simplex: bool,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Refine all candidates in lock-step; returns (centers, bests, evaluations).
 
-    Each round rescans, around every candidate, a patch of ``PATCH_AXIS``
-    points per free axis with half-width ``width`` clipped to [0, 1], the
-    candidate itself being the patch's last row.  All patches go to the
-    objective in one stacked call.  On the simplex the last coordinate is
-    1 - sum of the others, and patch rows that would make it negative are
-    not evaluated: they are masked to -inf, so ``argmax`` sees the same
-    rows in the same order as a per-candidate scan.  ``width`` shrinks by
-    ``shrink`` per round.
+    Each of ``REFINE_ROUNDS`` rounds rescans, around every candidate, a
+    patch of ``PATCH_AXIS`` points per free axis with half-width ``width``
+    clipped to [0, 1], the candidate itself being the patch's last row.
+    All patches go to the objective in one stacked call.  The last
+    coordinate is 1 - sum of the others, and patch rows that would make it
+    negative are not evaluated: they are masked to -inf, so ``argmax``
+    sees the same rows in the same order as a per-candidate scan.
+    ``width`` shrinks by ``SHRINK`` per round.
     """
-    k, d = centers.shape
-    n_free = d - 1 if on_simplex else d
+    k, n_free = len(centers), centers.shape[1] - 1
     # (R, n_free) axis indices of the R patch rows, in meshgrid "ij" order
     ij = np.indices((PATCH_AXIS,) * n_free).reshape(n_free, -1).T
     rows_k = np.arange(k)
     n_eval = 0
-    for _ in range(rounds):
+    for _ in range(REFINE_ROUNDS):
         c = centers[:, :n_free]
         axes = np.linspace(
             np.maximum(0.0, c - width), np.minimum(1.0, c + width), PATCH_AXIS, axis=-1
         )
         free = axes[:, np.arange(n_free), ij]                 # (k, R, n_free)
-        if on_simplex:
-            last = 1.0 - free.sum(axis=2)
-            keep = last >= -NORMALIZATION_TOL
-            patch = np.concatenate([free, np.clip(last, 0.0, 1.0)[..., None]], axis=2)
-        else:
-            keep = np.ones(free.shape[:2], dtype=bool)
-            patch = free
+        last = 1.0 - free.sum(axis=2)
+        patch = np.concatenate([free, np.clip(last, 0.0, 1.0)[..., None]], axis=2)
         patch = np.concatenate([patch, centers[:, None, :]], axis=1)
-        keep = np.concatenate([keep, np.ones((k, 1), dtype=bool)], axis=1)
+        keep = np.concatenate([last >= -NORMALIZATION_TOL, np.ones((k, 1), bool)], axis=1)
         pv = np.full(keep.shape, -np.inf)
         pv[keep] = np.asarray(objective(patch[keep]), dtype=float)
         n_eval += int(keep.sum())
@@ -196,39 +190,8 @@ def _refine(
         better = top > bests
         centers = np.where(better[:, None], patch[rows_k, j], centers)
         bests = np.where(better, top, bests)
-        width *= shrink
+        width *= SHRINK
     return centers, bests, n_eval
-
-
-def _scan_and_refine(
-    objective: Callable[[np.ndarray], np.ndarray],
-    points: np.ndarray,
-    m: int,
-    rounds: int,
-    shrink: float,
-    on_simplex: bool,
-    top_k: int,
-    argmax_tol: float,
-    dedup_tol: float,
-) -> SimplexMax:
-    """Scan ``points`` (a lattice of spacing 1/m), refine the ``top_k``
-    spread-out candidates, and collect the near-maximizers."""
-    vals = np.asarray(objective(points), dtype=float)
-    cand_idx = _spread_candidates(points, vals, top_k, min_sep=2.5 / m)
-    if not cand_idx:
-        raise ValueError("objective is -inf on the whole grid")
-    centers, bests, n_refine = _refine(
-        objective, points[cand_idx], vals[cand_idx], 1.0 / m, rounds, shrink, on_simplex
-    )
-
-    top = float(bests.max())
-    near = np.flatnonzero(bests >= top - argmax_tol)
-    near = near[np.argsort(-bests[near], kind="stable")]
-    argmax: List[np.ndarray] = []
-    for p in centers[near]:
-        if all(np.max(np.abs(p - q)) > dedup_tol for q in argmax):
-            argmax.append(p)
-    return SimplexMax(value=top, argmax=np.array(argmax), evaluations=len(vals) + n_refine)
 
 
 def maximize_on_simplex(
@@ -244,10 +207,23 @@ def maximize_on_simplex(
     the coarse-grid max.  Returns all refined candidates within
     ``argmax_tol`` of the best, deduplicated at ``DEDUP_TOL``.
     """
-    return _scan_and_refine(
-        objective, grid.points(), grid.m, REFINE_ROUNDS, SHRINK,
-        on_simplex=True, top_k=TOP_K, argmax_tol=argmax_tol, dedup_tol=DEDUP_TOL,
+    points = grid.points()
+    vals = np.asarray(objective(points), dtype=float)
+    cand_idx = _spread_candidates(points, vals, TOP_K, min_sep=2.5 / grid.m)
+    if not cand_idx:
+        raise ValueError("objective is -inf on the whole grid")
+    centers, bests, n_refine = _refine(
+        objective, points[cand_idx], vals[cand_idx], 1.0 / grid.m
     )
+
+    top = float(bests.max())
+    near = np.flatnonzero(bests >= top - argmax_tol)
+    near = near[np.argsort(-bests[near], kind="stable")]
+    argmax: List[np.ndarray] = []
+    for p in centers[near]:
+        if all(np.max(np.abs(p - q)) > DEDUP_TOL for q in argmax):
+            argmax.append(p)
+    return SimplexMax(value=top, argmax=np.array(argmax), evaluations=len(vals) + n_refine)
 
 
 # ---------------------------------------------------------------------------
@@ -411,76 +387,54 @@ def concave_envelope_1d(xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class BernoulliFamily:
-    """Bernoulli measures on {1..d}: KS entropy is the Shannon entropy."""
-
-    def __init__(self, grid: SimplexGrid):
-        self.grid = grid
-
-    def maximize(
-        self, F: Callable[[np.ndarray], np.ndarray], A, argmax_tol: float = 1e-9
-    ) -> SimplexMax:
-        """Maximize KS entropy + F(integral of the ``(d,)`` potential A)."""
-        coeffs = np.asarray(A, dtype=float)
-        if coeffs.shape != (self.grid.d,):
-            raise ValueError("potential dimension does not match the family")
-
-        def obj(pts: np.ndarray) -> np.ndarray:
-            x = pts @ coeffs
-            fx = np.asarray(F(x), dtype=float)
-            if not np.isfinite(fx).all():
-                raise ValueError("nonlinear transform is not finite on the range")
-            return shannon_entropy_table(pts) + fx
-
-        return maximize_on_simplex(obj, self.grid, argmax_tol=argmax_tol)
+def _finite_transform(F: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """F(x) as a float array; a non-finite value is a ``ValueError``."""
+    fx = np.asarray(F(x), dtype=float)
+    if not np.isfinite(fx).all():
+        raise ValueError("nonlinear transform is not finite on the range")
+    return fx
 
 
-class MarkovFamily:
-    """One-step Markov measures on {1, 2}, parametrized by the two rows.
+def bernoulli_nonlinear_pressure(
+    F: Callable[[np.ndarray], np.ndarray], A, grid: SimplexGrid, argmax_tol: float = 1e-9
+) -> SimplexMax:
+    """Maximize KS entropy + F(integral of the ``(d,)`` potential A) over
+    the Bernoulli measures on {1..d}, whose KS entropy is the Shannon
+    entropy of the symbol distribution."""
+    coeffs = np.asarray(A, dtype=float)
+    if coeffs.shape != (grid.d,):
+        raise ValueError("potential dimension does not match the grid")
 
-    Parameters (a, b) are the transition probabilities 1->1 and 2->1; the
-    KS entropy is the stationary average of the row entropies.
-    """
+    def obj(pts: np.ndarray) -> np.ndarray:
+        return shannon_entropy_table(pts) + _finite_transform(F, pts @ coeffs)
 
-    RESOLUTION = 60  # lattice cells per side of the scanned unit square
+    return maximize_on_simplex(obj, grid, argmax_tol=argmax_tol)
 
-    @staticmethod
-    def stationary(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        den = 1.0 - a + b
-        pi1 = np.where(np.abs(den) > 1e-12, b / np.where(den == 0, 1.0, den), 0.5)
-        return np.column_stack([pi1, 1.0 - pi1])
 
-    @classmethod
-    def ks_entropy(cls, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        pi = cls.stationary(a, b)
-        rows = np.column_stack(
-            [shannon_entropy_table(np.column_stack([a, 1 - a])),
-             shannon_entropy_table(np.column_stack([b, 1 - b]))]
-        )
-        return (pi * rows).sum(axis=1)
+MARKOV_GRID = SimplexGrid(3, 60)  # pair simplex of the one-step Markov family
 
-    @classmethod
-    def maximize(
-        cls, F: Callable[[np.ndarray], np.ndarray], A, argmax_tol: float = 1e-9
-    ) -> SimplexMax:
-        """Maximize KS entropy + F(stationary integral of the potential A)."""
-        coeffs = np.asarray(A, dtype=float)
-        if coeffs.shape != (2,):
-            raise ValueError("Markov family is implemented for d=2 potentials")
 
-        def obj(params: np.ndarray) -> np.ndarray:
-            a, b = params[:, 0], params[:, 1]
-            x = cls.stationary(a, b) @ coeffs
-            fx = np.asarray(F(x), dtype=float)
-            if not np.isfinite(fx).all():
-                raise ValueError("nonlinear transform is not finite on the range")
-            return cls.ks_entropy(a, b) + fx
+def _markov_entropy(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """KS entropy and stationary marginal of one-step Markov measures on
+    {1, 2}, one per row (x, w, z) = (pi11, pi12 + pi21, pi22) of pair
+    masses: the pair distribution is (x, w/2, w/2, z), the marginal
+    (x + w/2, z + w/2), and the KS entropy H(pair) - H(marginal)."""
+    x, half, z = pts[:, 0], pts[:, 1] / 2.0, pts[:, 2]
+    marginal = np.column_stack([x + half, z + half])
+    pair = np.column_stack([x, half, half, z])
+    return shannon_entropy_table(pair) - shannon_entropy_table(marginal), marginal
 
-        # coarse scan of the unit square, then shrinking local patches
-        axis = np.linspace(0.0, 1.0, cls.RESOLUTION + 1)
-        mesh = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.column_stack([m.ravel() for m in mesh])
-        return _scan_and_refine(
-            obj, pts, cls.RESOLUTION, REFINE_ROUNDS, SHRINK,
-            on_simplex=False, top_k=TOP_K, argmax_tol=argmax_tol, dedup_tol=DEDUP_TOL,
-        )
+
+def markov_nonlinear_pressure(F: Callable[[np.ndarray], np.ndarray], A) -> SimplexMax:
+    """Maximize KS entropy + F(stationary integral of the ``(2,)``
+    potential A) over one-step Markov measures on {1, 2}, searched on
+    ``MARKOV_GRID``; the near-maximizers are pair points (x, w, z)."""
+    coeffs = np.asarray(A, dtype=float)
+    if coeffs.shape != (2,):
+        raise ValueError("Markov family is implemented for d=2 potentials")
+
+    def obj(pts: np.ndarray) -> np.ndarray:
+        entropy, marginal = _markov_entropy(pts)
+        return entropy + _finite_transform(F, marginal @ coeffs)
+
+    return maximize_on_simplex(obj, MARKOV_GRID)

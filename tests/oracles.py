@@ -12,7 +12,7 @@ import numpy as np
 
 from maxtherm.ifs import AttractorLeaf, WeightedJacobianFamily
 from maxtherm.shift import CylinderMeasure, DepthKFunction, ShiftSpace, dual_apply
-from maxtherm.simplex import level2_pressure
+from maxtherm.simplex import level2_pressure, shannon_entropy_table
 
 
 def word_metric(u: Sequence[int], v: Sequence[int], space: ShiftSpace) -> float:
@@ -103,3 +103,23 @@ def entropy_recovery_per_target(h, mu, family, grid) -> float:
         gamma = level2_pressure(h, lambda pts: pts @ phi, grid).value
         best = min(best, gamma - float(phi @ p))
     return float(best)
+
+
+def markov_stationary(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stationary vectors (pi1, pi2) of the one-step Markov chains on {1, 2}
+    with transition probabilities a = P(1 -> 1) and b = P(2 -> 1), one row
+    per pair; the reducible chain a = 1, b = 0 gets (0.5, 0.5)."""
+    den = 1.0 - a + b
+    pi1 = np.where(np.abs(den) > 1e-12, b / np.where(den == 0, 1.0, den), 0.5)
+    return np.column_stack([pi1, 1.0 - pi1])
+
+
+def markov_ks_entropy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """KS entropy of those chains: the stationary average of the row
+    entropies."""
+    pi = markov_stationary(a, b)
+    rows = np.column_stack(
+        [shannon_entropy_table(np.column_stack([a, 1 - a])),
+         shannon_entropy_table(np.column_stack([b, 1 - b]))]
+    )
+    return (pi * rows).sum(axis=1)

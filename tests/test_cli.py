@@ -287,9 +287,18 @@ def test_config_file_with_an_unknown_key_exits_1(capsys, tmp_path):
     (["gamma", "--trials", "-2"], "trials must be at least 1, got -2"),
     (["ldp", "--n-max", "0"], "n_max must be at least 1, got 0"),
     (["ldp", "--mc-samples", "-3"], "mc_samples must be at least 0 (0 is off), got -3"),
+    (["transport", "--depth", "0"], "depth must be at least 1, got 0"),
 ])
 def test_counts_below_one_exit_1(capsys, argv, message):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert message in captured.err
     assert "[PASS]" not in captured.out
+
+
+def test_ifs_length_over_the_cell_budget_exits_1(capsys):
+    # 2^17 words of 2^18 cells: rejected before any level is allocated
+    assert cli.main(["ifs", "--length", "17"]) == 1
+    captured = capsys.readouterr()
+    assert f"exceed the budget of {ifs.MAX_CELLS} cells; use word_length <= 12" in captured.err
+    assert "attractor:" not in captured.out

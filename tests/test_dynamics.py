@@ -385,7 +385,7 @@ class TestLdpBound:
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError, match="below sup"):
-            ldp_upper_bound(lambda t: max(-t, np.log(0.5)), 1.5, sup_f=1.0)
+            ldp_upper_bound(lambda t: max(-t, np.log(0.5)), 1.5, sup_f=1.0, t_max=5.0)
 
     def test_generic_convex_objective(self):
         # smooth strictly convex case with a calculus solution:

@@ -61,7 +61,7 @@ RECORDED_DETAILS = {
     "nonlinear-quadratic": (
         "2 equilibria, swap-symmetric: True, away from uniform: True, "
         "midpoint value 0.6931 < max 2.0003: True; "
-        "Markov-family pressure of a symbol potential vs log-sum-exp gap 1.17e-13 "
+        "Markov-family pressure of a symbol potential vs log-sum-exp gap 1.71e-12 "
         "(tol 1e-4)"
     ),
     "pushforward-invariance": (

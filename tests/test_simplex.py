@@ -9,16 +9,16 @@ from scipy.optimize import brentq
 from maxtherm import simplex
 from maxtherm.goldens import two_bump_density
 from maxtherm.simplex import (
-    BernoulliFamily,
-    MarkovFamily,
     SimplexGrid,
     affine_observable_family,
+    bernoulli_nonlinear_pressure,
     concave_envelope_1d,
     convex_pressure_gamma,
     entropy_recovery,
     gibbs_solution,
     level2_pressure,
     log_sum_exp,
+    markov_nonlinear_pressure,
     pressure_axioms_check,
     shannon_entropy,
     shannon_entropy_table,
@@ -292,45 +292,61 @@ class TestConcaveIdentity:
 class TestNonlinearPressure:
     def test_identity_transform_reduces_to_classical_pressure(self):
         A = np.array([0.8, -0.5])
-        res = BernoulliFamily(SimplexGrid(2, 1000)).maximize(lambda x: x, A)
+        res = bernoulli_nonlinear_pressure(lambda x: x, A, SimplexGrid(2, 1000))
         assert res.value == pytest.approx(log_sum_exp(A), abs=1e-4)
 
     def test_quadratic_has_swapped_pair(self):
-        family = BernoulliFamily(SimplexGrid(2, 2000))
-        res = family.maximize(lambda x: 2.0 * x ** 2, np.array([1.0, -1.0]), argmax_tol=1e-6)
+        res = bernoulli_nonlinear_pressure(
+            lambda x: 2.0 * x ** 2, np.array([1.0, -1.0]), SimplexGrid(2, 2000),
+            argmax_tol=1e-6,
+        )
         assert len(res.argmax) == 2
         a, b = res.argmax
         assert np.abs(a - b[::-1]).max() <= 1e-4
         assert all(abs(p[0] - 0.5) > 0.4 for p in res.argmax)
 
     def test_zero_beta_gives_uniform(self):
-        family = BernoulliFamily(SimplexGrid(2, 1000))
-        res = family.maximize(lambda x: 0.0 * x, np.array([1.0, -1.0]))
+        res = bernoulli_nonlinear_pressure(
+            lambda x: 0.0 * x, np.array([1.0, -1.0]), SimplexGrid(2, 1000)
+        )
         assert res.value == pytest.approx(LOG2, abs=1e-9)
         assert res.argmax[0] == pytest.approx([0.5, 0.5], abs=1e-6)
 
     def test_infinite_transform_rejected(self):
-        family = BernoulliFamily(SimplexGrid(2, 50))
         with pytest.raises(ValueError, match="finite"):
             with np.errstate(divide="ignore", invalid="ignore"):
-                family.maximize(np.log, np.array([1.0, -1.0]))
+                bernoulli_nonlinear_pressure(np.log, np.array([1.0, -1.0]), SimplexGrid(2, 50))
+
+    def test_markov_infinite_transform_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                markov_nonlinear_pressure(np.log, np.array([1.0, -1.0]))
+
+    def test_potential_shape_checked(self):
+        with pytest.raises(ValueError, match="does not match"):
+            bernoulli_nonlinear_pressure(lambda x: x, np.ones(3), SimplexGrid(2, 10))
+        with pytest.raises(ValueError, match="d=2"):
+            markov_nonlinear_pressure(lambda x: x, np.ones(3))
 
     def test_markov_family_matches_bernoulli_for_depth1(self):
         # for a symbol potential the classical pressure over one-step
-        # Markov measures is attained at the Bernoulli solution
+        # Markov measures is attained at the Bernoulli solution, whose pair
+        # distribution is the product of its marginal
         A = np.array([0.5, -0.2])
-        res = MarkovFamily.maximize(lambda x: x, A)
+        res = markov_nonlinear_pressure(lambda x: x, A)
         assert res.value == pytest.approx(log_sum_exp(A), abs=1e-4)
+        p = gibbs_solution(A)
+        assert res.argmax[0] == pytest.approx([p[0] ** 2, 2 * p[0] * p[1], p[1] ** 2],
+                                              abs=1e-3)
 
     def test_markov_entropy_formula(self):
-        # stationary-weighted row entropies against a hand computation
-        a, b = 0.7, 0.4
-        pi1 = b / (1 - a + b)
-        expected = pi1 * shannon_entropy([a, 1 - a]) + (1 - pi1) * shannon_entropy(
-            [b, 1 - b]
-        )
-        got = MarkovFamily.ks_entropy(np.array([a]), np.array([b]))[0]
-        assert got == pytest.approx(expected, abs=1e-14)
+        # pair entropy minus marginal entropy against a hand computation:
+        # pair (0.3, 0.1, 0.1, 0.5) with marginal (0.4, 0.6)
+        entropy, marginal = simplex._markov_entropy(np.array([[0.3, 0.2, 0.5]]))
+        expected = (-0.3 * np.log(0.3) - 2 * 0.1 * np.log(0.1) - 0.5 * np.log(0.5)
+                    + 0.4 * np.log(0.4) + 0.6 * np.log(0.6))
+        assert entropy[0] == pytest.approx(expected, abs=1e-14)
+        assert marginal[0] == pytest.approx([0.4, 0.6], abs=1e-15)
 
 
 class TestGridMechanics:

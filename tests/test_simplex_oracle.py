@@ -5,29 +5,32 @@ call and one objective call per candidate and refinement round.  The fast
 path must agree with it bit for bit: same value, same near-maximizers in
 the same order, same evaluation count.  Entropy recovery from one Gamma
 table is held to the per-target recovery it replaced in the same way.
+The Markov family, searched on its pair simplex, is held to the earlier
+parametrization by its two transition probabilities (a, b).
 """
 
 from typing import List
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxtherm import simplex
 from maxtherm.simplex import (
     DEDUP_TOL,
+    MARKOV_GRID,
     REFINE_ROUNDS,
     SHRINK,
     TOP_K,
-    MarkovFamily,
     SimplexGrid,
     convex_pressure_gamma,
     entropy_recovery,
+    markov_nonlinear_pressure,
     maximize_on_simplex,
     shannon_entropy_table,
 )
-from oracles import entropy_recovery_per_target
+from oracles import entropy_recovery_per_target, markov_ks_entropy, markov_stationary
 
 
 # ---------------------------------------------------------------------------
@@ -48,15 +51,13 @@ def _oracle_compositions(m: int, d: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _oracle_patch(center, width, n_free, on_simplex):
+def _oracle_patch(center, width):
     axes = [
         np.linspace(max(0.0, c - width), min(1.0, c + width), 9)
-        for c in center[:n_free]
+        for c in center[:-1]
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     free = np.column_stack([m.ravel() for m in mesh])
-    if not on_simplex:
-        return free
     last = 1.0 - free.sum(axis=1)
     keep = last >= -1e-12
     return np.column_stack([free[keep], np.clip(last[keep], 0.0, 1.0)])
@@ -75,58 +76,54 @@ def _oracle_spread(points, values, k, min_sep) -> List[int]:
     return chosen
 
 
-def _oracle_search(objective, pts, m, rounds, shrink, on_simplex, top_k,
-                   argmax_tol, dedup_tol):
+def oracle_maximize(objective, grid, argmax_tol=1e-9):
+    pts = _oracle_compositions(grid.m, grid.d) / float(grid.m)
     vals = np.asarray(objective(pts), dtype=float)
     n_eval = len(vals)
-    cand_idx = _oracle_spread(pts, vals, top_k, min_sep=2.5 / m)
+    cand_idx = _oracle_spread(pts, vals, TOP_K, min_sep=2.5 / grid.m)
     if not cand_idx:
         raise ValueError("objective is -inf on the whole grid")
-    n_free = pts.shape[1] - 1 if on_simplex else pts.shape[1]
     finals = []
     for i in cand_idx:
         center, best = pts[i].copy(), float(vals[i])
-        width = 1.0 / m
-        for _ in range(rounds):
-            patch = _oracle_patch(center, width, n_free, on_simplex)
-            patch = np.vstack([patch, center[None, :]])
+        width = 1.0 / grid.m
+        for _ in range(REFINE_ROUNDS):
+            patch = np.vstack([_oracle_patch(center, width), center[None, :]])
             pv = np.asarray(objective(patch), dtype=float)
             n_eval += len(pv)
             j = int(np.argmax(pv))
             if pv[j] > best:
                 center, best = patch[j].copy(), float(pv[j])
-            width *= shrink
+            width *= SHRINK
         finals.append((center, best))
     top = max(v for _, v in finals)
     near = [(p, v) for p, v in finals if v >= top - argmax_tol]
     near.sort(key=lambda t: -t[1])
     argmax: List[np.ndarray] = []
     for p, _ in near:
-        if all(np.max(np.abs(p - q)) > dedup_tol for q in argmax):
+        if all(np.max(np.abs(p - q)) > DEDUP_TOL for q in argmax):
             argmax.append(p)
     return simplex.SimplexMax(value=top, argmax=np.array(argmax), evaluations=n_eval)
 
 
-def oracle_maximize(objective, grid, rounds=REFINE_ROUNDS, shrink=SHRINK, top_k=TOP_K,
-                    argmax_tol=1e-9):
-    pts = _oracle_compositions(grid.m, grid.d) / float(grid.m)
-    return _oracle_search(objective, pts, grid.m, rounds, shrink,
-                          True, top_k, argmax_tol, DEDUP_TOL)
-
-
-def markov_objective(F, A):
-    def obj(params):
-        a, b = params[:, 0], params[:, 1]
-        x = MarkovFamily.stationary(a, b) @ A
-        return MarkovFamily.ks_entropy(a, b) + np.asarray(F(x), dtype=float)
+def markov_pair_objective(F, A):
+    """The Markov objective on pair points, as ``markov_nonlinear_pressure``
+    builds it."""
+    def obj(pts):
+        entropy, marginal = simplex._markov_entropy(pts)
+        return entropy + np.asarray(F(marginal @ A), dtype=float)
 
     return obj
 
 
-def unit_square(resolution):
-    axis = np.linspace(0.0, 1.0, resolution + 1)
-    mesh = np.meshgrid(axis, axis, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+def markov_ab_objective(F, A):
+    """The same objective on (a, b) rows of transition probabilities."""
+    def obj(params):
+        a, b = params[:, 0], params[:, 1]
+        x = markov_stationary(a, b) @ A
+        return markov_ks_entropy(a, b) + np.asarray(F(x), dtype=float)
+
+    return obj
 
 
 def assert_identical(got, want):
@@ -173,65 +170,85 @@ def search_cases(draw):
     return dict(
         d=d,
         m=draw(st.integers(1, MAX_M[d])),
-        rounds=draw(st.integers(0, 6)),
-        shrink=draw(st.sampled_from((0.2, 0.5, 0.05))),
-        top_k=draw(st.integers(1, 8)),
         argmax_tol=draw(st.sampled_from((1e-9, 1e-6, 1e-2))),
         kind=draw(st.sampled_from(KINDS)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
 
-def check_against_oracle(search, objective, grid, **kwargs):
-    """``search(objective)`` against the oracle at the same settings."""
+def check_against_oracle(objective, grid, argmax_tol=1e-9):
+    """``maximize_on_simplex`` against the oracle at the same tolerance."""
     try:
-        want = oracle_maximize(objective, grid, **kwargs)
+        want = oracle_maximize(objective, grid, argmax_tol)
     except ValueError:
         with pytest.raises(ValueError, match="-inf on the whole grid"):
-            search(objective)
+            maximize_on_simplex(objective, grid, argmax_tol)
         return
-    assert_identical(search(objective), want)
+    assert_identical(maximize_on_simplex(objective, grid, argmax_tol), want)
 
 
 class TestLockStepMatchesOracle:
     @settings(max_examples=150, deadline=None)
     @given(search_cases())
     def test_value_argmax_and_evaluations_identical(self, case):
-        grid = SimplexGrid(case["d"], case["m"])
-        knobs = dict(rounds=case["rounds"], shrink=case["shrink"],
-                     top_k=case["top_k"], argmax_tol=case["argmax_tol"])
-
-        def search(objective):
-            return simplex._scan_and_refine(
-                objective, grid.points(), grid.m, on_simplex=True,
-                dedup_tol=DEDUP_TOL, **knobs,
-            )
-
         objective = random_objective(case["seed"], case["d"], case["kind"])
-        check_against_oracle(search, objective, grid, **knobs)
+        check_against_oracle(objective, SimplexGrid(case["d"], case["m"]),
+                             case["argmax_tol"])
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("d,m", [(2, 2000), (3, 60), (4, 12)])
     def test_default_grids(self, d, m, kind):
         grid = SimplexGrid(d, m)
         for seed in range(2):
-            check_against_oracle(lambda obj: maximize_on_simplex(obj, grid),
-                                 random_objective(seed, d, kind), grid)
+            check_against_oracle(random_objective(seed, d, kind), grid)
 
-    @pytest.mark.parametrize("resolution", [50, 60])
+    @pytest.mark.parametrize("m", [50, 60])
     @pytest.mark.parametrize("k", [2.0, 0.5, -1.0])
-    def test_markov_family(self, resolution, k):
+    def test_markov_family(self, m, k):
         F, A = (lambda x: k * x ** 2 + x), np.array([0.5, -0.2])
-        obj, pts = markov_objective(F, A), unit_square(resolution)
-        want = _oracle_search(obj, pts, resolution, REFINE_ROUNDS, SHRINK, False,
-                              TOP_K, 1e-6, DEDUP_TOL)
-        assert_identical(
-            simplex._scan_and_refine(obj, pts, resolution, REFINE_ROUNDS, SHRINK,
-                                     False, TOP_K, 1e-6, DEDUP_TOL),
-            want,
-        )
-        if resolution == MarkovFamily.RESOLUTION:
-            assert_identical(MarkovFamily.maximize(F, A, argmax_tol=1e-6), want)
+        obj, grid = markov_pair_objective(F, A), SimplexGrid(3, m)
+        want = oracle_maximize(obj, grid)
+        assert_identical(maximize_on_simplex(obj, grid), want)
+        if grid == MARKOV_GRID:
+            assert_identical(markov_nonlinear_pressure(F, A), want)
+
+
+@st.composite
+def transition_pairs(draw):
+    """(a, b) on the lattice of step 1/n, edges included.  Off such
+    lattices, masses below ``ZERO_MASS`` are dropped from one entropy but
+    not the other, and the oracle's stationary vector is a guess once
+    1 - a + b < 1e-12."""
+    n = draw(st.integers(1, 100_000))
+    return draw(st.integers(0, n)) / n, draw(st.integers(0, n)) / n
+
+
+class TestMarkovPairSimplex:
+    """A stationary one-step Markov measure on {1, 2} is fixed by its pair
+    distribution: at (a, b) it is the point (pi1 a, pi1 (1 - a) + pi2 b,
+    pi2 (1 - b)) of the pair simplex."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(transition_pairs())
+    @example((0.0, 0.0))
+    @example((0.0, 1.0))
+    @example((1.0, 0.0))
+    @example((1.0, 1.0))
+    def test_pair_entropy_and_marginal_match_the_ab_oracle(self, ab):
+        a, b = np.array([ab[0]]), np.array([ab[1]])
+        pi1, pi2 = markov_stationary(a, b)[0]
+        pts = np.column_stack([pi1 * a, pi1 * (1 - a) + pi2 * b, pi2 * (1 - b)])
+        entropy, marginal = simplex._markov_entropy(pts)
+        assert abs(entropy[0] - markov_ks_entropy(a, b)[0]) <= 1e-15
+        assert np.abs(marginal - markov_stationary(a, b)).max() <= 1e-15
+
+    @pytest.mark.parametrize("k", [5.0, 2.0, 0.5, -1.0, -4.0])
+    def test_pressure_matches_ab_brute_force(self, k):
+        F, A = (lambda x: k * x ** 2 + x), np.array([0.5, -0.2])
+        axis = np.linspace(0.0, 1.0, 401)
+        a, b = np.meshgrid(axis, axis, indexing="ij")
+        brute = markov_ab_objective(F, A)(np.column_stack([a.ravel(), b.ravel()])).max()
+        assert abs(markov_nonlinear_pressure(F, A).value - brute) <= 1e-4
 
 
 @st.composite
