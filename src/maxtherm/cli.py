@@ -9,10 +9,13 @@ seeds.  They print one ``[PASS|FAIL] name (s) detail`` line per check.
 
 Every subcommand but ``verify`` can write a JSON report with ``--out``:
 one object with the subcommand, a timestamp, the resolved flags as
-``config`` and the ``results``.  Floats are written with ``repr``, so
-they read back exactly, and no NaN or infinity is written.  Apart from
-the timestamp, identical configurations produce byte-identical reports,
-and a report's ``config`` written as a ``--config`` file reruns it.
+``config``, the ``results`` and the ``versions`` of maxtherm, numpy,
+scipy and Python.  scipy's version is read from its package metadata, so
+writing a report does not import scipy.  Floats are written with
+``repr``, so they read back exactly, and no NaN or infinity is written.
+Apart from the timestamp, identical configurations produce
+byte-identical reports, and a report's ``config`` written as a
+``--config`` file reruns it.
 
 Exit codes: 0 success, 1 invalid parameters, usage or an unwritable
 report path, 2 a check failed.
@@ -23,13 +26,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
 import sys
 import time
+from importlib import metadata
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import dynamics, goldens, ifs, simplex, transport
+from . import __version__, dynamics, goldens, ifs, simplex, transport
 from .shift import CylinderMeasure, ShiftSpace, make_bernoulli_jacobian
 
 
@@ -44,6 +49,12 @@ def _write_report(path: str, args, results) -> None:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "config": config,
         "results": results,
+        "versions": {
+            "maxtherm": __version__,
+            "numpy": np.__version__,
+            "scipy": metadata.version("scipy"),
+            "python": platform.python_version(),
+        },
     }
     text = json.dumps(report, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:

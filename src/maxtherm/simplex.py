@@ -30,7 +30,7 @@ import numpy as np
 from .semiring import NORMALIZATION_TOL
 from .shift import check_probability_rows
 
-ZERO_MASS = 1e-15  # masses below this are exact zeros for entropy terms
+ZERO_MASS = 1e-15  # masses at or below this count as zero for the minimizer log mu
 
 
 def as_prob_vector(masses) -> np.ndarray:
@@ -44,15 +44,15 @@ def as_prob_vector(masses) -> np.ndarray:
 def shannon_entropy(p) -> float:
     """Shannon entropy -sum p log p in nats, with 0 log 0 = 0."""
     p = as_prob_vector(p)
-    pos = p[p > ZERO_MASS]
+    pos = p[p > 0.0]
     return float(-(pos * np.log(pos)).sum())
 
 
 def shannon_entropy_table(points: np.ndarray) -> np.ndarray:
     """Row-wise Shannon entropy of an (N, d) array of probability vectors."""
     pts = np.asarray(points, dtype=float)
-    safe = np.where(pts > ZERO_MASS, pts, 1.0)
-    return -(np.where(pts > ZERO_MASS, pts * np.log(safe), 0.0)).sum(axis=1)
+    safe = np.where(pts > 0.0, pts, 1.0)
+    return -(np.where(pts > 0.0, pts * np.log(safe), 0.0)).sum(axis=1)
 
 
 def gibbs_solution(g) -> np.ndarray:

@@ -27,22 +27,37 @@ nu > mu.  Its certificate still bounds the full problem.  The reduced plan
 plus the common mass min(mu, nu) left in place is a coupling of mu and nu,
 so the LP value is >= W1; the potential built from its duals is
 1-Lipschitz, so mu(f) - nu(f) <= W1.  A small gap between the two pins W1.
+
+Only the oracle needs scipy, so it is imported on the first LP call, not
+with this module: ``linprog`` is a module attribute that loads
+``scipy.optimize.linprog`` when first read, and ``_transport_constraints``
+imports ``scipy.sparse`` in its body.  The oracle reads ``linprog`` from
+this module, so a ``linprog`` set on the module is the one it calls.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .shift import CylinderMeasure, DepthKFunction, ShiftSpace, symbol_table
 
 LP_MAX_POINTS = 1024
 BLOCK_CELLS = 1 << 15   # cells per gathered block of w1_tree_rows
+
+
+def __getattr__(name: str):
+    """Load ``linprog`` on first access and keep it in the module globals."""
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        globals()["linprog"] = linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_pair(mu: CylinderMeasure, nu: CylinderMeasure):
@@ -118,9 +133,12 @@ class TransportReport:
     lp_solves: int = 0   # 2 when the LP was retried without presolve
 
 
-def _transport_constraints(n_src: int, n_snk: int) -> sparse.csr_matrix:
-    """Marginal constraints of an n_src x n_snk plan flattened row-major:
-    one row-sum row per source, then one column-sum row per sink."""
+def _transport_constraints(n_src: int, n_snk: int):
+    """Marginal constraints of an n_src x n_snk plan flattened row-major, as
+    a CSR matrix: one row-sum row per source, then one column-sum row per
+    sink."""
+    from scipy import sparse
+
     cells = np.arange(n_src * n_snk)
     indices = np.concatenate([cells, cells.reshape(n_src, n_snk).T.ravel()])
     indptr = np.concatenate([
@@ -179,6 +197,7 @@ def w1_lp_oracle(mu: CylinderMeasure, nu: CylinderMeasure) -> TransportReport:
         "primal_feasibility_tolerance": 1e-10,
         "dual_feasibility_tolerance": 1e-10,
     }
+    linprog = sys.modules[__name__].linprog
     res = linprog(
         cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
         method="highs-ds", options=opts,

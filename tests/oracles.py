@@ -109,8 +109,9 @@ def markov_stationary(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stationary vectors (pi1, pi2) of the one-step Markov chains on {1, 2}
     with transition probabilities a = P(1 -> 1) and b = P(2 -> 1), one row
     per pair; the reducible chain a = 1, b = 0 gets (0.5, 0.5)."""
+    reducible = (a == 1.0) & (b == 0.0)
     den = 1.0 - a + b
-    pi1 = np.where(np.abs(den) > 1e-12, b / np.where(den == 0, 1.0, den), 0.5)
+    pi1 = np.where(reducible, 0.5, b / np.where(reducible, 1.0, den))
     return np.column_stack([pi1, 1.0 - pi1])
 
 

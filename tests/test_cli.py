@@ -5,12 +5,14 @@ enough to rerun their configuration."""
 
 import dataclasses
 import json
+import platform
 import re
 
 import numpy as np
 import pytest
+import scipy
 
-from maxtherm import cli, dynamics, goldens, ifs, simplex, transport
+from maxtherm import __version__, cli, dynamics, goldens, ifs, simplex, transport
 from maxtherm.shift import CylinderMeasure, ShiftSpace, make_bernoulli_jacobian
 
 
@@ -144,7 +146,11 @@ def test_report_is_strict_json_reproducible_and_holds_the_parsed_flags(
 ):
     first, report = _write(capsys, tmp_path / "a.json", *argv)
     second, _ = _write(capsys, tmp_path / "b.json", *argv)
-    assert sorted(report) == ["config", "results", "subcommand", "timestamp"]
+    assert sorted(report) == ["config", "results", "subcommand", "timestamp", "versions"]
+    assert report["versions"] == {
+        "maxtherm": __version__, "numpy": np.__version__,
+        "scipy": scipy.__version__, "python": platform.python_version(),
+    }
     assert report["subcommand"] == argv[0]
     assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", report["timestamp"])
     assert TIMESTAMP.sub("", first) == TIMESTAMP.sub("", second)

@@ -11,13 +11,25 @@ modules, so that a constant such as a tolerance has one definition.
 No linter is a dependency, so this parses the sources with ``ast``.  The
 package ``__init__`` is exempt from the import rule, since its imports are
 the re-exports; re-exporting a name is not a reference to it.
+
+scipy is imported only where the transport LP runs: a fresh process that
+runs a subcommand and writes its report has not loaded ``scipy.optimize``
+or ``scipy.sparse``.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from maxtherm.shift import CylinderMeasure, ShiftSpace
+from maxtherm.transport import w1_lp_oracle
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "maxtherm"
 TREES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -181,3 +193,56 @@ def test_a_name_bound_in_two_modules_is_reported():
     b = "TOL: float = 1e-9\nclass f: pass\ny = 0\nshared = 1\n"
     trees = {"a.py": ast.parse(a), "b.py": ast.parse(b)}
     assert bound_twice(trees) == ["TOL", "f", "y"]
+
+
+FRESH_PROCESS = """
+import json, sys
+import numpy as np
+import maxtherm.cli
+
+out = {"cli": maxtherm.cli.main(["ifs", "--length", "4", "--out", sys.argv[1]])}
+out["scipy_loaded"] = sorted({"scipy.optimize", "scipy.sparse"} & set(sys.modules))
+
+from maxtherm import transport
+from maxtherm.shift import CylinderMeasure, ShiftSpace
+
+space = ShiftSpace(2, 0.3)
+mu = CylinderMeasure(space, 3, np.arange(1.0, 9.0) / 36.0)
+nu = CylinderMeasure(space, 3, np.arange(8.0, 0.0, -1.0) / 36.0)
+
+def report(r):
+    return [r.w1.hex(), r.duality_gap.hex(), r.lp_solves,
+            [v.hex() for v in r.potential.values.tolist()]]
+
+calls = []
+def recorder(*args, **kwargs):
+    from scipy.optimize import linprog
+    calls.append(kwargs["method"])
+    return linprog(*args, **kwargs)
+
+transport.linprog = recorder
+out["patched"] = report(transport.w1_lp_oracle(mu, nu))
+out["patched_calls"] = calls
+del transport.linprog
+out["unpatched"] = report(transport.w1_lp_oracle(mu, nu))
+import scipy.optimize
+out["is_scipy"] = transport.linprog is scipy.optimize.linprog
+print(json.dumps(out))
+"""
+
+
+def test_scipy_loads_on_the_first_lp_call_and_a_patch_is_called(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-c", FRESH_PROCESS, str(tmp_path / "r.json")],
+                         capture_output=True, text=True, env=env, check=True, timeout=120)
+    out = json.loads(run.stdout.splitlines()[-1])
+    space = ShiftSpace(2, 0.3)
+    r = w1_lp_oracle(CylinderMeasure(space, 3, np.arange(1.0, 9.0) / 36.0),
+                     CylinderMeasure(space, 3, np.arange(8.0, 0.0, -1.0) / 36.0))
+    here = [r.w1.hex(), r.duality_gap.hex(), r.lp_solves,
+            [v.hex() for v in r.potential.values.tolist()]]
+    assert out["cli"] == 0
+    assert out["scipy_loaded"] == []
+    assert out["patched_calls"] == ["highs-ds"]
+    assert out["is_scipy"]
+    assert out["patched"] == out["unpatched"] == here

@@ -216,9 +216,8 @@ class TestLockStepMatchesOracle:
 @st.composite
 def transition_pairs(draw):
     """(a, b) on the lattice of step 1/n, edges included.  Off such
-    lattices, masses below ``ZERO_MASS`` are dropped from one entropy but
-    not the other, and the oracle's stationary vector is a guess once
-    1 - a + b < 1e-12."""
+    lattices, uniform floats still leave the two forms about 2e-15 apart
+    from the rounding of their formulas alone."""
     n = draw(st.integers(1, 100_000))
     return draw(st.integers(0, n)) / n, draw(st.integers(0, n)) / n
 
@@ -234,6 +233,8 @@ class TestMarkovPairSimplex:
     @example((0.0, 1.0))
     @example((1.0, 0.0))
     @example((1.0, 1.0))
+    @example((5.96e-8, 1e-9))
+    @example((1 - 9.9e-13, 6.8e-16))
     def test_pair_entropy_and_marginal_match_the_ab_oracle(self, ab):
         a, b = np.array([ab[0]]), np.array([ab[1]])
         pi1, pi2 = markov_stationary(a, b)[0]
