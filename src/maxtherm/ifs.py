@@ -12,7 +12,9 @@ merging approximates the attractor with a computable error.
 The second half of the module is the combinatorial max-plus IFS: a finite
 point set, one map per index, and normalized nonpositive weights, with the
 composition operator on observables, the transfer operator on densities,
-and the induced operator on pressures, which are mutually dual.
+and the induced operator on pressures, which are mutually dual.  The
+pushforward by a symbol map on a finite simplex grid is a one-map max-plus
+IFS at weight 0, so its invariance is checked by the same code.
 """
 
 from __future__ import annotations
@@ -267,32 +269,21 @@ def invariant_pressure_solve(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PushforwardReport:
-    functional_residual: float
-    density_residual: float
-    witness: Optional[str]
-
-    @property
-    def invariant(self) -> bool:
-        return self.functional_residual <= 1e-9 and self.density_residual <= 1e-9
-
-
 def pushforward_invariance_check(
     points: np.ndarray,
     h_values: np.ndarray,
     symbol_map: Sequence[int],
     observables: Sequence[Callable[[np.ndarray], np.ndarray]],
-) -> PushforwardReport:
+) -> InvarianceReport:
     """Check pushforward invariance of the pressure with density h.
 
     ``points`` is a finite grid of probability vectors closed under the
     pushforward of the symbol map T (T acts on {1..d}; the pushforward
-    sends mass of i to T(i)).  Checks that the pressure of g composed with
-    the pushforward equals the pressure of g for every test observable,
-    and that the density satisfies the fiber-sup characterization: h at a
-    grid point in the image equals the sup of h over its preimages, and h
-    is -inf off the image.  ``h_values`` is checked as a density by
+    sends mass of i to T(i)).  On the grid the pushforward is a point map
+    sigma, and the check is ``mpifs_invariance_check`` of the one-map
+    max-plus IFS sigma at weight 0: its Ruelle operator composes g with the
+    pushforward, and its transfer operator takes the sup of h over each
+    fiber (-inf off the image).  ``h_values`` is checked as a density by
     ``pressure``: NaN, +inf or an empty support raise ``ValueError``.
     """
     pts = np.asarray(points, dtype=float)
@@ -323,21 +314,8 @@ def pushforward_invariance_check(
             )
         sigma[i] = index[key]
 
-    # one observable per column; a gap of -inf against -inf (nan) is skipped
-    G = np.asarray([g(pts) for g in observables], dtype=float)
-    G = G.reshape(len(observables), n).T
-    lhs, _ = pressure(h, G[sigma])   # pressure of g after the pushforward
-    rhs, _ = pressure(h, G)
-    gaps = _gaps(lhs, rhs)
-    worst_fn = float(gaps.max(initial=0.0))
-
-    # fiber characterization: h at an image point = sup of h over preimages,
-    # and -inf off the image (h_fiber starts at -inf, so off-image stays there)
-    h_fiber = np.full(n, -np.inf)
-    np.maximum.at(h_fiber, sigma, h)
-    worst_dens = float(_gaps(h, h_fiber).max())
-    witness = f"observable #{int(gaps.argmax())}" if worst_fn > 1e-9 else None
-    return PushforwardReport(worst_fn, worst_dens, witness)
+    G = [g(pts) for g in observables]
+    return mpifs_invariance_check(h, MpIFSSystem(sigma[None], np.zeros((1, n))), G)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +331,12 @@ class MpIFSSystem:
     """
 
     def __init__(self, maps: np.ndarray, weights: np.ndarray):
-        maps = np.asarray(maps, dtype=np.int64)
+        maps = np.asarray(maps)
+        if maps.dtype.kind not in "iu":
+            raise ValueError(
+                f"map targets must be integer point indices, not {maps.dtype}"
+            )
+        maps = maps.astype(np.int64)
         q = np.asarray(weights, dtype=float)
         if maps.ndim != 2 or q.shape != maps.shape:
             raise ValueError("maps and weights must be equal-shape 2-D tables")
@@ -429,16 +412,12 @@ def spike_family(n_points: int) -> List[np.ndarray]:
 
 @dataclass
 class InvarianceReport:
-    markov_residual: float     # pressure-operator fixed point, on the family
-    transfer_residual: float   # density fixed point, pointwise
-    ruelle_residual: float     # pressure of composed observables, on the family
+    functional_residual: float        # pressure of composed observables, on the family
+    density_residual: float           # density fixed point, pointwise
+    worst_observable: Optional[int]   # largest functional gap; None for no observable
 
-    def passes(self) -> Tuple[bool, bool, bool]:
-        return (
-            self.markov_residual <= 1e-12,
-            self.transfer_residual <= 1e-12,
-            self.ruelle_residual <= 1e-12,
-        )
+    def passes(self) -> Tuple[bool, bool]:
+        return self.functional_residual <= 1e-12, self.density_residual <= 1e-12
 
     def consistent(self) -> bool:
         p = self.passes()
@@ -448,9 +427,8 @@ class InvarianceReport:
 def _gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|a - b| elementwise, with a NaN gap counted as 0.
 
-    Weights and densities hold no NaN once checked, so a NaN gap is one
-    infinity against the same infinity (bottom on both sides), or a +inf
-    observable against a -inf weight: both sides agree.
+    Weights, densities and observables hold no NaN and no +inf once
+    checked, so a NaN gap is bottom against bottom: both sides agree.
     """
     with np.errstate(invalid="ignore"):
         return np.fmax(np.abs(a - b), 0.0)
@@ -461,36 +439,44 @@ def mpifs_invariance_check(
     sys: MpIFSSystem,
     f_family: Optional[Sequence[np.ndarray]] = None,
 ) -> InvarianceReport:
-    """Evaluate the three equivalent invariance conditions of a density.
+    """Evaluate the two equivalent invariance conditions of a density.
 
-    On finite systems with a separating observable family the three
-    residuals pass or fail together; disagreement indicates a bug.  ``lam``
-    is checked as a density by ``pressure``: NaN, +inf or an empty support
-    raise ``ValueError``.
+    The functional residual is the largest gap, over the observables, between
+    the pressure of g and the pressure of its Ruelle image; by duality that
+    is also the pressure-operator (``mpifs_markov``) fixed-point residual.
+    The density residual is the pointwise gap between ``lam`` and its
+    transfer image.  On finite systems with a separating observable family
+    the two pass or fail together; disagreement indicates a bug.
+    Observables are real or -inf (bottom); NaN or +inf raise ``ValueError``.
+    ``lam`` is checked as a density by ``pressure``: NaN, +inf or an empty
+    support raise ``ValueError``.
     """
     lam = np.asarray(lam, dtype=float)
     if f_family is None:
         f_family = spike_family(sys.n_points)
 
-    # One pass over the maps for the whole family, one observable per
-    # column (row gathers are contiguous), with the additions of
-    # mpifs_markov and mpifs_ruelle in their order and their nan handling
-    # (fmax: a map scoring nan is skipped, as in max()).
+    # One Ruelle pass over the maps for the whole family, one observable per
+    # column (row gathers are contiguous), the scores of each map written
+    # into one buffer.  Weights and observables are below +inf, so no score
+    # is NaN.  Map targets are point indices by construction, so "clip"
+    # never moves one; it spares the buffered copy that "raise" makes.
     F = np.asarray(f_family, dtype=float).reshape(-1, sys.n_points)
+    if np.isnan(F).any() or (F == np.inf).any():
+        raise ValueError("observables must be real or -inf, not NaN or +inf")
     F = np.ascontiguousarray(F.T)
-    lam_col = lam[:, None]
     base, _ = pressure(lam, F)
-    markov = np.full(F.shape[1], -np.inf)
     ruelle = np.full(F.shape, -np.inf)
+    scores = np.empty_like(F)
     for m in range(sys.n_maps):
-        scores = sys.weights[m][:, None] + F[sys.maps[m]]
-        np.fmax(markov, (lam_col + scores).max(axis=0), out=markov)
+        np.take(F, sys.maps[m], axis=0, out=scores, mode="clip")
+        scores += sys.weights[m][:, None]
         np.maximum(ruelle, scores, out=ruelle)
     composed, _ = pressure(lam, ruelle)
+    gaps = _gaps(composed, base)
     return InvarianceReport(
-        float(_gaps(markov, base).max(initial=0.0)),
+        float(gaps.max(initial=0.0)),
         float(_gaps(mpifs_transfer(lam, sys), lam).max()),
-        float(_gaps(composed, base).max(initial=0.0)),
+        int(gaps.argmax()) if gaps.size else None,
     )
 
 
@@ -563,7 +549,7 @@ def inverse_problem_solve(h: np.ndarray) -> InverseProblemSolution:
     h = np.asarray(h, dtype=float)
     if h.ndim != 1 or h.size == 0:
         raise ValueError("density table must be a nonempty 1-D array")
-    check_maxplus_probability(h)
+    h = check_maxplus_probability(h)
     if not np.isfinite(h).all():
         raise ValueError("density table must be finite")
     n = h.size

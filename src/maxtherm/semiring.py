@@ -96,7 +96,8 @@ def pressure(
 
 def check_maxplus_probability(table) -> np.ndarray:
     """Check that ``table`` is an idempotent probability along axis 0 and
-    return it clipped at 0, as a new float array.
+    return it as a new float array with every value within
+    NORMALIZATION_TOL of 0 set to exactly 0, so that each column max is 0.
 
     No value may be NaN, every value must be at most NORMALIZATION_TOL,
     and the max over axis 0 (of each column of a 2-D table) must be 0
@@ -111,4 +112,4 @@ def check_maxplus_probability(table) -> np.ndarray:
     worst = float(tops[np.abs(tops).argmax()])
     if abs(worst) > NORMALIZATION_TOL:
         raise ValueError(f"the largest weight must attain 0, not {worst!r}")
-    return np.minimum(table, 0.0)
+    return np.where(np.abs(table) <= NORMALIZATION_TOL, 0.0, table)

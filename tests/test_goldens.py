@@ -36,8 +36,8 @@ RECORDED_DETAILS = {
     ),
     "mpifs-operators": (
         "100 systems: duality residual 0.00e+00 (tol 1e-12), "
-        "three-way checks consistent: True, perturbed densities rejected: 100/100, "
-        "inverse-problem residual 0.0"
+        "density and pressure checks consistent: True, "
+        "perturbed densities rejected: 100/100, inverse-problem residual 0.0"
     ),
     "ldp-worked-example": (
         "cylinder summation gap 1.11e-16 (tol 1e-10); "

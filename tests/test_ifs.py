@@ -303,24 +303,29 @@ class TestInvariantPressure:
         assert abs(a.value - b.value) <= SPACE.contraction_rate ** 8 + 1e-12
 
 
-def _per_observable_pushforward(pts, h, symbol_map, observables):
-    """The pushforward report with the pushed grid matched by search and
-    one pressure per observable written out."""
+def _pushed_indices(pts, symbol_map):
+    """The grid index of each point's pushforward, matched by search."""
     push = np.zeros_like(pts)
     for i, t in enumerate(symbol_map):
         push[:, t - 1] += pts[:, i]
-    sigma = np.array([int(np.flatnonzero(np.abs(pts - q).max(axis=1) < 1e-9)[0])
-                      for q in push])
-    worst_fn, witness = 0.0, None
+    return np.array([int(np.flatnonzero(np.abs(pts - q).max(axis=1) < 1e-9)[0])
+                     for q in push])
+
+
+def _per_observable_pushforward(pts, h, symbol_map, observables):
+    """The pushforward report with the pushed grid matched by search and
+    one pressure per observable written out."""
+    sigma = _pushed_indices(pts, symbol_map)
+    worst_fn, worst = 0.0, (0 if observables else None)
     with np.errstate(invalid="ignore"):
         for k, g in enumerate(observables):
             gv = g(pts)
             gap = abs(np.max(h + gv[sigma]) - np.max(h + gv))
             if gap > worst_fn:
-                worst_fn, witness = gap, f"observable #{k}"
+                worst_fn, worst = gap, k
     fiber = np.array([max(h[sigma == i], default=-np.inf) for i in range(len(pts))])
     worst_dens = max(0.0 if a == b == -np.inf else abs(a - b) for a, b in zip(h, fiber))
-    return ifs.PushforwardReport(worst_fn, worst_dens, witness if worst_fn > 1e-9 else None)
+    return ifs.InvarianceReport(float(worst_fn), worst_dens, worst)
 
 
 class TestPushforwardInvariance:
@@ -341,15 +346,16 @@ class TestPushforwardInvariance:
         pts = grid.points()
         h = shannon_entropy_table(pts)
         rep = pushforward_invariance_check(pts, h, [2, 1], self._observables())
-        assert rep.invariant
-        assert rep.witness is None
+        assert rep.functional_residual <= 1e-9
+        assert rep.density_residual <= 1e-9
 
     def test_density_on_invariant_points_only(self):
         grid = SimplexGrid(2, 100)
         pts = grid.points()
         h = np.where(np.abs(pts[:, 0] - 0.5) < 1e-12, 0.0, -np.inf)
         rep = pushforward_invariance_check(pts, h, [2, 1], self._observables(1))
-        assert rep.invariant
+        assert rep.functional_residual <= 1e-9
+        assert rep.density_residual <= 1e-9
 
     def test_density_off_image_fails_with_witness(self):
         grid = SimplexGrid(2, 100)
@@ -357,8 +363,8 @@ class TestPushforwardInvariance:
         # constant symbol map: everything lands on the first vertex
         h = np.where(np.abs(pts[:, 0] - 0.5) < 1e-12, 0.0, -np.inf)
         rep = pushforward_invariance_check(pts, h, [1, 1], self._observables(2))
-        assert not rep.invariant
-        assert rep.witness is not None
+        assert rep.functional_residual > 1e-9
+        assert rep.density_residual > 1e-9
 
     def test_equals_the_per_observable_loop(self):
         rng = np.random.default_rng(32)
@@ -380,8 +386,23 @@ class TestPushforwardInvariance:
                 obs.append(lambda p, a=a, cut=cut: np.where(p[:, 0] > cut, -np.inf, p @ a))
             rep = pushforward_invariance_check(pts, h, symbol_map, obs)
             assert rep == _per_observable_pushforward(pts, h, symbol_map, obs)
-            witnessed += rep.witness is not None
+            witnessed += rep.functional_residual > 1e-9
         assert witnessed >= 10
+
+    @pytest.mark.parametrize("d, m, symbol_map", [
+        (2, 400, [2, 1]), (2, 400, [1, 1]), (3, 60, [2, 3, 1]), (3, 60, [1, 1, 2]),
+    ])
+    def test_is_the_one_map_system_check_on_the_golden_grids(self, d, m, symbol_map):
+        pts = SimplexGrid(d, m).points()
+        n = len(pts)
+        h = shannon_entropy_table(pts)
+        rng = np.random.default_rng(d)
+        obs = [lambda p, a=rng.uniform(-2, 2, d): p @ a + p[:, 0] ** 2 for _ in range(8)]
+        one_map = MpIFSSystem(_pushed_indices(pts, symbol_map)[None], np.zeros((1, n)))
+        G = np.array([g(pts) for g in obs])
+        assert pushforward_invariance_check(pts, h, symbol_map, obs) == (
+            mpifs_invariance_check(h, one_map, G)
+        )
 
     def test_invalid_density_rejected(self):
         pts = SimplexGrid(2, 10).points()
@@ -446,6 +467,10 @@ class TestMpIFSOperators:
             f = rng.uniform(-3, 3, n)
             assert mpifs_markov(lam, f, sys) == np.max(lam + mpifs_ruelle(f, sys))
 
+    def test_non_integer_map_targets_rejected(self):
+        with pytest.raises(ValueError, match="integer point indices, not float64"):
+            MpIFSSystem([[1.7, 0.2]], [[0.0, 0.0]])
+
     def test_weight_normalization_enforced(self):
         with pytest.raises(ValueError, match="attain 0"):
             MpIFSSystem.constant_maps(np.array([[-0.5, -1.0], [-1.0, -0.5]]))
@@ -508,17 +533,21 @@ class TestInvarianceEquivalence:
 
 
 def _per_observable_report(lam, sys, f_family):
-    """Invariance residuals with one pass over the maps per observable."""
+    """Invariance residuals with one pass over the maps per observable.  The
+    functional gap of each observable is read off its Ruelle image, and the
+    pressure operator ``mpifs_markov`` must give the same gap."""
     image = mpifs_transfer(lam, sys)
     both_bottom = np.isneginf(image) & np.isneginf(lam)
     with np.errstate(invalid="ignore"):
         transfer = float(np.where(both_bottom, 0.0, np.abs(image - lam)).max())
-    markov = ruelle = 0.0
-    for f in f_family:
+    functional, worst = 0.0, (0 if len(f_family) else None)
+    for k, f in enumerate(f_family):
         base = float(np.max(lam + f))
-        markov = max(markov, abs(mpifs_markov(lam, f, sys) - base))
-        ruelle = max(ruelle, abs(float(np.max(lam + mpifs_ruelle(f, sys))) - base))
-    return ifs.InvarianceReport(markov, transfer, ruelle)
+        gap = abs(float(np.max(lam + mpifs_ruelle(f, sys))) - base)
+        np.testing.assert_equal(abs(mpifs_markov(lam, f, sys) - base), gap)
+        if gap > functional:
+            functional, worst = gap, k
+    return ifs.InvarianceReport(functional, transfer, worst)
 
 
 class TestBatchedInvarianceCheck:
@@ -561,14 +590,15 @@ class TestBatchedInvarianceCheck:
             lam, sys, fams
         )
         empty = mpifs_invariance_check(lam, sys, [])
-        assert (empty.markov_residual, empty.ruelle_residual) == (0.0, 0.0)
-        # a -inf weight against a +inf observable scores nan for one map
+        assert (empty.functional_residual, empty.worst_observable) == (0.0, None)
+        # +inf is not a max-plus value: against a -inf weight it would score
+        # nan, so a +inf or NaN observable is rejected
         sys = MpIFSSystem.constant_maps(np.array([[0.0, -np.inf], [-np.inf, 0.0]]))
         lam = np.array([0.0, -1.0])
-        fams = [np.array([np.inf, 0.0]), np.array([0.0, -2.0])]
-        with np.errstate(invalid="ignore"):
-            batched = mpifs_invariance_check(lam, sys, fams)
-            assert batched == _per_observable_report(lam, sys, fams)
+        for bad in (np.inf, np.nan):
+            fams = [np.array([bad, 0.0]), np.array([0.0, -2.0])]
+            with pytest.raises(ValueError, match=r"not NaN or \+inf"):
+                mpifs_invariance_check(lam, sys, fams)
 
 
 class TestInverseProblem:

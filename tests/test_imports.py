@@ -7,6 +7,9 @@ the tests as an oracle, or deleted.  Every parameter of a function is
 read in its body, so that no argument is silently ignored.  No top-level
 name is bound (assigned, or defined by ``def`` or ``class``) in two
 modules, so that a constant such as a tolerance has one definition.
+Every call to ``check_maxplus_probability`` keeps its result: the check
+returns the table with its near-zero values made exactly 0, and a caller
+that keeps its own table keeps a column max that is not 0.
 
 No linter is a dependency, so this parses the sources with ``ast``.  The
 package ``__init__`` is exempt from the import rule, since its imports are
@@ -130,6 +133,16 @@ def unread_parameters(tree: ast.AST) -> list:
     return out
 
 
+def discarded_maxplus_checks(tree: ast.AST) -> list:
+    """Line of each ``check_maxplus_probability`` call made as a bare
+    statement, so that its checked table is dropped."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+        and "check_maxplus_probability" in references(node.value.func)
+    ]
+
+
 def test_the_sources_are_found():
     assert {"ifs.py", "semiring.py", "transport.py"} <= set(SOURCES)
 
@@ -193,6 +206,24 @@ def test_a_name_bound_in_two_modules_is_reported():
     b = "TOL: float = 1e-9\nclass f: pass\ny = 0\nshared = 1\n"
     trees = {"a.py": ast.parse(a), "b.py": ast.parse(b)}
     assert bound_twice(trees) == ["TOL", "f", "y"]
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_every_checked_maxplus_table_is_used(name):
+    assert discarded_maxplus_checks(TREES[name]) == []
+
+
+def test_a_discarded_maxplus_check_is_reported():
+    source = (
+        "from . import semiring\n"
+        "from .semiring import check_maxplus_probability\n"
+        "def f(h):\n"
+        "    check_maxplus_probability(h)\n"
+        "    q = check_maxplus_probability(h)\n"
+        "    semiring.check_maxplus_probability(q)\n"
+        "    return check_maxplus_probability(q)\n"
+    )
+    assert discarded_maxplus_checks(ast.parse(source)) == [4, 6]
 
 
 FRESH_PROCESS = """

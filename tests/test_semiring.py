@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from maxtherm.dynamics import OrbitSampler
-from maxtherm.ifs import MpIFSSystem, WeightedJacobianFamily, inverse_problem_solve
+from maxtherm.ifs import (
+    MpIFSSystem,
+    WeightedJacobianFamily,
+    invariant_pressure_solve,
+    inverse_problem_solve,
+    mpifs_fixed_density,
+)
 from maxtherm.semiring import BOTTOM, MaxPlus, check_maxplus_probability, pressure
 from maxtherm.shift import CylinderMeasure, Jacobian, ShiftSpace, make_bernoulli_jacobian
 from maxtherm.simplex import SimplexGrid, as_prob_vector, shannon_entropy
@@ -277,7 +283,7 @@ class TestOneCheckPerKind:
     def test_maxplus_check_per_column(self):
         table = np.array([[1e-13, NEG_INF], [-2.0, -1e-13]])
         out = check_maxplus_probability(table)
-        assert out.tolist() == [[0.0, NEG_INF], [-2.0, -1e-13]]
+        assert out.tolist() == [[0.0, NEG_INF], [-2.0, 0.0]]
         assert table[0, 0] == 1e-13   # the caller's table is not clipped
         with pytest.raises(ValueError, match="<= 0"):
             check_maxplus_probability([0.0, 1e-11])
@@ -285,3 +291,19 @@ class TestOneCheckPerKind:
             check_maxplus_probability([[0.0, NEG_INF], [-1.0, NEG_INF]])
         with pytest.raises(ValueError, match="attain 0, not -0.5"):
             check_maxplus_probability([-0.5, -1.0])
+
+    def test_column_max_within_tolerance_becomes_exact_zero(self):
+        # a column max of -1e-13 passes the check; unless it becomes 0 the
+        # closure finds no zero-weight cycle
+        sys = MpIFSSystem.constant_maps([[-1e-13, -1.0], [-1.0, -1e-13]])
+        assert sys.weights.tolist() == [[0.0, -1.0], [-1.0, 0.0]]
+        assert mpifs_fixed_density(sys)[0].tolist() == [0.0, 0.0]
+        # the inverse problem builds its weights from the checked density
+        sol = inverse_problem_solve([5e-13, -1.0])
+        assert sol.weights.tolist() == [[0.0, 0.0], [-1.0, -1.0]]
+        assert np.array_equal(sol.weights, sol.system.weights)
+        assert (sol.eq_residual, sol.normalization_residual) == (0.0, 0.0)
+        # a lone kernel of weight -5e-13 has weight 0: the pressure of 0 is 0
+        fam = WeightedJacobianFamily([KERNEL], [-5e-13])
+        nu0 = CylinderMeasure.point_mass(SPACE, (1,))
+        assert invariant_pressure_solve(fam, lambda mu: 0.0, 4, nu0).value == 0.0
