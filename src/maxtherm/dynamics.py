@@ -365,7 +365,7 @@ class RateEstimate:
 def empirical_rate(p: float, b: float, n_values: Sequence[int]) -> RateEstimate:
     """Exact decay rate of the event {max-sum <= b} in the worked example.
 
-    For 0 < b < 1 the event is exactly the all-symbol-2 cylinder, with
+    For 0 <= b < 1 the event is exactly the all-symbol-2 cylinder, with
     probability p^n, so the rate is log p at every n.  For b >= 1 the
     event has probability 1 and the rate is 0.
     """
@@ -463,6 +463,6 @@ def chebyshev_step_exact(p: float, t: float, b: float, n: int) -> Tuple[float, f
     """
     if t < 0:
         raise ValueError("the Chebyshev step needs t >= 0")
-    prob = p ** n if 0.0 < b < 1.0 else (1.0 if b >= 1.0 else 0.0)
+    prob = p ** n if 0.0 <= b < 1.0 else (1.0 if b >= 1.0 else 0.0)
     rhs = float(np.exp(n * t * b) * partition_integral_exact(p, t, n))
     return prob, rhs

@@ -14,7 +14,12 @@ point set, one map per index, and normalized nonpositive weights, with the
 composition operator on observables, the transfer operator on densities,
 and the induced operator on pressures, which are mutually dual.  The
 pushforward by a symbol map on a finite simplex grid is a one-map max-plus
-IFS at weight 0, so its invariance is checked by the same code.
+IFS at weight 0, so its invariance is checked by the same code.  The fixed
+density is computed by iterating the transfer operator itself, in two
+phases that each end within points + 1 passes at an exact float fixed
+point: the zero-weight subsystem from the zero density finds the points
+reached from a zero cycle, and the full system from their indicator
+settles the values.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .shift import (
 from .transport import w1_tree, w1_tree_rows
 
 MAX_CELLS = 1 << 25   # cells of attractor_build's last table (256 MiB of float64)
-POLISH_ITER = 50      # transfer steps settling mpifs_fixed_density's rounding
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +293,15 @@ def pushforward_invariance_check(
     pts = np.asarray(points, dtype=float)
     h = np.asarray(h_values, dtype=float)
     n, d = pts.shape
-    T = list(symbol_map)
-    if len(T) != d:
+    T = np.asarray(symbol_map)
+    if T.shape != (d,):
         raise ValueError("symbol map must assign a target to each symbol")
+    if T.dtype.kind not in "iu":
+        raise ValueError(f"symbol map targets must be integer symbols, not {T.dtype}")
 
     # pushforward matrix: (T# p)_j = sum of p_i over i with T(i) = j
     push = np.zeros((n, d))
-    for i, t in enumerate(T):
+    for i, t in enumerate(T.tolist()):
         if not 1 <= t <= d:
             raise ValueError("symbol map targets must lie in 1..d")
         push[:, t - 1] += pts[:, i]
@@ -374,10 +380,7 @@ def mpifs_transfer(lam: np.ndarray, sys: MpIFSSystem) -> np.ndarray:
     """Transfer operator on densities: max over preimage pairs, -inf off image."""
     lam = np.asarray(lam, dtype=float)
     out = np.full(sys.n_points, -np.inf)
-    for m in range(sys.n_maps):
-        targets = sys.maps[m]
-        scores = sys.weights[m] + lam
-        np.maximum.at(out, targets, scores)
+    np.maximum.at(out, sys.maps.ravel(), (sys.weights + lam[None, :]).ravel())
     return out
 
 
@@ -481,49 +484,41 @@ def mpifs_invariance_check(
 
 
 def mpifs_fixed_density(sys: MpIFSSystem) -> Tuple[np.ndarray, int]:
-    """The limit of transfer iteration from the zero density, in closed form.
+    """The limit of transfer iteration from the zero density, and the number
+    of transfer passes spent.
 
-    Iterating the transfer operator from 0 is monotone decreasing (weights
-    are nonpositive) and bounded below, but plain iteration can take
-    arbitrarily long when some cycle mean is barely negative.  The limit
-    itself has a path description: collapse the system to the edge graph
-    source -> target with weight max over maps realizing that transition;
-    every cycle mean is nonpositive and the per-point normalization forces
-    a zero-mean cycle (all of whose edges are then exactly zero), so the
-    limit at a point is the best total weight of a path from a zero-cycle
-    node to it.  That is a max-plus matrix closure, computed here by
-    Floyd-Warshall in O(points^3), then polished by a few transfer steps
-    to settle float rounding (residual at 1e-15 scale, not 1e-7).
+    Plain iteration from 0 can take arbitrarily long when some cycle mean is
+    barely negative.  The limit is the best path weight from the zero-weight
+    cycles (max-plus spectral theory), which two phases of the same transfer
+    operator compute exactly:
+
+    1. The zero-weight subsystem (weight 0 kept, everything else -inf),
+       iterated from 0, stays 0 or -inf and its zero set only shrinks, so it
+       settles within points + 1 passes at R, the points reached from a zero
+       cycle by zero-weight paths.  R is not empty: each point's best weight
+       is exactly 0, so each point has a zero out-edge and a zero cycle
+       exists.
+    2. The full system, iterated from R's indicator (0 on R, -inf off it),
+       is nondecreasing, since each point of R has a zero in-edge from R.
+       Because fl(a + w) <= a for w <= 0, a cycle never improves a walk's
+       value, so the best values are reached by walks of at most points
+       steps and the iteration settles within points + 1 passes.
+
+    The result is an exact float fixed point of ``mpifs_transfer``.
     """
-    n = sys.n_points
-    # edge[source, target] = best single-step weight
-    edge = np.full((n, n), -np.inf)
-    for m in range(sys.n_maps):
-        np.maximum.at(edge, (np.arange(n), sys.maps[m]), sys.weights[m])
 
-    # closure[i, j] = best nonempty-path weight i -> j; every entry is <= 0
-    # or -inf, so no sum of two is NaN
-    closure = edge.copy()
-    for k in range(n):
-        np.maximum(closure, closure[:, k][:, None] + closure[k, None, :], out=closure)
+    def settle(lam: np.ndarray, system: MpIFSSystem) -> Tuple[np.ndarray, int]:
+        passes = 1
+        nxt = mpifs_transfer(lam, system)
+        while not np.array_equal(nxt, lam):
+            lam, nxt = nxt, mpifs_transfer(nxt, system)
+            passes += 1
+        return lam, passes
 
-    zero_cycle = np.diag(closure) >= -1e-300
-    if not zero_cycle.any():
-        raise RuntimeError("no zero-weight cycle; weights are not normalized")
-    lam = closure[zero_cycle, :].max(axis=0)  # paths from zero-cycle nodes
-    lam[zero_cycle] = np.maximum(lam[zero_cycle], 0.0)  # empty path
-
-    for it in range(1, POLISH_ITER + 1):
-        nxt = mpifs_transfer(lam, sys)
-        if np.array_equal(nxt, lam):
-            return lam, it
-        lam = nxt
-    residual = float(_gaps(mpifs_transfer(lam, sys), lam).max())
-    if residual > 1e-14:
-        raise RuntimeError(
-            f"transfer iteration residual {residual!r} after polishing"
-        )
-    return lam, POLISH_ITER
+    zero = MpIFSSystem(sys.maps, np.where(sys.weights == 0.0, 0.0, -np.inf))
+    reached, zero_passes = settle(np.zeros(sys.n_points), zero)
+    lam, passes = settle(reached, sys)
+    return lam, zero_passes + passes
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from maxtherm.ifs import AttractorLeaf, WeightedJacobianFamily
+from maxtherm.ifs import AttractorLeaf, MpIFSSystem, WeightedJacobianFamily
 from maxtherm.shift import CylinderMeasure, DepthKFunction, ShiftSpace, dual_apply
 from maxtherm.simplex import level2_pressure, shannon_entropy_table
 
@@ -124,3 +124,53 @@ def markov_ks_entropy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
          shannon_entropy_table(np.column_stack([b, 1 - b]))]
     )
     return (pi * rows).sum(axis=1)
+
+
+def transfer_per_map(lam: np.ndarray, sys: MpIFSSystem) -> np.ndarray:
+    """The max-plus IFS transfer operator with one scatter-max per map:
+    max over preimage pairs, -inf off the image."""
+    lam = np.asarray(lam, dtype=float)
+    out = np.full(sys.n_points, -np.inf)
+    for m in range(sys.n_maps):
+        np.maximum.at(out, sys.maps[m], sys.weights[m] + lam)
+    return out
+
+
+def fixed_density_closure(sys: MpIFSSystem) -> Tuple[np.ndarray, int]:
+    """The limit of transfer iteration from the zero density by its path
+    description: collapse the system to the edge graph source -> target
+    with the best weight over the maps realizing that transition, take the
+    max-plus closure by Floyd-Warshall, read the best path weight from the
+    zero-cycle nodes, then settle float rounding with a few transfer
+    steps."""
+    n, polish_iter = sys.n_points, 50
+    # edge[source, target] = best single-step weight
+    edge = np.full((n, n), -np.inf)
+    for m in range(sys.n_maps):
+        np.maximum.at(edge, (np.arange(n), sys.maps[m]), sys.weights[m])
+
+    # closure[i, j] = best nonempty-path weight i -> j; every entry is <= 0
+    # or -inf, so no sum of two is NaN
+    closure = edge.copy()
+    for k in range(n):
+        np.maximum(closure, closure[:, k][:, None] + closure[k, None, :], out=closure)
+
+    zero_cycle = np.diag(closure) >= -1e-300
+    if not zero_cycle.any():
+        raise RuntimeError("no zero-weight cycle; weights are not normalized")
+    lam = closure[zero_cycle, :].max(axis=0)  # paths from zero-cycle nodes
+    lam[zero_cycle] = np.maximum(lam[zero_cycle], 0.0)  # empty path
+
+    for it in range(1, polish_iter + 1):
+        nxt = transfer_per_map(lam, sys)
+        if np.array_equal(nxt, lam):
+            return lam, it
+        lam = nxt
+    image = transfer_per_map(lam, sys)
+    with np.errstate(invalid="ignore"):
+        residual = float(np.fmax(np.abs(image - lam), 0.0).max())
+    if residual > 1e-14:
+        raise RuntimeError(
+            f"transfer iteration residual {residual!r} after polishing"
+        )
+    return lam, polish_iter

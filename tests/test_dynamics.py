@@ -438,6 +438,14 @@ class TestChebyshevStep:
             prob, bound = chebyshev_step_exact(p, t, b, n)
             assert prob <= bound + 1e-12
 
+    def test_zero_threshold_is_the_all_two_cylinder(self):
+        # max-sum <= 0 only on the all-2 cylinder, as for 0 < b < 1
+        p, n = 0.5, 4
+        for t in (0.0, 0.7, 3.0):
+            prob, bound = chebyshev_step_exact(p, t, 0.0, n)
+            assert prob == p ** n == 0.0625
+            assert prob <= bound
+
 
 class TestMaxPlusConvexity:
     def test_equal_arguments(self):

@@ -26,7 +26,7 @@ from maxtherm.semiring import BOTTOM, MaxPlus
 from maxtherm.shift import CylinderMeasure, ShiftSpace, dual_apply, make_bernoulli_jacobian
 from maxtherm.simplex import SimplexGrid, shannon_entropy_table
 from maxtherm.transport import w1_tree
-from oracles import attractor_leaves
+from oracles import attractor_leaves, fixed_density_closure, transfer_per_map
 
 SPACE = ShiftSpace(2, 0.3)
 NU0 = CylinderMeasure.point_mass(SPACE, (2,))
@@ -411,6 +411,21 @@ class TestPushforwardInvariance:
             with pytest.raises(ValueError, match=message):
                 pushforward_invariance_check(pts, h, [2, 1], self._observables())
 
+    @pytest.mark.parametrize("symbol_map", [[1.5, 1], [2.0, 1.0]])
+    def test_non_integer_symbol_map_rejected(self, symbol_map):
+        pts = SimplexGrid(2, 4).points()
+        with pytest.raises(ValueError, match="integer symbols, not float64"):
+            pushforward_invariance_check(pts, np.zeros(len(pts)), symbol_map,
+                                         self._observables())
+
+    def test_unsigned_symbol_map_accepted(self):
+        pts = SimplexGrid(2, 4).points()
+        h = shannon_entropy_table(pts)
+        obs = self._observables()
+        assert pushforward_invariance_check(pts, h, np.array([2, 1], np.uint8), obs) == (
+            pushforward_invariance_check(pts, h, [2, 1], obs)
+        )
+
     def test_grid_not_closed_rejected(self):
         pts = np.array([[0.3, 0.7], [0.6, 0.4]])
         with pytest.raises(ValueError, match="closed"):
@@ -481,6 +496,65 @@ class TestMpIFSOperators:
         with pytest.raises(ValueError, match=f"at least one map and one point, got "
                                              f"{n_maps} maps on {n_points} points"):
             MpIFSSystem(np.zeros(shape, int), np.zeros(shape))
+
+
+class TestFixedDensity:
+    """The two-phase transfer iteration against the Floyd-Warshall closure
+    it replaced, and the flat transfer against its per-map loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        m=st.integers(1, 5),
+        image=st.sampled_from([None, 1, 3]),
+        continuous=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_equals_the_closure_oracle_bit_for_bit(self, n, m, image, continuous, seed):
+        rng = np.random.default_rng(seed)
+        if continuous:
+            # inexact path sums, as in random_mpifs, so the closure's
+            # grouping of additions differs from the transfer's
+            q = -rng.exponential(size=(m, n))
+            q -= q.max(axis=0, keepdims=True)
+            q[(rng.random((m, n)) < 0.2) & (q < 0.0)] = -np.inf
+        else:
+            # ties, barely negative and -inf weights all happen
+            levels = np.array([0.0, -1e-9, -0.25, -0.5, -1.0, -np.inf])
+            q = np.where(rng.random((m, n)) < 0.5, rng.choice(levels, (m, n)),
+                         -np.round(rng.exponential(size=(m, n)) * 4) / 4)
+            q[rng.integers(m, size=n), np.arange(n)] = 0.0
+        hi = n if image is None else min(image, n)   # small images leave bottoms
+        sys = MpIFSSystem(rng.integers(0, hi, (m, n)), q)
+
+        lam, passes = mpifs_fixed_density(sys)
+        assert np.array_equal(lam, fixed_density_closure(sys)[0])
+        assert np.array_equal(mpifs_transfer(lam, sys), lam)
+        assert passes <= 2 * (n + 1)
+
+        dens = np.where(rng.random(n) < 0.3, -np.inf, rng.uniform(-3, 0, n))
+        for x in (dens, lam):
+            assert np.array_equal(mpifs_transfer(x, sys), transfer_per_map(x, sys))
+
+    @pytest.mark.parametrize("constant", [True, False])
+    def test_equals_the_closure_oracle_on_random_mpifs(self, constant):
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            n = int(rng.integers(2, 81))
+            sys = random_mpifs(n, rng, constant_maps=constant)
+            lam, passes = mpifs_fixed_density(sys)
+            assert np.array_equal(lam, fixed_density_closure(sys)[0])
+            assert np.array_equal(mpifs_transfer(lam, sys), transfer_per_map(lam, sys))
+            assert passes <= 2 * (n + 1)
+
+    def test_barely_negative_cycle(self):
+        # the cycle 0 -> 1 -> 2 -> 3 -> 0 weighs -1e-9, barely below zero:
+        # only the self-loop at 0 is a zero cycle
+        sys = MpIFSSystem([[1, 2, 3, 0], [0, 0, 0, 0]],
+                          [[-1e-9, 0.0, 0.0, 0.0], [0.0, -5.0, -5.0, -5.0]])
+        lam, passes = mpifs_fixed_density(sys)
+        assert lam.tolist() == [0.0, -1e-9, -1e-9, -1e-9]
+        assert passes <= 2 * (4 + 1)
 
 
 class TestInvarianceEquivalence:

@@ -294,7 +294,7 @@ class TestOneCheckPerKind:
 
     def test_column_max_within_tolerance_becomes_exact_zero(self):
         # a column max of -1e-13 passes the check; unless it becomes 0 the
-        # closure finds no zero-weight cycle
+        # zero-weight subsystem has no cycle
         sys = MpIFSSystem.constant_maps([[-1e-13, -1.0], [-1.0, -1e-13]])
         assert sys.weights.tolist() == [[0.0, -1.0], [-1.0, 0.0]]
         assert mpifs_fixed_density(sys)[0].tolist() == [0.0, 0.0]
