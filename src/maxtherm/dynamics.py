@@ -1,7 +1,10 @@
 """Running-max Birkhoff dynamics and the max-plus partition function.
 
 The running max of an observable along shift orbits converges almost
-surely to its sup when the sampling measure charges every cylinder.  The
+surely to its sup when the sampling measure charges every cylinder.
+Orbits are drawn from one-step Markov chains, a start distribution and a
+row-stochastic transition matrix; an i.i.d. (Bernoulli) measure is the
+chain whose transition rows all equal its masses.  The
 partition function c_n(t) = (1/n) log E[exp(n t max-sum)] feeds a
 Chebyshev-type upper large-deviation bound inf over t >= 0 of
 t b + c(-t).  The two-symbol worked example has everything in closed
@@ -30,69 +33,51 @@ from .shift import DepthKFunction, check_probability_rows
 # Orbit sampling
 # ---------------------------------------------------------------------------
 
-# Orbit tables are drawn and read this many rows at a time, so the int64
+# Orbit tables are read this many rows at a time, so the int64 window
 # codes and float64 window values of a block take 2 MB each at 1,000
-# columns, however many orbits there are.  Blocks of rows take the
-# generator's draws in the same C order as one whole-table draw, so the
-# symbols do not depend on the block size.
+# columns, however many orbits there are.
 ROW_BLOCK = 256
 
 
 class OrbitSampler:
-    """Seeded sampler of i.i.d. or one-step Markov symbol streams.
+    """Seeded sampler of one-step Markov symbol streams on symbols 1..d.
 
-    Each orbit is a fresh stream (no window reuse along a single long
-    orbit), so Birkhoff windows across orbits are independent.
+    A stream starts from the distribution ``probs`` and steps by the
+    row-stochastic (d, d) matrix ``transition``.  An i.i.d. (Bernoulli)
+    stream is the chain whose rows all equal ``probs``.  Each orbit is a
+    fresh stream (no window reuse along a single long orbit), so Birkhoff
+    windows across orbits are independent.
     """
 
-    def __init__(
-        self,
-        d: int,
-        n_orbits: int,
-        seed: int,
-        probs: Optional[np.ndarray] = None,
-        transition: Optional[np.ndarray] = None,
-    ):
-        if (probs is None) == (transition is None):
-            raise ValueError("specify exactly one of probs / transition")
+    def __init__(self, probs, transition, n_orbits: int, seed: int):
         if int(n_orbits) < 1:
             raise ValueError(f"n_orbits must be at least 1, got {n_orbits}")
-        self.d = d
+        p = np.array(probs, dtype=float).reshape(1, -1)
+        self.probs = check_probability_rows(p)[0]
+        self.d = d = self.probs.size
+        P = np.array(transition, dtype=float)
+        if P.shape != (d, d):
+            raise ValueError(f"the transition matrix must be {d} x {d}")
+        self.transition = check_probability_rows(P)
         self.n_orbits = int(n_orbits)
         self.seed = int(seed)
-        if probs is not None:
-            p = np.array(probs, dtype=float)
-            if p.size != d:
-                raise ValueError(f"{d} symbol probabilities needed, got {p.size}")
-            self.kind = "bernoulli"
-            self.probs = check_probability_rows(p.reshape(1, d))[0]
-            self.transition = None
-        else:
-            P = np.array(transition, dtype=float)
-            if P.shape != (d, d):
-                raise ValueError(f"the transition matrix must be {d} x {d}")
-            self.kind = "markov"
-            self.transition = check_probability_rows(P)
-            # stationary row vector of P
-            vals, vecs = np.linalg.eig(P.T)
-            j = int(np.argmin(np.abs(vals - 1.0)))
-            pi = np.real(vecs[:, j])
-            self.probs = pi / pi.sum()
 
     @classmethod
     def bernoulli(cls, probs, n_orbits: int, seed: int) -> "OrbitSampler":
-        p = np.asarray(probs, dtype=float)
-        return cls(d=p.size, n_orbits=n_orbits, seed=seed, probs=p)
+        """i.i.d. symbols of masses ``probs``."""
+        p = np.asarray(probs, dtype=float).reshape(-1)
+        return cls(p, np.tile(p, (p.size, 1)), n_orbits=n_orbits, seed=seed)
 
     @classmethod
     def markov(cls, transition, n_orbits: int, seed: int) -> "OrbitSampler":
-        P = np.asarray(transition, dtype=float)
-        return cls(d=P.shape[0], n_orbits=n_orbits, seed=seed, transition=P)
+        """The chain of ``transition`` started from its stationary vector."""
+        P = check_probability_rows(np.array(transition, dtype=float))
+        vals, vecs = np.linalg.eig(P.T)
+        pi = np.real(vecs[:, int(np.argmin(np.abs(vals - 1.0)))])
+        return cls(pi / pi.sum(), P, n_orbits=n_orbits, seed=seed)
 
     @property
     def positive_on_cylinders(self) -> bool:
-        if self.kind == "bernoulli":
-            return bool((self.probs > 0).all())
         return bool((self.transition > 0).all())
 
     def sample(self, length: int) -> np.ndarray:
@@ -100,35 +85,36 @@ class OrbitSampler:
 
         Its dtype is ``np.min_scalar_type(d)``, the smallest unsigned
         integer type that holds d: uint8 for d <= 255.  Length 0 gives an
-        (n_orbits, 0) table.
+        (n_orbits, 0) table.  Each step draws one uniform per orbit; the
+        next symbol counts the first d - 1 cumulative masses of the current
+        row that lie below it, so a row summing to just under 1 still ends
+        on symbol d.
         """
         if length < 0:
             raise ValueError(f"the orbit length must be at least 0, got {length}")
         rng = np.random.default_rng(self.seed)
         orbits = np.empty((self.n_orbits, length), dtype=np.min_scalar_type(self.d))
-        if self.kind == "bernoulli":
-            for lo in range(0, self.n_orbits, ROW_BLOCK):
-                block = orbits[lo : lo + ROW_BLOCK]
-                block[...] = rng.choice(self.d, size=block.shape, p=self.probs)
-                block += 1
-            return orbits
         if length == 0:
             return orbits
-        cum0 = np.cumsum(self.probs)
-        orbits[:, 0] = np.searchsorted(cum0, rng.random(self.n_orbits)) + 1
-        cum = np.cumsum(self.transition, axis=1)
+        # 0-based symbols until the last line
+        state = np.searchsorted(np.cumsum(self.probs)[:-1], rng.random(self.n_orbits))
+        orbits[:, 0] = state
+        columns = np.cumsum(self.transition, axis=1).T[:-1].copy()
         for t in range(1, length):
             u = rng.random(self.n_orbits)
-            rows = cum[orbits[:, t - 1] - 1]
-            orbits[:, t] = (rows < u[:, None]).sum(axis=1) + 1
+            state = sum(column.take(state) < u for column in columns)
+            orbits[:, t] = state
+        orbits += 1
         return orbits
 
 
-def _check_alphabet(sampler: OrbitSampler, f: DepthKFunction) -> None:
+def _sampled_orbits(sampler: OrbitSampler, f: DepthKFunction, n: int) -> np.ndarray:
+    """Orbits of ``sampler`` long enough for n windows of f."""
     if sampler.d != f.space.d:
         raise ValueError(
             f"the sampler draws {sampler.d} symbols but f reads {f.space.d}"
         )
+    return sampler.sample(n + max(f.depth, 1) - 1)
 
 
 def _window_blocks(
@@ -181,7 +167,7 @@ class BirkhoffReport:
     sup_value: float
     attained_fraction: float
     first_hit_mean: float
-    miss_probability_estimate: float  # for depth-1 observables with unique top
+    miss_probability_estimate: float  # exact for depth <= 1 under the chain
 
 
 def birkhoff_limit_test(
@@ -196,9 +182,7 @@ def birkhoff_limit_test(
     """
     if not sampler.positive_on_cylinders:
         raise ValueError("sampling measure must be positive on all cylinders")
-    _check_alphabet(sampler, f)
-    k = max(f.depth, 1)
-    orbits = sampler.sample(length + k - 1)
+    orbits = _sampled_orbits(sampler, f, length)
     sup_f = float(f.values.max())
 
     def first_hit(block: np.ndarray) -> np.ndarray:
@@ -209,12 +193,12 @@ def birkhoff_limit_test(
     first = np.concatenate([first_hit(b) for b in _window_blocks(f, orbits, length)])
     attained = first <= length
 
-    # exact per-window miss probability for depth-1 observables
-    if f.depth <= 1 and sampler.kind == "bernoulli":
-        # the depth-1 table, or the depth-0 constant repeated per symbol
-        top = np.broadcast_to(f.values, sampler.d) >= sup_f - 1e-9
-        top_mass = float(sampler.probs[top].sum())
-        miss = (1.0 - top_mass) ** length
+    if f.depth <= 1:
+        # exact: the chain stays on the symbols below the sup for `length`
+        # symbols; the depth-1 table, or the depth-0 constant per symbol
+        off = np.broadcast_to(f.values, sampler.d) < sup_f - 1e-9
+        stay = np.linalg.matrix_power(sampler.transition[np.ix_(off, off)], length - 1)
+        miss = float((sampler.probs[off] @ stay).sum())
     else:
         miss = float(1.0 - attained.mean())
     return BirkhoffReport(
@@ -283,10 +267,7 @@ def partition_function_mc(
     sampler: OrbitSampler, f: DepthKFunction, t: float, n: int
 ) -> McEstimate:
     """Monte Carlo estimate of c_n(t) with a bootstrap confidence interval."""
-    _check_alphabet(sampler, f)
-    k = max(f.depth, 1)
-    orbits = sampler.sample(n + k - 1)
-    maxes = birkhoff_max_table(f, orbits, n)
+    maxes = birkhoff_max_table(f, _sampled_orbits(sampler, f, n), n)
     expo = n * t * maxes
     value = _log_mean_exp(expo) / n
 
@@ -441,10 +422,7 @@ def c_maxplus_convexity_check(
     elif sampler is None:
         raise ValueError("the convexity check needs a sampler or c_exact")
     else:
-        _check_alphabet(sampler, f)
-        k = max(f.depth, 1)
-        orbits = sampler.sample(n + k - 1)
-        maxes = birkhoff_max_table(f, orbits, n)
+        maxes = birkhoff_max_table(f, _sampled_orbits(sampler, f, n), n)
 
         def c(u: float) -> float:
             return _log_mean_exp(n * u * maxes) / n

@@ -242,6 +242,7 @@ def check_contraction_bounds(
 def check_section_identity(seed: int = 14, trials: int = 1000) -> GoldenResult:
     """Pushforward undoes the dual transfer exactly (1e-12), and the dual
     transfer is the adjoint of the transfer: mu(L f) = (L* mu)(f) (1e-12)."""
+    _require_count("trials", trials)
     start = time.time()
     rng = np.random.default_rng(seed)
     f_rng = np.random.default_rng([seed, 1])

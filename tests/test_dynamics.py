@@ -1,5 +1,6 @@
 """Tests for running-max Birkhoff sums and the large-deviation machinery."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -133,6 +134,22 @@ class TestSampler:
         freq1 = (orbits == 1).mean()
         assert freq1 == pytest.approx(s.probs[0], abs=0.02)
 
+    @pytest.mark.parametrize("transition", [
+        [[0.6, 0.4], [0.3, 0.7 - 5e-13]],
+        # its stationary vector sums to 0.9999999999999998
+        [[0.2, 0.8, 0.0], [0.0, 0.3, 0.7], [0.9, 0.0, 0.1]],
+    ], ids=["row", "start"])
+    def test_largest_uniform_draws_the_last_symbol(self, monkeypatch, transition):
+        """Rows within the normalization tolerance below 1 still end on
+        symbol d when the generator returns its largest value, 1 - 2^-53."""
+        class TopGenerator:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        s = OrbitSampler.markov(transition, 4, 0)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: TopGenerator())
+        assert s.sample(3).tolist() == [[s.d] * 3] * 4
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             OrbitSampler.bernoulli([0.7, 0.7], 10, 0)
@@ -159,7 +176,9 @@ class TestSampler:
 
 def _inline_limit_report(sampler, f, length, tol=1e-9):
     """birkhoff_limit_test over the whole orbit table at once, with its
-    window codes and depth-0 table built in place."""
+    window codes and depth-0 table built in place, and for depth <= 1 the
+    miss probability summed over every word of `length` symbols below the
+    sup."""
     k = max(f.depth, 1)
     orbits = sampler.sample(length + k - 1)
     sup_f = float(f.values.max())
@@ -170,8 +189,11 @@ def _inline_limit_report(sampler, f, length, tol=1e-9):
     hit = table[codes] >= sup_f - tol
     attained = hit.any(axis=1)
     first = np.where(attained, hit.argmax(axis=1) + 1, length + 1)
-    if f.depth <= 1 and sampler.kind == "bernoulli":
-        miss = (1.0 - float(sampler.probs[table >= sup_f - tol].sum())) ** length
+    if f.depth <= 1:
+        words = np.array(list(itertools.product(range(sampler.d), repeat=length)))
+        words = words[(table[words] < sup_f - tol).all(axis=1)]
+        steps = sampler.transition[words[:, :-1], words[:, 1:]].prod(axis=1)
+        miss = float((sampler.probs[words[:, 0]] * steps).sum())
     else:
         miss = float(1.0 - attained.mean())
     return BirkhoffReport(
@@ -179,6 +201,16 @@ def _inline_limit_report(sampler, f, length, tol=1e-9):
         attained_fraction=float(attained.mean()),
         first_hit_mean=float(first[attained].mean()) if attained.any() else np.inf,
         miss_probability_estimate=miss,
+    )
+
+
+def _assert_same_report(got, want):
+    """The sampled fields exactly, the miss probability to rounding."""
+    assert (got.sup_value, got.attained_fraction, got.first_hit_mean) == (
+        want.sup_value, want.attained_fraction, want.first_hit_mean
+    )
+    assert got.miss_probability_estimate == pytest.approx(
+        want.miss_probability_estimate, rel=1e-12, abs=0.0
     )
 
 
@@ -194,8 +226,9 @@ class TestBirkhoffLimit:
             for length in (1, 3, 12):
                 # few distinct values, so ties at the sup and misses occur
                 f = DepthKFunction(SPACE, depth, rng.integers(0, 3, 2 ** depth) / 2)
-                assert birkhoff_limit_test(sampler, f, length) == _inline_limit_report(
-                    sampler, f, length
+                _assert_same_report(
+                    birkhoff_limit_test(sampler, f, length),
+                    _inline_limit_report(sampler, f, length),
                 )
 
     def test_fair_coin_attains_quickly(self):
@@ -215,8 +248,8 @@ class TestBirkhoffLimit:
 
 
 def _markov_reference(sampler, length):
-    """The Markov sampler's draws written into an int64 table, one step
-    column at a time."""
+    """The sampler's draws written into an int64 table, one step column at a
+    time, by a whole-row gather and compare per step."""
     rng = np.random.default_rng(sampler.seed)
     orbits = np.empty((sampler.n_orbits, length), dtype=np.int64)
     cum0 = np.cumsum(sampler.probs)
@@ -233,6 +266,20 @@ def _sampler(d, rows, seed, markov):
     if markov:
         return OrbitSampler.markov(rng.dirichlet(np.ones(d), size=d), rows, seed)
     return OrbitSampler.bernoulli(rng.dirichlet(np.ones(d)), rows, seed)
+
+
+def _traced_peak(call):
+    """Peak bytes traced by tracemalloc while call() runs."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 # row counts just below, at and just past a multiple of the block
@@ -269,7 +316,7 @@ class TestRowBlocks:
         want = _inline_limit_report(sampler, f, length)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "ROW_BLOCK", block)
-            assert birkhoff_limit_test(sampler, f, length) == want
+            _assert_same_report(birkhoff_limit_test(sampler, f, length), want)
 
     @pytest.mark.parametrize("block", [1, 3, 7, dynamics.ROW_BLOCK])
     @pytest.mark.parametrize("d", [2, 3, 300])
@@ -278,13 +325,16 @@ class TestRowBlocks:
         monkeypatch.setattr(dynamics, "ROW_BLOCK", block)
         sampler = _sampler(d, 15, 23, markov)
         got = sampler.sample(6)
-        if markov:
-            want = _markov_reference(sampler, 6)
-        else:
-            rng = np.random.default_rng(23)
-            want = rng.choice(d, size=(15, 6), p=sampler.probs) + 1
+        want = _markov_reference(sampler, 6)
         assert got.dtype == (np.uint8 if d <= 255 else np.uint16)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("markov", [False, True], ids=["bernoulli", "markov"])
+    def test_sample_allocates_only_its_table(self, markov):
+        """The uniforms are drawn one step at a time: a block of 256 steps
+        at 4,000 orbits would take 7.8 MiB."""
+        sampler = _sampler(2, 4000, 31, markov)
+        assert _traced_peak(lambda: sampler.sample(1000)) <= 4000 * 1000 + 2 ** 20
 
     @pytest.mark.parametrize("markov", [False, True], ids=["bernoulli", "markov"])
     def test_limit_test_allocates_no_whole_table_temporary(self, markov):
@@ -293,17 +343,7 @@ class TestRowBlocks:
         the traced peak was about 122 MiB."""
         sampler = _sampler(2, 4000, 29, markov)
         f = DepthKFunction(SPACE, 3, np.linspace(0.0, 1.0, 8))
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            birkhoff_limit_test(sampler, f, 998)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+        assert _traced_peak(lambda: birkhoff_limit_test(sampler, f, 998)) < 32 * 2 ** 20
 
 
 class TestPartitionFunction:
