@@ -123,6 +123,7 @@ def check_gibbs_equilibrium(
     """Lattice search recovers the softmax equilibrium and its pressure:
     ``per_d`` random observables on each ``(d, m)`` simplex grid."""
     _require_count("per_d", per_d)
+    _require_count("number of grids", len(grids))
     start = time.time()
     rng = np.random.default_rng(seed)
     worst_point, worst_value = 0.0, 0.0
@@ -164,6 +165,7 @@ def check_transport_oracle(
     """Closed-form tree W1 equals the transportation LP within 1e-9.  Each
     plan entry ``(d, gamma, depth, reps)`` draws ``reps`` pairs of depth-
     ``depth`` measures on the shift space ``(d, gamma)``."""
+    _require_count("number of plan entries", len(plan))
     for _, _, _, reps in plan:
         _require_count("reps", reps)
     start = time.time()
@@ -214,7 +216,7 @@ def check_contraction_bounds(
         nu = random_measure(space, depth, rng)
         J1mu, J1nu, J2mu = dual_apply(J1, mu), dual_apply(J1, nu), dual_apply(J2, mu)
         base = transport.w1_tree(mu, nu)
-        sup = (J1.fn - J2.fn).sup_norm()
+        sup = (J1 - J2).sup_norm()
         # W1(L1* mu, L1* nu) <= r W1(mu, nu)
         worst_ratio = max(worst_ratio, transport.w1_tree(J1mu, J1nu) / base)
         # W1(L1* mu, L2* mu) <= d sup|J1 - J2|
@@ -688,15 +690,15 @@ def check_pushforward_invariance(seed: int = 21) -> GoldenResult:
     for d, m, perm, collapse in (
         (2, 400, [2, 1], [1, 1]), (3, 60, [2, 3, 1], [1, 1, 2])
     ):
-        pts = simplex.SimplexGrid(d, m).points()
-        h = simplex.shannon_entropy_table(pts)
+        grid = simplex.SimplexGrid(d, m)
+        h = simplex.shannon_entropy_table(grid.points())
         observables = []
         for _ in range(8):
             a, c = rng.uniform(-2.0, 2.0, d), float(rng.uniform(-1.0, 1.0))
             observables.append(lambda q, a=a, c=c: q @ a + c * q[:, 0] ** 2)
-        kept = ifs.pushforward_invariance_check(pts, h, perm, observables)
+        kept = ifs.pushforward_invariance_check(grid, h, perm, observables)
         worst = max(worst, kept.functional_residual, kept.density_residual)
-        lost = ifs.pushforward_invariance_check(pts, h, collapse, observables)
+        lost = ifs.pushforward_invariance_check(grid, h, collapse, observables)
         witnesses.append(f"observable #{lost.worst_observable}"
                          if lost.functional_residual > 1e-9 else None)
     passed = worst <= 1e-9 and None not in witnesses

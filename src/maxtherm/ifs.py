@@ -13,19 +13,19 @@ The second half of the module is the combinatorial max-plus IFS: a finite
 point set, one map per index, and normalized nonpositive weights, with the
 composition operator on observables, the transfer operator on densities,
 and the induced operator on pressures, which are mutually dual.  The
-pushforward by a symbol map on a finite simplex grid is a one-map max-plus
-IFS at weight 0, so its invariance is checked by the same code.  The fixed
-density is computed by iterating the transfer operator itself, in two
-phases that each end within points + 1 passes at an exact float fixed
-point: the zero-weight subsystem from the zero density finds the points
-reached from a zero cycle, and the full system from their indicator
-settles the values.
+pushforward by a symbol map sends the 1/m simplex lattice into itself, so
+on the lattice it is a one-map max-plus IFS at weight 0, and its
+invariance is checked by the same code.  The fixed density is computed by
+iterating the transfer operator itself, in two phases that each end
+within points + 1 passes at an exact float fixed point: the zero-weight
+subsystem from the zero density finds the points reached from a zero
+cycle, and the full system from their indicator settles the values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .shift import (
     lifted_kernel,
     symbol_table,
 )
+from .simplex import SimplexGrid
 from .transport import w1_tree, w1_tree_rows
 
 MAX_CELLS = 1 << 25   # cells of attractor_build's last table (256 MiB of float64)
@@ -237,11 +238,14 @@ def invariant_pressure_solve(
     """Pressure of g for the unique normalized invariant pressure function.
 
     The value is the max over enumerated words of cumulative weight plus
-    g at the image measure, with error at most lip_g * r^N / (1 - r).  As
-    an a-posteriori check the operator fixed-point identity is re-evaluated
-    on the sample: max over kernels of weight + pressure(g after that
-    kernel) must reproduce the value within the same bound.
+    g at the image measure, with error at most lip_g * r^N / (1 - r) for a
+    finite Lipschitz constant lip_g >= 0 of g.  As an a-posteriori check
+    the operator fixed-point identity is re-evaluated on the sample: max
+    over kernels of weight + pressure(g after that kernel) must reproduce
+    the value within the same bound.
     """
+    if not 0.0 <= lip_g < np.inf:
+        raise ValueError(f"lip_g must be finite and at least 0, got {lip_g!r}")
     sample = attractor_build(fam, word_length, nu0, eps=eps)
     r = fam.contraction_rate
     bound = lip_g * r ** word_length / (1.0 - r)
@@ -274,54 +278,42 @@ def invariant_pressure_solve(
 
 
 def pushforward_invariance_check(
-    points: np.ndarray,
+    grid: SimplexGrid,
     h_values: np.ndarray,
     symbol_map: Sequence[int],
     observables: Sequence[Callable[[np.ndarray], np.ndarray]],
 ) -> InvarianceReport:
     """Check pushforward invariance of the pressure with density h.
 
-    ``points`` is a finite grid of probability vectors closed under the
-    pushforward of the symbol map T (T acts on {1..d}; the pushforward
-    sends mass of i to T(i)).  On the grid the pushforward is a point map
-    sigma, and the check is ``mpifs_invariance_check`` of the one-map
+    The pushforward of the symbol map T (T acts on {1..d} and sends the
+    mass of i to T(i)) sends the 1/m lattice of ``grid`` into itself, so on
+    the lattice it is a point map sigma, computed exactly on the integer
+    masses.  The check is ``mpifs_invariance_check`` of the one-map
     max-plus IFS sigma at weight 0: its Ruelle operator composes g with the
     pushforward, and its transfer operator takes the sup of h over each
     fiber (-inf off the image).  ``h_values`` is checked as a density by
     ``pressure``: NaN, +inf or an empty support raise ``ValueError``.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = grid.points()
     h = np.asarray(h_values, dtype=float)
-    n, d = pts.shape
     T = np.asarray(symbol_map)
-    if T.shape != (d,):
+    if T.shape != (grid.d,):
         raise ValueError("symbol map must assign a target to each symbol")
     if T.dtype.kind not in "iu":
         raise ValueError(f"symbol map targets must be integer symbols, not {T.dtype}")
+    if not ((1 <= T) & (T <= grid.d)).all():
+        raise ValueError("symbol map targets must lie in 1..d")
 
-    # pushforward matrix: (T# p)_j = sum of p_i over i with T(i) = j
-    push = np.zeros((n, d))
-    for i, t in enumerate(T.tolist()):
-        if not 1 <= t <= d:
-            raise ValueError("symbol map targets must lie in 1..d")
-        push[:, t - 1] += pts[:, i]
-
-    # match pushed points back onto the grid, keyed by rounded masses
-    def keys(rows: np.ndarray):
-        return map(tuple, np.round(rows * 1e9).astype(np.int64).tolist())
-
-    index: Dict[Tuple[int, ...], int] = {key: i for i, key in enumerate(keys(pts))}
-    sigma = np.empty(n, dtype=np.int64)
-    for i, key in enumerate(keys(push)):
-        if key not in index:
-            raise ValueError(
-                f"grid is not closed under the pushforward: image of point "
-                f"{i} is missing"
-            )
-        sigma[i] = index[key]
+    # integer masses pushed by T: (T# c)_j = sum of c_i over i with T(i) = j
+    counts = np.rint(pts * grid.m).astype(np.int64)
+    pushed = counts @ (T[:, None] == np.arange(1, grid.d + 1)).astype(np.int64)
+    # every pushed row is a composition of m, so the lattice lists it once
+    index = {row: i for i, row in enumerate(map(tuple, counts.tolist()))}
+    sigma = np.array([index[row] for row in map(tuple, pushed.tolist())])
 
     G = [g(pts) for g in observables]
-    return mpifs_invariance_check(h, MpIFSSystem(sigma[None], np.zeros((1, n))), G)
+    one_map = MpIFSSystem(sigma[None], np.zeros((1, len(pts))))
+    return mpifs_invariance_check(h, one_map, G)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +354,11 @@ class MpIFSSystem:
     def constant_maps(cls, weights: np.ndarray) -> "MpIFSSystem":
         """One map per point, each sending everything to its own point."""
         q = np.asarray(weights, dtype=float)
-        n = q.shape[1]
-        if q.shape[0] != n:
-            raise ValueError("constant-map systems need a square weight table")
+        if q.ndim != 2 or q.shape[0] != q.shape[1]:
+            raise ValueError(
+                f"constant-map systems need a square weight table, got shape {q.shape}"
+            )
+        n = q.shape[0]
         maps = np.repeat(np.arange(n)[:, None], n, axis=1)
         return cls(maps, q)
 

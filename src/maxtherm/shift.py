@@ -117,20 +117,17 @@ def lipschitz_constant(f: DepthKFunction) -> float:
     if k == 0:
         return 0.0
     best = 0.0
+    off_diagonal = ~np.eye(d, dtype=bool)
     for level in range(k):
         blocks = f.values.reshape(d ** level, d, d ** (k - level - 1))
         hi = blocks.max(axis=2)   # per (prefix, symbol)
         lo = blocks.min(axis=2)
-        for s in range(d):
-            for t in range(d):
-                if s == t:
-                    continue
-                gap = float((hi[:, s] - lo[:, t]).max())
-                best = max(best, gap / g ** level)
+        gaps = (hi[:, :, None] - lo[:, None, :])[:, off_diagonal]
+        best = max(best, float(gaps.max()) / g ** level)
     return best
 
 
-class Jacobian:
+class Jacobian(DepthKFunction):
     """A normalized Lipschitz transfer kernel given as a finite-depth table.
 
     Requirements: values in [0, 1], sum over the first symbol equal to 1
@@ -140,18 +137,13 @@ class Jacobian:
     def __init__(self, space: ShiftSpace, depth: int, values):
         if depth < 1:
             raise ValueError("a transfer kernel must read at least one symbol")
-        fn = DepthKFunction(space, depth, values)
-        vals = fn.values
+        super().__init__(space, depth, values)
         # each column, one continuation word, is a distribution of the first
         # symbol; the check clips a copy, so the kernel keeps its bits
-        check_probability_rows(vals.reshape(space.d, -1).T.copy())
-        lip = lipschitz_constant(fn)
+        check_probability_rows(self.values.reshape(space.d, -1).T.copy())
+        lip = lipschitz_constant(self)
         if lip > 1.0 + LIPSCHITZ_SLACK:
             raise ValueError(f"kernel Lipschitz constant {lip!r} exceeds 1")
-        self.space = space
-        self.depth = depth
-        self.values = vals
-        self.fn = fn
 
 
 def make_bernoulli_jacobian(p: float, space: ShiftSpace) -> Jacobian:
@@ -275,7 +267,7 @@ def transfer_apply(J: Jacobian, f: DepthKFunction) -> DepthKFunction:
     if f.space != J.space:
         raise ValueError("kernel and observable live on different spaces")
     k = max(f.depth, J.depth)
-    prod = J.fn.at_depth(k) * f.at_depth(k)
+    prod = J.at_depth(k) * f.at_depth(k)
     out = prod.reshape(J.space.d, -1).sum(axis=0)
     return DepthKFunction(J.space, k - 1, out)
 
@@ -302,7 +294,7 @@ def lifted_kernel(J: Jacobian, space: ShiftSpace, depth: int) -> np.ndarray:
             f"kernel depth {J.depth} exceeds measure depth {depth} + 1; "
             "refine the measure first"
         )
-    return J.fn.at_depth(depth + 1).reshape(space.d, -1)
+    return J.at_depth(depth + 1).reshape(space.d, -1)
 
 
 def pushforward_apply(mu: CylinderMeasure) -> CylinderMeasure:

@@ -96,6 +96,8 @@ def test_mpifs_operators_accepts_perturbed_densities_that_stay_invariant(seed):
     (goldens.check_mpifs_operators, {"systems": 0}),
     (goldens.check_mpifs_operators, {"points": 0}),
     (goldens.check_section_identity, {"trials": 0}),
+    (goldens.check_gibbs_equilibrium, {"grids": ()}),
+    (goldens.check_transport_oracle, {"plan": ()}),
 ])
 def test_a_count_below_one_is_rejected(check, kwargs):
     with pytest.raises(ValueError, match="must be at least 1"):

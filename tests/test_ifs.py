@@ -275,6 +275,12 @@ class TestInvariantPressure:
         assert abs(res.value - p) <= res.error_bound
         assert res.fixed_point_residual <= res.error_bound + 1e-12
 
+    @pytest.mark.parametrize("lip_g", [-1.0, np.nan, np.inf])
+    def test_lipschitz_constant_must_be_finite_and_nonnegative(self, lip_g):
+        fam = WeightedJacobianFamily([make_bernoulli_jacobian(0.3, SPACE)], [0.0])
+        with pytest.raises(ValueError, match="lip_g must be finite and at least 0"):
+            invariant_pressure_solve(fam, mass_of_one, 4, NU0, lip_g=lip_g)
+
     def test_weighted_two_kernel_matches_bruteforce(self):
         fam = WeightedJacobianFamily(
             [make_bernoulli_jacobian(0.3, SPACE), make_bernoulli_jacobian(0.7, SPACE)],
@@ -343,9 +349,8 @@ class TestPushforwardInvariance:
 
     def test_swap_with_symmetric_density_is_invariant(self):
         grid = SimplexGrid(2, 100)
-        pts = grid.points()
-        h = shannon_entropy_table(pts)
-        rep = pushforward_invariance_check(pts, h, [2, 1], self._observables())
+        h = shannon_entropy_table(grid.points())
+        rep = pushforward_invariance_check(grid, h, [2, 1], self._observables())
         assert rep.functional_residual <= 1e-9
         assert rep.density_residual <= 1e-9
 
@@ -353,7 +358,7 @@ class TestPushforwardInvariance:
         grid = SimplexGrid(2, 100)
         pts = grid.points()
         h = np.where(np.abs(pts[:, 0] - 0.5) < 1e-12, 0.0, -np.inf)
-        rep = pushforward_invariance_check(pts, h, [2, 1], self._observables(1))
+        rep = pushforward_invariance_check(grid, h, [2, 1], self._observables(1))
         assert rep.functional_residual <= 1e-9
         assert rep.density_residual <= 1e-9
 
@@ -362,7 +367,7 @@ class TestPushforwardInvariance:
         pts = grid.points()
         # constant symbol map: everything lands on the first vertex
         h = np.where(np.abs(pts[:, 0] - 0.5) < 1e-12, 0.0, -np.inf)
-        rep = pushforward_invariance_check(pts, h, [1, 1], self._observables(2))
+        rep = pushforward_invariance_check(grid, h, [1, 1], self._observables(2))
         assert rep.functional_residual > 1e-9
         assert rep.density_residual > 1e-9
 
@@ -373,7 +378,8 @@ class TestPushforwardInvariance:
         witnessed = 0
         for trial in range(60):
             d = 2 + trial % 2
-            pts = SimplexGrid(d, 12 if d == 2 else 6).points()
+            grid = SimplexGrid(d, 12 if d == 2 else 6)
+            pts = grid.points()
             n = len(pts)
             h = rng.uniform(-3, 0, n)
             h[rng.random(n) < 0.3] = -np.inf
@@ -384,7 +390,7 @@ class TestPushforwardInvariance:
                 a = rng.uniform(-2, 2, d)
                 cut = rng.uniform(-0.2, 1.0)   # -inf on part of the grid
                 obs.append(lambda p, a=a, cut=cut: np.where(p[:, 0] > cut, -np.inf, p @ a))
-            rep = pushforward_invariance_check(pts, h, symbol_map, obs)
+            rep = pushforward_invariance_check(grid, h, symbol_map, obs)
             assert rep == _per_observable_pushforward(pts, h, symbol_map, obs)
             witnessed += rep.functional_residual > 1e-9
         assert witnessed >= 10
@@ -393,45 +399,67 @@ class TestPushforwardInvariance:
         (2, 400, [2, 1]), (2, 400, [1, 1]), (3, 60, [2, 3, 1]), (3, 60, [1, 1, 2]),
     ])
     def test_is_the_one_map_system_check_on_the_golden_grids(self, d, m, symbol_map):
-        pts = SimplexGrid(d, m).points()
+        grid = SimplexGrid(d, m)
+        pts = grid.points()
         n = len(pts)
         h = shannon_entropy_table(pts)
         rng = np.random.default_rng(d)
         obs = [lambda p, a=rng.uniform(-2, 2, d): p @ a + p[:, 0] ** 2 for _ in range(8)]
         one_map = MpIFSSystem(_pushed_indices(pts, symbol_map)[None], np.zeros((1, n)))
         G = np.array([g(pts) for g in obs])
-        assert pushforward_invariance_check(pts, h, symbol_map, obs) == (
+        assert pushforward_invariance_check(grid, h, symbol_map, obs) == (
             mpifs_invariance_check(h, one_map, G)
         )
 
     def test_invalid_density_rejected(self):
-        pts = SimplexGrid(2, 10).points()
+        grid = SimplexGrid(2, 10)
+        pts = grid.points()
         for h, message in ((np.full(len(pts), -np.inf), "empty support"),
                            (np.where(pts[:, 0] > 0.5, np.nan, 0.0), "NaN")):
             with pytest.raises(ValueError, match=message):
-                pushforward_invariance_check(pts, h, [2, 1], self._observables())
+                pushforward_invariance_check(grid, h, [2, 1], self._observables())
 
     @pytest.mark.parametrize("symbol_map", [[1.5, 1], [2.0, 1.0]])
     def test_non_integer_symbol_map_rejected(self, symbol_map):
-        pts = SimplexGrid(2, 4).points()
+        grid = SimplexGrid(2, 4)
         with pytest.raises(ValueError, match="integer symbols, not float64"):
-            pushforward_invariance_check(pts, np.zeros(len(pts)), symbol_map,
+            pushforward_invariance_check(grid, np.zeros(5), symbol_map,
+                                         self._observables())
+
+    @pytest.mark.parametrize("symbol_map", [[0, 1], [3, 1], [2, -1]])
+    def test_symbol_map_target_outside_alphabet_rejected(self, symbol_map):
+        grid = SimplexGrid(2, 4)
+        with pytest.raises(ValueError, match="must lie in 1..d"):
+            pushforward_invariance_check(grid, np.zeros(5), symbol_map,
                                          self._observables())
 
     def test_unsigned_symbol_map_accepted(self):
-        pts = SimplexGrid(2, 4).points()
-        h = shannon_entropy_table(pts)
+        grid = SimplexGrid(2, 4)
+        h = shannon_entropy_table(grid.points())
         obs = self._observables()
-        assert pushforward_invariance_check(pts, h, np.array([2, 1], np.uint8), obs) == (
-            pushforward_invariance_check(pts, h, [2, 1], obs)
+        assert pushforward_invariance_check(grid, h, np.array([2, 1], np.uint8), obs) == (
+            pushforward_invariance_check(grid, h, [2, 1], obs)
         )
 
-    def test_grid_not_closed_rejected(self):
-        pts = np.array([[0.3, 0.7], [0.6, 0.4]])
-        with pytest.raises(ValueError, match="closed"):
-            pushforward_invariance_check(
-                pts, np.zeros(2), [2, 1], self._observables(3)
-            )
+    def test_point_map_equals_the_search_on_random_lattices(self, monkeypatch):
+        seen = []
+
+        def capture(lam, sys, f_family=None):
+            seen.append(sys.maps[0].copy())
+            return mpifs_invariance_check(lam, sys, f_family)
+
+        monkeypatch.setattr(ifs, "mpifs_invariance_check", capture)
+        rng = np.random.default_rng(41)
+        collapsing = 0
+        for trial in range(90):
+            d = 2 + trial % 3
+            grid = SimplexGrid(d, int(rng.integers(1, {2: 30, 3: 12, 4: 7}[d])))
+            pts = grid.points()
+            symbol_map = rng.integers(1, d + 1, d)
+            pushforward_invariance_check(grid, np.zeros(len(pts)), symbol_map, [])
+            np.testing.assert_array_equal(seen.pop(), _pushed_indices(pts, symbol_map))
+            collapsing += len(set(symbol_map.tolist())) < d
+        assert collapsing >= 30
 
 
 class TestMpIFSOperators:
@@ -485,6 +513,11 @@ class TestMpIFSOperators:
     def test_non_integer_map_targets_rejected(self):
         with pytest.raises(ValueError, match="integer point indices, not float64"):
             MpIFSSystem([[1.7, 0.2]], [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("weights", [np.zeros(3), np.zeros((2, 3)), np.zeros((1, 1, 1))])
+    def test_constant_maps_need_a_square_table(self, weights):
+        with pytest.raises(ValueError, match="square weight table"):
+            MpIFSSystem.constant_maps(weights)
 
     def test_weight_normalization_enforced(self):
         with pytest.raises(ValueError, match="attain 0"):

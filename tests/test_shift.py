@@ -101,8 +101,8 @@ class TestJacobianValidation:
     def test_bernoulli_values_and_lipschitz(self):
         j = make_bernoulli_jacobian(0.3, SPACE)
         assert j.values == pytest.approx([0.3, 0.7])
-        assert lipschitz_constant(j.fn) == pytest.approx(0.4)
-        assert lipschitz_constant(make_bernoulli_jacobian(0.5, SPACE).fn) == 0.0
+        assert lipschitz_constant(j) == pytest.approx(0.4)
+        assert lipschitz_constant(make_bernoulli_jacobian(0.5, SPACE)) == 0.0
 
     def test_p_range(self):
         with pytest.raises(ValueError):

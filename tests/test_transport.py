@@ -214,14 +214,14 @@ def _ratio(J, mu, nu):
 def _perturbation(J1, J2, mu):
     """(W1 between the two dual images of mu, d * sup|J1 - J2|)."""
     w1 = w1_tree(dual_apply(J1, mu), dual_apply(J2, mu))
-    return w1, SPACE.d * (J1.fn - J2.fn).sup_norm()
+    return w1, SPACE.d * (J1 - J2).sup_norm()
 
 
 def _joint(J1, J2, mu1, mu2):
     """(W1(L1* mu1, L2* mu2), r [W1(mu1, mu2) + (d/r) sup|J1 - J2|])."""
     r = SPACE.contraction_rate
     w1 = w1_tree(dual_apply(J1, mu1), dual_apply(J2, mu2))
-    kernel = (SPACE.d / r) * (J1.fn - J2.fn).sup_norm()
+    kernel = (SPACE.d / r) * (J1 - J2).sup_norm()
     return w1, r * (w1_tree(mu1, mu2) + kernel)
 
 
