@@ -198,10 +198,10 @@ def cmd_ifs(args) -> int:
         [0.0, args.q2],
     )
     nu0 = CylinderMeasure.point_mass(space, (2,))
-    sample = ifs.attractor_build(fam, args.length, nu0)
     pres = ifs.invariant_pressure_solve(
         fam, lambda mu: mu.mass_of((1,)), args.length, nu0, lip_g=1.0
     )
+    sample = pres.sample
     print(
         f"attractor: {sample.raw_count} words -> {len(sample.leaves)} clusters "
         f"at eps={sample.epsilon:.17g}"

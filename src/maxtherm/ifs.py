@@ -11,20 +11,24 @@ merging approximates the attractor with a computable error.
 
 The second half of the module is the combinatorial max-plus IFS: a finite
 point set, one map per index, and normalized nonpositive weights, with the
-composition operator on observables, the transfer operator on densities,
-and the induced operator on pressures, which are mutually dual.  The
-pushforward by a symbol map sends the 1/m simplex lattice into itself, so
-on the lattice it is a one-map max-plus IFS at weight 0, and its
-invariance is checked by the same code.  The fixed density is computed by
-iterating the transfer operator itself, in two phases that each end
-within points + 1 passes at an exact float fixed point: the zero-weight
-subsystem from the zero density finds the points reached from a zero
-cycle, and the full system from their indicator settles the values.
+composition (Ruelle) operator on observables, the transfer operator on
+densities, and the induced operator on pressures, which are mutually
+dual.  The Ruelle operator takes one observable or one per column, so the
+invariance check runs its whole family in one call.  The pushforward by a
+symbol map sends the 1/m simplex lattice into itself, so on the lattice
+it is a one-map max-plus IFS at weight 0, and its invariance is checked
+by the same code.  The fixed density is
+computed by iterating the transfer operator itself, in two phases that
+each end within points + 1 passes at an exact float fixed point: the
+zero-weight subsystem from the zero density finds the points reached from
+a zero cycle, and the full system from their indicator settles the
+values.  The inverse problem returns the constant-map system that makes
+a given density invariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -225,6 +229,7 @@ class InvariantPressure:
     value: float
     error_bound: float
     fixed_point_residual: float
+    sample: AttractorSample = field(repr=False)   # the leaves maximized over
 
 
 def invariant_pressure_solve(
@@ -242,7 +247,7 @@ def invariant_pressure_solve(
     finite Lipschitz constant lip_g >= 0 of g.  As an a-posteriori check
     the operator fixed-point identity is re-evaluated on the sample: max
     over kernels of weight + pressure(g after that kernel) must reproduce
-    the value within the same bound.
+    the value within the same bound.  The result keeps the sample.
     """
     if not 0.0 <= lip_g < np.inf:
         raise ValueError(f"lip_g must be finite and at least 0, got {lip_g!r}")
@@ -269,6 +274,7 @@ def invariant_pressure_solve(
         value=float(value),
         error_bound=float(bound),
         fixed_point_residual=float(abs(reapplied - value)),
+        sample=sample,
     )
 
 
@@ -363,16 +369,38 @@ class MpIFSSystem:
         return cls(maps, q)
 
 
+def _on_points(a, sys: MpIFSSystem, what: str, max_ndim: int = 1) -> np.ndarray:
+    """``a`` as floats, checked to hold one row per point of ``sys``."""
+    a = np.asarray(a, dtype=float)
+    if not 1 <= a.ndim <= max_ndim or a.shape[0] != sys.n_points:
+        raise ValueError(f"{what} must have n_points = {sys.n_points} rows and at "
+                         f"most {max_ndim} axes, got shape {a.shape}")
+    return a
+
+
 def mpifs_ruelle(f: np.ndarray, sys: MpIFSSystem) -> np.ndarray:
-    """Composition operator: (Lf)(p) = max over maps of q[m, p] + f(phi[m, p])."""
-    f = np.asarray(f, dtype=float)
-    scores = sys.weights + f[sys.maps]
-    return scores.max(axis=0)
+    """Composition operator: (Lf)(p) = max over maps of q[m, p] + f(phi[m, p]).
+
+    ``f`` is one observable ``(n_points,)`` or one per column
+    ``(n_points, k)``, and the image has its shape.  Each map's scores are
+    gathered into one buffer; map targets are point indices by
+    construction, so "clip" never moves one, and it spares the buffered
+    copy that "raise" makes.
+    """
+    f = _on_points(f, sys, "observable", max_ndim=2)
+    q = sys.weights if f.ndim == 1 else sys.weights[:, :, None]
+    out = np.full(f.shape, -np.inf)
+    scores = np.empty_like(f)
+    for m in range(sys.n_maps):
+        np.take(f, sys.maps[m], axis=0, out=scores, mode="clip")
+        scores += q[m]
+        np.maximum(out, scores, out=out)
+    return out
 
 
 def mpifs_transfer(lam: np.ndarray, sys: MpIFSSystem) -> np.ndarray:
     """Transfer operator on densities: max over preimage pairs, -inf off image."""
-    lam = np.asarray(lam, dtype=float)
+    lam = _on_points(lam, sys, "density")
     out = np.full(sys.n_points, -np.inf)
     np.maximum.at(out, sys.maps.ravel(), (sys.weights + lam[None, :]).ravel())
     return out
@@ -381,30 +409,25 @@ def mpifs_transfer(lam: np.ndarray, sys: MpIFSSystem) -> np.ndarray:
 def mpifs_markov(lam: np.ndarray, f: np.ndarray, sys: MpIFSSystem) -> float:
     """The pressure-level operator evaluated directly from its definition:
     max over maps of pressure of (q[m] + f after phi[m])."""
-    lam = np.asarray(lam, dtype=float)
-    f = np.asarray(f, dtype=float)
+    lam = _on_points(lam, sys, "density")
+    f = _on_points(f, sys, "observable")
     best = -np.inf
     for m in range(sys.n_maps):
         best = max(best, float(np.max(lam + (sys.weights[m] + f[sys.maps[m]]))))
     return best
 
 
-def spike_family(n_points: int) -> List[np.ndarray]:
-    """Per-point spike observables (0 at the point, -1e8 off it) plus five
-    random ones uniform in [-2, 2], drawn with seed 0.
+def spike_family(n_points: int) -> np.ndarray:
+    """The default observables of the invariance check, one per row of an
+    ``(n_points + 5, n_points)`` array: per-point spikes (0 at the point,
+    -1e8 off it), then five random rows uniform in [-2, 2], drawn with
+    seed 0.
 
     Spikes make the functional-level invariance checks separate points:
     the pressure of a spike at p reads off the density at p.
     """
-    rng = np.random.default_rng(0)
-    fams = []
-    for i in range(n_points):
-        f = np.full(n_points, -1e8)
-        f[i] = 0.0
-        fams.append(f)
-    for _ in range(5):
-        fams.append(rng.uniform(-2, 2, n_points))
-    return fams
+    spikes = np.where(np.eye(n_points, dtype=bool), 0.0, -1e8)
+    return np.vstack([spikes, np.random.default_rng(0).uniform(-2, 2, (5, n_points))])
 
 
 @dataclass
@@ -452,23 +475,15 @@ def mpifs_invariance_check(
     if f_family is None:
         f_family = spike_family(sys.n_points)
 
-    # One Ruelle pass over the maps for the whole family, one observable per
-    # column (row gathers are contiguous), the scores of each map written
-    # into one buffer.  Weights and observables are below +inf, so no score
-    # is NaN.  Map targets are point indices by construction, so "clip"
-    # never moves one; it spares the buffered copy that "raise" makes.
+    # One Ruelle pass for the whole family, one observable per column so the
+    # gathers read contiguous rows.  Weights and observables are below +inf,
+    # so no score is NaN.
     F = np.asarray(f_family, dtype=float).reshape(-1, sys.n_points)
     if np.isnan(F).any() or (F == np.inf).any():
         raise ValueError("observables must be real or -inf, not NaN or +inf")
     F = np.ascontiguousarray(F.T)
     base, _ = pressure(lam, F)
-    ruelle = np.full(F.shape, -np.inf)
-    scores = np.empty_like(F)
-    for m in range(sys.n_maps):
-        np.take(F, sys.maps[m], axis=0, out=scores, mode="clip")
-        scores += sys.weights[m][:, None]
-        np.maximum(ruelle, scores, out=ruelle)
-    composed, _ = pressure(lam, ruelle)
+    composed, _ = pressure(lam, mpifs_ruelle(F, sys))
     gaps = _gaps(composed, base)
     return InvarianceReport(
         float(gaps.max(initial=0.0)),
@@ -520,20 +535,13 @@ def mpifs_fixed_density(sys: MpIFSSystem) -> Tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class InverseProblemSolution:
-    weights: np.ndarray            # q[target, source] = h(target)
-    eq_residual: float             # fixed-point equation residual
-    normalization_residual: float  # max over points of |max over maps of q|
-    system: MpIFSSystem
+def inverse_problem_solve(h: np.ndarray) -> MpIFSSystem:
+    """The constant-map system with weights q[target, source] = h(target),
+    for a normalized density h.
 
-
-def inverse_problem_solve(h: np.ndarray) -> InverseProblemSolution:
-    """Constant weights q[target, source] = h(target) for a normalized density.
-
-    Requires h <= 0 with max h = 0.  The resulting constant-map system has
-    h as an exact fixed density: max over sources of h(target) + h(source)
-    equals h(target) because max h = 0.
+    Requires h <= 0 with max h = 0, and h finite.  h is an exact fixed
+    density of the returned system: max over sources of h(target) +
+    h(source) equals h(target) because max h = 0.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 1 or h.size == 0:
@@ -541,10 +549,4 @@ def inverse_problem_solve(h: np.ndarray) -> InverseProblemSolution:
     h = check_maxplus_probability(h)
     if not np.isfinite(h).all():
         raise ValueError("density table must be finite")
-    n = h.size
-    q = np.repeat(h[:, None], n, axis=1)
-    sys = MpIFSSystem.constant_maps(q)
-    recovered = mpifs_transfer(h, sys)
-    eq_residual = float(_gaps(recovered, h).max())
-    normalization_residual = float(np.abs(q.max(axis=0)).max())
-    return InverseProblemSolution(q, eq_residual, normalization_residual, sys)
+    return MpIFSSystem.constant_maps(np.repeat(h[:, None], h.size, axis=1))

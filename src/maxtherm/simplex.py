@@ -318,12 +318,9 @@ def affine_observable_family(
     Translation invariance makes the pinned coordinate harmless: adding a
     constant changes the recovered value by nothing.
     """
-    if d == 2:
-        free = np.linspace(lo, hi, num)[:, None]
-    else:
-        per_axis = max(3, int(round(num ** (1.0 / (d - 1)))))
-        mesh = np.meshgrid(*[np.linspace(lo, hi, per_axis)] * (d - 1), indexing="ij")
-        free = np.column_stack([m.ravel() for m in mesh])
+    per_axis = max(3, int(round(num ** (1.0 / (d - 1)))))
+    mesh = np.meshgrid(*[np.linspace(lo, hi, per_axis)] * (d - 1), indexing="ij")
+    free = np.column_stack([m.ravel() for m in mesh])
     return np.column_stack([free, np.zeros(len(free))])
 
 

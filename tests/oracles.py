@@ -126,6 +126,13 @@ def markov_ks_entropy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (pi * rows).sum(axis=1)
 
 
+def ruelle_dense(f: np.ndarray, sys: MpIFSSystem) -> np.ndarray:
+    """The max-plus IFS Ruelle operator on one observable, from one dense
+    (maps, points) gather: max over maps of q[m, p] + f(phi[m, p])."""
+    f = np.asarray(f, dtype=float)
+    return (sys.weights + f[sys.maps]).max(axis=0)
+
+
 def transfer_per_map(lam: np.ndarray, sys: MpIFSSystem) -> np.ndarray:
     """The max-plus IFS transfer operator with one scatter-max per map:
     max over preimage pairs, -inf off the image."""

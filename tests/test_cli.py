@@ -235,6 +235,20 @@ def test_ifs_report_holds_the_attractor_and_pressure_exactly(capsys, tmp_path):
     )
 
 
+def test_ifs_builds_the_attractor_once(capsys, monkeypatch):
+    lengths = []
+    build = ifs.attractor_build
+
+    def counting(fam, word_length, *args, **kwargs):
+        lengths.append(word_length)
+        return build(fam, word_length, *args, **kwargs)
+
+    monkeypatch.setattr(ifs, "attractor_build", counting)
+    assert cli.main(["ifs", "--length", "4"]) == 0
+    assert lengths == [4]
+    assert "16 words" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("mc_samples", [0, 50])
 def test_ldp_report_has_one_record_per_n_and_mc_keys_only_when_sampling(
     capsys, tmp_path, mc_samples

@@ -26,7 +26,7 @@ from maxtherm.semiring import BOTTOM, MaxPlus
 from maxtherm.shift import CylinderMeasure, ShiftSpace, dual_apply, make_bernoulli_jacobian
 from maxtherm.simplex import SimplexGrid, shannon_entropy_table
 from maxtherm.transport import w1_tree
-from oracles import attractor_leaves, fixed_density_closure, transfer_per_map
+from oracles import attractor_leaves, fixed_density_closure, ruelle_dense, transfer_per_map
 
 SPACE = ShiftSpace(2, 0.3)
 NU0 = CylinderMeasure.point_mass(SPACE, (2,))
@@ -510,6 +510,45 @@ class TestMpIFSOperators:
             f = rng.uniform(-3, 3, n)
             assert mpifs_markov(lam, f, sys) == np.max(lam + mpifs_ruelle(f, sys))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        m=st.integers(1, 5),
+        k=st.sampled_from([None, 0, 1, 4]),
+        constant=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_ruelle_equals_the_dense_oracle_bit_for_bit(self, n, m, k, constant, seed):
+        rng = np.random.default_rng(seed)
+        q = -rng.exponential(size=(n if constant else m, n))
+        q[rng.random(q.shape) < 0.2] = -np.inf
+        q[rng.integers(len(q), size=n), np.arange(n)] = 0.0
+        sys = (MpIFSSystem.constant_maps(q) if constant
+               else MpIFSSystem(rng.integers(0, n, (m, n)), q))
+        shape = (n,) if k is None else (n, k)
+        f = np.where(rng.random(shape) < 0.3, -np.inf, rng.uniform(-3, 3, shape))
+        out = mpifs_ruelle(f, sys)
+        assert out.shape == f.shape
+        pairs = [(f, out)] if k is None else zip(f.T, out.T)
+        for column, image in pairs:
+            assert np.array_equal(image, ruelle_dense(column, sys))
+
+    @pytest.mark.parametrize("call", [
+        lambda sys: mpifs_ruelle(np.arange(5.0), sys),
+        lambda sys: mpifs_ruelle(np.zeros(2), sys),
+        lambda sys: mpifs_ruelle(np.zeros((3, 2, 1)), sys),
+        lambda sys: mpifs_transfer(np.zeros(1), sys),
+        lambda sys: mpifs_transfer(np.zeros((3, 2)), sys),
+        lambda sys: mpifs_transfer(0.0, sys),
+        lambda sys: mpifs_markov(np.zeros(1), np.zeros(3), sys),
+        lambda sys: mpifs_markov(np.zeros(3), np.zeros(4), sys),
+    ], ids=["ruelle-long", "ruelle-short", "ruelle-3d", "transfer-short",
+            "transfer-2d", "transfer-scalar", "markov-density", "markov-observable"])
+    def test_mis_sized_inputs_rejected(self, call):
+        sys = random_mpifs(3, np.random.default_rng(1), constant_maps=False)
+        with pytest.raises(ValueError, match="n_points = 3 rows"):
+            call(sys)
+
     def test_non_integer_map_targets_rejected(self):
         with pytest.raises(ValueError, match="integer point indices, not float64"):
             MpIFSSystem([[1.7, 0.2]], [[0.0, 0.0]])
@@ -627,16 +666,22 @@ class TestInvarianceEquivalence:
         rng = np.random.default_rng(6)
         h = -rng.exponential(1.0, 12)
         h -= h.max()
-        sol = inverse_problem_solve(h)
-        rep = mpifs_invariance_check(h, sol.system)
+        sys = inverse_problem_solve(h)
+        assert np.array_equal(sys.weights, np.repeat(h[:, None], 12, axis=1))
+        assert np.array_equal(mpifs_transfer(h, sys), h)
+        rep = mpifs_invariance_check(h, sys)
         assert all(rep.passes())
 
     def test_spike_family_separates_points(self):
         fams = spike_family(5)
-        assert len(fams) == 5 + 5
+        assert fams.shape == (5 + 5, 5)
         for i, f in enumerate(fams[:5]):
             assert f[i] == 0.0
             assert (np.delete(f, i) < -1e6).all()
+        # the random rows are five successive draws of the seed-0 stream
+        rng = np.random.default_rng(0)
+        for f in fams[5:]:
+            assert np.array_equal(f, rng.uniform(-2, 2, 5))
 
 
 def _per_observable_report(lam, sys, f_family):
@@ -650,7 +695,7 @@ def _per_observable_report(lam, sys, f_family):
     functional, worst = 0.0, (0 if len(f_family) else None)
     for k, f in enumerate(f_family):
         base = float(np.max(lam + f))
-        gap = abs(float(np.max(lam + mpifs_ruelle(f, sys))) - base)
+        gap = abs(float(np.max(lam + ruelle_dense(f, sys))) - base)
         np.testing.assert_equal(abs(mpifs_markov(lam, f, sys) - base), gap)
         if gap > functional:
             functional, worst = gap, k
@@ -710,18 +755,17 @@ class TestBatchedInvarianceCheck:
 
 class TestInverseProblem:
     def test_all_zero_density(self):
-        sol = inverse_problem_solve(np.zeros(4))
-        assert np.all(sol.weights == 0.0)
-        assert sol.eq_residual == 0.0
-        assert sol.normalization_residual == 0.0
+        sys = inverse_problem_solve(np.zeros(4))
+        assert np.all(sys.weights == 0.0)
+        assert np.array_equal(mpifs_transfer(np.zeros(4), sys), np.zeros(4))
 
     def test_three_point_ladder(self):
         h = np.array([0.0, -1.0, -2.0])
-        sol = inverse_problem_solve(h)
-        # weight of the map landing on point i is h(i), regardless of source
-        assert np.array_equal(sol.weights, np.repeat(h[:, None], 3, axis=1))
-        assert sol.eq_residual == 0.0
-        assert sol.normalization_residual == 0.0
+        sys = inverse_problem_solve(h)
+        # map i sends every point to point i, at weight h(i) from any source
+        assert np.array_equal(sys.maps, np.repeat(np.arange(3)[:, None], 3, axis=1))
+        assert np.array_equal(sys.weights, np.repeat(h[:, None], 3, axis=1))
+        assert np.array_equal(mpifs_transfer(h, sys), h)
 
     def test_unnormalized_density_rejected(self):
         with pytest.raises(ValueError, match="attain 0"):
