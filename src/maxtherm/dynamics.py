@@ -13,6 +13,13 @@ p, the partition integral is exp(-n t)(1 - p^n) + p^n, the limit of
 c_n(-t) is max(-t, log p), the bound is (1 - b) log p at t = -log p, and
 the true decay rate is log p, strictly below the bound.
 
+The Monte Carlo c_n(t) carries a bootstrap interval drawn as value counts:
+the running maxes of m orbits take u <= min(m, d^depth) distinct values,
+and one multinomial draw of their counts gives every resample, at a cost of
+O(m log m + N_BOOT u) rather than O(N_BOOT m).  It is the slower way once u
+passes about m / 14 (measured at m = 10^4), which no depth-1 observable
+reaches.
+
 Symbol convention: the classical two-letter presentation of this example
 uses alphabet {0, 1} with mass p on 0 and f = indicator of 1.  Here 0
 becomes symbol 2 and 1 becomes symbol 1, so f(1) = 1, f(2) = 0 and
@@ -259,6 +266,23 @@ def _log_mean_exp(x: np.ndarray) -> float:
     return float(m + np.log(np.mean(np.exp(x - m))))
 
 
+def _log_mean_exp_counts(levels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``_log_mean_exp`` of each row's sample, given by its counts of the
+    distinct values ``levels``.  Each row is shifted by the largest level it
+    holds, so a row that misses a level far above the rest cannot underflow
+    to log 0."""
+    held = counts > 0
+    top = np.where(held, levels, -np.inf).max(axis=-1)
+    terms = np.exp(np.where(held, levels - top[..., None], -np.inf))
+    return top + np.log((counts * terms).sum(axis=-1) / counts.sum(axis=-1))
+
+
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 N_BOOT = 200      # bootstrap resamples behind the confidence interval
 CI_LEVEL = 0.95   # its coverage
 
@@ -266,17 +290,27 @@ CI_LEVEL = 0.95   # its coverage
 def partition_function_mc(
     sampler: OrbitSampler, f: DepthKFunction, t: float, n: int
 ) -> McEstimate:
-    """Monte Carlo estimate of c_n(t) with a bootstrap confidence interval."""
+    """Monte Carlo estimate of c_n(t) with a bootstrap confidence interval.
+
+    A bootstrap resample of the m running maxes matters only through how
+    many copies of each distinct value it holds, and those counts are
+    Multinomial(m, counts / m).  So the N_BOOT resamples are one multinomial
+    draw of counts over the u distinct values, u <= min(m, d^depth), at a
+    cost of O(m log m + N_BOOT u) instead of O(N_BOOT m) for drawing every
+    index.  At m = 10^4 the count draw is the slower of the two once u
+    passes about m / 14: 39 ms against 29 ms at u = 1,024 on a 2-vCPU
+    Xeon.  A depth-1 observable, as in the worked example, has u <= 2.
+    """
+    _require_finite(t=t)
     maxes = birkhoff_max_table(f, _sampled_orbits(sampler, f, n), n)
     expo = n * t * maxes
     value = _log_mean_exp(expo) / n
 
     rng = np.random.default_rng(sampler.seed + 0x9E3779B9)
     m = maxes.size
-    boots = np.empty(N_BOOT)
-    for b in range(N_BOOT):
-        idx = rng.integers(0, m, m)
-        boots[b] = _log_mean_exp(expo[idx]) / n
+    levels, counts = np.unique(expo, return_counts=True)
+    draws = rng.multinomial(m, counts / m, size=N_BOOT)
+    boots = _log_mean_exp_counts(levels, draws) / n
     alpha = (1.0 - CI_LEVEL) / 2.0
     lo, hi = np.quantile(boots, [alpha, 1.0 - alpha])
     return McEstimate(value, float(lo), float(hi), m, sampler.seed)
@@ -412,6 +446,7 @@ def c_maxplus_convexity_check(
     precision rather than Monte Carlo scale.  Passing ``c_exact`` checks
     the closed form instead of sampling, and ``sampler`` may then be None.
     """
+    _require_finite(s=s, t=t)
     if float(f.values.min()) < 1.0:
         raise ValueError("the convexity check needs f >= 1")
     if max(alpha, beta) != 0.0:

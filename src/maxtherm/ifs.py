@@ -467,6 +467,9 @@ def mpifs_invariance_check(
     The density residual is the pointwise gap between ``lam`` and its
     transfer image.  On finite systems with a separating observable family
     the two pass or fail together; disagreement indicates a bug.
+    The family is k observables of n_points values each, as a (k, n_points)
+    table or k rows; an empty family has no worst observable, and any other
+    shape raises ``ValueError``.
     Observables are real or -inf (bottom); NaN or +inf raise ``ValueError``.
     ``lam`` is checked as a density by ``pressure``: NaN, +inf or an empty
     support raise ``ValueError``.
@@ -478,7 +481,14 @@ def mpifs_invariance_check(
     # One Ruelle pass for the whole family, one observable per column so the
     # gathers read contiguous rows.  Weights and observables are below +inf,
     # so no score is NaN.
-    F = np.asarray(f_family, dtype=float).reshape(-1, sys.n_points)
+    F = np.asarray(f_family, dtype=float)
+    if F.shape == (0,):
+        F = F.reshape(0, sys.n_points)
+    if F.ndim != 2 or F.shape[1] != sys.n_points:
+        raise ValueError(
+            f"the observable family must be a (k, {sys.n_points}) table, "
+            f"got shape {F.shape}"
+        )
     if np.isnan(F).any() or (F == np.inf).any():
         raise ValueError("observables must be real or -inf, not NaN or +inf")
     F = np.ascontiguousarray(F.T)

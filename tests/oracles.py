@@ -10,6 +10,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from maxtherm.dynamics import _log_mean_exp
 from maxtherm.ifs import AttractorLeaf, MpIFSSystem, WeightedJacobianFamily
 from maxtherm.shift import CylinderMeasure, DepthKFunction, ShiftSpace, dual_apply
 from maxtherm.simplex import level2_pressure, shannon_entropy_table
@@ -181,3 +182,13 @@ def fixed_density_closure(sys: MpIFSSystem) -> Tuple[np.ndarray, int]:
             f"transfer iteration residual {residual!r} after polishing"
         )
     return lam, polish_iter
+
+
+def bootstrap_by_indices(expo: np.ndarray, n: int, resamples) -> np.ndarray:
+    """(1/n) log-mean-exp of ``expo`` over each index resample, one resample
+    at a time: the bootstrap of ``partition_function_mc`` before it drew
+    value counts, which drew each resample as ``rng.integers(0, m, m)``."""
+    boots = np.empty(len(resamples))
+    for b, idx in enumerate(resamples):
+        boots[b] = _log_mean_exp(expo[idx]) / n
+    return boots

@@ -5,10 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import maxplus_birkhoff
+from oracles import bootstrap_by_indices, maxplus_birkhoff
 
 from maxtherm import dynamics
 from maxtherm.dynamics import (
@@ -410,6 +410,84 @@ class TestPartitionFunction:
         est = partition_function_mc(sampler, F_FIRST, -t, 40)
         assert est.value >= -t * 1.0 - 1e-9
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t_rejected(self, t):
+        sampler = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=100, seed=13)
+        with pytest.raises(ValueError, match="t must be a finite number"):
+            partition_function_mc(sampler, F_FIRST, t, 5)
+
+
+class TestPartitionBootstrap:
+    """The interval bootstraps the counts of the distinct running maxes; the
+    index resample it replaced is ``oracles.bootstrap_by_indices``."""
+
+    @pytest.mark.parametrize("d, depth, t, n, seed", [
+        (2, 1, -0.3, 10, 11), (2, 1, 1.0, 60, 12), (3, 2, -0.7, 7, 5), (3, 0, 0.4, 3, 6),
+    ])
+    def test_value_is_the_log_mean_exp_of_the_maxes(self, d, depth, t, n, seed):
+        rng = np.random.default_rng(seed)
+        f = DepthKFunction(ShiftSpace(d, 0.2), depth, rng.uniform(-1, 2, d ** depth))
+        sampler = OrbitSampler.bernoulli(np.full(d, 1 / d), n_orbits=3000, seed=seed)
+        maxes = birkhoff_max_table(f, sampler.sample(n + max(depth, 1) - 1), n)
+        est = partition_function_mc(sampler, f, t, n)
+        assert est.value == dynamics._log_mean_exp(n * t * maxes) / n
+        assert est.ci_low <= est.ci_high
+
+    def test_one_seed_one_estimate_and_other_seeds_other_intervals(self):
+        def estimate(seed):
+            sampler = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=2000, seed=seed)
+            return partition_function_mc(sampler, F_FIRST, -0.3, 6)
+
+        assert estimate(3) == estimate(3)
+        intervals = {(est.ci_low, est.ci_high) for est in map(estimate, range(8))}
+        assert len(intervals) == 8
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        levels=st.lists(st.floats(-50, 50), min_size=1, max_size=64, unique=True),
+        gap=st.sampled_from([0.0, 800.0]),
+        drop=st.one_of(st.none(), st.integers(0, 63)),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    # the resample misses the top level, 801 above the other: shifted by
+    # the sample's top level alone, exp(-801) would underflow to log 0
+    @example(levels=[0.0, -1.0], gap=800.0, drop=1, seed=0)
+    def test_counts_give_the_index_resample_statistic(self, levels, gap, drop, seed):
+        rng = np.random.default_rng(seed)
+        levels = np.array(levels)
+        levels[levels.argmax()] += gap
+        expo = rng.permutation(np.repeat(levels, rng.integers(1, 4, levels.size)))
+        values, labels = np.unique(expo, return_inverse=True)
+        if drop is not None and values.size > 1:
+            idx = rng.choice(np.flatnonzero(labels != drop % values.size), expo.size)
+        else:
+            idx = rng.integers(0, expo.size, expo.size)
+        counts = np.bincount(labels[idx], minlength=values.size)
+        assert drop is None or values.size == 1 or counts.min() == 0
+        want = bootstrap_by_indices(expo, 1, [idx])[0]
+        assert np.isfinite(want)
+        assert abs(dynamics._log_mean_exp_counts(values, counts) - want) <= 1e-12
+
+    def test_coverage_matches_the_index_bootstrap(self):
+        # the two bootstraps draw resample counts from one law, so over 200
+        # seeds their intervals cover the exact c_6(-0.3) about as often
+        p, t, n = 0.5, 0.3, 6
+        exact = c_n_exact(p, t, n)
+        covered = {"counts": 0, "indices": 0}
+        for seed in range(200):
+            sampler = OrbitSampler.bernoulli([1 - p, p], n_orbits=1000, seed=seed)
+            est = partition_function_mc(sampler, F_FIRST, -t, n)
+            covered["counts"] += est.ci_low <= exact <= est.ci_high
+            expo = -n * t * birkhoff_max_table(F_FIRST, sampler.sample(n), n)
+            rng = np.random.default_rng(seed + 0x9E3779B9)
+            boots = bootstrap_by_indices(
+                expo, n, [rng.integers(0, expo.size, expo.size) for _ in range(200)]
+            )
+            lo, hi = np.quantile(boots, [0.025, 0.975])
+            covered["indices"] += lo <= exact <= hi
+        assert min(covered.values()) >= 180
+        assert abs(covered["counts"] - covered["indices"]) <= 10
+
 
 class TestLdpBound:
     def test_bernoulli_closed_form(self):
@@ -525,6 +603,16 @@ class TestMaxPlusConvexity:
         f = DepthKFunction(SPACE, 1, [2.0, 1.0])
         with pytest.raises(ValueError, match="a sampler or c_exact"):
             c_maxplus_convexity_check(f, None, 0.1, 0.2, 0.0, -1.0)
+
+    @pytest.mark.parametrize("s, t", [(np.nan, 0.2), (0.1, np.inf), (-np.inf, 0.2)])
+    def test_non_finite_arguments_rejected(self, s, t):
+        sampler = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=100, seed=19)
+        f = DepthKFunction(SPACE, 1, [2.0, 1.0])
+        name = "s" if not np.isfinite(s) else "t"
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            c_maxplus_convexity_check(f, sampler, s, t, 0.0, -1.0)
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            c_maxplus_convexity_check(f, None, s, t, 0.0, -1.0, c_exact=lambda u: u)
 
     def test_weights_must_be_normalized(self):
         sampler = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=100, seed=19)

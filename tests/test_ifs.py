@@ -743,6 +743,7 @@ class TestBatchedInvarianceCheck:
         )
         empty = mpifs_invariance_check(lam, sys, [])
         assert (empty.functional_residual, empty.worst_observable) == (0.0, None)
+        assert mpifs_invariance_check(lam, sys, np.zeros((0, 6))) == empty
         # +inf is not a max-plus value: against a -inf weight it would score
         # nan, so a +inf or NaN observable is rejected
         sys = MpIFSSystem.constant_maps(np.array([[0.0, -np.inf], [-np.inf, 0.0]]))
@@ -751,6 +752,15 @@ class TestBatchedInvarianceCheck:
             fams = [np.array([bad, 0.0]), np.array([0.0, -2.0])]
             with pytest.raises(ValueError, match=r"not NaN or \+inf"):
                 mpifs_invariance_check(lam, sys, fams)
+
+    @pytest.mark.parametrize("family", [
+        [np.zeros(6)], np.zeros((2, 4)), np.zeros(3), np.zeros((1, 3, 1)), [np.zeros(0)],
+    ], ids=["one 6-long row", "4 columns", "1-D", "3-D", "one empty row"])
+    def test_family_must_be_a_table_of_rows_on_the_points(self, family):
+        sys = random_mpifs(3, np.random.default_rng(24), constant_maps=False)
+        lam, _ = mpifs_fixed_density(sys)
+        with pytest.raises(ValueError, match=r"must be a \(k, 3\) table, got shape"):
+            mpifs_invariance_check(lam, sys, family)
 
 
 class TestInverseProblem:
