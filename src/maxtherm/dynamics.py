@@ -20,6 +20,14 @@ O(m log m + N_BOOT u) rather than O(N_BOOT m).  It is the slower way once u
 passes about m / 14 (measured at m = 10^4), which no depth-1 observable
 reaches.
 
+Orbits are drawn step-major, STEP_BLOCK steps of every orbit at a time
+(``OrbitSampler.steps``).  A depth-k window is read as its base-d code in
+``np.min_scalar_type(d**k)``, one byte while d^k <= 255: the running max
+is the max of the codes' ranks in f's sorted values, read back through
+the sorted table, and the limit test reads a hit flag per code.  The
+limit test streams the step blocks and stops drawing once every orbit
+has hit the sup, since later windows cannot move a first hit.
+
 Symbol convention: the classical two-letter presentation of this example
 uses alphabet {0, 1} with mass p on 0 and f = indicator of 1.  Here 0
 becomes symbol 2 and 1 becomes symbol 1, so f(1) = 1, f(2) = 0 and
@@ -40,10 +48,14 @@ from .shift import DepthKFunction, check_probability_rows
 # Orbit sampling
 # ---------------------------------------------------------------------------
 
-# Orbit tables are read this many rows at a time, so the int64 window
-# codes and float64 window values of a block take 2 MB each at 1,000
-# columns, however many orbits there are.
+# Orbit tables are read this many rows at a time, so at 1,000 columns the
+# window codes and ranks of a block take 256 KB each while d^depth <= 255
+# (uint8), and twice that up to 65,535 (uint16).
 ROW_BLOCK = 256
+
+# Orbits are drawn this many steps at a time, as one (steps, n_orbits) block;
+# the streamed limit test checks once per block whether it can stop.
+STEP_BLOCK = 32
 
 
 class OrbitSampler:
@@ -87,51 +99,101 @@ class OrbitSampler:
     def positive_on_cylinders(self) -> bool:
         return bool((self.transition > 0).all())
 
+    def steps(self, length: int) -> Iterator[np.ndarray]:
+        """The first ``length`` steps of every orbit, step-major, in blocks.
+
+        Yields (b, n_orbits) tables of symbols 1..d, b <= STEP_BLOCK, in
+        the dtype of ``sample``; stacked, they are ``sample(length).T``, and
+        each step writes one contiguous row.  Each step draws one uniform
+        per orbit; the next symbol counts the first d - 1 cumulative masses
+        of the current row that lie below it, so a row summing to just
+        under 1 still ends on symbol d.  A block is drawn when it is asked
+        for, so a caller that stops early draws at most STEP_BLOCK steps
+        past what it read.  A negative length raises at the call.
+        """
+        if length < 0:
+            raise ValueError(f"the orbit length must be at least 0, got {length}")
+        rng = np.random.default_rng(self.seed)
+        dtype = np.min_scalar_type(self.d)
+        # row d is the start distribution, so the first step is one more step
+        # of the same chain, from the state d before it
+        cum = np.cumsum(np.vstack([self.transition, self.probs]), axis=1)
+        columns = cum.T[:-1].copy()
+        state = np.full(self.n_orbits, self.d)
+
+        def block(size: int) -> np.ndarray:
+            nonlocal state
+            out = np.empty((size, self.n_orbits), dtype=dtype)
+            for row in out:
+                u = rng.random(self.n_orbits)
+                state = sum(column.take(state) < u for column in columns)
+                row[...] = state
+            out += 1    # 0-based symbols until here
+            return out
+
+        return (block(min(STEP_BLOCK, length - lo)) for lo in range(0, length, STEP_BLOCK))
+
     def sample(self, length: int) -> np.ndarray:
         """(n_orbits, length) table of symbols 1..d.
 
         Its dtype is ``np.min_scalar_type(d)``, the smallest unsigned
         integer type that holds d: uint8 for d <= 255.  Length 0 gives an
-        (n_orbits, 0) table.  Each step draws one uniform per orbit; the
-        next symbol counts the first d - 1 cumulative masses of the current
-        row that lie below it, so a row summing to just under 1 still ends
-        on symbol d.
+        (n_orbits, 0) table.  The table is filled from the step-major
+        blocks of ``steps(length)``, one transposed block copy each, and
+        holds their draws exactly.
         """
-        if length < 0:
-            raise ValueError(f"the orbit length must be at least 0, got {length}")
-        rng = np.random.default_rng(self.seed)
+        blocks = self.steps(length)     # rejects a negative length first
         orbits = np.empty((self.n_orbits, length), dtype=np.min_scalar_type(self.d))
-        if length == 0:
-            return orbits
-        # 0-based symbols until the last line
-        state = np.searchsorted(np.cumsum(self.probs)[:-1], rng.random(self.n_orbits))
-        orbits[:, 0] = state
-        columns = np.cumsum(self.transition, axis=1).T[:-1].copy()
-        for t in range(1, length):
-            u = rng.random(self.n_orbits)
-            state = sum(column.take(state) < u for column in columns)
-            orbits[:, t] = state
-        orbits += 1
+        lo = 0
+        for block in blocks:
+            orbits[:, lo : lo + len(block)] = block.T
+            lo += len(block)
         return orbits
 
 
-def _sampled_orbits(sampler: OrbitSampler, f: DepthKFunction, n: int) -> np.ndarray:
-    """Orbits of ``sampler`` long enough for n windows of f."""
+def _orbit_length(sampler: OrbitSampler, f: DepthKFunction, n: int) -> int:
+    """Length of the orbits of ``sampler`` that hold n windows of f."""
     if sampler.d != f.space.d:
         raise ValueError(
             f"the sampler draws {sampler.d} symbols but f reads {f.space.d}"
         )
-    return sampler.sample(n + max(f.depth, 1) - 1)
+    if n < 1:
+        raise ValueError(f"the window count must be at least 1, got {n}")
+    return n + max(f.depth, 1) - 1
 
 
-def _window_blocks(
-    f: DepthKFunction, orbits: np.ndarray, n: int
-) -> Iterator[np.ndarray]:
-    """f on the first n windows of each orbit row, one ROW_BLOCK of rows at a time.
+def _window_codes(symbols: np.ndarray, d: int, k: int, n: int, axis: int) -> np.ndarray:
+    """Base-d codes of the first n depth-k windows along ``axis`` of a table
+    of symbols 1..d, in ``np.min_scalar_type(d**k)``.
 
-    The whole table is checked before any block is read.  Symbols outside
-    1..d are rejected: their codes would read other words' values, or wrap
-    around the table, instead of failing.
+    Every partial code of Horner's rule stays at most d^k, so the narrow
+    dtype never wraps; the symbols are cast to it unchecked, so the caller
+    must have checked them.
+    """
+    dtype = np.min_scalar_type(d ** k)
+
+    def window(j: int) -> np.ndarray:
+        return symbols[:, j : j + n] if axis else symbols[j : j + n]
+
+    codes = np.subtract(window(0), 1, dtype=dtype, casting="unsafe")
+    for j in range(1, k):
+        codes *= d
+        np.add(codes, window(j), out=codes, dtype=dtype, casting="unsafe")
+        codes -= 1
+    return codes
+
+
+def birkhoff_max_table(f: DepthKFunction, orbits: np.ndarray, n: int) -> np.ndarray:
+    """Vector of running maxes over the first n windows of each orbit row.
+
+    The table is read ROW_BLOCK rows at a time.  Each window's code is
+    mapped by one ``np.take`` to its rank in the sorted order of f's
+    values, in the code's dtype, so a window costs 2 bytes (code and rank)
+    while d^depth <= 255, against 16 for an int64 code and a float64
+    value.  A row's max rank reads its value back from the sorted values,
+    the float max bit for bit.  The whole table is checked before any
+    block is read.  Symbols outside 1..d are rejected: their codes would
+    read other words' values, or wrap around the table, instead of failing.
     """
     k = max(f.depth, 1)
     d = f.space.d
@@ -148,25 +210,15 @@ def _window_blocks(
         raise ValueError("orbits too short for the requested window count")
     if orbits.min() < 1 or orbits.max() > d:
         raise ValueError(f"orbit symbols must lie in 1..{d}")
-    table = f.values if f.depth > 0 else np.repeat(f.values, d)
-
-    def values(block: np.ndarray) -> np.ndarray:
-        # int64 codes: 1 is never taken from a narrow symbol dtype, and a
-        # uint64 table adds as int64 rather than promoting to float64
-        codes = np.zeros((block.shape[0], n), dtype=np.int64)
-        for j in range(k):
-            codes *= d
-            np.add(codes, block[:, j : j + n], out=codes, dtype=np.int64)
-            codes -= 1
-        return table[codes]
-
-    rows = orbits.shape[0]
-    return (values(orbits[lo : lo + ROW_BLOCK]) for lo in range(0, rows, ROW_BLOCK))
-
-
-def birkhoff_max_table(f: DepthKFunction, orbits: np.ndarray, n: int) -> np.ndarray:
-    """Vector of running maxes over the first n windows of each orbit row."""
-    return np.concatenate([block.max(axis=1) for block in _window_blocks(f, orbits, n)])
+    table = f.at_depth(k)
+    order = np.argsort(table)
+    ranks = np.empty(table.size, dtype=np.min_scalar_type(d ** k))
+    ranks[order] = np.arange(table.size)
+    top = np.concatenate([
+        np.take(ranks, _window_codes(orbits[lo : lo + ROW_BLOCK], d, k, n, axis=1)).max(axis=1)
+        for lo in range(0, orbits.shape[0], ROW_BLOCK)
+    ])
+    return table[order][top]
 
 
 @dataclass
@@ -186,24 +238,47 @@ def birkhoff_limit_test(
 
     Requires the sampling measure to charge every cylinder (otherwise the
     sup over the whole space need not be seen along orbits).
+
+    The orbits are streamed from ``sampler.steps``, one step-major block at
+    a time, with the last depth - 1 steps carried into the next block's
+    windows; each window's code reads its hit flag from the table of
+    f >= sup f - 1e-9.  No orbit table is held, and drawing stops after
+    the block in which the last orbit first hits the sup, because later
+    windows cannot change a first hit: the report is that of the whole
+    table, drawn from at most STEP_BLOCK steps past the latest first hit.
     """
     if not sampler.positive_on_cylinders:
         raise ValueError("sampling measure must be positive on all cylinders")
-    orbits = _sampled_orbits(sampler, f, length)
+    steps = _orbit_length(sampler, f, length)
+    k = max(f.depth, 1)
     sup_f = float(f.values.max())
-
-    def first_hit(block: np.ndarray) -> np.ndarray:
-        hit = block >= sup_f - 1e-9
-        return np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, length + 1)
+    hits = f.at_depth(k) >= sup_f - 1e-9
 
     # per orbit, the first window that hits the sup, or length + 1 if none does
-    first = np.concatenate([first_hit(b) for b in _window_blocks(f, orbits, length)])
+    first = np.full(sampler.n_orbits, length + 1)
+    seen = 0    # windows read
+    carry = np.empty((0, sampler.n_orbits), dtype=np.min_scalar_type(sampler.d))
+    for block in sampler.steps(steps):
+        rows = np.concatenate((carry, block))
+        w = len(rows) - (k - 1)     # windows that start in rows
+        if w < 1:   # blocks shorter than a window
+            carry = rows
+            continue
+        carry = rows[w:].copy()
+        # fancy indexing casts the codes to intp a buffer at a time, where
+        # np.take would cast them all at once, at 8 bytes a window
+        hit = hits[_window_codes(rows, sampler.d, k, w, axis=0)]
+        new = hit.any(axis=0) & (first > length)
+        first[new] = seen + 1 + hit.argmax(axis=0)[new]
+        seen += w
+        if (first <= length).all():
+            break
     attained = first <= length
 
     if f.depth <= 1:
         # exact: the chain stays on the symbols below the sup for `length`
         # symbols; the depth-1 table, or the depth-0 constant per symbol
-        off = np.broadcast_to(f.values, sampler.d) < sup_f - 1e-9
+        off = ~hits
         stay = np.linalg.matrix_power(sampler.transition[np.ix_(off, off)], length - 1)
         miss = float((sampler.probs[off] @ stay).sum())
     else:
@@ -302,7 +377,7 @@ def partition_function_mc(
     Xeon.  A depth-1 observable, as in the worked example, has u <= 2.
     """
     _require_finite(t=t)
-    maxes = birkhoff_max_table(f, _sampled_orbits(sampler, f, n), n)
+    maxes = birkhoff_max_table(f, sampler.sample(_orbit_length(sampler, f, n)), n)
     expo = n * t * maxes
     value = _log_mean_exp(expo) / n
 
@@ -441,12 +516,16 @@ def c_maxplus_convexity_check(
     """Check monotone-equality and max-plus convexity of c_n at finite n.
 
     Requires f >= 1 and max(alpha, beta) = 0 (beta = -inf degenerates the
-    inequality to c(t) <= c(t)).  All evaluations reuse one orbit sample,
-    under which both relations hold pathwise, so residuals are at float
-    precision rather than Monte Carlo scale.  Passing ``c_exact`` checks
+    inequality to c(t) <= c(t)); a NaN weight is rejected.  All evaluations
+    reuse one orbit sample, under which both relations hold pathwise, so
+    residuals are at float precision rather than Monte Carlo scale.  Passing ``c_exact`` checks
     the closed form instead of sampling, and ``sampler`` may then be None.
     """
     _require_finite(s=s, t=t)
+    for name, weight in (("alpha", alpha), ("beta", beta)):
+        # max(0.0, nan) is 0.0, so the normalization test alone lets NaN through
+        if np.isnan(weight):
+            raise ValueError(f"{name} must be a number or -inf, got {weight!r}")
     if float(f.values.min()) < 1.0:
         raise ValueError("the convexity check needs f >= 1")
     if max(alpha, beta) != 0.0:
@@ -457,7 +536,7 @@ def c_maxplus_convexity_check(
     elif sampler is None:
         raise ValueError("the convexity check needs a sampler or c_exact")
     else:
-        maxes = birkhoff_max_table(f, _sampled_orbits(sampler, f, n), n)
+        maxes = birkhoff_max_table(f, sampler.sample(_orbit_length(sampler, f, n)), n)
 
         def c(u: float) -> float:
             return _log_mean_exp(n * u * maxes) / n

@@ -125,6 +125,10 @@ class TestSampler:
         assert empty.shape == (4, 0) and empty.dtype == np.uint8
         with pytest.raises(ValueError, match="orbit length must be at least 0, got -1"):
             s.sample(-1)
+        # before any block is asked for
+        with pytest.raises(ValueError, match="orbit length must be at least 0, got -1"):
+            s.steps(-1)
+        assert list(s.steps(0)) == []
 
     def test_markov_rows_and_stationarity(self):
         P = np.array([[0.9, 0.1], [0.4, 0.6]])
@@ -178,7 +182,7 @@ def _inline_limit_report(sampler, f, length, tol=1e-9):
     """birkhoff_limit_test over the whole orbit table at once, with its
     window codes and depth-0 table built in place, and for depth <= 1 the
     miss probability summed over every word of `length` symbols below the
-    sup."""
+    sup, or None past 3^8 words, too many to enumerate."""
     k = max(f.depth, 1)
     orbits = sampler.sample(length + k - 1)
     sup_f = float(f.values.max())
@@ -189,7 +193,9 @@ def _inline_limit_report(sampler, f, length, tol=1e-9):
     hit = table[codes] >= sup_f - tol
     attained = hit.any(axis=1)
     first = np.where(attained, hit.argmax(axis=1) + 1, length + 1)
-    if f.depth <= 1:
+    if f.depth <= 1 and sampler.d ** length > 3 ** 8:
+        miss = None
+    elif f.depth <= 1:
         words = np.array(list(itertools.product(range(sampler.d), repeat=length)))
         words = words[(table[words] < sup_f - tol).all(axis=1)]
         steps = sampler.transition[words[:, :-1], words[:, 1:]].prod(axis=1)
@@ -205,10 +211,13 @@ def _inline_limit_report(sampler, f, length, tol=1e-9):
 
 
 def _assert_same_report(got, want):
-    """The sampled fields exactly, the miss probability to rounding."""
+    """The sampled fields exactly, the miss probability to rounding where
+    the oracle has one."""
     assert (got.sup_value, got.attained_fraction, got.first_hit_mean) == (
         want.sup_value, want.attained_fraction, want.first_hit_mean
     )
+    if want.miss_probability_estimate is None:
+        return
     assert got.miss_probability_estimate == pytest.approx(
         want.miss_probability_estimate, rel=1e-12, abs=0.0
     )
@@ -246,6 +255,27 @@ class TestBirkhoffLimit:
         assert rep.attained_fraction == 1.0
         assert rep.first_hit_mean == 1.0
 
+    def test_drawing_stops_once_every_orbit_has_hit(self, monkeypatch):
+        """Every orbit hits a constant f at its first window, so of 10^6
+        steps only the first block is drawn: one uniform per orbit a step."""
+        draws = []
+        make = np.random.default_rng
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng = make(seed)
+
+            def random(self, size):
+                draws.append(size)
+                return self.rng.random(size)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        s = OrbitSampler.markov([[0.2, 0.8], [0.6, 0.4]], n_orbits=50, seed=8)
+        rep = birkhoff_limit_test(s, DepthKFunction(SPACE, 0, [2.5]), length=10 ** 6)
+        assert (rep.attained_fraction, rep.first_hit_mean) == (1.0, 1.0)
+        assert 1 <= len(draws) <= dynamics.STEP_BLOCK
+        assert set(draws) == {50}
+
 
 def _markov_reference(sampler, length):
     """The sampler's draws written into an int64 table, one step column at a
@@ -282,10 +312,16 @@ def _traced_peak(call):
             tracemalloc.stop()
 
 
-# row counts just below, at and just past a multiple of the block
-block_rows = st.tuples(
-    st.sampled_from((1, 3, 7)), st.integers(1, 3), st.sampled_from((-1, 0, 1))
-).map(lambda t: (t[0], max(1, t[0] * t[1] + t[2])))
+def near_multiples(blocks):
+    """(block, count) with the count just below, at or just past a multiple
+    of the block."""
+    return st.tuples(
+        st.sampled_from(blocks), st.integers(1, 3), st.sampled_from((-1, 0, 1))
+    ).map(lambda t: (t[0], max(1, t[0] * t[1] + t[2])))
+
+
+block_rows = near_multiples((1, 3, 7))
+block_steps = near_multiples((1, 3, 7, dynamics.STEP_BLOCK))
 
 
 class TestRowBlocks:
@@ -303,31 +339,66 @@ class TestRowBlocks:
             got = birkhoff_max_table(f, orbits, n)
         assert got.tolist() == [maxplus_birkhoff(f, row.tolist(), n) for row in orbits]
 
-    @settings(max_examples=100, deadline=None)
-    @given(block_rows=block_rows, d=st.sampled_from((2, 3)), depth=st.integers(0, 3),
-           length=st.integers(1, 8), seed=st.integers(0, 2 ** 16), markov=st.booleans())
-    def test_limit_report_equals_the_inline_window_code(self, block_rows, d, depth,
-                                                        length, seed, markov):
-        block, rows = block_rows
+    @settings(max_examples=150, deadline=None)
+    @given(block_steps=block_steps, d=st.sampled_from((2, 3)), depth=st.integers(0, 3),
+           rows=st.integers(1, 12), seed=st.integers(0, 2 ** 16), markov=st.booleans())
+    def test_limit_report_equals_the_inline_window_code(self, block_steps, d, depth,
+                                                        rows, seed, markov):
+        """The streamed report, with its carried steps and early stop, is the
+        whole table's, at window counts around multiples of the step block."""
+        block, length = block_steps
         sampler = _sampler(d, rows, seed, markov)
         rng = np.random.default_rng(seed)
         f = DepthKFunction(ShiftSpace(d, 0.2), depth, rng.integers(0, 3, d ** depth) / 2)
         # the oracle draws with the default block, so the draws are compared too
         want = _inline_limit_report(sampler, f, length)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dynamics, "ROW_BLOCK", block)
+            mp.setattr(dynamics, "STEP_BLOCK", block)
             _assert_same_report(birkhoff_limit_test(sampler, f, length), want)
 
-    @pytest.mark.parametrize("block", [1, 3, 7, dynamics.ROW_BLOCK])
+    # 256 steps is one block longer than the orbits
+    @pytest.mark.parametrize("block", [1, 3, 7, 256])
     @pytest.mark.parametrize("d", [2, 3, 300])
     @pytest.mark.parametrize("markov", [False, True], ids=["bernoulli", "markov"])
     def test_draws_are_pinned(self, monkeypatch, block, d, markov):
-        monkeypatch.setattr(dynamics, "ROW_BLOCK", block)
+        monkeypatch.setattr(dynamics, "STEP_BLOCK", block)
         sampler = _sampler(d, 15, 23, markov)
         got = sampler.sample(6)
         want = _markov_reference(sampler, 6)
         assert got.dtype == (np.uint8 if d <= 255 else np.uint16)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("d", [2, 3, 300])
+    @pytest.mark.parametrize("markov", [False, True], ids=["bernoulli", "markov"])
+    def test_step_blocks_stack_to_the_sample(self, extra, d, markov):
+        sampler = _sampler(d, 15, 37, markov)
+        length = dynamics.STEP_BLOCK + extra
+        blocks = list(sampler.steps(length))
+        assert [len(b) for b in blocks] == (
+            [length] if extra <= 0 else [dynamics.STEP_BLOCK, extra]
+        )
+        stacked = np.concatenate(blocks)
+        sample = sampler.sample(length)
+        assert stacked.dtype == sample.dtype == (np.uint8 if d <= 255 else np.uint16)
+        assert np.array_equal(stacked, sample.T)
+        assert np.array_equal(sample, _markov_reference(sampler, length))
+
+    @pytest.mark.parametrize("d, depth", [(2, 8), (16, 2), (3, 6)])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16])
+    def test_two_byte_codes_read_the_window_by_window_max(self, d, depth, dtype):
+        """d^depth = 256 or 729 takes uint16 codes and ranks; the rows of
+        all d reach the top code, d^depth - 1."""
+        assert np.min_scalar_type(d ** depth) == np.uint16
+        rng = np.random.default_rng(d * depth)
+        # few distinct values, so ranks break ties
+        f = DepthKFunction(ShiftSpace(d, 0.01), depth, rng.integers(0, 40, d ** depth) / 4)
+        n = 20
+        orbits = rng.integers(1, d + 1, (dynamics.ROW_BLOCK + 44, n + depth - 1))
+        orbits[::50] = d
+        orbits = orbits.astype(dtype)
+        got = birkhoff_max_table(f, orbits, n)
+        assert got.tolist() == [maxplus_birkhoff(f, row.tolist(), n) for row in orbits]
 
     @pytest.mark.parametrize("markov", [False, True], ids=["bernoulli", "markov"])
     def test_sample_allocates_only_its_table(self, markov):
@@ -344,6 +415,19 @@ class TestRowBlocks:
         sampler = _sampler(2, 4000, 29, markov)
         f = DepthKFunction(SPACE, 3, np.linspace(0.0, 1.0, 8))
         assert _traced_peak(lambda: birkhoff_limit_test(sampler, f, 998)) < 32 * 2 ** 20
+
+    @pytest.mark.parametrize("markov", [False, True], ids=["bernoulli", "markov"])
+    def test_streamed_limit_test_holds_no_orbit_table(self, markov):
+        """Symbol 2 is rare, so most orbits never see the sup word 222 and
+        all 1,000 steps are drawn; the traced peak stays below a quarter
+        of the 4,000 x 1,000 uint8 orbit table."""
+        if markov:
+            sampler = OrbitSampler.markov([[0.999, 0.001], [0.5, 0.5]], 4000, 29)
+        else:
+            sampler = OrbitSampler.bernoulli([0.999, 0.001], 4000, 29)
+        f = DepthKFunction(SPACE, 3, [0.0] * 7 + [1.0])
+        assert birkhoff_limit_test(sampler, f, 998).attained_fraction < 1.0
+        assert _traced_peak(lambda: birkhoff_limit_test(sampler, f, 998)) < 4000 * 1000 / 4
 
 
 class TestPartitionFunction:
@@ -613,6 +697,23 @@ class TestMaxPlusConvexity:
             c_maxplus_convexity_check(f, sampler, s, t, 0.0, -1.0)
         with pytest.raises(ValueError, match=f"{name} must be a finite number"):
             c_maxplus_convexity_check(f, None, s, t, 0.0, -1.0, c_exact=lambda u: u)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, np.nan), (np.nan, 0.0), (np.nan, -np.inf)])
+    def test_nan_weight_rejected(self, alpha, beta):
+        """max(0.0, nan) is 0.0, so a NaN weight passed the normalization
+        test and the report held with both residuals 0."""
+        sampler = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=100, seed=19)
+        f = DepthKFunction(SPACE, 1, [2.0, 1.0])
+        name = "alpha" if np.isnan(alpha) else "beta"
+        for sampler, c_exact in ((sampler, None), (None, lambda u: max(u, np.log(0.4)) + u)):
+            with pytest.raises(ValueError, match=f"{name} must be a number or -inf, got nan"):
+                c_maxplus_convexity_check(f, sampler, 0.4, 0.2, alpha, beta, c_exact=c_exact)
+
+    def test_minus_infinite_weight_is_bottom_in_closed_form(self):
+        f = DepthKFunction(SPACE, 1, [2.0, 1.0])
+        rep = c_maxplus_convexity_check(f, None, 0.4, 0.2, 0.0, -np.inf,
+                                        c_exact=lambda u: max(u, np.log(0.4)) + u)
+        assert rep.holds
 
     def test_weights_must_be_normalized(self):
         sampler = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=100, seed=19)
