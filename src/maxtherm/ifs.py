@@ -39,7 +39,7 @@ from .shift import (
     Jacobian,
     check_probability_rows,
     dual_apply,
-    lifted_kernel,
+    dual_factor,
     symbol_table,
 )
 from .simplex import SimplexGrid
@@ -104,9 +104,12 @@ def attractor_build(
 
     The images of all length-t suffixes form one (m^t, d^(depth+t)) table,
     whose row k*m + i is kernel i applied to row k, so suffix compositions
-    are shared and each level costs one broadcast multiply per kernel.
-    Every level is checked and clipped like a ``CylinderMeasure``, so the
-    rows carry the bits of the ``dual_apply`` chain.  Leaves are then
+    are shared and each level costs one broadcast multiply per kernel: the
+    kernel's ``dual_factor`` view, (d, d^(k-1), 1) for a kernel reading k
+    symbols, times every row viewed as (1, d^(k-1), d^(depth+1-k)), written
+    straight into the next level with no repeated kernel table.  Every
+    level is checked and clipped in place like a ``dual_apply`` image, so
+    the rows carry the bits of the ``dual_apply`` chain.  Leaves are then
     merged greedily, one cluster at a time: the first unclustered word
     becomes a leaf, every remaining word within W1 <= eps of it joins it,
     and the cluster keeps the max weight.  That is one batched tree-W1
@@ -142,13 +145,16 @@ def attractor_build(
     # grow suffixes: after t steps every length-t suffix has been applied
     table, weights, depth = nu0.masses[None], np.zeros(1), nu0.depth
     for _ in range(word_length):
-        cells = table.shape[1]
+        rows, cells = table.shape
         # each kernel writes its rows in place: stacking per-kernel products
         # would hold a second copy of the largest level at the peak
-        grown = np.empty((table.shape[0], m, space.d, cells))
+        grown = np.empty((rows, m, space.d, cells))
         for i, J in enumerate(fam.jacobians):
-            np.multiply(lifted_kernel(J, nu0.space, depth), table[:, None, :],
-                        out=grown[:, i])
+            factor = dual_factor(J, nu0.space, depth)
+            head = factor.shape[1]
+            # splitting the last, contiguous axis keeps ``out`` a view
+            np.multiply(factor, table.reshape(rows, 1, head, -1),
+                        out=grown[:, i].reshape(rows, space.d, head, -1))
         table = check_probability_rows(grown.reshape(-1, space.d * cells))
         weights = (weights[:, None] + fam.weights[None, :]).ravel()
         depth += 1

@@ -10,6 +10,13 @@ Every linear probability table, whether a cylinder measure, the columns of
 a transfer kernel, a symbol distribution or a whole batch of attractor
 rows, goes through ``check_probability_rows``; the max-plus counterpart is
 ``semiring.check_maxplus_probability``.
+
+A kernel reading k symbols meets a depth-n measure through ``dual_factor``,
+the (d, d^(k-1), 1) view of the kernel's own table, broadcast against the
+masses viewed as (1, d^(k-1), d^(n+1-k)): their product is the dual image,
+with no repeated kernel table and no copy of the result.  A function's
+table is a read-only copy of the caller's values, so it keeps the bits
+its checks passed.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ class ShiftSpace:
     gamma: float
 
     def __post_init__(self):
+        if not isinstance(self.d, (int, np.integer)):
+            raise ValueError(f"alphabet size d must be an integer, got {self.d!r}")
         if self.d < 2:
             raise ValueError("alphabet size d must be >= 2")
         if not (0.0 < self.gamma < 1.0 / (self.d + 1)):
@@ -56,6 +65,8 @@ def word_index(word: Sequence[int], d: int) -> int:
     """Base-d code of a word of symbols 1..d, first symbol most significant."""
     idx = 0
     for s in word:
+        if not isinstance(s, (int, np.integer)):
+            raise ValueError(f"symbol {s!r} is not an integer")
         if not 1 <= s <= d:
             raise ValueError(f"symbol {s} outside alphabet 1..{d}")
         idx = idx * d + (s - 1)
@@ -79,7 +90,10 @@ class DepthKFunction:
     def __init__(self, space: ShiftSpace, depth: int, values):
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        vals = np.asarray(values, dtype=float).reshape(-1)
+        # a copy, frozen: every dual image broadcasts this table, so no
+        # later write may move it past the checks it passed
+        vals = np.array(values, dtype=float).reshape(-1)
+        vals.flags.writeable = False
         if vals.size != space.n_words(depth):
             raise ValueError(
                 f"depth-{depth} table needs {space.n_words(depth)} values, "
@@ -173,7 +187,7 @@ def check_probability_rows(table: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"masses sum to {table[gaps.argmax()].sum()!r}, not 1: not normalized"
         )
-    return np.clip(table, 0.0, None, out=table)
+    return np.maximum(table, 0.0, out=table)
 
 
 class CylinderMeasure:
@@ -227,8 +241,9 @@ class CylinderMeasure:
         k = len(word)
         if k > self.depth:
             raise ValueError("prefix longer than the table depth")
-        block = self.masses.reshape(self.space.n_words(k), -1)
-        return float(block[word_index(word, self.space.d)].sum())
+        d = self.space.d
+        block = self.masses.reshape(d ** k, -1)
+        return float(np.add.reduce(block[word_index(word, d)]))
 
     def refine(self) -> "CylinderMeasure":
         """Split every cylinder uniformly over its d children."""
@@ -277,16 +292,22 @@ def dual_apply(J: Jacobian, mu: CylinderMeasure) -> CylinderMeasure:
 
     Requires the kernel depth to be at most depth(mu) + 1; refine mu first
     when it is not, so the cost of deeper tables stays visible at the call
-    site.
+    site.  The image is the one (d, d^(k-1), d^(depth+1-k)) product of
+    ``dual_factor`` and a view of mu's masses, checked and clipped in
+    place: one array the size of the output, and no other.
     """
-    lifted = lifted_kernel(J, mu.space, mu.depth)
-    return CylinderMeasure(J.space, mu.depth + 1, lifted * mu.masses)
+    factor = dual_factor(J, mu.space, mu.depth)
+    prod = factor * mu.masses.reshape(1, factor.shape[1], -1)
+    masses = check_probability_rows(prod.reshape(1, -1))[0]
+    return CylinderMeasure._checked(J.space, mu.depth + 1, masses)
 
 
-def lifted_kernel(J: Jacobian, space: ShiftSpace, depth: int) -> np.ndarray:
-    """Kernel values on the words one symbol deeper than a depth-``depth``
-    measure on ``space``, as a (d, d^depth) table whose row a holds the
-    words a.w: the factor of every dual transfer image of such a measure."""
+def dual_factor(J: Jacobian, space: ShiftSpace, depth: int) -> np.ndarray:
+    """The kernel's factor in every dual transfer image of a depth-``depth``
+    measure on ``space``: its own table viewed as (d, d^(k-1), 1) for a
+    kernel reading k symbols, not a copy.  Against the measure's masses
+    viewed as (1, d^(k-1), d^(depth+1-k)) it broadcasts to the words a.w,
+    the first symbol a leading."""
     if space != J.space:
         raise ValueError("kernel and measure live on different spaces")
     if J.depth > depth + 1:
@@ -294,7 +315,7 @@ def lifted_kernel(J: Jacobian, space: ShiftSpace, depth: int) -> np.ndarray:
             f"kernel depth {J.depth} exceeds measure depth {depth} + 1; "
             "refine the measure first"
         )
-    return J.at_depth(depth + 1).reshape(space.d, -1)
+    return J.values.reshape(space.d, space.d ** (J.depth - 1), 1)
 
 
 def pushforward_apply(mu: CylinderMeasure) -> CylinderMeasure:

@@ -35,6 +35,27 @@ def index_word(idx: int, depth: int, d: int) -> Tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def dual_image(J: DepthKFunction, mu: CylinderMeasure) -> np.ndarray:
+    """Masses of the dual transfer image of mu, one word at a time:
+    nu[a.w] = max(J(a.w) mu[w], 0), where J reads the first J.depth
+    symbols of a.w.  The clip is the one a checked table takes: a product
+    that is not above 0, -0.0 included, becomes +0.0."""
+    d, n = mu.space.d, mu.depth
+    out = np.empty(d ** (n + 1))
+    for code in range(d ** n):
+        w = index_word(code, n, d)
+        for a in range(1, d + 1):
+            word = (a,) + w
+            idx = jdx = 0
+            for pos, s in enumerate(word):
+                idx = idx * d + (s - 1)
+                if pos < J.depth:
+                    jdx = jdx * d + (s - 1)
+            mass = float(J.values[jdx]) * float(mu.masses[code])
+            out[idx] = mass if mass > 0.0 else 0.0
+    return out
+
+
 def maxplus_birkhoff(f: DepthKFunction, orbit: Sequence[int], n: int) -> float:
     """Running max of f over the first n shift iterates of one orbit, one
     window at a time."""

@@ -1,15 +1,18 @@
 """Tests for cylinder measures and transfer operators on shift spaces."""
 
 import functools
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import index_word, word_metric
+from oracles import dual_image, index_word, word_metric
 
 from maxtherm.goldens import random_jacobian, random_measure
+from maxtherm.ifs import WeightedJacobianFamily, attractor_build
 from maxtherm.shift import (
     CylinderMeasure,
     DepthKFunction,
@@ -37,6 +40,22 @@ class TestSpaceAndWords:
         with pytest.raises(ValueError):
             ShiftSpace(1, 0.1)
         assert ShiftSpace(3, 0.24).contraction_rate == pytest.approx(0.96)
+
+    @pytest.mark.parametrize("d", [2.0, 2.5, "2"])
+    def test_alphabet_size_must_be_an_integer(self, d):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ShiftSpace(d, 0.2)
+        assert ShiftSpace(np.int64(3), 0.2).n_words(2) == 9
+
+    @pytest.mark.parametrize("symbol", [1.0, 1.5, "1", np.float64(2.0)])
+    def test_non_integer_symbols_are_named(self, symbol):
+        mu = CylinderMeasure.bernoulli(SPACE, [0.3, 0.7], 2)
+        message = re.escape(f"symbol {symbol!r} is not an integer")
+        with pytest.raises(ValueError, match=message):
+            mu.mass_of((symbol,))
+        with pytest.raises(ValueError, match=message):
+            CylinderMeasure.point_mass(SPACE, (symbol, 2))
+        assert mu.mass_of((np.int64(2), np.int64(1))) == mu.mass_of((2, 1))
 
     def test_word_codes_roundtrip_lexicographically(self):
         d, n = 3, 4
@@ -121,6 +140,14 @@ class TestJacobianValidation:
     def test_value_range_enforced(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             Jacobian(SPACE, 1, [1.2, -0.2])
+
+    def test_the_kernel_keeps_the_table_it_checked(self):
+        v = np.array([0.3, 0.7])
+        J = Jacobian(SPACE, 1, v)
+        v[0] = 5.0
+        assert J.values.tolist() == [0.3, 0.7]
+        with pytest.raises(ValueError, match="read-only"):
+            J.values[0] = 5.0
 
 
 class TestCylinderMeasure:
@@ -244,6 +271,19 @@ class TestDualOperator:
         with pytest.raises(ValueError, match="refine"):
             dual_apply(deep, CylinderMeasure(SPACE, 1, [0.4, 0.6]))
 
+    def test_one_image_allocates_only_its_output(self):
+        # a repeated kernel table or a re-checked copy of the product would
+        # each add the output's size again
+        mu = CylinderMeasure.bernoulli(SPACE, [0.3, 0.7], 16)
+        J = random_jacobian(SPACE, 3, np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            nu = dual_apply(J, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * nu.masses.nbytes
+
 
 class TestPushforward:
     def test_bernoulli_is_invariant(self):
@@ -310,11 +350,41 @@ class TestComposeDuals:
             compose_duals([], CylinderMeasure.trivial(SPACE))
 
 
-SPACES = {2: SPACE, 3: ShiftSpace(3, 0.2)}
+SPACES = {2: SPACE, 3: ShiftSpace(3, 0.2), 4: ShiftSpace(4, 0.15)}
 SEEDS = st.integers(0, 2**32 - 1)
 
 
+def kernel_with_a_negative_entry(space: ShiftSpace, depth: int,
+                                 rng: np.random.Generator) -> Jacobian:
+    """Admissible kernel whose first symbol has weight -1e-13, inside the
+    normalization tolerance: every image it makes needs the clip at 0."""
+    p = np.concatenate([[-1e-13], rng.dirichlet(np.ones(space.d - 1))])
+    return Jacobian(space, depth, np.repeat(p, space.d ** (depth - 1)))
+
+
 class TestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.sampled_from((2, 3, 4)), depth=st.integers(0, 5),
+           kernel_depths=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+           spiky=st.booleans(), negative=st.booleans(), seed=SEEDS)
+    def test_dual_images_match_the_per_word_oracle(self, d, depth, kernel_depths,
+                                                   spiky, negative, seed):
+        # dual_apply and attractor_build share the kernel's factor, so
+        # both are held to the oracle, bit for bit (the sign of 0 too)
+        rng = np.random.default_rng(seed)
+        space = SPACES[d]
+        depths = [min(k, depth + 1) for k in kernel_depths]
+        J = (kernel_with_a_negative_entry if negative else random_jacobian)(
+            space, depths[0], rng)
+        K = random_jacobian(space, depths[1], rng)
+        mu = random_measure(space, depth, rng, spiky=spiky)
+        want = [dual_image(J, mu), dual_image(K, mu)]
+        assert dual_apply(J, mu).masses.tobytes() == want[0].tobytes()
+        sample = attractor_build(WeightedJacobianFamily([J, K], [0.0, -1.0]), 1, mu,
+                                 eps=0.0)
+        for leaf in sample.leaves:
+            assert leaf.measure.masses.tobytes() == want[leaf.word[0] - 1].tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(d=st.sampled_from((2, 3)), depth=st.integers(0, 4),
            kernel_depth=st.integers(1, 3), spiky=st.booleans(), seed=SEEDS)
