@@ -1,21 +1,24 @@
 """Command-line experiment runner.
 
-``pressure``, ``transport`` and ``mpifs`` are golden checks run at the
-user's parameters: ``gibbs-equilibrium``; ``contraction-bounds`` and
-``transport-oracle``, whose LP leg is skipped beyond the oracle's size
-limit; ``mpifs-operators``.  ``verify`` runs the whole battery at its own
-seeds.  They print one ``[PASS|FAIL] name (s) detail`` line per check.
-``gamma``, ``ifs`` and ``ldp`` print the numbers of one experiment.
+Every subcommand runs golden checks at the user's parameters and prints
+one ``[PASS|FAIL] name (s) detail`` line per check: ``pressure`` runs
+``gibbs-equilibrium``; ``gamma`` ``convex-pressure-suite``; ``transport``
+``contraction-bounds`` and ``transport-oracle``, whose LP leg is skipped
+beyond the oracle's size limit; ``ifs`` ``ifs-invariant-pressure``;
+``mpifs`` ``mpifs-operators``; ``ldp`` ``ldp-worked-example``.  Each flag
+of ``gamma``, ``ifs``, ``mpifs`` and ``ldp`` is the parameter of the same
+name of its check.  ``verify`` runs the whole battery at its own seeds.
 
 Every subcommand but ``verify`` can write a JSON report with ``--out``:
 one object with the subcommand, a timestamp, the resolved flags as
 ``config``, the ``results`` and the ``versions`` of maxtherm, numpy,
-scipy and Python.  scipy's version is read from its package metadata, so
-writing a report does not import scipy.  Floats are written with
-``repr``, so they read back exactly, and no NaN or infinity is written.
-Apart from the timestamp, identical configurations produce
-byte-identical reports, and a report's ``config`` written as a
-``--config`` file reruns it.
+scipy and Python.  ``results`` has one ``{"check", "passed", "detail",
+"record"}`` entry per check, where ``record`` holds the check's numbers.
+scipy's version is read from its package metadata, so writing a report
+does not import scipy.  Floats are written with ``repr``, so they read
+back exactly, and no NaN or infinity is written.  Apart from the
+timestamp, identical configurations produce byte-identical reports, and a
+report's ``config`` written as a ``--config`` file reruns it.
 
 Exit codes: 0 success, 1 invalid parameters, usage or an unwritable
 report path, 2 a check failed.
@@ -34,37 +37,23 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import __version__, dynamics, goldens, ifs, simplex, transport
-from .shift import CylinderMeasure, ShiftSpace, make_bernoulli_jacobian
+from . import __version__, goldens, transport
 
 
-def _write_report(path: str, args, results) -> None:
-    """Write ``results`` and the flags they were computed from to ``path``."""
-    config = {
+def _flags(args) -> Dict[str, object]:
+    """The subcommand's own flags: its check's arguments, and a report's
+    ``config``."""
+    return {
         key: value for key, value in vars(args).items()
         if key not in ("command", "fn", "config", "out")
     }
-    report = {
-        "subcommand": args.command,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "config": config,
-        "results": results,
-        "versions": {
-            "maxtherm": __version__,
-            "numpy": np.__version__,
-            "scipy": metadata.version("scipy"),
-            "python": platform.python_version(),
-        },
-    }
-    text = json.dumps(report, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
 
 
 def _report(results: List[goldens.GoldenResult], args) -> int:
-    """Print one line per check and a summary, write the results to
-    ``--out`` when given (without the seconds, which vary between runs),
-    and return the exit code: 0 if every check passed, else 2."""
+    """Print one line per check and a summary, write the report to ``--out``
+    when given, and return the exit code: 0 if every check passed, else 2.
+    The report holds each result without its seconds, which vary between
+    runs, and the flags that the results were computed from."""
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -75,10 +64,25 @@ def _report(results: List[goldens.GoldenResult], args) -> int:
         f"in {sum(r.seconds for r in results):.1f}s"
     )
     if getattr(args, "out", None):
-        _write_report(args.out, args, [
-            {"check": r.name, "passed": bool(r.passed), "detail": r.detail}
-            for r in results
-        ])
+        report = {
+            "subcommand": args.command,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "config": _flags(args),
+            "results": [
+                {"check": r.name, "passed": bool(r.passed), "detail": r.detail,
+                 "record": r.record}
+                for r in results
+            ],
+            "versions": {
+                "maxtherm": __version__,
+                "numpy": np.__version__,
+                "scipy": metadata.version("scipy"),
+                "python": platform.python_version(),
+            },
+        }
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
     return 0 if passed == len(results) else 2
 
 
@@ -146,33 +150,7 @@ def cmd_pressure(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    d = args.d
-    grid = simplex.SimplexGrid(d, args.m)
-    report = simplex.pressure_axioms_check(
-        simplex.shannon_entropy_table, grid, trials=args.trials, seed=args.seed
-    )
-    print(
-        f"axiom residuals over {args.trials} trials: monotonicity "
-        f"{report.monotonicity:.3e}, translation {report.translation:.3e}, "
-        f"convexity {report.convexity:.3e}"
-    )
-    mu = np.full(d, 1.0 / d)
-    family = np.vstack([
-        simplex.affine_observable_family(d), simplex.shannon_recovery_minimizer(mu)
-    ])
-    gamma = simplex.convex_pressure_gamma(simplex.shannon_entropy_table, family, grid)
-    rec = simplex.entropy_recovery(gamma, family, mu)
-    target = simplex.shannon_entropy(mu)
-    print(f"entropy recovery at uniform: {rec:.17g} (Shannon {target:.17g})")
-    if args.out:
-        _write_report(args.out, args, {
-            "monotonicity": report.monotonicity,
-            "translation": report.translation,
-            "convexity": report.convexity,
-            "recovered_entropy": rec,
-            "shannon": target,
-        })
-    return 0
+    return _report([goldens.check_convex_pressure_suite(**_flags(args))], args)
 
 
 def cmd_transport(args) -> int:
@@ -192,91 +170,15 @@ def cmd_transport(args) -> int:
 
 
 def cmd_ifs(args) -> int:
-    space = ShiftSpace(2, args.gamma)
-    fam = ifs.WeightedJacobianFamily(
-        [make_bernoulli_jacobian(args.p, space), make_bernoulli_jacobian(args.p2, space)],
-        [0.0, args.q2],
-    )
-    nu0 = CylinderMeasure.point_mass(space, (2,))
-    pres = ifs.invariant_pressure_solve(
-        fam, lambda mu: mu.mass_of((1,)), args.length, nu0, lip_g=1.0
-    )
-    sample = pres.sample
-    print(
-        f"attractor: {sample.raw_count} words -> {len(sample.leaves)} clusters "
-        f"at eps={sample.epsilon:.17g}"
-    )
-    print(
-        f"invariant pressure of mass-of-[1]: {pres.value:.17g} "
-        f"(error bound {pres.error_bound:.3e}, fixed-point residual "
-        f"{pres.fixed_point_residual:.3e})"
-    )
-    if args.out:
-        _write_report(args.out, args, {
-            "raw_words": sample.raw_count,
-            "clusters": len(sample.leaves),
-            "epsilon": sample.epsilon,
-            "N": sample.word_length,
-            "r": sample.rate,
-            "d": space.d,
-            "leaves": [
-                {
-                    "word": list(leaf.word),
-                    "weight": leaf.weight,
-                    "depth": leaf.measure.depth,
-                    "masses": leaf.measure.masses.tolist(),
-                }
-                for leaf in sample.leaves
-            ],
-            "pressure": pres.value,
-            "error_bound": pres.error_bound,
-            "fixed_point_residual": pres.fixed_point_residual,
-        })
-    return 0
+    return _report([goldens.check_ifs_invariant_pressure(**_flags(args))], args)
 
 
 def cmd_mpifs(args) -> int:
-    result = goldens.check_mpifs_operators(args.seed, args.systems, points=args.points)
-    return _report([result], args)
+    return _report([goldens.check_mpifs_operators(**_flags(args))], args)
 
 
 def cmd_ldp(args) -> int:
-    p, b, t, n_max, mc_samples = args.p, args.b, args.t, args.n_max, args.mc_samples
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie in (0, 1)")
-    if not (0.0 < b < 1.0):
-        raise ValueError("b must lie in (0, 1)")
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    if mc_samples < 0:
-        raise ValueError(f"mc_samples must be at least 0 (0 is off), got {mc_samples}")
-    est = dynamics.empirical_rate(p, b, list(range(1, n_max + 1)))
-    print(
-        f"upper large-deviation bound: {est.ldp_bound:.17g} "
-        f"at t* = {est.bound_minimizer:.17g}"
-    )
-    print(f"empirical decay rate: {est.limit_rate:.17g}")
-    print(
-        f"gap: rate {est.limit_rate:.17g} < bound {est.ldp_bound:.17g} "
-        f"(the bound is not tight)"
-    )
-    if not args.out:
-        return 0
-
-    f = dynamics.DepthKFunction(ShiftSpace(2, 0.3), 1, [1.0, 0.0])
-    records = []
-    for n in range(1, n_max + 1):
-        record = {"n": n, "c_exact": dynamics.c_n_exact(p, t, n),
-                  "rate": est.rates[n - 1]}
-        if mc_samples > 0:
-            sampler = dynamics.OrbitSampler.bernoulli(
-                [1.0 - p, p], n_orbits=mc_samples, seed=args.seed
-            )
-            mc = dynamics.partition_function_mc(sampler, f, -t, n)
-            record.update(c_mc=mc.value, ci_low=mc.ci_low, ci_high=mc.ci_high)
-        records.append(record)
-    _write_report(args.out, args, records)
-    return 0
+    return _report([goldens.check_ldp_worked_example(**_flags(args))], args)
 
 
 def cmd_verify(args) -> int:

@@ -1,9 +1,11 @@
 """Golden verification battery: every closed-form result as a pass/fail check.
 
 Each check reproduces one exactly-known result (closed forms, theorem
-bounds, operator identities) with its stated tolerance.  The checks are
-callable individually, from the test suite, or through the command-line
-``verify`` subcommand, which prints one line per check.
+bounds, operator identities) with its stated tolerance, and returns a
+pass flag, one detail line and a ``record`` of its numbers.  The checks
+are callable individually, from the test suite, through the command-line
+``verify`` subcommand at their defaults, or through the other
+subcommands at the user's parameters.
 
 Randomized checks draw through ``numpy.random.default_rng`` with explicit
 seeds, so reruns are reproducible.  A line added to a check draws from a
@@ -15,7 +17,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -98,10 +100,11 @@ class GoldenResult:
     passed: bool
     detail: str
     seconds: float
+    record: Dict[str, object] = field(default_factory=dict)  # JSON-ready numbers
 
 
-def _result(name: str, start: float, passed: bool, detail: str) -> GoldenResult:
-    return GoldenResult(name, passed, detail, time.time() - start)
+def _result(name: str, start: float, passed: bool, detail: str, **record) -> GoldenResult:
+    return GoldenResult(name, passed, detail, time.time() - start, record)
 
 
 def _require_count(name: str, value: int) -> None:
@@ -330,27 +333,44 @@ def _mass_of_one(mu: CylinderMeasure) -> float:
     return mu.mass_of((1,))
 
 
-def check_ifs_invariant_pressure() -> GoldenResult:
+def check_ifs_invariant_pressure(
+    gamma: float = 0.3, p: float = 0.3, p2: float = 0.7, q2: float = -1.0,
+    length: int = 10,
+) -> GoldenResult:
+    """On the shift space ``(2, gamma)``, a lone Bernoulli(0.35) kernel's
+    images decay at rate r to Bernoulli(0.35), whose mass of [1] is the
+    N = 10 pressure within its bound from any seed, and 0 has pressure 0.
+    The family of Bernoulli(``p``) at weight 0 and Bernoulli(``p2``) at
+    ``q2`` solves exactly as brute force over its 2^``length`` words, and
+    its density at 2^5 word images is the best weight sharing the image,
+    bottom off them.  The record holds that solve and its best word."""
+    space = ShiftSpace(2, gamma)
+    fam2 = ifs.WeightedJacobianFamily(
+        [make_bernoulli_jacobian(p, space), make_bernoulli_jacobian(p2, space)],
+        [0.0, q2],
+    )
     start = time.time()
-    space = ShiftSpace(2, 0.3)
     r = space.contraction_rate
     notes = []
     ok = True
 
-    # geometric W1 decay of the composition prefixes toward Bernoulli(p)
-    p = 0.35
-    jp = make_bernoulli_jacobian(p, space)
+    # geometric W1 decay of the composition prefixes toward Bernoulli(0.35)
+    single = 0.35
+    jp = make_bernoulli_jacobian(single, space)
     res = compose_duals([jp] * 9, CylinderMeasure.point_mass(space, (2,)))
     trace = res.w1_trace
     ratios = [
         trace[i + 1] / trace[i] for i in range(len(trace) - 1) if trace[i] > 1e-13
     ]
     decay_ok = all(q <= r + 1e-12 for q in ratios)
-    target = CylinderMeasure.bernoulli(space, [p, 1 - p], res.measure.depth)
+    target = CylinderMeasure.bernoulli(space, [single, 1 - single], res.measure.depth)
     limit_gap = transport.w1_tree(res.measure, target)
     limit_ok = limit_gap <= r ** 9
     ok &= decay_ok and limit_ok
-    notes.append(f"decay ratios <= {max(ratios):.3f} (r={r}), limit gap {limit_gap:.2e}")
+    notes.append(
+        f"decay ratios <= {max(ratios, default=0.0):.3f} (r={r}), "
+        f"limit gap {limit_gap:.2e}"
+    )
 
     # normalization: zero observable has pressure exactly 0
     fam = ifs.WeightedJacobianFamily([jp], [0.0])
@@ -359,9 +379,9 @@ def check_ifs_invariant_pressure() -> GoldenResult:
     ok &= zero.value == 0.0
     notes.append(f"pressure of 0 = {zero.value:g}")
 
-    # single-kernel family: pressure of mass-of-[1] approaches p
+    # single-kernel family: pressure of mass-of-[1] approaches its mass
     pres = ifs.invariant_pressure_solve(fam, _mass_of_one, 10, nu0, lip_g=1.0)
-    gap = abs(pres.value - p)
+    gap = abs(pres.value - single)
     ok &= gap <= pres.error_bound and pres.fixed_point_residual <= pres.error_bound
     notes.append(f"single-kernel pressure gap {gap:.2e} <= bound {pres.error_bound:.2e}")
 
@@ -374,29 +394,32 @@ def check_ifs_invariant_pressure() -> GoldenResult:
     notes.append(f"seed dependence {seed_gap:.2e} <= r^10 = {r**10:.2e}")
 
     # two-kernel enumeration against brute force, exact
-    fam2 = ifs.WeightedJacobianFamily(
-        [make_bernoulli_jacobian(0.3, space), make_bernoulli_jacobian(0.7, space)],
-        [0.0, -1.0],
-    )
-    N = 10
-    solved = ifs.invariant_pressure_solve(fam2, _mass_of_one, N, nu0, eps=0.0)
-    brute_best = -np.inf
+    solved = ifs.invariant_pressure_solve(fam2, _mass_of_one, length, nu0, eps=0.0)
+    brute_best, best = -np.inf, None
     exact = True
     for leaf in solved.sample.leaves:
         rho = compose_duals([fam2.jacobians[i - 1] for i in leaf.word], nu0,
                             track_trace=False).measure
         exact &= np.array_equal(rho.masses, leaf.measure.masses)
-        brute_best = max(brute_best, leaf.weight + _mass_of_one(rho))
+        score = leaf.weight + _mass_of_one(rho)
+        if score > brute_best:
+            brute_best, best = score, leaf
     exact &= solved.value == brute_best
     ok &= exact
-    notes.append(f"2^{N} words match brute force exactly: {exact}")
+    notes.append(f"2^{length} words match brute force exactly: {exact}")
 
     # density entropy on a short exact sample (a query costs one W1 per
-    # leaf): the image of a word carries that word's weight, and a point
-    # mass off the attractor carries bottom
+    # leaf): an image carries the best weight of the words sharing it (one
+    # word unless p == p2), and a point mass off the attractor carries bottom
     small = ifs.attractor_build(fam2, 5, nu0, eps=0.0)
+
+    def sharing(leaf: ifs.AttractorLeaf) -> Tuple[float, int]:
+        weights = [other.weight for other in small.leaves
+                   if np.array_equal(other.measure.masses, leaf.measure.masses)]
+        return max(weights), len(weights)
+
     density = all(
-        (est.value.value, est.matched) == (leaf.weight, 1)
+        (est.value.value, est.matched) == sharing(leaf)
         for leaf in small.leaves[::4]
         for est in [ifs.density_entropy_estimate(small, leaf.measure)]
     )
@@ -408,7 +431,13 @@ def check_ifs_invariant_pressure() -> GoldenResult:
         f"them: {density}"
     )
 
-    return _result("ifs-invariant-pressure", start, bool(ok), "; ".join(notes))
+    return _result(
+        "ifs-invariant-pressure", start, bool(ok), "; ".join(notes),
+        N=length, d=space.d, r=r, words=solved.sample.raw_count,
+        pressure=solved.value, error_bound=solved.error_bound,
+        fixed_point_residual=solved.fixed_point_residual,
+        argmax_word=list(best.word), argmax_weight=float(best.weight),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -489,28 +518,44 @@ def _partition_bruteforce(p: float, ts: Sequence[float], n: int) -> List[float]:
     return [float((np.exp(-n * t * maxsum) * masses).sum()) for t in ts]
 
 
-def check_ldp_worked_example() -> GoldenResult:
+def check_ldp_worked_example(
+    p: float = 0.5, b: float = 0.5, t: float = 0.2, n_max: int = 20,
+    seed: int = 18, mc_samples: int = 0,
+) -> GoldenResult:
+    """The two-symbol example with symbol 2 of mass ``p``: closed forms
+    against cylinder sums, c_2000 against its limit at ``t`` and three
+    fixed arguments, the bound at threshold ``b``, rates up to ``n_max``, the
+    Chebyshev step, and max-plus convexity of c on 2000 orbits at ``seed``.
+    The record holds the bound and, per n <= ``n_max``, c_n(-``t``) and the
+    rate; with ``mc_samples`` > 0 also a Monte Carlo c_n and interval from
+    that many orbits at ``seed``, whose coverage is reported, not gated."""
+    if not (0.0 < p < 1.0):
+        raise ValueError("p must lie in (0, 1)")
+    if not (0.0 < b < 1.0):
+        raise ValueError("b must lie in (0, 1)")
+    _require_count("n_max", n_max)
+    if mc_samples < 0:
+        raise ValueError(f"mc_samples must be at least 0 (0 is off), got {mc_samples}")
     start = time.time()
-    p, b = 0.5, 0.5
     notes = []
     ok = True
 
     worst_integral = worst_step = 0.0
     ts = (0.0, 0.1, 0.5, np.log(2.0), 2.0)
     for n in (1, 2, 3, 5, 10, 20):
-        for t, brute in zip(ts, _partition_bruteforce(p, ts, n)):
-            closed = dynamics.partition_integral_exact(p, t, n)
+        for u, brute in zip(ts, _partition_bruteforce(p, ts, n)):
+            closed = dynamics.partition_integral_exact(p, u, n)
             worst_integral = max(worst_integral, abs(closed - brute))
-            prob, step_bound = dynamics.chebyshev_step_exact(p, t, b, n)
+            prob, step_bound = dynamics.chebyshev_step_exact(p, u, b, n)
             worst_step = max(worst_step, prob / step_bound)
     ok &= worst_integral <= 1e-10
     notes.append(f"cylinder summation gap {worst_integral:.2e} (tol 1e-10)")
 
     worst_c = 0.0
-    for t in (0.05, 0.2, 0.5, 1.0):
+    for u in (0.05, t, 0.5, 1.0):
         worst_c = max(
             worst_c,
-            abs(dynamics.c_n_exact(p, t, 2000) - dynamics.c_limit_exact(p, t)),
+            abs(dynamics.c_n_exact(p, u, 2000) - dynamics.c_limit_exact(p, u)),
         )
     ok &= worst_c <= 0.01
     notes.append(f"c_2000 vs limit gap {worst_c:.2e} (tol 0.01)")
@@ -521,7 +566,8 @@ def check_ldp_worked_example() -> GoldenResult:
     ok &= t_gap <= 1e-8 and b_gap <= 1e-8
     notes.append(f"minimizer gap {t_gap:.2e}, bound gap {b_gap:.2e} (tol 1e-8)")
 
-    rate_gap = max(abs(rate - np.log(p)) for rate in est.rates)
+    series = dynamics.empirical_rate(p, b, range(1, n_max + 1))
+    rate_gap = max(abs(rate - np.log(p)) for rate in est.rates + series.rates)
     ok &= rate_gap <= 1e-12
     strict = est.limit_rate < est.ldp_bound - 1e-9
     ok &= strict
@@ -536,7 +582,7 @@ def check_ldp_worked_example() -> GoldenResult:
     # max-plus convexity of c for f + 1 >= 1: c(u) = max(u, log p) + u in
     # the limit, and at n = 30 on sampled orbits, where it holds pathwise
     f_up = DepthKFunction(ShiftSpace(2, 0.3), 1, [2.0, 1.0])
-    sampler = dynamics.OrbitSampler.bernoulli([1.0 - p, p], n_orbits=2000, seed=18)
+    sampler = dynamics.OrbitSampler.bernoulli([1.0 - p, p], n_orbits=2000, seed=seed)
     convexity = [
         dynamics.c_maxplus_convexity_check(
             f_up, None, s=-0.8, t=0.3, alpha=0.0, beta=-0.5,
@@ -552,7 +598,32 @@ def check_ldp_worked_example() -> GoldenResult:
         f"residual {max(rep.equality_residual for rep in convexity):.2e}, "
         f"slack {min(rep.convexity_slack for rep in convexity):.2e}"
     )
-    return _result("ldp-worked-example", start, bool(ok), "; ".join(notes))
+
+    # c_n(-t) per n, and its Monte Carlo estimate when asked for: a fresh
+    # sampler at ``seed`` per n, so each n's estimate stands alone
+    f = DepthKFunction(ShiftSpace(2, 0.3), 1, [1.0, 0.0])
+    per_n = []
+    covered = 0
+    for n, rate in enumerate(series.rates, 1):
+        row = {"n": n, "c_exact": dynamics.c_n_exact(p, t, n), "rate": rate}
+        if mc_samples > 0:
+            mc_sampler = dynamics.OrbitSampler.bernoulli(
+                [1.0 - p, p], n_orbits=mc_samples, seed=seed
+            )
+            mc = dynamics.partition_function_mc(mc_sampler, f, -t, n)
+            row.update(c_mc=mc.value, ci_low=mc.ci_low, ci_high=mc.ci_high)
+            covered += mc.ci_low <= row["c_exact"] <= mc.ci_high
+        per_n.append(row)
+    if mc_samples > 0:
+        notes.append(
+            f"Monte Carlo c_n at {mc_samples} orbits: exact inside the interval "
+            f"at {covered}/{n_max} n"
+        )
+    return _result(
+        "ldp-worked-example", start, bool(ok), "; ".join(notes),
+        ldp_bound=series.ldp_bound, bound_minimizer=series.bound_minimizer,
+        limit_rate=series.limit_rate, per_n=per_n,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -580,26 +651,35 @@ def check_birkhoff_attainment(seed: int = 19) -> GoldenResult:
 # ---------------------------------------------------------------------------
 
 
-def check_convex_pressure_suite(seed: int = 20) -> GoldenResult:
+def check_convex_pressure_suite(
+    seed: int = 20, d: int = 2, m: int = 2000, trials: int = 12
+) -> GoldenResult:
+    """On the ``(d, m)`` simplex grid Shannon entropy meets the pressure
+    axioms over ``trials`` observables drawn at ``seed``, and is recovered
+    at mu = (e, 1, ..., 1) / (e + d - 1).  On the d = 2 grid at ``m`` a
+    two-bump density lies below its recovered entropy and projects as its
+    concave envelope over ``linspace(0, 1, m + 1)`` does."""
+    _require_count("trials", trials)
     start = time.time()
     notes = []
     ok = True
-    grid = simplex.SimplexGrid(2, 2000)
+    grid = simplex.SimplexGrid(d, m)
+    plane = simplex.SimplexGrid(2, m)   # at d = 2 the same lattice, cached once
 
     axioms = simplex.pressure_axioms_check(
-        simplex.shannon_entropy_table, grid, trials=12, seed=seed
+        simplex.shannon_entropy_table, grid, trials=trials, seed=seed
     )
     ok &= axioms.worst <= 1e-6
     notes.append(f"axiom violations {axioms.worst:.2e} (tol 1e-6)")
 
     family = simplex.affine_observable_family(2)
-    gamma = simplex.convex_pressure_gamma(two_bump_density, family, grid)
+    gamma = simplex.convex_pressure_gamma(two_bump_density, family, plane)
     worst_gap = 0.0
     mid_gap = None
     for x in (0.2, 0.35, 0.5, 0.65, 0.8):
-        mu = np.array([x, 1 - x])
-        recovered = simplex.entropy_recovery(gamma, family, mu)
-        hm = float(two_bump_density(mu[None, :])[0])
+        point = np.array([x, 1 - x])
+        recovered = simplex.entropy_recovery(gamma, family, point)
+        hm = float(two_bump_density(point[None, :])[0])
         worst_gap = max(worst_gap, hm - recovered)
         if x == 0.5:
             mid_gap = recovered - hm
@@ -609,18 +689,21 @@ def check_convex_pressure_suite(seed: int = 20) -> GoldenResult:
         f"midpoint concavification gap {mid_gap:.3f}"
     )
 
-    mu = np.array([np.e / (1 + np.e), 1 / (1 + np.e)])
-    fam_with_min = np.vstack([family, simplex.shannon_recovery_minimizer(mu)])
+    mu = np.array([np.e] + [1.0] * (d - 1)) / (np.e + (d - 1))
+    fam_with_min = np.vstack([
+        simplex.affine_observable_family(d), simplex.shannon_recovery_minimizer(mu)
+    ])
     rec = simplex.entropy_recovery(
         simplex.convex_pressure_gamma(simplex.shannon_entropy_table, fam_with_min, grid),
         fam_with_min, mu,
     )
-    gap = abs(rec - simplex.shannon_entropy(mu))
+    shannon = simplex.shannon_entropy(mu)
+    gap = abs(rec - shannon)
     ok &= gap <= 1e-4
     notes.append(f"Shannon recovery gap {gap:.2e} (tol 1e-4)")
 
     # a non-concave density and its concave envelope project identically
-    xs = np.linspace(0.0, 1.0, 2001)
+    xs = np.linspace(0.0, 1.0, m + 1)
     pts = np.column_stack([xs, 1 - xs])
     vals = two_bump_density(pts)
     env = simplex.concave_envelope_1d(xs, vals)
@@ -633,7 +716,13 @@ def check_convex_pressure_suite(seed: int = 20) -> GoldenResult:
     ok &= worst_env <= 1e-6
     notes.append(f"envelope projection gap {worst_env:.2e} (tol 1e-6)")
 
-    return _result("convex-pressure-suite", start, bool(ok), "; ".join(notes))
+    return _result(
+        "convex-pressure-suite", start, bool(ok), "; ".join(notes),
+        monotonicity=axioms.monotonicity, translation=axioms.translation,
+        convexity=axioms.convexity, mu=mu.tolist(), recovered_entropy=rec,
+        shannon=shannon, density_gap=worst_gap, midpoint_gap=mid_gap,
+        envelope_gap=worst_env,
+    )
 
 
 # ---------------------------------------------------------------------------

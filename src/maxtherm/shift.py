@@ -277,14 +277,16 @@ def transfer_apply(J: Jacobian, f: DepthKFunction) -> DepthKFunction:
     """Transfer image x -> sum over symbols a of J(a.x) f(a.x).
 
     The output reads one symbol fewer than the deeper of the two inputs
-    (never fewer than zero symbols).
+    (never fewer than zero symbols).  Viewing both tables as (d^j, -1), j the
+    shallower depth, makes their product the one table, with no repeated copy.
     """
     if f.space != J.space:
         raise ValueError("kernel and observable live on different spaces")
-    k = max(f.depth, J.depth)
-    prod = J.at_depth(k) * f.at_depth(k)
-    out = prod.reshape(J.space.d, -1).sum(axis=0)
-    return DepthKFunction(J.space, k - 1, out)
+    heads = J.space.d ** min(f.depth, J.depth)
+    values = J.values.reshape(heads, -1) * f.values.reshape(heads, -1)
+    # rebinding frees the product before DepthKFunction copies the sums
+    values = values.reshape(J.space.d, -1).sum(axis=0)
+    return DepthKFunction(J.space, max(f.depth, J.depth) - 1, values)
 
 
 def dual_apply(J: Jacobian, mu: CylinderMeasure) -> CylinderMeasure:

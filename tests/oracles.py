@@ -56,6 +56,15 @@ def dual_image(J: DepthKFunction, mu: CylinderMeasure) -> np.ndarray:
     return out
 
 
+def transfer_repeated(J: DepthKFunction, f: DepthKFunction) -> np.ndarray:
+    """Values of the transfer image of f, from both tables repeated out to
+    the deeper depth k: sum over the first symbol of J(w) f(w), w of
+    length k.  This materializes two d^k tables besides their product."""
+    k = max(f.depth, J.depth)
+    prod = J.at_depth(k) * f.at_depth(k)
+    return prod.reshape(J.space.d, -1).sum(axis=0)
+
+
 def maxplus_birkhoff(f: DepthKFunction, orbit: Sequence[int], n: int) -> float:
     """Running max of f over the first n shift iterates of one orbit, one
     window at a time."""

@@ -1,9 +1,10 @@
-"""Every subcommand at small sizes: the check-backed ones print their
-golden check's detail line, usage and config errors exit 1, a wrong LP
-oracle exits 2, and JSON reports are strict, reproducible, exact and
-enough to rerun their configuration."""
+"""Every subcommand at small sizes: each prints its golden checks' detail
+lines and exits 2 when one fails, usage and config errors exit 1, and
+JSON reports are strict, reproducible, exact and enough to rerun their
+configuration."""
 
 import dataclasses
+import inspect
 import json
 import platform
 import re
@@ -32,6 +33,14 @@ def _run(capsys, *argv):
      lambda: goldens.check_transport_oracle(0, plan=((3, 0.2, 3, 10),))),
     (["mpifs", "--points", "5", "--systems", "3", "--seed", "2"],
      lambda: goldens.check_mpifs_operators(2, 3, points=5)),
+    (["gamma", "--m", "200", "--trials", "2"],
+     lambda: goldens.check_convex_pressure_suite(0, d=2, m=200, trials=2)),
+    (["gamma", "--d", "3", "--m", "20", "--trials", "2", "--seed", "4"],
+     lambda: goldens.check_convex_pressure_suite(4, d=3, m=20, trials=2)),
+    (["ifs", "--length", "4", "--gamma", "0.2", "--p", "0.6", "--q2", "-0.5"],
+     lambda: goldens.check_ifs_invariant_pressure(0.2, 0.6, 0.7, -0.5, length=4)),
+    (["ldp", "--n-max", "3", "--p", "0.3", "--t", "0.7", "--seed", "6"],
+     lambda: goldens.check_ldp_worked_example(0.3, 0.5, 0.7, n_max=3, seed=6)),
 ])
 def test_check_subcommand_prints_its_checks_detail_line(capsys, argv, expected):
     code, out = _run(capsys, *argv)
@@ -67,6 +76,46 @@ def test_transport_exits_2_when_the_lp_oracle_disagrees(capsys, monkeypatch):
     assert code == 2
     assert "[PASS] contraction-bounds" in out
     assert "[FAIL] transport-oracle" in out
+
+
+def _off_by_one(fn):
+    return lambda *args, **kwargs: fn(*args, **kwargs) + 1.0
+
+
+def _one_more_match(fn):
+    def wrong(*args, **kwargs):
+        est = fn(*args, **kwargs)
+        return dataclasses.replace(est, matched=est.matched + 1)
+    return wrong
+
+
+@pytest.mark.parametrize("argv, module, name, wrap, check", [
+    (["gamma", "--m", "50", "--trials", "2"], simplex, "shannon_entropy",
+     _off_by_one, "convex-pressure-suite"),
+    (["ifs", "--length", "3"], ifs, "density_entropy_estimate",
+     _one_more_match, "ifs-invariant-pressure"),
+    (["ldp", "--n-max", "3"], dynamics, "c_n_exact",
+     _off_by_one, "ldp-worked-example"),
+])
+def test_subcommand_exits_2_when_its_check_fails(
+    capsys, monkeypatch, argv, module, name, wrap, check
+):
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    code, out = _run(capsys, *argv)
+    assert code == 2
+    assert f"[FAIL] {check}" in out
+    assert "0/1 golden checks passed" in out
+
+
+@pytest.mark.parametrize("command, check", [
+    ("gamma", goldens.check_convex_pressure_suite),
+    ("ifs", goldens.check_ifs_invariant_pressure),
+    ("mpifs", goldens.check_mpifs_operators),
+    ("ldp", goldens.check_ldp_worked_example),
+])
+def test_subcommand_flags_are_its_checks_parameters(command, check):
+    flags = cli._flags(cli.build_parser().parse_args([command]))
+    assert set(flags) == set(inspect.signature(check).parameters)
 
 
 @pytest.mark.parametrize("argv", [
@@ -178,75 +227,72 @@ def test_check_report_holds_every_checks_line(capsys, tmp_path):
     expected = [goldens.check_contraction_bounds(5, 20),
                 goldens.check_transport_oracle(5, plan=plan)]
     assert report["results"] == [
-        {"check": r.name, "passed": True, "detail": r.detail} for r in expected
+        {"check": r.name, "passed": True, "detail": r.detail, "record": {}}
+        for r in expected
     ]
+
+
+def _record(report):
+    (result,) = report["results"]
+    assert result["passed"] is True
+    return result["record"]
 
 
 def test_gamma_report_holds_the_residuals_and_the_recovery(capsys, tmp_path):
     _, report = _write(capsys, tmp_path / "a.json", "gamma", "--m", "200",
                        "--trials", "2")
-    grid = simplex.SimplexGrid(2, 200)
+    result = goldens.check_convex_pressure_suite(0, d=2, m=200, trials=2)
+    assert _record(report) == result.record
     axioms = simplex.pressure_axioms_check(
-        simplex.shannon_entropy_table, grid, trials=2, seed=0
+        simplex.shannon_entropy_table, simplex.SimplexGrid(2, 200), trials=2, seed=0
     )
-    mu = np.full(2, 0.5)
-    family = np.vstack([
-        simplex.affine_observable_family(2), simplex.shannon_recovery_minimizer(mu)
-    ])
-    assert report["results"] == {
-        "monotonicity": axioms.monotonicity,
-        "translation": axioms.translation,
-        "convexity": axioms.convexity,
-        "recovered_entropy": simplex.entropy_recovery(
-            simplex.convex_pressure_gamma(simplex.shannon_entropy_table, family, grid),
-            family, mu,
-        ),
-        "shannon": simplex.shannon_entropy(mu),
-    }
+    record = result.record
+    assert (record["monotonicity"], record["translation"], record["convexity"]) == (
+        axioms.monotonicity, axioms.translation, axioms.convexity
+    )
+    mu = np.array([np.e / (1 + np.e), 1 / (1 + np.e)])
+    assert (record["mu"], record["shannon"]) == (mu.tolist(), simplex.shannon_entropy(mu))
 
 
 def test_ifs_report_holds_the_attractor_and_pressure_exactly(capsys, tmp_path):
     _, report = _write(capsys, tmp_path / "a.json", "ifs", "--length", "4",
                        "--q2", "-0.5")
+    record = _record(report)
+    assert record == goldens.check_ifs_invariant_pressure(q2=-0.5, length=4).record
     space = ShiftSpace(2, 0.3)
     fam = ifs.WeightedJacobianFamily(
         [make_bernoulli_jacobian(0.3, space), make_bernoulli_jacobian(0.7, space)],
         [0.0, -0.5],
     )
     nu0 = CylinderMeasure.point_mass(space, (2,))
-    sample = ifs.attractor_build(fam, 4, nu0)
     pres = ifs.invariant_pressure_solve(
-        fam, lambda mu: mu.mass_of((1,)), 4, nu0, lip_g=1.0
+        fam, lambda mu: mu.mass_of((1,)), 4, nu0, lip_g=1.0, eps=0.0
     )
-    results = report["results"]
-    assert results["N"] == 4 and results["d"] == 2
-    assert results["r"] == space.contraction_rate
-    assert results["raw_words"] == sample.raw_count == 16
-    assert results["epsilon"] == sample.epsilon
-    assert results["clusters"] == len(sample.leaves) == len(results["leaves"])
-    for leaf, got in zip(sample.leaves, results["leaves"]):
-        assert got["word"] == list(leaf.word)
-        assert got["weight"] == leaf.weight
-        assert got["depth"] == leaf.measure.depth
-        assert got["masses"] == leaf.measure.masses.tolist()
-    assert (results["pressure"], results["error_bound"],
-            results["fixed_point_residual"]) == (
+    assert (record["N"], record["d"], record["r"], record["words"]) == (
+        4, 2, space.contraction_rate, 16
+    )
+    assert (record["pressure"], record["error_bound"],
+            record["fixed_point_residual"]) == (
         pres.value, pres.error_bound, pres.fixed_point_residual
     )
+    best = max(pres.sample.leaves,
+               key=lambda leaf: leaf.weight + leaf.measure.mass_of((1,)))
+    assert record["argmax_word"] == list(best.word)
+    assert record["argmax_weight"] == best.weight
 
 
-def test_ifs_builds_the_attractor_once(capsys, monkeypatch):
-    lengths = []
+def test_ifs_builds_the_two_kernel_attractor_once(capsys, monkeypatch):
+    builds = []
     build = ifs.attractor_build
 
     def counting(fam, word_length, *args, **kwargs):
-        lengths.append(word_length)
+        builds.append((len(fam), word_length))
         return build(fam, word_length, *args, **kwargs)
 
     monkeypatch.setattr(ifs, "attractor_build", counting)
-    assert cli.main(["ifs", "--length", "4"]) == 0
-    assert lengths == [4]
-    assert "16 words" in capsys.readouterr().out
+    assert cli.main(["ifs", "--length", "6"]) == 0
+    assert builds.count((2, 6)) == 1
+    assert "2^6 words match brute force exactly: True" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("mc_samples", [0, 50])
@@ -255,18 +301,37 @@ def test_ldp_report_has_one_record_per_n_and_mc_keys_only_when_sampling(
 ):
     _, report = _write(capsys, tmp_path / "a.json", "ldp", "--n-max", "3",
                        "--t", "0.4", "--mc-samples", str(mc_samples))
+    record = _record(report)
+    assert record == goldens.check_ldp_worked_example(
+        t=0.4, n_max=3, seed=0, mc_samples=mc_samples
+    ).record
     f = dynamics.DepthKFunction(ShiftSpace(2, 0.3), 1, [1.0, 0.0])
     rates = dynamics.empirical_rate(0.5, 0.5, [1, 2, 3]).rates
     expected = []
     for n in (1, 2, 3):
-        record = {"n": n, "c_exact": dynamics.c_n_exact(0.5, 0.4, n),
-                  "rate": rates[n - 1]}
+        row = {"n": n, "c_exact": dynamics.c_n_exact(0.5, 0.4, n), "rate": rates[n - 1]}
         if mc_samples:
             sampler = dynamics.OrbitSampler.bernoulli([0.5, 0.5], n_orbits=50, seed=0)
             mc = dynamics.partition_function_mc(sampler, f, -0.4, n)
-            record.update(c_mc=mc.value, ci_low=mc.ci_low, ci_high=mc.ci_high)
-        expected.append(record)
-    assert report["results"] == expected
+            row.update(c_mc=mc.value, ci_low=mc.ci_low, ci_high=mc.ci_high)
+        expected.append(row)
+    assert record["per_n"] == expected
+
+
+@pytest.mark.parametrize("mc_samples", [0, 50])
+def test_ldp_runs_the_monte_carlo_leg_without_out(capsys, monkeypatch, mc_samples):
+    calls = []
+    mc = dynamics.partition_function_mc
+    monkeypatch.setattr(dynamics, "partition_function_mc",
+                        lambda *args: calls.append(args[-1]) or mc(*args))
+    code, out = _run(capsys, "ldp", "--n-max", "3", "--mc-samples", str(mc_samples))
+    assert code == 0
+    assert calls == ([1, 2, 3] if mc_samples else [])
+    clause = re.search(r"Monte Carlo c_n at (\d+) orbits: exact inside the "
+                       r"interval at (\d)/3 n", out)
+    assert (clause is not None) == bool(mc_samples)
+    if clause:
+        assert clause.group(1) == "50"
 
 
 def test_unwritable_out_exits_1(capsys, tmp_path):
@@ -321,4 +386,4 @@ def test_ifs_length_over_the_cell_budget_exits_1(capsys):
     assert cli.main(["ifs", "--length", "17"]) == 1
     captured = capsys.readouterr()
     assert f"exceed the budget of {ifs.MAX_CELLS} cells; use word_length <= 12" in captured.err
-    assert "attractor:" not in captured.out
+    assert "[PASS]" not in captured.out

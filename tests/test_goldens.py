@@ -1,8 +1,11 @@
 """The golden battery: every check passes, and a crashing check is a FAIL."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maxtherm import cli, goldens
+from maxtherm import cli, goldens, ifs
+from maxtherm.shift import CylinderMeasure, ShiftSpace, make_bernoulli_jacobian
 
 
 # The detail line of each check at its default arguments, as recorded.  A
@@ -78,6 +81,50 @@ def test_check_passes(name):
     assert result.name == name
     assert result.passed is True, result.detail
     assert result.detail == RECORDED_DETAILS[name]
+
+
+# The flags of the ``gamma``, ``ifs`` and ``ldp`` subcommands, at small sizes.
+UNIT = st.floats(0.0, 1.0)
+OPEN_UNIT = st.floats(0.01, 0.99)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from((2, 3)),
+       m=st.integers(1, 20), trials=st.integers(1, 3))
+def test_convex_pressure_suite_passes_at_valid_flags(seed, d, m, trials):
+    result = goldens.check_convex_pressure_suite(seed, d, m, trials)
+    assert result.passed is True, result.detail
+
+
+@settings(max_examples=25, deadline=None)
+@given(gamma=st.floats(0.01, 0.33), p=UNIT, p2=UNIT, same=st.booleans(),
+       q2=st.floats(-3.0, 0.0), length=st.integers(1, 6))
+def test_ifs_invariant_pressure_passes_at_valid_flags(gamma, p, p2, same, q2, length):
+    result = goldens.check_ifs_invariant_pressure(gamma, p, p if same else p2, q2, length)
+    assert result.passed is True, result.detail
+
+
+@settings(max_examples=15, deadline=None)
+@given(p=OPEN_UNIT, b=OPEN_UNIT, t=st.floats(-3.0, 3.0), n_max=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1), mc_samples=st.sampled_from((0, 1, 7, 40)))
+def test_ldp_worked_example_passes_at_valid_flags(p, b, t, n_max, seed, mc_samples):
+    result = goldens.check_ldp_worked_example(p, b, t, n_max, seed, mc_samples)
+    assert result.passed is True, result.detail
+    assert [row["n"] for row in result.record["per_n"]] == list(range(1, n_max + 1))
+
+
+def test_the_density_line_holds_when_both_kernels_make_one_image():
+    # at p == p2 every word of a length has the same image, so a query at
+    # it matches all 32 words and carries their best weight, 0
+    result = goldens.check_ifs_invariant_pressure(p=0.5, p2=0.5, q2=-0.1, length=5)
+    assert result.passed is True, result.detail
+    assert result.detail.endswith("bottom off them: True")
+    space = ShiftSpace(2, 0.3)
+    jp = make_bernoulli_jacobian(0.5, space)
+    small = ifs.attractor_build(ifs.WeightedJacobianFamily([jp, jp], [0.0, -0.1]), 5,
+                                CylinderMeasure.point_mass(space, (2,)), eps=0.0)
+    est = ifs.density_entropy_estimate(small, small.leaves[-1].measure)
+    assert (est.value.value, est.matched) == (0.0, 32)
 
 
 @pytest.mark.parametrize("seed", [19, 22])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dual_image, index_word, word_metric
+from oracles import dual_image, index_word, transfer_repeated, word_metric
 
 from maxtherm.goldens import random_jacobian, random_measure
 from maxtherm.ifs import WeightedJacobianFamily, attractor_build
@@ -264,6 +264,20 @@ class TestDualOperator:
             rhs = mu.integrate(transfer_apply(J, f))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    def test_transfer_allocates_only_its_product(self):
+        # the product and the half-size sums; repeating the kernel and the
+        # observable out to depth k, as ``at_depth`` does, peaks at 3.0x
+        f = DepthKFunction(SPACE, 16, np.random.default_rng(6).uniform(-1, 1, 1 << 16))
+        J = random_jacobian(SPACE, 3, np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            out = transfer_apply(J, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.values.tobytes() == transfer_repeated(J, f).tobytes()
+        assert peak <= 1.6 * f.values.nbytes
+
     def test_depth_precondition(self):
         deep = Jacobian(
             SPACE, 3, np.full(8, 0.5) + 0.0
@@ -384,6 +398,19 @@ class TestProperties:
                                  eps=0.0)
         for leaf in sample.leaves:
             assert leaf.measure.masses.tobytes() == want[leaf.word[0] - 1].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.sampled_from((2, 3, 4)), f_depth=st.integers(0, 5),
+           kernel_depth=st.integers(1, 5), seed=SEEDS)
+    def test_transfer_matches_the_repeated_tables_bit_for_bit(self, d, f_depth,
+                                                              kernel_depth, seed):
+        rng = np.random.default_rng(seed)
+        space = SPACES[d]
+        J = random_jacobian(space, kernel_depth, rng)
+        f = DepthKFunction(space, f_depth, rng.uniform(-2.0, 2.0, d ** f_depth))
+        out = transfer_apply(J, f)
+        assert out.depth == max(f_depth, kernel_depth) - 1
+        assert out.values.tobytes() == transfer_repeated(J, f).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(d=st.sampled_from((2, 3)), depth=st.integers(0, 4),
