@@ -7,11 +7,18 @@ row-stochastic transition matrix; an i.i.d. (Bernoulli) measure is the
 chain whose transition rows all equal its masses.  The
 partition function c_n(t) = (1/n) log E[exp(n t max-sum)] feeds a
 Chebyshev-type upper large-deviation bound inf over t >= 0 of
-t b + c(-t).  The two-symbol worked example has everything in closed
-form: with f the indicator of first symbol 1 and symbol 2 carrying mass
-p, the partition integral is exp(-n t)(1 - p^n) + p^n, the limit of
-c_n(-t) is max(-t, log p), the bound is (1 - b) log p at t = -log p, and
-the true decay rate is log p, strictly below the bound.
+t b + c(-t) (``ldp_upper_bound``).  The two-symbol worked example has
+everything in closed form, each in one function.  With f the indicator
+of first symbol 1 and symbol 2 carrying mass p, the max-sum M_n is 0
+with probability p^n and 1 otherwise, so:
+
+- ``c_n_exact``: c_n(-t) = (1/n) log(p^n + (1 - p^n) exp(-n t));
+- ``c_limit_exact``: its limit max(-t, log p);
+- ``log_event_probability``: log P(M_n <= b), which is n log p for
+  0 <= b < 1, so the true decay rate is log p;
+- ``bernoulli_ldp_bound``: the bound (1 - b) log p at t = -log p,
+  strictly above that rate;
+- ``chebyshev_step_exact``: both sides of the Chebyshev step.
 
 The Monte Carlo c_n(t) carries a bootstrap interval drawn as value counts:
 the running maxes of m orbits take u <= min(m, d^depth) distinct values,
@@ -37,7 +44,7 @@ symbol 2 carries mass p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -69,7 +76,10 @@ class OrbitSampler:
     """
 
     def __init__(self, probs, transition, n_orbits: int, seed: int):
-        if int(n_orbits) < 1:
+        for name, value in (("n_orbits", n_orbits), ("seed", seed)):
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if n_orbits < 1:
             raise ValueError(f"n_orbits must be at least 1, got {n_orbits}")
         p = np.array(probs, dtype=float).reshape(1, -1)
         self.probs = check_probability_rows(p)[0]
@@ -292,39 +302,58 @@ def birkhoff_limit_test(
 
 
 # ---------------------------------------------------------------------------
-# Partition function: closed form and Monte Carlo
+# The worked example's closed forms, and the Monte Carlo partition function
 # ---------------------------------------------------------------------------
 
 
-def partition_integral_exact(p: float, t: float, n: int) -> float:
-    """Closed form of the partition integral in the two-symbol example.
-
-    Equals exp(-n t) (1 - p^n) + p^n, where p is the mass of the symbol
-    on which f vanishes.
-    """
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie in (0, 1)")
-    return float(np.exp(-n * t) * (1.0 - p ** n) + p ** n)
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
-def c_n_exact(p: float, t: float, n: int) -> float:
-    """(1/n) log of the partition integral at argument -t, in log space.
-
-    Stable for large n where exp(-n t) and p^n underflow.
-    """
+def _require_example(p: float, n: int = 1) -> None:
+    """The worked example needs 0 < p < 1 and n >= 1."""
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie in (0, 1)")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    log_pn = n * np.log(p)
-    # log(exp(-n t)(1 - p^n) + p^n)
-    first = -n * t + np.log1p(-np.exp(log_pn)) if log_pn < -1e-17 else -n * t
-    return float(np.logaddexp(first, log_pn) / n)
+
+
+def c_n_exact(p: float, t: float, n: int) -> float:
+    """c_n(-t) in the worked example: (1/n) log(p^n + (1 - p^n) exp(-n t)).
+
+    With a = log p and b = log(1 - p^n)/n - t this is
+    max(a, b) + log(1 + exp(-n |a - b|))/n; each term is divided by n
+    before the two are combined, so the value is finite for every finite t.
+    """
+    _require_example(p, n)
+    _require_finite(t=t)
+    a = float(np.log(p))
+    b = float(np.log1p(-p ** n)) / n - t
+    return max(a, b) + float(np.log1p(np.exp(-n * abs(a - b)))) / n
 
 
 def c_limit_exact(p: float, t: float) -> float:
     """Limit of c_n(-t): max(-t, log p)."""
+    _require_example(p)
+    _require_finite(t=t)
     return max(-t, float(np.log(p)))
+
+
+def log_event_probability(p: float, b: float, n: int) -> float:
+    """log P(max-sum <= b) in the worked example.
+
+    The max-sum over n windows is 0 on the all-symbol-2 cylinder, of mass
+    p^n, and 1 elsewhere, so this is -inf for b < 0, n log p for
+    0 <= b < 1 and 0 for b >= 1.
+    """
+    _require_example(p, n)
+    if np.isnan(b):
+        raise ValueError(f"b must be a number, got {b!r}")
+    if b < 0.0:
+        return -np.inf
+    return n * float(np.log(p)) if b < 1.0 else 0.0
 
 
 @dataclass
@@ -350,12 +379,6 @@ def _log_mean_exp_counts(levels: np.ndarray, counts: np.ndarray) -> np.ndarray:
     top = np.where(held, levels, -np.inf).max(axis=-1)
     terms = np.exp(np.where(held, levels - top[..., None], -np.inf))
     return top + np.log((counts * terms).sum(axis=-1) / counts.sum(axis=-1))
-
-
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 N_BOOT = 200      # bootstrap resamples behind the confidence interval
@@ -392,7 +415,7 @@ def partition_function_mc(
 
 
 # ---------------------------------------------------------------------------
-# Upper large-deviation bound and the exact rate of the worked example
+# Upper large-deviation bound
 # ---------------------------------------------------------------------------
 
 
@@ -435,56 +458,12 @@ def ldp_upper_bound(
 def bernoulli_ldp_bound(p: float, b: float) -> Tuple[float, float]:
     """Bound for the worked example via its closed-form c: uses the
     bracket [0, 10 |log p|]."""
+    _require_example(p)
     if not (0.0 < b < 1.0):
         raise ValueError("threshold must lie in (0, 1) for this example")
-    t_star, bound = ldp_upper_bound(
+    return ldp_upper_bound(
         lambda t: c_limit_exact(p, t), b, sup_f=1.0,
         t_max=10.0 * abs(np.log(p)),
-    )
-    return t_star, bound
-
-
-@dataclass
-class RateEstimate:
-    rates: List[float]        # (1/n) log of the event probability
-    limit_rate: float
-    ldp_bound: float
-    bound_minimizer: float
-
-
-def empirical_rate(p: float, b: float, n_values: Sequence[int]) -> RateEstimate:
-    """Exact decay rate of the event {max-sum <= b} in the worked example.
-
-    For 0 <= b < 1 the event is exactly the all-symbol-2 cylinder, with
-    probability p^n, so the rate is log p at every n.  For b >= 1 the
-    event has probability 1 and the rate is 0.
-    """
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie in (0, 1)")
-    if len(n_values) == 0:
-        raise ValueError("n_values must name at least one n")
-    if min(n_values) < 1:
-        raise ValueError(f"every n must be at least 1, got {min(n_values)}")
-    rates = []
-    for n in n_values:
-        if b >= 1.0:
-            rates.append(0.0)
-        elif b < 0.0:
-            rates.append(-np.inf)
-        elif p ** n > 0.0:
-            rates.append(float(np.log(p ** n)) / n)
-        else:
-            # p^n underflows; (1/n) log p^n is log p identically
-            rates.append(float(np.log(p)))
-    if 0.0 < b < 1.0:
-        t_star, bound = bernoulli_ldp_bound(p, b)
-    else:
-        t_star, bound = 0.0, 0.0
-    return RateEstimate(
-        rates=rates,
-        limit_rate=rates[-1],
-        ldp_bound=bound,
-        bound_minimizer=t_star,
     )
 
 
@@ -550,11 +529,10 @@ def c_maxplus_convexity_check(
 def chebyshev_step_exact(p: float, t: float, b: float, n: int) -> Tuple[float, float]:
     """Both sides of the Chebyshev step in the worked example, exactly.
 
-    Returns (event probability, exp(n t b) * partition integral at -t);
-    the first never exceeds the second for t >= 0.
+    Returns (P(max-sum <= b), exp(n (t b + c_n(-t)))); the first never
+    exceeds the second for t >= 0.
     """
     if t < 0:
         raise ValueError("the Chebyshev step needs t >= 0")
-    prob = p ** n if 0.0 <= b < 1.0 else (1.0 if b >= 1.0 else 0.0)
-    rhs = float(np.exp(n * t * b) * partition_integral_exact(p, t, n))
-    return prob, rhs
+    prob = float(np.exp(log_event_probability(p, b, n)))
+    return prob, float(np.exp(n * (t * b + c_n_exact(p, t, n))))

@@ -544,7 +544,7 @@ def check_ldp_worked_example(
     ts = (0.0, 0.1, 0.5, np.log(2.0), 2.0)
     for n in (1, 2, 3, 5, 10, 20):
         for u, brute in zip(ts, _partition_bruteforce(p, ts, n)):
-            closed = dynamics.partition_integral_exact(p, u, n)
+            closed = np.exp(n * dynamics.c_n_exact(p, u, n))
             worst_integral = max(worst_integral, abs(closed - brute))
             prob, step_bound = dynamics.chebyshev_step_exact(p, u, b, n)
             worst_step = max(worst_step, prob / step_bound)
@@ -560,20 +560,24 @@ def check_ldp_worked_example(
     ok &= worst_c <= 0.01
     notes.append(f"c_2000 vs limit gap {worst_c:.2e} (tol 0.01)")
 
-    est = dynamics.empirical_rate(p, b, [1, 5, 10, 50, 2000])
-    t_gap = abs(est.bound_minimizer - (-np.log(p)))
-    b_gap = abs(est.ldp_bound - (1 - b) * np.log(p))
+    t_star, bound = dynamics.bernoulli_ldp_bound(p, b)
+    t_gap = abs(t_star - (-np.log(p)))
+    b_gap = abs(bound - (1 - b) * np.log(p))
     ok &= t_gap <= 1e-8 and b_gap <= 1e-8
     notes.append(f"minimizer gap {t_gap:.2e}, bound gap {b_gap:.2e} (tol 1e-8)")
 
-    series = dynamics.empirical_rate(p, b, range(1, n_max + 1))
-    rate_gap = max(abs(rate - np.log(p)) for rate in est.rates + series.rates)
+    def rate(n: int) -> float:
+        return dynamics.log_event_probability(p, b, n) / n
+
+    spread = [rate(n) for n in (1, 5, 10, 50, 2000)]
+    rates = [rate(n) for n in range(1, n_max + 1)]
+    rate_gap = max(abs(r - np.log(p)) for r in spread + rates)
     ok &= rate_gap <= 1e-12
-    strict = est.limit_rate < est.ldp_bound - 1e-9
+    strict = spread[-1] < bound - 1e-9
     ok &= strict
     notes.append(
-        f"rate gap {rate_gap:.2e}; strict gap log p={est.limit_rate:.5f} < "
-        f"bound={est.ldp_bound:.5f}: {strict}"
+        f"rate gap {rate_gap:.2e}; strict gap log p={spread[-1]:.5f} < "
+        f"bound={bound:.5f}: {strict}"
     )
 
     ok &= worst_step <= 1.0
@@ -586,7 +590,7 @@ def check_ldp_worked_example(
     convexity = [
         dynamics.c_maxplus_convexity_check(
             f_up, None, s=-0.8, t=0.3, alpha=0.0, beta=-0.5,
-            c_exact=lambda u: max(u, np.log(p)) + u,
+            c_exact=lambda u: dynamics.c_limit_exact(p, -u) + u,
         ),
         dynamics.c_maxplus_convexity_check(
             f_up, sampler, s=0.4, t=0.2, alpha=0.0, beta=-0.3, n=30
@@ -604,8 +608,8 @@ def check_ldp_worked_example(
     f = DepthKFunction(ShiftSpace(2, 0.3), 1, [1.0, 0.0])
     per_n = []
     covered = 0
-    for n, rate in enumerate(series.rates, 1):
-        row = {"n": n, "c_exact": dynamics.c_n_exact(p, t, n), "rate": rate}
+    for n, rate_n in enumerate(rates, 1):
+        row = {"n": n, "c_exact": dynamics.c_n_exact(p, t, n), "rate": rate_n}
         if mc_samples > 0:
             mc_sampler = dynamics.OrbitSampler.bernoulli(
                 [1.0 - p, p], n_orbits=mc_samples, seed=seed
@@ -621,8 +625,7 @@ def check_ldp_worked_example(
         )
     return _result(
         "ldp-worked-example", start, bool(ok), "; ".join(notes),
-        ldp_bound=series.ldp_bound, bound_minimizer=series.bound_minimizer,
-        limit_rate=series.limit_rate, per_n=per_n,
+        ldp_bound=bound, bound_minimizer=t_star, limit_rate=rates[-1], per_n=per_n,
     )
 
 

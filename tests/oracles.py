@@ -6,6 +6,7 @@ operations in place of its batched tables), so that an agreement between
 the two is evidence rather than a tautology.
 """
 
+import itertools
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -77,6 +78,21 @@ def maxplus_birkhoff(f: DepthKFunction, orbit: Sequence[int], n: int) -> float:
             code = code * f.space.d + (s - 1)
         best = max(best, float(f.values[code]))
     return best
+
+
+def worked_example_words(p: float, n: int) -> List[Tuple[float, float]]:
+    """(mass, max-sum) of each of the 2^n words of the two-symbol worked
+    example, one word at a time: symbol 2 carries mass p, f is the
+    indicator of symbol 1, and the max-sum is f's running max over the
+    word's n windows."""
+    f = DepthKFunction(ShiftSpace(2, 0.3), 1, [1.0, 0.0])
+    out = []
+    for word in itertools.product((1, 2), repeat=n):
+        mass = 1.0
+        for s in word:
+            mass *= p if s == 2 else 1.0 - p
+        out.append((mass, maxplus_birkhoff(f, word, n)))
+    return out
 
 
 def tree_w1(mu: CylinderMeasure, nu: CylinderMeasure) -> float:

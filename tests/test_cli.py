@@ -129,6 +129,14 @@ def test_experiment_subcommand_exits_0(capsys, argv):
     assert out
 
 
+def test_ldp_passes_at_a_t_whose_partition_integral_overflows(capsys):
+    # n |t| = 2e309 is past the float range, but c_2000(1e306) is 1e306
+    code, out = _run(capsys, "ldp", "--t=-1e306")
+    assert code == 0
+    assert "[PASS] ldp-worked-example" in out
+    assert "c_2000 vs limit gap 0.00e+00" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["pressure", "--bogus", "1"], ["nosuch"], [], ["ifs", "--json-out", "x"],
 ])
@@ -306,10 +314,10 @@ def test_ldp_report_has_one_record_per_n_and_mc_keys_only_when_sampling(
         t=0.4, n_max=3, seed=0, mc_samples=mc_samples
     ).record
     f = dynamics.DepthKFunction(ShiftSpace(2, 0.3), 1, [1.0, 0.0])
-    rates = dynamics.empirical_rate(0.5, 0.5, [1, 2, 3]).rates
     expected = []
     for n in (1, 2, 3):
-        row = {"n": n, "c_exact": dynamics.c_n_exact(0.5, 0.4, n), "rate": rates[n - 1]}
+        row = {"n": n, "c_exact": dynamics.c_n_exact(0.5, 0.4, n),
+               "rate": dynamics.log_event_probability(0.5, 0.5, n) / n}
         if mc_samples:
             sampler = dynamics.OrbitSampler.bernoulli([0.5, 0.5], n_orbits=50, seed=0)
             mc = dynamics.partition_function_mc(sampler, f, -0.4, n)

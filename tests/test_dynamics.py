@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bootstrap_by_indices, maxplus_birkhoff
+from oracles import bootstrap_by_indices, maxplus_birkhoff, worked_example_words
 
 from maxtherm import dynamics
 from maxtherm.dynamics import (
@@ -21,10 +21,9 @@ from maxtherm.dynamics import (
     c_maxplus_convexity_check,
     c_n_exact,
     chebyshev_step_exact,
-    empirical_rate,
     ldp_upper_bound,
+    log_event_probability,
     partition_function_mc,
-    partition_integral_exact,
 )
 from maxtherm.shift import DepthKFunction, ShiftSpace
 
@@ -117,6 +116,21 @@ class TestSampler:
             OrbitSampler.bernoulli([0.5, 0.5], n_orbits=n_orbits, seed=0)
         with pytest.raises(ValueError, match="n_orbits must be at least 1"):
             OrbitSampler.markov([[0.5, 0.5], [0.5, 0.5]], n_orbits=n_orbits, seed=0)
+
+    @pytest.mark.parametrize("name, n_orbits, seed", [
+        ("n_orbits", 2.7, 0), ("n_orbits", 3.0, 0), ("n_orbits", "3", 0),
+        ("seed", 10, 1.5), ("seed", 10, np.float64(2.0)),
+    ])
+    def test_non_integer_orbit_count_or_seed_rejected(self, name, n_orbits, seed):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            OrbitSampler.bernoulli([0.5, 0.5], n_orbits, seed)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            OrbitSampler.markov([[0.5, 0.5], [0.5, 0.5]], n_orbits, seed)
+
+    def test_numpy_integers_accepted(self):
+        s = OrbitSampler.bernoulli([0.5, 0.5], np.int64(3), np.uint32(7))
+        assert s.n_orbits == 3 and s.seed == 7
+        assert np.array_equal(s.sample(5), OrbitSampler.bernoulli([0.5, 0.5], 3, 7).sample(5))
 
     @pytest.mark.parametrize("markov", [False, True], ids=["bernoulli", "markov"])
     def test_length_zero_gives_empty_rows_and_negative_is_rejected(self, markov):
@@ -432,39 +446,46 @@ class TestRowBlocks:
 
 class TestPartitionFunction:
     def test_half_log2_plugin(self):
-        val = partition_integral_exact(0.5, np.log(2.0), 1)
-        assert val == pytest.approx(0.75, abs=1e-15)
-        assert np.log(val) == pytest.approx(-0.2876820724517809, abs=1e-14)
+        # at n = 1: 1/2 + 1/2 * exp(-log 2) = 3/4
+        val = c_n_exact(0.5, np.log(2.0), 1)
+        assert np.exp(val) == pytest.approx(0.75, abs=1e-15)
+        assert val == pytest.approx(-0.2876820724517809, abs=1e-14)
 
     def test_t_zero_is_one(self):
         for n in (1, 7, 30):
-            assert partition_integral_exact(0.37, 0.0, n) == pytest.approx(
-                1.0, abs=1e-14
-            )
+            assert np.exp(n * c_n_exact(0.37, 0.0, n)) == pytest.approx(1.0, abs=1e-14)
             assert c_n_exact(0.37, 0.0, n) == pytest.approx(0.0, abs=1e-14)
 
     def test_direct_cylinder_summation_oracle(self):
-        # enumerate all 2^n words: symbol 2 carries mass p, the max-sum is
-        # the indicator that the word is not all 2s
+        # the worked example's 2^n words one at a time, at 20 random draws
         rng = np.random.default_rng(9)
         for _ in range(20):
             p = float(rng.uniform(0.1, 0.9))
             t = float(rng.uniform(0.0, 2.0))
             n = int(rng.integers(1, 12))
-            total = 0.0
-            for code in range(2 ** n):
-                bits = [(code >> (n - 1 - i)) & 1 for i in range(n)]
-                count2 = sum(bits)
-                mass = p ** count2 * (1 - p) ** (n - count2)
-                total += np.exp(-n * t * (1.0 if count2 < n else 0.0)) * mass
-            assert partition_integral_exact(p, t, n) == pytest.approx(
-                total, abs=1e-12
-            )
+            total = sum(mass * np.exp(-n * t * m) for mass, m in worked_example_words(p, n))
+            assert np.exp(n * c_n_exact(p, t, n)) == pytest.approx(total, abs=1e-12)
+
+    def test_huge_negative_t_stays_finite(self):
+        # n |t| is far past the float range, but c_n(1e306) ~ 1e306
+        assert c_n_exact(0.5, -1e306, 2000) == pytest.approx(1e306, rel=1e-12)
+        assert c_n_exact(0.5, 1e306, 2000) == np.log(0.5)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 2.0, -0.5, np.nan])
+    def test_p_outside_the_open_unit_interval_rejected(self, p):
+        for call in (lambda: c_n_exact(p, 0.1, 10), lambda: c_limit_exact(p, 0.1),
+                     lambda: bernoulli_ldp_bound(p, 0.5),
+                     lambda: log_event_probability(p, 0.5, 10),
+                     lambda: chebyshev_step_exact(p, 0.1, 0.5, 10)):
+            with pytest.raises(ValueError, match=r"p must lie in \(0, 1\)"):
+                call()
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_n_below_one_rejected(self, n):
         with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
             c_n_exact(0.5, 0.2, n)
+        with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+            log_event_probability(0.5, 0.5, n)
 
     def test_c_n_limit(self):
         # at p = 0.5, t = 0.2 the limit is max(-0.2, log 0.5) = -0.2
@@ -499,6 +520,10 @@ class TestPartitionFunction:
         sampler = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=100, seed=13)
         with pytest.raises(ValueError, match="t must be a finite number"):
             partition_function_mc(sampler, F_FIRST, t, 5)
+        with pytest.raises(ValueError, match="t must be a finite number"):
+            c_n_exact(0.5, t, 10)
+        with pytest.raises(ValueError, match="t must be a finite number"):
+            c_limit_exact(0.5, t)
 
 
 class TestPartitionBootstrap:
@@ -603,30 +628,31 @@ class TestLdpBound:
 
 
 class TestEmpiricalRate:
+    """The decay rate at n is (1/n) log P(max-sum <= b), from the event law."""
+
     def test_rate_is_log_p_at_every_n(self):
-        est = empirical_rate(0.5, 0.5, [1, 2, 5, 10, 100, 5000])
-        for rate in est.rates:
+        for n in (1, 2, 5, 10, 100, 5000):
+            rate = log_event_probability(0.5, 0.5, n) / n
             assert rate == pytest.approx(np.log(0.5), abs=1e-12)
 
     def test_explicit_n10_value(self):
-        est = empirical_rate(0.5, 0.5, [10])
-        assert est.rates[0] == pytest.approx(np.log(0.5 ** 10) / 10, abs=1e-15)
+        rate = log_event_probability(0.5, 0.5, 10) / 10
+        assert rate == pytest.approx(np.log(0.5 ** 10) / 10, abs=1e-15)
 
     def test_strict_gap_to_bound(self):
-        est = empirical_rate(0.5, 0.5, [10])
-        assert est.limit_rate < est.ldp_bound
-        assert est.ldp_bound == pytest.approx(0.5 * np.log(0.5), abs=1e-8)
+        _, bound = bernoulli_ldp_bound(0.5, 0.5)
+        assert log_event_probability(0.5, 0.5, 10) / 10 < bound
+        assert bound == pytest.approx(0.5 * np.log(0.5), abs=1e-8)
 
     def test_threshold_above_sup_gives_zero_rate(self):
-        est = empirical_rate(0.4, 1.5, [3, 7])
-        assert est.rates == [0.0, 0.0]
+        assert [log_event_probability(0.4, 1.5, n) for n in (3, 7)] == [0.0, 0.0]
 
-    def test_no_n_values_rejected(self):
-        with pytest.raises(ValueError, match="at least one n"):
-            empirical_rate(0.5, 0.5, [])
-        for n_values, low in (([0, 1], 0), ([3, -2], -2)):
-            with pytest.raises(ValueError, match=f"every n must be at least 1, got {low}"):
-                empirical_rate(0.5, 0.5, n_values)
+    def test_nan_threshold_rejected(self):
+        # NaN fails both b < 0 and b < 1, so unchecked it read as b >= 1
+        with pytest.raises(ValueError, match="b must be a number, got nan"):
+            log_event_probability(0.5, np.nan, 3)
+        with pytest.raises(ValueError, match="b must be a number, got nan"):
+            chebyshev_step_exact(0.5, 0.1, np.nan, 3)
 
 
 class TestChebyshevStep:
@@ -647,6 +673,24 @@ class TestChebyshevStep:
             prob, bound = chebyshev_step_exact(p, t, 0.0, n)
             assert prob == p ** n == 0.0625
             assert prob <= bound
+
+
+class TestWordLoopOracle:
+    """The closed forms against the worked example's 2^n words, one at a
+    time (``oracles.worked_example_words``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.floats(0.01, 0.99), t=st.floats(-5.0, 5.0), n=st.integers(1, 10))
+    def test_closed_forms_match_the_word_loop(self, p, t, n):
+        words = worked_example_words(p, n)
+        total = sum(mass * np.exp(-n * t * m) for mass, m in words)
+        assert np.exp(n * c_n_exact(p, t, n)) == pytest.approx(total, rel=1e-12)
+        for b in (-0.5, 0.0, 0.5, 1.0, 1.5):
+            event = sum(mass for mass, m in words if m <= b)
+            assert np.exp(log_event_probability(p, b, n)) == pytest.approx(event, rel=1e-12)
+            if t >= 0:
+                prob, bound = chebyshev_step_exact(p, t, b, n)
+                assert prob <= bound * (1 + 1e-12)
 
 
 class TestMaxPlusConvexity:
