@@ -1,13 +1,17 @@
 """Command-line experiment runner.
 
 Every subcommand runs golden checks at the user's parameters and prints
-one ``[PASS|FAIL] name (s) detail`` line per check: ``pressure`` runs
-``gibbs-equilibrium``; ``gamma`` ``convex-pressure-suite``; ``transport``
+one ``[PASS|FAIL] name (s) detail`` line per check.  ``verify`` runs the
+whole battery at its own seeds.  Every other subcommand is one row of
+``SUBCOMMANDS``: its help, the function it runs, and that function's
+parameters with their defaults, one flag each (``n_max`` is ``--n-max``).
+A float default makes a flag that rejects NaN and infinities, any other
+an integer flag.  The function is the golden check itself for ``gamma``
+(``convex-pressure-suite``), ``ifs`` (``ifs-invariant-pressure``),
+``mpifs`` (``mpifs-operators``) and ``ldp`` (``ldp-worked-example``).
+``pressure`` runs ``gibbs-equilibrium`` on one grid, and ``transport``
 ``contraction-bounds`` and ``transport-oracle``, whose LP leg is skipped
-beyond the oracle's size limit; ``ifs`` ``ifs-invariant-pressure``;
-``mpifs`` ``mpifs-operators``; ``ldp`` ``ldp-worked-example``.  Each flag
-of ``gamma``, ``ifs``, ``mpifs`` and ``ldp`` is the parameter of the same
-name of its check.  ``verify`` runs the whole battery at its own seeds.
+beyond the oracle's size limit.
 
 Every subcommand but ``verify`` can write a JSON report with ``--out``:
 one object with the subcommand, a timestamp, the resolved flags as
@@ -33,7 +37,7 @@ import platform
 import sys
 import time
 from importlib import metadata
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,12 +45,9 @@ from . import __version__, goldens, transport
 
 
 def _flags(args) -> Dict[str, object]:
-    """The subcommand's own flags: its check's arguments, and a report's
-    ``config``."""
-    return {
-        key: value for key, value in vars(args).items()
-        if key not in ("command", "fn", "config", "out")
-    }
+    """The subcommand's own flags: the arguments of its row's ``run``, and a
+    report's ``config``."""
+    return {key: getattr(args, key) for key in SUBCOMMANDS[args.command][2]}
 
 
 def _report(results: List[goldens.GoldenResult], args) -> int:
@@ -106,7 +107,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, args, argv: List[str]):
     win.  Precedence: built-in defaults < config file < command-line flags.
     Keys are flag names with ``_`` for ``-`` (``n_max``), as in ``args``."""
     values = _read_config_file(args.config)
-    flags = set(vars(args)) - {"command", "fn", "config"}
+    flags = {*SUBCOMMANDS[args.command][2], "out"}
     unknown = sorted(set(values) - flags)
     if unknown:
         raise ValueError(
@@ -142,53 +143,46 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def cmd_pressure(args) -> int:
-    result = goldens.check_gibbs_equilibrium(
-        args.seed, per_d=args.trials, grids=((args.d, args.m),)
-    )
-    return _report([result], args)
+def _pressure(d: int, m: int, trials: int, seed: int) -> goldens.GoldenResult:
+    """``gibbs-equilibrium`` with ``trials`` observables on one (d, m) grid."""
+    goldens._require_count("trials", trials)
+    return goldens.check_gibbs_equilibrium(seed, per_d=trials, grids=((d, m),))
 
 
-def cmd_gamma(args) -> int:
-    return _report([goldens.check_convex_pressure_suite(**_flags(args))], args)
-
-
-def cmd_transport(args) -> int:
-    d, depth = args.d, args.depth
+def _transport(d: int, gamma: float, depth: int, trials: int, seed: int):
+    """``contraction-bounds``, and ``transport-oracle`` on up to 50 pairs
+    unless the d^depth words exceed the LP oracle's limit."""
     results = [goldens.check_contraction_bounds(
-        args.seed, args.trials, d=d, gamma=args.gamma, depth=depth
+        seed, trials, d=d, gamma=gamma, depth=depth
     )]
     if d ** depth <= transport.LP_MAX_POINTS:
-        plan = ((d, args.gamma, depth, min(args.trials, 50)),)
-        results.append(goldens.check_transport_oracle(args.seed, plan=plan))
+        plan = ((d, gamma, depth, min(trials, 50)),)
+        results.append(goldens.check_transport_oracle(seed, plan=plan))
     else:
         print(
             f"transport-oracle skipped: {d}^{depth} = {d ** depth} words exceed "
             f"the LP oracle limit {transport.LP_MAX_POINTS}, no tree vs LP gap"
         )
-    return _report(results, args)
+    return results
 
 
-def cmd_ifs(args) -> int:
-    return _report([goldens.check_ifs_invariant_pressure(**_flags(args))], args)
-
-
-def cmd_mpifs(args) -> int:
-    return _report([goldens.check_mpifs_operators(**_flags(args))], args)
-
-
-def cmd_ldp(args) -> int:
-    return _report([goldens.check_ldp_worked_example(**_flags(args))], args)
-
-
-def cmd_verify(args) -> int:
-    names = args.checks.split(",") if args.checks else None
-    return _report(goldens.run_all(names), args)
-
-
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
+# name: (help, run, defaults); run(**flags) returns one result or a list
+SUBCOMMANDS: Dict[str, Tuple[str, Callable, Dict[str, object]]] = {
+    "pressure": ("simplex pressures and equilibria", _pressure,
+                 {"d": 2, "m": 400, "trials": 5, "seed": 0}),
+    "gamma": ("convex-pressure projection and recovery",
+              goldens.check_convex_pressure_suite,
+              {"d": 2, "m": 1000, "trials": 8, "seed": 0}),
+    "transport": ("W1 distances and contraction checks", _transport,
+                  {"d": 2, "gamma": 0.3, "depth": 4, "trials": 1000, "seed": 0}),
+    "ifs": ("attractor and invariant pressure", goldens.check_ifs_invariant_pressure,
+            {"gamma": 0.3, "p": 0.3, "p2": 0.7, "q2": -1.0, "length": 8}),
+    "mpifs": ("max-plus IFS operators and inverse problem",
+              goldens.check_mpifs_operators,
+              {"points": 12, "systems": 20, "seed": 0}),
+    "ldp": ("partition function, bounds, rates", goldens.check_ldp_worked_example,
+            {"p": 0.5, "b": 0.5, "t": 0.2, "n_max": 20, "seed": 0, "mc_samples": 0}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,66 +192,17 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser):
+    for name, (summary, _, defaults) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="key=value file applied before flags")
         p.add_argument("--out", help="JSON report path")
-
-    p = sub.add_parser("pressure", help="simplex pressures and equilibria")
-    common(p)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--m", type=int, default=400)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_pressure)
-
-    p = sub.add_parser("gamma", help="convex-pressure projection and recovery")
-    common(p)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--m", type=int, default=1000)
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_gamma)
-
-    p = sub.add_parser("transport", help="W1 distances and contraction checks")
-    common(p)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--gamma", type=_finite_float, default=0.3)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_transport)
-
-    p = sub.add_parser("ifs", help="attractor and invariant pressure")
-    common(p)
-    p.add_argument("--gamma", type=_finite_float, default=0.3)
-    p.add_argument("--p", type=_finite_float, default=0.3)
-    p.add_argument("--p2", type=_finite_float, default=0.7)
-    p.add_argument("--q2", type=_finite_float, default=-1.0)
-    p.add_argument("--length", type=int, default=8)
-    p.set_defaults(fn=cmd_ifs)
-
-    p = sub.add_parser("mpifs", help="max-plus IFS operators and inverse problem")
-    common(p)
-    p.add_argument("--points", type=int, default=12)
-    p.add_argument("--systems", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_mpifs)
-
-    p = sub.add_parser("ldp", help="partition function, bounds, rates")
-    common(p)
-    p.add_argument("--p", type=_finite_float, default=0.5)
-    p.add_argument("--b", type=_finite_float, default=0.5)
-    p.add_argument("--t", type=_finite_float, default=0.2)
-    p.add_argument("--n-max", dest="n_max", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int, default=0)
-    p.set_defaults(fn=cmd_ldp)
-
+        for key, default in defaults.items():
+            p.add_argument(
+                f"--{key.replace('_', '-')}", dest=key, default=default,
+                type=_finite_float if isinstance(default, float) else int,
+            )
     p = sub.add_parser("verify", help="run the golden-test battery")
     p.add_argument("--checks", help="comma-separated subset of check names")
-    p.set_defaults(fn=cmd_verify)
-
     return parser
 
 
@@ -266,10 +211,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            args = _apply_config_file(parser, args, argv)
-        return args.fn(args)
-    except (ValueError, OSError, KeyError) as exc:
+        if args.command == "verify":
+            results = goldens.run_all(args.checks.split(",") if args.checks else None)
+        else:
+            if args.config:
+                args = _apply_config_file(parser, args, argv)
+            results = SUBCOMMANDS[args.command][1](**_flags(args))
+        return _report(results if isinstance(results, list) else [results], args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

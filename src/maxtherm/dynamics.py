@@ -429,8 +429,13 @@ def ldp_upper_bound(
 
     The objective is convex in t (log-moment functions are convex), and
     typically has kinks, so the search is golden-section, which needs no
-    smoothness; it stops once the bracket is narrower than 1e-10.
+    smoothness; it stops once the bracket is narrower than 1e-10.  ``b``,
+    ``sup_f`` and ``t_max`` must be finite, and ``t_max`` at least 0, where
+    the Chebyshev step holds.
     """
+    _require_finite(b=b, sup_f=sup_f, t_max=t_max)
+    if t_max < 0:
+        raise ValueError(f"t_max must be at least 0, got {t_max!r}")
     if b >= sup_f:
         raise ValueError("threshold must lie strictly below sup f")
 

@@ -831,7 +831,7 @@ def run_all(names: Optional[Sequence[str]] = None) -> List[GoldenResult]:
     selected = list(ALL_CHECKS) if names is None else list(names)
     for name in selected:
         if name not in ALL_CHECKS:
-            raise KeyError(f"unknown check {name!r}; known: {sorted(ALL_CHECKS)}")
+            raise ValueError(f"unknown check {name!r}; known: {sorted(ALL_CHECKS)}")
     results = []
     for name in selected:
         start = time.time()

@@ -364,6 +364,18 @@ def test_config_file_sets_the_subcommands_flags_below_the_command_line(
     assert detail(5) in out
 
 
+def test_config_file_out_writes_the_report(capsys, tmp_path):
+    path = tmp_path / "a.json"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"length=2\nout={path}\n")
+    code, _ = _run(capsys, "ifs", "--config", str(config))
+    assert code == 0
+    report = json.loads(path.read_text())
+    assert report["config"] == {"gamma": 0.3, "p": 0.3, "p2": 0.7, "q2": -1.0,
+                                "length": 2}
+    assert report["results"][0]["check"] == "ifs-invariant-pressure"
+
+
 def test_config_file_with_an_unknown_key_exits_1(capsys, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("trails=2\n")
@@ -372,8 +384,15 @@ def test_config_file_with_an_unknown_key_exits_1(capsys, tmp_path):
     assert "config keys ['trails'] are not flags of 'pressure'" in err
 
 
+def test_verify_with_an_unknown_check_exits_1_before_any_check_runs(capsys):
+    assert cli.main(["verify", "--checks", "product-formula,nosuch"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown check 'nosuch'; known: [")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["pressure", "--trials", "-3"], "per_d must be at least 1, got -3"),
+    (["pressure", "--trials", "-3"], "trials must be at least 1, got -3"),
     (["transport", "--trials", "0"], "trials must be at least 1, got 0"),
     (["mpifs", "--systems", "0"], "systems must be at least 1, got 0"),
     (["mpifs", "--points", "0"], "points must be at least 1, got 0"),

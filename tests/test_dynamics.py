@@ -614,6 +614,18 @@ class TestLdpBound:
         with pytest.raises(ValueError, match="below sup"):
             ldp_upper_bound(lambda t: max(-t, np.log(0.5)), 1.5, sup_f=1.0, t_max=5.0)
 
+    @pytest.mark.parametrize("b, t_max, message", [
+        (0.5, -3.0, "t_max must be at least 0, got -3.0"),
+        (0.5, np.nan, "t_max must be a finite number"),
+        (0.5, np.inf, "t_max must be a finite number"),
+        (np.nan, 5.0, "b must be a finite number"),
+    ])
+    def test_invalid_search_interval_rejected(self, b, t_max, message):
+        # unchecked, t_max = -3 gave the minimizer -1.5 and a false bound 0.75
+        with pytest.raises(ValueError, match=message):
+            ldp_upper_bound(lambda t: c_limit_exact(0.5, t), b, sup_f=1.0,
+                            t_max=t_max)
+
     def test_generic_convex_objective(self):
         # smooth strictly convex case with a calculus solution:
         # minimize t b + t^2 / 2 at t = -b -- but t >= 0 pins it at 0 for

@@ -177,6 +177,6 @@ def test_verify_exits_2_on_a_crashing_check(monkeypatch, capsys):
 def test_unknown_check_is_rejected_before_any_check_runs(monkeypatch):
     ran = []
     monkeypatch.setitem(goldens.ALL_CHECKS, "product-formula", lambda: ran.append(1))
-    with pytest.raises(KeyError, match="unknown check"):
+    with pytest.raises(ValueError, match="unknown check"):
         goldens.run_all(["product-formula", "no-such-check"])
     assert ran == []
