@@ -397,7 +397,7 @@ def check_ifs_invariant_pressure(
     solved = ifs.invariant_pressure_solve(fam2, _mass_of_one, length, nu0, eps=0.0)
     brute_best, best = -np.inf, None
     exact = True
-    for leaf in solved.sample.leaves:
+    for leaf in ifs.attractor_build(fam2, length, nu0, eps=0.0).leaves:
         rho = compose_duals([fam2.jacobians[i - 1] for i in leaf.word], nu0,
                             track_trace=False).measure
         exact &= np.array_equal(rho.masses, leaf.measure.masses)
@@ -433,7 +433,7 @@ def check_ifs_invariant_pressure(
 
     return _result(
         "ifs-invariant-pressure", start, bool(ok), "; ".join(notes),
-        N=length, d=space.d, r=r, words=solved.sample.raw_count,
+        N=length, d=space.d, r=r, words=solved.words,
         pressure=solved.value, error_bound=solved.error_bound,
         fixed_point_residual=solved.fixed_point_residual,
         argmax_word=list(best.word), argmax_weight=float(best.weight),

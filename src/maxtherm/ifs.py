@@ -7,7 +7,10 @@ measure, and the density entropy at a measure is the best cumulative
 weight among words whose images land near it.  Because each dual operator
 contracts W1 by r = (d+1) gamma, images of words sharing a prefix of
 length k agree to within r^k, so a truncated enumeration with cluster
-merging approximates the attractor with a computable error.
+merging approximates the attractor with a computable error.  The exact
+(eps=0) invariant pressure needs one score per word, not the images, so
+it holds only the level before the last and grows the last one in row
+blocks.
 
 The second half of the module is the combinatorial max-plus IFS: a finite
 point set, one map per index, and normalized nonpositive weights, with the
@@ -28,11 +31,12 @@ a given density invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import transport
 from .semiring import MaxPlus, check_maxplus_probability, pressure
 from .shift import (
     CylinderMeasure,
@@ -45,7 +49,7 @@ from .shift import (
 from .simplex import SimplexGrid
 from .transport import w1_tree, w1_tree_rows
 
-MAX_CELLS = 1 << 25   # cells of attractor_build's last table (256 MiB of float64)
+MAX_CELLS = 1 << 25   # cells of the last level of m^N images (256 MiB of float64)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +98,70 @@ class AttractorSample:
     raw_count: int
 
 
+def _checked_word_length(fam: WeightedJacobianFamily, word_length,
+                         nu0: CylinderMeasure) -> int:
+    """``word_length`` as an int, once it is an integer >= 1 whose last
+    level of m^N images fits in MAX_CELLS cells."""
+    if isinstance(word_length, bool) or not isinstance(word_length, (int, np.integer)):
+        raise ValueError(f"word length must be an integer, got {word_length!r}")
+    word_length = int(word_length)
+    if word_length < 1:
+        raise ValueError("word length must be >= 1")
+    m, d = len(fam), fam.space.d
+
+    def cells(n: int) -> int:
+        return m ** n * d ** (nu0.depth + n)
+
+    if cells(word_length) > MAX_CELLS:
+        suggestion = 0
+        while cells(suggestion + 1) <= MAX_CELLS:
+            suggestion += 1
+        raise ValueError(
+            f"{m}^{word_length} words of {d}^{nu0.depth + word_length} cells "
+            f"exceed the budget of {MAX_CELLS} cells; use word_length <= {suggestion}"
+        )
+    return word_length
+
+
+def _grow(fam: WeightedJacobianFamily, table: np.ndarray, nu0: CylinderMeasure,
+          depth: int) -> np.ndarray:
+    """The next level of suffix images: row k*m + i is kernel i applied to
+    row k of ``table``, a block of depth-``depth`` measures on nu0's space,
+    checked and clipped in place like a ``dual_apply`` image."""
+    rows, cells = table.shape
+    d = nu0.space.d
+    # each kernel writes its rows in place: stacking per-kernel products
+    # would hold a second copy of the level at the peak
+    grown = np.empty((rows, len(fam), d, cells))
+    for i, J in enumerate(fam.jacobians):
+        factor = dual_factor(J, nu0.space, depth)
+        head = factor.shape[1]
+        # splitting the last, contiguous axis keeps ``out`` a view
+        np.multiply(factor, table.reshape(rows, 1, head, -1),
+                    out=grown[:, i].reshape(rows, d, head, -1))
+    return check_probability_rows(grown.reshape(-1, d * cells))
+
+
+def _levels(fam: WeightedJacobianFamily, nu0: CylinderMeasure,
+            n: int) -> Tuple[np.ndarray, int]:
+    """The (m^n, d^(depth+n)) table of the images of every length-n
+    suffix, and their depth."""
+    table, depth = nu0.masses[None], nu0.depth
+    for _ in range(n):
+        table = _grow(fam, table, nu0, depth)
+        depth += 1
+    return table, depth
+
+
+def _word_weights(fam: WeightedJacobianFamily, n: int) -> np.ndarray:
+    """The cumulative weights of the m^n words, in the row order of the
+    level of their images."""
+    weights = np.zeros(1)
+    for _ in range(n):
+        weights = (weights[:, None] + fam.weights[None, :]).ravel()
+    return weights
+
+
 def attractor_build(
     fam: WeightedJacobianFamily,
     word_length: int,
@@ -118,23 +186,11 @@ def attractor_build(
     eps defaults to max(r^N, gamma^final_depth), the resolution below
     which distinct clusters are not meaningful.  Passing eps=0.0 disables
     merging, yielding the exact m^N enumeration (the reference behavior).
+    A word length that is not an integer >= 1, or whose last level
+    exceeds MAX_CELLS cells, raises ``ValueError`` before any table is made.
     """
-    m = len(fam)
-    if word_length < 1:
-        raise ValueError("word length must be >= 1")
+    word_length = _checked_word_length(fam, word_length, nu0)
     space = fam.space
-
-    def cells(n: int) -> int:
-        return m ** n * space.d ** (nu0.depth + n)
-
-    if cells(word_length) > MAX_CELLS:
-        suggestion = 0
-        while cells(suggestion + 1) <= MAX_CELLS:
-            suggestion += 1
-        raise ValueError(
-            f"{m}^{word_length} words of {space.d}^{nu0.depth + word_length} cells "
-            f"exceed the budget of {MAX_CELLS} cells; use word_length <= {suggestion}"
-        )
     r = fam.contraction_rate
     final_depth = nu0.depth + word_length
     if eps is None:
@@ -143,24 +199,11 @@ def attractor_build(
         raise ValueError(f"eps must be >= 0 (0 disables merging), got {eps!r}")
 
     # grow suffixes: after t steps every length-t suffix has been applied
-    table, weights, depth = nu0.masses[None], np.zeros(1), nu0.depth
-    for _ in range(word_length):
-        rows, cells = table.shape
-        # each kernel writes its rows in place: stacking per-kernel products
-        # would hold a second copy of the largest level at the peak
-        grown = np.empty((rows, m, space.d, cells))
-        for i, J in enumerate(fam.jacobians):
-            factor = dual_factor(J, nu0.space, depth)
-            head = factor.shape[1]
-            # splitting the last, contiguous axis keeps ``out`` a view
-            np.multiply(factor, table.reshape(rows, 1, head, -1),
-                        out=grown[:, i].reshape(rows, space.d, head, -1))
-        table = check_probability_rows(grown.reshape(-1, space.d * cells))
-        weights = (weights[:, None] + fam.weights[None, :]).ravel()
-        depth += 1
+    table, depth = _levels(fam, nu0, word_length)
+    weights = _word_weights(fam, word_length)
     raw = table.shape[0]
     # row k's word lists its base-m digits, least significant (outermost) first
-    words = [tuple(w) for w in symbol_table(word_length, m)[:, ::-1].tolist()]
+    words = [tuple(w) for w in symbol_table(word_length, len(fam))[:, ::-1].tolist()]
 
     def leaf(row: int, weight, **merge) -> AttractorLeaf:
         # at eps > 0 a leaf owns its row, so the sample does not pin the table
@@ -235,7 +278,21 @@ class InvariantPressure:
     value: float
     error_bound: float
     fixed_point_residual: float
-    sample: AttractorSample = field(repr=False)   # the leaves maximized over
+    words: int                     # the m^N words maximized over
+
+
+def _last_level(fam: WeightedJacobianFamily, word_length: int,
+                nu0: CylinderMeasure) -> Iterator[CylinderMeasure]:
+    """The m^N images of ``attractor_build`` at eps=0, bit for bit and in
+    its row order, grown from the level before in row blocks of about
+    ``transport.BLOCK_CELLS`` cells: only that level and one block are
+    held, 1/(m d) of the last level's cells."""
+    table, depth = _levels(fam, nu0, word_length - 1)
+    rows, cells = table.shape
+    step = max(1, transport.BLOCK_CELLS // (len(fam) * fam.space.d * cells))
+    for start in range(0, rows, step):
+        for masses in _grow(fam, table[start:start + step], nu0, depth):
+            yield CylinderMeasure._checked(fam.space, depth + 1, masses)
 
 
 def invariant_pressure_solve(
@@ -251,36 +308,44 @@ def invariant_pressure_solve(
     The value is the max over enumerated words of cumulative weight plus
     g at the image measure, with error at most lip_g * r^N / (1 - r) for a
     finite Lipschitz constant lip_g >= 0 of g.  As an a-posteriori check
-    the operator fixed-point identity is re-evaluated on the sample: max
-    over kernels of weight + pressure(g after that kernel) must reproduce
-    the value within the same bound.  The result keeps the sample.
+    the operator fixed-point identity is re-evaluated on the same images:
+    max over kernels of weight + pressure(g after that kernel) must
+    reproduce the value within the same bound; bottom against bottom is
+    a residual of 0.  Each image is visited once, scoring g there and at
+    its ``dual_apply`` image by every kernel, so a word keeps m + 1
+    scores and no image.  At eps=0 the images are the exact m^N
+    enumeration, streamed by ``_last_level`` with the bits and the cell
+    budget of ``attractor_build``; at eps > 0 they are the leaves of
+    ``attractor_build``.  g's values must be real or -inf: NaN or +inf
+    raise ``ValueError``.
     """
     if not 0.0 <= lip_g < np.inf:
         raise ValueError(f"lip_g must be finite and at least 0, got {lip_g!r}")
-    sample = attractor_build(fam, word_length, nu0, eps=eps)
+    word_length = _checked_word_length(fam, word_length, nu0)
     r = fam.contraction_rate
     bound = lip_g * r ** word_length / (1.0 - r)
 
-    weights = np.array([leaf.weight for leaf in sample.leaves])
-
-    def pressure_of(fn: Callable[[CylinderMeasure], float]) -> float:
-        # one observable at a time: a leaves x kernels table would add to
-        # the peak memory that the m^N leaf measures already set
-        scores = np.fromiter((fn(leaf.measure) for leaf in sample.leaves), float,
-                             weights.size)
-        return pressure(weights, scores)[0]
-
-    value = pressure_of(g)
-    reapplied = max(
-        fam.weights[i]
-        + pressure_of(lambda rho, J=fam.jacobians[i]: g(dual_apply(J, rho)))
-        for i in range(len(fam))
-    )
+    if eps == 0.0:
+        weights = _word_weights(fam, word_length)
+        images = _last_level(fam, word_length, nu0)
+    else:
+        sample = attractor_build(fam, word_length, nu0, eps=eps)
+        weights = np.array([leaf.weight for leaf in sample.leaves])
+        images = (leaf.measure for leaf in sample.leaves)
+    # row k scores image k: column 0 with g, column i with g after kernel i
+    scores = np.empty((weights.size, len(fam) + 1))
+    for k, mu in enumerate(images):
+        scores[k, 0] = g(mu)
+        for i, J in enumerate(fam.jacobians, start=1):
+            scores[k, i] = g(dual_apply(J, mu))
+    pressures, _ = pressure(weights, scores)
+    value = pressures[0]
+    reapplied = (fam.weights + pressures[1:]).max()
     return InvariantPressure(
         value=float(value),
         error_bound=float(bound),
-        fixed_point_residual=float(abs(reapplied - value)),
-        sample=sample,
+        fixed_point_residual=float(_gaps(reapplied, value)),
+        words=len(fam) ** word_length,
     )
 
 
@@ -485,8 +550,8 @@ def mpifs_invariance_check(
         f_family = spike_family(sys.n_points)
 
     # One Ruelle pass for the whole family, one observable per column so the
-    # gathers read contiguous rows.  Weights and observables are below +inf,
-    # so no score is NaN.
+    # gathers read contiguous rows.  ``pressure`` rejects a NaN or +inf
+    # observable before the pass, so no score is NaN.
     F = np.asarray(f_family, dtype=float)
     if F.shape == (0,):
         F = F.reshape(0, sys.n_points)
@@ -495,8 +560,6 @@ def mpifs_invariance_check(
             f"the observable family must be a (k, {sys.n_points}) table, "
             f"got shape {F.shape}"
         )
-    if np.isnan(F).any() or (F == np.inf).any():
-        raise ValueError("observables must be real or -inf, not NaN or +inf")
     F = np.ascontiguousarray(F.T)
     base, _ = pressure(lam, F)
     composed, _ = pressure(lam, mpifs_ruelle(F, sys))

@@ -67,7 +67,9 @@ def pressure(
 
     ``density`` is a 1-D table with -inf off the support; the support must
     be nonempty, and NaN and +inf are rejected.  ``g`` has shape ``(n,)``
-    for one observable or ``(n, k)`` for one observable per column.  The
+    for one observable or ``(n, k)`` for one observable per column, with
+    values real or -inf: NaN or +inf would score NaN against a bottom
+    density value, so they are rejected too.  The
     value is a float for 1-D ``g`` and a ``(k,)`` array otherwise.  The
     equilibria are the boolean mask, shaped like ``g``, of the scores
     within ``argmax_tol`` of their column's max: ties are kept, not broken.
@@ -88,6 +90,8 @@ def pressure(
         raise ValueError(
             f"{dens.size} density values but observables of shape {g.shape}"
         )
+    if np.isnan(g).any() or (g == math.inf).any():
+        raise ValueError("observables must be real or -inf, not NaN or +inf")
     scores = (dens if g.ndim == 1 else dens[:, None]) + g
     best = scores.max(axis=0)
     equilibria = scores >= best - argmax_tol

@@ -7,12 +7,13 @@ the two is evidence rather than a tautology.
 """
 
 import itertools
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from maxtherm.dynamics import _log_mean_exp
-from maxtherm.ifs import AttractorLeaf, MpIFSSystem, WeightedJacobianFamily
+from maxtherm.ifs import AttractorLeaf, MpIFSSystem, WeightedJacobianFamily, attractor_build
+from maxtherm.semiring import pressure
 from maxtherm.shift import CylinderMeasure, DepthKFunction, ShiftSpace, dual_apply
 from maxtherm.simplex import level2_pressure, shannon_entropy_table
 
@@ -138,6 +139,28 @@ def attractor_leaves(
         else:
             leaves.append(AttractorLeaf(word, rho, weight))
     return leaves
+
+
+def whole_table_solve(
+    fam: WeightedJacobianFamily, g: Callable[[CylinderMeasure], float],
+    word_length: int, nu0: CylinderMeasure,
+) -> Tuple[float, float]:
+    """(value, fixed-point residual) of the exact invariant pressure from
+    the whole table: ``attractor_build`` at eps=0 holds all m^N images,
+    and every kernel is re-applied to every leaf by ``dual_apply``, one
+    observable at a time."""
+    leaves = attractor_build(fam, word_length, nu0, eps=0.0).leaves
+    weights = np.array([leaf.weight for leaf in leaves])
+
+    def best(fn: Callable[[CylinderMeasure], float]) -> float:
+        return pressure(weights, np.array([fn(leaf.measure) for leaf in leaves]))[0]
+
+    value = best(g)
+    reapplied = max(
+        fam.weights[i] + best(lambda rho, J=J: g(dual_apply(J, rho)))
+        for i, J in enumerate(fam.jacobians)
+    )
+    return value, float(abs(reapplied - value))
 
 
 def entropy_recovery_per_target(h, mu, family, grid) -> float:

@@ -283,7 +283,7 @@ def test_ifs_report_holds_the_attractor_and_pressure_exactly(capsys, tmp_path):
             record["fixed_point_residual"]) == (
         pres.value, pres.error_bound, pres.fixed_point_residual
     )
-    best = max(pres.sample.leaves,
+    best = max(ifs.attractor_build(fam, 4, nu0, eps=0.0).leaves,
                key=lambda leaf: leaf.weight + leaf.measure.mass_of((1,)))
     assert record["argmax_word"] == list(best.word)
     assert record["argmax_weight"] == best.weight

@@ -1,11 +1,13 @@
 """Tests for weighted kernel families, attractors, and max-plus IFS."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from maxtherm import ifs
+from maxtherm import ifs, transport
 from maxtherm.goldens import random_jacobian, random_mpifs
 from maxtherm.ifs import (
     MpIFSSystem,
@@ -26,7 +28,13 @@ from maxtherm.semiring import BOTTOM, MaxPlus
 from maxtherm.shift import CylinderMeasure, ShiftSpace, dual_apply, make_bernoulli_jacobian
 from maxtherm.simplex import SimplexGrid, shannon_entropy_table
 from maxtherm.transport import w1_tree
-from oracles import attractor_leaves, fixed_density_closure, ruelle_dense, transfer_per_map
+from oracles import (
+    attractor_leaves,
+    fixed_density_closure,
+    ruelle_dense,
+    transfer_per_map,
+    whole_table_solve,
+)
 
 SPACE = ShiftSpace(2, 0.3)
 NU0 = CylinderMeasure.point_mass(SPACE, (2,))
@@ -168,7 +176,9 @@ class TestAttractor:
             dual_apply(kernel, nu0)
         with pytest.raises(ValueError) as built:
             attractor_build(fam, 3, nu0)
-        assert str(built.value) == str(applied.value)
+        with pytest.raises(ValueError) as solved:
+            invariant_pressure_solve(fam, mass_of_one, 3, nu0, eps=0.0)
+        assert str(built.value) == str(solved.value) == str(applied.value)
 
     def test_merged_leaves_own_their_rows(self):
         fam = WeightedJacobianFamily(
@@ -186,8 +196,37 @@ class TestAttractor:
             [make_bernoulli_jacobian(0.3, SPACE), make_bernoulli_jacobian(0.7, SPACE)],
             [0.0, 0.0],
         )
-        with pytest.raises(ValueError, match="word_length <="):
+        with pytest.raises(ValueError, match="word_length <=") as built:
             attractor_build(fam, 30, NU0)
+        with pytest.raises(ValueError) as solved:
+            invariant_pressure_solve(fam, mass_of_one, 30, NU0, eps=0.0)
+        assert str(solved.value) == str(built.value)
+
+    @pytest.mark.parametrize("word_length", [2.5, True, "3", None],
+                             ids=["float", "bool", "str", "None"])
+    def test_non_integer_word_length_rejected(self, word_length):
+        fam = WeightedJacobianFamily(
+            [make_bernoulli_jacobian(0.3, SPACE), make_bernoulli_jacobian(0.7, SPACE)],
+            [0.0, -1.0],
+        )
+        with pytest.raises(ValueError, match="word length must be an integer"):
+            attractor_build(fam, word_length, NU0)
+        for eps in (0.0, None):
+            with pytest.raises(ValueError, match="word length must be an integer"):
+                invariant_pressure_solve(fam, mass_of_one, word_length, NU0, eps=eps)
+
+    def test_numpy_integer_word_length_accepted(self):
+        fam = WeightedJacobianFamily(
+            [make_bernoulli_jacobian(0.3, SPACE), make_bernoulli_jacobian(0.7, SPACE)],
+            [0.0, -1.0],
+        )
+        sample = attractor_build(fam, np.int64(3), NU0, eps=0.0)
+        assert (sample.word_length, sample.raw_count) == (3, 8)
+        assert type(sample.word_length) is int
+        for eps in (0.0, None):
+            res = invariant_pressure_solve(fam, mass_of_one, np.uint8(3), NU0, eps=eps)
+            assert res == invariant_pressure_solve(fam, mass_of_one, 3, NU0, eps=eps)
+            assert type(res.words) is int and res.words == 8
 
 
 def _per_leaf_estimate(sample, mu):
@@ -296,6 +335,84 @@ class TestInvariantPressure:
             best = max(best, -float(sum(word)) + mass_of_one(rho))
         res = invariant_pressure_solve(fam, mass_of_one, N, NU0, eps=0.0)
         assert res.value == best
+
+    @pytest.mark.parametrize("eps", [0.0, None])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_plus_inf_observable_rejected(self, bad, eps):
+        fam = WeightedJacobianFamily(
+            [make_bernoulli_jacobian(0.3, SPACE), make_bernoulli_jacobian(0.7, SPACE)],
+            [0.0, -0.5],
+        )
+        with pytest.raises(ValueError, match=r"not NaN or \+inf"):
+            invariant_pressure_solve(fam, lambda mu: bad, 4, NU0, eps=eps)
+
+    @pytest.mark.parametrize("eps", [0.0, None])
+    def test_bottom_observable_has_bottom_pressure_and_no_residual(self, eps):
+        fam = WeightedJacobianFamily(
+            [make_bernoulli_jacobian(0.3, SPACE), make_bernoulli_jacobian(0.7, SPACE)],
+            [0.0, -0.5],
+        )
+        with np.errstate(invalid="raise"):
+            res = invariant_pressure_solve(fam, lambda mu: -np.inf, 4, NU0, eps=eps)
+        assert (res.value, res.fixed_point_residual, res.words) == (-np.inf, 0.0, 16)
+
+    @settings(max_examples=100, deadline=None)
+    @example(d=2, m=3, N=6, kernel_depths=[3, 1, 2], extra_depth=1,
+             weights=[-np.inf, 0.0, -0.05], top=1, block=64, seed=1)
+    @example(d=3, m=2, N=4, kernel_depths=[2, 3, 1], extra_depth=0,
+             weights=[-0.3, -np.inf, 0.0], top=0, block=None, seed=2)
+    @given(d=st.sampled_from((2, 3)), m=st.integers(1, 3), N=st.integers(1, 6),
+           kernel_depths=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+           extra_depth=st.integers(0, 1),
+           weights=st.lists(st.sampled_from((0.0, -0.05, -0.3, -np.inf)),
+                            min_size=3, max_size=3),
+           top=st.integers(0, 2), block=st.sampled_from((1, 64, None)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_streamed_solve_matches_the_whole_table_bit_for_bit(
+        self, d, m, N, kernel_depths, extra_depth, weights, top, block, seed
+    ):
+        rng = np.random.default_rng(seed)
+        space = ShiftSpace(d, 0.2)
+        depths = kernel_depths[:m]
+        depth0 = max(depths) - 1 + extra_depth
+        assume(m ** N * d ** (depth0 + N) <= 1 << 18)
+        # one kernel at weight 0; -inf weights make blocks whose words are
+        # all bottom, which a per-block pressure would reject
+        q = weights[:m]
+        q[top % m] = 0.0
+        fam = WeightedJacobianFamily([random_jacobian(space, k, rng) for k in depths], q)
+        nu0 = CylinderMeasure(space, depth0, rng.dirichlet(np.ones(d ** depth0)))
+        cylinder = tuple(int(s) for s in rng.integers(1, d + 1, min(2, depth0 + N)))
+        scale = float(rng.uniform(-4.0, 4.0))
+
+        def g(mu):
+            return scale * mu.mass_of(cylinder)
+
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(transport, "BLOCK_CELLS", block)
+            res = invariant_pressure_solve(fam, g, N, nu0, eps=0.0)
+        want = whole_table_solve(fam, g, N, nu0)
+        assert np.array([res.value, res.fixed_point_residual]).tobytes() == \
+            np.array(want).tobytes()
+        assert res.words == m ** N
+
+    def test_exact_solve_holds_less_than_half_the_last_level(self):
+        # the B family of the benchmark at N=10: its 2^10 images of 2^11
+        # masses are 16.8 MB, the level before them a quarter of that
+        fam = WeightedJacobianFamily(
+            [make_bernoulli_jacobian(0.3, SPACE), make_bernoulli_jacobian(0.7, SPACE)],
+            [0.0, -1.0],
+        )
+        last_level = 2 ** 10 * 2 ** 11 * 8
+        tracemalloc.start()
+        try:
+            res = invariant_pressure_solve(fam, mass_of_one, 10, NU0, eps=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.words == 2 ** 10
+        assert peak < last_level / 2
 
     def test_seed_independence_bound(self):
         fam = WeightedJacobianFamily(

@@ -188,6 +188,20 @@ class TestPressureEval:
         _, wide = pressure(np.array([0.0, -1e-10, -1e-8]), np.zeros(3), argmax_tol=1e-7)
         assert wide.tolist() == [True, True, True]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_plus_inf_observable_rejected(self, bad):
+        # against a bottom density value either would score nan
+        with pytest.raises(ValueError, match=r"not NaN or \+inf"):
+            pressure([0.0, -1.0], [bad, 0.0])
+        with pytest.raises(ValueError, match=r"not NaN or \+inf"):
+            pressure([0.0, NEG_INF], [[0.0, 1.0], [0.0, bad]])
+
+    def test_bottom_observable_values_stay_allowed(self):
+        value, equilibria = pressure([0.0, -1.0], [NEG_INF, 0.0])
+        assert (value, equilibria.tolist()) == (-1.0, [False, True])
+        values, _ = pressure([0.0, NEG_INF], [[NEG_INF, 2.0], [NEG_INF, NEG_INF]])
+        assert values.tolist() == [NEG_INF, 2.0]
+
     def test_columns_are_independent_pressures(self):
         rng = np.random.default_rng(8)
         dens = rng.uniform(-3, 0, 6)
