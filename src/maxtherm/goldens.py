@@ -736,8 +736,9 @@ def check_convex_pressure_suite(
 def check_nonlinear_quadratic() -> GoldenResult:
     start = time.time()
     A = np.array([1.0, -1.0])
-    quadratic, grid = (lambda x: 2.0 * x ** 2), simplex.SimplexGrid(2, 2000)
-    res = simplex.bernoulli_nonlinear_pressure(quadratic, A, grid, argmax_tol=1e-6)
+    res = simplex.level2_pressure(simplex.shannon_entropy_table,
+                                  lambda q: 2 * (q @ A) ** 2,
+                                  simplex.SimplexGrid(2, 2000), argmax_tol=1e-6)
     points = res.argmax
     two = len(points) >= 2
     swapped = two and bool(np.abs(points[0] - points[1][::-1]).max() <= 1e-3)
@@ -754,7 +755,9 @@ def check_nonlinear_quadratic() -> GoldenResult:
     # a symbol potential under F(x) = x: over one-step Markov measures the
     # pressure is still log-sum-exp, attained at a Bernoulli measure
     symbol = np.array([0.5, -0.2])
-    markov = simplex.markov_nonlinear_pressure(lambda x: x, symbol)
+    markov = simplex.level2_pressure(simplex.markov_entropy_table,
+                                     lambda q: simplex.markov_marginal(q) @ symbol,
+                                     simplex.MARKOV_GRID)
     markov_gap = abs(markov.value - simplex.log_sum_exp(symbol))
 
     passed = two and swapped and off_uniform and non_convex and markov_gap <= 1e-4

@@ -39,6 +39,7 @@ import numpy as np
 from . import transport
 from .semiring import MaxPlus, check_maxplus_probability, pressure
 from .shift import (
+    MAX_CELLS,
     CylinderMeasure,
     Jacobian,
     check_probability_rows,
@@ -48,8 +49,6 @@ from .shift import (
 )
 from .simplex import SimplexGrid
 from .transport import w1_tree, w1_tree_rows
-
-MAX_CELLS = 1 << 25   # cells of the last level of m^N images (256 MiB of float64)
 
 
 # ---------------------------------------------------------------------------

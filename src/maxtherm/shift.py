@@ -29,6 +29,7 @@ import numpy as np
 
 from .semiring import NORMALIZATION_TOL
 
+MAX_CELLS = 1 << 25   # float cells one table may hold (256 MiB of float64)
 LIPSCHITZ_SLACK = 1e-9  # absorbs rounding in the Lip <= 1 admissibility check
 
 

@@ -11,24 +11,28 @@ a ``(k,)`` table over a family, built once by ``convex_pressure_gamma``;
 of Gamma(phi) - mu . phi, and runs no maximization.
 A probability vector handed in by a caller goes through
 ``as_prob_vector``, which is ``shift.check_probability_rows`` on one row.
-Pressures of densities on the simplex are computed by a coarse lattice
-scan followed by local refinement, which handles non-concave objectives
-whose maximizer set may be disconnected.  Both nonlinear families are
-searched on a simplex: Bernoulli measures on the symbol simplex, and
-one-step Markov measures on {1, 2} on the simplex of their pair
-distributions.
+Every pressure on the simplex is one ``level2_pressure(h, g, grid)``, a
+coarse lattice scan followed by local refinement, which handles
+non-concave objectives whose maximizer set may be disconnected.  A
+measure family is a density on its own simplex, its KS entropy:
+``shannon_entropy_table`` for Bernoulli measures on the symbol simplex,
+``markov_entropy_table`` for one-step Markov measures on {1, 2} on the
+pair simplex ``MARKOV_GRID``.  A nonlinear pressure is g = F(integral of
+A), taken against the symbol masses or ``markov_marginal``.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 import numpy as np
 
 from .semiring import NORMALIZATION_TOL
-from .shift import check_probability_rows
+from .shift import MAX_CELLS, check_probability_rows
 
 ZERO_MASS = 1e-15  # masses at or below this count as zero for the minimizer log mu
 
@@ -41,18 +45,17 @@ def as_prob_vector(masses) -> np.ndarray:
     return check_probability_rows(p[None])[0]
 
 
-def shannon_entropy(p) -> float:
-    """Shannon entropy -sum p log p in nats, with 0 log 0 = 0."""
-    p = as_prob_vector(p)
-    pos = p[p > 0.0]
-    return float(-(pos * np.log(pos)).sum())
-
-
 def shannon_entropy_table(points: np.ndarray) -> np.ndarray:
-    """Row-wise Shannon entropy of an (N, d) array of probability vectors."""
+    """Row-wise Shannon entropy -sum p log p in nats, with 0 log 0 = 0, of
+    an (N, d) array of probability vectors."""
     pts = np.asarray(points, dtype=float)
     safe = np.where(pts > 0.0, pts, 1.0)
     return -(np.where(pts > 0.0, pts * np.log(safe), 0.0)).sum(axis=1)
+
+
+def shannon_entropy(p) -> float:
+    """Shannon entropy of one checked probability vector."""
+    return float(shannon_entropy_table(as_prob_vector(p)[None])[0])
 
 
 def gibbs_solution(g) -> np.ndarray:
@@ -101,16 +104,34 @@ def _lattice(m: int, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimplexGrid:
-    """Lattice of probability vectors with masses in multiples of 1/m."""
+    """Lattice of probability vectors with masses in multiples of 1/m.
+
+    ``d`` and ``m`` are integers, and the C(m+d-1, d-1) points' d masses
+    must fit in ``shift.MAX_CELLS`` cells."""
 
     d: int
     m: int
 
     def __post_init__(self):
+        for name in ("d", "m"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {n!r}")
+            object.__setattr__(self, name, int(n))
         if self.d < 2:
             raise ValueError("simplex dimension d must be >= 2")
         if self.m < 1:
             raise ValueError("grid resolution m must be >= 1")
+
+        def cells(m: int) -> int:
+            return math.comb(m + self.d - 1, self.d - 1) * self.d
+
+        if cells(self.m) > MAX_CELLS:
+            fits = bisect.bisect_right(range(self.m), MAX_CELLS, key=cells) - 1
+            raise ValueError(
+                f"the (d={self.d}, m={self.m}) lattice has {cells(self.m)} cells, "
+                f"over the budget of {MAX_CELLS}; use m <= {fits}"
+            )
 
     def points(self) -> np.ndarray:
         """The lattice as an (N, d) array, shared and read-only."""
@@ -150,6 +171,14 @@ TOP_K = 8           # spread-out lattice candidates that are refined
 DEDUP_TOL = 1e-6    # near-maximizers closer than this in sup norm are one
 
 
+def _scores(objective: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
+    """The objective on (N, d) points as a float array, real or -inf."""
+    vals = np.asarray(objective(points), dtype=float)
+    if not (vals < np.inf).all():   # false exactly at NaN and +inf
+        raise ValueError("objective values must be real or -inf, not NaN or +inf")
+    return vals
+
+
 def _refine(
     objective: Callable[[np.ndarray], np.ndarray],
     centers: np.ndarray,
@@ -183,7 +212,7 @@ def _refine(
         patch = np.concatenate([patch, centers[:, None, :]], axis=1)
         keep = np.concatenate([last >= -NORMALIZATION_TOL, np.ones((k, 1), bool)], axis=1)
         pv = np.full(keep.shape, -np.inf)
-        pv[keep] = np.asarray(objective(patch[keep]), dtype=float)
+        pv[keep] = _scores(objective, patch[keep])
         n_eval += int(keep.sum())
         j = pv.argmax(axis=1)
         top = pv[rows_k, j]
@@ -202,13 +231,15 @@ def maximize_on_simplex(
     """Maximize a row-wise objective over the simplex.
 
     Coarse lattice scan, then ``REFINE_ROUNDS`` rounds of local rescans
-    around the ``TOP_K`` spread-out candidates.  The incumbent point is
+    around the ``TOP_K`` spread-out candidates.  The objective is real, or
+    -inf off the support; NaN or +inf at any scanned point, on the lattice
+    or in a patch, is a ``ValueError``.  The incumbent point is
     carried into every local patch, so the result can never fall below
     the coarse-grid max.  Returns all refined candidates within
     ``argmax_tol`` of the best, deduplicated at ``DEDUP_TOL``.
     """
     points = grid.points()
-    vals = np.asarray(objective(points), dtype=float)
+    vals = _scores(objective, points)
     cand_idx = _spread_candidates(points, vals, TOP_K, min_sep=2.5 / grid.m)
     if not cand_idx:
         raise ValueError("objective is -inf on the whole grid")
@@ -380,58 +411,23 @@ def concave_envelope_1d(xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Nonlinear pressure over parametrized measure families
+# The one-step Markov family on {1, 2} as a density on its pair simplex
 # ---------------------------------------------------------------------------
-
-
-def _finite_transform(F: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """F(x) as a float array; a non-finite value is a ``ValueError``."""
-    fx = np.asarray(F(x), dtype=float)
-    if not np.isfinite(fx).all():
-        raise ValueError("nonlinear transform is not finite on the range")
-    return fx
-
-
-def bernoulli_nonlinear_pressure(
-    F: Callable[[np.ndarray], np.ndarray], A, grid: SimplexGrid, argmax_tol: float = 1e-9
-) -> SimplexMax:
-    """Maximize KS entropy + F(integral of the ``(d,)`` potential A) over
-    the Bernoulli measures on {1..d}, whose KS entropy is the Shannon
-    entropy of the symbol distribution."""
-    coeffs = np.asarray(A, dtype=float)
-    if coeffs.shape != (grid.d,):
-        raise ValueError("potential dimension does not match the grid")
-
-    def obj(pts: np.ndarray) -> np.ndarray:
-        return shannon_entropy_table(pts) + _finite_transform(F, pts @ coeffs)
-
-    return maximize_on_simplex(obj, grid, argmax_tol=argmax_tol)
-
 
 MARKOV_GRID = SimplexGrid(3, 60)  # pair simplex of the one-step Markov family
 
 
-def _markov_entropy(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """KS entropy and stationary marginal of one-step Markov measures on
-    {1, 2}, one per row (x, w, z) = (pi11, pi12 + pi21, pi22) of pair
-    masses: the pair distribution is (x, w/2, w/2, z), the marginal
-    (x + w/2, z + w/2), and the KS entropy H(pair) - H(marginal)."""
-    x, half, z = pts[:, 0], pts[:, 1] / 2.0, pts[:, 2]
-    marginal = np.column_stack([x + half, z + half])
-    pair = np.column_stack([x, half, half, z])
-    return shannon_entropy_table(pair) - shannon_entropy_table(marginal), marginal
+def markov_marginal(points: np.ndarray) -> np.ndarray:
+    """Stationary marginal (x + w/2, z + w/2) of one-step Markov measures
+    on {1, 2}, one per row (x, w, z) = (pi11, pi12 + pi21, pi22) of pair
+    masses, as an (N, 2) array."""
+    half = points[:, 1] / 2.0
+    return np.column_stack([points[:, 0] + half, points[:, 2] + half])
 
 
-def markov_nonlinear_pressure(F: Callable[[np.ndarray], np.ndarray], A) -> SimplexMax:
-    """Maximize KS entropy + F(stationary integral of the ``(2,)``
-    potential A) over one-step Markov measures on {1, 2}, searched on
-    ``MARKOV_GRID``; the near-maximizers are pair points (x, w, z)."""
-    coeffs = np.asarray(A, dtype=float)
-    if coeffs.shape != (2,):
-        raise ValueError("Markov family is implemented for d=2 potentials")
-
-    def obj(pts: np.ndarray) -> np.ndarray:
-        entropy, marginal = _markov_entropy(pts)
-        return entropy + _finite_transform(F, marginal @ coeffs)
-
-    return maximize_on_simplex(obj, MARKOV_GRID)
+def markov_entropy_table(points: np.ndarray) -> np.ndarray:
+    """KS entropy H(pair) - H(marginal) of the one-step Markov measures at
+    (N, 3) pair points (x, w, z), whose pair distribution is
+    (x, w/2, w/2, z)."""
+    pair = points[:, [0, 1, 1, 2]] * [1.0, 0.5, 0.5, 1.0]
+    return shannon_entropy_table(pair) - shannon_entropy_table(markov_marginal(points))

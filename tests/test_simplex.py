@@ -6,19 +6,21 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from maxtherm import simplex
+from maxtherm import cli, simplex
 from maxtherm.goldens import two_bump_density
 from maxtherm.simplex import (
+    MARKOV_GRID,
     SimplexGrid,
     affine_observable_family,
-    bernoulli_nonlinear_pressure,
     concave_envelope_1d,
     convex_pressure_gamma,
     entropy_recovery,
     gibbs_solution,
     level2_pressure,
     log_sum_exp,
-    markov_nonlinear_pressure,
+    markov_entropy_table,
+    markov_marginal,
+    maximize_on_simplex,
     pressure_axioms_check,
     shannon_entropy,
     shannon_entropy_table,
@@ -290,14 +292,18 @@ class TestConcaveIdentity:
 
 
 class TestNonlinearPressure:
+    """Nonlinear pressures KS entropy + F(integral of A) over a measure
+    family, as ``level2_pressure`` with the family's density."""
+
     def test_identity_transform_reduces_to_classical_pressure(self):
         A = np.array([0.8, -0.5])
-        res = bernoulli_nonlinear_pressure(lambda x: x, A, SimplexGrid(2, 1000))
+        res = level2_pressure(shannon_entropy_table, lambda q: q @ A, SimplexGrid(2, 1000))
         assert res.value == pytest.approx(log_sum_exp(A), abs=1e-4)
 
     def test_quadratic_has_swapped_pair(self):
-        res = bernoulli_nonlinear_pressure(
-            lambda x: 2.0 * x ** 2, np.array([1.0, -1.0]), SimplexGrid(2, 2000),
+        A = np.array([1.0, -1.0])
+        res = level2_pressure(
+            shannon_entropy_table, lambda q: 2.0 * (q @ A) ** 2, SimplexGrid(2, 2000),
             argmax_tol=1e-6,
         )
         assert len(res.argmax) == 2
@@ -306,34 +312,34 @@ class TestNonlinearPressure:
         assert all(abs(p[0] - 0.5) > 0.4 for p in res.argmax)
 
     def test_zero_beta_gives_uniform(self):
-        res = bernoulli_nonlinear_pressure(
-            lambda x: 0.0 * x, np.array([1.0, -1.0]), SimplexGrid(2, 1000)
-        )
+        A = np.array([1.0, -1.0])
+        res = level2_pressure(shannon_entropy_table, lambda q: 0.0 * (q @ A),
+                              SimplexGrid(2, 1000))
         assert res.value == pytest.approx(LOG2, abs=1e-9)
         assert res.argmax[0] == pytest.approx([0.5, 0.5], abs=1e-6)
 
     def test_infinite_transform_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
+        # log of q @ A is NaN where q @ A < 0
+        A = np.array([1.0, -1.0])
+        with pytest.raises(ValueError, match=r"not NaN or \+inf"):
             with np.errstate(divide="ignore", invalid="ignore"):
-                bernoulli_nonlinear_pressure(np.log, np.array([1.0, -1.0]), SimplexGrid(2, 50))
+                level2_pressure(shannon_entropy_table, lambda q: np.log(q @ A),
+                                SimplexGrid(2, 50))
 
     def test_markov_infinite_transform_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
+        A = np.array([1.0, -1.0])
+        with pytest.raises(ValueError, match=r"not NaN or \+inf"):
             with np.errstate(divide="ignore", invalid="ignore"):
-                markov_nonlinear_pressure(np.log, np.array([1.0, -1.0]))
-
-    def test_potential_shape_checked(self):
-        with pytest.raises(ValueError, match="does not match"):
-            bernoulli_nonlinear_pressure(lambda x: x, np.ones(3), SimplexGrid(2, 10))
-        with pytest.raises(ValueError, match="d=2"):
-            markov_nonlinear_pressure(lambda x: x, np.ones(3))
+                level2_pressure(markov_entropy_table,
+                                lambda q: np.log(markov_marginal(q) @ A), MARKOV_GRID)
 
     def test_markov_family_matches_bernoulli_for_depth1(self):
         # for a symbol potential the classical pressure over one-step
         # Markov measures is attained at the Bernoulli solution, whose pair
         # distribution is the product of its marginal
         A = np.array([0.5, -0.2])
-        res = markov_nonlinear_pressure(lambda x: x, A)
+        res = level2_pressure(markov_entropy_table, lambda q: markov_marginal(q) @ A,
+                              MARKOV_GRID)
         assert res.value == pytest.approx(log_sum_exp(A), abs=1e-4)
         p = gibbs_solution(A)
         assert res.argmax[0] == pytest.approx([p[0] ** 2, 2 * p[0] * p[1], p[1] ** 2],
@@ -342,11 +348,56 @@ class TestNonlinearPressure:
     def test_markov_entropy_formula(self):
         # pair entropy minus marginal entropy against a hand computation:
         # pair (0.3, 0.1, 0.1, 0.5) with marginal (0.4, 0.6)
-        entropy, marginal = simplex._markov_entropy(np.array([[0.3, 0.2, 0.5]]))
+        pts = np.array([[0.3, 0.2, 0.5]])
         expected = (-0.3 * np.log(0.3) - 2 * 0.1 * np.log(0.1) - 0.5 * np.log(0.5)
                     + 0.4 * np.log(0.4) + 0.6 * np.log(0.6))
-        assert entropy[0] == pytest.approx(expected, abs=1e-14)
-        assert marginal[0] == pytest.approx([0.4, 0.6], abs=1e-15)
+        assert markov_entropy_table(pts)[0] == pytest.approx(expected, abs=1e-14)
+        assert markov_marginal(pts)[0] == pytest.approx([0.4, 0.6], abs=1e-15)
+
+
+class TestNonFiniteObjective:
+    """NaN and +inf are rejected wherever the search evaluates them; -inf
+    marks points off the support."""
+
+    @staticmethod
+    def poisoned(target, value):
+        """Shannon entropy, with ``value`` at the one point whose first mass
+        is ``target``."""
+        def obj(pts):
+            vals = shannon_entropy_table(pts)
+            return np.where(np.abs(pts[:, 0] - target) <= 1e-12, value, vals)
+
+        return obj
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_lattice_point_rejected(self, value):
+        # 0.3 is a point of the 1/10 lattice, far from the maximizer 0.5
+        with pytest.raises(ValueError, match=r"not NaN or \+inf"):
+            maximize_on_simplex(self.poisoned(0.3, value), SimplexGrid(2, 10))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_refine_point_rejected(self, value):
+        # the first refinement patch around the lattice max 0.5 spans
+        # [0.4, 0.6] in steps of 0.025, so 0.525 is scanned off the lattice
+        grid = SimplexGrid(2, 10)
+        obj = self.poisoned(0.525, value)
+        assert np.isfinite(obj(grid.points())).all()
+        with pytest.raises(ValueError, match=r"not NaN or \+inf"):
+            level2_pressure(obj, lambda q: 0.0 * q[:, 0], grid)
+
+    def test_all_nan_is_not_reported_as_empty_support(self):
+        with pytest.raises(ValueError, match=r"not NaN or \+inf"):
+            maximize_on_simplex(lambda pts: np.full(len(pts), np.nan), SimplexGrid(2, 10))
+
+    def test_minus_inf_mask_is_off_the_support(self):
+        def masked(pts):
+            return np.where(pts[:, 0] <= 0.2, -np.inf, shannon_entropy_table(pts))
+
+        res = maximize_on_simplex(masked, SimplexGrid(2, 10))
+        assert res.value == pytest.approx(LOG2, abs=1e-12)
+        assert res.argmax[0] == pytest.approx([0.5, 0.5], abs=1e-12)
+        with pytest.raises(ValueError, match="-inf on the whole grid"):
+            maximize_on_simplex(lambda pts: np.full(len(pts), -np.inf), SimplexGrid(2, 10))
 
 
 class TestGridMechanics:
@@ -361,3 +412,34 @@ class TestGridMechanics:
             SimplexGrid(1, 10)
         with pytest.raises(ValueError):
             SimplexGrid(2, 0)
+
+    @pytest.mark.parametrize("d,m", [(2, 2.5), (2, True), (2.0, 10), (np.float64(3), 4),
+                                     (2, "10"), (False, 10)])
+    def test_non_integer_sizes_rejected(self, d, m):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SimplexGrid(d, m)
+
+    def test_numpy_integers_accepted(self):
+        grid = SimplexGrid(np.int32(3), np.int64(7))
+        assert grid == SimplexGrid(3, 7)
+        assert type(grid.d) is int and type(grid.m) is int
+        assert np.array_equal(grid.points(), SimplexGrid(3, 7).points())
+
+    def test_lattice_over_the_cell_budget_rejected(self):
+        # C(m + 3, 3) * 4 cells at d = 4: m = 367 fits in 2^25, m = 368 does not
+        assert comb(367 + 3, 3) * 4 <= simplex.MAX_CELLS < comb(368 + 3, 3) * 4
+        SimplexGrid(4, 367)
+        with pytest.raises(ValueError, match=r"budget of 33554432; use m <= 367"):
+            SimplexGrid(4, 368)
+        with pytest.raises(ValueError, match=r"use m <= 16777215$"):
+            SimplexGrid(2, 10 ** 12)
+
+    @pytest.mark.parametrize("argv", [["gamma", "--d", "4"],
+                                      ["pressure", "--d", "4", "--m", "1000"]])
+    def test_cli_lattice_over_the_budget_exits_1(self, capsys, argv):
+        # C(1003, 3) * 4 cells at m = 1000: rejected before the lattice is built
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "the (d=4, m=1000) lattice has 670674004 cells" in captured.err
+        assert "use m <= 367" in captured.err
+        assert "[PASS]" not in captured.out

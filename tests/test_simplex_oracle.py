@@ -26,7 +26,9 @@ from maxtherm.simplex import (
     SimplexGrid,
     convex_pressure_gamma,
     entropy_recovery,
-    markov_nonlinear_pressure,
+    level2_pressure,
+    markov_entropy_table,
+    markov_marginal,
     maximize_on_simplex,
     shannon_entropy_table,
 )
@@ -107,13 +109,18 @@ def oracle_maximize(objective, grid, argmax_tol=1e-9):
 
 
 def markov_pair_objective(F, A):
-    """The Markov objective on pair points, as ``markov_nonlinear_pressure``
-    builds it."""
+    """The Markov objective on pair points, the pair-simplex density plus
+    F of the stationary integral of A."""
     def obj(pts):
-        entropy, marginal = simplex._markov_entropy(pts)
-        return entropy + np.asarray(F(marginal @ A), dtype=float)
+        return markov_entropy_table(pts) + np.asarray(F(markov_marginal(pts) @ A), dtype=float)
 
     return obj
+
+
+def markov_pressure(F, A):
+    """The nonlinear pressure over the Markov family on ``MARKOV_GRID``."""
+    return level2_pressure(markov_entropy_table, lambda q: F(markov_marginal(q) @ A),
+                           MARKOV_GRID)
 
 
 def markov_ab_objective(F, A):
@@ -210,7 +217,7 @@ class TestLockStepMatchesOracle:
         want = oracle_maximize(obj, grid)
         assert_identical(maximize_on_simplex(obj, grid), want)
         if grid == MARKOV_GRID:
-            assert_identical(markov_nonlinear_pressure(F, A), want)
+            assert_identical(markov_pressure(F, A), want)
 
 
 @st.composite
@@ -239,9 +246,8 @@ class TestMarkovPairSimplex:
         a, b = np.array([ab[0]]), np.array([ab[1]])
         pi1, pi2 = markov_stationary(a, b)[0]
         pts = np.column_stack([pi1 * a, pi1 * (1 - a) + pi2 * b, pi2 * (1 - b)])
-        entropy, marginal = simplex._markov_entropy(pts)
-        assert abs(entropy[0] - markov_ks_entropy(a, b)[0]) <= 1e-15
-        assert np.abs(marginal - markov_stationary(a, b)).max() <= 1e-15
+        assert abs(markov_entropy_table(pts)[0] - markov_ks_entropy(a, b)[0]) <= 1e-15
+        assert np.abs(markov_marginal(pts) - markov_stationary(a, b)).max() <= 1e-15
 
     @pytest.mark.parametrize("k", [5.0, 2.0, 0.5, -1.0, -4.0])
     def test_pressure_matches_ab_brute_force(self, k):
@@ -249,7 +255,7 @@ class TestMarkovPairSimplex:
         axis = np.linspace(0.0, 1.0, 401)
         a, b = np.meshgrid(axis, axis, indexing="ij")
         brute = markov_ab_objective(F, A)(np.column_stack([a.ravel(), b.ravel()])).max()
-        assert abs(markov_nonlinear_pressure(F, A).value - brute) <= 1e-4
+        assert abs(markov_pressure(F, A).value - brute) <= 1e-4
 
 
 @st.composite
