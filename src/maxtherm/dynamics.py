@@ -77,7 +77,7 @@ class OrbitSampler:
 
     def __init__(self, probs, transition, n_orbits: int, seed: int):
         for name, value in (("n_orbits", n_orbits), ("seed", seed)):
-            if not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if n_orbits < 1:
             raise ValueError(f"n_orbits must be at least 1, got {n_orbits}")

@@ -505,17 +505,33 @@ def check_mpifs_operators(
 # ---------------------------------------------------------------------------
 
 
+# Cylinder codes per block of _partition_bruteforce: a power of two of at
+# least 128, the length below which numpy's pairwise sum stops halving.
+CODE_BLOCK = 1 << 16
+
+
 def _partition_bruteforce(p: float, ts: Sequence[float], n: int) -> List[float]:
     """Direct summation over all 2^n cylinders at each t: symbol 2 carries
     mass p and the max-sum is 1 unless the word is all 2s.  A cylinder's
     mass depends only on its count of 2s, so the n + 1 masses are computed
-    once and looked up."""
-    codes = np.arange(1 << n, dtype=np.uint64)
-    count2 = np.bitwise_count(codes)  # digit 1 <-> symbol 2
+    once and looked up.  The codes are taken ``CODE_BLOCK`` at a time and
+    the block sums added as a pairwise tree: numpy's pairwise sum halves a
+    power-of-two length exactly down to 128, so that is the bits of one sum
+    over all codes, without its 2^n-long temporaries."""
     k = np.arange(n + 1)
-    masses = (p ** k * (1.0 - p) ** (n - k))[count2]
-    maxsum = (count2 < n).astype(float)
-    return [float((np.exp(-n * t * maxsum) * masses).sum()) for t in ts]
+    by_count = p ** k * (1.0 - p) ** (n - k)
+    size = min(1 << n, CODE_BLOCK)
+    sums = np.empty(((1 << n) // size, len(ts)))
+    for b in range(len(sums)):
+        codes = np.arange(b * size, (b + 1) * size, dtype=np.uint64)
+        count2 = np.bitwise_count(codes)  # digit 1 <-> symbol 2
+        masses = by_count[count2]
+        maxsum = (count2 < n).astype(float)
+        for j, t in enumerate(ts):
+            sums[b, j] = (np.exp(-n * t * maxsum) * masses).sum()
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    return [float(s) for s in sums[0]]
 
 
 def check_ldp_worked_example(

@@ -7,10 +7,12 @@ measure, and the density entropy at a measure is the best cumulative
 weight among words whose images land near it.  Because each dual operator
 contracts W1 by r = (d+1) gamma, images of words sharing a prefix of
 length k agree to within r^k, so a truncated enumeration with cluster
-merging approximates the attractor with a computable error.  The exact
-(eps=0) invariant pressure needs one score per word, not the images, so
-it holds only the level before the last and grows the last one in row
-blocks.
+merging approximates the attractor with a computable error.  Only the
+level before the last is held whole: the last one is grown from it in
+row blocks.  The merged build (eps > 0) clusters each block as it
+arrives, one batched tree-W1 pass per leaf over the block's words not yet
+in a leaf, and keeps copies of the leaves' images; the exact (eps=0)
+invariant pressure needs one score per word, not the images.
 
 The second half of the module is the combinatorial max-plus IFS: a finite
 point set, one map per index, and normalized nonpositive weights, with the
@@ -45,10 +47,9 @@ from .shift import (
     check_probability_rows,
     dual_apply,
     dual_factor,
-    symbol_table,
 )
 from .simplex import SimplexGrid
-from .transport import w1_tree, w1_tree_rows
+from .transport import tree_levels, w1_tree, w1_tree_levels
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +153,19 @@ def _levels(fam: WeightedJacobianFamily, nu0: CylinderMeasure,
     return table, depth
 
 
+def _last_level(fam: WeightedJacobianFamily, word_length: int,
+                nu0: CylinderMeasure) -> Iterator[np.ndarray]:
+    """The rows of ``_levels(fam, nu0, word_length)``, bit for bit and in
+    order, grown from the level before in row blocks of about
+    ``transport.BLOCK_CELLS`` cells: only that level and one block are
+    held, 1/(m d) of the last level's cells."""
+    table, depth = _levels(fam, nu0, word_length - 1)
+    rows, cells = table.shape
+    step = max(1, transport.BLOCK_CELLS // (len(fam) * fam.space.d * cells))
+    for start in range(0, rows, step):
+        yield _grow(fam, table[start:start + step], nu0, depth)
+
+
 def _word_weights(fam: WeightedJacobianFamily, n: int) -> np.ndarray:
     """The cumulative weights of the m^n words, in the row order of the
     level of their images."""
@@ -159,6 +173,59 @@ def _word_weights(fam: WeightedJacobianFamily, n: int) -> np.ndarray:
     for _ in range(n):
         weights = (weights[:, None] + fam.weights[None, :]).ravel()
     return weights
+
+
+def _words(rows: np.ndarray, m: int, n: int) -> List[Tuple[int, ...]]:
+    """The length-n words of rows of a level: row k's word lists its
+    base-m digits plus 1, least significant (outermost) first."""
+    digits = rows[:, None] // m ** np.arange(n)
+    digits %= m
+    digits += 1
+    return [tuple(w) for w in digits.tolist()]
+
+
+def _merged_leaves(fam: WeightedJacobianFamily, word_length: int,
+                   nu0: CylinderMeasure, eps: float) -> List[AttractorLeaf]:
+    """The leaves of ``attractor_build`` at eps > 0, clustered while
+    ``_last_level`` streams: each word in turn joins the first earlier
+    leaf within eps, else starts a leaf that later words may join.
+
+    A block's rows meet the leaves in order, one ``w1_tree_levels`` pass
+    per leaf over the rows that have joined none yet; once the leaves run
+    out, the first row left starts a leaf and the rest meet it.  A leaf
+    owns a copy of its first image, and the build a copy of that image's
+    ``tree_levels``, so it holds the level before the last, one block and
+    the leaves.
+    """
+    space, m = fam.space, len(fam)
+    weights = _word_weights(fam, word_length)
+    depth = nu0.depth + word_length
+    cells = space.d ** depth
+    leaves: List[AttractorLeaf] = []
+    reps: List[np.ndarray] = []   # the tree levels of each leaf's image
+    offset = 0
+    for block in _last_level(fam, word_length, nu0):
+        levels = tree_levels(block, space.d)
+        rows = offset + np.arange(len(block))
+        offset += len(block)
+        i = 0
+        while rows.size:
+            if i == len(leaves):
+                measure = CylinderMeasure._checked(space, depth, levels[0, :cells].copy())
+                leaves.append(AttractorLeaf(_words(rows[:1], m, word_length)[0], measure,
+                                            weights[rows[0]]))
+                reps.append(levels[0].copy())
+                levels, rows = levels[1:], rows[1:]
+            dist = w1_tree_levels(space, levels, reps[i])
+            near = dist <= eps
+            if near.any():
+                leaf = leaves[i]
+                leaf.weight = max(leaf.weight, weights[rows[near]].max())
+                leaf.radius = max(leaf.radius, float(dist[near].max()))
+                leaf.merged += int(near.sum())
+                levels, rows = levels[~near], rows[~near]
+            i += 1
+    return leaves
 
 
 def attractor_build(
@@ -176,15 +243,15 @@ def attractor_build(
     symbols, times every row viewed as (1, d^(k-1), d^(depth+1-k)), written
     straight into the next level with no repeated kernel table.  Every
     level is checked and clipped in place like a ``dual_apply`` image, so
-    the rows carry the bits of the ``dual_apply`` chain.  Leaves are then
-    merged greedily, one cluster at a time: the first unclustered word
-    becomes a leaf, every remaining word within W1 <= eps of it joins it,
-    and the cluster keeps the max weight.  That is one batched tree-W1
-    pass per cluster over the remaining words, and the same clusters as
-    letting each word in turn join the first earlier leaf within eps.
-    eps defaults to max(r^N, gamma^final_depth), the resolution below
-    which distinct clusters are not meaningful.  Passing eps=0.0 disables
-    merging, yielding the exact m^N enumeration (the reference behavior).
+    the rows carry the bits of the ``dual_apply`` chain.  At eps > 0 the
+    last level is never held whole: it streams in row blocks, and each
+    word in turn joins the first earlier leaf within W1 <= eps, else
+    starts a leaf of its own; a cluster keeps its first word's image and
+    the max weight (``_merged_leaves``).  eps defaults to
+    max(r^N, gamma^final_depth), the resolution below which distinct
+    clusters are not meaningful.  Passing eps=0.0 disables merging,
+    yielding the exact m^N enumeration (the reference behavior), whose
+    leaves are views of the whole last level.
     A word length that is not an integer >= 1, or whose last level
     exceeds MAX_CELLS cells, raises ``ValueError`` before any table is made.
     """
@@ -197,43 +264,21 @@ def attractor_build(
     if not eps >= 0.0:
         raise ValueError(f"eps must be >= 0 (0 disables merging), got {eps!r}")
 
-    # grow suffixes: after t steps every length-t suffix has been applied
-    table, depth = _levels(fam, nu0, word_length)
-    weights = _word_weights(fam, word_length)
-    raw = table.shape[0]
-    # row k's word lists its base-m digits, least significant (outermost) first
-    words = [tuple(w) for w in symbol_table(word_length, len(fam))[:, ::-1].tolist()]
-
-    def leaf(row: int, weight, **merge) -> AttractorLeaf:
-        # at eps > 0 a leaf owns its row, so the sample does not pin the table
-        masses = table[row].copy() if eps > 0.0 else table[row]
-        measure = CylinderMeasure._checked(space, depth, masses)
-        return AttractorLeaf(words[row], measure, weight, **merge)
-
     if eps > 0.0:
-        leaves = []
-        remaining = np.arange(raw)
-        while remaining.size:
-            rep, rest = remaining[0], remaining[1:]
-            dist = w1_tree_rows(space, table, rest, rep)
-            near = dist <= eps
-            joined = rest[near]
-            leaves.append(leaf(
-                rep,
-                max(weights[rep], weights[joined].max(initial=-np.inf)),
-                radius=float(dist[near].max(initial=0.0)),
-                merged=1 + joined.size,
-            ))
-            remaining = rest[~near]
+        leaves = _merged_leaves(fam, word_length, nu0, eps)
     else:
-        leaves = [leaf(row, weights[row]) for row in range(raw)]
+        table, depth = _levels(fam, nu0, word_length)
+        weights = _word_weights(fam, word_length)
+        words = _words(np.arange(len(table)), len(fam), word_length)
+        leaves = [AttractorLeaf(word, CylinderMeasure._checked(space, depth, masses), weight)
+                  for word, masses, weight in zip(words, table, weights)]
 
     return AttractorSample(
         leaves=leaves,
         epsilon=eps,
         rate=r,
         word_length=word_length,
-        raw_count=raw,
+        raw_count=len(fam) ** word_length,
     )
 
 
@@ -280,20 +325,6 @@ class InvariantPressure:
     words: int                     # the m^N words maximized over
 
 
-def _last_level(fam: WeightedJacobianFamily, word_length: int,
-                nu0: CylinderMeasure) -> Iterator[CylinderMeasure]:
-    """The m^N images of ``attractor_build`` at eps=0, bit for bit and in
-    its row order, grown from the level before in row blocks of about
-    ``transport.BLOCK_CELLS`` cells: only that level and one block are
-    held, 1/(m d) of the last level's cells."""
-    table, depth = _levels(fam, nu0, word_length - 1)
-    rows, cells = table.shape
-    step = max(1, transport.BLOCK_CELLS // (len(fam) * fam.space.d * cells))
-    for start in range(0, rows, step):
-        for masses in _grow(fam, table[start:start + step], nu0, depth):
-            yield CylinderMeasure._checked(fam.space, depth + 1, masses)
-
-
 def invariant_pressure_solve(
     fam: WeightedJacobianFamily,
     g: Callable[[CylinderMeasure], float],
@@ -326,7 +357,9 @@ def invariant_pressure_solve(
 
     if eps == 0.0:
         weights = _word_weights(fam, word_length)
-        images = _last_level(fam, word_length, nu0)
+        depth = nu0.depth + word_length
+        images = (CylinderMeasure._checked(fam.space, depth, masses)
+                  for block in _last_level(fam, word_length, nu0) for masses in block)
     else:
         sample = attractor_build(fam, word_length, nu0, eps=eps)
         weights = np.array([leaf.weight for leaf in sample.leaves])

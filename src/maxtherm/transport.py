@@ -15,9 +15,12 @@ at once: with A a (k, d^n) table of rows and b one reference row,
 
 where A_j and b_j are the subtree masses at depth j + 1 (A_j sums A over
 the last n - j - 1 symbols) and w_j is the edge weight above that depth.
-``w1_tree_rows`` gathers rows of one table by index, with the reference
-row appended, in blocks of about ``BLOCK_CELLS`` cells, so a pass over a
-large table never copies it whole; ``w1_tree`` is its one-row case.
+``tree_levels`` lays the subtree masses of a table's rows at depths n,
+..., 1 side by side, once per table.  ``w1_tree_levels`` then measures
+every such row against one reference row: each level's gaps are summed
+along their own contiguous segment, as a 1-D sum does, and the levels
+are added finest first, so each pair keeps the bits of ``w1_tree``, its
+one-pair case.
 
 A transportation LP over the word distance matrix is kept as an
 independent small-instance oracle with a dual certificate.  By
@@ -47,7 +50,7 @@ import numpy as np
 from .shift import CylinderMeasure, DepthKFunction, ShiftSpace, symbol_table
 
 LP_MAX_POINTS = 1024
-BLOCK_CELLS = 1 << 15   # cells per gathered block of w1_tree_rows
+BLOCK_CELLS = 1 << 15   # cells per row block of a table streamed through a batched pass
 
 
 def __getattr__(name: str):
@@ -70,21 +73,40 @@ def _check_pair(mu: CylinderMeasure, nu: CylinderMeasure):
         )
 
 
-def _tree_distances(B: np.ndarray, d: int, gamma: float) -> np.ndarray:
-    """W1 from each row of a (k + 1, d^n) table but the last to its last
-    row.  Each level coarsens all rows at once by summing the d strided
-    slices in symbol order, which gives the bits of
+def tree_levels(table: np.ndarray, d: int) -> np.ndarray:
+    """The subtree masses of each row of a (k, d^n) table at depths n,
+    n - 1, ..., 1, side by side in one (k, d^n + ... + d) table whose first
+    d^n columns are the rows themselves.  Each level sums the d strided
+    slices of the one before in symbol order, which gives the bits of
     ``reshape(-1, d).sum(axis=1)`` without its slow length-d reduce."""
-    n = round(math.log(B.shape[1], d))
-    total = np.zeros(B.shape[0] - 1)
+    if table.shape[1] == 1:
+        return table[:, :0]   # a depth-0 table has no level
+    levels = [table]
+    while levels[-1].shape[1] > d:
+        level = levels[-1]
+        coarse = level[:, 0::d] + level[:, 1::d]
+        for symbol in range(2, d):
+            coarse += level[:, symbol::d]
+        levels.append(coarse)
+    return np.concatenate(levels, axis=1)
+
+
+def w1_tree_levels(space: ShiftSpace, levels: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """W1 from each row of ``levels`` to the row ``ref``, all ``tree_levels``
+    of depth-n cylinder tables on ``space``; equal to ``w1_tree`` on each
+    pair, bit for bit."""
+    d, gamma = space.d, space.gamma
+    gaps = levels - ref
+    np.abs(gaps, out=gaps)   # in place: one block-sized temporary, not two
+    cells = gaps.shape[1] * (d - 1) // d + 1   # d^n, the finest level
+    n = round(math.log(cells, d))
+    total = np.zeros(len(gaps))
+    start = 0
     for j in range(n - 1, -1, -1):
         w = gamma ** (n - 1) / 2.0 if j == n - 1 else (gamma ** j - gamma ** (j + 1)) / 2.0
-        total += w * np.abs(B[:-1] - B[-1]).sum(axis=1)
-        if j:
-            coarse = B[:, 0::d] + B[:, 1::d]
-            for k in range(2, d):
-                coarse += B[:, k::d]
-            B = coarse
+        total += w * gaps[:, start:start + cells].sum(axis=1)
+        start += cells
+        cells //= d
     return total
 
 
@@ -95,23 +117,8 @@ def w1_tree(mu: CylinderMeasure, nu: CylinderMeasure) -> float:
     inner loops.
     """
     _check_pair(mu, nu)
-    pair = np.stack((mu.masses, nu.masses))
-    return float(_tree_distances(pair, mu.space.d, mu.space.gamma)[0])
-
-
-def w1_tree_rows(
-    space: ShiftSpace, table: np.ndarray, rows: np.ndarray, ref: int
-) -> np.ndarray:
-    """W1 from each row ``table[rows]`` to the row ``table[ref]``, all
-    cylinder tables of one depth on ``space``; equal to ``w1_tree`` on each
-    pair, bit for bit.  Rows are gathered, with the reference row,
-    ``BLOCK_CELLS`` cells at a time."""
-    out = np.empty(len(rows))
-    step = max(1, BLOCK_CELLS // table.shape[1])
-    for start in range(0, len(rows), step):
-        block = table[np.append(rows[start:start + step], ref)]
-        out[start:start + step] = _tree_distances(block, space.d, space.gamma)
-    return out
+    pair = tree_levels(np.stack((mu.masses, nu.masses)), mu.space.d)
+    return float(w1_tree_levels(mu.space, pair[:1], pair[1])[0])
 
 
 def distance_matrix(space: ShiftSpace, depth: int) -> np.ndarray:

@@ -127,6 +127,15 @@ class TestSampler:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             OrbitSampler.markov([[0.5, 0.5], [0.5, 0.5]], n_orbits, seed)
 
+    @pytest.mark.parametrize("name, n_orbits, seed", [
+        ("n_orbits", True, 0), ("seed", 10, False), ("n_orbits", np.True_, 0),
+    ])
+    def test_bool_orbit_count_or_seed_rejected(self, name, n_orbits, seed):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
+            OrbitSampler([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], n_orbits, seed)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            OrbitSampler.bernoulli([0.5, 0.5], n_orbits, seed)
+
     def test_numpy_integers_accepted(self):
         s = OrbitSampler.bernoulli([0.5, 0.5], np.int64(3), np.uint32(7))
         assert s.n_orbits == 3 and s.seed == 7

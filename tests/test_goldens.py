@@ -1,5 +1,6 @@
 """The golden battery: every check passes, and a crashing check is a FAIL."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -111,6 +112,20 @@ def test_ldp_worked_example_passes_at_valid_flags(p, b, t, n_max, seed, mc_sampl
     result = goldens.check_ldp_worked_example(p, b, t, n_max, seed, mc_samples)
     assert result.passed is True, result.detail
     assert [row["n"] for row in result.record["per_n"]] == list(range(1, n_max + 1))
+
+
+@pytest.mark.parametrize("n, block", [(1, None), (5, None), (17, None), (20, None),
+                                      (9, 1 << 7), (12, 1 << 8)])
+def test_blocked_cylinder_sums_keep_the_bits_of_one_sum(monkeypatch, n, block):
+    if block is not None:
+        monkeypatch.setattr(goldens, "CODE_BLOCK", block)
+    p, ts = 0.3, (0.0, 0.1, 0.5, np.log(2.0), 2.0)
+    count2 = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
+    k = np.arange(n + 1)
+    masses = (p ** k * (1.0 - p) ** (n - k))[count2]
+    maxsum = (count2 < n).astype(float)
+    whole = [float((np.exp(-n * t * maxsum) * masses).sum()) for t in ts]
+    assert goldens._partition_bruteforce(p, ts, n) == whole
 
 
 def test_the_density_line_holds_when_both_kernels_make_one_image():

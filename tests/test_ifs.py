@@ -138,10 +138,11 @@ class TestAttractor:
         seed_depth=st.integers(0, 1),
         N=st.integers(1, 6),
         eps=st.sampled_from([None, 0.0, 1e-3, 0.05]),
+        block=st.sampled_from([None, 1, 7]),
         seed=st.integers(0, 2 ** 32 - 1),
     )
     def test_leaves_equal_the_per_measure_oracle_bit_for_bit(
-        self, d, m, kernel_depth, seed_depth, N, eps, seed
+        self, d, m, kernel_depth, seed_depth, N, eps, block, seed
     ):
         rng = np.random.default_rng(seed)
         space = ShiftSpace(d, rng.uniform(0.05, 0.95) / (d + 1))
@@ -153,7 +154,11 @@ class TestAttractor:
         depth = max(seed_depth, kernel_depth - 1)
         nu0 = CylinderMeasure(space, depth, rng.dirichlet(np.ones(d ** depth)))
         N = min(N, 5 if m == 3 else 6)
-        sample = attractor_build(fam, N, nu0, eps=eps)
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                # blocks of m rows, so block boundaries fall inside clusters
+                mp.setattr(transport, "BLOCK_CELLS", block)
+            sample = attractor_build(fam, N, nu0, eps=eps)
         expected = attractor_leaves(fam, N, nu0, sample.epsilon)
 
         def bits(leaf):
@@ -190,6 +195,23 @@ class TestAttractor:
         for leaf in sample.leaves:
             assert leaf.measure.masses.base is None
             assert leaf.measure.masses.flags.owndata
+
+    def test_default_eps_build_holds_less_than_half_the_last_level(self):
+        # the B family of the benchmark at N=10: its 2^10 images of 2^11
+        # masses are 16.8 MB, the level before them a quarter of that
+        fam = WeightedJacobianFamily(
+            [make_bernoulli_jacobian(0.3, SPACE), make_bernoulli_jacobian(0.7, SPACE)],
+            [0.0, -1.0],
+        )
+        last_level = 2 ** 10 * 2 ** 11 * 8
+        tracemalloc.start()
+        try:
+            sample = attractor_build(fam, 10, NU0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.raw_count == sum(leaf.merged for leaf in sample.leaves) == 2 ** 10
+        assert peak < last_level / 2
 
     def test_budget_error_suggests_length(self):
         fam = WeightedJacobianFamily(

@@ -7,8 +7,13 @@ from oracles import tree_w1, word_metric
 
 from maxtherm.goldens import random_jacobian, random_measure
 from maxtherm.shift import CylinderMeasure, ShiftSpace, dual_apply, make_bernoulli_jacobian
-from maxtherm import transport
-from maxtherm.transport import distance_matrix, w1_lp_oracle, w1_tree, w1_tree_rows
+from maxtherm.transport import (
+    distance_matrix,
+    tree_levels,
+    w1_lp_oracle,
+    w1_tree,
+    w1_tree_levels,
+)
 
 SPACE = ShiftSpace(2, 0.3)
 
@@ -114,20 +119,21 @@ class TestTreeFormula:
         assert w1_tree(a, CylinderMeasure(SPACE, 3, b2)) > 0.0
 
     @pytest.mark.parametrize("d, gamma", [(2, 0.3), (3, 0.2), (4, 0.15)])
-    def test_batched_rows_equal_the_per_pair_loop_bit_for_bit(self, monkeypatch, d, gamma):
-        # small blocks, so that a pass gathers several of them
-        monkeypatch.setattr(transport, "BLOCK_CELLS", 40)
+    def test_batched_rows_equal_the_per_pair_loop_bit_for_bit(self, d, gamma):
         space = ShiftSpace(d, gamma)
         rng = np.random.default_rng(d)
-        for depth in range(5):
+        for depth in range(6):
             table = rng.dirichlet(np.ones(d ** depth), size=12)
-            rows = rng.permutation(12)[:9]
-            got = w1_tree_rows(space, table, rows, rows[0])
-            nu = CylinderMeasure(space, depth, table[rows[0]])
-            expected = [tree_w1(CylinderMeasure(space, depth, table[i]), nu) for i in rows]
-            assert got.tolist() == expected
-            assert [w1_tree(CylinderMeasure(space, depth, table[i]), nu)
-                    for i in rows] == expected
+            levels = tree_levels(table, d)
+            assert levels.shape == (12, sum(d ** j for j in range(1, depth + 1)))
+            for ref in (0, 5):
+                got = w1_tree_levels(space, levels, levels[ref])
+                nu = CylinderMeasure(space, depth, table[ref])
+                expected = [tree_w1(CylinderMeasure(space, depth, row), nu) for row in table]
+                assert got.tolist() == expected
+                assert [w1_tree(CylinderMeasure(space, depth, row), nu)
+                        for row in table] == expected
+                assert got[ref] == 0.0
 
     def test_depth_mismatch_rejected(self):
         a = random_measure(SPACE, 2, np.random.default_rng(3))
