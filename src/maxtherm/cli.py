@@ -42,6 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__, goldens, transport
+from .shift import check_count
 
 
 def _flags(args) -> Dict[str, object]:
@@ -145,7 +146,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _pressure(d: int, m: int, trials: int, seed: int) -> goldens.GoldenResult:
     """``gibbs-equilibrium`` with ``trials`` observables on one (d, m) grid."""
-    goldens._require_count("trials", trials)
+    check_count("trials", trials, 1)
     return goldens.check_gibbs_equilibrium(seed, per_d=trials, grids=((d, m),))
 
 

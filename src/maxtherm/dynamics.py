@@ -48,7 +48,7 @@ from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .shift import DepthKFunction, check_probability_rows
+from .shift import DepthKFunction, check_count, check_probability_rows
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +76,9 @@ class OrbitSampler:
     """
 
     def __init__(self, probs, transition, n_orbits: int, seed: int):
-        for name, value in (("n_orbits", n_orbits), ("seed", seed)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if n_orbits < 1:
-            raise ValueError(f"n_orbits must be at least 1, got {n_orbits}")
+        # a negative seed would fail only at numpy's first draw, which does not name it
+        self.n_orbits = check_count("n_orbits", n_orbits, 1)
+        self.seed = check_count("seed", seed)
         p = np.array(probs, dtype=float).reshape(1, -1)
         self.probs = check_probability_rows(p)[0]
         self.d = d = self.probs.size
@@ -88,8 +86,6 @@ class OrbitSampler:
         if P.shape != (d, d):
             raise ValueError(f"the transition matrix must be {d} x {d}")
         self.transition = check_probability_rows(P)
-        self.n_orbits = int(n_orbits)
-        self.seed = int(seed)
 
     @classmethod
     def bernoulli(cls, probs, n_orbits: int, seed: int) -> "OrbitSampler":
@@ -121,8 +117,7 @@ class OrbitSampler:
         for, so a caller that stops early draws at most STEP_BLOCK steps
         past what it read.  A negative length raises at the call.
         """
-        if length < 0:
-            raise ValueError(f"the orbit length must be at least 0, got {length}")
+        length = check_count("the orbit length", length)
         rng = np.random.default_rng(self.seed)
         dtype = np.min_scalar_type(self.d)
         # row d is the start distribution, so the first step is one more step
@@ -167,9 +162,7 @@ def _orbit_length(sampler: OrbitSampler, f: DepthKFunction, n: int) -> int:
         raise ValueError(
             f"the sampler draws {sampler.d} symbols but f reads {f.space.d}"
         )
-    if n < 1:
-        raise ValueError(f"the window count must be at least 1, got {n}")
-    return n + max(f.depth, 1) - 1
+    return check_count("the window count", n, 1) + max(f.depth, 1) - 1
 
 
 def _window_codes(symbols: np.ndarray, d: int, k: int, n: int, axis: int) -> np.ndarray:
@@ -214,8 +207,7 @@ def birkhoff_max_table(f: DepthKFunction, orbits: np.ndarray, n: int) -> np.ndar
         )
     if not np.issubdtype(orbits.dtype, np.integer):
         raise ValueError(f"orbit symbols must be integers, got dtype {orbits.dtype}")
-    if n < 1:
-        raise ValueError(f"the window count must be at least 1, got {n}")
+    n = check_count("the window count", n, 1)
     if orbits.shape[1] < n + k - 1:
         raise ValueError("orbits too short for the requested window count")
     if orbits.min() < 1 or orbits.max() > d:
@@ -316,8 +308,7 @@ def _require_example(p: float, n: int = 1) -> None:
     """The worked example needs 0 < p < 1 and n >= 1."""
     if not (0.0 < p < 1.0):
         raise ValueError("p must lie in (0, 1)")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    check_count("n", n, 1)
 
 
 def c_n_exact(p: float, t: float, n: int) -> float:

@@ -5,7 +5,8 @@ bounds, operator identities) with its stated tolerance, and returns a
 pass flag, one detail line and a ``record`` of its numbers.  The checks
 are callable individually, from the test suite, through the command-line
 ``verify`` subcommand at their defaults, or through the other
-subcommands at the user's parameters.
+subcommands at the user's parameters.  Their counts of draws must be at
+least 1, since a check over zero draws would pass vacuously.
 
 Randomized checks draw through ``numpy.random.default_rng`` with explicit
 seeds, so reruns are reproducible.  A line added to a check draws from a
@@ -29,6 +30,7 @@ from .shift import (
     DepthKFunction,
     Jacobian,
     ShiftSpace,
+    check_count,
     compose_duals,
     dual_apply,
     lipschitz_constant,
@@ -107,12 +109,6 @@ def _result(name: str, start: float, passed: bool, detail: str, **record) -> Gol
     return GoldenResult(name, passed, detail, time.time() - start, record)
 
 
-def _require_count(name: str, value: int) -> None:
-    """A check over zero draws would pass vacuously."""
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-
-
 # ---------------------------------------------------------------------------
 # 1. Gibbs equilibria on the simplex
 # ---------------------------------------------------------------------------
@@ -125,8 +121,8 @@ def check_gibbs_equilibrium(
 ) -> GoldenResult:
     """Lattice search recovers the softmax equilibrium and its pressure:
     ``per_d`` random observables on each ``(d, m)`` simplex grid."""
-    _require_count("per_d", per_d)
-    _require_count("number of grids", len(grids))
+    check_count("per_d", per_d, 1)
+    check_count("number of grids", len(grids), 1)
     start = time.time()
     rng = np.random.default_rng(seed)
     worst_point, worst_value = 0.0, 0.0
@@ -168,9 +164,9 @@ def check_transport_oracle(
     """Closed-form tree W1 equals the transportation LP within 1e-9.  Each
     plan entry ``(d, gamma, depth, reps)`` draws ``reps`` pairs of depth-
     ``depth`` measures on the shift space ``(d, gamma)``."""
-    _require_count("number of plan entries", len(plan))
+    check_count("number of plan entries", len(plan), 1)
     for _, _, _, reps in plan:
-        _require_count("reps", reps)
+        check_count("reps", reps, 1)
     start = time.time()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -202,8 +198,8 @@ def check_contraction_bounds(
     """Three theorem bounds hold on every randomized trial (slack 1e-10),
     for random kernels on the shift space ``(d, gamma)`` acting on pairs of
     depth-``depth`` measures."""
-    _require_count("trials", trials)
-    _require_count("depth", depth)
+    check_count("trials", trials, 1)
+    check_count("depth", depth, 1)
     start = time.time()
     rng = np.random.default_rng(seed)
     space = ShiftSpace(d, gamma)
@@ -247,7 +243,7 @@ def check_contraction_bounds(
 def check_section_identity(seed: int = 14, trials: int = 1000) -> GoldenResult:
     """Pushforward undoes the dual transfer exactly (1e-12), and the dual
     transfer is the adjoint of the transfer: mu(L f) = (L* mu)(f) (1e-12)."""
-    _require_count("trials", trials)
+    check_count("trials", trials, 1)
     start = time.time()
     rng = np.random.default_rng(seed)
     f_rng = np.random.default_rng([seed, 1])
@@ -453,9 +449,9 @@ def check_mpifs_operators(
     system).  Duality compares ``mpifs_markov`` with the pressure of the
     Ruelle image; the invariance check's density and pressure (functional)
     residuals must agree on the fixed density and on a perturbed one."""
-    _require_count("systems", systems)
+    check_count("systems", systems, 1)
     if points is not None:
-        _require_count("points", points)
+        check_count("points", points, 1)
     start = time.time()
     rng = np.random.default_rng(seed)
     worst_dual = 0.0
@@ -549,9 +545,8 @@ def check_ldp_worked_example(
         raise ValueError("p must lie in (0, 1)")
     if not (0.0 < b < 1.0):
         raise ValueError("b must lie in (0, 1)")
-    _require_count("n_max", n_max)
-    if mc_samples < 0:
-        raise ValueError(f"mc_samples must be at least 0 (0 is off), got {mc_samples}")
+    check_count("n_max", n_max, 1)
+    check_count("mc_samples", mc_samples)
     start = time.time()
     notes = []
     ok = True
@@ -678,7 +673,7 @@ def check_convex_pressure_suite(
     at mu = (e, 1, ..., 1) / (e + d - 1).  On the d = 2 grid at ``m`` a
     two-bump density lies below its recovered entropy and projects as its
     concave envelope over ``linspace(0, 1, m + 1)`` does."""
-    _require_count("trials", trials)
+    check_count("trials", trials, 1)
     start = time.time()
     notes = []
     ok = True

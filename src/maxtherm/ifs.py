@@ -33,6 +33,7 @@ a given density invariant.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -44,6 +45,7 @@ from .shift import (
     MAX_CELLS,
     CylinderMeasure,
     Jacobian,
+    check_count,
     check_probability_rows,
     dual_apply,
     dual_factor,
@@ -102,20 +104,14 @@ def _checked_word_length(fam: WeightedJacobianFamily, word_length,
                          nu0: CylinderMeasure) -> int:
     """``word_length`` as an int, once it is an integer >= 1 whose last
     level of m^N images fits in MAX_CELLS cells."""
-    if isinstance(word_length, bool) or not isinstance(word_length, (int, np.integer)):
-        raise ValueError(f"word length must be an integer, got {word_length!r}")
-    word_length = int(word_length)
-    if word_length < 1:
-        raise ValueError("word length must be >= 1")
+    word_length = check_count("word length", word_length, 1)
     m, d = len(fam), fam.space.d
 
     def cells(n: int) -> int:
         return m ** n * d ** (nu0.depth + n)
 
     if cells(word_length) > MAX_CELLS:
-        suggestion = 0
-        while cells(suggestion + 1) <= MAX_CELLS:
-            suggestion += 1
+        suggestion = bisect.bisect_right(range(word_length), MAX_CELLS, key=cells) - 1
         raise ValueError(
             f"{m}^{word_length} words of {d}^{nu0.depth + word_length} cells "
             f"exceed the budget of {MAX_CELLS} cells; use word_length <= {suggestion}"

@@ -9,7 +9,9 @@ significant, which makes prepend/marginalize operations pure reshapes.
 Every linear probability table, whether a cylinder measure, the columns of
 a transfer kernel, a symbol distribution or a whole batch of attractor
 rows, goes through ``check_probability_rows``; the max-plus counterpart is
-``semiring.check_maxplus_probability``.
+``semiring.check_maxplus_probability``.  Every integer argument, whether
+an alphabet size, depth, word length, orbit length, count or seed, goes
+through ``check_count``.
 
 A kernel reading k symbols meets a depth-n measure through ``dual_factor``,
 the (d, d^(k-1), 1) view of the kernel's own table, broadcast against the
@@ -45,10 +47,7 @@ class ShiftSpace:
     gamma: float
 
     def __post_init__(self):
-        if not isinstance(self.d, (int, np.integer)):
-            raise ValueError(f"alphabet size d must be an integer, got {self.d!r}")
-        if self.d < 2:
-            raise ValueError("alphabet size d must be >= 2")
+        object.__setattr__(self, "d", check_count("alphabet size d", self.d, 2))
         if not (0.0 < self.gamma < 1.0 / (self.d + 1)):
             raise ValueError(
                 f"gamma must lie in (0, 1/(d+1)) = (0, {1.0/(self.d+1)!r})"
@@ -66,9 +65,7 @@ def word_index(word: Sequence[int], d: int) -> int:
     """Base-d code of a word of symbols 1..d, first symbol most significant."""
     idx = 0
     for s in word:
-        if not isinstance(s, (int, np.integer)):
-            raise ValueError(f"symbol {s!r} is not an integer")
-        if not 1 <= s <= d:
+        if check_count("symbol", s, 1) > d:
             raise ValueError(f"symbol {s} outside alphabet 1..{d}")
         idx = idx * d + (s - 1)
     return idx
@@ -89,8 +86,7 @@ class DepthKFunction:
     """A function on the shift space depending on its first ``depth`` symbols."""
 
     def __init__(self, space: ShiftSpace, depth: int, values):
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
+        depth = check_count("depth", depth)
         # a copy, frozen: every dual image broadcasts this table, so no
         # later write may move it past the checks it passed
         vals = np.array(values, dtype=float).reshape(-1)
@@ -108,7 +104,7 @@ class DepthKFunction:
 
     def at_depth(self, depth: int) -> np.ndarray:
         """Table of this function viewed at a deeper resolution."""
-        if depth < self.depth:
+        if check_count("depth", depth) < self.depth:
             raise ValueError("cannot view a table at a shallower depth")
         return np.repeat(self.values, self.space.d ** (depth - self.depth))
 
@@ -150,7 +146,7 @@ class Jacobian(DepthKFunction):
     """
 
     def __init__(self, space: ShiftSpace, depth: int, values):
-        if depth < 1:
+        if check_count("depth", depth) < 1:
             raise ValueError("a transfer kernel must read at least one symbol")
         super().__init__(space, depth, values)
         # each column, one continuation word, is a distribution of the first
@@ -191,12 +187,21 @@ def check_probability_rows(table: np.ndarray) -> np.ndarray:
     return np.maximum(table, 0.0, out=table)
 
 
+def check_count(name: str, value, least: int = 0) -> int:
+    """``value`` as an int, once it is an integer, numpy integers included
+    and bools not, of at least ``least``; ``name`` heads the error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
 class CylinderMeasure:
     """A probability specified on all words of a fixed depth."""
 
     def __init__(self, space: ShiftSpace, depth: int, masses):
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
+        depth = check_count("depth", depth)
         m = np.array(masses, dtype=float).reshape(-1)
         if m.size != space.n_words(depth):
             raise ValueError(
@@ -233,7 +238,7 @@ class CylinderMeasure:
             raise ValueError(f"{space.d} symbol probabilities needed, got {p.size}")
         check_probability_rows(p[None])
         m = np.array([1.0])
-        for _ in range(depth):
+        for _ in range(check_count("depth", depth)):
             m = np.kron(m, p)
         return cls(space, depth, m)
 
@@ -261,6 +266,7 @@ class CylinderMeasure:
         )
 
     def at_depth(self, depth: int) -> "CylinderMeasure":
+        depth = check_count("depth", depth)
         out = self
         while out.depth < depth:
             out = out.refine()

@@ -32,7 +32,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .semiring import NORMALIZATION_TOL
-from .shift import MAX_CELLS, check_probability_rows
+from .shift import MAX_CELLS, check_count, check_probability_rows
 
 ZERO_MASS = 1e-15  # masses at or below this count as zero for the minimizer log mu
 
@@ -113,15 +113,8 @@ class SimplexGrid:
     m: int
 
     def __post_init__(self):
-        for name in ("d", "m"):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {n!r}")
-            object.__setattr__(self, name, int(n))
-        if self.d < 2:
-            raise ValueError("simplex dimension d must be >= 2")
-        if self.m < 1:
-            raise ValueError("grid resolution m must be >= 1")
+        object.__setattr__(self, "d", check_count("simplex dimension d", self.d, 2))
+        object.__setattr__(self, "m", check_count("grid resolution m", self.m, 1))
 
         def cells(m: int) -> int:
             return math.comb(m + self.d - 1, self.d - 1) * self.d
@@ -321,8 +314,7 @@ def pressure_axioms_check(
     Violations are bounded by the grid error of the maximization, so they
     must be small but need not be exactly zero.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    check_count("trials", trials, 1)
     rng = np.random.default_rng(seed)
     worst_mono = worst_trans = worst_conv = 0.0
     for _ in range(trials):

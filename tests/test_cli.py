@@ -398,7 +398,7 @@ def test_verify_with_an_unknown_check_exits_1_before_any_check_runs(capsys):
     (["mpifs", "--points", "0"], "points must be at least 1, got 0"),
     (["gamma", "--trials", "-2"], "trials must be at least 1, got -2"),
     (["ldp", "--n-max", "0"], "n_max must be at least 1, got 0"),
-    (["ldp", "--mc-samples", "-3"], "mc_samples must be at least 0 (0 is off), got -3"),
+    (["ldp", "--mc-samples", "-3"], "mc_samples must be at least 0, got -3"),
     (["transport", "--depth", "0"], "depth must be at least 1, got 0"),
 ])
 def test_counts_below_one_exit_1(capsys, argv, message):

@@ -50,7 +50,7 @@ class TestSpaceAndWords:
     @pytest.mark.parametrize("symbol", [1.0, 1.5, "1", np.float64(2.0)])
     def test_non_integer_symbols_are_named(self, symbol):
         mu = CylinderMeasure.bernoulli(SPACE, [0.3, 0.7], 2)
-        message = re.escape(f"symbol {symbol!r} is not an integer")
+        message = re.escape(f"symbol must be an integer, got {symbol!r}")
         with pytest.raises(ValueError, match=message):
             mu.mass_of((symbol,))
         with pytest.raises(ValueError, match=message):
