@@ -124,7 +124,7 @@ def check_gibbs_equilibrium(
     check_count("per_d", per_d, 1)
     check_count("number of grids", len(grids), 1)
     start = time.time()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed))
     worst_point, worst_value = 0.0, 0.0
     for d, m in grids:
         grid = simplex.SimplexGrid(d, m)
@@ -168,7 +168,7 @@ def check_transport_oracle(
     for _, _, _, reps in plan:
         check_count("reps", reps, 1)
     start = time.time()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed))
     worst = 0.0
     count = 0
     for d, gamma, depth, reps in plan:
@@ -201,7 +201,7 @@ def check_contraction_bounds(
     check_count("trials", trials, 1)
     check_count("depth", depth, 1)
     start = time.time()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed))
     space = ShiftSpace(d, gamma)
     r = space.contraction_rate
     worst_ratio = 0.0
@@ -245,7 +245,7 @@ def check_section_identity(seed: int = 14, trials: int = 1000) -> GoldenResult:
     transfer is the adjoint of the transfer: mu(L f) = (L* mu)(f) (1e-12)."""
     check_count("trials", trials, 1)
     start = time.time()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed))
     f_rng = np.random.default_rng([seed, 1])
     space = ShiftSpace(2, 0.3)
     worst = worst_dual = 0.0
@@ -453,7 +453,7 @@ def check_mpifs_operators(
     if points is not None:
         check_count("points", points, 1)
     start = time.time()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed))
     worst_dual = 0.0
     consistent = True
     worst_inverse = 0.0
@@ -674,6 +674,7 @@ def check_convex_pressure_suite(
     two-bump density lies below its recovered entropy and projects as its
     concave envelope over ``linspace(0, 1, m + 1)`` does."""
     check_count("trials", trials, 1)
+    check_count("seed", seed)
     start = time.time()
     notes = []
     ok = True
@@ -792,7 +793,7 @@ def check_pushforward_invariance(seed: int = 21) -> GoldenResult:
     image of a non-injective symbol map, is rejected with a witness
     observable.  The observables are random quadratics in the masses."""
     start = time.time()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed))
     worst = 0.0
     witnesses = []
     for d, m, perm, collapse in (

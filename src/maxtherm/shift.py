@@ -73,7 +73,8 @@ def word_index(word: Sequence[int], d: int) -> int:
 
 def symbol_table(depth: int, d: int) -> np.ndarray:
     """(d^depth, depth) array listing every word in lexicographic order."""
-    n = d ** depth
+    depth = check_count("depth", depth)
+    n = check_count("alphabet size d", d, 1) ** depth
     out = np.empty((n, depth), dtype=np.int64)
     codes = np.arange(n)
     for j in range(depth - 1, -1, -1):

@@ -11,9 +11,15 @@ a ``(k,)`` table over a family, built once by ``convex_pressure_gamma``;
 of Gamma(phi) - mu . phi, and runs no maximization.
 A probability vector handed in by a caller goes through
 ``as_prob_vector``, which is ``shift.check_probability_rows`` on one row.
-Every pressure on the simplex is one ``level2_pressure(h, g, grid)``, a
-coarse lattice scan followed by local refinement, which handles
-non-concave objectives whose maximizer set may be disconnected.  A
+Every pressure on the simplex comes from one lock-step search, a coarse
+lattice scan followed by local refinement around spread-out candidates,
+which handles non-concave objectives whose maximizer set may be
+disconnected.  It maximizes h(p) + p . phi for a family of k tilts phi at
+once: h is called once on the lattice and once per refinement round,
+whatever k is, and each row's tilt is its own product, so a row gets the
+bits of a search of its own.  ``convex_pressure_gamma`` is that search;
+``level2_pressure(h, g, grid)``, which also returns the equilibrium set,
+is its k = 1 case with the level-2 observable g in place of a tilt.  A
 measure family is a density on its own simplex, its KS entropy:
 ``shannon_entropy_table`` for Bernoulli measures on the symbol simplex,
 ``markov_entropy_table`` for one-step Markov measures on {1, 2} on the
@@ -33,6 +39,7 @@ import numpy as np
 
 from .semiring import NORMALIZATION_TOL
 from .shift import MAX_CELLS, check_count, check_probability_rows
+from .transport import BLOCK_CELLS
 
 ZERO_MASS = 1e-15  # masses at or below this count as zero for the minimizer log mu
 
@@ -131,25 +138,6 @@ class SimplexGrid:
         return _lattice(self.m, self.d)
 
 
-def _spread_candidates(
-    points: np.ndarray, values: np.ndarray, k: int, min_sep: float
-) -> List[int]:
-    """Pick up to k high-value indices pairwise separated in sup norm.
-
-    Plain top-k would pile every candidate onto the same bump; the
-    separation keeps distinct near-maximizers alive for refinement.
-    """
-    order = np.argsort(values)[::-1]
-    order = order[np.isfinite(values[order])]
-    chosen: List[int] = []
-    for i in order.tolist():
-        if not chosen or np.abs(points[chosen] - points[i]).max(axis=1).min() >= min_sep:
-            chosen.append(i)
-            if len(chosen) == k:
-                break
-    return chosen
-
-
 @dataclass
 class SimplexMax:
     value: float
@@ -164,26 +152,75 @@ TOP_K = 8           # spread-out lattice candidates that are refined
 DEDUP_TOL = 1e-6    # near-maximizers closer than this in sup norm are one
 
 
-def _scores(objective: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
-    """The objective on (N, d) points as a float array, real or -inf."""
-    vals = np.asarray(objective(points), dtype=float)
+def _spread_candidates(points: np.ndarray, values: np.ndarray, min_sep: float) -> np.ndarray:
+    """Pick, for every row of a ``(B, N)`` value table on the lattice
+    ``points``, up to ``TOP_K`` high-value indices pairwise separated in
+    sup norm, as a ``(B, TOP_K)`` array padded with -1.
+
+    Plain top-k would pile every candidate onto the same bump; the
+    separation keeps distinct near-maximizers alive for refinement.  Each
+    row walks its finite values from the largest down, greedily; the rows
+    take their steps in lock-step, one vectorized step for all of them.
+    """
+    order = np.argsort(values, axis=1)[:, ::-1]
+    n_finite = np.isfinite(values).sum(axis=1)     # -inf sorts last
+    chosen = np.full((len(values), TOP_K), -1)
+    # unfilled slots sit at infinity, so they never block a candidate
+    picked = np.full((len(values), TOP_K, points.shape[1]), np.inf)
+    count = np.zeros(len(values), dtype=np.int64)
+    active = np.flatnonzero(n_finite > 0)
+    step = 0
+    while active.size:
+        i = order[active, step]
+        p = points[i]
+        far = np.abs(picked[active] - p[:, None, :]).max(axis=2).min(axis=1) >= min_sep
+        rows = active[far]
+        slots = count[rows]
+        chosen[rows, slots] = i[far]
+        picked[rows, slots] = p[far]
+        count[rows] = slots + 1
+        step += 1
+        active = active[(count[active] < TOP_K) & (n_finite[active] > step)]
+    return chosen
+
+
+def _checked(vals: np.ndarray) -> np.ndarray:
+    """Objective values as they are, once each is real or -inf."""
     if not (vals < np.inf).all():   # false exactly at NaN and +inf
         raise ValueError("objective values must be real or -inf, not NaN or +inf")
     return vals
 
 
+def _tilted(vals: np.ndarray, pts: np.ndarray, family, counts) -> np.ndarray:
+    """``vals + pts @ phi`` on each family row's run of ``counts`` points,
+    or ``vals`` itself when ``family`` is None.  Each row takes its own
+    matrix-vector product: a stacked product may change the last bit."""
+    if family is None:
+        return _checked(vals)
+    out = np.empty_like(vals)
+    ends = np.cumsum(counts)
+    for a, b, phi in zip(ends - counts, ends, family):
+        out[a:b] = vals[a:b] + pts[a:b] @ phi
+    return _checked(out)
+
+
 def _refine(
-    objective: Callable[[np.ndarray], np.ndarray],
+    score: Callable[[np.ndarray, np.ndarray], np.ndarray],
     centers: np.ndarray,
     bests: np.ndarray,
+    owner: np.ndarray,
+    rows: int,
     width: float,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Refine all candidates in lock-step; returns (centers, bests, evaluations).
+    """Refine all candidates of all rows in lock-step; returns (centers,
+    bests, evaluations).
 
     Each of ``REFINE_ROUNDS`` rounds rescans, around every candidate, a
     patch of ``PATCH_AXIS`` points per free axis with half-width ``width``
     clipped to [0, 1], the candidate itself being the patch's last row.
-    All patches go to the objective in one stacked call.  The last
+    All patches go to ``score(points, counts)`` in one stacked call, in
+    candidate order; ``owner`` (ascending) names each candidate's row and
+    ``counts`` the points of each of the ``rows`` rows.  The last
     coordinate is 1 - sum of the others, and patch rows that would make it
     negative are not evaluated: they are masked to -inf, so ``argmax``
     sees the same rows in the same order as a per-candidate scan.
@@ -204,9 +241,10 @@ def _refine(
         patch = np.concatenate([free, np.clip(last, 0.0, 1.0)[..., None]], axis=2)
         patch = np.concatenate([patch, centers[:, None, :]], axis=1)
         keep = np.concatenate([last >= -NORMALIZATION_TOL, np.ones((k, 1), bool)], axis=1)
+        kept = keep.sum(axis=1)
         pv = np.full(keep.shape, -np.inf)
-        pv[keep] = _scores(objective, patch[keep])
-        n_eval += int(keep.sum())
+        pv[keep] = score(patch[keep], np.bincount(owner, kept, rows).astype(np.int64))
+        n_eval += int(kept.sum())
         j = pv.argmax(axis=1)
         top = pv[rows_k, j]
         better = top > bests
@@ -216,6 +254,49 @@ def _refine(
     return centers, bests, n_eval
 
 
+def _search(objective, grid: SimplexGrid, family=None):
+    """Scan and refine, in lock-step, the max over the simplex of
+    objective(p) + p . phi for every row phi of a ``(k, d)`` family, or of
+    objective(p) alone when ``family`` is None (one row).
+
+    ``objective`` is called once on the lattice, and once per refinement
+    round on every row's patch points together; each row's tilt is its
+    own product, so every row gets the bits of a one-row search.  The
+    rows are scanned ``transport.BLOCK_CELLS`` lattice values at a time,
+    so no ``(N, k)`` table is held.  A row whose values hold NaN or +inf,
+    or are -inf on the whole lattice, is a ``ValueError``, the first such
+    row raising.  Returns ``(centers, bests, owner, evaluations)``: the
+    refined candidates, their values and rows, all in row order, and the
+    number of points scored for the rows together.
+    """
+    points = grid.points()
+    rows = 1 if family is None else len(family)
+    base = np.asarray(objective(points), dtype=float)
+    step = max(1, BLOCK_CELLS // len(points))
+    centers, bests, owner = [], [], []
+    for lo in range(0, rows, step):
+        if family is None:
+            vals = base[None]
+        else:
+            vals = np.array([base + points @ phi for phi in family[lo : lo + step]])
+        fail = np.flatnonzero(~(vals < np.inf).all(axis=1) | ~(vals > -np.inf).any(axis=1))
+        if fail.size:
+            _checked(vals[fail[0]])
+            raise ValueError("objective is -inf on the whole grid")
+        idx = _spread_candidates(points, vals, min_sep=2.5 / grid.m)
+        r, slot = np.nonzero(idx >= 0)
+        centers.append(points[idx[r, slot]])
+        bests.append(vals[r, idx[r, slot]])
+        owner.append(lo + r)
+    owner = np.concatenate(owner)
+    centers, bests, n_refine = _refine(
+        lambda pts, counts: _tilted(np.asarray(objective(pts), dtype=float), pts,
+                                    family, counts),
+        np.concatenate(centers), np.concatenate(bests), owner, rows, 1.0 / grid.m,
+    )
+    return centers, bests, owner, rows * len(points) + n_refine
+
+
 def maximize_on_simplex(
     objective: Callable[[np.ndarray], np.ndarray],
     grid: SimplexGrid,
@@ -223,23 +304,19 @@ def maximize_on_simplex(
 ) -> SimplexMax:
     """Maximize a row-wise objective over the simplex.
 
-    Coarse lattice scan, then ``REFINE_ROUNDS`` rounds of local rescans
-    around the ``TOP_K`` spread-out candidates.  The objective is real, or
-    -inf off the support; NaN or +inf at any scanned point, on the lattice
-    or in a patch, is a ``ValueError``.  The incumbent point is
-    carried into every local patch, so the result can never fall below
+    The one-row case of the lock-step search: a coarse lattice scan, then
+    ``REFINE_ROUNDS`` rounds of local rescans around the ``TOP_K``
+    spread-out candidates, one objective call each.  The objective is
+    real, or -inf off the support; NaN or +inf at any scanned point, on
+    the lattice or in a patch, is a ``ValueError``.  The incumbent point
+    is carried into every local patch, so the result can never fall below
     the coarse-grid max.  Returns all refined candidates within
-    ``argmax_tol`` of the best, deduplicated at ``DEDUP_TOL``.
+    ``argmax_tol`` (finite, >= 0) of the best, deduplicated at
+    ``DEDUP_TOL``.
     """
-    points = grid.points()
-    vals = _scores(objective, points)
-    cand_idx = _spread_candidates(points, vals, TOP_K, min_sep=2.5 / grid.m)
-    if not cand_idx:
-        raise ValueError("objective is -inf on the whole grid")
-    centers, bests, n_refine = _refine(
-        objective, points[cand_idx], vals[cand_idx], 1.0 / grid.m
-    )
-
+    if not (math.isfinite(argmax_tol) and argmax_tol >= 0):
+        raise ValueError(f"argmax_tol must be finite and >= 0, got {argmax_tol!r}")
+    centers, bests, _, n_eval = _search(objective, grid)
     top = float(bests.max())
     near = np.flatnonzero(bests >= top - argmax_tol)
     near = near[np.argsort(-bests[near], kind="stable")]
@@ -247,7 +324,7 @@ def maximize_on_simplex(
     for p in centers[near]:
         if all(np.max(np.abs(p - q)) > DEDUP_TOL for q in argmax):
             argmax.append(p)
-    return SimplexMax(value=top, argmax=np.array(argmax), evaluations=len(vals) + n_refine)
+    return SimplexMax(value=top, argmax=np.array(argmax), evaluations=n_eval)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +358,19 @@ def convex_pressure_gamma(
     grid: SimplexGrid,
 ) -> np.ndarray:
     """The Gamma table of a ``(k, d)`` family: row i is the pressure of
-    the included observable j(phi_i)(p) = p . phi_i, a ``(k,)`` array."""
+    the included observable j(phi_i)(p) = p . phi_i, a ``(k,)`` array.
+
+    One lock-step search for the whole family: h is called once on the
+    lattice and once per refinement round, whatever k is, and every entry
+    has the bits of ``level2_pressure(h, lambda p: p @ phi_i, grid).value``.
+    """
     phis = np.asarray(family, dtype=float)
     if phis.ndim != 2 or phis.shape[1] != grid.d:
         raise ValueError(f"family must be a (k, {grid.d}) array, got shape {phis.shape}")
-    return np.array([level2_pressure(h, lambda pts: pts @ phi, grid).value
-                     for phi in phis])
+    if not len(phis):
+        return np.empty(0)
+    _, bests, owner, _ = _search(h, grid, phis)
+    return np.maximum.reduceat(bests, np.searchsorted(owner, np.arange(len(phis))))
 
 
 @dataclass
@@ -309,23 +393,26 @@ def pressure_axioms_check(
     seed: int = 0,
 ) -> PressureAxiomsReport:
     """Property-check the three convex-pressure axioms on random observables
-    with coefficients uniform in [-2, 2].
+    with coefficients uniform in [-2, 2].  All ``trials`` draws of five
+    observables each are priced in one Gamma table.
 
     Violations are bounded by the grid error of the maximization, so they
     must be small but need not be exactly zero.
     """
     check_count("trials", trials, 1)
-    rng = np.random.default_rng(seed)
-    worst_mono = worst_trans = worst_conv = 0.0
+    rng = np.random.default_rng(check_count("seed", seed))
+    family, consts = [], []
     for _ in range(trials):
         a = rng.uniform(-2.0, 2.0, grid.d)
         b = rng.uniform(-2.0, 2.0, grid.d)
         bigger = a + np.abs(rng.uniform(0, 1, grid.d))
         c = float(rng.uniform(-3, 3))
         t = float(rng.uniform(0, 1))
-        gam_phi, gam_psi, gam_bigger, shifted, mix = convex_pressure_gamma(
-            h, np.array([a, b, bigger, a + c, t * a + (1 - t) * b]), grid
-        ).tolist()
+        family += [a, b, bigger, a + c, t * a + (1 - t) * b]
+        consts.append((c, t))
+    gammas = convex_pressure_gamma(h, np.array(family), grid).reshape(trials, 5)
+    worst_mono = worst_trans = worst_conv = 0.0
+    for (gam_phi, gam_psi, gam_bigger, shifted, mix), (c, t) in zip(gammas.tolist(), consts):
         worst_mono = max(worst_mono, gam_phi - gam_bigger)
         worst_trans = max(worst_trans, abs(shifted - gam_phi - c))
         worst_conv = max(worst_conv, mix - t * gam_phi - (1 - t) * gam_psi)
@@ -341,6 +428,7 @@ def affine_observable_family(
     Translation invariance makes the pinned coordinate harmless: adding a
     constant changes the recovered value by nothing.
     """
+    d = check_count("simplex dimension d", d, 2)
     per_axis = max(3, int(round(num ** (1.0 / (d - 1)))))
     mesh = np.meshgrid(*[np.linspace(lo, hi, per_axis)] * (d - 1), indexing="ij")
     free = np.column_stack([m.ravel() for m in mesh])

@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .shift import CylinderMeasure, DepthKFunction, ShiftSpace, symbol_table
+from .shift import CylinderMeasure, DepthKFunction, ShiftSpace, check_count, symbol_table
 
 LP_MAX_POINTS = 1024
 BLOCK_CELLS = 1 << 15   # cells per row block of a table streamed through a batched pass
@@ -123,7 +123,7 @@ def w1_tree(mu: CylinderMeasure, nu: CylinderMeasure) -> float:
 
 def distance_matrix(space: ShiftSpace, depth: int) -> np.ndarray:
     """Pairwise gamma^(first difference) over all depth-n words."""
-    if depth == 0:
+    if check_count("depth", depth) == 0:
         return np.zeros((1, 1))   # the empty word; argmax needs a digit
     digits = symbol_table(depth, space.d)
     diff = digits[:, None, :] != digits[None, :, :]

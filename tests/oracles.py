@@ -175,6 +175,29 @@ def entropy_recovery_per_target(h, mu, family, grid) -> float:
     return float(best)
 
 
+def pressure_axioms_per_trial(h, grid, trials: int, seed: int) -> Tuple[float, float, float]:
+    """Worst monotonicity, translation and convexity violations of the
+    convex pressure, one trial at a time: each trial draws its five
+    observables as ``simplex.pressure_axioms_check`` does and maximizes
+    each afresh with ``level2_pressure``."""
+    rng = np.random.default_rng(seed)
+    worst_mono = worst_trans = worst_conv = 0.0
+    for _ in range(trials):
+        a = rng.uniform(-2.0, 2.0, grid.d)
+        b = rng.uniform(-2.0, 2.0, grid.d)
+        bigger = a + np.abs(rng.uniform(0, 1, grid.d))
+        c = float(rng.uniform(-3, 3))
+        t = float(rng.uniform(0, 1))
+        gam_phi, gam_psi, gam_bigger, shifted, mix = (
+            level2_pressure(h, lambda pts, phi=phi: pts @ phi, grid).value
+            for phi in (a, b, bigger, a + c, t * a + (1 - t) * b)
+        )
+        worst_mono = max(worst_mono, gam_phi - gam_bigger)
+        worst_trans = max(worst_trans, abs(shifted - gam_phi - c))
+        worst_conv = max(worst_conv, mix - t * gam_phi - (1 - t) * gam_psi)
+    return worst_mono, worst_trans, worst_conv
+
+
 def markov_stationary(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stationary vectors (pi1, pi2) of the one-step Markov chains on {1, 2}
     with transition probabilities a = P(1 -> 1) and b = P(2 -> 1), one row

@@ -400,6 +400,10 @@ def test_verify_with_an_unknown_check_exits_1_before_any_check_runs(capsys):
     (["ldp", "--n-max", "0"], "n_max must be at least 1, got 0"),
     (["ldp", "--mc-samples", "-3"], "mc_samples must be at least 0, got -3"),
     (["transport", "--depth", "0"], "depth must be at least 1, got 0"),
+    (["gamma", "--seed", "-1"], "seed must be at least 0, got -1"),
+    (["pressure", "--seed", "-1"], "seed must be at least 0, got -1"),
+    (["transport", "--seed", "-1"], "seed must be at least 0, got -1"),
+    (["mpifs", "--seed", "-1"], "seed must be at least 0, got -1"),
 ])
 def test_counts_below_one_exit_1(capsys, argv, message):
     assert cli.main(argv) == 1

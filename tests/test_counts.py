@@ -24,9 +24,16 @@ from maxtherm.shift import (
     ShiftSpace,
     check_count,
     make_bernoulli_jacobian,
+    symbol_table,
     word_index,
 )
-from maxtherm.simplex import SimplexGrid, pressure_axioms_check, shannon_entropy_table
+from maxtherm.simplex import (
+    SimplexGrid,
+    affine_observable_family,
+    pressure_axioms_check,
+    shannon_entropy_table,
+)
+from maxtherm.transport import distance_matrix
 
 SPACE = ShiftSpace(2, 0.3)
 NU0 = CylinderMeasure.point_mass(SPACE, (2,))
@@ -52,6 +59,9 @@ ARGUMENTS = [
     ("DepthKFunction.at_depth", "depth", 0, lambda v: F.at_depth(v)),
     ("CylinderMeasure.at_depth", "depth", 0, lambda v: NU0.at_depth(v)),
     ("word_index.symbol", "symbol", 1, lambda v: word_index([v], 2)),
+    ("symbol_table.depth", "depth", 0, lambda v: symbol_table(v, 2)),
+    ("symbol_table.d", "alphabet size d", 1, lambda v: symbol_table(2, v)),
+    ("distance_matrix.depth", "depth", 0, lambda v: distance_matrix(SPACE, v)),
     ("attractor_build.word_length", "word length", 1,
      lambda v: attractor_build(FAMILY, v, NU0)),
     ("invariant_pressure_solve.word_length", "word length", 1,
@@ -60,6 +70,10 @@ ARGUMENTS = [
     ("SimplexGrid.m", "grid resolution m", 1, lambda v: SimplexGrid(2, v)),
     ("pressure_axioms_check.trials", "trials", 1,
      lambda v: pressure_axioms_check(shannon_entropy_table, SimplexGrid(2, 10), trials=v)),
+    ("pressure_axioms_check.seed", "seed", 0,
+     lambda v: pressure_axioms_check(shannon_entropy_table, SimplexGrid(2, 10), seed=v)),
+    ("affine_observable_family.d", "simplex dimension d", 2,
+     lambda v: affine_observable_family(v)),
     ("OrbitSampler.n_orbits", "n_orbits", 1, lambda v: _sampler(n_orbits=v)),
     ("OrbitSampler.seed", "seed", 0, lambda v: _sampler(seed=v)),
     ("OrbitSampler.steps", "the orbit length", 0, lambda v: _sampler().steps(v)),
@@ -94,6 +108,12 @@ ARGUMENTS = [
     ("check_convex_pressure_suite.trials", "trials", 1,
      lambda v: goldens.check_convex_pressure_suite(trials=v)),
     ("cli.pressure.trials", "trials", 1, lambda v: cli._pressure(2, 10, v, 0)),
+] + [
+    (f"{check.__name__}.seed", "seed", 0, lambda v, check=check: check(seed=v))
+    for check in (goldens.check_gibbs_equilibrium, goldens.check_transport_oracle,
+                  goldens.check_contraction_bounds, goldens.check_section_identity,
+                  goldens.check_mpifs_operators, goldens.check_convex_pressure_suite,
+                  goldens.check_pushforward_invariance)
 ]
 IDS = [row[0] for row in ARGUMENTS]
 NOT_INTEGERS = {"float": 2.5, "bool": True, "str": "3", "None": None,

@@ -413,6 +413,16 @@ class TestGridMechanics:
         with pytest.raises(ValueError):
             SimplexGrid(2, 0)
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, -np.inf])
+    def test_argmax_tol_must_be_finite_and_non_negative(self, tol):
+        # a NaN or negative tolerance would leave the equilibrium set empty
+        with pytest.raises(ValueError, match="^argmax_tol must be finite and >= 0, got "):
+            level2_pressure(shannon_entropy_table, lambda q: q @ [1.0, 0.0],
+                            SimplexGrid(2, 10), argmax_tol=tol)
+        res = level2_pressure(shannon_entropy_table, lambda q: q @ [1.0, 0.0],
+                              SimplexGrid(2, 10), argmax_tol=0.0)
+        assert len(res.argmax) == 1
+
     @pytest.mark.parametrize("d,m", [(2, 2.5), (2, True), (2.0, 10), (np.float64(3), 4),
                                      (2, "10"), (False, 10)])
     def test_non_integer_sizes_rejected(self, d, m):

@@ -5,10 +5,14 @@ call and one objective call per candidate and refinement round.  The fast
 path must agree with it bit for bit: same value, same near-maximizers in
 the same order, same evaluation count.  Entropy recovery from one Gamma
 table is held to the per-target recovery it replaced in the same way.
+A Gamma table, one lock-step search over a whole family, is held to one
+``level2_pressure`` per row, and the axiom check that prices all its
+trials in one table to its per-trial loop.
 The Markov family, searched on its pair simplex, is held to the earlier
 parametrization by its two transition probabilities (a, b).
 """
 
+import re
 from typing import List
 
 import numpy as np
@@ -30,9 +34,15 @@ from maxtherm.simplex import (
     markov_entropy_table,
     markov_marginal,
     maximize_on_simplex,
+    pressure_axioms_check,
     shannon_entropy_table,
 )
-from oracles import entropy_recovery_per_target, markov_ks_entropy, markov_stationary
+from oracles import (
+    entropy_recovery_per_target,
+    markov_ks_entropy,
+    markov_stationary,
+    pressure_axioms_per_trial,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +303,120 @@ class TestRecoveryMatchesPerTargetOracle:
         gamma = convex_pressure_gamma(h, family, grid)
         got = [entropy_recovery(gamma, family, mu) for mu in mus]
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def bottom(pts):
+    return np.full(len(pts), -np.inf)
+
+
+@st.composite
+def family_cases(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    return dict(
+        d=d,
+        m=draw(st.integers(1, MAX_M[d] // 2)),
+        rows=draw(st.one_of(st.just(0), st.integers(1, 12))),
+        kind=draw(st.sampled_from(KINDS + ("bottom",))),
+        poison=draw(st.sampled_from((None, None, np.nan, np.inf, -np.inf))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestFamilySearchMatchesPerRow:
+    """A Gamma table is one search over the whole family; each entry must
+    be the per-row ``level2_pressure`` value bit for bit, and a row that
+    the per-row loop rejects must raise the same error."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(family_cases())
+    @example(dict(d=2, m=7, rows=0, kind="linear", poison=None, seed=0))
+    @example(dict(d=3, m=5, rows=4, kind="bottom", poison=None, seed=1))
+    @example(dict(d=2, m=9, rows=5, kind="masked", poison=np.nan, seed=2))
+    @example(dict(d=4, m=6, rows=3, kind="wavy", poison=np.inf, seed=3))
+    @example(dict(d=2, m=30, rows=12, kind="quadratic-F", poison=-np.inf, seed=4))
+    def test_values_identical(self, case):
+        grid = SimplexGrid(case["d"], case["m"])
+        h = bottom if case["kind"] == "bottom" else random_objective(
+            case["seed"], case["d"], case["kind"])
+        rng = np.random.default_rng(case["seed"])
+        family = rng.uniform(-6.0, 6.0, (case["rows"], case["d"]))
+        if case["poison"] is not None and case["rows"]:
+            family[rng.integers(case["rows"]), rng.integers(case["d"])] = case["poison"]
+        try:
+            want = np.array([level2_pressure(h, lambda p, phi=phi: p @ phi, grid).value
+                             for phi in family])
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                convex_pressure_gamma(h, family, grid)
+            return
+        got = convex_pressure_gamma(h, family, grid)
+        assert got.shape == want.shape == (case["rows"],)
+        assert got.tobytes() == want.tobytes()
+        for phi, value in zip(family, got):
+            assert value == oracle_maximize(lambda p, phi=phi: h(p) + p @ phi, grid).value
+
+    @pytest.mark.parametrize("d,m,rows", [(2, 2000, 241), (3, 60, 40), (4, 12, 13)])
+    def test_default_grids(self, d, m, rows):
+        # at (2, 2000) the rows are scanned in several blocks
+        h = random_objective(1, d, "masked")
+        family = np.random.default_rng(d).uniform(-6.0, 6.0, (rows, d))
+        want = np.array([level2_pressure(h, lambda p, phi=phi: p @ phi, SimplexGrid(d, m)).value
+                         for phi in family])
+        assert convex_pressure_gamma(h, family, SimplexGrid(d, m)).tobytes() == want.tobytes()
+
+
+class TestOneSearchPerTable:
+    """The work of a Gamma table does not grow with the family: h is called
+    once on the lattice and once per refinement round, and each row still
+    scores the points its own search would."""
+
+    @staticmethod
+    def counted(h):
+        sizes = []
+
+        def wrapped(pts):
+            sizes.append(len(pts))
+            return h(pts)
+
+        return wrapped, sizes
+
+    @pytest.mark.parametrize("d,m", [(2, 2000), (3, 40)])
+    @pytest.mark.parametrize("rows", [1, 5, 60, 241])
+    def test_h_calls_and_points_per_row(self, d, m, rows):
+        grid = SimplexGrid(d, m)
+        h, sizes = self.counted(random_objective(rows, d, "wavy"))
+        family = np.random.default_rng(rows).uniform(-6.0, 6.0, (rows, d))
+        convex_pressure_gamma(h, family, grid)
+        assert len(sizes) == 1 + REFINE_ROUNDS
+        assert sizes[0] == len(grid.points())
+        per_row = [level2_pressure(random_objective(rows, d, "wavy"),
+                                   lambda p, phi=phi: p @ phi, grid).evaluations
+                   for phi in family]
+        assert sum(sizes[1:]) == sum(per_row) - rows * len(grid.points())
+
+    def test_one_row_search_calls_the_objective_per_round(self):
+        h, sizes = self.counted(shannon_entropy_table)
+        res = maximize_on_simplex(h, SimplexGrid(3, 20))
+        assert len(sizes) == 1 + REFINE_ROUNDS
+        assert sum(sizes) == res.evaluations
+
+
+class TestAxiomsMatchPerTrialLoop:
+    @pytest.mark.parametrize("h", [shannon_entropy_table, random_objective(5, 2, "masked")],
+                             ids=["shannon", "masked"])
+    @pytest.mark.parametrize("m, trials, seed", [(2000, 12, 20), (40, 1, 0), (300, 5, 7)])
+    def test_d2(self, h, m, trials, seed):
+        self.check(h, SimplexGrid(2, m), trials, seed)
+
+    @pytest.mark.parametrize("d, m", [(3, 40), (4, 10)])
+    def test_higher_d(self, d, m):
+        self.check(shannon_entropy_table, SimplexGrid(d, m), 4, 3)
+
+    @staticmethod
+    def check(h, grid, trials, seed):
+        rep = pressure_axioms_check(h, grid, trials=trials, seed=seed)
+        want = pressure_axioms_per_trial(h, grid, trials, seed)
+        assert (rep.monotonicity, rep.translation, rep.convexity) == want
 
 
 class TestLattice:
