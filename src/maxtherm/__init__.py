@@ -30,7 +30,6 @@ from .shift import (
     lipschitz_constant,
     make_bernoulli_jacobian,
     pushforward_apply,
-    transfer_apply,
 )
 from .transport import w1_lp_oracle, w1_tree
 
@@ -49,7 +48,6 @@ __all__ = [
     "lipschitz_constant",
     "make_bernoulli_jacobian",
     "pushforward_apply",
-    "transfer_apply",
     "w1_lp_oracle",
     "w1_tree",
     "__version__",

@@ -13,16 +13,17 @@ an integer flag.  The function is the golden check itself for ``gamma``
 ``contraction-bounds`` and ``transport-oracle``, whose LP leg is skipped
 beyond the oracle's size limit.
 
-Every subcommand but ``verify`` can write a JSON report with ``--out``:
-one object with the subcommand, a timestamp, the resolved flags as
-``config``, the ``results`` and the ``versions`` of maxtherm, numpy,
-scipy and Python.  ``results`` has one ``{"check", "passed", "detail",
-"record"}`` entry per check, where ``record`` holds the check's numbers.
-scipy's version is read from its package metadata, so writing a report
-does not import scipy.  Floats are written with ``repr``, so they read
-back exactly, and no NaN or infinity is written.  Apart from the
-timestamp, identical configurations produce byte-identical reports, and a
-report's ``config`` written as a ``--config`` file reruns it.
+Every subcommand can write a JSON report with ``--out``: one object
+with the subcommand, a timestamp, the resolved flags as ``config``
+(``verify``'s is its ``--checks``), the ``results`` and the ``versions``
+of maxtherm, numpy, scipy and Python.  ``results`` has one ``{"check",
+"passed", "detail", "record"}`` entry per check, where ``record`` holds
+the check's numbers.  scipy's version is read from its package metadata,
+so writing a report does not import scipy.  Floats are written with
+``repr``, so they read back exactly, and no NaN or infinity is written.
+Apart from the timestamp, identical configurations produce
+byte-identical reports, and the ``config`` of a subcommand other than
+``verify``, written as a ``--config`` file, reruns it.
 
 Exit codes: 0 success, 1 invalid parameters, usage or an unwritable
 report path, 2 a check failed.
@@ -47,7 +48,9 @@ from .shift import check_count
 
 def _flags(args) -> Dict[str, object]:
     """The subcommand's own flags: the arguments of its row's ``run``, and a
-    report's ``config``."""
+    report's ``config``; ``verify``'s is its ``--checks``."""
+    if args.command == "verify":
+        return {"checks": args.checks}
     return {key: getattr(args, key) for key in SUBCOMMANDS[args.command][2]}
 
 
@@ -204,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
     p = sub.add_parser("verify", help="run the golden-test battery")
     p.add_argument("--checks", help="comma-separated subset of check names")
+    p.add_argument("--out", help="JSON report path")
     return parser
 
 

@@ -19,11 +19,11 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import dynamics, ifs, simplex, transport
+from . import dynamics, ifs, shift, simplex, transport
 from .semiring import pressure
 from .shift import (
     CylinderMeasure,
@@ -32,11 +32,8 @@ from .shift import (
     ShiftSpace,
     check_count,
     compose_duals,
-    dual_apply,
-    lipschitz_constant,
     make_bernoulli_jacobian,
     pushforward_apply,
-    transfer_apply,
 )
 
 
@@ -45,17 +42,45 @@ from .shift import (
 # ---------------------------------------------------------------------------
 
 
+def draw_kernel(space: ShiftSpace, depth: int, rng: np.random.Generator) -> np.ndarray:
+    """The draw of ``random_jacobian``: d^depth uniforms on [0.1, 1)."""
+    return rng.uniform(0.1, 1.0, space.n_words(depth))
+
+
+def shrink_kernels(space: ShiftSpace, depth: int, raw: np.ndarray) -> np.ndarray:
+    """Admissible depth-``depth`` kernels from a (k, d^depth) table of
+    ``draw_kernel`` rows: each row's columns normalized, then shrunk toward
+    uniform until its Lipschitz constant is below 1, and checked as
+    ``Jacobian`` checks a kernel."""
+    d = space.d
+    columns = raw.reshape(len(raw), d, -1)
+    table = (columns / columns.sum(axis=1, keepdims=True)).reshape(len(raw), -1)
+    lip = shift.lipschitz_rows(space, depth, table)
+    wide = lip > 1.0
+    if wide.any():
+        lam = 0.999 / lip[wide, None]
+        table[wide] = (1.0 - lam) / d + lam * table[wide]
+        lip[wide] = shift.lipschitz_rows(space, depth, table[wide])   # the rest kept theirs
+    return shift.check_kernel_rows(space, table, lip)
+
+
 def random_jacobian(space: ShiftSpace, depth: int, rng: np.random.Generator) -> Jacobian:
-    """Random admissible kernel: normalized draw shrunk toward uniform until
-    its Lipschitz constant is below 1."""
-    raw = rng.uniform(0.1, 1.0, (space.d, space.d ** (depth - 1)))
-    raw /= raw.sum(axis=0)
-    vals = raw.reshape(-1)
-    lip = lipschitz_constant(DepthKFunction(space, depth, vals))
-    if lip > 1.0:
-        lam = 0.999 / lip
-        vals = (1.0 - lam) / space.d + lam * vals
-    return Jacobian(space, depth, vals)
+    """Random admissible kernel: one ``draw_kernel`` row through
+    ``shrink_kernels``, whose check is the kernel's."""
+    raw = draw_kernel(space, depth, rng)
+    return Jacobian._checked(space, depth, shrink_kernels(space, depth, raw[None])[0])
+
+
+def draw_measure(space: ShiftSpace, depth: int, rng: np.random.Generator) -> np.ndarray:
+    """The draw of a non-spiky ``random_measure``: d^depth uniforms on [0, 1)."""
+    return rng.uniform(0.0, 1.0, space.n_words(depth))
+
+
+def normalize_measures(raw: np.ndarray) -> np.ndarray:
+    """Each row of a table of ``draw_measure`` rows divided by its sum, in
+    place, and checked as ``CylinderMeasure`` checks its masses."""
+    raw /= raw.sum(axis=1, keepdims=True)
+    return shift.check_probability_rows(raw)
 
 
 def random_measure(
@@ -68,8 +93,7 @@ def random_measure(
         masses[masses < 1e-12] = 0.0
         masses /= masses.sum()
     else:
-        masses = rng.uniform(0.0, 1.0, space.n_words(depth))
-        masses /= masses.sum()
+        masses = normalize_measures(draw_measure(space, depth, rng)[None])[0]
     return CylinderMeasure(space, depth, masses)
 
 
@@ -192,12 +216,25 @@ def check_transport_oracle(
 # ---------------------------------------------------------------------------
 
 
+def _trial_blocks(trials: int, cells: int) -> Iterator[int]:
+    """The sizes of consecutive blocks of ``trials`` trials, each of about
+    ``transport.BLOCK_CELLS`` cells when a trial's widest row has
+    ``cells`` cells; a check draws and measures one block at a time."""
+    step = max(1, transport.BLOCK_CELLS // cells)
+    for start in range(0, trials, step):
+        yield min(step, trials - start)
+
+
 def check_contraction_bounds(
     seed: int = 13, trials: int = 1000, d: int = 2, gamma: float = 0.3, depth: int = 4
 ) -> GoldenResult:
     """Three theorem bounds hold on every randomized trial (slack 1e-10),
     for random kernels on the shift space ``(d, gamma)`` acting on pairs of
-    depth-``depth`` measures."""
+    depth-``depth`` measures.
+
+    The trials draw one after another.  The trials of a block with the
+    same kernel depth are then one group: one shrink of each kernel
+    table, four ``dual_rows`` images and four paired W1 passes."""
     check_count("trials", trials, 1)
     check_count("depth", depth, 1)
     start = time.time()
@@ -205,24 +242,38 @@ def check_contraction_bounds(
     space = ShiftSpace(d, gamma)
     r = space.contraction_rate
     worst_ratio = 0.0
-    worst_perturb = -np.inf
-    worst_joint = -np.inf
-    for _ in range(trials):
-        depth_j = int(rng.integers(1, 3))
-        J1 = random_jacobian(space, depth_j, rng)
-        J2 = random_jacobian(space, depth_j, rng)
-        mu = random_measure(space, depth, rng)
-        nu = random_measure(space, depth, rng)
-        J1mu, J1nu, J2mu = dual_apply(J1, mu), dual_apply(J1, nu), dual_apply(J2, mu)
-        base = transport.w1_tree(mu, nu)
-        sup = (J1 - J2).sup_norm()
-        # W1(L1* mu, L1* nu) <= r W1(mu, nu)
-        worst_ratio = max(worst_ratio, transport.w1_tree(J1mu, J1nu) / base)
-        # W1(L1* mu, L2* mu) <= d sup|J1 - J2|
-        worst_perturb = max(worst_perturb, transport.w1_tree(J1mu, J2mu) - d * sup)
-        # W1(L1* mu, L2* nu) <= r [W1(mu, nu) + (d/r) sup|J1 - J2|]
-        joint = transport.w1_tree(J1mu, dual_apply(J2, nu))
-        worst_joint = max(worst_joint, joint - r * (base + (d / r) * sup))
+    worst_perturb = worst_joint = -np.inf
+    passes = 0
+    for block in _trial_blocks(trials, space.n_words(depth + 1)):
+        groups: Dict[int, list] = {}
+        for _ in range(block):
+            depth_j = int(rng.integers(1, 3))
+            groups.setdefault(depth_j, []).append((
+                draw_kernel(space, depth_j, rng), draw_kernel(space, depth_j, rng),
+                draw_measure(space, depth, rng), draw_measure(space, depth, rng),
+            ))
+        for depth_j, draws in groups.items():
+            raw1, raw2, raw_mu, raw_nu = (np.array(column) for column in zip(*draws))
+            J1, J2 = shrink_kernels(space, depth_j, raw1), shrink_kernels(space, depth_j, raw2)
+            mu, nu = normalize_measures(raw_mu), normalize_measures(raw_nu)
+            J1mu, J1nu, J2mu, J2nu, mu, nu = (
+                transport.tree_levels(table, d) for table in (
+                    shift.dual_rows(space, J1, mu), shift.dual_rows(space, J1, nu),
+                    shift.dual_rows(space, J2, mu), shift.dual_rows(space, J2, nu), mu, nu,
+                )
+            )
+            base = transport.w1_tree_levels(space, mu, nu)
+            sup = np.abs(J1 - J2).max(axis=1)
+            # W1(L1* mu, L1* nu) <= r W1(mu, nu)
+            ratio = transport.w1_tree_levels(space, J1mu, J1nu) / base
+            worst_ratio = max(worst_ratio, float(ratio.max()))
+            # W1(L1* mu, L2* mu) <= d sup|J1 - J2|
+            perturb = transport.w1_tree_levels(space, J1mu, J2mu) - d * sup
+            worst_perturb = max(worst_perturb, float(perturb.max()))
+            # W1(L1* mu, L2* nu) <= r [W1(mu, nu) + (d/r) sup|J1 - J2|]
+            joint = transport.w1_tree_levels(space, J1mu, J2nu) - r * (base + (d / r) * sup)
+            worst_joint = max(worst_joint, float(joint.max()))
+            passes += 1
     passed = (
         worst_ratio <= r + 1e-10
         and worst_perturb <= 1e-10
@@ -232,6 +283,8 @@ def check_contraction_bounds(
         "contraction-bounds", start, passed,
         f"{trials} trials each: max ratio {worst_ratio:.6f} (bound {r}), "
         f"perturbation excess {worst_perturb:.2e}, joint excess {worst_joint:.2e}",
+        ratio=worst_ratio, perturbation_excess=worst_perturb, joint_excess=worst_joint,
+        trials=trials, groups=passes, w1_passes=4 * passes, w1_rows=4 * trials,
     )
 
 
@@ -242,31 +295,45 @@ def check_contraction_bounds(
 
 def check_section_identity(seed: int = 14, trials: int = 1000) -> GoldenResult:
     """Pushforward undoes the dual transfer exactly (1e-12), and the dual
-    transfer is the adjoint of the transfer: mu(L f) = (L* mu)(f) (1e-12)."""
+    transfer is the adjoint of the transfer: mu(L f) = (L* mu)(f) (1e-12).
+
+    Each trial draws its kernel with ``random_jacobian``, then its measure
+    and its observable.  The trials of a block with the same (measure
+    depth, kernel depth) are then one group of tables: one ``dual_rows``
+    image, one pushforward and one ``transfer_rows`` image."""
     check_count("trials", trials, 1)
     start = time.time()
     rng = np.random.default_rng(check_count("seed", seed))
     f_rng = np.random.default_rng([seed, 1])
     space = ShiftSpace(2, 0.3)
     worst = worst_dual = 0.0
-    for _ in range(trials):
-        depth = int(rng.integers(1, 5))
-        J = random_jacobian(space, int(rng.integers(1, min(depth + 1, 3) + 1)), rng)
-        mu = random_measure(space, depth, rng)
-        image = dual_apply(J, mu)
-        back = pushforward_apply(image)
-        worst = max(worst, float(np.abs(back.masses - mu.masses).max()))
-        f = DepthKFunction(
-            space, depth + 1, f_rng.uniform(-2.0, 2.0, space.n_words(depth + 1))
-        )
-        worst_dual = max(
-            worst_dual, abs(mu.integrate(transfer_apply(J, f)) - image.integrate(f))
-        )
+    passes = 0
+    for block in _trial_blocks(trials, space.n_words(5)):
+        groups: Dict[Tuple[int, int], list] = {}
+        for _ in range(block):
+            depth = int(rng.integers(1, 5))
+            J = random_jacobian(space, int(rng.integers(1, min(depth + 1, 3) + 1)), rng)
+            groups.setdefault((depth, J.depth), []).append((
+                J.values, draw_measure(space, depth, rng),
+                f_rng.uniform(-2.0, 2.0, space.n_words(depth + 1)),
+            ))
+        for draws in groups.values():
+            J, raw_mu, f = (np.array(column) for column in zip(*draws))
+            mu = normalize_measures(raw_mu)
+            image = shift.dual_rows(space, J, mu)
+            back = shift.check_probability_rows(shift.pushforward_rows(space, image))
+            worst = max(worst, float(np.abs(back - mu).max()))
+            Lf = shift.transfer_rows(space, J, f)
+            # a row-wise vecdot keeps the bits of each row's 1-D dot product
+            gap = np.abs(np.vecdot(mu, Lf) - np.vecdot(image, f))
+            worst_dual = max(worst_dual, float(gap.max()))
+            passes += 1
     passed = worst <= 1e-12 and worst_dual <= 1e-12
     return _result(
         "section-identity", start, passed,
         f"{trials} trials, max |recovered - original| = {worst:.2e} (tol 1e-12); "
         f"max |mu(Lf) - (L*mu)(f)| = {worst_dual:.2e} (tol 1e-12)",
+        recovery=worst, duality=worst_dual, trials=trials, groups=passes,
     )
 
 

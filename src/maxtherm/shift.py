@@ -19,6 +19,14 @@ masses viewed as (1, d^(k-1), d^(n+1-k)): their product is the dual image,
 with no repeated kernel table and no copy of the result.  A function's
 table is a read-only copy of the caller's values, so it keeps the bits
 its checks passed.
+
+The ``*_rows`` forms act on whole tables, one row per function, kernel
+or measure: ``lipschitz_rows`` and ``pushforward_rows``, and the paired
+``dual_rows`` and ``transfer_rows``, where row i of a kernel table acts
+on row i of a masses or values table.  ``lipschitz_constant`` and
+``pushforward_apply`` are their one-row cases, ``dual_rows`` keeps the
+bits of ``dual_apply`` on each row, and ``check_kernel_rows`` checks a
+kernel table's rows as ``Jacobian`` checks one kernel.
 """
 
 from __future__ import annotations
@@ -113,29 +121,30 @@ class DepthKFunction:
         k = max(self.depth, other.depth)
         return DepthKFunction(self.space, k, self.at_depth(k) - other.at_depth(k))
 
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
-
 
 def lipschitz_constant(f: DepthKFunction) -> float:
-    """sup over word pairs of |f(u) - f(v)| / gamma^(first difference).
+    """sup over word pairs of |f(u) - f(v)| / gamma^(first difference): the
+    one-row case of ``lipschitz_rows``."""
+    return float(lipschitz_rows(f.space, f.depth, f.values[None])[0])
+
+
+def lipschitz_rows(space: ShiftSpace, depth: int, table: np.ndarray) -> np.ndarray:
+    """The Lipschitz constant of each row of a (k, d^depth) table.
 
     Grouped by the position of the first difference: words sharing a
     length-L prefix and differing at position L contribute
     (max - min over different-symbol values) / gamma^L.
     """
-    d, g = f.space.d, f.space.gamma
-    k = f.depth
-    if k == 0:
-        return 0.0
-    best = 0.0
+    d, g = space.d, space.gamma
+    k = len(table)
+    best = np.zeros(k)
     off_diagonal = ~np.eye(d, dtype=bool)
-    for level in range(k):
-        blocks = f.values.reshape(d ** level, d, d ** (k - level - 1))
-        hi = blocks.max(axis=2)   # per (prefix, symbol)
-        lo = blocks.min(axis=2)
-        gaps = (hi[:, :, None] - lo[:, None, :])[:, off_diagonal]
-        best = max(best, float(gaps.max()) / g ** level)
+    for level in range(depth):
+        blocks = table.reshape(k, d ** level, d, -1)
+        hi = blocks.max(axis=3)   # per (row, prefix, symbol)
+        lo = blocks.min(axis=3)
+        gaps = (hi[:, :, :, None] - lo[:, :, None, :])[:, :, off_diagonal]
+        np.maximum(best, gaps.max(axis=(1, 2)) / g ** level, out=best)
     return best
 
 
@@ -150,12 +159,31 @@ class Jacobian(DepthKFunction):
         if check_count("depth", depth) < 1:
             raise ValueError("a transfer kernel must read at least one symbol")
         super().__init__(space, depth, values)
-        # each column, one continuation word, is a distribution of the first
-        # symbol; the check clips a copy, so the kernel keeps its bits
-        check_probability_rows(self.values.reshape(space.d, -1).T.copy())
-        lip = lipschitz_constant(self)
-        if lip > 1.0 + LIPSCHITZ_SLACK:
-            raise ValueError(f"kernel Lipschitz constant {lip!r} exceeds 1")
+        check_kernel_rows(space, self.values[None], lipschitz_constant(self))
+
+    @classmethod
+    def _checked(cls, space: ShiftSpace, depth: int, values: np.ndarray) -> "Jacobian":
+        """Wrap a fresh row that ``check_kernel_rows`` already accepted; it
+        is frozen, as the constructor freezes its copy."""
+        out = cls.__new__(cls)
+        values.flags.writeable = False
+        out.space, out.depth, out.values = space, depth, values
+        return out
+
+
+def check_kernel_rows(space: ShiftSpace, table: np.ndarray, lip) -> np.ndarray:
+    """Check each row of a (k, d^depth) table as ``Jacobian`` checks its
+    own, and return the table: every column, one continuation word, is a
+    distribution of the first symbol, and ``lip``, the rows' Lipschitz
+    constants, is at most 1 + LIPSCHITZ_SLACK.  The column check clips a
+    copy, so the rows keep their bits."""
+    d = space.d
+    columns = table.reshape(len(table), d, -1).transpose(0, 2, 1).copy()
+    check_probability_rows(columns.reshape(-1, d))
+    worst = float(np.max(lip))
+    if worst > 1.0 + LIPSCHITZ_SLACK:
+        raise ValueError(f"kernel Lipschitz constant {worst!r} exceeds 1")
+    return table
 
 
 def make_bernoulli_jacobian(p: float, space: ShiftSpace) -> Jacobian:
@@ -275,26 +303,19 @@ class CylinderMeasure:
             out = out.coarsen()
         return out
 
-    def integrate(self, f: DepthKFunction) -> float:
-        if f.depth > self.depth:
-            raise ValueError("observable deeper than the measure table")
-        return float(self.masses @ f.at_depth(self.depth))
 
+def transfer_rows(space: ShiftSpace, kernels: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row i of the transfer image table, x -> sum over symbols a of
+    J(a.x) f(a.x), for kernel row J of a (k, d^j) table and values row f
+    of a (k, d^n) table.  The image reads max(j, n) - 1 symbols.
 
-def transfer_apply(J: Jacobian, f: DepthKFunction) -> DepthKFunction:
-    """Transfer image x -> sum over symbols a of J(a.x) f(a.x).
-
-    The output reads one symbol fewer than the deeper of the two inputs
-    (never fewer than zero symbols).  Viewing both tables as (d^j, -1), j the
-    shallower depth, makes their product the one table, with no repeated copy.
+    Viewing both rows as (d^min(j, n), -1) makes their product the one
+    table, with no repeated copy; its ``pushforward_rows`` is the image.
     """
-    if f.space != J.space:
-        raise ValueError("kernel and observable live on different spaces")
-    heads = J.space.d ** min(f.depth, J.depth)
-    values = J.values.reshape(heads, -1) * f.values.reshape(heads, -1)
-    # rebinding frees the product before DepthKFunction copies the sums
-    values = values.reshape(J.space.d, -1).sum(axis=0)
-    return DepthKFunction(J.space, max(f.depth, J.depth) - 1, values)
+    heads = min(kernels.shape[1], values.shape[1])
+    k = len(values)
+    prod = kernels.reshape(k, heads, -1) * values.reshape(k, heads, -1)
+    return pushforward_rows(space, prod.reshape(k, -1))
 
 
 def dual_apply(J: Jacobian, mu: CylinderMeasure) -> CylinderMeasure:
@@ -328,13 +349,34 @@ def dual_factor(J: Jacobian, space: ShiftSpace, depth: int) -> np.ndarray:
     return J.values.reshape(space.d, space.d ** (J.depth - 1), 1)
 
 
+def dual_rows(space: ShiftSpace, kernels: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Row i of the dual image table: kernel row i acting on masses row i,
+    for a (k, d^j) kernel table and a (k, d^n) masses table with
+    j <= n + 1.  Each row has the bits of ``dual_apply``; the
+    (k, d^(n+1)) table goes through one ``check_probability_rows``."""
+    d, k = space.d, len(masses)
+    heads = kernels.shape[1] // d   # d^(j-1)
+    if heads > masses.shape[1]:
+        raise ValueError(
+            f"kernel table of {kernels.shape[1]} columns is deeper than measure "
+            "depth + 1; refine the measures first"
+        )
+    prod = kernels.reshape(k, d, heads, 1) * masses.reshape(k, 1, heads, -1)
+    return check_probability_rows(prod.reshape(k, -1))
+
+
 def pushforward_apply(mu: CylinderMeasure) -> CylinderMeasure:
     """Image under the shift: nu[w] = sum over symbols a of mu[a.w]."""
     if mu.depth < 1:
         raise ValueError("cannot push forward a depth-0 measure")
-    d = mu.space.d
-    out = mu.masses.reshape(d, -1).sum(axis=0)
+    out = pushforward_rows(mu.space, mu.masses[None])[0]
     return CylinderMeasure(mu.space, mu.depth - 1, out)
+
+
+def pushforward_rows(space: ShiftSpace, table: np.ndarray) -> np.ndarray:
+    """Row i summed over its first symbol: the shift image of each row of
+    a (k, d^n) table, n >= 1, as a (k, d^(n-1)) table."""
+    return table.reshape(len(table), space.d, -1).sum(axis=1)
 
 
 @dataclass

@@ -278,7 +278,9 @@ def _search(objective, grid: SimplexGrid, family=None):
         if family is None:
             vals = base[None]
         else:
-            vals = np.array([base + points @ phi for phi in family[lo : lo + step]])
+            # a NaN or inf in phi makes NaN scores, which the check below rejects
+            with np.errstate(invalid="ignore"):
+                vals = np.array([base + points @ phi for phi in family[lo : lo + step]])
         fail = np.flatnonzero(~(vals < np.inf).all(axis=1) | ~(vals > -np.inf).any(axis=1))
         if fail.size:
             _checked(vals[fail[0]])

@@ -17,10 +17,10 @@ where A_j and b_j are the subtree masses at depth j + 1 (A_j sums A over
 the last n - j - 1 symbols) and w_j is the edge weight above that depth.
 ``tree_levels`` lays the subtree masses of a table's rows at depths n,
 ..., 1 side by side, once per table.  ``w1_tree_levels`` then measures
-every such row against one reference row: each level's gaps are summed
-along their own contiguous segment, as a 1-D sum does, and the levels
-are added finest first, so each pair keeps the bits of ``w1_tree``, its
-one-pair case.
+every such row against one reference row, or row i against row i of a
+second such table: each level's gaps are summed along their own
+contiguous segment, as a 1-D sum does, and the levels are added finest
+first, so each pair keeps the bits of ``w1_tree``, its one-pair case.
 
 A transportation LP over the word distance matrix is kept as an
 independent small-instance oracle with a dual certificate.  By
@@ -92,9 +92,10 @@ def tree_levels(table: np.ndarray, d: int) -> np.ndarray:
 
 
 def w1_tree_levels(space: ShiftSpace, levels: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """W1 from each row of ``levels`` to the row ``ref``, all ``tree_levels``
-    of depth-n cylinder tables on ``space``; equal to ``w1_tree`` on each
-    pair, bit for bit."""
+    """W1 from each row of ``levels`` to the row ``ref``, or, when ``ref``
+    is a table of the same shape, from row i to row i of ``ref`` (the
+    paired W1); all are ``tree_levels`` of depth-n cylinder tables on
+    ``space``.  Equal to ``w1_tree`` on each pair, bit for bit."""
     d, gamma = space.d, space.gamma
     gaps = levels - ref
     np.abs(gaps, out=gaps)   # in place: one block-sized temporary, not two

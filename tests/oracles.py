@@ -11,10 +11,19 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
+from maxtherm import transport
 from maxtherm.dynamics import _log_mean_exp
 from maxtherm.ifs import AttractorLeaf, MpIFSSystem, WeightedJacobianFamily, attractor_build
 from maxtherm.semiring import pressure
-from maxtherm.shift import CylinderMeasure, DepthKFunction, ShiftSpace, dual_apply
+from maxtherm.shift import (
+    CylinderMeasure,
+    DepthKFunction,
+    Jacobian,
+    ShiftSpace,
+    dual_apply,
+    lipschitz_constant,
+    pushforward_apply,
+)
 from maxtherm.simplex import level2_pressure, shannon_entropy_table
 
 
@@ -284,3 +293,110 @@ def bootstrap_by_indices(expo: np.ndarray, n: int, resamples) -> np.ndarray:
     for b, idx in enumerate(resamples):
         boots[b] = _log_mean_exp(expo[idx]) / n
     return boots
+
+
+def random_jacobian_in_one_piece(space: ShiftSpace, depth: int,
+                                 rng: np.random.Generator) -> Jacobian:
+    """Random admissible kernel, drawn and shrunk in one piece: a
+    (d, d^(depth-1)) uniform draw on [0.1, 1) with its columns
+    normalized, shrunk toward uniform by 0.999 / Lip when its Lipschitz
+    constant exceeds 1.  ``goldens.draw_kernel`` and
+    ``goldens.shrink_kernels`` split it, for tables of kernels."""
+    raw = rng.uniform(0.1, 1.0, (space.d, space.d ** (depth - 1)))
+    raw /= raw.sum(axis=0)
+    vals = raw.reshape(-1)
+    lip = lipschitz_constant(DepthKFunction(space, depth, vals))
+    if lip > 1.0:
+        lam = 0.999 / lip
+        vals = (1.0 - lam) / space.d + lam * vals
+    return Jacobian(space, depth, vals)
+
+
+def integrate(mu: CylinderMeasure, f: DepthKFunction) -> float:
+    """mu(f): one dot product of the masses and f's table at their depth."""
+    if f.depth > mu.depth:
+        raise ValueError("observable deeper than the measure table")
+    return float(mu.masses @ f.at_depth(mu.depth))
+
+
+def _random_measure(space: ShiftSpace, depth: int, rng: np.random.Generator) -> CylinderMeasure:
+    masses = rng.uniform(0.0, 1.0, space.n_words(depth))
+    masses /= masses.sum()
+    return CylinderMeasure(space, depth, masses)
+
+
+def _groups(keys: list, cells: int) -> int:
+    """Distinct keys summed over consecutive blocks of trials of about
+    ``transport.BLOCK_CELLS`` cells: the groups of a batched check."""
+    step = max(1, transport.BLOCK_CELLS // cells)
+    return sum(len(set(keys[i:i + step])) for i in range(0, len(keys), step))
+
+
+def contraction_bounds_per_trial(seed: int, trials: int, d: int = 2, gamma: float = 0.3,
+                                 depth: int = 4) -> Tuple[str, dict]:
+    """The detail line and record of ``goldens.check_contraction_bounds``,
+    one trial at a time: each trial's kernels and measures are built whole
+    and measured with one ``dual_apply`` per image and one ``w1_tree`` per
+    pair."""
+    rng = np.random.default_rng(seed)
+    space = ShiftSpace(d, gamma)
+    r = space.contraction_rate
+    worst_ratio = 0.0
+    worst_perturb = worst_joint = -np.inf
+    keys = []
+    for _ in range(trials):
+        depth_j = int(rng.integers(1, 3))
+        keys.append(depth_j)
+        J1 = random_jacobian_in_one_piece(space, depth_j, rng)
+        J2 = random_jacobian_in_one_piece(space, depth_j, rng)
+        mu = _random_measure(space, depth, rng)
+        nu = _random_measure(space, depth, rng)
+        J1mu, J1nu, J2mu = dual_apply(J1, mu), dual_apply(J1, nu), dual_apply(J2, mu)
+        base = transport.w1_tree(mu, nu)
+        sup = float(np.abs(J1.values - J2.values).max())
+        worst_ratio = max(worst_ratio, transport.w1_tree(J1mu, J1nu) / base)
+        worst_perturb = max(worst_perturb, transport.w1_tree(J1mu, J2mu) - d * sup)
+        joint = transport.w1_tree(J1mu, dual_apply(J2, nu))
+        worst_joint = max(worst_joint, joint - r * (base + (d / r) * sup))
+    detail = (
+        f"{trials} trials each: max ratio {worst_ratio:.6f} (bound {r}), "
+        f"perturbation excess {worst_perturb:.2e}, joint excess {worst_joint:.2e}"
+    )
+    groups = _groups(keys, space.n_words(depth + 1))
+    record = dict(
+        ratio=worst_ratio, perturbation_excess=worst_perturb, joint_excess=worst_joint,
+        trials=trials, groups=groups, w1_passes=4 * groups, w1_rows=4 * trials,
+    )
+    return detail, record
+
+
+def section_identity_per_trial(seed: int, trials: int) -> Tuple[str, dict]:
+    """The detail line and record of ``goldens.check_section_identity``,
+    one trial at a time: each trial's kernel, measure and observable are
+    built whole and compared through ``dual_apply``, ``pushforward_apply``,
+    ``transfer_repeated`` and ``integrate``."""
+    rng = np.random.default_rng(seed)
+    f_rng = np.random.default_rng([seed, 1])
+    space = ShiftSpace(2, 0.3)
+    worst = worst_dual = 0.0
+    keys = []
+    for _ in range(trials):
+        depth = int(rng.integers(1, 5))
+        depth_j = int(rng.integers(1, min(depth + 1, 3) + 1))
+        keys.append((depth, depth_j))
+        J = random_jacobian_in_one_piece(space, depth_j, rng)
+        mu = _random_measure(space, depth, rng)
+        image = dual_apply(J, mu)
+        back = pushforward_apply(image)
+        worst = max(worst, float(np.abs(back.masses - mu.masses).max()))
+        f = DepthKFunction(
+            space, depth + 1, f_rng.uniform(-2.0, 2.0, space.n_words(depth + 1))
+        )
+        Lf = DepthKFunction(space, depth, transfer_repeated(J, f))
+        worst_dual = max(worst_dual, abs(integrate(mu, Lf) - integrate(image, f)))
+    detail = (
+        f"{trials} trials, max |recovered - original| = {worst:.2e} (tol 1e-12); "
+        f"max |mu(Lf) - (L*mu)(f)| = {worst_dual:.2e} (tol 1e-12)"
+    )
+    groups = _groups(keys, space.n_words(5))
+    return detail, dict(recovery=worst, duality=worst_dual, trials=trials, groups=groups)

@@ -235,9 +235,22 @@ def test_check_report_holds_every_checks_line(capsys, tmp_path):
     expected = [goldens.check_contraction_bounds(5, 20),
                 goldens.check_transport_oracle(5, plan=plan)]
     assert report["results"] == [
-        {"check": r.name, "passed": True, "detail": r.detail, "record": {}}
+        {"check": r.name, "passed": True, "detail": r.detail, "record": r.record}
         for r in expected
     ]
+
+
+def test_verify_report_holds_each_checks_record(capsys, tmp_path):
+    _, report = _write(capsys, tmp_path / "a.json", "verify", "--checks",
+                       "contraction-bounds,section-identity")
+    assert report["subcommand"] == "verify"
+    assert report["config"] == {"checks": "contraction-bounds,section-identity"}
+    expected = [goldens.check_contraction_bounds(), goldens.check_section_identity()]
+    assert report["results"] == [
+        {"check": r.name, "passed": True, "detail": r.detail, "record": r.record}
+        for r in expected
+    ]
+    assert report["results"][0]["record"]["w1_rows"] == 4000
 
 
 def _record(report):

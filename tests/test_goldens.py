@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxtherm import cli, goldens, ifs
+from oracles import (
+    contraction_bounds_per_trial,
+    random_jacobian_in_one_piece,
+    section_identity_per_trial,
+)
+
+from maxtherm import cli, goldens, ifs, transport
 from maxtherm.shift import CylinderMeasure, ShiftSpace, make_bernoulli_jacobian
 
 
@@ -149,6 +155,67 @@ def test_mpifs_operators_accepts_perturbed_densities_that_stay_invariant(seed):
     result = goldens.check_mpifs_operators(seed=seed)
     assert result.passed is True, result.detail
     assert "perturbed densities rejected: 98/100" in result.detail
+
+
+# The two operator checks run their trials as groups of tables; each must
+# give the detail line and record of its per-trial loop, every bit of
+# every worst value included.
+@pytest.mark.parametrize("seed", [13, 14, 20])
+def test_contraction_bounds_equal_the_per_trial_loop_at_the_recorded_seeds(seed):
+    got = goldens.check_contraction_bounds(seed)
+    assert (got.detail, got.record) == contraction_bounds_per_trial(seed, 1000)
+    assert (got.record["trials"], got.record["groups"], got.record["w1_rows"]) == (
+        1000, 2, 4000)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 30),
+       space=st.sampled_from(((2, 0.3), (3, 0.2), (2, 0.05))), depth=st.integers(1, 4))
+def test_contraction_bounds_equal_the_per_trial_loop(seed, trials, space, depth):
+    got = goldens.check_contraction_bounds(seed, trials, *space, depth)
+    assert got.passed is True, got.detail
+    assert (got.detail, got.record) == contraction_bounds_per_trial(seed, trials, *space, depth)
+
+
+@pytest.mark.parametrize("cells", [32, 100, 1000])
+def test_the_checks_keep_their_lines_over_several_trial_blocks(monkeypatch, cells):
+    # blocks of 1, 3 and 31 trials at the default depths
+    monkeypatch.setattr(transport, "BLOCK_CELLS", cells)
+    got = goldens.check_contraction_bounds(7, 40)
+    assert (got.detail, got.record) == contraction_bounds_per_trial(7, 40)
+    assert got.record["groups"] > 2
+    got = goldens.check_section_identity(8, 40)
+    assert (got.detail, got.record) == section_identity_per_trial(8, 40)
+    assert got.record["groups"] > 11
+
+
+@pytest.mark.parametrize("seed", [14, 15, 21])
+def test_section_identity_equals_the_per_trial_loop_at_the_recorded_seeds(seed):
+    got = goldens.check_section_identity(seed)
+    assert (got.detail, got.record) == section_identity_per_trial(seed, 1000)
+    assert (got.record["trials"], got.record["groups"]) == (1000, 11)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 30))
+def test_section_identity_equals_the_per_trial_loop(seed, trials):
+    got = goldens.check_section_identity(seed, trials)
+    assert got.passed is True, got.detail
+    assert (got.detail, got.record) == section_identity_per_trial(seed, trials)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from((2, 3, 4)), depth=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_split_random_jacobian_makes_the_one_piece_kernel(d, depth, seed):
+    space = ShiftSpace(d, 0.5 / (d + 1))
+    split, one, whole = (np.random.default_rng(seed) for _ in range(3))
+    want = random_jacobian_in_one_piece(space, depth, whole).values.tobytes()
+    raw = goldens.draw_kernel(space, depth, split)
+    assert goldens.shrink_kernels(space, depth, raw[None])[0].tobytes() == want
+    kernel = goldens.random_jacobian(space, depth, one)
+    assert kernel.values.tobytes() == want and not kernel.values.flags.writeable
+    assert split.bit_generator.state == one.bit_generator.state == whole.bit_generator.state
 
 
 @pytest.mark.parametrize("check, kwargs", [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dual_image, index_word, transfer_repeated, word_metric
+from oracles import dual_image, index_word, integrate, transfer_repeated, word_metric
 
 from maxtherm.goldens import random_jacobian, random_measure
 from maxtherm.ifs import WeightedJacobianFamily, attractor_build
@@ -18,13 +18,16 @@ from maxtherm.shift import (
     DepthKFunction,
     Jacobian,
     ShiftSpace,
+    check_kernel_rows,
     compose_duals,
     dual_apply,
+    dual_rows,
     lipschitz_constant,
+    lipschitz_rows,
     make_bernoulli_jacobian,
     pushforward_apply,
     symbol_table,
-    transfer_apply,
+    transfer_rows,
     word_index,
 )
 
@@ -141,6 +144,25 @@ class TestJacobianValidation:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             Jacobian(SPACE, 1, [1.2, -0.2])
 
+    def test_the_kernel_table_check_is_the_jacobian_check(self):
+        # row 1: columns (0.4, 0.6) and (0.45, 0.55), Lipschitz constant 0.2
+        good = np.array([[0.5, 0.5, 0.5, 0.5], [0.4, 0.45, 0.6, 0.55]])
+        assert check_kernel_rows(SPACE, good, lipschitz_rows(SPACE, 2, good)) is good
+        for bad, match in (
+            ([0.3, 0.45, 0.6, 0.55], "normalized"),      # first column sums to 0.9
+            ([0.25, 0.75, 0.75, 0.25], "Lipschitz"),     # 0.5 / 0.3 > 1
+        ):
+            table = np.array([good[0], bad])
+            with pytest.raises(ValueError, match=match) as one:
+                Jacobian(SPACE, 2, bad)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(one.value))}$"):
+                check_kernel_rows(SPACE, table, lipschitz_rows(SPACE, 2, table))
+
+    def test_the_kernel_table_check_leaves_the_table_unclipped(self):
+        table = np.array([[-1e-13, 1.0 + 1e-13]])
+        check_kernel_rows(SPACE, table, lipschitz_rows(SPACE, 1, table))
+        assert table.tolist() == [[-1e-13, 1.0 + 1e-13]]
+
     def test_the_kernel_keeps_the_table_it_checked(self):
         v = np.array([0.3, 0.7])
         J = Jacobian(SPACE, 1, v)
@@ -189,23 +211,21 @@ class TestTransferOperator:
         rng = np.random.default_rng(6)
         for _ in range(20):
             J = random_jacobian(SPACE, int(rng.integers(1, 4)), rng)
-            one = DepthKFunction(SPACE, 2, np.ones(4))
-            out = transfer_apply(J, one)
-            assert np.abs(out.values - 1.0).max() <= 1e-12
+            out = transfer_rows(SPACE, J.values[None], np.ones((1, 4)))
+            assert np.abs(out - 1.0).max() <= 1e-12
 
     def test_depth1_hand_evaluation(self):
         J = make_bernoulli_jacobian(0.3, SPACE)
-        f = DepthKFunction(SPACE, 1, [2.0, 5.0])
-        out = transfer_apply(J, f)
-        assert out.depth == 0
-        assert out.values[0] == pytest.approx(0.3 * 2.0 + 0.7 * 5.0)
+        out = transfer_rows(SPACE, J.values[None], np.array([[2.0, 5.0]]))
+        assert out.shape == (1, 1)   # depth 0
+        assert out[0, 0] == pytest.approx(0.3 * 2.0 + 0.7 * 5.0)
 
     def test_depth_bookkeeping(self):
+        # the image reads one symbol fewer than the deeper input
         J = random_jacobian(SPACE, 2, np.random.default_rng(0))
-        f = DepthKFunction(SPACE, 3, np.arange(8.0))
-        assert transfer_apply(J, f).depth == 2
-        g = DepthKFunction(SPACE, 1, [0.0, 1.0])
-        assert transfer_apply(J, g).depth == 1
+        kernels = np.repeat(J.values[None], 3, axis=0)
+        assert transfer_rows(SPACE, kernels, np.arange(24.0).reshape(3, 8)).shape == (3, 4)
+        assert transfer_rows(SPACE, kernels, np.zeros((3, 2))).shape == (3, 2)
 
     def test_lipschitz_contraction(self):
         rng = np.random.default_rng(7)
@@ -215,9 +235,9 @@ class TestTransferOperator:
             vals = rng.uniform(0, 3, 8)
             vals -= vals.min()        # normalize to min 0
             f = DepthKFunction(SPACE, 3, vals)
-            out = transfer_apply(J, f)
+            out = transfer_rows(SPACE, J.values[None], vals[None])
             assert (
-                lipschitz_constant(out)
+                lipschitz_rows(SPACE, 2, out)[0]
                 <= r * lipschitz_constant(f) + 1e-10
             )
 
@@ -260,8 +280,9 @@ class TestDualOperator:
             J = random_jacobian(SPACE, int(rng.integers(1, 3)), rng)
             mu = random_measure(SPACE, 3, rng)
             f = DepthKFunction(SPACE, 3, rng.uniform(-2, 2, 8))
-            lhs = dual_apply(J, mu).integrate(f)
-            rhs = mu.integrate(transfer_apply(J, f))
+            Lf = transfer_rows(SPACE, J.values[None], f.values[None])[0]
+            lhs = integrate(dual_apply(J, mu), f)
+            rhs = integrate(mu, DepthKFunction(SPACE, 2, Lf))
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_transfer_allocates_only_its_product(self):
@@ -271,11 +292,11 @@ class TestDualOperator:
         J = random_jacobian(SPACE, 3, np.random.default_rng(5))
         tracemalloc.start()
         try:
-            out = transfer_apply(J, f)
+            out = transfer_rows(SPACE, J.values[None], f.values[None])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.values.tobytes() == transfer_repeated(J, f).tobytes()
+        assert out.tobytes() == transfer_repeated(J, f).tobytes()
         assert peak <= 1.6 * f.values.nbytes
 
     def test_depth_precondition(self):
@@ -401,16 +422,49 @@ class TestProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(d=st.sampled_from((2, 3, 4)), f_depth=st.integers(0, 5),
-           kernel_depth=st.integers(1, 5), seed=SEEDS)
+           kernel_depth=st.integers(1, 5), rows=st.integers(1, 5), seed=SEEDS)
     def test_transfer_matches_the_repeated_tables_bit_for_bit(self, d, f_depth,
-                                                              kernel_depth, seed):
+                                                              kernel_depth, rows, seed):
+        # row i of the kernel table acts on row i of the values table
         rng = np.random.default_rng(seed)
         space = SPACES[d]
-        J = random_jacobian(space, kernel_depth, rng)
-        f = DepthKFunction(space, f_depth, rng.uniform(-2.0, 2.0, d ** f_depth))
-        out = transfer_apply(J, f)
-        assert out.depth == max(f_depth, kernel_depth) - 1
-        assert out.values.tobytes() == transfer_repeated(J, f).tobytes()
+        js = [random_jacobian(space, kernel_depth, rng) for _ in range(rows)]
+        fs = rng.uniform(-2.0, 2.0, (rows, d ** f_depth))
+        out = transfer_rows(space, np.array([J.values for J in js]), fs)
+        assert out.shape == (rows, d ** (max(f_depth, kernel_depth) - 1))
+        for row, J, f in zip(out, js, fs):
+            want = transfer_repeated(J, DepthKFunction(space, f_depth, f))
+            assert row.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.sampled_from((2, 3, 4)), depth=st.integers(0, 4), rows=st.integers(1, 6),
+           seed=SEEDS)
+    def test_row_lipschitz_constants_are_each_rows_constant(self, d, depth, rows, seed):
+        table = np.random.default_rng(seed).uniform(-2.0, 2.0, (rows, d ** depth))
+        want = [lipschitz_constant(DepthKFunction(SPACES[d], depth, row)) for row in table]
+        assert lipschitz_rows(SPACES[d], depth, table).tolist() == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.sampled_from((2, 3, 4)), depth=st.integers(0, 4),
+           kernel_depth=st.integers(1, 5), rows=st.integers(1, 5), spiky=st.booleans(),
+           negative=st.booleans(), seed=SEEDS)
+    def test_paired_dual_images_are_each_rows_dual_apply(self, d, depth, kernel_depth,
+                                                         rows, spiky, negative, seed):
+        rng = np.random.default_rng(seed)
+        space, depth_j = SPACES[d], min(kernel_depth, depth + 1)
+        make = kernel_with_a_negative_entry if negative else random_jacobian
+        js = [make(space, depth_j, rng) for _ in range(rows)]
+        mus = [random_measure(space, depth, rng, spiky=spiky) for _ in range(rows)]
+        got = dual_rows(space, np.array([J.values for J in js]),
+                        np.array([mu.masses for mu in mus]))
+        assert got.shape == (rows, d ** (depth + 1))
+        for row, J, mu in zip(got, js, mus):
+            assert row.tobytes() == dual_apply(J, mu).masses.tobytes()
+
+    def test_paired_dual_images_need_the_kernel_depth_precondition(self):
+        kernels = np.full((1, 8), 0.5)   # depth 3, against a depth-1 measure
+        with pytest.raises(ValueError, match="refine the measures first"):
+            dual_rows(SPACE, kernels, np.array([[0.5, 0.5]]))
 
     @settings(max_examples=200, deadline=None)
     @given(d=st.sampled_from((2, 3)), depth=st.integers(0, 4),
