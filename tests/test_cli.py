@@ -67,8 +67,8 @@ def test_transport_reports_the_lp_leg_skipped_beyond_the_oracle_limit(capsys):
 def test_transport_exits_2_when_the_lp_oracle_disagrees(capsys, monkeypatch):
     exact = transport.w1_lp_oracle
 
-    def wrong(mu, nu):
-        report = exact(mu, nu)
+    def wrong(space, mu, nu):
+        report = exact(space, mu, nu)
         return dataclasses.replace(report, w1=report.w1 + 1e-6)
 
     monkeypatch.setattr(transport, "w1_lp_oracle", wrong)
@@ -238,6 +238,12 @@ def test_check_report_holds_every_checks_line(capsys, tmp_path):
         {"check": r.name, "passed": True, "detail": r.detail, "record": r.record}
         for r in expected
     ]
+    # the 20 pairs of 16 words share one packed LP, solved at the first try
+    record = report["results"][1]["record"]
+    assert (record["pairs"], record["lps"], record["lp_solves"], record["lp_retries"]) == (
+        20, 1, 1, 0
+    )
+    assert max(record["worst_tree_gap"], record["worst_duality_gap"]) <= 1e-9
 
 
 def test_verify_report_holds_each_checks_record(capsys, tmp_path):

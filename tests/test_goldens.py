@@ -23,7 +23,7 @@ RECORDED_DETAILS = {
         "worst argmax gap 7.30e-07 (tol 1e-3), worst pressure gap 8.94e-12 (tol 1e-4)"
     ),
     "transport-oracle": (
-        "200 pairs, worst |tree - LP| and duality gap 3.61e-16 (tol 1e-9)"
+        "200 pairs, worst |tree - LP| and duality gap 3.47e-16 (tol 1e-9)"
     ),
     "contraction-bounds": (
         "1000 trials each: max ratio 0.506468 (bound 0.8999999999999999), "
@@ -88,6 +88,16 @@ def test_check_passes(name):
     assert result.name == name
     assert result.passed is True, result.detail
     assert result.detail == RECORDED_DETAILS[name]
+
+
+def test_transport_oracle_packs_its_pairs_into_few_lps():
+    # the 3^5-word pairs are each larger than one LP's budget; the other
+    # entries share 1 to 4 LPs each
+    record = goldens.check_transport_oracle().record
+    assert (record["pairs"], record["lps"], record["lp_solves"], record["lp_retries"]) == (
+        200, 24, 24, 0
+    )
+    assert max(record["worst_tree_gap"], record["worst_duality_gap"]) <= 1e-9
 
 
 # The flags of the ``gamma``, ``ifs`` and ``ldp`` subcommands, at small sizes.

@@ -242,8 +242,8 @@ mu = CylinderMeasure(space, 3, np.arange(1.0, 9.0) / 36.0)
 nu = CylinderMeasure(space, 3, np.arange(8.0, 0.0, -1.0) / 36.0)
 
 def report(r):
-    return [r.w1.hex(), r.duality_gap.hex(), r.lp_solves,
-            [v.hex() for v in r.potential.values.tolist()]]
+    return [r.w1[0].hex(), r.duality_gap[0].hex(), r.lp_solves,
+            [v.hex() for v in r.potential[0].tolist()]]
 
 calls = []
 def recorder(*args, **kwargs):
@@ -252,10 +252,10 @@ def recorder(*args, **kwargs):
     return linprog(*args, **kwargs)
 
 transport.linprog = recorder
-out["patched"] = report(transport.w1_lp_oracle(mu, nu))
+out["patched"] = report(transport.w1_lp_oracle(space, mu.masses[None], nu.masses[None]))
 out["patched_calls"] = calls
 del transport.linprog
-out["unpatched"] = report(transport.w1_lp_oracle(mu, nu))
+out["unpatched"] = report(transport.w1_lp_oracle(space, mu.masses[None], nu.masses[None]))
 import scipy.optimize
 out["is_scipy"] = transport.linprog is scipy.optimize.linprog
 print(json.dumps(out))
@@ -268,10 +268,11 @@ def test_scipy_loads_on_the_first_lp_call_and_a_patch_is_called(tmp_path):
                          capture_output=True, text=True, env=env, check=True, timeout=120)
     out = json.loads(run.stdout.splitlines()[-1])
     space = ShiftSpace(2, 0.3)
-    r = w1_lp_oracle(CylinderMeasure(space, 3, np.arange(1.0, 9.0) / 36.0),
-                     CylinderMeasure(space, 3, np.arange(8.0, 0.0, -1.0) / 36.0))
-    here = [r.w1.hex(), r.duality_gap.hex(), r.lp_solves,
-            [v.hex() for v in r.potential.values.tolist()]]
+    mu = CylinderMeasure(space, 3, np.arange(1.0, 9.0) / 36.0)
+    nu = CylinderMeasure(space, 3, np.arange(8.0, 0.0, -1.0) / 36.0)
+    r = w1_lp_oracle(space, mu.masses[None], nu.masses[None])
+    here = [r.w1[0].hex(), r.duality_gap[0].hex(), r.lp_solves,
+            [v.hex() for v in r.potential[0].tolist()]]
     assert out["cli"] == 0
     assert out["scipy_loaded"] == []
     assert out["patched_calls"] == ["highs-ds"]

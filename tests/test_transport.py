@@ -6,7 +6,13 @@ import pytest
 from oracles import integrate, tree_w1, word_metric
 
 from maxtherm.goldens import random_jacobian, random_measure
-from maxtherm.shift import CylinderMeasure, ShiftSpace, dual_apply, make_bernoulli_jacobian
+from maxtherm.shift import (
+    CylinderMeasure,
+    DepthKFunction,
+    ShiftSpace,
+    dual_apply,
+    make_bernoulli_jacobian,
+)
 from maxtherm.transport import (
     distance_matrix,
     tree_levels,
@@ -16,6 +22,11 @@ from maxtherm.transport import (
 )
 
 SPACE = ShiftSpace(2, 0.3)
+
+
+def _lp(mu, nu):
+    """The LP oracle's report on the one pair (mu, nu), as a one-row table."""
+    return w1_lp_oracle(mu.space, mu.masses[None], nu.masses[None])
 
 
 def _digit_loop_matrix(space, depth):
@@ -66,7 +77,7 @@ class TestPrefixTree:
             b = random_measure(SPACE, 5, rng)
             coarse = w1_tree(a.at_depth(4), b.at_depth(4))
             step = w1_tree(a, b) - coarse
-            bound = w1_lp_oracle(a.at_depth(4), b.at_depth(4)).truncation_error
+            bound = _lp(a.at_depth(4), b.at_depth(4)).truncation_error
             assert bound == pytest.approx(0.3 ** 4)
             assert -1e-12 <= step <= bound + 1e-12
 
@@ -164,24 +175,24 @@ class TestTreeFormula:
     def test_report_carries_truncation(self):
         a = random_measure(SPACE, 3, np.random.default_rng(5))
         b = random_measure(SPACE, 3, np.random.default_rng(6))
-        rep = w1_lp_oracle(a, b)
-        assert rep.w1 == pytest.approx(w1_tree(a, b), abs=1e-9)
+        rep = _lp(a, b)
+        assert rep.w1[0] == pytest.approx(w1_tree(a, b), abs=1e-9)
         assert rep.truncation_error == pytest.approx(0.3 ** 3)
-        assert w1_lp_oracle(a, a).truncation_error == pytest.approx(0.3 ** 3)
+        assert _lp(a, a).truncation_error == pytest.approx(0.3 ** 3)
 
 
 class TestLpOracle:
     def test_point_mass_transport(self):
         mu = CylinderMeasure.point_mass(SPACE, (1,))
         nu = CylinderMeasure.point_mass(SPACE, (2,))
-        rep = w1_lp_oracle(mu, nu)
-        assert rep.w1 == pytest.approx(1.0, abs=1e-12)
+        rep = _lp(mu, nu)
+        assert rep.w1[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_point_hand_computation(self):
         mu = CylinderMeasure(SPACE, 1, [0.7, 0.3])
         nu = CylinderMeasure(SPACE, 1, [0.4, 0.6])
-        rep = w1_lp_oracle(mu, nu)
-        assert rep.w1 == pytest.approx(0.3, abs=1e-12)
+        rep = _lp(mu, nu)
+        assert rep.w1[0] == pytest.approx(0.3, abs=1e-12)
 
     def test_agrees_with_tree_formula(self):
         rng = np.random.default_rng(7)
@@ -190,8 +201,8 @@ class TestLpOracle:
             for depth in range(1, 5):
                 mu = random_measure(space, depth, rng, spiky=True)
                 nu = random_measure(space, depth, rng)
-                rep = w1_lp_oracle(mu, nu)
-                assert abs(rep.w1 - w1_tree(mu, nu)) <= 1e-9
+                rep = _lp(mu, nu)
+                assert abs(rep.w1[0] - w1_tree(mu, nu)) <= 1e-9
 
     def test_dual_certificate(self):
         from maxtherm.shift import lipschitz_constant
@@ -201,20 +212,32 @@ class TestLpOracle:
             depth = int(rng.integers(1, 5))
             mu = random_measure(SPACE, depth, rng)
             nu = random_measure(SPACE, depth, rng)
-            rep = w1_lp_oracle(mu, nu)
-            f = rep.potential
+            rep = _lp(mu, nu)
+            f = DepthKFunction(SPACE, depth, rep.potential[0])
             assert float(f.values.min()) >= -1e-12
             assert float(f.values.max()) <= 1.0 + 1e-9
             assert lipschitz_constant(f) <= 1.0 + 1e-9
             achieved = integrate(mu, f) - integrate(nu, f)
-            assert achieved >= rep.w1 - 1e-9
-            assert rep.duality_gap <= 1e-9
+            assert achieved >= rep.w1[0] - 1e-9
+            assert rep.duality_gap[0] <= 1e-9
 
     def test_size_limit(self):
         space = ShiftSpace(2, 0.3)
         mu = CylinderMeasure(space, 11, np.full(2048, 1 / 2048))   # 2048 > 1024
         with pytest.raises(ValueError, match="oracle limit"):
-            w1_lp_oracle(mu, mu)
+            _lp(mu, mu)
+
+    @pytest.mark.parametrize("mu, nu, match", [
+        (np.full((2, 4), 0.25), np.full((3, 4), 0.25), "not paired"),
+        (np.full((1, 2, 2), 0.25), np.full((1, 2, 2), 0.25), "not paired"),
+        (np.zeros((0, 4)), np.zeros((0, 4)), "number of rows"),
+        (np.full((1, 3), 1 / 3), np.full((1, 3), 1 / 3), "not a power"),
+        (np.zeros((1, 0)), np.zeros((1, 0)), "not a power"),
+        (np.full((1, 4), 0.3), np.full((1, 4), 0.25), "not normalized"),
+    ])
+    def test_malformed_tables_rejected(self, mu, nu, match):
+        with pytest.raises(ValueError, match=match):
+            w1_lp_oracle(SPACE, mu, nu)
 
     def test_distance_matrix_matches_word_metric(self):
         from maxtherm.shift import symbol_table
