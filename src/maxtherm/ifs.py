@@ -7,7 +7,9 @@ measure, and the density entropy at a measure is the best cumulative
 weight among words whose images land near it.  Because each dual operator
 contracts W1 by r = (d+1) gamma, images of words sharing a prefix of
 length k agree to within r^k, so a truncated enumeration with cluster
-merging approximates the attractor with a computable error.  Only the
+merging approximates the attractor with a computable error.  The images
+of all words of one length are one table, grown from the level before by
+one ``dual_rows`` product of every kernel against every row.  Only the
 level before the last is held whole: the last one is grown from it in
 row blocks.  The merged build (eps > 0) clusters each block as it
 arrives, one batched tree-W1 pass per leaf over the block's words not yet
@@ -46,9 +48,8 @@ from .shift import (
     CylinderMeasure,
     Jacobian,
     check_count,
-    check_probability_rows,
     dual_apply,
-    dual_factor,
+    dual_rows,
 )
 from .simplex import SimplexGrid
 from .transport import tree_levels, w1_tree, w1_tree_levels
@@ -68,8 +69,11 @@ class WeightedJacobianFamily:
         space = jacobians[0].space
         if any(J.space != space for J in jacobians):
             raise ValueError("all kernels must share one space")
-        if np.size(weights) != len(jacobians):
-            raise ValueError("one weight per kernel required")
+        if np.shape(weights) != (len(jacobians),):
+            raise ValueError(
+                f"one weight per kernel required: a 1-D table of {len(jacobians)}, "
+                f"got shape {np.shape(weights)}"
+            )
         self.jacobians = list(jacobians)
         self.weights = check_maxplus_probability(weights)
         self.space = space
@@ -103,7 +107,8 @@ class AttractorSample:
 def _checked_word_length(fam: WeightedJacobianFamily, word_length,
                          nu0: CylinderMeasure) -> int:
     """``word_length`` as an int, once it is an integer >= 1 whose last
-    level of m^N images fits in MAX_CELLS cells."""
+    level of m^N images fits in MAX_CELLS cells, and once every kernel
+    applies to ``nu0``, with ``dual_apply``'s messages."""
     word_length = check_count("word length", word_length, 1)
     m, d = len(fam), fam.space.d
 
@@ -111,42 +116,41 @@ def _checked_word_length(fam: WeightedJacobianFamily, word_length,
         return m ** n * d ** (nu0.depth + n)
 
     if cells(word_length) > MAX_CELLS:
-        suggestion = bisect.bisect_right(range(word_length), MAX_CELLS, key=cells) - 1
+        fits = bisect.bisect_right(range(word_length), MAX_CELLS, key=cells) - 1
         raise ValueError(
             f"{m}^{word_length} words of {d}^{nu0.depth + word_length} cells "
-            f"exceed the budget of {MAX_CELLS} cells; use word_length <= {suggestion}"
+            f"exceed the budget of {MAX_CELLS} cells; "
+            + (f"use word_length <= {fits}" if fits >= 1 else
+               f"the seed depth {nu0.depth} is too large, even at word_length 1")
+        )
+    if nu0.space != fam.space:
+        raise ValueError("kernel and measure live on different spaces")
+    deepest = max(J.depth for J in fam.jacobians)
+    if deepest > nu0.depth + 1:
+        raise ValueError(
+            f"kernel depth {deepest} exceeds measure depth {nu0.depth} + 1; "
+            "refine the measure first"
         )
     return word_length
 
 
-def _grow(fam: WeightedJacobianFamily, table: np.ndarray, nu0: CylinderMeasure,
-          depth: int) -> np.ndarray:
+def _grow(fam: WeightedJacobianFamily, table: np.ndarray) -> np.ndarray:
     """The next level of suffix images: row k*m + i is kernel i applied to
-    row k of ``table``, a block of depth-``depth`` measures on nu0's space,
-    checked and clipped in place like a ``dual_apply`` image."""
-    rows, cells = table.shape
-    d = nu0.space.d
-    # each kernel writes its rows in place: stacking per-kernel products
-    # would hold a second copy of the level at the peak
-    grown = np.empty((rows, len(fam), d, cells))
-    for i, J in enumerate(fam.jacobians):
-        factor = dual_factor(J, nu0.space, depth)
-        head = factor.shape[1]
-        # splitting the last, contiguous axis keeps ``out`` a view
-        np.multiply(factor, table.reshape(rows, 1, head, -1),
-                    out=grown[:, i].reshape(rows, d, head, -1))
-    return check_probability_rows(grown.reshape(-1, d * cells))
+    row k of ``table``, one ``dual_rows`` product of the family's kernels,
+    all viewed at the deepest one's depth, against every row."""
+    depth = max(J.depth for J in fam.jacobians)
+    kernels = np.array([J.at_depth(depth) for J in fam.jacobians])
+    image = dual_rows(fam.space, kernels, table[:, None])
+    return image.reshape(-1, image.shape[-1])
 
 
-def _levels(fam: WeightedJacobianFamily, nu0: CylinderMeasure,
-            n: int) -> Tuple[np.ndarray, int]:
+def _levels(fam: WeightedJacobianFamily, nu0: CylinderMeasure, n: int) -> np.ndarray:
     """The (m^n, d^(depth+n)) table of the images of every length-n
-    suffix, and their depth."""
-    table, depth = nu0.masses[None], nu0.depth
+    suffix."""
+    table = nu0.masses[None]
     for _ in range(n):
-        table = _grow(fam, table, nu0, depth)
-        depth += 1
-    return table, depth
+        table = _grow(fam, table)
+    return table
 
 
 def _last_level(fam: WeightedJacobianFamily, word_length: int,
@@ -155,11 +159,11 @@ def _last_level(fam: WeightedJacobianFamily, word_length: int,
     order, grown from the level before in row blocks of about
     ``transport.BLOCK_CELLS`` cells: only that level and one block are
     held, 1/(m d) of the last level's cells."""
-    table, depth = _levels(fam, nu0, word_length - 1)
+    table = _levels(fam, nu0, word_length - 1)
     rows, cells = table.shape
     step = max(1, transport.BLOCK_CELLS // (len(fam) * fam.space.d * cells))
     for start in range(0, rows, step):
-        yield _grow(fam, table[start:start + step], nu0, depth)
+        yield _grow(fam, table[start:start + step])
 
 
 def _word_weights(fam: WeightedJacobianFamily, n: int) -> np.ndarray:
@@ -234,22 +238,22 @@ def attractor_build(
 
     The images of all length-t suffixes form one (m^t, d^(depth+t)) table,
     whose row k*m + i is kernel i applied to row k, so suffix compositions
-    are shared and each level costs one broadcast multiply per kernel: the
-    kernel's ``dual_factor`` view, (d, d^(k-1), 1) for a kernel reading k
-    symbols, times every row viewed as (1, d^(k-1), d^(depth+1-k)), written
-    straight into the next level with no repeated kernel table.  Every
-    level is checked and clipped in place like a ``dual_apply`` image, so
-    the rows carry the bits of the ``dual_apply`` chain.  At eps > 0 the
-    last level is never held whole: it streams in row blocks, and each
-    word in turn joins the first earlier leaf within W1 <= eps, else
-    starts a leaf of its own; a cluster keeps its first word's image and
-    the max weight (``_merged_leaves``).  eps defaults to
+    are shared and each level is one ``dual_rows`` product: the family's
+    (m, d^k) kernel table, every kernel viewed at the deepest depth k,
+    against the level's rows viewed as (rows, 1, d^(depth+t)).  Every cell
+    is the one product J(a.w) mu[w] of ``dual_apply``, checked and clipped
+    in place, so the rows carry the bits of the ``dual_apply`` chain.  At
+    eps > 0 the last level is never held whole: it streams in row blocks,
+    and each word in turn joins the first earlier leaf within W1 <= eps,
+    else starts a leaf of its own; a cluster keeps its first word's image
+    and the max weight (``_merged_leaves``).  eps defaults to
     max(r^N, gamma^final_depth), the resolution below which distinct
     clusters are not meaningful.  Passing eps=0.0 disables merging,
     yielding the exact m^N enumeration (the reference behavior), whose
     leaves are views of the whole last level.
     A word length that is not an integer >= 1, or whose last level
-    exceeds MAX_CELLS cells, raises ``ValueError`` before any table is made.
+    exceeds MAX_CELLS cells, or a seed some kernel does not apply to,
+    raises ``ValueError`` before any level is made.
     """
     word_length = _checked_word_length(fam, word_length, nu0)
     space = fam.space
@@ -263,10 +267,11 @@ def attractor_build(
     if eps > 0.0:
         leaves = _merged_leaves(fam, word_length, nu0, eps)
     else:
-        table, depth = _levels(fam, nu0, word_length)
+        table = _levels(fam, nu0, word_length)
         weights = _word_weights(fam, word_length)
         words = _words(np.arange(len(table)), len(fam), word_length)
-        leaves = [AttractorLeaf(word, CylinderMeasure._checked(space, depth, masses), weight)
+        leaves = [AttractorLeaf(word, CylinderMeasure._checked(space, final_depth, masses),
+                                weight)
                   for word, masses, weight in zip(words, table, weights)]
 
     return AttractorSample(

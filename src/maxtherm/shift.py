@@ -13,20 +13,18 @@ rows, goes through ``check_probability_rows``; the max-plus counterpart is
 an alphabet size, depth, word length, orbit length, count or seed, goes
 through ``check_count``.
 
-A kernel reading k symbols meets a depth-n measure through ``dual_factor``,
-the (d, d^(k-1), 1) view of the kernel's own table, broadcast against the
-masses viewed as (1, d^(k-1), d^(n+1-k)): their product is the dual image,
-with no repeated kernel table and no copy of the result.  A function's
-table is a read-only copy of the caller's values, so it keeps the bits
-its checks passed.
-
 The ``*_rows`` forms act on whole tables, one row per function, kernel
 or measure: ``lipschitz_rows`` and ``pushforward_rows``, and the paired
-``dual_rows`` and ``transfer_rows``, where row i of a kernel table acts
-on row i of a masses or values table.  ``lipschitz_constant`` and
-``pushforward_apply`` are their one-row cases, ``dual_rows`` keeps the
-bits of ``dual_apply`` on each row, and ``check_kernel_rows`` checks a
-kernel table's rows as ``Jacobian`` checks one kernel.
+``transfer_rows``, where row i of a kernel table acts on row i of a
+values table.  ``dual_rows`` is the one dual transfer product: the
+(d, d^(j-1), 1) view of each kernel reading j symbols against the
+(1, d^(j-1), d^(n+1-j)) view of each depth-n row of masses, their leading
+axes broadcast, so paired rows or a whole family against a whole level
+is one product the size of its image, with no repeated kernel table.
+``lipschitz_constant``, ``pushforward_apply`` and ``dual_apply`` are the
+one-row cases, and ``check_kernel_rows`` checks a kernel table's rows as
+``Jacobian`` checks one kernel.  A function's table is a read-only copy
+of the caller's values, so it keeps the bits its checks passed.
 """
 
 from __future__ import annotations
@@ -116,10 +114,6 @@ class DepthKFunction:
         if check_count("depth", depth) < self.depth:
             raise ValueError("cannot view a table at a shallower depth")
         return np.repeat(self.values, self.space.d ** (depth - self.depth))
-
-    def __sub__(self, other: "DepthKFunction") -> "DepthKFunction":
-        k = max(self.depth, other.depth)
-        return DepthKFunction(self.space, k, self.at_depth(k) - other.at_depth(k))
 
 
 def lipschitz_constant(f: DepthKFunction) -> float:
@@ -319,50 +313,40 @@ def transfer_rows(space: ShiftSpace, kernels: np.ndarray, values: np.ndarray) ->
 
 
 def dual_apply(J: Jacobian, mu: CylinderMeasure) -> CylinderMeasure:
-    """Dual transfer image: nu[a.w] = J(a.w) mu[w], one level deeper.
+    """Dual transfer image: nu[a.w] = J(a.w) mu[w], one level deeper: the
+    one-row case of ``dual_rows``.
 
     Requires the kernel depth to be at most depth(mu) + 1; refine mu first
     when it is not, so the cost of deeper tables stays visible at the call
-    site.  The image is the one (d, d^(k-1), d^(depth+1-k)) product of
-    ``dual_factor`` and a view of mu's masses, checked and clipped in
-    place: one array the size of the output, and no other.
+    site.
     """
-    factor = dual_factor(J, mu.space, mu.depth)
-    prod = factor * mu.masses.reshape(1, factor.shape[1], -1)
-    masses = check_probability_rows(prod.reshape(1, -1))[0]
+    if mu.space != J.space:
+        raise ValueError("kernel and measure live on different spaces")
+    if J.depth > mu.depth + 1:
+        raise ValueError(
+            f"kernel depth {J.depth} exceeds measure depth {mu.depth} + 1; "
+            "refine the measure first"
+        )
+    masses = dual_rows(J.space, J.values, mu.masses)
     return CylinderMeasure._checked(J.space, mu.depth + 1, masses)
 
 
-def dual_factor(J: Jacobian, space: ShiftSpace, depth: int) -> np.ndarray:
-    """The kernel's factor in every dual transfer image of a depth-``depth``
-    measure on ``space``: its own table viewed as (d, d^(k-1), 1) for a
-    kernel reading k symbols, not a copy.  Against the measure's masses
-    viewed as (1, d^(k-1), d^(depth+1-k)) it broadcasts to the words a.w,
-    the first symbol a leading."""
-    if space != J.space:
-        raise ValueError("kernel and measure live on different spaces")
-    if J.depth > depth + 1:
-        raise ValueError(
-            f"kernel depth {J.depth} exceeds measure depth {depth} + 1; "
-            "refine the measure first"
-        )
-    return J.values.reshape(space.d, space.d ** (J.depth - 1), 1)
-
-
 def dual_rows(space: ShiftSpace, kernels: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Row i of the dual image table: kernel row i acting on masses row i,
-    for a (k, d^j) kernel table and a (k, d^n) masses table with
-    j <= n + 1.  Each row has the bits of ``dual_apply``; the
-    (k, d^(n+1)) table goes through one ``check_probability_rows``."""
-    d, k = space.d, len(masses)
-    heads = kernels.shape[1] // d   # d^(j-1)
-    if heads > masses.shape[1]:
+    """The dual images nu[a.w] = J(a.w) mu[w] of a (..., d^j) kernel table
+    and a (..., d^n) masses table, j <= n + 1, as a (..., d^(n+1)) table
+    over their broadcast leading axes: one product of the module's views,
+    checked and clipped in place by one ``check_probability_rows``."""
+    d = space.d
+    heads = kernels.shape[-1] // d   # d^(j-1)
+    if heads > masses.shape[-1]:
         raise ValueError(
-            f"kernel table of {kernels.shape[1]} columns is deeper than measure "
+            f"kernel table of {kernels.shape[-1]} columns is deeper than measure "
             "depth + 1; refine the measures first"
         )
-    prod = kernels.reshape(k, d, heads, 1) * masses.reshape(k, 1, heads, -1)
-    return check_probability_rows(prod.reshape(k, -1))
+    prod = (kernels.reshape(kernels.shape[:-1] + (d, heads, 1))
+            * masses.reshape(masses.shape[:-1] + (1, heads, -1)))
+    check_probability_rows(prod.reshape(-1, d * masses.shape[-1]))
+    return prod.reshape(prod.shape[:-3] + (-1,))
 
 
 def pushforward_apply(mu: CylinderMeasure) -> CylinderMeasure:

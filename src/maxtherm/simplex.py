@@ -130,7 +130,9 @@ class SimplexGrid:
             fits = bisect.bisect_right(range(self.m), MAX_CELLS, key=cells) - 1
             raise ValueError(
                 f"the (d={self.d}, m={self.m}) lattice has {cells(self.m)} cells, "
-                f"over the budget of {MAX_CELLS}; use m <= {fits}"
+                f"over the budget of {MAX_CELLS}; "
+                + (f"use m <= {fits}" if fits >= 1 else
+                   f"d = {self.d} is too large, even at m = 1")
             )
 
     def points(self) -> np.ndarray:

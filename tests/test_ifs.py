@@ -54,6 +54,13 @@ class TestFamilyValidation:
         with pytest.raises(ValueError, match="at least one"):
             WeightedJacobianFamily([], [])
 
+    @pytest.mark.parametrize("weights", [[[0.0], [-1.0]], [0.0], 0.0, [0.0, -1.0, -2.0]],
+                             ids=["column", "short", "scalar", "long"])
+    def test_weights_must_be_one_per_kernel(self, weights):
+        J = make_bernoulli_jacobian(0.3, SPACE)
+        with pytest.raises(ValueError, match="one weight per kernel required"):
+            WeightedJacobianFamily([J, J], weights)
+
     def test_nan_weight_rejected_and_minus_inf_kept(self):
         J = make_bernoulli_jacobian(0.3, SPACE)
         with pytest.raises(ValueError, match="NaN"):
@@ -223,6 +230,18 @@ class TestAttractor:
         with pytest.raises(ValueError) as solved:
             invariant_pressure_solve(fam, mass_of_one, 30, NU0, eps=0.0)
         assert str(solved.value) == str(built.value)
+
+    def test_budget_error_names_a_seed_too_deep_for_any_length(self):
+        # 64 images of 2^20 masses exceed the budget even at word_length 1
+        fam = WeightedJacobianFamily([make_bernoulli_jacobian(0.3, SPACE)] * 64, [0.0] * 64)
+        seed = CylinderMeasure.bernoulli(SPACE, [0.5, 0.5], 19)
+        message = (f"64^1 words of 2^20 cells exceed the budget of {ifs.MAX_CELLS} cells; "
+                   "the seed depth 19 is too large, even at word_length 1")
+        with pytest.raises(ValueError) as built:
+            attractor_build(fam, 1, seed)
+        with pytest.raises(ValueError) as solved:
+            invariant_pressure_solve(fam, mass_of_one, 1, seed, eps=0.0)
+        assert str(built.value) == str(solved.value) == message
 
     @pytest.mark.parametrize("word_length", [2.5, True, "3", None],
                              ids=["float", "bool", "str", "None"])

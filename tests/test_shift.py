@@ -404,7 +404,7 @@ class TestProperties:
            spiky=st.booleans(), negative=st.booleans(), seed=SEEDS)
     def test_dual_images_match_the_per_word_oracle(self, d, depth, kernel_depths,
                                                    spiky, negative, seed):
-        # dual_apply and attractor_build share the kernel's factor, so
+        # dual_apply and attractor_build are both dual_rows products, so
         # both are held to the oracle, bit for bit (the sign of 0 too)
         rng = np.random.default_rng(seed)
         space = SPACES[d]
@@ -460,6 +460,32 @@ class TestProperties:
         assert got.shape == (rows, d ** (depth + 1))
         for row, J, mu in zip(got, js, mus):
             assert row.tobytes() == dual_apply(J, mu).masses.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.sampled_from((2, 3, 4)), depth=st.integers(0, 4),
+           kernel_depths=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           rows=st.integers(1, 4), spiky=st.booleans(), negative=st.booleans(), seed=SEEDS)
+    def test_broadcast_dual_images_are_dual_apply_and_the_oracle(
+            self, d, depth, kernel_depths, rows, spiky, negative, seed):
+        # one kernel against one measure, and a mixed-depth family viewed at
+        # its deepest depth, (m, d^k), against (rows, 1, d^n) masses: each
+        # image is its (row, kernel) pair's product, bit for bit
+        rng = np.random.default_rng(seed)
+        space = SPACES[d]
+        make = kernel_with_a_negative_entry if negative else random_jacobian
+        js = [make(space, min(k, depth + 1), rng) for k in kernel_depths]
+        mus = [random_measure(space, depth, rng, spiky=spiky) for _ in range(rows)]
+        one = dual_rows(space, js[0].values, mus[0].masses)
+        assert one.shape == (d ** (depth + 1),)
+        assert one.tobytes() == dual_image(js[0], mus[0]).tobytes()
+        deepest = max(J.depth for J in js)
+        got = dual_rows(space, np.array([J.at_depth(deepest) for J in js]),
+                        np.array([mu.masses for mu in mus])[:, None])
+        assert got.shape == (rows, len(js), d ** (depth + 1))
+        for images, mu in zip(got, mus):
+            for image, J in zip(images, js):
+                want = dual_image(J, mu).tobytes()
+                assert image.tobytes() == dual_apply(J, mu).masses.tobytes() == want
 
     def test_paired_dual_images_need_the_kernel_depth_precondition(self):
         kernels = np.full((1, 8), 0.5)   # depth 3, against a depth-1 measure

@@ -443,6 +443,10 @@ class TestGridMechanics:
             SimplexGrid(4, 368)
         with pytest.raises(ValueError, match=r"use m <= 16777215$"):
             SimplexGrid(2, 10 ** 12)
+        # 6000^2 cells at m = 1: no m fits, so the message names d
+        with pytest.raises(ValueError, match=r"budget of 33554432; d = 6000 is too large, "
+                                             r"even at m = 1$"):
+            SimplexGrid(6000, 1)
 
     @pytest.mark.parametrize("argv", [["gamma", "--d", "4"],
                                       ["pressure", "--d", "4", "--m", "1000"]])

@@ -254,17 +254,23 @@ def _ratio(J, mu, nu):
     return w1_tree(dual_apply(J, mu), dual_apply(J, nu)) / w1_tree(mu, nu)
 
 
+def _sup_gap(J1, J2):
+    """sup|J1 - J2|, both tables viewed at the deeper kernel's depth."""
+    k = max(J1.depth, J2.depth)
+    return np.abs(J1.at_depth(k) - J2.at_depth(k)).max()
+
+
 def _perturbation(J1, J2, mu):
     """(W1 between the two dual images of mu, d * sup|J1 - J2|)."""
     w1 = w1_tree(dual_apply(J1, mu), dual_apply(J2, mu))
-    return w1, SPACE.d * np.abs((J1 - J2).values).max()
+    return w1, SPACE.d * _sup_gap(J1, J2)
 
 
 def _joint(J1, J2, mu1, mu2):
     """(W1(L1* mu1, L2* mu2), r [W1(mu1, mu2) + (d/r) sup|J1 - J2|])."""
     r = SPACE.contraction_rate
     w1 = w1_tree(dual_apply(J1, mu1), dual_apply(J2, mu2))
-    kernel = (SPACE.d / r) * np.abs((J1 - J2).values).max()
+    kernel = (SPACE.d / r) * _sup_gap(J1, J2)
     return w1, r * (w1_tree(mu1, mu2) + kernel)
 
 
