@@ -28,7 +28,8 @@ passes about m / 14 (measured at m = 10^4), which no depth-1 observable
 reaches.
 
 Orbits are drawn step-major, STEP_BLOCK steps of every orbit at a time
-(``OrbitSampler.steps``).  A depth-k window is read as its base-d code in
+(``OrbitSampler.steps``), and read in ``shift.row_blocks`` of orbits.  A
+depth-k window is read as its base-d code in
 ``np.min_scalar_type(d**k)``, one byte while d^k <= 255: the running max
 is the max of the codes' ranks in f's sorted values, read back through
 the sorted table, and the limit test reads a hit flag per code.  The
@@ -48,20 +49,15 @@ from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .shift import DepthKFunction, check_count, check_probability_rows
+from .shift import DepthKFunction, check_count, check_probability_rows, row_blocks
 
 
 # ---------------------------------------------------------------------------
 # Orbit sampling
 # ---------------------------------------------------------------------------
 
-# Orbit tables are read this many rows at a time, so at 1,000 columns the
-# window codes and ranks of a block take 256 KB each while d^depth <= 255
-# (uint8), and twice that up to 65,535 (uint16).
-ROW_BLOCK = 256
-
-# Orbits are drawn this many steps at a time, as one (steps, n_orbits) block;
-# the streamed limit test checks once per block whether it can stop.
+# Orbits are drawn this many steps at a time, as one (steps, n_orbits) block:
+# the early-stop granularity of the streamed limit test, counted in steps.
 STEP_BLOCK = 32
 
 
@@ -189,14 +185,15 @@ def _window_codes(symbols: np.ndarray, d: int, k: int, n: int, axis: int) -> np.
 def birkhoff_max_table(f: DepthKFunction, orbits: np.ndarray, n: int) -> np.ndarray:
     """Vector of running maxes over the first n windows of each orbit row.
 
-    The table is read ROW_BLOCK rows at a time.  Each window's code is
-    mapped by one ``np.take`` to its rank in the sorted order of f's
-    values, in the code's dtype, so a window costs 2 bytes (code and rank)
-    while d^depth <= 255, against 16 for an int64 code and a float64
-    value.  A row's max rank reads its value back from the sorted values,
-    the float max bit for bit.  The whole table is checked before any
-    block is read.  Symbols outside 1..d are rejected: their codes would
-    read other words' values, or wrap around the table, instead of failing.
+    The table is read in ``shift.row_blocks`` of about ``BLOCK_CELLS``
+    windows.  Each window's code is mapped by one ``np.take`` to its rank
+    in the sorted order of f's values, in the code's dtype, so a window
+    costs 2 bytes (code and rank) while d^depth <= 255, against 16 for an
+    int64 code and a float64 value.  A row's max rank reads its value back
+    from the sorted values, the float max bit for bit.  The whole table is
+    checked before any block is read.  Symbols outside 1..d are rejected:
+    their codes would read other words' values, or wrap around the table,
+    instead of failing.
     """
     k = max(f.depth, 1)
     d = f.space.d
@@ -217,8 +214,8 @@ def birkhoff_max_table(f: DepthKFunction, orbits: np.ndarray, n: int) -> np.ndar
     ranks = np.empty(table.size, dtype=np.min_scalar_type(d ** k))
     ranks[order] = np.arange(table.size)
     top = np.concatenate([
-        np.take(ranks, _window_codes(orbits[lo : lo + ROW_BLOCK], d, k, n, axis=1)).max(axis=1)
-        for lo in range(0, orbits.shape[0], ROW_BLOCK)
+        np.take(ranks, _window_codes(orbits[block], d, k, n, axis=1)).max(axis=1)
+        for block in row_blocks(orbits.shape[0], n)
     ])
     return table[order][top]
 

@@ -19,7 +19,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -193,8 +193,13 @@ def check_transport_oracle(
     into two tables and measured at once: one ``w1_lp_oracle`` call, whose
     rows share a few packed LPs, and one paired ``w1_tree_levels`` pass."""
     check_count("number of plan entries", len(plan), 1)
-    for _, _, _, reps in plan:
+    for d, _, depth, reps in plan:
         check_count("reps", reps, 1)
+        # an entry the oracle would reject raises before any pair is drawn
+        words = check_count("alphabet size d", d, 2) ** check_count("depth", depth)
+        if words > transport.LP_MAX_POINTS:
+            raise ValueError(f"{d}^{depth} support points exceed the oracle limit "
+                             f"{transport.LP_MAX_POINTS}")
     start = time.perf_counter()
     rng = np.random.default_rng(check_count("seed", seed))
     worst_tree = worst_gap = 0.0
@@ -231,15 +236,6 @@ def check_transport_oracle(
 # ---------------------------------------------------------------------------
 
 
-def _trial_blocks(trials: int, cells: int) -> Iterator[int]:
-    """The sizes of consecutive blocks of ``trials`` trials, each of about
-    ``transport.BLOCK_CELLS`` cells when a trial's widest row has
-    ``cells`` cells; a check draws and measures one block at a time."""
-    step = max(1, transport.BLOCK_CELLS // cells)
-    for start in range(0, trials, step):
-        yield min(step, trials - start)
-
-
 def check_contraction_bounds(
     seed: int = 13, trials: int = 1000, d: int = 2, gamma: float = 0.3, depth: int = 4
 ) -> GoldenResult:
@@ -247,21 +243,24 @@ def check_contraction_bounds(
     for random kernels on the shift space ``(d, gamma)`` acting on pairs of
     depth-``depth`` measures.
 
-    The trials draw one after another.  The trials of a block with the
-    same kernel depth are then one group: one shrink of each kernel
-    table, four ``dual_rows`` images and four paired W1 passes."""
+    The trials draw one after another, in the ``shift.row_blocks`` of a
+    trial's d^(depth+1) image masses.  The trials of a block with the same
+    kernel depth are then one group: one shrink of each kernel table, four
+    ``dual_rows`` images and four paired W1 passes."""
     check_count("trials", trials, 1)
     check_count("depth", depth, 1)
     start = time.perf_counter()
     rng = np.random.default_rng(check_count("seed", seed))
     space = ShiftSpace(d, gamma)
+    shift.check_cells(f"an image of {d}^{depth + 1} masses", "depth", depth,
+                      lambda n: d ** (n + 1), f"d = {d}")
     r = space.contraction_rate
     worst_ratio = 0.0
     worst_perturb = worst_joint = -np.inf
     passes = 0
-    for block in _trial_blocks(trials, space.n_words(depth + 1)):
+    for block in shift.row_blocks(trials, space.n_words(depth + 1)):
         groups: Dict[int, list] = {}
-        for _ in range(block):
+        for _ in range(block.start, block.stop):
             depth_j = int(rng.integers(1, 3))
             groups.setdefault(depth_j, []).append((
                 draw_kernel(space, depth_j, rng), draw_kernel(space, depth_j, rng),
@@ -323,9 +322,9 @@ def check_section_identity(seed: int = 14, trials: int = 1000) -> GoldenResult:
     space = ShiftSpace(2, 0.3)
     worst = worst_dual = 0.0
     passes = 0
-    for block in _trial_blocks(trials, space.n_words(5)):
+    for block in shift.row_blocks(trials, space.n_words(5)):
         groups: Dict[Tuple[int, int], list] = {}
-        for _ in range(block):
+        for _ in range(block.start, block.stop):
             depth = int(rng.integers(1, 5))
             J = random_jacobian(space, int(rng.integers(1, min(depth + 1, 3) + 1)), rng)
             groups.setdefault((depth, J.depth), []).append((
@@ -583,30 +582,25 @@ def check_mpifs_operators(
 # ---------------------------------------------------------------------------
 
 
-# Cylinder codes per block of _partition_bruteforce: a power of two of at
-# least 128, the length below which numpy's pairwise sum stops halving.
-CODE_BLOCK = 1 << 16
-
-
 def _partition_bruteforce(p: float, ts: Sequence[float], n: int) -> List[float]:
     """Direct summation over all 2^n cylinders at each t: symbol 2 carries
     mass p and the max-sum is 1 unless the word is all 2s.  A cylinder's
     mass depends only on its count of 2s, so the n + 1 masses are computed
-    once and looked up.  The codes are taken ``CODE_BLOCK`` at a time and
-    the block sums added as a pairwise tree: numpy's pairwise sum halves a
-    power-of-two length exactly down to 128, so that is the bits of one sum
-    over all codes, without its 2^n-long temporaries."""
+    once and looked up.  The codes are taken in ``shift.row_blocks``, 2^n
+    or ``BLOCK_CELLS`` at a time, and the block sums added as a pairwise
+    tree: numpy's pairwise sum halves a power-of-two length exactly down to
+    128, so that is the bits of one sum over all codes, without its
+    2^n-long temporaries."""
     k = np.arange(n + 1)
     by_count = p ** k * (1.0 - p) ** (n - k)
-    size = min(1 << n, CODE_BLOCK)
-    sums = np.empty(((1 << n) // size, len(ts)))
-    for b in range(len(sums)):
-        codes = np.arange(b * size, (b + 1) * size, dtype=np.uint64)
+    sums = []
+    for block in shift.row_blocks(1 << n, 1):
+        codes = np.arange(block.start, block.stop, dtype=np.uint64)
         count2 = np.bitwise_count(codes)  # digit 1 <-> symbol 2
         masses = by_count[count2]
         maxsum = (count2 < n).astype(float)
-        for j, t in enumerate(ts):
-            sums[b, j] = (np.exp(-n * t * maxsum) * masses).sum()
+        sums.append([(np.exp(-n * t * maxsum) * masses).sum() for t in ts])
+    sums = np.array(sums)
     while len(sums) > 1:
         sums = sums[0::2] + sums[1::2]
     return [float(s) for s in sums[0]]

@@ -11,9 +11,9 @@ merging approximates the attractor with a computable error.  The images
 of all words of one length are one table, grown from the level before by
 one ``dual_rows`` product of every kernel against every row.  Only the
 level before the last is held whole: the last one is grown from it in
-row blocks.  The merged build (eps > 0) clusters each block as it
-arrives, one batched tree-W1 pass per leaf over the block's words not yet
-in a leaf, and keeps copies of the leaves' images; the exact (eps=0)
+``shift.row_blocks``.  The merged build (eps > 0) clusters each block as
+it arrives, one batched tree-W1 pass per leaf over the block's words not
+yet in a leaf, and keeps copies of the leaves' images; the exact (eps=0)
 invariant pressure needs one score per word, not the images.
 
 The second half of the module is the combinatorial max-plus IFS: a finite
@@ -35,21 +35,20 @@ a given density invariant.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import transport
 from .semiring import MaxPlus, check_maxplus_probability, pressure
 from .shift import (
-    MAX_CELLS,
     CylinderMeasure,
     Jacobian,
+    check_cells,
     check_count,
     dual_apply,
     dual_rows,
+    row_blocks,
 )
 from .simplex import SimplexGrid
 from .transport import tree_levels, w1_tree, w1_tree_levels
@@ -107,22 +106,13 @@ class AttractorSample:
 def _checked_word_length(fam: WeightedJacobianFamily, word_length,
                          nu0: CylinderMeasure) -> int:
     """``word_length`` as an int, once it is an integer >= 1 whose last
-    level of m^N images fits in MAX_CELLS cells, and once every kernel
+    level of m^N images passes ``check_cells``, and once every kernel
     applies to ``nu0``, with ``dual_apply``'s messages."""
     word_length = check_count("word length", word_length, 1)
     m, d = len(fam), fam.space.d
-
-    def cells(n: int) -> int:
-        return m ** n * d ** (nu0.depth + n)
-
-    if cells(word_length) > MAX_CELLS:
-        fits = bisect.bisect_right(range(word_length), MAX_CELLS, key=cells) - 1
-        raise ValueError(
-            f"{m}^{word_length} words of {d}^{nu0.depth + word_length} cells "
-            f"exceed the budget of {MAX_CELLS} cells; "
-            + (f"use word_length <= {fits}" if fits >= 1 else
-               f"the seed depth {nu0.depth} is too large, even at word_length 1")
-        )
+    check_cells(f"a level of {m}^{word_length} images of {d}^{nu0.depth + word_length} "
+                "masses", "word_length", word_length,
+                lambda n: m ** n * d ** (nu0.depth + n), f"the seed depth {nu0.depth}")
     if nu0.space != fam.space:
         raise ValueError("kernel and measure live on different spaces")
     deepest = max(J.depth for J in fam.jacobians)
@@ -156,14 +146,12 @@ def _levels(fam: WeightedJacobianFamily, nu0: CylinderMeasure, n: int) -> np.nda
 def _last_level(fam: WeightedJacobianFamily, word_length: int,
                 nu0: CylinderMeasure) -> Iterator[np.ndarray]:
     """The rows of ``_levels(fam, nu0, word_length)``, bit for bit and in
-    order, grown from the level before in row blocks of about
-    ``transport.BLOCK_CELLS`` cells: only that level and one block are
-    held, 1/(m d) of the last level's cells."""
+    order, grown from the level before in ``shift.row_blocks`` of about
+    ``BLOCK_CELLS`` image cells: only that level and one block are held,
+    1/(m d) of the last level's cells."""
     table = _levels(fam, nu0, word_length - 1)
-    rows, cells = table.shape
-    step = max(1, transport.BLOCK_CELLS // (len(fam) * fam.space.d * cells))
-    for start in range(0, rows, step):
-        yield _grow(fam, table[start:start + step])
+    for block in row_blocks(len(table), len(fam) * fam.space.d * table.shape[1]):
+        yield _grow(fam, table[block])
 
 
 def _word_weights(fam: WeightedJacobianFamily, n: int) -> np.ndarray:

@@ -13,6 +13,10 @@ rows, goes through ``check_probability_rows``; the max-plus counterpart is
 an alphabet size, depth, word length, orbit length, count or seed, goes
 through ``check_count``.
 
+The memory rule: a table sized by a count holds at most ``MAX_CELLS``
+cells, checked by ``check_cells``, and a streamed pass reads a table in
+the ``row_blocks`` of about ``BLOCK_CELLS`` cells.
+
 The ``*_rows`` forms act on whole tables, one row per function, kernel
 or measure: ``lipschitz_rows`` and ``pushforward_rows``, and the paired
 ``transfer_rows``, where row i of a kernel table acts on row i of a
@@ -29,15 +33,17 @@ of the caller's values, so it keeps the bits its checks passed.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Callable, Iterator, List, Sequence
 
 import numpy as np
 
 from .semiring import NORMALIZATION_TOL
 
 MAX_CELLS = 1 << 25   # float cells one table may hold (256 MiB of float64)
+BLOCK_CELLS = 1 << 15   # cells per block of a streamed pass; a power of two >= 128
 LIPSCHITZ_SLACK = 1e-9  # absorbs rounding in the Lip <= 1 admissibility check
 
 
@@ -218,6 +224,32 @@ def check_count(name: str, value, least: int = 0) -> int:
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
     return int(value)
+
+
+def check_cells(what: str, name: str, value: int, cells: Callable[[int], int],
+                culprit: str) -> None:
+    """Raise ``ValueError`` when ``what``, sized by the count ``name`` =
+    ``value``, needs more than MAX_CELLS cells; ``cells`` gives the cells
+    at each count and grows with it.  The message names the need, as a
+    power of two from 2^64 on (Python prints no int of over 4,300 digits),
+    and the largest count that fits, or ``culprit`` when not even 1 does."""
+    need = cells(value)
+    if need > MAX_CELLS:
+        fits = bisect.bisect_right(range(value), MAX_CELLS, key=cells) - 1
+        shown = need if need < 1 << 64 else f"at least 2^{need.bit_length() - 1}"
+        raise ValueError(
+            f"{what} needs {shown} cells, over the budget of {MAX_CELLS}; "
+            + (f"use {name} <= {fits}" if fits >= 1 else
+               f"{culprit} is too large, even at {name} = 1")
+        )
+
+
+def row_blocks(rows: int, cells: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(rows)``, each of at least one row and
+    of about BLOCK_CELLS cells when a row holds ``cells``: the blocks of
+    every streamed pass."""
+    step = max(1, BLOCK_CELLS // cells)
+    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
 class CylinderMeasure:

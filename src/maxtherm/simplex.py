@@ -29,7 +29,6 @@ A), taken against the symbol masses or ``markov_marginal``.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -38,8 +37,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .semiring import NORMALIZATION_TOL
-from .shift import MAX_CELLS, check_count, check_probability_rows
-from .transport import BLOCK_CELLS
+from .shift import check_cells, check_count, check_probability_rows, row_blocks
 
 ZERO_MASS = 1e-15  # masses at or below this count as zero for the minimizer log mu
 
@@ -122,18 +120,9 @@ class SimplexGrid:
     def __post_init__(self):
         object.__setattr__(self, "d", check_count("simplex dimension d", self.d, 2))
         object.__setattr__(self, "m", check_count("grid resolution m", self.m, 1))
-
-        def cells(m: int) -> int:
-            return math.comb(m + self.d - 1, self.d - 1) * self.d
-
-        if cells(self.m) > MAX_CELLS:
-            fits = bisect.bisect_right(range(self.m), MAX_CELLS, key=cells) - 1
-            raise ValueError(
-                f"the (d={self.d}, m={self.m}) lattice has {cells(self.m)} cells, "
-                f"over the budget of {MAX_CELLS}; "
-                + (f"use m <= {fits}" if fits >= 1 else
-                   f"d = {self.d} is too large, even at m = 1")
-            )
+        check_cells(f"the (d={self.d}, m={self.m}) lattice", "m", self.m,
+                    lambda m: math.comb(m + self.d - 1, self.d - 1) * self.d,
+                    f"d = {self.d}")
 
     def points(self) -> np.ndarray:
         """The lattice as an (N, d) array, shared and read-only."""
@@ -264,25 +253,24 @@ def _search(objective, grid: SimplexGrid, family=None):
     ``objective`` is called once on the lattice, and once per refinement
     round on every row's patch points together; each row's tilt is its
     own product, so every row gets the bits of a one-row search.  The
-    rows are scanned ``transport.BLOCK_CELLS`` lattice values at a time,
-    so no ``(N, k)`` table is held.  A row whose values hold NaN or +inf,
-    or are -inf on the whole lattice, is a ``ValueError``, the first such
-    row raising.  Returns ``(centers, bests, owner, evaluations)``: the
-    refined candidates, their values and rows, all in row order, and the
-    number of points scored for the rows together.
+    rows are scanned in ``shift.row_blocks``, so no ``(N, k)`` table is
+    held.  A row whose values hold NaN or +inf, or are -inf on the whole
+    lattice, is a ``ValueError``, the first such row raising.  Returns
+    ``(centers, bests, owner, evaluations)``: the refined candidates, their
+    values and rows, all in row order, and the number of points scored for
+    the rows together.
     """
     points = grid.points()
     rows = 1 if family is None else len(family)
     base = np.asarray(objective(points), dtype=float)
-    step = max(1, BLOCK_CELLS // len(points))
     centers, bests, owner = [], [], []
-    for lo in range(0, rows, step):
+    for block in row_blocks(rows, len(points)):
         if family is None:
             vals = base[None]
         else:
             # a NaN or inf in phi makes NaN scores, which the check below rejects
             with np.errstate(invalid="ignore"):
-                vals = np.array([base + points @ phi for phi in family[lo : lo + step]])
+                vals = np.array([base + points @ phi for phi in family[block]])
         fail = np.flatnonzero(~(vals < np.inf).all(axis=1) | ~(vals > -np.inf).any(axis=1))
         if fail.size:
             _checked(vals[fail[0]])
@@ -291,7 +279,7 @@ def _search(objective, grid: SimplexGrid, family=None):
         r, slot = np.nonzero(idx >= 0)
         centers.append(points[idx[r, slot]])
         bests.append(vals[r, idx[r, slot]])
-        owner.append(lo + r)
+        owner.append(block.start + r)
     owner = np.concatenate(owner)
     centers, bests, n_refine = _refine(
         lambda pts, counts: _tilted(np.asarray(objective(pts), dtype=float), pts,

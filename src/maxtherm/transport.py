@@ -42,11 +42,11 @@ certificate: its primal is its block's cost times its block's plan, and
 its potential is built from its block's sink duals alone.  Each LP is
 solved by dual simplex (Huangfu and Hall, Math. Prog. Comp. 2018) with
 presolve off, which solved all 8,000 pairs of 40 seeds of the battery's
-plan at the first try; a failed solve is retried once with presolve on.  ``LP_BLOCK_VARS`` sits below
-``BLOCK_CELLS`` because HiGHS's memory grows with the columns of one LP:
-at 2^15 variables the peak resident memory of a packed LP is about a
-tenth above that of the per-row LPs, while budgets of 2^12 to 2^14 take
-the same time.
+plan at the first try; a failed solve is retried once with presolve on.
+``LP_BLOCK_VARS`` sits below ``shift.BLOCK_CELLS``, capped by HiGHS's
+memory, which grows with the columns of one LP: at 2^15 variables the
+peak resident memory of a packed LP is about a tenth above that of the
+per-row LPs, while budgets of 2^12 to 2^14 take the same time.
 
 Only the oracle needs scipy, so it is imported on the first LP call, not
 with this module: ``linprog`` is a module attribute that loads
@@ -72,8 +72,7 @@ from .shift import (
 )
 
 LP_MAX_POINTS = 1024
-BLOCK_CELLS = 1 << 15   # cells per row block of a table streamed through a batched pass
-LP_BLOCK_VARS = 1 << 13   # plan variables per packed LP; below BLOCK_CELLS, see above
+LP_BLOCK_VARS = 1 << 13   # plan variables per packed LP, capped by HiGHS's memory
 
 
 def __getattr__(name: str):

@@ -11,7 +11,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from maxtherm import transport
+from maxtherm import shift, transport
 from maxtherm.dynamics import _log_mean_exp
 from maxtherm.ifs import AttractorLeaf, MpIFSSystem, WeightedJacobianFamily, attractor_build
 from maxtherm.semiring import pressure
@@ -327,8 +327,8 @@ def _random_measure(space: ShiftSpace, depth: int, rng: np.random.Generator) -> 
 
 def _groups(keys: list, cells: int) -> int:
     """Distinct keys summed over consecutive blocks of trials of about
-    ``transport.BLOCK_CELLS`` cells: the groups of a batched check."""
-    step = max(1, transport.BLOCK_CELLS // cells)
+    ``shift.BLOCK_CELLS`` cells: the groups of a batched check."""
+    step = max(1, shift.BLOCK_CELLS // cells)
     return sum(len(set(keys[i:i + step])) for i in range(0, len(keys), step))
 
 

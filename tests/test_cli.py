@@ -8,12 +8,13 @@ import inspect
 import json
 import platform
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy
 
-from maxtherm import __version__, cli, dynamics, goldens, ifs, simplex, transport
+from maxtherm import __version__, cli, dynamics, goldens, ifs, shift, simplex, transport
 from maxtherm.shift import CylinderMeasure, ShiftSpace, make_bernoulli_jacobian
 
 
@@ -431,9 +432,25 @@ def test_counts_below_one_exit_1(capsys, argv, message):
     assert "[PASS]" not in captured.out
 
 
+@pytest.mark.parametrize("argv", [["transport", "--depth", "28"],
+                                  ["transport", "--depth", "40", "--trials", "1"]])
+def test_transport_depth_over_the_cell_budget_exits_1(capsys, argv):
+    # 2^29 or 2^41 image masses: rejected before any measure is drawn
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert f"over the budget of {shift.MAX_CELLS}; use depth <= 24" in captured.err
+    assert "[PASS]" not in captured.out
+    assert peak < 1 << 20
+
+
 def test_ifs_length_over_the_cell_budget_exits_1(capsys):
     # 2^17 words of 2^18 cells: rejected before any level is allocated
     assert cli.main(["ifs", "--length", "17"]) == 1
     captured = capsys.readouterr()
-    assert f"exceed the budget of {ifs.MAX_CELLS} cells; use word_length <= 12" in captured.err
+    assert f"over the budget of {shift.MAX_CELLS}; use word_length <= 12" in captured.err
     assert "[PASS]" not in captured.out

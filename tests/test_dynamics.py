@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import bootstrap_by_indices, maxplus_birkhoff, worked_example_words
 
-from maxtherm import dynamics
+from maxtherm import dynamics, shift
 from maxtherm.dynamics import (
     BirkhoffReport,
     OrbitSampler,
@@ -358,7 +358,7 @@ class TestRowBlocks:
         f = DepthKFunction(ShiftSpace(d, 0.2), depth, rng.integers(0, 3, d ** depth) / 2)
         orbits = rng.integers(1, d + 1, (rows, n + max(depth, 1) - 1)).astype(np.uint8)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dynamics, "ROW_BLOCK", block)
+            mp.setattr(shift, "BLOCK_CELLS", block * n)
             got = birkhoff_max_table(f, orbits, n)
         assert got.tolist() == [maxplus_birkhoff(f, row.tolist(), n) for row in orbits]
 
@@ -417,7 +417,7 @@ class TestRowBlocks:
         # few distinct values, so ranks break ties
         f = DepthKFunction(ShiftSpace(d, 0.01), depth, rng.integers(0, 40, d ** depth) / 4)
         n = 20
-        orbits = rng.integers(1, d + 1, (dynamics.ROW_BLOCK + 44, n + depth - 1))
+        orbits = rng.integers(1, d + 1, (shift.BLOCK_CELLS // n + 44, n + depth - 1))
         orbits[::50] = d
         orbits = orbits.astype(dtype)
         got = birkhoff_max_table(f, orbits, n)

@@ -1,5 +1,7 @@
 """The golden battery: every check passes, and a crashing check is a FAIL."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from oracles import (
     section_identity_per_trial,
 )
 
-from maxtherm import cli, goldens, ifs, transport
+from maxtherm import cli, goldens, ifs, shift, transport
 from maxtherm.shift import CylinderMeasure, ShiftSpace, make_bernoulli_jacobian
 
 
@@ -134,7 +136,7 @@ def test_ldp_worked_example_passes_at_valid_flags(p, b, t, n_max, seed, mc_sampl
                                       (9, 1 << 7), (12, 1 << 8)])
 def test_blocked_cylinder_sums_keep_the_bits_of_one_sum(monkeypatch, n, block):
     if block is not None:
-        monkeypatch.setattr(goldens, "CODE_BLOCK", block)
+        monkeypatch.setattr(shift, "BLOCK_CELLS", block)
     p, ts = 0.3, (0.0, 0.1, 0.5, np.log(2.0), 2.0)
     count2 = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
     k = np.arange(n + 1)
@@ -190,7 +192,7 @@ def test_contraction_bounds_equal_the_per_trial_loop(seed, trials, space, depth)
 @pytest.mark.parametrize("cells", [32, 100, 1000])
 def test_the_checks_keep_their_lines_over_several_trial_blocks(monkeypatch, cells):
     # blocks of 1, 3 and 31 trials at the default depths
-    monkeypatch.setattr(transport, "BLOCK_CELLS", cells)
+    monkeypatch.setattr(shift, "BLOCK_CELLS", cells)
     got = goldens.check_contraction_bounds(7, 40)
     assert (got.detail, got.record) == contraction_bounds_per_trial(7, 40)
     assert got.record["groups"] > 2
@@ -241,6 +243,40 @@ def test_the_split_random_jacobian_makes_the_one_piece_kernel(d, depth, seed):
 def test_a_count_below_one_is_rejected(check, kwargs):
     with pytest.raises(ValueError, match="must be at least 1"):
         check(**kwargs)
+
+
+@pytest.mark.parametrize("d, depth, need, fits", [
+    (2, 28, "536870912", 24), (2, 40, "2199023255552", 24), (3, 20, "10460353203", 14),
+    # 3^3000001 has more digits than Python prints
+    (3, 3_000_000, "at least 2\\^4754889", 14),
+])
+def test_contraction_bounds_reject_an_image_over_the_budget_before_drawing(d, depth,
+                                                                            need, fits):
+    message = (f"an image of {d}\\^{depth + 1} masses needs {need} cells, "
+               f"over the budget of {shift.MAX_CELLS}; use depth <= {fits}$")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            goldens.check_contraction_bounds(trials=1, d=d, gamma=0.2, depth=depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the exact cell counts of the last case take a few MB; one image, GBs
+    assert peak < 1 << 24
+
+
+@pytest.mark.parametrize("plan", [((2, 0.3, 30, 1),), ((2, 0.3, 11, 1),),
+                                  ((2, 0.3, 2, 3), (3, 0.2, 7, 2))])
+def test_transport_oracle_rejects_an_entry_over_the_lp_limit_before_drawing(monkeypatch,
+                                                                            plan):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a pair was drawn")
+
+    monkeypatch.setattr(goldens, "random_measure", no_draws)
+    d, _, depth, _ = plan[-1]
+    with pytest.raises(ValueError, match=f"{d}\\^{depth} support points exceed the "
+                                         f"oracle limit {transport.LP_MAX_POINTS}$"):
+        goldens.check_transport_oracle(plan=plan)
 
 
 def _raising_check():

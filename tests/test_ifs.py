@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from maxtherm import ifs, transport
+from maxtherm import ifs, shift
 from maxtherm.goldens import random_jacobian, random_mpifs
 from maxtherm.ifs import (
     MpIFSSystem,
@@ -164,7 +164,7 @@ class TestAttractor:
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
                 # blocks of m rows, so block boundaries fall inside clusters
-                mp.setattr(transport, "BLOCK_CELLS", block)
+                mp.setattr(shift, "BLOCK_CELLS", block)
             sample = attractor_build(fam, N, nu0, eps=eps)
         expected = attractor_leaves(fam, N, nu0, sample.epsilon)
 
@@ -235,8 +235,9 @@ class TestAttractor:
         # 64 images of 2^20 masses exceed the budget even at word_length 1
         fam = WeightedJacobianFamily([make_bernoulli_jacobian(0.3, SPACE)] * 64, [0.0] * 64)
         seed = CylinderMeasure.bernoulli(SPACE, [0.5, 0.5], 19)
-        message = (f"64^1 words of 2^20 cells exceed the budget of {ifs.MAX_CELLS} cells; "
-                   "the seed depth 19 is too large, even at word_length 1")
+        message = (f"a level of 64^1 images of 2^20 masses needs {64 * 2 ** 20} cells, "
+                   f"over the budget of {shift.MAX_CELLS}; "
+                   "the seed depth 19 is too large, even at word_length = 1")
         with pytest.raises(ValueError) as built:
             attractor_build(fam, 1, seed)
         with pytest.raises(ValueError) as solved:
@@ -431,7 +432,7 @@ class TestInvariantPressure:
 
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
-                mp.setattr(transport, "BLOCK_CELLS", block)
+                mp.setattr(shift, "BLOCK_CELLS", block)
             res = invariant_pressure_solve(fam, g, N, nu0, eps=0.0)
         want = whole_table_solve(fam, g, N, nu0)
         assert np.array([res.value, res.fixed_point_residual]).tobytes() == \

@@ -3,17 +3,20 @@
 import functools
 import re
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import dual_image, index_word, integrate, transfer_repeated, word_metric
 
-from maxtherm.goldens import random_jacobian, random_measure
+from maxtherm import shift
+from maxtherm.goldens import check_contraction_bounds, random_jacobian, random_measure
 from maxtherm.ifs import WeightedJacobianFamily, attractor_build
 from maxtherm.shift import (
+    MAX_CELLS,
     CylinderMeasure,
     DepthKFunction,
     Jacobian,
@@ -26,10 +29,12 @@ from maxtherm.shift import (
     lipschitz_rows,
     make_bernoulli_jacobian,
     pushforward_apply,
+    row_blocks,
     symbol_table,
     transfer_rows,
     word_index,
 )
+from maxtherm.simplex import SimplexGrid
 
 SPACE = ShiftSpace(2, 0.3)
 
@@ -525,3 +530,55 @@ class TestProperties:
                               track_trace=False).measure
         shifted = pushforward_apply(const).masses
         assert np.abs(shifted - const.coarsen().masses).max() <= 1e-15
+
+
+def bernoulli_family_build(m: int, seed_depth: int, n: int):
+    """An attractor of m Bernoulli kernels from a depth-``seed_depth`` seed."""
+    fam = WeightedJacobianFamily([make_bernoulli_jacobian(0.3, SPACE)] * m, [0.0] * m)
+    return attractor_build(fam, n, CylinderMeasure.bernoulli(SPACE, [0.5, 0.5], seed_depth))
+
+
+# name: (cells at a count, a call that sizes its table by that count, the
+# largest count drawn), each with two more parameters: the lattice's d,
+# the family's size and its seed's depth, the image's d
+BUDGETS = {
+    "lattice": (lambda d, _, m: comb(m + d - 1, d - 1) * d,
+                lambda d, _, m: SimplexGrid(d, m), 1 << 26),
+    "attractor": (lambda m, depth, n: m ** n * 2 ** (depth + n),
+                  bernoulli_family_build, 200),
+    "image": (lambda d, _, depth: d ** (depth + 1),
+              lambda d, _, depth: check_contraction_bounds(0, 1, d, 0.5 / (d + 1), depth),
+              200),
+}
+
+
+class TestBudgets:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(0, 3000), cells=st.integers(1, 2000),
+           block=st.sampled_from((1, 7, 128, 1000, shift.BLOCK_CELLS)))
+    def test_row_blocks_cover_the_rows_once_in_order(self, rows, cells, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shift, "BLOCK_CELLS", block)
+            blocks = list(row_blocks(rows, cells))
+        sizes = [b.stop - b.start for b in blocks]
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(rows))
+        assert all(b.step is None and b.stop > b.start for b in blocks)
+        # only the last block is short
+        full = max(1, block // cells)
+        assert sizes[:-1] == [full] * (len(blocks) - 1)
+        assert rows == 0 or 1 <= sizes[-1] <= full
+
+    @settings(max_examples=150, deadline=None)
+    @given(budget=st.sampled_from(sorted(BUDGETS)), a=st.integers(2, 6),
+           b=st.integers(0, 10), data=st.data())
+    def test_check_cells_suggests_the_largest_count_that_fits(self, budget, a, b, data):
+        cells, build, top = BUDGETS[budget]
+        value = data.draw(st.integers(1, top))
+        need = cells(a, b, value)
+        assume(need > MAX_CELLS)
+        shown = need if need < 2 ** 64 else f"at least 2\\^{need.bit_length() - 1}"
+        with pytest.raises(ValueError, match=f"needs {shown} cells, over the budget of "
+                                             f"{MAX_CELLS}; use ") as err:
+            build(a, b, value)
+        K = int(re.search(r"<= (\d+)$", str(err.value)).group(1))
+        assert cells(a, b, K) <= MAX_CELLS < cells(a, b, K + 1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from maxtherm import cli, simplex
+from maxtherm import cli, shift, simplex
 from maxtherm.goldens import two_bump_density
 from maxtherm.simplex import (
     MARKOV_GRID,
@@ -437,7 +437,7 @@ class TestGridMechanics:
 
     def test_lattice_over_the_cell_budget_rejected(self):
         # C(m + 3, 3) * 4 cells at d = 4: m = 367 fits in 2^25, m = 368 does not
-        assert comb(367 + 3, 3) * 4 <= simplex.MAX_CELLS < comb(368 + 3, 3) * 4
+        assert comb(367 + 3, 3) * 4 <= shift.MAX_CELLS < comb(368 + 3, 3) * 4
         SimplexGrid(4, 367)
         with pytest.raises(ValueError, match=r"budget of 33554432; use m <= 367"):
             SimplexGrid(4, 368)
@@ -454,6 +454,6 @@ class TestGridMechanics:
         # C(1003, 3) * 4 cells at m = 1000: rejected before the lattice is built
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
-        assert "the (d=4, m=1000) lattice has 670674004 cells" in captured.err
+        assert "the (d=4, m=1000) lattice needs 670674004 cells" in captured.err
         assert "use m <= 367" in captured.err
         assert "[PASS]" not in captured.out

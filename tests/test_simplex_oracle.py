@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from maxtherm import simplex
+from maxtherm import shift, simplex
 from maxtherm.simplex import (
     DEDUP_TOL,
     MARKOV_GRID,
@@ -319,13 +319,15 @@ def family_cases(draw):
         kind=draw(st.sampled_from(KINDS + ("bottom",))),
         poison=draw(st.sampled_from((None, None, np.nan, np.inf, -np.inf))),
         seed=draw(st.integers(0, 2**32 - 1)),
+        one_row_blocks=draw(st.booleans()),
     )
 
 
 class TestFamilySearchMatchesPerRow:
     """A Gamma table is one search over the whole family; each entry must
     be the per-row ``level2_pressure`` value bit for bit, and a row that
-    the per-row loop rejects must raise the same error."""
+    the per-row loop rejects must raise the same error, also when
+    ``shift.BLOCK_CELLS`` makes each row a block of its own."""
 
     @settings(max_examples=120, deadline=None)
     @given(family_cases())
@@ -334,6 +336,7 @@ class TestFamilySearchMatchesPerRow:
     @example(dict(d=2, m=9, rows=5, kind="masked", poison=np.nan, seed=2))
     @example(dict(d=4, m=6, rows=3, kind="wavy", poison=np.inf, seed=3))
     @example(dict(d=2, m=30, rows=12, kind="quadratic-F", poison=-np.inf, seed=4))
+    @example(dict(d=3, m=8, rows=9, kind="wavy", poison=None, seed=5, one_row_blocks=True))
     def test_values_identical(self, case):
         grid = SimplexGrid(case["d"], case["m"])
         h = bottom if case["kind"] == "bottom" else random_objective(
@@ -348,10 +351,15 @@ class TestFamilySearchMatchesPerRow:
                 want = np.array([level2_pressure(h, lambda p, phi=phi: p @ phi, grid).value
                                  for phi in family])
         except ValueError as exc:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                convex_pressure_gamma(h, family, grid)
-            return
-        got = convex_pressure_gamma(h, family, grid)
+            want = exc
+        with pytest.MonkeyPatch.context() as mp:
+            if case.get("one_row_blocks"):
+                mp.setattr(shift, "BLOCK_CELLS", len(grid.points()))
+            if isinstance(want, ValueError):
+                with pytest.raises(ValueError, match=f"^{re.escape(str(want))}$"):
+                    convex_pressure_gamma(h, family, grid)
+                return
+            got = convex_pressure_gamma(h, family, grid)
         assert got.shape == want.shape == (case["rows"],)
         assert got.tobytes() == want.tobytes()
         for phi, value in zip(family, got):
