@@ -2,7 +2,8 @@
 
 Modules by topic:
 
-- ``semiring``: max-plus scalars and the array pressure of a density table
+- ``semiring``: max-plus scalars and the array pressure, the max of
+  density plus observable over a table
 - ``simplex``: pressures and equilibria on the probability simplex
 - ``shift``: cylinder measures, the transfer operator and its dual on
   shift spaces

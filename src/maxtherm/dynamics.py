@@ -20,6 +20,9 @@ with probability p^n and 1 otherwise, so:
   strictly above that rate;
 - ``chebyshev_step_exact``: both sides of the Chebyshev step.
 
+``c_maxplus_convexity_check`` reads a partition function c, from a closed
+form or from ``partition_function_mc``, and checks its max-plus convexity.
+
 The Monte Carlo c_n(t) carries a bootstrap interval drawn as value counts:
 the running maxes of m orbits take u <= min(m, d^depth) distinct values,
 and one multinomial draw of their counts gives every resample, at a cost of
@@ -45,7 +48,7 @@ symbol 2 carries mass p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Iterator, Tuple
 
 import numpy as np
 
@@ -476,46 +479,30 @@ class ConvexityReport:
 
 
 def c_maxplus_convexity_check(
-    f: DepthKFunction,
-    sampler: Optional[OrbitSampler],
-    s: float,
-    t: float,
-    alpha: float,
-    beta: float,
-    n: int = 50,
-    c_exact: Optional[Callable[[float], float]] = None,
+    c: Callable[[float], float], s: float, t: float, alpha: float, beta: float
 ) -> ConvexityReport:
-    """Check monotone-equality and max-plus convexity of c_n at finite n.
+    """Check monotone-equality and max-plus convexity of a partition function.
 
-    Requires f >= 1 and max(alpha, beta) = 0 (beta = -inf degenerates the
-    inequality to c(t) <= c(t)); a NaN weight is rejected.  All evaluations
-    reuse one orbit sample, under which both relations hold pathwise, so
-    residuals are at float precision rather than Monte Carlo scale.  Passing ``c_exact`` checks
-    the closed form instead of sampling, and ``sampler`` may then be None.
+    ``c`` is a closed form, or ``partition_function_mc``'s value at one n
+    over a seeded sampler, which draws the same orbits at every argument,
+    so both relations hold pathwise and residuals are at float precision.
+    Convexity needs the observable >= 1 and max(alpha, beta) = 0 (beta =
+    -inf degenerates it to c(t) <= c(t)); a NaN weight is rejected.  ``c``
+    is read once per distinct argument, at most three times.
     """
     _require_finite(s=s, t=t)
     for name, weight in (("alpha", alpha), ("beta", beta)):
         # max(0.0, nan) is 0.0, so the normalization test alone lets NaN through
         if np.isnan(weight):
             raise ValueError(f"{name} must be a number or -inf, got {weight!r}")
-    if float(f.values.min()) < 1.0:
-        raise ValueError("the convexity check needs f >= 1")
     if max(alpha, beta) != 0.0:
         raise ValueError("weights must satisfy max(alpha, beta) = 0")
 
-    if c_exact is not None:
-        c = c_exact
-    elif sampler is None:
-        raise ValueError("the convexity check needs a sampler or c_exact")
-    else:
-        maxes = birkhoff_max_table(f, sampler.sample(_orbit_length(sampler, f, n)), n)
-
-        def c(u: float) -> float:
-            return _log_mean_exp(n * u * maxes) / n
-
-    equality_residual = abs(c(max(s, t)) - max(c(s), c(t)))
     # a -inf weight drops out of both maxes, as bottom does
-    slack = max(alpha + c(t), beta + c(s)) - c(max(alpha + t, beta + s))
+    joint = max(alpha + t, beta + s)
+    at = {u: c(u) for u in dict.fromkeys((s, t, joint))}
+    equality_residual = abs(at[max(s, t)] - max(at[s], at[t]))
+    slack = max(alpha + at[t], beta + at[s]) - at[joint]
     return ConvexityReport(equality_residual=equality_residual, convexity_slack=slack)
 
 

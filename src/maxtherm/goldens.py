@@ -545,7 +545,7 @@ def check_mpifs_operators(
         lam = -rng.exponential(1.0, n)
         lam -= lam.max()
         F = rng.uniform(-2.0, 2.0, (3, n))
-        rhs, _ = pressure(lam, ifs.mpifs_ruelle(F.T, sys))
+        rhs = pressure(lam, ifs.mpifs_ruelle(F.T, sys))
         for f, composed in zip(F, rhs):
             worst_dual = max(worst_dual, abs(ifs.mpifs_markov(lam, f, sys) - composed))
 
@@ -676,11 +676,11 @@ def check_ldp_worked_example(
     sampler = dynamics.OrbitSampler.bernoulli([1.0 - p, p], n_orbits=2000, seed=seed)
     convexity = [
         dynamics.c_maxplus_convexity_check(
-            f_up, None, s=-0.8, t=0.3, alpha=0.0, beta=-0.5,
-            c_exact=lambda u: dynamics.c_limit_exact(p, -u) + u,
+            lambda u: dynamics.c_limit_exact(p, -u) + u, s=-0.8, t=0.3, alpha=0.0, beta=-0.5
         ),
         dynamics.c_maxplus_convexity_check(
-            f_up, sampler, s=0.4, t=0.2, alpha=0.0, beta=-0.3, n=30
+            lambda u: dynamics.partition_function_mc(sampler, f_up, u, 30).value,
+            s=0.4, t=0.2, alpha=0.0, beta=-0.3,
         ),
     ]
     ok &= all(rep.holds for rep in convexity)

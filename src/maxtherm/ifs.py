@@ -300,9 +300,7 @@ def density_entropy_estimate(
     near = np.array(
         [w1_tree(leaf.measure, mu) <= sample.epsilon for leaf in sample.leaves]
     )
-    value, _ = pressure(
-        [leaf.weight for leaf in sample.leaves], np.where(near, 0.0, -np.inf)
-    )
+    value = pressure([leaf.weight for leaf in sample.leaves], np.where(near, 0.0, -np.inf))
     return DensityEstimate(MaxPlus(value), w1_margin=margin, matched=int(near.sum()))
 
 
@@ -359,7 +357,7 @@ def invariant_pressure_solve(
         scores[k, 0] = g(mu)
         for i, J in enumerate(fam.jacobians, start=1):
             scores[k, i] = g(dual_apply(J, mu))
-    pressures, _ = pressure(weights, scores)
+    pressures = pressure(weights, scores)
     value = pressures[0]
     reapplied = (fam.weights + pressures[1:]).max()
     return InvariantPressure(
@@ -582,8 +580,8 @@ def mpifs_invariance_check(
             f"got shape {F.shape}"
         )
     F = np.ascontiguousarray(F.T)
-    base, _ = pressure(lam, F)
-    composed, _ = pressure(lam, mpifs_ruelle(F, sys))
+    base = pressure(lam, F)
+    composed = pressure(lam, mpifs_ruelle(F, sys))
     gaps = _gaps(composed, base)
     return InvarianceReport(
         float(gaps.max(initial=0.0)),

@@ -4,10 +4,10 @@ The max-plus semiring is the reals together with a bottom element, IEEE
 -inf, that is neutral for its addition (max) and absorbing for its
 multiplication (+).  A density entropy on a finite point set is a 1-D
 table with -inf off the support.  Its idempotent pressure is the max over
-the table of density + observable; the points attaining that max (up to a
-tolerance) are the equilibrium states, which need not be unique.
-``pressure`` evaluates it on an array, for one observable or a column
-batch of them at once.
+the table of density + observable, and ``pressure`` is that max and
+nothing more, on an array, for one observable or a column batch of them
+at once.  The points attaining it, the equilibrium states, need not be
+unique; ``simplex.SimplexMax.argmax`` collects them on the simplex.
 
 An idempotent probability, or max-plus density, has values <= 0 with
 bottom allowed and sup equal to 0.  Every table of that kind (kernel
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -60,19 +60,15 @@ class MaxPlus:
 BOTTOM = MaxPlus(_NEG_INF)
 
 
-def pressure(
-    density, g, argmax_tol: float = 1e-9
-) -> Tuple[Union[float, np.ndarray], np.ndarray]:
-    """The pressure max over points of density + g, and its equilibria.
+def pressure(density, g) -> Union[float, np.ndarray]:
+    """The pressure: the max over points of density + g.
 
     ``density`` is a 1-D table with -inf off the support; the support must
     be nonempty, and NaN and +inf are rejected.  ``g`` has shape ``(n,)``
     for one observable or ``(n, k)`` for one observable per column, with
     values real or -inf: NaN or +inf would score NaN against a bottom
-    density value, so they are rejected too.  The
-    value is a float for 1-D ``g`` and a ``(k,)`` array otherwise.  The
-    equilibria are the boolean mask, shaped like ``g``, of the scores
-    within ``argmax_tol`` of their column's max: ties are kept, not broken.
+    density value, so they are rejected too.  The value is a float for
+    1-D ``g`` and a ``(k,)`` array otherwise.
     """
     dens = np.asarray(density, dtype=float)
     if dens.ndim != 1:
@@ -92,10 +88,8 @@ def pressure(
         )
     if np.isnan(g).any() or (g == math.inf).any():
         raise ValueError("observables must be real or -inf, not NaN or +inf")
-    scores = (dens if g.ndim == 1 else dens[:, None]) + g
-    best = scores.max(axis=0)
-    equilibria = scores >= best - argmax_tol
-    return (float(best) if g.ndim == 1 else best), equilibria
+    best = ((dens if g.ndim == 1 else dens[:, None]) + g).max(axis=0)
+    return float(best) if g.ndim == 1 else best
 
 
 def check_maxplus_probability(table) -> np.ndarray:

@@ -226,22 +226,35 @@ def check_count(name: str, value, least: int = 0) -> int:
     return int(value)
 
 
+def count_text(n: int) -> str:
+    """``n`` in digits, or from 2^64 on as "at least 2^k", since Python
+    prints no int of over 4,300 digits."""
+    return str(n) if n < 1 << 64 else f"at least 2^{n.bit_length() - 1}"
+
+
 def check_cells(what: str, name: str, value: int, cells: Callable[[int], int],
                 culprit: str) -> None:
     """Raise ``ValueError`` when ``what``, sized by the count ``name`` =
     ``value``, needs more than MAX_CELLS cells; ``cells`` gives the cells
-    at each count and grows with it.  The message names the need, as a
-    power of two from 2^64 on (Python prints no int of over 4,300 digits),
-    and the largest count that fits, or ``culprit`` when not even 1 does."""
-    need = cells(value)
-    if need > MAX_CELLS:
-        fits = bisect.bisect_right(range(value), MAX_CELLS, key=cells) - 1
-        shown = need if need < 1 << 64 else f"at least 2^{need.bit_length() - 1}"
-        raise ValueError(
-            f"{what} needs {shown} cells, over the budget of {MAX_CELLS}; "
-            + (f"use {name} <= {fits}" if fits >= 1 else
-               f"{culprit} is too large, even at {name} = 1")
-        )
+    at each count and grows with it.  The message names the need and the
+    largest count that fits, or ``culprit`` when not even 1 does.  The
+    search gallops over 1, 2, 4, ... to the first count over the budget and
+    bisects below it; past twice that count, where an absurd count could
+    take seconds to size, the need is named by its cells there."""
+    fits, over = 0, min(1, value)
+    while cells(over) <= MAX_CELLS:
+        if over == value:
+            return
+        fits, over = over, min(2 * over, value)
+    fits += bisect.bisect_right(range(fits + 1, over), MAX_CELLS, key=cells)
+    top = min(2 * over, value)
+    need = cells(top)
+    shown = count_text(need) if top == value or need >= 1 << 64 else f"at least {need}"
+    raise ValueError(
+        f"{what} needs {shown} cells, over the budget of {MAX_CELLS}; "
+        + (f"use {name} <= {fits}" if fits >= 1 else
+           f"{culprit} is too large, even at {name} = 1")
+    )
 
 
 def row_blocks(rows: int, cells: int) -> Iterator[slice]:

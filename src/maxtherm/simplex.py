@@ -37,7 +37,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .semiring import NORMALIZATION_TOL
-from .shift import check_cells, check_count, check_probability_rows, row_blocks
+from .shift import check_cells, check_count, check_probability_rows, count_text, row_blocks
 
 ZERO_MASS = 1e-15  # masses at or below this count as zero for the minimizer log mu
 
@@ -120,9 +120,9 @@ class SimplexGrid:
     def __post_init__(self):
         object.__setattr__(self, "d", check_count("simplex dimension d", self.d, 2))
         object.__setattr__(self, "m", check_count("grid resolution m", self.m, 1))
-        check_cells(f"the (d={self.d}, m={self.m}) lattice", "m", self.m,
-                    lambda m: math.comb(m + self.d - 1, self.d - 1) * self.d,
-                    f"d = {self.d}")
+        d = count_text(self.d)
+        check_cells(f"the (d={d}, m={count_text(self.m)}) lattice", "m", self.m,
+                    lambda m: math.comb(m + self.d - 1, self.d - 1) * self.d, f"d = {d}")
 
     def points(self) -> np.ndarray:
         """The lattice as an (N, d) array, shared and read-only."""
@@ -411,9 +411,11 @@ def pressure_axioms_check(
     return PressureAxiomsReport(worst_mono, worst_trans, worst_conv)
 
 
-def affine_observable_family(
-    d: int, lo: float = -6.0, hi: float = 6.0, num: int = 241
-) -> np.ndarray:
+AFFINE_SPAN = 6.0     # the free coefficients of the affine family lie in [-6, 6]
+AFFINE_COUNT = 241    # about this many observables in the affine family
+
+
+def affine_observable_family(d: int) -> np.ndarray:
     """Coefficient grid of observables with last coordinate pinned to 0, as
     a ``(k, d)`` array with one observable per row.
 
@@ -421,8 +423,9 @@ def affine_observable_family(
     constant changes the recovered value by nothing.
     """
     d = check_count("simplex dimension d", d, 2)
-    per_axis = max(3, int(round(num ** (1.0 / (d - 1)))))
-    mesh = np.meshgrid(*[np.linspace(lo, hi, per_axis)] * (d - 1), indexing="ij")
+    per_axis = max(3, int(round(AFFINE_COUNT ** (1.0 / (d - 1)))))
+    axis = np.linspace(-AFFINE_SPAN, AFFINE_SPAN, per_axis)
+    mesh = np.meshgrid(*[axis] * (d - 1), indexing="ij")
     free = np.column_stack([m.ravel() for m in mesh])
     return np.column_stack([free, np.zeros(len(free))])
 

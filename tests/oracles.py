@@ -12,7 +12,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from maxtherm import shift, transport
-from maxtherm.dynamics import _log_mean_exp
+from maxtherm.dynamics import _log_mean_exp, birkhoff_max_table
 from maxtherm.ifs import AttractorLeaf, MpIFSSystem, WeightedJacobianFamily, attractor_build
 from maxtherm.semiring import pressure
 from maxtherm.shift import (
@@ -162,7 +162,7 @@ def whole_table_solve(
     weights = np.array([leaf.weight for leaf in leaves])
 
     def best(fn: Callable[[CylinderMeasure], float]) -> float:
-        return pressure(weights, np.array([fn(leaf.measure) for leaf in leaves]))[0]
+        return pressure(weights, np.array([fn(leaf.measure) for leaf in leaves]))
 
     value = best(g)
     reapplied = max(
@@ -293,6 +293,14 @@ def bootstrap_by_indices(expo: np.ndarray, n: int, resamples) -> np.ndarray:
     for b, idx in enumerate(resamples):
         boots[b] = _log_mean_exp(expo[idx]) / n
     return boots
+
+
+def one_sample_c(f: DepthKFunction, sampler, u: float, n: int) -> float:
+    """c_n(u) = (1/n) log of the mean of exp(n u max-sum) over one draw of
+    ``sampler``'s orbits, with no interval: the convexity check's own copy
+    of the Monte Carlo recipe before it took a partition function."""
+    maxes = birkhoff_max_table(f, sampler.sample(n + max(f.depth, 1) - 1), n)
+    return _log_mean_exp(n * u * maxes) / n
 
 
 def random_jacobian_in_one_piece(space: ShiftSpace, depth: int,

@@ -8,6 +8,7 @@ import inspect
 import json
 import platform
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -354,7 +355,8 @@ def test_ldp_runs_the_monte_carlo_leg_without_out(capsys, monkeypatch, mc_sample
                         lambda *args: calls.append(args[-1]) or mc(*args))
     code, out = _run(capsys, "ldp", "--n-max", "3", "--mc-samples", str(mc_samples))
     assert code == 0
-    assert calls == ([1, 2, 3] if mc_samples else [])
+    # the convexity leg reads c_30 at its two distinct arguments first
+    assert calls == [30, 30] + ([1, 2, 3] if mc_samples else [])
     clause = re.search(r"Monte Carlo c_n at (\d+) orbits: exact inside the "
                        r"interval at (\d)/3 n", out)
     assert (clause is not None) == bool(mc_samples)
@@ -432,18 +434,24 @@ def test_counts_below_one_exit_1(capsys, argv, message):
     assert "[PASS]" not in captured.out
 
 
-@pytest.mark.parametrize("argv", [["transport", "--depth", "28"],
-                                  ["transport", "--depth", "40", "--trials", "1"]])
-def test_transport_depth_over_the_cell_budget_exits_1(capsys, argv):
-    # 2^29 or 2^41 image masses: rejected before any measure is drawn
+@pytest.mark.parametrize("argv, fits", [
+    (["transport", "--depth", "28"], 24),
+    (["transport", "--depth", "40", "--trials", "1"], 24),
+    # 3^30000001 masses: sizing the image itself would take seconds
+    (["transport", "--d", "3", "--gamma", "0.2", "--depth", "30000000", "--trials", "1"], 14),
+], ids=["argv0", "argv1", "argv2"])
+def test_transport_depth_over_the_cell_budget_exits_1(capsys, argv, fits):
+    # rejected at once, before any measure is drawn
+    start = time.perf_counter()
     tracemalloc.start()
     try:
         assert cli.main(argv) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
-    assert f"over the budget of {shift.MAX_CELLS}; use depth <= 24" in captured.err
+    assert f"over the budget of {shift.MAX_CELLS}; use depth <= {fits}" in captured.err
     assert "[PASS]" not in captured.out
     assert peak < 1 << 20
 

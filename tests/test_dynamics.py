@@ -8,7 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bootstrap_by_indices, maxplus_birkhoff, worked_example_words
+from oracles import (
+    bootstrap_by_indices,
+    maxplus_birkhoff,
+    one_sample_c,
+    worked_example_words,
+)
 
 from maxtherm import dynamics, shift
 from maxtherm.dynamics import (
@@ -715,53 +720,74 @@ class TestWordLoopOracle:
 
 
 class TestMaxPlusConvexity:
+    @staticmethod
+    def sampled(sampler, f, n):
+        """c_n over one seeded sample: every call draws the same orbits."""
+        return lambda u: partition_function_mc(sampler, f, u, n).value
+
     def test_equal_arguments(self):
         sampler = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=2000, seed=15)
         f = DepthKFunction(SPACE, 1, [2.0, 1.0])   # f >= 1
-        rep = c_maxplus_convexity_check(f, sampler, s=0.4, t=0.4,
-                                        alpha=0.0, beta=-0.3, n=30)
+        rep = c_maxplus_convexity_check(self.sampled(sampler, f, 30), s=0.4, t=0.4,
+                                        alpha=0.0, beta=-0.3)
         assert rep.equality_residual <= 1e-12
         assert rep.convexity_slack >= -1e-12
 
     def test_degenerate_weight(self):
         sampler = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=2000, seed=16)
         f = DepthKFunction(SPACE, 1, [2.0, 1.0])
-        rep = c_maxplus_convexity_check(f, sampler, s=0.7, t=0.2,
-                                        alpha=0.0, beta=-np.inf, n=25)
+        rep = c_maxplus_convexity_check(self.sampled(sampler, f, 25), s=0.7, t=0.2,
+                                        alpha=0.0, beta=-np.inf)
         assert rep.convexity_slack >= -1e-15
-
-    def test_requires_f_at_least_one(self):
-        sampler = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=100, seed=17)
-        with pytest.raises(ValueError, match="f >= 1"):
-            c_maxplus_convexity_check(F_FIRST, sampler, 0.1, 0.2, 0.0, -1.0)
 
     def test_closed_form_shifted_example(self):
         # shifting f up by 1 shifts c by t: c_new(u) = max(u, log p) + u
-        # with the closed form no sampler is needed
         p = 0.4
         c_shifted = lambda u: max(u, np.log(p)) + u
-        f = DepthKFunction(SPACE, 1, [2.0, 1.0])
-        rep = c_maxplus_convexity_check(
-            f, None, s=-0.8, t=0.3, alpha=0.0, beta=-0.5, n=20,
-            c_exact=c_shifted,
-        )
+        rep = c_maxplus_convexity_check(c_shifted, s=-0.8, t=0.3, alpha=0.0, beta=-0.5)
         assert rep.equality_residual <= 1e-12
         assert rep.convexity_slack >= -1e-12
 
-    def test_needs_a_sampler_or_closed_form(self):
-        f = DepthKFunction(SPACE, 1, [2.0, 1.0])
-        with pytest.raises(ValueError, match="a sampler or c_exact"):
-            c_maxplus_convexity_check(f, None, 0.1, 0.2, 0.0, -1.0)
+    @pytest.mark.parametrize("s, t, alpha, beta, reads", [
+        (0.4, 0.2, 0.0, -0.3, [0.4, 0.2]),      # the joint argument is t
+        (0.4, 0.2, 0.0, -0.1, [0.4, 0.2, 0.30000000000000004]),
+        (0.3, 0.3, -0.5, 0.0, [0.3]),            # s = t = the joint argument
+        (0.7, 0.2, 0.0, -np.inf, [0.7, 0.2]),
+    ])
+    def test_reads_c_once_per_distinct_argument(self, s, t, alpha, beta, reads):
+        calls = []
+        rep = c_maxplus_convexity_check(lambda u: calls.append(u) or 2.0 * u,
+                                        s, t, alpha, beta)
+        assert calls == reads
+        assert rep.holds
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(2, 3), depth=st.integers(0, 2), n=st.integers(1, 60),
+           seed=st.integers(0, 2 ** 32), data=st.data())
+    def test_sampled_c_is_the_one_sample_oracle(self, d, depth, n, seed, data):
+        """``partition_function_mc``'s value is the one-sample c bit for bit,
+        and over it, for f >= 1, the equality holds exactly and convexity up
+        to rounding: at f = 1, where it is tight, beta + c(s) can round one
+        ulp below c(beta + s)."""
+        cells = d ** depth
+        f = DepthKFunction(ShiftSpace(d, 0.5 / (d + 1)), depth, data.draw(
+            st.lists(st.floats(1.0, 20.0), min_size=cells, max_size=cells)))
+        probs = np.random.default_rng(seed).dirichlet(np.ones(d))
+        sampler = OrbitSampler.bernoulli(probs, n_orbits=40, seed=seed)
+        u = data.draw(st.floats(-1e3, 1e3))
+        assert partition_function_mc(sampler, f, u, n).value == one_sample_c(f, sampler, u, n)
+        s, t = data.draw(st.floats(-5.0, 5.0)), data.draw(st.floats(-5.0, 5.0))
+        weight = data.draw(st.one_of(st.floats(-5.0, 0.0), st.just(-np.inf)))
+        alpha, beta = data.draw(st.sampled_from([(0.0, weight), (weight, 0.0)]))
+        rep = c_maxplus_convexity_check(self.sampled(sampler, f, n), s, t, alpha, beta)
+        assert rep.equality_residual == 0.0
+        assert rep.holds
 
     @pytest.mark.parametrize("s, t", [(np.nan, 0.2), (0.1, np.inf), (-np.inf, 0.2)])
     def test_non_finite_arguments_rejected(self, s, t):
-        sampler = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=100, seed=19)
-        f = DepthKFunction(SPACE, 1, [2.0, 1.0])
         name = "s" if not np.isfinite(s) else "t"
         with pytest.raises(ValueError, match=f"{name} must be a finite number"):
-            c_maxplus_convexity_check(f, sampler, s, t, 0.0, -1.0)
-        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
-            c_maxplus_convexity_check(f, None, s, t, 0.0, -1.0, c_exact=lambda u: u)
+            c_maxplus_convexity_check(lambda u: u, s, t, 0.0, -1.0)
 
     @pytest.mark.parametrize("alpha, beta", [(0.0, np.nan), (np.nan, 0.0), (np.nan, -np.inf)])
     def test_nan_weight_rejected(self, alpha, beta):
@@ -770,18 +796,15 @@ class TestMaxPlusConvexity:
         sampler = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=100, seed=19)
         f = DepthKFunction(SPACE, 1, [2.0, 1.0])
         name = "alpha" if np.isnan(alpha) else "beta"
-        for sampler, c_exact in ((sampler, None), (None, lambda u: max(u, np.log(0.4)) + u)):
+        for c in (self.sampled(sampler, f, 50), lambda u: max(u, np.log(0.4)) + u):
             with pytest.raises(ValueError, match=f"{name} must be a number or -inf, got nan"):
-                c_maxplus_convexity_check(f, sampler, 0.4, 0.2, alpha, beta, c_exact=c_exact)
+                c_maxplus_convexity_check(c, 0.4, 0.2, alpha, beta)
 
     def test_minus_infinite_weight_is_bottom_in_closed_form(self):
-        f = DepthKFunction(SPACE, 1, [2.0, 1.0])
-        rep = c_maxplus_convexity_check(f, None, 0.4, 0.2, 0.0, -np.inf,
-                                        c_exact=lambda u: max(u, np.log(0.4)) + u)
+        rep = c_maxplus_convexity_check(lambda u: max(u, np.log(0.4)) + u,
+                                        0.4, 0.2, 0.0, -np.inf)
         assert rep.holds
 
     def test_weights_must_be_normalized(self):
-        sampler = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=100, seed=19)
-        f = DepthKFunction(SPACE, 1, [2.0, 1.0])
         with pytest.raises(ValueError, match="max"):
-            c_maxplus_convexity_check(f, sampler, 0.1, 0.2, -0.5, -1.0)
+            c_maxplus_convexity_check(lambda u: u, 0.1, 0.2, -0.5, -1.0)

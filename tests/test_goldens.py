@@ -247,8 +247,9 @@ def test_a_count_below_one_is_rejected(check, kwargs):
 
 @pytest.mark.parametrize("d, depth, need, fits", [
     (2, 28, "536870912", 24), (2, 40, "2199023255552", 24), (3, 20, "10460353203", 14),
-    # 3^3000001 has more digits than Python prints
-    (3, 3_000_000, "at least 2\\^4754889", 14),
+    # 3^3000001 is not computed: the need is stated as at least 3^33, the
+    # cells at depth 32, twice the first depth over the budget (16)
+    (3, 3_000_000, "at least 5559060566555523", 14),
 ])
 def test_contraction_bounds_reject_an_image_over_the_budget_before_drawing(d, depth,
                                                                             need, fits):

@@ -21,7 +21,13 @@ from maxtherm.ifs import (
 )
 from maxtherm.semiring import BOTTOM, MaxPlus, check_maxplus_probability, pressure
 from maxtherm.shift import CylinderMeasure, Jacobian, ShiftSpace, make_bernoulli_jacobian
-from maxtherm.simplex import SimplexGrid, as_prob_vector, shannon_entropy
+from maxtherm.simplex import (
+    SimplexGrid,
+    as_prob_vector,
+    level2_pressure,
+    shannon_entropy,
+    shannon_entropy_table,
+)
 
 LOG3 = 1.0986122886681098
 NEG_INF = -np.inf
@@ -29,13 +35,13 @@ NEG_INF = -np.inf
 
 def oplus(*values):
     """max of the values: their pressure on the zero density."""
-    return pressure(np.zeros(len(values)), np.array(values, dtype=float))[0]
+    return pressure(np.zeros(len(values)), np.array(values, dtype=float))
 
 
 def odot(a, b):
     """a + b: the pressure of g = b on the density a, next to a point
     whose observable -inf keeps it out of the max."""
-    return pressure(np.array([a, 0.0]), np.array([b, NEG_INF]))[0]
+    return pressure(np.array([a, 0.0]), np.array([b, NEG_INF]))
 
 
 class TestScalars:
@@ -44,29 +50,24 @@ class TestScalars:
         assert oplus(NEG_INF, -7.5) == -7.5
 
     def test_oplus_idempotent(self):
-        value, equilibria = pressure(np.array([3.0, 3.0]), np.zeros(2))
-        assert value == 3.0
-        assert equilibria.tolist() == [True, True]
+        assert pressure(np.array([3.0, 3.0]), np.zeros(2)) == 3.0
 
     def test_oplus_max(self):
         assert oplus(-1.5, 2.5) == 2.5
 
     def test_odot_absorbing_bottom(self):
         # a point off the support scores -inf whatever the observable
-        value, equilibria = pressure(np.array([NEG_INF, 0.0]), np.array([5.0, 1.0]))
-        assert value == 1.0
-        assert equilibria.tolist() == [False, True]
+        assert pressure(np.array([NEG_INF, 0.0]), np.array([5.0, 1.0])) == 1.0
         # an observable at -inf absorbs a finite density value
-        value, _ = pressure(np.array([0.0, -1.0]), np.array([NEG_INF, NEG_INF]))
-        assert value == NEG_INF
+        assert pressure(np.array([0.0, -1.0]), np.array([NEG_INF, NEG_INF])) == NEG_INF
         assert odot(NEG_INF, 5.0) == NEG_INF
 
     def test_odot_addition(self):
-        assert pressure(np.array([2.0]), np.array([3.0]))[0] == 5.0
+        assert pressure(np.array([2.0]), np.array([3.0])) == 5.0
 
     def test_odot_zero_neutral(self):
         for x in (-3.25, 0.0, 17.5):
-            assert pressure(np.array([x]), np.zeros(1))[0] == x
+            assert pressure(np.array([x]), np.zeros(1)) == x
 
     def test_bottom_is_distinct_state_not_sentinel(self):
         big = MaxPlus(-1e308)
@@ -74,10 +75,8 @@ class TestScalars:
         assert BOTTOM != big
         # neutrality and absorption are exact even against huge finite values
         assert oplus(-1e308, NEG_INF) == -1e308
-        assert pressure(np.array([-1e308]), np.zeros(1))[0] == -1e308
-        value, equilibria = pressure(np.array([-1e308, NEG_INF]), np.array([0.0, 1e300]))
-        assert value == -1e308
-        assert equilibria.tolist() == [True, False]
+        assert pressure(np.array([-1e308]), np.zeros(1)) == -1e308
+        assert pressure(np.array([-1e308, NEG_INF]), np.array([0.0, 1e300])) == -1e308
 
     def test_rejects_nan_and_plus_inf(self):
         with pytest.raises(ValueError):
@@ -141,52 +140,39 @@ class TestDensitySample:
         # a normalized density (max 0) gives the zero observable pressure 0;
         # shifting by the max keeps -inf off the support
         dens = np.array([-1.0, -3.0, NEG_INF])
-        assert pressure(dens, np.zeros(3))[0] == -1.0
+        assert pressure(dens, np.zeros(3)) == -1.0
         normed = dens - dens.max()
-        value, equilibria = pressure(normed, np.zeros(3))
-        assert value == 0.0
+        assert pressure(normed, np.zeros(3)) == 0.0
         assert normed[0] == 0.0
         assert np.isneginf(normed[2])
-        assert equilibria.tolist() == [True, False, False]
 
 
 class TestPressureEval:
     def test_pure_max(self):
-        value, equilibria = pressure(np.array([0.0, 0.0]), np.array([1.0, 4.0]))
+        value = pressure(np.array([0.0, 0.0]), np.array([1.0, 4.0]))
         assert value == 4.0
         assert isinstance(value, float)
-        assert np.flatnonzero(equilibria).tolist() == [1]
 
     def test_bottom_excludes_point(self):
-        value, equilibria = pressure(np.array([0.0, NEG_INF]), np.array([1.0, 100.0]))
-        assert value == 1.0
-        assert np.flatnonzero(equilibria).tolist() == [0]
+        assert pressure(np.array([0.0, NEG_INF]), np.array([1.0, 100.0])) == 1.0
 
     def test_shannon_on_simplex_grid_peaks_at_barycenter(self):
         # m divisible by 3 so the barycenter is a grid point
-        pts = SimplexGrid(3, 30).points()
-        dens = np.array([shannon_entropy(p) for p in pts])
-        value, equilibria = pressure(dens, np.zeros(len(pts)))
-        assert value == pytest.approx(LOG3, abs=1e-12)
-        assert equilibria.sum() == 1
-        assert pts[equilibria][0] == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+        grid = SimplexGrid(3, 30)
+        dens = np.array([shannon_entropy(p) for p in grid.points()])
+        assert pressure(dens, np.zeros(len(dens))) == pytest.approx(LOG3, abs=1e-12)
+        # its one equilibrium, as the battery reads equilibria
+        res = level2_pressure(shannon_entropy_table, lambda pts: np.zeros(len(pts)), grid)
+        assert res.argmax == pytest.approx(np.full((1, 3), 1 / 3))
 
     def test_normalized_density_constant_observable(self):
         rng = np.random.default_rng(3)
         dens = rng.uniform(-5, 0, 8)
         dens -= dens.max()
         for c in (-2.5, 0.0, 7.0):
-            assert pressure(dens, np.full(8, c))[0] == c
-        columns, _ = pressure(dens, np.tile([-2.5, 0.0, 7.0], (8, 1)))
+            assert pressure(dens, np.full(8, c)) == c
+        columns = pressure(dens, np.tile([-2.5, 0.0, 7.0], (8, 1)))
         assert columns.tolist() == [-2.5, 0.0, 7.0]
-
-    def test_argmax_tolerance_collects_ties(self):
-        _, equilibria = pressure(np.array([0.0, 0.0, -1.0]), np.zeros(3))
-        assert np.flatnonzero(equilibria).tolist() == [0, 1]
-        _, near = pressure(np.array([0.0, -1e-10, -1e-8]), np.zeros(3))
-        assert near.tolist() == [True, True, False]
-        _, wide = pressure(np.array([0.0, -1e-10, -1e-8]), np.zeros(3), argmax_tol=1e-7)
-        assert wide.tolist() == [True, True, True]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nan_or_plus_inf_observable_rejected(self, bad):
@@ -197,9 +183,8 @@ class TestPressureEval:
             pressure([0.0, NEG_INF], [[0.0, 1.0], [0.0, bad]])
 
     def test_bottom_observable_values_stay_allowed(self):
-        value, equilibria = pressure([0.0, -1.0], [NEG_INF, 0.0])
-        assert (value, equilibria.tolist()) == (-1.0, [False, True])
-        values, _ = pressure([0.0, NEG_INF], [[NEG_INF, 2.0], [NEG_INF, NEG_INF]])
+        assert pressure([0.0, -1.0], [NEG_INF, 0.0]) == -1.0
+        values = pressure([0.0, NEG_INF], [[NEG_INF, 2.0], [NEG_INF, NEG_INF]])
         assert values.tolist() == [NEG_INF, 2.0]
 
     def test_columns_are_independent_pressures(self):
@@ -209,23 +194,20 @@ class TestPressureEval:
         G = rng.uniform(-2, 2, (6, 5))
         G[rng.random((6, 5)) < 0.3] = NEG_INF
         G[:, 4] = NEG_INF   # a bottom column
-        values, equilibria = pressure(dens, G)
-        assert values.shape == (5,) and equilibria.shape == (6, 5)
+        values = pressure(dens, G)
+        assert values.shape == (5,)
         assert values[4] == NEG_INF
         for j in range(5):
-            value, mask = pressure(dens, G[:, j])
-            assert values[j] == value
-            assert np.array_equal(equilibria[:, j], mask)
-        empty, none = pressure(dens, np.empty((6, 0)))
-        assert empty.shape == (0,) and none.shape == (6, 0)
+            assert values[j] == pressure(dens, G[:, j])
+        assert pressure(dens, np.empty((6, 0))).shape == (0,)
 
 
 def _axiom_residuals(dens, g, g2, c):
     """|l(c (.) g) - (c + l(g))| and |l(g (+) g') - max(l(g), l(g'))|."""
-    lg, lg2 = pressure(dens, g)[0], pressure(dens, g2)[0]
+    lg, lg2 = pressure(dens, g), pressure(dens, g2)
     return (
-        abs(pressure(dens, c + g)[0] - (c + lg)),
-        abs(pressure(dens, np.maximum(g, g2))[0] - max(lg, lg2)),
+        abs(pressure(dens, c + g) - (c + lg)),
+        abs(pressure(dens, np.maximum(g, g2)) - max(lg, lg2)),
     )
 
 

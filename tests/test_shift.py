@@ -552,6 +552,17 @@ BUDGETS = {
 }
 
 
+def gallop(value: int) -> list:
+    """The counts 1, 2, 4, ... below ``value``, then ``value``."""
+    return [1 << k for k in range(value.bit_length()) if 1 << k < value] + [value]
+
+
+def first_over_budget(cells, value: int):
+    """The first count of ``gallop(value)`` whose cells pass MAX_CELLS, or
+    None if value fits."""
+    return next((n for n in gallop(value) if cells(n) > MAX_CELLS), None)
+
+
 class TestBudgets:
     @settings(max_examples=200, deadline=None)
     @given(rows=st.integers(0, 3000), cells=st.integers(1, 2000),
@@ -576,9 +587,60 @@ class TestBudgets:
         value = data.draw(st.integers(1, top))
         need = cells(a, b, value)
         assume(need > MAX_CELLS)
-        shown = need if need < 2 ** 64 else f"at least 2\\^{need.bit_length() - 1}"
-        with pytest.raises(ValueError, match=f"needs {shown} cells, over the budget of "
+        with pytest.raises(ValueError, match=f" cells, over the budget of "
                                              f"{MAX_CELLS}; use ") as err:
             build(a, b, value)
         K = int(re.search(r"<= (\d+)$", str(err.value)).group(1))
         assert cells(a, b, K) <= MAX_CELLS < cells(a, b, K + 1)
+        # the need is exact up to twice the first count over the budget
+        # among 1, 2, 4, ..., value, and past that a lower bound over it
+        shown = re.search(r" needs (.*) cells, ", str(err.value)).group(1)
+        if value <= 2 * first_over_budget(functools.partial(cells, a, b), value):
+            assert shown == shift.count_text(need)
+        else:
+            bound = shown.removeprefix("at least ")
+            low = 2 ** int(bound[2:]) if bound.startswith("2^") else int(bound)
+            assert shown != bound and MAX_CELLS < low <= need
+
+    @settings(max_examples=150, deadline=None)
+    @given(budget=st.sampled_from(sorted(BUDGETS)), a=st.integers(2, 6),
+           b=st.integers(0, 10), value=st.integers(0, 10 ** 12))
+    def test_check_cells_reads_no_count_past_twice_the_first_over_budget(self, budget, a,
+                                                                         b, value):
+        cells = functools.partial(BUDGETS[budget][0], a, b)
+        calls = []
+
+        def recorded(n: int) -> int:
+            calls.append(n)
+            return cells(n)
+
+        over = first_over_budget(cells, value)
+        try:
+            shift.check_cells("a table", "n", value, recorded, "it")
+        except ValueError:
+            assert over is not None
+            assert max(calls) <= min(2 * over, value)
+        else:
+            assert over is None
+            assert max(calls) == value
+        # the search gallops from 1 up to the first count over the budget
+        steps = gallop(value)
+        steps = steps if over is None else steps[: steps.index(over) + 1]
+        assert calls[: len(steps)] == steps
+
+    def test_an_absurd_count_is_rejected_without_sizing_it(self):
+        # 3^30000001 alone takes seconds to compute
+        calls = []
+
+        def cells(depth: int) -> int:
+            calls.append(depth)
+            return 3 ** (depth + 1)
+
+        with pytest.raises(ValueError, match=r"^an image needs at least 5559060566555523 "
+                                             r"cells, over the budget of 33554432; "
+                                             r"use depth <= 14$"):
+            shift.check_cells("an image", "depth", 30_000_000, cells, "d = 3")
+        # 3^17 cells at depth 16 is the first count over the budget; the
+        # bisection reads between 8 and 16, and the bound reads 32
+        assert calls[:5] == [1, 2, 4, 8, 16] and calls[-1] == 32
+        assert all(8 < depth < 16 for depth in calls[5:-1])

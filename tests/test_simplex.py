@@ -207,7 +207,7 @@ class TestConvexPressure:
 class TestEntropyRecovery:
     def test_uniform_recovers_log2(self):
         grid = SimplexGrid(2, 1000)
-        family = affine_observable_family(2, -6, 6, 121)
+        family = affine_observable_family(2)
         gamma = convex_pressure_gamma(shannon_entropy_table, family, grid)
         rec = entropy_recovery(gamma, family, [0.5, 0.5])
         assert rec == pytest.approx(LOG2, abs=1e-4)
@@ -215,7 +215,7 @@ class TestEntropyRecovery:
     def test_gibbs_point_recovers_its_shannon_entropy(self):
         grid = SimplexGrid(2, 1000)
         mu = np.array(GIBBS_10)
-        family = np.vstack([affine_observable_family(2, -6, 6, 121),
+        family = np.vstack([affine_observable_family(2),
                             shannon_recovery_minimizer(mu)])
         gamma = convex_pressure_gamma(shannon_entropy_table, family, grid)
         rec = entropy_recovery(gamma, family, mu)
@@ -224,7 +224,7 @@ class TestEntropyRecovery:
     def test_nonconcave_density_sits_below_recovery(self):
         grid = SimplexGrid(2, 400)
         h = two_bump_density
-        family = affine_observable_family(2, -6, 6, 121)
+        family = affine_observable_family(2)
         gamma = convex_pressure_gamma(h, family, grid)
         for x in (0.2, 0.4, 0.5, 0.6, 0.8):
             mu = np.array([x, 1 - x])
@@ -443,6 +443,11 @@ class TestGridMechanics:
             SimplexGrid(4, 368)
         with pytest.raises(ValueError, match=r"use m <= 16777215$"):
             SimplexGrid(2, 10 ** 12)
+        # an m of over 4,300 digits is named as a power of two, not printed
+        with pytest.raises(ValueError, match=r"^the \(d=2, m=at least 2\^16609\) lattice "
+                                             r"needs at least 67108866 cells, "
+                                             r".*use m <= 16777215$"):
+            SimplexGrid(2, 10 ** 5000)
         # 6000^2 cells at m = 1: no m fits, so the message names d
         with pytest.raises(ValueError, match=r"budget of 33554432; d = 6000 is too large, "
                                              r"even at m = 1$"):
