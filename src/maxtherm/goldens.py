@@ -252,8 +252,8 @@ def check_contraction_bounds(
     start = time.perf_counter()
     rng = np.random.default_rng(check_count("seed", seed))
     space = ShiftSpace(d, gamma)
-    shift.check_cells(f"an image of {d}^{depth + 1} masses", "depth", depth,
-                      lambda n: d ** (n + 1), f"d = {d}")
+    shift.check_cells(f"an image of {d}^{shift.count_text(depth + 1)} masses", "depth",
+                      depth, lambda n: d ** (n + 1), f"d = {d}")
     r = space.contraction_rate
     worst_ratio = 0.0
     worst_perturb = worst_joint = -np.inf

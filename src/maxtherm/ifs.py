@@ -14,7 +14,8 @@ level before the last is held whole: the last one is grown from it in
 ``shift.row_blocks``.  The merged build (eps > 0) clusters each block as
 it arrives, one batched tree-W1 pass per leaf over the block's words not
 yet in a leaf, and keeps copies of the leaves' images; the exact (eps=0)
-invariant pressure needs one score per word, not the images.
+build keeps every block, its leaves being views of their rows, and the
+exact invariant pressure needs one score per word, not the images.
 
 The second half of the module is the combinatorial max-plus IFS: a finite
 point set, one map per index, and normalized nonpositive weights, with the
@@ -46,6 +47,7 @@ from .shift import (
     Jacobian,
     check_cells,
     check_count,
+    count_text,
     dual_apply,
     dual_rows,
     row_blocks,
@@ -110,16 +112,17 @@ def _checked_word_length(fam: WeightedJacobianFamily, word_length,
     applies to ``nu0``, with ``dual_apply``'s messages."""
     word_length = check_count("word length", word_length, 1)
     m, d = len(fam), fam.space.d
-    check_cells(f"a level of {m}^{word_length} images of {d}^{nu0.depth + word_length} "
-                "masses", "word_length", word_length,
-                lambda n: m ** n * d ** (nu0.depth + n), f"the seed depth {nu0.depth}")
+    check_cells(f"a level of {m}^{count_text(word_length)} images of "
+                f"{d}^{count_text(nu0.depth + word_length)} masses", "word_length",
+                word_length, lambda n: m ** n * d ** (nu0.depth + n),
+                f"the seed depth {nu0.depth}")
     if nu0.space != fam.space:
         raise ValueError("kernel and measure live on different spaces")
     deepest = max(J.depth for J in fam.jacobians)
     if deepest > nu0.depth + 1:
         raise ValueError(
             f"kernel depth {deepest} exceeds measure depth {nu0.depth} + 1; "
-            "refine the measure first"
+            "refine the measures first"
         )
     return word_length
 
@@ -134,22 +137,15 @@ def _grow(fam: WeightedJacobianFamily, table: np.ndarray) -> np.ndarray:
     return image.reshape(-1, image.shape[-1])
 
 
-def _levels(fam: WeightedJacobianFamily, nu0: CylinderMeasure, n: int) -> np.ndarray:
-    """The (m^n, d^(depth+n)) table of the images of every length-n
-    suffix."""
-    table = nu0.masses[None]
-    for _ in range(n):
-        table = _grow(fam, table)
-    return table
-
-
 def _last_level(fam: WeightedJacobianFamily, word_length: int,
                 nu0: CylinderMeasure) -> Iterator[np.ndarray]:
-    """The rows of ``_levels(fam, nu0, word_length)``, bit for bit and in
-    order, grown from the level before in ``shift.row_blocks`` of about
-    ``BLOCK_CELLS`` image cells: only that level and one block are held,
-    1/(m d) of the last level's cells."""
-    table = _levels(fam, nu0, word_length - 1)
+    """The images of every length-``word_length`` suffix, in row order: the
+    level before the last is grown whole by ``_grow``, and the last from it
+    in ``shift.row_blocks`` of about ``BLOCK_CELLS`` image cells, so only
+    that level and one block are held, 1/(m d) of the last level's cells."""
+    table = nu0.masses[None]
+    for _ in range(word_length - 1):
+        table = _grow(fam, table)
     for block in row_blocks(len(table), len(fam) * fam.space.d * table.shape[1]):
         yield _grow(fam, table[block])
 
@@ -238,7 +234,7 @@ def attractor_build(
     max(r^N, gamma^final_depth), the resolution below which distinct
     clusters are not meaningful.  Passing eps=0.0 disables merging,
     yielding the exact m^N enumeration (the reference behavior), whose
-    leaves are views of the whole last level.
+    leaves are views of the rows of the blocks ``_last_level`` streams.
     A word length that is not an integer >= 1, or whose last level
     exceeds MAX_CELLS cells, or a seed some kernel does not apply to,
     raises ``ValueError`` before any level is made.
@@ -255,12 +251,12 @@ def attractor_build(
     if eps > 0.0:
         leaves = _merged_leaves(fam, word_length, nu0, eps)
     else:
-        table = _levels(fam, nu0, word_length)
         weights = _word_weights(fam, word_length)
-        words = _words(np.arange(len(table)), len(fam), word_length)
+        words = _words(np.arange(len(weights)), len(fam), word_length)
+        rows = (masses for block in _last_level(fam, word_length, nu0) for masses in block)
         leaves = [AttractorLeaf(word, CylinderMeasure._checked(space, final_depth, masses),
                                 weight)
-                  for word, masses, weight in zip(words, table, weights)]
+                  for word, masses, weight in zip(words, rows, weights)]
 
     return AttractorSample(
         leaves=leaves,
@@ -290,13 +286,9 @@ def density_entropy_estimate(
     sample: AttractorSample, mu: CylinderMeasure
 ) -> DensityEstimate:
     """Best cumulative weight among leaves within eps of ``mu`` (else bottom):
-    the pressure of the max-plus indicator of that ball (0 in it, -inf out)."""
+    the pressure of the max-plus indicator of that ball (0 in it, -inf out).
+    A ``mu`` of another depth than the leaves fails ``w1_tree``'s check."""
     margin = sample.rate ** sample.word_length / (1.0 - sample.rate)
-    if any(leaf.measure.depth != mu.depth for leaf in sample.leaves):
-        raise ValueError(
-            "target depth differs from the sample leaves; bring the "
-            "measure to the same depth first"
-        )
     near = np.array(
         [w1_tree(leaf.measure, mu) <= sample.epsilon for leaf in sample.leaves]
     )

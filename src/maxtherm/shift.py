@@ -24,7 +24,8 @@ values table.  ``dual_rows`` is the one dual transfer product: the
 (d, d^(j-1), 1) view of each kernel reading j symbols against the
 (1, d^(j-1), d^(n+1-j)) view of each depth-n row of masses, their leading
 axes broadcast, so paired rows or a whole family against a whole level
-is one product the size of its image, with no repeated kernel table.
+is one product the size of its image, with no repeated kernel table; it
+alone refuses a kernel deeper than its measures + 1.
 ``lipschitz_constant``, ``pushforward_apply`` and ``dual_apply`` are the
 one-row cases, and ``check_kernel_rows`` checks a kernel table's rows as
 ``Jacobian`` checks one kernel.  A function's table is a read-only copy
@@ -361,17 +362,12 @@ def dual_apply(J: Jacobian, mu: CylinderMeasure) -> CylinderMeasure:
     """Dual transfer image: nu[a.w] = J(a.w) mu[w], one level deeper: the
     one-row case of ``dual_rows``.
 
-    Requires the kernel depth to be at most depth(mu) + 1; refine mu first
-    when it is not, so the cost of deeper tables stays visible at the call
-    site.
+    Requires the kernel depth to be at most depth(mu) + 1, as ``dual_rows``
+    checks; refine mu first when it is not, so the cost of deeper tables
+    stays visible at the call site.
     """
     if mu.space != J.space:
         raise ValueError("kernel and measure live on different spaces")
-    if J.depth > mu.depth + 1:
-        raise ValueError(
-            f"kernel depth {J.depth} exceeds measure depth {mu.depth} + 1; "
-            "refine the measure first"
-        )
     masses = dual_rows(J.space, J.values, mu.masses)
     return CylinderMeasure._checked(J.space, mu.depth + 1, masses)
 
@@ -384,10 +380,9 @@ def dual_rows(space: ShiftSpace, kernels: np.ndarray, masses: np.ndarray) -> np.
     d = space.d
     heads = kernels.shape[-1] // d   # d^(j-1)
     if heads > masses.shape[-1]:
-        raise ValueError(
-            f"kernel table of {kernels.shape[-1]} columns is deeper than measure "
-            "depth + 1; refine the measures first"
-        )
+        j, n = (round(math.log(t.shape[-1], d)) for t in (kernels, masses))
+        raise ValueError(f"kernel depth {j} exceeds measure depth {n} + 1; "
+                         "refine the measures first")
     prod = (kernels.reshape(kernels.shape[:-1] + (d, heads, 1))
             * masses.reshape(masses.shape[:-1] + (1, heads, -1)))
     check_probability_rows(prod.reshape(-1, d * masses.shape[-1]))

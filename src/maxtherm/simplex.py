@@ -19,8 +19,8 @@ once: h is called once on the lattice and once per refinement round,
 whatever k is, and each row's tilt is its own product, so a row gets the
 bits of a search of its own.  ``convex_pressure_gamma`` is that search;
 ``level2_pressure(h, g, grid)``, which also returns the equilibrium set,
-is its k = 1 case with the level-2 observable g in place of a tilt.  A
-measure family is a density on its own simplex, its KS entropy:
+is its case of one zero tilt, maximizing h + g for a level-2 observable
+g.  A measure family is a density on its own simplex, its KS entropy:
 ``shannon_entropy_table`` for Bernoulli measures on the symbol simplex,
 ``markov_entropy_table`` for one-step Markov measures on {1, 2} on the
 pair simplex ``MARKOV_GRID``.  A nonlinear pressure is g = F(integral of
@@ -183,11 +183,9 @@ def _checked(vals: np.ndarray) -> np.ndarray:
 
 
 def _tilted(vals: np.ndarray, pts: np.ndarray, family, counts) -> np.ndarray:
-    """``vals + pts @ phi`` on each family row's run of ``counts`` points,
-    or ``vals`` itself when ``family`` is None.  Each row takes its own
-    matrix-vector product: a stacked product may change the last bit."""
-    if family is None:
-        return _checked(vals)
+    """``vals + pts @ phi`` on each family row's run of ``counts`` points.
+    Each row takes its own matrix-vector product: a stacked product may
+    change the last bit."""
     out = np.empty_like(vals)
     ends = np.cumsum(counts)
     for a, b, phi in zip(ends - counts, ends, family):
@@ -245,10 +243,10 @@ def _refine(
     return centers, bests, n_eval
 
 
-def _search(objective, grid: SimplexGrid, family=None):
+def _search(objective, grid: SimplexGrid, family):
     """Scan and refine, in lock-step, the max over the simplex of
-    objective(p) + p . phi for every row phi of a ``(k, d)`` family, or of
-    objective(p) alone when ``family`` is None (one row).
+    objective(p) + p . phi for every row phi of a ``(k, d)`` family; that
+    of objective(p) alone is the search of one zero row.
 
     ``objective`` is called once on the lattice, and once per refinement
     round on every row's patch points together; each row's tilt is its
@@ -261,16 +259,13 @@ def _search(objective, grid: SimplexGrid, family=None):
     the rows together.
     """
     points = grid.points()
-    rows = 1 if family is None else len(family)
+    rows = len(family)
     base = np.asarray(objective(points), dtype=float)
     centers, bests, owner = [], [], []
     for block in row_blocks(rows, len(points)):
-        if family is None:
-            vals = base[None]
-        else:
-            # a NaN or inf in phi makes NaN scores, which the check below rejects
-            with np.errstate(invalid="ignore"):
-                vals = np.array([base + points @ phi for phi in family[block]])
+        # a NaN or inf in phi makes NaN scores, which the check below rejects
+        with np.errstate(invalid="ignore"):
+            vals = np.array([base + points @ phi for phi in family[block]])
         fail = np.flatnonzero(~(vals < np.inf).all(axis=1) | ~(vals > -np.inf).any(axis=1))
         if fail.size:
             _checked(vals[fail[0]])
@@ -296,7 +291,8 @@ def maximize_on_simplex(
 ) -> SimplexMax:
     """Maximize a row-wise objective over the simplex.
 
-    The one-row case of the lock-step search: a coarse lattice scan, then
+    The search of one zero tilt, whose adding 0.0 turns a maximum of -0.0
+    into +0.0 and keeps every other bit: a coarse lattice scan, then
     ``REFINE_ROUNDS`` rounds of local rescans around the ``TOP_K``
     spread-out candidates, one objective call each.  The objective is
     real, or -inf off the support; NaN or +inf at any scanned point, on
@@ -308,7 +304,7 @@ def maximize_on_simplex(
     """
     if not (math.isfinite(argmax_tol) and argmax_tol >= 0):
         raise ValueError(f"argmax_tol must be finite and >= 0, got {argmax_tol!r}")
-    centers, bests, _, n_eval = _search(objective, grid)
+    centers, bests, _, n_eval = _search(objective, grid, np.zeros((1, grid.d)))
     top = float(bests.max())
     near = np.flatnonzero(bests >= top - argmax_tol)
     near = near[np.argsort(-bests[near], kind="stable")]

@@ -165,8 +165,8 @@ class TransportReport:
     duality_gap: np.ndarray     # (k,)
     potential: np.ndarray       # (k, d^n)
     truncation_error: float
-    lps: int = 0
-    lp_solves: int = 0
+    lps: int
+    lp_solves: int
 
 
 def _transport_constraints(shapes):

@@ -1,5 +1,6 @@
 """The golden battery: every check passes, and a crashing check is a FAIL."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -264,6 +265,16 @@ def test_contraction_bounds_reject_an_image_over_the_budget_before_drawing(d, de
         tracemalloc.stop()
     # the exact cell counts of the last case take a few MB; one image, GBs
     assert peak < 1 << 24
+
+
+def test_contraction_bounds_refuse_an_absurd_depth_with_the_budget_message():
+    # depth 10^5000: the message names d^(depth + 1) without printing the
+    # depth's 5,001 digits
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^an image of 2\^at least 2\^16609 masses needs "
+                                         r"at least 2\^65 cells, .*use depth <= 24$"):
+        goldens.check_contraction_bounds(trials=1, depth=10 ** 5000)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("plan", [((2, 0.3, 30, 1),), ((2, 0.3, 11, 1),),

@@ -1,5 +1,6 @@
 """Tests for weighted kernel families, attractors, and max-plus IFS."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -244,6 +245,32 @@ class TestAttractor:
             invariant_pressure_solve(fam, mass_of_one, 1, seed, eps=0.0)
         assert str(built.value) == str(solved.value) == message
 
+    def test_an_absurd_length_is_refused_with_its_budget_message(self):
+        # 2^(10^5000) words: the message names the length without printing
+        # its 5,001 digits, and no level is sized
+        fam = WeightedJacobianFamily(
+            [make_bernoulli_jacobian(0.3, SPACE), make_bernoulli_jacobian(0.7, SPACE)],
+            [0.0, 0.0],
+        )
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^a level of 2\^at least 2\^16609 images .*"
+                                             r"use word_length <= 12$") as built:
+            attractor_build(fam, 10 ** 5000, NU0)
+        with pytest.raises(ValueError) as solved:
+            invariant_pressure_solve(fam, mass_of_one, 10 ** 5000, NU0, eps=0.0)
+        assert time.perf_counter() - start < 1.0
+        assert str(solved.value) == str(built.value)
+
+    def test_a_kernel_too_deep_for_the_seed_is_refused_as_dual_rows_refuses_it(self):
+        deep = shift.Jacobian(SPACE, 3, np.full(8, 0.5))
+        fam = WeightedJacobianFamily([deep, make_bernoulli_jacobian(0.3, SPACE)], [0.0, 0.0])
+        with pytest.raises(ValueError) as built:
+            attractor_build(fam, 2, NU0)
+        with pytest.raises(ValueError) as applied:
+            dual_apply(deep, NU0)
+        assert str(built.value) == str(applied.value) == (
+            "kernel depth 3 exceeds measure depth 1 + 1; refine the measures first")
+
     @pytest.mark.parametrize("word_length", [2.5, True, "3", None],
                              ids=["float", "bool", "str", "None"])
     def test_non_integer_word_length_rejected(self, word_length):
@@ -338,6 +365,16 @@ class TestDensityEstimate:
         sample = attractor_build(fam, 4, NU0)
         with pytest.raises(ValueError, match="depth"):
             density_entropy_estimate(sample, CylinderMeasure.trivial(SPACE))
+
+    @pytest.mark.parametrize("eps", [0.0, None])
+    def test_a_target_one_level_off_fails_the_w1_pair_check(self, eps):
+        fam = WeightedJacobianFamily([make_bernoulli_jacobian(0.4, SPACE)], [0.0])
+        sample = attractor_build(fam, 4, NU0, eps=eps)   # leaves of depth 5
+        for depth in (4, 6):
+            mu = CylinderMeasure.bernoulli(SPACE, [0.4, 0.6], depth)
+            with pytest.raises(ValueError, match=rf"^depth mismatch \(5 vs {depth}\); "
+                                                 "refine the shallower measure first$"):
+                density_entropy_estimate(sample, mu)
 
 
 class TestInvariantPressure:

@@ -308,7 +308,8 @@ class TestDualOperator:
         deep = Jacobian(
             SPACE, 3, np.full(8, 0.5) + 0.0
         )
-        with pytest.raises(ValueError, match="refine"):
+        with pytest.raises(ValueError, match=r"^kernel depth 3 exceeds measure depth 1 \+ 1; "
+                                             "refine the measures first$"):
             dual_apply(deep, CylinderMeasure(SPACE, 1, [0.4, 0.6]))
 
     def test_one_image_allocates_only_its_output(self):
@@ -496,6 +497,18 @@ class TestProperties:
         kernels = np.full((1, 8), 0.5)   # depth 3, against a depth-1 measure
         with pytest.raises(ValueError, match="refine the measures first"):
             dual_rows(SPACE, kernels, np.array([[0.5, 0.5]]))
+
+    @pytest.mark.parametrize("d, kernels, masses, j, n", [
+        (2, (2, 16), (3, 1, 4), 4, 2),
+        (3, (3, 81), (2, 1, 9), 4, 2),
+    ], ids=["d2", "d3"])
+    def test_a_too_deep_family_against_a_batch_names_both_depths(self, d, kernels, masses,
+                                                                 j, n):
+        # a family of kernels against a batch of rows, as a level grows
+        message = (rf"^kernel depth {j} exceeds measure depth {n} \+ 1; "
+                   "refine the measures first$")
+        with pytest.raises(ValueError, match=message):
+            dual_rows(SPACES[d], np.full(kernels, 1 / d), np.full(masses, 1 / masses[-1]))
 
     @settings(max_examples=200, deadline=None)
     @given(d=st.sampled_from((2, 3)), depth=st.integers(0, 4),

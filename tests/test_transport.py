@@ -227,6 +227,15 @@ class TestLpOracle:
         with pytest.raises(ValueError, match="oracle limit"):
             _lp(mu, mu)
 
+    def test_a_pair_at_the_size_limit_is_accepted(self):
+        # 1024 = LP_MAX_POINTS words; equal rows have no excess, so no LP runs
+        space = ShiftSpace(2, 0.3)
+        mu = CylinderMeasure(space, 10, np.full(1024, 1 / 1024))
+        rep = _lp(mu, mu)
+        assert (rep.w1.tolist(), rep.duality_gap.tolist()) == ([0.0], [0.0])
+        assert (rep.lps, rep.lp_solves, rep.truncation_error) == (0, 0, 0.3 ** 10)
+        assert not rep.potential.any()
+
     @pytest.mark.parametrize("mu, nu, match", [
         (np.full((2, 4), 0.25), np.full((3, 4), 0.25), "not paired"),
         (np.full((1, 2, 2), 0.25), np.full((1, 2, 2), 0.25), "not paired"),
