@@ -52,6 +52,7 @@ from typing import Callable, Iterator, Tuple
 
 import numpy as np
 
+from .semiring import check_maxplus_probability
 from .shift import DepthKFunction, check_count, check_probability_rows, row_blocks
 
 
@@ -486,17 +487,14 @@ def c_maxplus_convexity_check(
     ``c`` is a closed form, or ``partition_function_mc``'s value at one n
     over a seeded sampler, which draws the same orbits at every argument,
     so both relations hold pathwise and residuals are at float precision.
-    Convexity needs the observable >= 1 and max(alpha, beta) = 0 (beta =
-    -inf degenerates it to c(t) <= c(t)); a NaN weight is rejected.  ``c``
-    is read once per distinct argument, at most three times.
+    Convexity needs the observable >= 1 and weights with max(alpha, beta)
+    = 0 (beta = -inf degenerates it to c(t) <= c(t)), an idempotent
+    probability: ``check_maxplus_probability`` rejects a NaN or +inf weight
+    and sets one within ``NORMALIZATION_TOL`` of 0 to 0.  ``c`` is read
+    once per distinct argument, at most three times.
     """
     _require_finite(s=s, t=t)
-    for name, weight in (("alpha", alpha), ("beta", beta)):
-        # max(0.0, nan) is 0.0, so the normalization test alone lets NaN through
-        if np.isnan(weight):
-            raise ValueError(f"{name} must be a number or -inf, got {weight!r}")
-    if max(alpha, beta) != 0.0:
-        raise ValueError("weights must satisfy max(alpha, beta) = 0")
+    alpha, beta = check_maxplus_probability([alpha, beta]).tolist()
 
     # a -inf weight drops out of both maxes, as bottom does
     joint = max(alpha + t, beta + s)

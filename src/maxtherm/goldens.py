@@ -803,7 +803,7 @@ def check_convex_pressure_suite(
     for _ in range(25):
         phi = rng.uniform(-3, 3, 2)
         lin = pts @ phi
-        worst_env = max(worst_env, abs((vals + lin).max() - (env + lin).max()))
+        worst_env = max(worst_env, abs(pressure(vals, lin) - pressure(env, lin)))
     ok &= worst_env <= 1e-6
     notes.append(f"envelope projection gap {worst_env:.2e} (tol 1e-6)")
 

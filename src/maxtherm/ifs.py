@@ -41,7 +41,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .semiring import MaxPlus, check_maxplus_probability, pressure
+from .semiring import MaxPlus, check_maxplus_probability, check_maxplus_values, pressure
 from .shift import (
     CylinderMeasure,
     Jacobian,
@@ -351,7 +351,7 @@ def invariant_pressure_solve(
             scores[k, i] = g(dual_apply(J, mu))
     pressures = pressure(weights, scores)
     value = pressures[0]
-    reapplied = (fam.weights + pressures[1:]).max()
+    reapplied = pressure(fam.weights, pressures[1:])
     return InvariantPressure(
         value=float(value),
         error_bound=float(bound),
@@ -452,12 +452,12 @@ class MpIFSSystem:
 
 
 def _on_points(a, sys: MpIFSSystem, what: str, max_ndim: int = 1) -> np.ndarray:
-    """``a`` as floats, checked to hold one row per point of ``sys``."""
+    """``a`` as floats with one row per point of ``sys``, each value real or -inf."""
     a = np.asarray(a, dtype=float)
     if not 1 <= a.ndim <= max_ndim or a.shape[0] != sys.n_points:
         raise ValueError(f"{what} must have n_points = {sys.n_points} rows and at "
                          f"most {max_ndim} axes, got shape {a.shape}")
-    return a
+    return check_maxplus_values(a, what)
 
 
 def mpifs_ruelle(f: np.ndarray, sys: MpIFSSystem) -> np.ndarray:

@@ -9,11 +9,14 @@ nothing more, on an array, for one observable or a column batch of them
 at once.  The points attaining it, the equilibrium states, need not be
 unique; ``simplex.SimplexMax.argmax`` collects them on the simplex.
 
-An idempotent probability, or max-plus density, has values <= 0 with
-bottom allowed and sup equal to 0.  Every table of that kind (kernel
-family weights, max-plus IFS weights per point, the inverse problem's
-density) goes through ``check_maxplus_probability``, the one max-plus
-counterpart of ``shift.check_probability_rows``; both read the tolerance
+A max-plus value is real or bottom, never NaN or +inf, which would score
+NaN against bottom; ``check_maxplus_values`` is the one test of that rule
+for every max-plus table of the package.  An idempotent probability, or
+max-plus density, has values <= 0 with bottom allowed and sup equal to 0.
+Every table of that kind (kernel family weights, max-plus IFS weights per
+point, the inverse problem's density, max-plus convexity weights) goes
+through ``check_maxplus_probability``, the one max-plus counterpart of
+``shift.check_probability_rows``; both read the tolerance
 ``NORMALIZATION_TOL`` defined here.  Once a table has passed, it holds no
 NaN and no +inf, so sums of its entries never produce NaN.
 """
@@ -30,6 +33,15 @@ _NEG_INF = float("-inf")
 NORMALIZATION_TOL = 1e-12  # slack of both probability normalizations
 
 
+def check_maxplus_values(values, what: str) -> np.ndarray:
+    """``values`` as a float array, once each is real or -inf; NaN or
+    +inf raise ``ValueError`` naming the table as ``what``."""
+    values = np.asarray(values, dtype=float)
+    if not (values < math.inf).all():   # false exactly at NaN and +inf
+        raise ValueError(f"{what} must be real or -inf, not NaN or +inf")
+    return values
+
+
 @dataclass(frozen=True)
 class MaxPlus:
     """A max-plus scalar: a finite real, or bottom stored as IEEE -inf.
@@ -42,11 +54,7 @@ class MaxPlus:
     value: float
 
     def __post_init__(self):
-        v = float(self.value)
-        if math.isnan(v):
-            raise ValueError("max-plus value cannot be NaN")
-        if v == math.inf:
-            raise ValueError("+inf is not a max-plus value")
+        v = float(check_maxplus_values(self.value, "a max-plus value"))
         object.__setattr__(self, "value", v)
 
     @property
@@ -63,22 +71,17 @@ BOTTOM = MaxPlus(_NEG_INF)
 def pressure(density, g) -> Union[float, np.ndarray]:
     """The pressure: the max over points of density + g.
 
-    ``density`` is a 1-D table with -inf off the support; the support must
-    be nonempty, and NaN and +inf are rejected.  ``g`` has shape ``(n,)``
-    for one observable or ``(n, k)`` for one observable per column, with
-    values real or -inf: NaN or +inf would score NaN against a bottom
-    density value, so they are rejected too.  The value is a float for
-    1-D ``g`` and a ``(k,)`` array otherwise.
+    ``density`` is a 1-D table of max-plus values, -inf off a nonempty
+    support.  ``g`` has shape ``(n,)`` for one observable or ``(n, k)``
+    for one observable per column, its values max-plus values too.  The
+    value is a float for 1-D ``g`` and a ``(k,)`` array otherwise.
     """
     dens = np.asarray(density, dtype=float)
     if dens.ndim != 1:
         raise ValueError("density must be a 1-D table")
     if dens.size == 0:
         raise ValueError("empty density")
-    if np.isnan(dens).any():
-        raise ValueError("density values cannot be NaN")
-    if (dens == math.inf).any():
-        raise ValueError("density values cannot be +inf")
+    check_maxplus_values(dens, "density values")
     if not np.isfinite(dens).any():
         raise ValueError("density has empty support")
     g = np.asarray(g, dtype=float)
@@ -86,8 +89,7 @@ def pressure(density, g) -> Union[float, np.ndarray]:
         raise ValueError(
             f"{dens.size} density values but observables of shape {g.shape}"
         )
-    if np.isnan(g).any() or (g == math.inf).any():
-        raise ValueError("observables must be real or -inf, not NaN or +inf")
+    check_maxplus_values(g, "observables")
     best = ((dens if g.ndim == 1 else dens[:, None]) + g).max(axis=0)
     return float(best) if g.ndim == 1 else best
 
@@ -97,13 +99,11 @@ def check_maxplus_probability(table) -> np.ndarray:
     return it as a new float array with every value within
     NORMALIZATION_TOL of 0 set to exactly 0, so that each column max is 0.
 
-    No value may be NaN, every value must be at most NORMALIZATION_TOL,
+    Every value must be real or -inf and at most NORMALIZATION_TOL,
     and the max over axis 0 (of each column of a 2-D table) must be 0
     within NORMALIZATION_TOL.  Bottom, -inf, is allowed anywhere else.
     """
-    table = np.asarray(table, dtype=float)
-    if np.isnan(table).any():
-        raise ValueError("max-plus weights cannot be NaN")
+    table = check_maxplus_values(table, "max-plus weights")
     if (table > NORMALIZATION_TOL).any():
         raise ValueError("max-plus weights must be <= 0")
     tops = np.atleast_1d(table.max(axis=0))

@@ -10,7 +10,9 @@ a ``(k,)`` table over a family, built once by ``convex_pressure_gamma``;
 ``entropy_recovery`` is its conjugate at a target mu, min over the rows
 of Gamma(phi) - mu . phi, and runs no maximization.
 A probability vector handed in by a caller goes through
-``as_prob_vector``, which is ``shift.check_probability_rows`` on one row.
+``as_prob_vector``, which is ``shift.check_probability_rows`` on one row;
+objective values and Gamma tables are max-plus values, real or -inf, and
+go through ``semiring.check_maxplus_values``.
 Every pressure on the simplex comes from one lock-step search, a coarse
 lattice scan followed by local refinement around spread-out candidates,
 which handles non-concave objectives whose maximizer set may be
@@ -36,7 +38,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .semiring import NORMALIZATION_TOL
+from .semiring import NORMALIZATION_TOL, check_maxplus_values
 from .shift import check_cells, check_count, check_probability_rows, count_text, row_blocks
 
 ZERO_MASS = 1e-15  # masses at or below this count as zero for the minimizer log mu
@@ -175,13 +177,6 @@ def _spread_candidates(points: np.ndarray, values: np.ndarray, min_sep: float) -
     return chosen
 
 
-def _checked(vals: np.ndarray) -> np.ndarray:
-    """Objective values as they are, once each is real or -inf."""
-    if not (vals < np.inf).all():   # false exactly at NaN and +inf
-        raise ValueError("objective values must be real or -inf, not NaN or +inf")
-    return vals
-
-
 def _tilted(vals: np.ndarray, pts: np.ndarray, family, counts) -> np.ndarray:
     """``vals + pts @ phi`` on each family row's run of ``counts`` points.
     Each row takes its own matrix-vector product: a stacked product may
@@ -190,7 +185,7 @@ def _tilted(vals: np.ndarray, pts: np.ndarray, family, counts) -> np.ndarray:
     ends = np.cumsum(counts)
     for a, b, phi in zip(ends - counts, ends, family):
         out[a:b] = vals[a:b] + pts[a:b] @ phi
-    return _checked(out)
+    return check_maxplus_values(out, "objective values")
 
 
 def _refine(
@@ -268,7 +263,7 @@ def _search(objective, grid: SimplexGrid, family):
             vals = np.array([base + points @ phi for phi in family[block]])
         fail = np.flatnonzero(~(vals < np.inf).all(axis=1) | ~(vals > -np.inf).any(axis=1))
         if fail.size:
-            _checked(vals[fail[0]])
+            check_maxplus_values(vals[fail[0]], "objective values")
             raise ValueError("objective is -inf on the whole grid")
         idx = _spread_candidates(points, vals, min_sep=2.5 / grid.m)
         r, slot = np.nonzero(idx >= 0)
@@ -441,11 +436,12 @@ def entropy_recovery(gamma, family, mu) -> float:
     Gamma(phi) - integral of phi d(mu), where ``gamma`` is the family's
     table from ``convex_pressure_gamma``.  This is an upper approximation
     that decreases as the family grows; it majorizes h(mu) whenever mu is
-    one of the scanned lattice points.
+    one of the scanned lattice points.  Gamma values are real or -inf;
+    NaN or +inf raise ``ValueError``.
     """
     p = as_prob_vector(mu)
     phis = np.asarray(family, dtype=float)
-    gam = np.asarray(gamma, dtype=float)
+    gam = check_maxplus_values(gamma, "Gamma values")
     if phis.shape[1:] != p.shape or len(phis) == 0 or gam.shape != (len(phis),):
         raise ValueError(f"recovery at mu in R^{p.size} needs a nonempty (k, {p.size}) "
                          f"family and its (k,) Gamma table, got {phis.shape}, {gam.shape}")

@@ -795,9 +795,9 @@ class TestMaxPlusConvexity:
         test and the report held with both residuals 0."""
         sampler = OrbitSampler.bernoulli([0.5, 0.5], n_orbits=100, seed=19)
         f = DepthKFunction(SPACE, 1, [2.0, 1.0])
-        name = "alpha" if np.isnan(alpha) else "beta"
         for c in (self.sampled(sampler, f, 50), lambda u: max(u, np.log(0.4)) + u):
-            with pytest.raises(ValueError, match=f"{name} must be a number or -inf, got nan"):
+            with pytest.raises(ValueError, match=r"max-plus weights must be real or -inf, "
+                                                 r"not NaN or \+inf"):
                 c_maxplus_convexity_check(c, 0.4, 0.2, alpha, beta)
 
     def test_minus_infinite_weight_is_bottom_in_closed_form(self):
@@ -805,6 +805,13 @@ class TestMaxPlusConvexity:
                                         0.4, 0.2, 0.0, -np.inf)
         assert rep.holds
 
+    def test_weights_within_tolerance_of_zero_are_zero(self):
+        """The weights are an idempotent probability, so they share its
+        tolerance: a largest weight of -1e-13 is 0."""
+        c = lambda u: max(u, np.log(0.4)) + u
+        assert (c_maxplus_convexity_check(c, 0.4, 0.2, -1e-13, -0.5)
+                == c_maxplus_convexity_check(c, 0.4, 0.2, 0.0, -0.5))
+
     def test_weights_must_be_normalized(self):
-        with pytest.raises(ValueError, match="max"):
+        with pytest.raises(ValueError, match="largest weight must attain 0, not -0.5"):
             c_maxplus_convexity_check(lambda u: u, 0.1, 0.2, -0.5, -1.0)

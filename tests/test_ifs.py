@@ -745,6 +745,22 @@ class TestMpIFSOperators:
         with pytest.raises(ValueError, match="n_points = 3 rows"):
             call(sys)
 
+    @pytest.mark.parametrize("call", [
+        lambda sys: mpifs_markov(np.array([np.nan, 0.0]), np.zeros(2), sys),
+        lambda sys: mpifs_markov(np.zeros(2), np.array([0.0, np.inf]), sys),
+        lambda sys: mpifs_transfer(np.array([np.nan, 0.0]), sys),
+        lambda sys: mpifs_transfer(np.array([np.inf, 0.0]), sys),
+        lambda sys: mpifs_ruelle(np.array([np.inf, 0.0]), sys),
+        lambda sys: mpifs_ruelle(np.array([[0.0, 1.0], [np.nan, 0.0]]), sys),
+    ], ids=["markov-nan-density", "markov-inf-observable", "transfer-nan", "transfer-inf",
+            "ruelle-inf", "ruelle-nan-column"])
+    def test_nan_or_plus_inf_values_rejected(self, call):
+        """A NaN density made the markov value -inf and the transfer image
+        NaN; a +inf observable came back as a +inf Ruelle image."""
+        sys = MpIFSSystem.constant_maps(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"must be real or -inf, not NaN or \+inf"):
+            call(sys)
+
     def test_non_integer_map_targets_rejected(self):
         with pytest.raises(ValueError, match="integer point indices, not float64"):
             MpIFSSystem([[1.7, 0.2]], [[0.0, 0.0]])

@@ -9,28 +9,43 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maxtherm.dynamics import OrbitSampler
+from maxtherm.dynamics import OrbitSampler, c_maxplus_convexity_check
 from maxtherm.ifs import (
     MpIFSSystem,
     WeightedJacobianFamily,
     invariant_pressure_solve,
     inverse_problem_solve,
     mpifs_fixed_density,
+    mpifs_markov,
+    mpifs_ruelle,
     mpifs_transfer,
 )
-from maxtherm.semiring import BOTTOM, MaxPlus, check_maxplus_probability, pressure
+from maxtherm.goldens import random_mpifs
+from maxtherm.semiring import (
+    BOTTOM,
+    NORMALIZATION_TOL,
+    MaxPlus,
+    check_maxplus_probability,
+    pressure,
+)
 from maxtherm.shift import CylinderMeasure, Jacobian, ShiftSpace, make_bernoulli_jacobian
 from maxtherm.simplex import (
     SimplexGrid,
     as_prob_vector,
+    entropy_recovery,
     level2_pressure,
+    maximize_on_simplex,
     shannon_entropy,
     shannon_entropy_table,
 )
+from oracles import ruelle_dense, transfer_per_map
 
 LOG3 = 1.0986122886681098
 NEG_INF = -np.inf
+MAXPLUS_VALUE = r"must be real or -inf, not NaN or \+inf"
 
 
 def oplus(*values):
@@ -79,9 +94,9 @@ class TestScalars:
         assert pressure(np.array([-1e308, NEG_INF]), np.array([0.0, 1e300])) == -1e308
 
     def test_rejects_nan_and_plus_inf(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"a max-plus value {MAXPLUS_VALUE}"):
             MaxPlus(float("nan"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"a max-plus value {MAXPLUS_VALUE}"):
             MaxPlus(float("inf"))
 
 
@@ -123,9 +138,9 @@ class TestDensitySample:
             pressure(np.array([]), np.zeros(0))
 
     def test_rejects_nan_plus_inf_and_non_tables(self):
-        with pytest.raises(ValueError, match="cannot be NaN"):
+        with pytest.raises(ValueError, match=f"density values {MAXPLUS_VALUE}"):
             pressure(np.array([0.0, math.nan]), np.zeros(2))
-        with pytest.raises(ValueError, match=r"cannot be \+inf"):
+        with pytest.raises(ValueError, match=f"density values {MAXPLUS_VALUE}"):
             pressure(np.array([0.0, math.inf]), np.zeros(2))
         with pytest.raises(ValueError, match="1-D table"):
             pressure(np.zeros((2, 2)), np.zeros(2))
@@ -241,14 +256,81 @@ class TestAxioms:
 SPACE = ShiftSpace(2, 0.3)
 KERNEL = make_bernoulli_jacobian(0.3, SPACE)
 LINEAR_NAN = "masses must be finite, not NaN"
-MAXPLUS_NAN = "max-plus weights cannot be NaN"
+MAXPLUS_NAN = f"max-plus weights {MAXPLUS_VALUE}"
+
+
+def _simplex_max(v):
+    """The max over the 1/m lattice of d = 2, m = len(v) - 1, of an
+    objective that is v at the lattice point nearest in its first mass."""
+    m = len(v) - 1
+    return maximize_on_simplex(lambda p: v[np.rint(p[:, 0] * m).astype(int)],
+                               SimplexGrid(2, m)).value
+
+
+def _mpifs(n):
+    return random_mpifs(n, np.random.default_rng(n), constant_maps=False)
+
+
+def _markov_direct(lam, f, sys):
+    return max((lam + sys.weights[m] + f[sys.maps[m]]).max() for m in range(sys.n_maps))
+
+
+def _family(n):
+    return np.column_stack([np.linspace(-1.0, 1.0, n), np.zeros(n)])
+
+
+def _c_closed(u):
+    return max(u, math.log(0.4)) + u
+
+
+def _convexity(alpha, beta):
+    """The slack and residual of the closed-form c at s = 0.4, t = 0.2."""
+    rep = c_maxplus_convexity_check(_c_closed, 0.4, 0.2, alpha, beta)
+    return rep.convexity_slack, rep.equality_residual
+
+
+def _convexity_direct(alpha, beta):
+    alpha, beta = (0.0 if abs(w) <= NORMALIZATION_TOL else w for w in (alpha, beta))
+    joint = _c_closed(max(alpha + 0.2, beta + 0.4))
+    return max(alpha + _c_closed(0.2), beta + _c_closed(0.4)) - joint, 0.0
+
+
+# entry -> (size, or None for any n, idempotent probability?, call, direct value)
+MAXPLUS_ENTRIES = {
+    "MaxPlus": (1, False, lambda v: MaxPlus(v[0]).value, lambda v: v[0]),
+    "pressure density": (None, False, lambda v: pressure(v, np.arange(len(v), dtype=float)),
+                         lambda v: (v + np.arange(len(v))).max()),
+    "pressure g": (None, False, lambda v: pressure(np.zeros(len(v)), v), lambda v: v.max()),
+    "check_maxplus_probability": (
+        None, True, lambda v: check_maxplus_probability(v).tolist(),
+        lambda v: np.where(np.abs(v) <= NORMALIZATION_TOL, 0.0, v).tolist()),
+    "maximize_on_simplex objective": (None, False, _simplex_max, lambda v: v.max()),
+    "mpifs_ruelle": (None, False, lambda v: mpifs_ruelle(v, _mpifs(len(v))).tolist(),
+                     lambda v: ruelle_dense(v, _mpifs(len(v))).tolist()),
+    "mpifs_transfer": (None, False, lambda v: mpifs_transfer(v, _mpifs(len(v))).tolist(),
+                       lambda v: transfer_per_map(v, _mpifs(len(v))).tolist()),
+    "mpifs_markov density": (
+        None, False, lambda v: mpifs_markov(v, np.ones(len(v)), _mpifs(len(v))),
+        lambda v: _markov_direct(v, np.ones(len(v)), _mpifs(len(v)))),
+    "mpifs_markov observable": (
+        None, False, lambda v: mpifs_markov(np.zeros(len(v)), v, _mpifs(len(v))),
+        lambda v: _markov_direct(np.zeros(len(v)), v, _mpifs(len(v)))),
+    "entropy_recovery Gamma": (
+        None, False, lambda v: entropy_recovery(v, _family(len(v)), [0.5, 0.5]),
+        lambda v: min(g - 0.5 * phi[0] for g, phi in zip(v, _family(len(v))))),
+    "c_maxplus_convexity_check weights": (2, True, lambda v: _convexity(*v),
+                                          lambda v: _convexity_direct(*v)),
+}
 
 
 class TestOneCheckPerKind:
     """Each kind of probability has one check: linear tables go through
     ``shift.check_probability_rows`` and idempotent ones through
     ``semiring.check_maxplus_probability``, so NaN is a ``ValueError`` with
-    that check's message at every entry point."""
+    that check's message at every entry point.  Every max-plus table, an
+    idempotent probability or not, goes through
+    ``semiring.check_maxplus_values``, so a NaN or +inf in one is a
+    ``ValueError`` ending in ``MAXPLUS_VALUE`` wherever it enters."""
 
     @pytest.mark.parametrize("make, message", [
         (lambda: as_prob_vector([np.nan, 1.0]), LINEAR_NAN),
@@ -261,12 +343,37 @@ class TestOneCheckPerKind:
         (lambda: WeightedJacobianFamily([KERNEL, KERNEL], [0.0, np.nan]), MAXPLUS_NAN),
         (lambda: MpIFSSystem.constant_maps([[0.0, np.nan], [np.nan, 0.0]]), MAXPLUS_NAN),
         (lambda: inverse_problem_solve([0.0, np.nan]), MAXPLUS_NAN),
+        (lambda: c_maxplus_convexity_check(lambda u: u, 0.4, 0.2, 0.0, np.nan), MAXPLUS_NAN),
     ], ids=["as_prob_vector", "shannon_entropy", "CylinderMeasure.bernoulli",
             "Jacobian", "OrbitSampler.bernoulli", "OrbitSampler.markov",
-            "WeightedJacobianFamily", "MpIFSSystem", "inverse_problem_solve"])
+            "WeightedJacobianFamily", "MpIFSSystem", "inverse_problem_solve",
+            "c_maxplus_convexity_check"])
     def test_nan_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), entry=st.sampled_from(sorted(MAXPLUS_ENTRIES)),
+           mode=st.sampled_from(["valid", "-inf", "nan", "+inf"]))
+    def test_every_maxplus_entry_point_checks_its_values(self, data, entry, mode):
+        """A NaN or +inf at any position raises the one message, a -inf
+        there is bottom, and valid values keep the result of a direct
+        computation."""
+        size, probability, call, expected = MAXPLUS_ENTRIES[entry]
+        n = size or data.draw(st.integers(2, 6), label="n")
+        v = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n),
+                               label="values"))
+        pos = data.draw(st.integers(0, n - 1), label="position")
+        if mode == "-inf":
+            v[pos] = NEG_INF
+        if probability:
+            v -= v.max()
+        if mode in ("nan", "+inf"):
+            v[pos] = np.nan if mode == "nan" else np.inf
+            with pytest.raises(ValueError, match=MAXPLUS_VALUE):
+                call(v)
+        else:
+            assert call(v) == expected(v)
 
     def test_bottom_weights_kept(self):
         fam = WeightedJacobianFamily([KERNEL, KERNEL], [0.0, NEG_INF])

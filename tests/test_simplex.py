@@ -32,6 +32,7 @@ LOG3 = 1.0986122886681098
 LOG_1PE = 1.3132616875182228            # log(1 + e)
 GIBBS_10 = (0.7310585786300049, 0.2689414213699951)   # softmax(1, 0)
 SHANNON_AT_GIBBS_10 = 0.5822031088882179              # log(1+e) - e/(1+e)
+GAMMA_VALUES = r"Gamma values must be real or -inf, not NaN or \+inf"
 
 
 class TestShannon:
@@ -239,6 +240,10 @@ class TestEntropyRecovery:
         ([0.0], [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], r"got \(2, 2\), \(1,\)"),
         ([0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.5, 0.5],
          r"got \(2, 3\), \(2,\)"),
+        # min() dropped a NaN after the first row, and returned one in it
+        ([1.0, np.nan], [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], GAMMA_VALUES),
+        ([np.nan, 1.0], [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], GAMMA_VALUES),
+        ([1.0, np.inf], [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], GAMMA_VALUES),
     ])
     def test_vacuous_or_mismatched_recovery_rejected(self, gamma, family, mu, message):
         with pytest.raises(ValueError, match=message):
