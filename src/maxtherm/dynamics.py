@@ -53,7 +53,7 @@ from typing import Callable, Iterator, Tuple
 import numpy as np
 
 from .semiring import check_maxplus_probability
-from .shift import DepthKFunction, check_count, check_probability_rows, row_blocks
+from .shift import DepthKFunction, check_count, check_probability_rows, check_real, row_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +299,6 @@ def birkhoff_limit_test(
 # ---------------------------------------------------------------------------
 
 
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
 def _require_example(p: float, n: int = 1) -> None:
     """The worked example needs 0 < p < 1 and n >= 1."""
     if not (0.0 < p < 1.0):
@@ -320,17 +314,15 @@ def c_n_exact(p: float, t: float, n: int) -> float:
     before the two are combined, so the value is finite for every finite t.
     """
     _require_example(p, n)
-    _require_finite(t=t)
     a = float(np.log(p))
-    b = float(np.log1p(-p ** n)) / n - t
+    b = float(np.log1p(-p ** n)) / n - check_real("t", t)
     return max(a, b) + float(np.log1p(np.exp(-n * abs(a - b)))) / n
 
 
 def c_limit_exact(p: float, t: float) -> float:
     """Limit of c_n(-t): max(-t, log p)."""
     _require_example(p)
-    _require_finite(t=t)
-    return max(-t, float(np.log(p)))
+    return max(-check_real("t", t), float(np.log(p)))
 
 
 def log_event_probability(p: float, b: float, n: int) -> float:
@@ -391,7 +383,7 @@ def partition_function_mc(
     passes about m / 14: 39 ms against 29 ms at u = 1,024 on a 2-vCPU
     Xeon.  A depth-1 observable, as in the worked example, has u <= 2.
     """
-    _require_finite(t=t)
+    t = check_real("t", t)
     maxes = birkhoff_max_table(f, sampler.sample(_orbit_length(sampler, f, n)), n)
     expo = n * t * maxes
     value = _log_mean_exp(expo) / n
@@ -425,9 +417,8 @@ def ldp_upper_bound(
     ``sup_f`` and ``t_max`` must be finite, and ``t_max`` at least 0, where
     the Chebyshev step holds.
     """
-    _require_finite(b=b, sup_f=sup_f, t_max=t_max)
-    if t_max < 0:
-        raise ValueError(f"t_max must be at least 0, got {t_max!r}")
+    b, sup_f = check_real("b", b), check_real("sup_f", sup_f)
+    t_max = check_real("t_max", t_max, least=0)
     if b >= sup_f:
         raise ValueError("threshold must lie strictly below sup f")
 
@@ -435,7 +426,7 @@ def ldp_upper_bound(
         return t * b + c_neg(t)
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, d = 0.0, float(t_max)
+    a, d = 0.0, t_max
     c1 = d - invphi * (d - a)
     c2 = a + invphi * (d - a)
     f1, f2 = obj(c1), obj(c2)
@@ -490,10 +481,10 @@ def c_maxplus_convexity_check(
     Convexity needs the observable >= 1 and weights with max(alpha, beta)
     = 0 (beta = -inf degenerates it to c(t) <= c(t)), an idempotent
     probability: ``check_maxplus_probability`` rejects a NaN or +inf weight
-    and sets one within ``NORMALIZATION_TOL`` of 0 to 0.  ``c`` is read
-    once per distinct argument, at most three times.
+    and sets one within ``NORMALIZATION_TOL`` of 0 to 0.  s and t are
+    finite reals; ``c`` is read once per distinct argument, at most three times.
     """
-    _require_finite(s=s, t=t)
+    s, t = check_real("s", s), check_real("t", t)
     alpha, beta = check_maxplus_probability([alpha, beta]).tolist()
 
     # a -inf weight drops out of both maxes, as bottom does
@@ -507,10 +498,9 @@ def c_maxplus_convexity_check(
 def chebyshev_step_exact(p: float, t: float, b: float, n: int) -> Tuple[float, float]:
     """Both sides of the Chebyshev step in the worked example, exactly.
 
-    Returns (P(max-sum <= b), exp(n (t b + c_n(-t)))); the first never
-    exceeds the second for t >= 0.
+    Returns (P(max-sum <= b), exp(n (t b + c_n(-t)))) for a finite t >= 0,
+    where the first never exceeds the second.
     """
-    if t < 0:
-        raise ValueError("the Chebyshev step needs t >= 0")
+    t = check_real("t", t, least=0)
     prob = float(np.exp(log_event_probability(p, b, n)))
     return prob, float(np.exp(n * (t * b + c_n_exact(p, t, n))))

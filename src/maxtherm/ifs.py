@@ -47,6 +47,7 @@ from .shift import (
     Jacobian,
     check_cells,
     check_count,
+    check_real,
     count_text,
     dual_apply,
     dual_rows,
@@ -235,9 +236,9 @@ def attractor_build(
     clusters are not meaningful.  Passing eps=0.0 disables merging,
     yielding the exact m^N enumeration (the reference behavior), whose
     leaves are views of the rows of the blocks ``_last_level`` streams.
-    A word length that is not an integer >= 1, or whose last level
-    exceeds MAX_CELLS cells, or a seed some kernel does not apply to,
-    raises ``ValueError`` before any level is made.
+    A word length that is not an integer >= 1 or whose last level exceeds
+    MAX_CELLS cells, an eps that is not a finite real >= 0, or a seed some
+    kernel does not apply to, raises ``ValueError`` before any level is made.
     """
     word_length = _checked_word_length(fam, word_length, nu0)
     space = fam.space
@@ -245,8 +246,7 @@ def attractor_build(
     final_depth = nu0.depth + word_length
     if eps is None:
         eps = max(r ** word_length, space.gamma ** final_depth)
-    if not eps >= 0.0:
-        raise ValueError(f"eps must be >= 0 (0 disables merging), got {eps!r}")
+    eps = check_real("eps", eps, least=0)
 
     if eps > 0.0:
         leaves = _merged_leaves(fam, word_length, nu0, eps)
@@ -328,8 +328,8 @@ def invariant_pressure_solve(
     ``attractor_build``.  g's values must be real or -inf: NaN or +inf
     raise ``ValueError``.
     """
-    if not 0.0 <= lip_g < np.inf:
-        raise ValueError(f"lip_g must be finite and at least 0, got {lip_g!r}")
+    lip_g = check_real("lip_g", lip_g, least=0)
+    eps = None if eps is None else check_real("eps", eps, least=0)
     word_length = _checked_word_length(fam, word_length, nu0)
     r = fam.contraction_rate
     bound = lip_g * r ** word_length / (1.0 - r)
@@ -629,14 +629,12 @@ def inverse_problem_solve(h: np.ndarray) -> MpIFSSystem:
     """The constant-map system with weights q[target, source] = h(target),
     for a normalized density h.
 
-    Requires h <= 0 with max h = 0, and h finite.  h is an exact fixed
-    density of the returned system: max over sources of h(target) +
-    h(source) equals h(target) because max h = 0.
+    Requires h finite, checked first, then h <= 0 with max h = 0.  h is an
+    exact fixed density of the returned system: max over sources of
+    h(target) + h(source) equals h(target) because max h = 0.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 1 or h.size == 0:
+    h = check_real("density table", h)
+    if np.ndim(h) != 1 or h.size == 0:
         raise ValueError("density table must be a nonempty 1-D array")
     h = check_maxplus_probability(h)
-    if not np.isfinite(h).all():
-        raise ValueError("density table must be finite")
     return MpIFSSystem.constant_maps(np.repeat(h[:, None], h.size, axis=1))

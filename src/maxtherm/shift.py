@@ -11,7 +11,8 @@ a transfer kernel, a symbol distribution or a whole batch of attractor
 rows, goes through ``check_probability_rows``; the max-plus counterpart is
 ``semiring.check_maxplus_probability``.  Every integer argument, whether
 an alphabet size, depth, word length, orbit length, count or seed, goes
-through ``check_count``.
+through ``check_count``; every finite real argument or table, whether a
+rate, tilt, tolerance, function table or observable, through ``check_real``.
 
 The memory rule: a table sized by a count holds at most ``MAX_CELLS``
 cells, checked by ``check_cells``, and a streamed pass reads a table in
@@ -61,10 +62,9 @@ class ShiftSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "d", check_count("alphabet size d", self.d, 2))
+        object.__setattr__(self, "gamma", check_real("gamma", self.gamma))
         if not (0.0 < self.gamma < 1.0 / (self.d + 1)):
-            raise ValueError(
-                f"gamma must lie in (0, 1/(d+1)) = (0, {1.0/(self.d+1)!r})"
-            )
+            raise ValueError(f"gamma must lie in (0, 1/(d+1)) = (0, {1.0/(self.d+1)!r})")
 
     @property
     def contraction_rate(self) -> float:
@@ -101,17 +101,13 @@ class DepthKFunction:
 
     def __init__(self, space: ShiftSpace, depth: int, values):
         depth = check_count("depth", depth)
-        # a copy, frozen: every dual image broadcasts this table, so no
-        # later write may move it past the checks it passed
-        vals = np.array(values, dtype=float).reshape(-1)
+        # a checked copy, frozen: every dual image broadcasts this table, so
+        # no later write may move it past the checks it passed
+        vals = np.reshape(check_real("table values", values), -1)
         vals.flags.writeable = False
         if vals.size != space.n_words(depth):
-            raise ValueError(
-                f"depth-{depth} table needs {space.n_words(depth)} values, "
-                f"got {vals.size}"
-            )
-        if not np.isfinite(vals).all():
-            raise ValueError("table values must be finite")
+            raise ValueError(f"depth-{depth} table needs {space.n_words(depth)} values, "
+                             f"got {vals.size}")
         self.space = space
         self.depth = depth
         self.values = vals
@@ -225,6 +221,23 @@ def check_count(name: str, value, least: int = 0) -> int:
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
     return int(value)
+
+
+def check_real(name: str, value, least: float = -math.inf):
+    """``value`` as a float, or a table as a new float array, once every
+    entry is a finite real, numpy numbers included and bools, strings, None
+    and complex values not, of at least ``least``: ``check_count`` for
+    reals.  ``name`` heads the error, with a table's first failing entry."""
+    table = np.asarray(value)
+    if table.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    table = table.astype(float)
+    lo = table.min(initial=math.inf)   # NaN when any entry is NaN
+    if not (-math.inf < lo and least <= lo and table.max(initial=0.0) < math.inf):
+        bad = float(table[~np.isfinite(table) | (table < least)][0])
+        need = f"at least {least:g}" if math.isfinite(bad) else "a finite number"
+        raise ValueError(f"{name} must be {need}, got {bad!r}")
+    return float(table) if table.ndim == 0 else table
 
 
 def count_text(n: int) -> str:

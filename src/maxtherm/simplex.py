@@ -11,8 +11,9 @@ a ``(k,)`` table over a family, built once by ``convex_pressure_gamma``;
 of Gamma(phi) - mu . phi, and runs no maximization.
 A probability vector handed in by a caller goes through
 ``as_prob_vector``, which is ``shift.check_probability_rows`` on one row;
-objective values and Gamma tables are max-plus values, real or -inf, and
-go through ``semiring.check_maxplus_values``.
+observables and families, tables of finite reals, through
+``shift.check_real``; objective values and Gamma tables, max-plus values,
+real or -inf, through ``semiring.check_maxplus_values``.
 Every pressure on the simplex comes from one lock-step search, a coarse
 lattice scan followed by local refinement around spread-out candidates,
 which handles non-concave objectives whose maximizer set may be
@@ -39,7 +40,8 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .semiring import NORMALIZATION_TOL, check_maxplus_values
-from .shift import check_cells, check_count, check_probability_rows, count_text, row_blocks
+from .shift import (check_cells, check_count, check_probability_rows, check_real, count_text,
+                    row_blocks)
 
 ZERO_MASS = 1e-15  # masses at or below this count as zero for the minimizer log mu
 
@@ -66,19 +68,19 @@ def shannon_entropy(p) -> float:
 
 
 def gibbs_solution(g) -> np.ndarray:
-    """The softmax vector e^{g_j} / sum_k e^{g_k} of a level-1 observable.
+    """The softmax vector e^{g_j} / sum_k e^{g_k} of a finite level-1 observable.
 
     This is the unique maximizer of Shannon entropy + j(g), and the
     pressure value there is log sum_k e^{g_k}.
     """
-    a = np.asarray(g, dtype=float)
-    w = np.exp(a - a.max())
+    a = check_real("g", g)
+    w = np.exp(a - np.max(a))
     return w / w.sum()
 
 
 def log_sum_exp(g) -> float:
-    a = np.asarray(g, dtype=float)
-    m = a.max()
+    a = check_real("g", g)
+    m = np.max(a)
     return float(m + np.log(np.exp(a - m).sum()))
 
 
@@ -258,9 +260,7 @@ def _search(objective, grid: SimplexGrid, family):
     base = np.asarray(objective(points), dtype=float)
     centers, bests, owner = [], [], []
     for block in row_blocks(rows, len(points)):
-        # a NaN or inf in phi makes NaN scores, which the check below rejects
-        with np.errstate(invalid="ignore"):
-            vals = np.array([base + points @ phi for phi in family[block]])
+        vals = np.array([base + points @ phi for phi in family[block]])
         fail = np.flatnonzero(~(vals < np.inf).all(axis=1) | ~(vals > -np.inf).any(axis=1))
         if fail.size:
             check_maxplus_values(vals[fail[0]], "objective values")
@@ -297,8 +297,7 @@ def maximize_on_simplex(
     ``argmax_tol`` (finite, >= 0) of the best, deduplicated at
     ``DEDUP_TOL``.
     """
-    if not (math.isfinite(argmax_tol) and argmax_tol >= 0):
-        raise ValueError(f"argmax_tol must be finite and >= 0, got {argmax_tol!r}")
+    argmax_tol = check_real("argmax_tol", argmax_tol, least=0)
     centers, bests, _, n_eval = _search(objective, grid, np.zeros((1, grid.d)))
     top = float(bests.max())
     near = np.flatnonzero(bests >= top - argmax_tol)
@@ -340,16 +339,16 @@ def convex_pressure_gamma(
     family,
     grid: SimplexGrid,
 ) -> np.ndarray:
-    """The Gamma table of a ``(k, d)`` family: row i is the pressure of
-    the included observable j(phi_i)(p) = p . phi_i, a ``(k,)`` array.
+    """The ``(k,)`` Gamma table of a finite real ``(k, d)`` family: row i is
+    the pressure of the included observable j(phi_i)(p) = p . phi_i.
 
     One lock-step search for the whole family: h is called once on the
     lattice and once per refinement round, whatever k is, and every entry
     has the bits of ``level2_pressure(h, lambda p: p @ phi_i, grid).value``.
     """
-    phis = np.asarray(family, dtype=float)
-    if phis.ndim != 2 or phis.shape[1] != grid.d:
-        raise ValueError(f"family must be a (k, {grid.d}) array, got shape {phis.shape}")
+    phis = check_real("family", family)
+    if np.ndim(phis) != 2 or phis.shape[1] != grid.d:
+        raise ValueError(f"family must be a (k, {grid.d}) array, got shape {np.shape(phis)}")
     if not len(phis):
         return np.empty(0)
     _, bests, owner, _ = _search(h, grid, phis)
@@ -436,15 +435,15 @@ def entropy_recovery(gamma, family, mu) -> float:
     Gamma(phi) - integral of phi d(mu), where ``gamma`` is the family's
     table from ``convex_pressure_gamma``.  This is an upper approximation
     that decreases as the family grows; it majorizes h(mu) whenever mu is
-    one of the scanned lattice points.  Gamma values are real or -inf;
-    NaN or +inf raise ``ValueError``.
+    one of the scanned lattice points.  Gamma values are real or -inf and
+    the family's entries finite reals; anything else raises ``ValueError``.
     """
     p = as_prob_vector(mu)
-    phis = np.asarray(family, dtype=float)
+    phis = check_real("family", family)
     gam = check_maxplus_values(gamma, "Gamma values")
-    if phis.shape[1:] != p.shape or len(phis) == 0 or gam.shape != (len(phis),):
+    if np.shape(phis)[1:] != p.shape or len(phis) == 0 or gam.shape != (len(phis),):
         raise ValueError(f"recovery at mu in R^{p.size} needs a nonempty (k, {p.size}) "
-                         f"family and its (k,) Gamma table, got {phis.shape}, {gam.shape}")
+                         f"family and its (k,) Gamma table, got {np.shape(phis)}, {gam.shape}")
     # one 1-D dot per row: a matrix product may change the last bit
     return float(min(g - float(phi @ p) for g, phi in zip(gam, phis)))
 
@@ -456,11 +455,9 @@ def concave_envelope_1d(xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     onto the grid.  Only d=2 simplices reduce to this 1-D case.
     """
     xs = np.asarray(xs, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    if xs.ndim != 1 or xs.shape != vals.shape:
+    vals = check_real("vals", vals)
+    if xs.ndim != 1 or xs.shape != np.shape(vals):
         raise ValueError("xs and vals must be equal-length 1-D arrays")
-    if not np.isfinite(vals).all():
-        raise ValueError("envelope needs finite values")
     order = np.argsort(xs)
     hull: List[Tuple[float, float]] = []
     for i in order:

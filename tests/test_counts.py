@@ -1,6 +1,12 @@
 """Every integer argument goes through ``shift.check_count``: sizes, depths,
-word and orbit lengths, window and trial counts, and seeds."""
+word and orbit lengths, window and trial counts, and seeds.  Every real
+argument or table that must be finite goes through ``shift.check_real``:
+rates, tilts, thresholds, tolerances, Lipschitz constants, merge radii,
+function tables, level-1 observables and their families, and the inverse
+problem's density.  Each kind refuses what is not of it by name, with one
+message, and turns numpy numbers into Python ones."""
 
+import math
 import re
 
 import numpy as np
@@ -11,18 +17,27 @@ from maxtherm.dynamics import (
     OrbitSampler,
     birkhoff_limit_test,
     birkhoff_max_table,
+    c_limit_exact,
+    c_maxplus_convexity_check,
     c_n_exact,
     chebyshev_step_exact,
+    ldp_upper_bound,
     log_event_probability,
     partition_function_mc,
 )
-from maxtherm.ifs import WeightedJacobianFamily, attractor_build, invariant_pressure_solve
+from maxtherm.ifs import (
+    WeightedJacobianFamily,
+    attractor_build,
+    invariant_pressure_solve,
+    inverse_problem_solve,
+)
 from maxtherm.shift import (
     CylinderMeasure,
     DepthKFunction,
     Jacobian,
     ShiftSpace,
     check_count,
+    check_real,
     make_bernoulli_jacobian,
     symbol_table,
     word_index,
@@ -30,6 +45,12 @@ from maxtherm.shift import (
 from maxtherm.simplex import (
     SimplexGrid,
     affine_observable_family,
+    concave_envelope_1d,
+    convex_pressure_gamma,
+    entropy_recovery,
+    gibbs_solution,
+    log_sum_exp,
+    maximize_on_simplex,
     pressure_axioms_check,
     shannon_entropy_table,
 )
@@ -183,3 +204,127 @@ def test_check_count_returns_a_python_int(value, least, expected):
 def test_check_count_rejects_what_is_not_an_integer(value):
     with pytest.raises(ValueError, match="^x must be an integer, got "):
         check_count("x", value)
+
+
+def _mass_of_one(mu):
+    return mu.mass_of((1,))
+
+
+def _c(t):
+    return c_limit_exact(0.5, t)
+
+
+# (parameter, name heading the error, least value, call with the value); a
+# table argument is filled with the value
+REALS = [
+    ("ShiftSpace.gamma", "gamma", -math.inf, lambda v: ShiftSpace(2, v)),
+    ("DepthKFunction.values", "table values", -math.inf,
+     lambda v: DepthKFunction(SPACE, 1, np.full(2, v))),
+    ("c_n_exact.t", "t", -math.inf, lambda v: c_n_exact(0.5, v, 3)),
+    ("c_limit_exact.t", "t", -math.inf, lambda v: c_limit_exact(0.5, v)),
+    ("partition_function_mc.t", "t", -math.inf,
+     lambda v: partition_function_mc(_sampler(), F, v, 2)),
+    ("ldp_upper_bound.b", "b", -math.inf, lambda v: ldp_upper_bound(_c, v, 1.0, 5.0)),
+    ("ldp_upper_bound.sup_f", "sup_f", -math.inf, lambda v: ldp_upper_bound(_c, -1.0, v, 5.0)),
+    ("ldp_upper_bound.t_max", "t_max", 0, lambda v: ldp_upper_bound(_c, 0.5, 1.0, v)),
+    ("c_maxplus_convexity_check.s", "s", -math.inf,
+     lambda v: c_maxplus_convexity_check(_c, v, 0.2, 0.0, -1.0)),
+    ("c_maxplus_convexity_check.t", "t", -math.inf,
+     lambda v: c_maxplus_convexity_check(_c, 0.2, v, 0.0, -1.0)),
+    ("chebyshev_step_exact.t", "t", 0, lambda v: chebyshev_step_exact(0.5, v, 0.5, 3)),
+    ("invariant_pressure_solve.lip_g", "lip_g", 0,
+     lambda v: invariant_pressure_solve(FAMILY, _mass_of_one, 4, NU0, lip_g=v)),
+    ("invariant_pressure_solve.eps", "eps", 0,
+     lambda v: invariant_pressure_solve(FAMILY, _mass_of_one, 4, NU0, eps=v)),
+    ("attractor_build.eps", "eps", 0, lambda v: attractor_build(FAMILY, 4, NU0, eps=v)),
+    ("inverse_problem_solve.h", "density table", -math.inf,
+     lambda v: inverse_problem_solve(np.full(2, v))),
+    ("maximize_on_simplex.argmax_tol", "argmax_tol", 0,
+     lambda v: maximize_on_simplex(shannon_entropy_table, SimplexGrid(2, 10), argmax_tol=v)),
+    ("convex_pressure_gamma.family", "family", -math.inf,
+     lambda v: convex_pressure_gamma(shannon_entropy_table, np.full((1, 2), v),
+                                     SimplexGrid(2, 10))),
+    ("entropy_recovery.family", "family", -math.inf,
+     lambda v: entropy_recovery([0.0, 0.0], np.full((2, 2), v), [0.5, 0.5])),
+    ("gibbs_solution.g", "g", -math.inf, lambda v: gibbs_solution(np.full(2, v))),
+    ("log_sum_exp.g", "g", -math.inf, lambda v: log_sum_exp(np.full(2, v))),
+    ("concave_envelope_1d.vals", "vals", -math.inf,
+     lambda v: concave_envelope_1d([0.0, 1.0], np.full(2, v))),
+]
+REAL_IDS = [row[0] for row in REALS]
+NOT_REALS = {"bool": True, "str": "0.1", "None": None, "complex": 1 + 0j,
+             "nan": math.nan, "+inf": math.inf, "-inf": -math.inf}
+# eps=None is the default merge radius
+NONE_ALLOWED_REALS = {"invariant_pressure_solve.eps", "attractor_build.eps"}
+
+
+@pytest.mark.parametrize("name, call, value", [
+    pytest.param(name, call, value, id=f"{parameter}-{kind}")
+    for parameter, name, _, call in REALS
+    for kind, value in NOT_REALS.items()
+    if not (value is None and parameter in NONE_ALLOWED_REALS)
+])
+def test_non_finite_or_non_reals_are_rejected_by_name(name, call, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a finite number, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("name, least, call", [
+    pytest.param(name, least, call, id=parameter)
+    for parameter, name, least, call in REALS if math.isfinite(least)
+])
+def test_reals_below_the_least_are_rejected_by_name(name, least, call):
+    for below in (least - 1, -1e-300):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be at least {least:g}, "
+                                             f"got {re.escape(repr(float(below)))}$"):
+            call(below)
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.float64, np.int64])
+@pytest.mark.parametrize("call", [row[3] for row in REALS if row[0] != "ShiftSpace.gamma"],
+                         ids=[row for row in REAL_IDS if row != "ShiftSpace.gamma"])
+def test_numpy_reals_are_accepted(call, kind):
+    # 0 is in range everywhere but gamma's open interval
+    call(kind(0))
+
+
+@pytest.mark.parametrize("gamma", [np.float32(0.25), np.float64(0.25), 0.25])
+def test_gamma_is_stored_as_float(gamma):
+    space = ShiftSpace(np.int64(2), gamma)
+    assert type(space.gamma) is float and space.gamma == float(gamma)
+    assert space == ShiftSpace(2, float(gamma))
+
+
+@pytest.mark.parametrize("value, expected", [
+    (0.5, 0.5), (np.float32(0.5), 0.5), (np.int64(-3), -3.0), (7, 7.0), (np.array(2.5), 2.5),
+])
+def test_check_real_returns_a_python_float_for_a_number(value, expected):
+    out = check_real("x", value)
+    assert type(out) is float and out == expected
+
+
+@pytest.mark.parametrize("value", [[1, 2], np.array([[0.5], [-0.5]], dtype=np.float32),
+                                   np.arange(3), np.empty((0, 2))])
+def test_check_real_returns_a_new_float_array_for_a_table(value):
+    out = check_real("x", value)
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64
+    assert out.shape == np.shape(value) and np.array_equal(out, value)
+    assert not np.shares_memory(out, value)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (True, "True"), (np.True_, "np.True_"), ("0.1", "'0.1'"), (None, "None"),
+    (1j, "1j"), (np.nan, "nan"), (np.float32(np.inf), "inf"), (-math.inf, "-inf"),
+    ([0.0, 1.0, math.nan, math.inf], "nan"), ([[0.5, None]], "[[0.5, None]]"),
+    (10 ** 400, str(10 ** 400)),
+])
+def test_check_real_names_what_it_refuses(value, shown):
+    with pytest.raises(ValueError, match=f"^x must be a finite number, got "
+                                         f"{re.escape(shown)}$"):
+        check_real("x", value)
+
+
+def test_check_real_names_the_first_entry_below_the_least():
+    with pytest.raises(ValueError, match=r"^x must be at least 0.5, got 0.25$"):
+        check_real("x", [1.0, 0.25, -2.0], least=0.5)
+    assert check_real("x", [0.5, 1.0], least=0.5).tolist() == [0.5, 1.0]

@@ -9,7 +9,10 @@ name is bound (assigned, or defined by ``def`` or ``class``) in two
 modules, so that a constant such as a tolerance has one definition.
 Every call to ``check_maxplus_probability`` keeps its result: the check
 returns the table with its near-zero values made exactly 0, and a caller
-that keeps its own table keeps a column max that is not 0.
+that keeps its own table keeps a column max that is not 0.  No function
+tests finiteness with ``isfinite`` or ``isnan`` but the few in
+``FINITENESS_TESTS``: a real argument or table that must be finite goes
+through ``shift.check_real``.
 
 No linter is a dependency, so this parses the sources with ``ast``.  The
 package ``__init__`` is exempt from the import rule, since its imports are
@@ -143,6 +146,38 @@ def discarded_maxplus_checks(tree: ast.AST) -> list:
     ]
 
 
+# the functions that may call isfinite or isnan: the one real check, the
+# linear probability check, pressure's support test, a candidate counter
+# that checks nothing, the NaN test of a threshold b that may be +-inf, and
+# the CLI's flag type, which gives argparse its usage message
+FINITENESS_TESTS = {
+    "shift.py": {"check_real", "check_probability_rows"},
+    "semiring.py": {"pressure"},
+    "simplex.py": {"_spread_candidates"},
+    "dynamics.py": {"log_event_probability"},
+    "cli.py": {"_finite_float"},
+}
+
+
+def finiteness_tests(tree: ast.AST) -> list:
+    """``function:line`` of each ``isfinite`` or ``isnan`` call, named by
+    the innermost function holding it (``<module>`` outside any)."""
+    out = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            called = isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1]
+            if called in ("isfinite", "isnan"):
+                out.append(f"{owner}:{child.lineno}")
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return out
+
+
 def test_the_sources_are_found():
     assert {"ifs.py", "semiring.py", "transport.py"} <= set(SOURCES)
 
@@ -224,6 +259,29 @@ def test_a_discarded_maxplus_check_is_reported():
         "    return check_maxplus_probability(q)\n"
     )
     assert discarded_maxplus_checks(ast.parse(source)) == [4, 6]
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_finiteness_is_tested_only_where_allowed(name):
+    allowed = FINITENESS_TESTS.get(name, set())
+    found = finiteness_tests(TREES[name])
+    assert [site for site in found if site.split(":")[0] not in allowed] == []
+    # an allowance that is no longer used is taken out of the list
+    assert allowed <= {site.split(":")[0] for site in found}
+
+
+def test_a_finiteness_test_is_reported():
+    source = (
+        "import math\n"
+        "import numpy as np\n"
+        "from math import isnan\n"
+        "ok = np.isfinite(1.0)\n"
+        "def f(x):\n"
+        "    def g(y):\n"
+        "        return np.isnan(y).any()\n"
+        "    return math.isfinite(x) and isnan(g(x)) and np.isinf(x)\n"
+    )
+    assert finiteness_tests(ast.parse(source)) == ["<module>:4", "g:7", "f:8", "f:8"]
 
 
 FRESH_PROCESS = """

@@ -337,12 +337,14 @@ class TestOneCheckPerKind:
         (lambda: shannon_entropy([np.nan, 1.0]), LINEAR_NAN),
         (lambda: CylinderMeasure.bernoulli(SPACE, [np.nan, 1.0], 3), LINEAR_NAN),
         # the function-table check comes first and already rejects NaN
-        (lambda: Jacobian(SPACE, 1, [np.nan, 1.0]), "must be finite"),
+        (lambda: Jacobian(SPACE, 1, [np.nan, 1.0]), "^table values must be a finite number"),
         (lambda: OrbitSampler.bernoulli([np.nan, 1.0], 10, 0), LINEAR_NAN),
         (lambda: OrbitSampler.markov([[0.5, 0.5], [np.nan, 1.0]], 10, 0), LINEAR_NAN),
         (lambda: WeightedJacobianFamily([KERNEL, KERNEL], [0.0, np.nan]), MAXPLUS_NAN),
         (lambda: MpIFSSystem.constant_maps([[0.0, np.nan], [np.nan, 0.0]]), MAXPLUS_NAN),
-        (lambda: inverse_problem_solve([0.0, np.nan]), MAXPLUS_NAN),
+        # the inverse problem's density must be finite, which it checks first
+        (lambda: inverse_problem_solve([0.0, np.nan]),
+         "^density table must be a finite number"),
         (lambda: c_maxplus_convexity_check(lambda u: u, 0.4, 0.2, 0.0, np.nan), MAXPLUS_NAN),
     ], ids=["as_prob_vector", "shannon_entropy", "CylinderMeasure.bernoulli",
             "Jacobian", "OrbitSampler.bernoulli", "OrbitSampler.markov",

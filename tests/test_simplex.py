@@ -33,6 +33,7 @@ LOG_1PE = 1.3132616875182228            # log(1 + e)
 GIBBS_10 = (0.7310585786300049, 0.2689414213699951)   # softmax(1, 0)
 SHANNON_AT_GIBBS_10 = 0.5822031088882179              # log(1+e) - e/(1+e)
 GAMMA_VALUES = r"Gamma values must be real or -inf, not NaN or \+inf"
+FAMILY_NAN = "^family must be a finite number, got nan$"
 
 
 class TestShannon:
@@ -244,6 +245,12 @@ class TestEntropyRecovery:
         ([1.0, np.nan], [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], GAMMA_VALUES),
         ([np.nan, 1.0], [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], GAMMA_VALUES),
         ([1.0, np.inf], [[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], GAMMA_VALUES),
+        # min() dropped a NaN tilt after the first row, and returned one in
+        # it; an infinite tilt scored -inf
+        ([0.0, 0.0], [[0.0, 0.0], [np.nan, 0.0]], [0.5, 0.5], FAMILY_NAN),
+        ([0.0, 0.0], [[np.nan, 0.0], [0.0, 0.0]], [0.5, 0.5], FAMILY_NAN),
+        ([0.0, 0.0], [[np.inf, 0.0], [0.0, 0.0]], [0.5, 0.5],
+         "^family must be a finite number, got inf$"),
     ])
     def test_vacuous_or_mismatched_recovery_rejected(self, gamma, family, mu, message):
         with pytest.raises(ValueError, match=message):
@@ -421,7 +428,8 @@ class TestGridMechanics:
     @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, -np.inf])
     def test_argmax_tol_must_be_finite_and_non_negative(self, tol):
         # a NaN or negative tolerance would leave the equilibrium set empty
-        with pytest.raises(ValueError, match="^argmax_tol must be finite and >= 0, got "):
+        need = "at least 0" if np.isfinite(tol) else "a finite number"
+        with pytest.raises(ValueError, match=f"^argmax_tol must be {need}, got {tol!r}$"):
             level2_pressure(shannon_entropy_table, lambda q: q @ [1.0, 0.0],
                             SimplexGrid(2, 10), argmax_tol=tol)
         res = level2_pressure(shannon_entropy_table, lambda q: q @ [1.0, 0.0],
