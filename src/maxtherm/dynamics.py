@@ -52,7 +52,7 @@ from typing import Callable, Iterator, Tuple
 
 import numpy as np
 
-from .semiring import check_maxplus_probability
+from .semiring import check_maxplus_probability, check_numbers
 from .shift import DepthKFunction, check_count, check_probability_rows, check_real, row_blocks
 
 
@@ -79,10 +79,10 @@ class OrbitSampler:
         # a negative seed would fail only at numpy's first draw, which does not name it
         self.n_orbits = check_count("n_orbits", n_orbits, 1)
         self.seed = check_count("seed", seed)
-        p = np.array(probs, dtype=float).reshape(1, -1)
+        p = check_numbers("probs", probs).reshape(1, -1)
         self.probs = check_probability_rows(p)[0]
         self.d = d = self.probs.size
-        P = np.array(transition, dtype=float)
+        P = check_numbers("transition", transition)
         if P.shape != (d, d):
             raise ValueError(f"the transition matrix must be {d} x {d}")
         self.transition = check_probability_rows(P)
@@ -90,13 +90,13 @@ class OrbitSampler:
     @classmethod
     def bernoulli(cls, probs, n_orbits: int, seed: int) -> "OrbitSampler":
         """i.i.d. symbols of masses ``probs``."""
-        p = np.asarray(probs, dtype=float).reshape(-1)
+        p = check_numbers("probs", probs).reshape(-1)
         return cls(p, np.tile(p, (p.size, 1)), n_orbits=n_orbits, seed=seed)
 
     @classmethod
     def markov(cls, transition, n_orbits: int, seed: int) -> "OrbitSampler":
         """The chain of ``transition`` started from its stationary vector."""
-        P = check_probability_rows(np.array(transition, dtype=float))
+        P = check_probability_rows(check_numbers("transition", transition))
         vals, vecs = np.linalg.eig(P.T)
         pi = np.real(vecs[:, int(np.argmin(np.abs(vals - 1.0)))])
         return cls(pi / pi.sum(), P, n_orbits=n_orbits, seed=seed)
@@ -300,8 +300,8 @@ def birkhoff_limit_test(
 
 
 def _require_example(p: float, n: int = 1) -> None:
-    """The worked example needs 0 < p < 1 and n >= 1."""
-    if not (0.0 < p < 1.0):
+    """The worked example needs a number 0 < p < 1 and n >= 1."""
+    if not (0.0 < float(check_numbers("p", p)) < 1.0):
         raise ValueError("p must lie in (0, 1)")
     check_count("n", n, 1)
 
@@ -333,7 +333,7 @@ def log_event_probability(p: float, b: float, n: int) -> float:
     0 <= b < 1 and 0 for b >= 1.
     """
     _require_example(p, n)
-    if np.isnan(b):
+    if np.isnan(check_numbers("b", b)):
         raise ValueError(f"b must be a number, got {b!r}")
     if b < 0.0:
         return -np.inf
@@ -447,8 +447,8 @@ def bernoulli_ldp_bound(p: float, b: float) -> Tuple[float, float]:
     """Bound for the worked example via its closed-form c: uses the
     bracket [0, 10 |log p|]."""
     _require_example(p)
-    if not (0.0 < b < 1.0):
-        raise ValueError("threshold must lie in (0, 1) for this example")
+    if not (0.0 < float(check_numbers("b", b)) < 1.0):
+        raise ValueError("b must lie in (0, 1)")
     return ldp_upper_bound(
         lambda t: c_limit_exact(p, t), b, sup_f=1.0,
         t_max=10.0 * abs(np.log(p)),
@@ -485,7 +485,9 @@ def c_maxplus_convexity_check(
     finite reals; ``c`` is read once per distinct argument, at most three times.
     """
     s, t = check_real("s", s), check_real("t", t)
-    alpha, beta = check_maxplus_probability([alpha, beta]).tolist()
+    # each weight read alone: a list of a bool and a float reads as two floats
+    weights = [check_numbers("alpha", alpha), check_numbers("beta", beta)]
+    alpha, beta = check_maxplus_probability(weights).tolist()
 
     # a -inf weight drops out of both maxes, as bottom does
     joint = max(alpha + t, beta + s)

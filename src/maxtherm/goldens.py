@@ -617,10 +617,7 @@ def check_ldp_worked_example(
     The record holds the bound and, per n <= ``n_max``, c_n(-``t``) and the
     rate; with ``mc_samples`` > 0 also a Monte Carlo c_n and interval from
     that many orbits at ``seed``, whose coverage is reported, not gated."""
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie in (0, 1)")
-    if not (0.0 < b < 1.0):
-        raise ValueError("b must lie in (0, 1)")
+    t_star, bound = dynamics.bernoulli_ldp_bound(p, b)   # checks 0 < p, b < 1
     check_count("n_max", n_max, 1)
     check_count("mc_samples", mc_samples)
     start = time.perf_counter()
@@ -647,7 +644,6 @@ def check_ldp_worked_example(
     ok &= worst_c <= 0.01
     notes.append(f"c_2000 vs limit gap {worst_c:.2e} (tol 0.01)")
 
-    t_star, bound = dynamics.bernoulli_ldp_bound(p, b)
     t_gap = abs(t_star - (-np.log(p)))
     b_gap = abs(bound - (1 - b) * np.log(p))
     ok &= t_gap <= 1e-8 and b_gap <= 1e-8

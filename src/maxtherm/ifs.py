@@ -41,7 +41,8 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .semiring import MaxPlus, check_maxplus_probability, check_maxplus_values, pressure
+from .semiring import (MaxPlus, check_maxplus_probability, check_maxplus_values, check_numbers,
+                       pressure)
 from .shift import (
     CylinderMeasure,
     Jacobian,
@@ -383,7 +384,6 @@ def pushforward_invariance_check(
     ``pressure``: NaN, +inf or an empty support raise ``ValueError``.
     """
     pts = grid.points()
-    h = np.asarray(h_values, dtype=float)
     T = np.asarray(symbol_map)
     if T.shape != (grid.d,):
         raise ValueError("symbol map must assign a target to each symbol")
@@ -401,7 +401,7 @@ def pushforward_invariance_check(
 
     G = [g(pts) for g in observables]
     one_map = MpIFSSystem(sigma[None], np.zeros((1, len(pts))))
-    return mpifs_invariance_check(h, one_map, G)
+    return mpifs_invariance_check(h_values, one_map, G)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +423,7 @@ class MpIFSSystem:
                 f"map targets must be integer point indices, not {maps.dtype}"
             )
         maps = maps.astype(np.int64)
-        q = np.asarray(weights, dtype=float)
+        q = check_numbers("weights", weights)
         if maps.ndim != 2 or q.shape != maps.shape:
             raise ValueError("maps and weights must be equal-shape 2-D tables")
         self.n_maps, self.n_points = maps.shape
@@ -441,7 +441,7 @@ class MpIFSSystem:
     @classmethod
     def constant_maps(cls, weights: np.ndarray) -> "MpIFSSystem":
         """One map per point, each sending everything to its own point."""
-        q = np.asarray(weights, dtype=float)
+        q = check_numbers("weights", weights)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError(
                 f"constant-map systems need a square weight table, got shape {q.shape}"
@@ -453,11 +453,11 @@ class MpIFSSystem:
 
 def _on_points(a, sys: MpIFSSystem, what: str, max_ndim: int = 1) -> np.ndarray:
     """``a`` as floats with one row per point of ``sys``, each value real or -inf."""
-    a = np.asarray(a, dtype=float)
+    a = check_maxplus_values(a, what)
     if not 1 <= a.ndim <= max_ndim or a.shape[0] != sys.n_points:
         raise ValueError(f"{what} must have n_points = {sys.n_points} rows and at "
                          f"most {max_ndim} axes, got shape {a.shape}")
-    return check_maxplus_values(a, what)
+    return a
 
 
 def mpifs_ruelle(f: np.ndarray, sys: MpIFSSystem) -> np.ndarray:
@@ -556,14 +556,14 @@ def mpifs_invariance_check(
     ``lam`` is checked as a density by ``pressure``: NaN, +inf or an empty
     support raise ``ValueError``.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = check_numbers("density", lam)
     if f_family is None:
         f_family = spike_family(sys.n_points)
 
     # One Ruelle pass for the whole family, one observable per column so the
     # gathers read contiguous rows.  ``pressure`` rejects a NaN or +inf
     # observable before the pass, so no score is NaN.
-    F = np.asarray(f_family, dtype=float)
+    F = check_numbers("the observable family", f_family)
     if F.shape == (0,):
         F = F.reshape(0, sys.n_points)
     if F.ndim != 2 or F.shape[1] != sys.n_points:

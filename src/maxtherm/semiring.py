@@ -9,16 +9,19 @@ nothing more, on an array, for one observable or a column batch of them
 at once.  The points attaining it, the equilibrium states, need not be
 unique; ``simplex.SimplexMax.argmax`` collects them on the simplex.
 
-A max-plus value is real or bottom, never NaN or +inf, which would score
-NaN against bottom; ``check_maxplus_values`` is the one test of that rule
-for every max-plus table of the package.  An idempotent probability, or
-max-plus density, has values <= 0 with bottom allowed and sup equal to 0.
-Every table of that kind (kernel family weights, max-plus IFS weights per
-point, the inverse problem's density, max-plus convexity weights) goes
-through ``check_maxplus_probability``, the one max-plus counterpart of
-``shift.check_probability_rows``; both read the tolerance
-``NORMALIZATION_TOL`` defined here.  Once a table has passed, it holds no
-NaN and no +inf, so sums of its entries never produce NaN.
+Every number or float table from a caller is read by ``check_numbers``,
+which the value checks call, and which refuses text, bools, None and
+complex values by name.  A max-plus value is real or bottom, never NaN or
++inf, which would score NaN against bottom; ``check_maxplus_values`` is
+the one test of that rule for every max-plus table of the package.  An
+idempotent probability, or max-plus density, has values <= 0 with bottom
+allowed and sup equal to 0.  Every table of that kind (kernel family
+weights, max-plus IFS weights per point, the inverse problem's density,
+max-plus convexity weights) goes through ``check_maxplus_probability``,
+the one max-plus counterpart of ``shift.check_probability_rows``; both
+read the tolerance ``NORMALIZATION_TOL`` defined here.  Once a table has
+passed, it holds no NaN and no +inf, so sums of its entries never produce
+NaN.
 """
 
 from __future__ import annotations
@@ -33,10 +36,18 @@ _NEG_INF = float("-inf")
 NORMALIZATION_TOL = 1e-12  # slack of both probability normalizations
 
 
+def check_numbers(name: str, value) -> np.ndarray:
+    """``value`` as a new float array, 0-d for a number, once its dtype is integer or float."""
+    table = np.asarray(value)
+    if table.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return table.astype(float)
+
+
 def check_maxplus_values(values, what: str) -> np.ndarray:
-    """``values`` as a float array, once each is real or -inf; NaN or
-    +inf raise ``ValueError`` naming the table as ``what``."""
-    values = np.asarray(values, dtype=float)
+    """``values`` read by ``check_numbers``, once each is real or -inf;
+    NaN or +inf raise ``ValueError`` naming the table as ``what``."""
+    values = check_numbers(what, values)
     if not (values < math.inf).all():   # false exactly at NaN and +inf
         raise ValueError(f"{what} must be real or -inf, not NaN or +inf")
     return values
@@ -76,20 +87,18 @@ def pressure(density, g) -> Union[float, np.ndarray]:
     for one observable per column, its values max-plus values too.  The
     value is a float for 1-D ``g`` and a ``(k,)`` array otherwise.
     """
-    dens = np.asarray(density, dtype=float)
+    dens = check_maxplus_values(density, "density values")
     if dens.ndim != 1:
         raise ValueError("density must be a 1-D table")
     if dens.size == 0:
         raise ValueError("empty density")
-    check_maxplus_values(dens, "density values")
     if not np.isfinite(dens).any():
         raise ValueError("density has empty support")
-    g = np.asarray(g, dtype=float)
+    g = check_maxplus_values(g, "observables")
     if g.ndim not in (1, 2) or g.shape[0] != dens.size:
         raise ValueError(
             f"{dens.size} density values but observables of shape {g.shape}"
         )
-    check_maxplus_values(g, "observables")
     best = ((dens if g.ndim == 1 else dens[:, None]) + g).max(axis=0)
     return float(best) if g.ndim == 1 else best
 

@@ -12,7 +12,8 @@ rows, goes through ``check_probability_rows``; the max-plus counterpart is
 ``semiring.check_maxplus_probability``.  Every integer argument, whether
 an alphabet size, depth, word length, orbit length, count or seed, goes
 through ``check_count``; every finite real argument or table, whether a
-rate, tilt, tolerance, function table or observable, through ``check_real``.
+rate, tilt, tolerance, function table or observable, through ``check_real``,
+which reads it, as a measure reads its masses, by ``semiring.check_numbers``.
 
 The memory rule: a table sized by a count holds at most ``MAX_CELLS``
 cells, checked by ``check_cells``, and a streamed pass reads a table in
@@ -42,7 +43,7 @@ from typing import Callable, Iterator, List, Sequence
 
 import numpy as np
 
-from .semiring import NORMALIZATION_TOL
+from .semiring import NORMALIZATION_TOL, check_numbers
 
 MAX_CELLS = 1 << 25   # float cells one table may hold (256 MiB of float64)
 BLOCK_CELLS = 1 << 15   # cells per block of a streamed pass; a power of two >= 128
@@ -187,7 +188,7 @@ def make_bernoulli_jacobian(p: float, space: ShiftSpace) -> Jacobian:
     """Depth-1 kernel giving weight p to symbol 1 and 1-p to symbol 2."""
     if space.d != 2:
         raise ValueError("Bernoulli kernels are defined for d = 2")
-    if not (0.0 <= p <= 1.0):
+    if not (0.0 <= float(check_numbers("p", p)) <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     return Jacobian(space, 1, [p, 1.0 - p])
 
@@ -224,14 +225,10 @@ def check_count(name: str, value, least: int = 0) -> int:
 
 
 def check_real(name: str, value, least: float = -math.inf):
-    """``value`` as a float, or a table as a new float array, once every
-    entry is a finite real, numpy numbers included and bools, strings, None
-    and complex values not, of at least ``least``: ``check_count`` for
+    """``value`` as a float or a new float array, once ``check_numbers`` reads it
+    and every entry is a finite real of at least ``least``: ``check_count`` for
     reals.  ``name`` heads the error, with a table's first failing entry."""
-    table = np.asarray(value)
-    if table.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    table = table.astype(float)
+    table = check_numbers(name, value)
     lo = table.min(initial=math.inf)   # NaN when any entry is NaN
     if not (-math.inf < lo and least <= lo and table.max(initial=0.0) < math.inf):
         bad = float(table[~np.isfinite(table) | (table < least)][0])
@@ -284,7 +281,7 @@ class CylinderMeasure:
 
     def __init__(self, space: ShiftSpace, depth: int, masses):
         depth = check_count("depth", depth)
-        m = np.array(masses, dtype=float).reshape(-1)
+        m = check_numbers("masses", masses).reshape(-1)
         if m.size != space.n_words(depth):
             raise ValueError(
                 f"depth-{depth} measure needs {space.n_words(depth)} masses, "
@@ -314,11 +311,8 @@ class CylinderMeasure:
 
     @classmethod
     def bernoulli(cls, space: ShiftSpace, probs, depth: int) -> "CylinderMeasure":
-        """Product measure with the same symbol distribution per coordinate."""
-        p = np.array(probs, dtype=float).reshape(-1)
-        if p.size != space.d:
-            raise ValueError(f"{space.d} symbol probabilities needed, got {p.size}")
-        check_probability_rows(p[None])
+        """Product measure of the depth-1 measure ``probs`` at every coordinate."""
+        p = cls(space, 1, probs).masses
         m = np.array([1.0])
         for _ in range(check_count("depth", depth)):
             m = np.kron(m, p)

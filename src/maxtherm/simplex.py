@@ -9,9 +9,10 @@ The convex pressure Gamma(phi) = max_p h(p) + p . phi of a density h is
 a ``(k,)`` table over a family, built once by ``convex_pressure_gamma``;
 ``entropy_recovery`` is its conjugate at a target mu, min over the rows
 of Gamma(phi) - mu . phi, and runs no maximization.
-A probability vector handed in by a caller goes through
-``as_prob_vector``, which is ``shift.check_probability_rows`` on one row;
-observables and families, tables of finite reals, through
+Every number table from a caller or its objective is read by
+``semiring.check_numbers``.  A probability vector goes through
+``as_prob_vector``, ``shift.check_probability_rows`` on one row;
+observables, families and grids, tables of finite reals, through
 ``shift.check_real``; objective values and Gamma tables, max-plus values,
 real or -inf, through ``semiring.check_maxplus_values``.
 Every pressure on the simplex comes from one lock-step search, a coarse
@@ -39,7 +40,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .semiring import NORMALIZATION_TOL, check_maxplus_values
+from .semiring import NORMALIZATION_TOL, check_maxplus_values, check_numbers
 from .shift import (check_cells, check_count, check_probability_rows, check_real, count_text,
                     row_blocks)
 
@@ -48,7 +49,7 @@ ZERO_MASS = 1e-15  # masses at or below this count as zero for the minimizer log
 
 def as_prob_vector(masses) -> np.ndarray:
     """Validate and return a probability vector as a float array."""
-    p = np.array(masses, dtype=float)
+    p = check_numbers("masses", masses)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("probability vector must be a nonempty 1-D array")
     return check_probability_rows(p[None])[0]
@@ -57,7 +58,7 @@ def as_prob_vector(masses) -> np.ndarray:
 def shannon_entropy_table(points: np.ndarray) -> np.ndarray:
     """Row-wise Shannon entropy -sum p log p in nats, with 0 log 0 = 0, of
     an (N, d) array of probability vectors."""
-    pts = np.asarray(points, dtype=float)
+    pts = check_numbers("points", points)
     safe = np.where(pts > 0.0, pts, 1.0)
     return -(np.where(pts > 0.0, pts * np.log(safe), 0.0)).sum(axis=1)
 
@@ -257,7 +258,7 @@ def _search(objective, grid: SimplexGrid, family):
     """
     points = grid.points()
     rows = len(family)
-    base = np.asarray(objective(points), dtype=float)
+    base = check_numbers("objective values", objective(points))
     centers, bests, owner = [], [], []
     for block in row_blocks(rows, len(points)):
         vals = np.array([base + points @ phi for phi in family[block]])
@@ -272,8 +273,8 @@ def _search(objective, grid: SimplexGrid, family):
         owner.append(block.start + r)
     owner = np.concatenate(owner)
     centers, bests, n_refine = _refine(
-        lambda pts, counts: _tilted(np.asarray(objective(pts), dtype=float), pts,
-                                    family, counts),
+        lambda pts, counts: _tilted(check_numbers("objective values", objective(pts)),
+                                    pts, family, counts),
         np.concatenate(centers), np.concatenate(bests), owner, rows, 1.0 / grid.m,
     )
     return centers, bests, owner, rows * len(points) + n_refine
@@ -327,11 +328,8 @@ def level2_pressure(
     returned set of near-maximizers may have several elements and need
     not be convex.
     """
-
-    def obj(pts: np.ndarray) -> np.ndarray:
-        return np.asarray(h(pts), dtype=float) + g(pts)
-
-    return maximize_on_simplex(obj, grid, argmax_tol=argmax_tol)
+    return maximize_on_simplex(lambda pts: check_numbers("density values", h(pts)) + g(pts),
+                               grid, argmax_tol=argmax_tol)
 
 
 def convex_pressure_gamma(
@@ -449,18 +447,17 @@ def entropy_recovery(gamma, family, mu) -> float:
 
 
 def concave_envelope_1d(xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Upper concave envelope of finite values tabulated on a 1-D grid.
+    """Upper concave envelope of finite values tabulated on a finite 1-D grid.
 
     Computed as the upper convex hull of the graph, then interpolated back
     onto the grid.  Only d=2 simplices reduce to this 1-D case.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = check_real("xs", xs)
     vals = check_real("vals", vals)
-    if xs.ndim != 1 or xs.shape != np.shape(vals):
+    if np.ndim(xs) != 1 or np.shape(xs) != np.shape(vals):
         raise ValueError("xs and vals must be equal-length 1-D arrays")
-    order = np.argsort(xs)
     hull: List[Tuple[float, float]] = []
-    for i in order:
+    for i in np.argsort(xs):
         x, y = float(xs[i]), float(vals[i])
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]

@@ -63,6 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .semiring import check_numbers
 from .shift import (
     CylinderMeasure,
     ShiftSpace,
@@ -251,7 +252,7 @@ def w1_lp_oracle(space: ShiftSpace, mu: np.ndarray, nu: np.ndarray) -> Transport
     docstring); the blocks share no variable or constraint, so each row
     reads its plan and its sink duals off its own block.
     """
-    mu, nu = (np.array(t, dtype=float, ndmin=2) for t in (mu, nu))
+    mu, nu = (np.atleast_2d(check_numbers(name, t)) for name, t in (("mu", mu), ("nu", nu)))
     if mu.ndim != 2 or mu.shape != nu.shape:
         raise ValueError(f"tables of shapes {mu.shape} and {nu.shape} are not paired")
     k, n_words = check_count("number of rows", len(mu), 1), mu.shape[1]

@@ -434,6 +434,14 @@ def test_counts_below_one_exit_1(capsys, argv, message):
     assert "[PASS]" not in captured.out
 
 
+@pytest.mark.parametrize("flag", ["p", "b"])
+def test_ldp_p_and_b_outside_the_open_unit_interval_exit_1(capsys, flag):
+    assert cli.main(["ldp", f"--{flag}", "1.5"]) == 1
+    captured = capsys.readouterr()
+    assert f"{flag} must lie in (0, 1)" in captured.err
+    assert "[PASS]" not in captured.out
+
+
 @pytest.mark.parametrize("argv, fits", [
     (["transport", "--depth", "28"], 24),
     (["transport", "--depth", "40", "--trials", "1"], 24),

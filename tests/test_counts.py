@@ -2,9 +2,13 @@
 word and orbit lengths, window and trial counts, and seeds.  Every real
 argument or table that must be finite goes through ``shift.check_real``:
 rates, tilts, thresholds, tolerances, Lipschitz constants, merge radii,
-function tables, level-1 observables and their families, and the inverse
-problem's density.  Each kind refuses what is not of it by name, with one
-message, and turns numpy numbers into Python ones."""
+function tables, level-1 observables and their families, grids, and the
+inverse problem's density.  Every other number or float table from a
+caller, whether masses, max-plus weights and densities, observables, the
+worked example's p and b, or what an objective or density returns, is read
+by ``semiring.check_numbers``, which the two value checks call too.  Each
+kind refuses what is not of it by name, with one message, and turns numpy
+numbers into Python ones."""
 
 import math
 import re
@@ -15,6 +19,7 @@ import pytest
 from maxtherm import cli, goldens
 from maxtherm.dynamics import (
     OrbitSampler,
+    bernoulli_ldp_bound,
     birkhoff_limit_test,
     birkhoff_max_table,
     c_limit_exact,
@@ -26,11 +31,18 @@ from maxtherm.dynamics import (
     partition_function_mc,
 )
 from maxtherm.ifs import (
+    MpIFSSystem,
     WeightedJacobianFamily,
     attractor_build,
     invariant_pressure_solve,
     inverse_problem_solve,
+    mpifs_invariance_check,
+    mpifs_markov,
+    mpifs_ruelle,
+    mpifs_transfer,
+    pushforward_invariance_check,
 )
+from maxtherm.semiring import MaxPlus, check_maxplus_probability, check_numbers, pressure
 from maxtherm.shift import (
     CylinderMeasure,
     DepthKFunction,
@@ -49,12 +61,14 @@ from maxtherm.simplex import (
     convex_pressure_gamma,
     entropy_recovery,
     gibbs_solution,
+    level2_pressure,
     log_sum_exp,
     maximize_on_simplex,
     pressure_axioms_check,
+    shannon_entropy,
     shannon_entropy_table,
 )
-from maxtherm.transport import distance_matrix
+from maxtherm.transport import distance_matrix, w1_lp_oracle
 
 SPACE = ShiftSpace(2, 0.3)
 NU0 = CylinderMeasure.point_mass(SPACE, (2,))
@@ -250,22 +264,25 @@ REALS = [
     ("log_sum_exp.g", "g", -math.inf, lambda v: log_sum_exp(np.full(2, v))),
     ("concave_envelope_1d.vals", "vals", -math.inf,
      lambda v: concave_envelope_1d([0.0, 1.0], np.full(2, v))),
+    ("concave_envelope_1d.xs", "xs", -math.inf,
+     lambda v: concave_envelope_1d(np.full(2, v), [0.0, 1.0])),
 ]
 REAL_IDS = [row[0] for row in REALS]
-NOT_REALS = {"bool": True, "str": "0.1", "None": None, "complex": 1 + 0j,
-             "nan": math.nan, "+inf": math.inf, "-inf": -math.inf}
+NOT_NUMBERS = {"bool": True, "str": "0.1", "None": None, "complex": 1 + 0j}
+NOT_FINITE = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}
 # eps=None is the default merge radius
 NONE_ALLOWED_REALS = {"invariant_pressure_solve.eps", "attractor_build.eps"}
 
 
-@pytest.mark.parametrize("name, call, value", [
-    pytest.param(name, call, value, id=f"{parameter}-{kind}")
+@pytest.mark.parametrize("name, call, value, need", [
+    pytest.param(name, call, value, need, id=f"{parameter}-{kind}")
     for parameter, name, _, call in REALS
-    for kind, value in NOT_REALS.items()
+    for need, values in (("a number", NOT_NUMBERS), ("a finite number", NOT_FINITE))
+    for kind, value in values.items()
     if not (value is None and parameter in NONE_ALLOWED_REALS)
 ])
-def test_non_finite_or_non_reals_are_rejected_by_name(name, call, value):
-    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a finite number, got "):
+def test_non_finite_or_non_reals_are_rejected_by_name(name, call, value, need):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be {need}, got "):
         call(value)
 
 
@@ -319,8 +336,10 @@ def test_check_real_returns_a_new_float_array_for_a_table(value):
     (10 ** 400, str(10 ** 400)),
 ])
 def test_check_real_names_what_it_refuses(value, shown):
-    with pytest.raises(ValueError, match=f"^x must be a finite number, got "
-                                         f"{re.escape(shown)}$"):
+    # a number that is not finite is named by its float; anything else,
+    # 10 ** 400 included, which numpy holds only as an object, is no number
+    need = "a finite number" if shown in ("nan", "inf", "-inf") else "a number"
+    with pytest.raises(ValueError, match=f"^x must be {need}, got {re.escape(shown)}$"):
         check_real("x", value)
 
 
@@ -328,3 +347,156 @@ def test_check_real_names_the_first_entry_below_the_least():
     with pytest.raises(ValueError, match=r"^x must be at least 0.5, got 0.25$"):
         check_real("x", [1.0, 0.25, -2.0], least=0.5)
     assert check_real("x", [0.5, 1.0], least=0.5).tolist() == [0.5, 1.0]
+
+
+GRID = SimplexGrid(2, 10)
+SYSTEM = MpIFSSystem([[0, 1], [1, 0]], [[0.0, -1.0], [-1.0, 0.0]])
+
+
+def _zeros(make):
+    """An objective giving ``make``'s table of zeros at every point."""
+    return lambda pts: make(np.zeros(len(pts)))
+
+
+def _zeros_after_the_lattice(make):
+    """An objective giving float zeros on the lattice, its first call, and
+    ``make``'s table of zeros on the refinement patches."""
+    calls = []
+
+    def objective(pts):
+        calls.append(len(pts))
+        return np.zeros(len(pts)) if len(calls) == 1 else make(np.zeros(len(pts)))
+    return objective
+
+
+# (parameter, name heading the error, call): the call builds the argument
+# by passing a valid float table to its argument ``make``
+NUMBERS = [
+    ("MaxPlus.value", "a max-plus value", lambda make: MaxPlus(make(0.0))),
+    ("check_maxplus_probability", "max-plus weights",
+     lambda make: check_maxplus_probability(make([0.0, -1.0]))),
+    ("pressure.density", "density values",
+     lambda make: pressure(make([0.0, -1.0]), [1.0, 2.0])),
+    ("pressure.g", "observables", lambda make: pressure([0.0, -1.0], make([1.0, 2.0]))),
+    ("WeightedJacobianFamily.weights", "max-plus weights",
+     lambda make: WeightedJacobianFamily(FAMILY.jacobians, make([0.0, -1.0]))),
+    ("c_maxplus_convexity_check.alpha", "alpha",
+     lambda make: c_maxplus_convexity_check(_c, -0.8, 0.3, make(0.0), -1.0)),
+    ("c_maxplus_convexity_check.beta", "beta",
+     lambda make: c_maxplus_convexity_check(_c, -0.8, 0.3, 0.0, make(-1.0))),
+    ("CylinderMeasure.masses", "masses",
+     lambda make: CylinderMeasure(SPACE, 1, make([1.0, 0.0]))),
+    ("CylinderMeasure.bernoulli.probs", "masses",
+     lambda make: CylinderMeasure.bernoulli(SPACE, make([1.0, 0.0]), 2)),
+    ("make_bernoulli_jacobian.p", "p", lambda make: make_bernoulli_jacobian(make(1.0), SPACE)),
+    ("shannon_entropy.p", "masses", lambda make: shannon_entropy(make([1.0, 0.0]))),
+    ("shannon_entropy_table.points", "points",
+     lambda make: shannon_entropy_table(make([[1.0, 0.0]]))),
+    ("maximize_on_simplex.objective", "objective values",
+     lambda make: maximize_on_simplex(_zeros(make), GRID)),
+    ("maximize_on_simplex.objective-patches", "objective values",
+     lambda make: maximize_on_simplex(_zeros_after_the_lattice(make), GRID)),
+    ("convex_pressure_gamma.h", "objective values",
+     lambda make: convex_pressure_gamma(_zeros(make), np.zeros((2, 2)), GRID)),
+    ("level2_pressure.h", "density values",
+     lambda make: level2_pressure(_zeros(make), _zeros(np.asarray), GRID)),
+    ("entropy_recovery.gamma", "Gamma values",
+     lambda make: entropy_recovery(make([0.0, 0.0]), np.zeros((2, 2)), [0.5, 0.5])),
+    ("entropy_recovery.mu", "masses",
+     lambda make: entropy_recovery([0.0, 0.0], np.zeros((2, 2)), make([1.0, 0.0]))),
+    ("OrbitSampler.probs", "probs",
+     lambda make: OrbitSampler(make([1.0, 0.0]), [[0.5, 0.5], [0.5, 0.5]], 2, 0)),
+    ("OrbitSampler.transition", "transition",
+     lambda make: OrbitSampler([0.5, 0.5], make([[0.0, 1.0], [1.0, 0.0]]), 2, 0)),
+    ("OrbitSampler.bernoulli.probs", "probs",
+     lambda make: OrbitSampler.bernoulli(make([1.0, 0.0]), 2, 0)),
+    ("OrbitSampler.markov.transition", "transition",
+     lambda make: OrbitSampler.markov(make([[0.0, 1.0], [1.0, 0.0]]), 2, 0)),
+    ("c_n_exact.p", "p", lambda make: c_n_exact(make(0.5), 0.1, 3)),
+    ("c_limit_exact.p", "p", lambda make: c_limit_exact(make(0.5), 0.1)),
+    ("log_event_probability.p", "p", lambda make: log_event_probability(make(0.5), 0.5, 3)),
+    ("log_event_probability.b", "b", lambda make: log_event_probability(0.5, make(0.0), 3)),
+    ("bernoulli_ldp_bound.p", "p", lambda make: bernoulli_ldp_bound(make(0.5), 0.5)),
+    ("bernoulli_ldp_bound.b", "b", lambda make: bernoulli_ldp_bound(0.5, make(0.5))),
+    ("chebyshev_step_exact.p", "p", lambda make: chebyshev_step_exact(make(0.5), 0.1, 0.5, 3)),
+    ("chebyshev_step_exact.b", "b", lambda make: chebyshev_step_exact(0.5, 0.1, make(0.0), 3)),
+    ("check_ldp_worked_example.p", "p",
+     lambda make: goldens.check_ldp_worked_example(p=make(0.5), n_max=1)),
+    ("check_ldp_worked_example.b", "b",
+     lambda make: goldens.check_ldp_worked_example(b=make(0.5), n_max=1)),
+    ("MpIFSSystem.weights", "weights",
+     lambda make: MpIFSSystem([[0, 1]], make([[0.0, 0.0]]))),
+    ("MpIFSSystem.constant_maps.weights", "weights",
+     lambda make: MpIFSSystem.constant_maps(make([[0.0, -1.0], [-1.0, 0.0]]))),
+    ("mpifs_transfer.lam", "density", lambda make: mpifs_transfer(make([0.0, -1.0]), SYSTEM)),
+    ("mpifs_ruelle.f", "observable", lambda make: mpifs_ruelle(make([0.0, -1.0]), SYSTEM)),
+    ("mpifs_markov.lam", "density",
+     lambda make: mpifs_markov(make([0.0, -1.0]), [1.0, 2.0], SYSTEM)),
+    ("mpifs_markov.f", "observable",
+     lambda make: mpifs_markov([0.0, -1.0], make([1.0, 2.0]), SYSTEM)),
+    ("mpifs_invariance_check.lam", "density",
+     lambda make: mpifs_invariance_check(make([0.0, -1.0]), SYSTEM)),
+    ("mpifs_invariance_check.f_family", "the observable family",
+     lambda make: mpifs_invariance_check([0.0, -1.0], SYSTEM, make([[1.0, 2.0]]))),
+    ("pushforward_invariance_check.h_values", "density",
+     lambda make: pushforward_invariance_check(GRID, make(np.zeros(11)), [2, 1],
+                                               [lambda pts: pts[:, 0]])),
+    ("w1_lp_oracle.mu", "mu",
+     lambda make: w1_lp_oracle(SPACE, make([[1.0, 0.0]]), [[0.0, 1.0]])),
+    ("w1_lp_oracle.nu", "nu",
+     lambda make: w1_lp_oracle(SPACE, [[1.0, 0.0]], make([[0.0, 1.0]]))),
+]
+# whose valid values lie strictly between 0 and 1, so no integer is one
+FRACTIONS = {"c_n_exact.p", "c_limit_exact.p", "log_event_probability.p",
+             "bernoulli_ldp_bound.p", "bernoulli_ldp_bound.b", "chebyshev_step_exact.p",
+             "check_ldp_worked_example.p", "check_ldp_worked_example.b"}
+NON_NUMBERS = {"bool": True, "numpy-bool": np.True_, "str": "0.5", "None": None,
+               "complex": 1j, "list-with-None": [0.5, None]}
+
+
+def _filled(value):
+    """A ``make`` that puts ``value`` at every entry of the table, or for a
+    list, in place of the whole table."""
+    if isinstance(value, list):
+        return lambda table: value
+    return lambda table: np.full(np.shape(table), value, dtype=object).tolist()
+
+
+@pytest.mark.parametrize("name, call, value", [
+    pytest.param(name, call, value, id=f"{parameter}-{kind}")
+    for parameter, name, call in NUMBERS for kind, value in NON_NUMBERS.items()
+])
+def test_non_numbers_are_rejected_by_name(name, call, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a number, got "):
+        call(_filled(value))
+
+
+@pytest.mark.parametrize("call, kind", [
+    pytest.param(call, kind, id=f"{parameter}-{kind.__name__}")
+    for parameter, _, call in NUMBERS for kind in (np.float32, np.float64, np.int64)
+    if not (kind is np.int64 and parameter in FRACTIONS)
+])
+def test_numpy_numbers_are_accepted(call, kind):
+    call(kind)
+
+
+@pytest.mark.parametrize("value", [0.5, np.float32(0.5), np.int64(-3), [1, 2],
+                                   np.array([[0.5], [-0.5]], dtype=np.float32),
+                                   np.arange(3), np.empty((0, 2)), [math.nan, -math.inf]],
+                         ids=["float", "float32", "int64", "list", "float32-table",
+                              "int-table", "empty", "non-finite"])
+def test_check_numbers_returns_a_new_float_array(value):
+    out = check_numbers("x", value)
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64
+    assert out.shape == np.shape(value)
+    assert np.array_equal(out, value, equal_nan=True)
+    assert not np.shares_memory(out, value)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (True, "True"), (np.True_, "np.True_"), ("0.5", "'0.5'"), (None, "None"),
+    (1j, "1j"), ([0.5, None], "[0.5, None]"), (np.array(["1"]), "array(['1'], dtype='<U1')"),
+], ids=["bool", "numpy-bool", "str", "None", "complex", "list-with-None", "str-table"])
+def test_check_numbers_names_what_it_refuses(value, shown):
+    with pytest.raises(ValueError, match=f"^x must be a number, got {re.escape(shown)}$"):
+        check_numbers("x", value)

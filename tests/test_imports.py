@@ -12,7 +12,9 @@ returns the table with its near-zero values made exactly 0, and a caller
 that keeps its own table keeps a column max that is not 0.  No function
 tests finiteness with ``isfinite`` or ``isnan`` but the few in
 ``FINITENESS_TESTS``: a real argument or table that must be finite goes
-through ``shift.check_real``.
+through ``shift.check_real``.  No ``np.array`` or ``np.asarray`` call
+passes ``dtype=float``, which parses text and reads bools as 0 and 1: a
+number or float table from a caller is read by ``semiring.check_numbers``.
 
 No linter is a dependency, so this parses the sources with ``ast``.  The
 package ``__init__`` is exempt from the import rule, since its imports are
@@ -178,6 +180,23 @@ def finiteness_tests(tree: ast.AST) -> list:
     return out
 
 
+FLOAT_DTYPES = {"float", "np.float64"}
+
+
+def float_conversions(tree: ast.AST) -> list:
+    """Line of each ``np.array`` or ``np.asarray`` call whose dtype, by
+    keyword or as the second argument, is float."""
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and ast.unparse(node.func) in ("np.array", "np.asarray")):
+            continue
+        dtypes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "dtype"]
+        if any(ast.unparse(dtype) in FLOAT_DTYPES for dtype in dtypes):
+            out.append(node.lineno)
+    return out
+
+
 def test_the_sources_are_found():
     assert {"ifs.py", "semiring.py", "transport.py"} <= set(SOURCES)
 
@@ -282,6 +301,25 @@ def test_a_finiteness_test_is_reported():
         "    return math.isfinite(x) and isnan(g(x)) and np.isinf(x)\n"
     )
     assert finiteness_tests(ast.parse(source)) == ["<module>:4", "g:7", "f:8", "f:8"]
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_numbers_are_read_only_by_check_numbers(name):
+    assert float_conversions(TREES[name]) == []
+
+
+def test_a_float_conversion_is_reported():
+    source = (
+        "import numpy as np\n"
+        "a = np.asarray(x, dtype=float)\n"
+        "def f(x):\n"
+        "    b = np.array(x, float, ndmin=2)\n"
+        "    c = np.array(x, dtype=np.float64)\n"
+        "    d = np.asarray(x, dtype=np.int64)\n"
+        "    e = np.zeros(3, dtype=float)\n"
+        "    return np.array([a, b], copy=True)\n"
+    )
+    assert float_conversions(ast.parse(source)) == [2, 4, 5]
 
 
 FRESH_PROCESS = """
