@@ -149,7 +149,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _pressure(d: int, m: int, trials: int, seed: int) -> goldens.GoldenResult:
     """``gibbs-equilibrium`` with ``trials`` observables on one (d, m) grid."""
-    check_count("trials", trials, 1)
+    trials = check_count("trials", trials, 1)
     return goldens.check_gibbs_equilibrium(seed, per_d=trials, grids=((d, m),))
 
 

@@ -4,13 +4,14 @@ The running max of an observable along shift orbits converges almost
 surely to its sup when the sampling measure charges every cylinder.
 Orbits are drawn from one-step Markov chains, a start distribution and a
 row-stochastic transition matrix; an i.i.d. (Bernoulli) measure is the
-chain whose transition rows all equal its masses.  The
-partition function c_n(t) = (1/n) log E[exp(n t max-sum)] feeds a
-Chebyshev-type upper large-deviation bound inf over t >= 0 of
-t b + c(-t) (``ldp_upper_bound``).  The two-symbol worked example has
-everything in closed form, each in one function.  With f the indicator
-of first symbol 1 and symbol 2 carrying mass p, the max-sum M_n is 0
-with probability p^n and 1 otherwise, so:
+chain whose transition rows all equal its masses.  The partition
+function c_n(t) = (1/n) log E[exp(n t max-sum)] feeds a Chebyshev-type
+upper large-deviation bound inf over t >= 0 of t b + c(-t)
+(``ldp_upper_bound``).  The two-symbol worked example has everything in
+closed form, each in one function, which computes with the float p and
+int n that ``_require_example`` returns, whatever the caller's dtype.
+With f the indicator of first symbol 1 and symbol 2 carrying mass p, the
+max-sum M_n is 0 with probability p^n and 1 otherwise, so:
 
 - ``c_n_exact``: c_n(-t) = (1/n) log(p^n + (1 - p^n) exp(-n t));
 - ``c_limit_exact``: its limit max(-t, log p);
@@ -299,11 +300,12 @@ def birkhoff_limit_test(
 # ---------------------------------------------------------------------------
 
 
-def _require_example(p: float, n: int = 1) -> None:
-    """The worked example needs a number 0 < p < 1 and n >= 1."""
-    if not (0.0 < float(check_numbers("p", p)) < 1.0):
+def _require_example(p: float, n: int = 1) -> Tuple[float, int]:
+    """The worked example's ``(p, n)``, read as a float 0 < p < 1 and an int n >= 1."""
+    p = float(check_numbers("p", p))
+    if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    check_count("n", n, 1)
+    return p, check_count("n", n, 1)
 
 
 def c_n_exact(p: float, t: float, n: int) -> float:
@@ -313,7 +315,7 @@ def c_n_exact(p: float, t: float, n: int) -> float:
     max(a, b) + log(1 + exp(-n |a - b|))/n; each term is divided by n
     before the two are combined, so the value is finite for every finite t.
     """
-    _require_example(p, n)
+    p, n = _require_example(p, n)
     a = float(np.log(p))
     b = float(np.log1p(-p ** n)) / n - check_real("t", t)
     return max(a, b) + float(np.log1p(np.exp(-n * abs(a - b)))) / n
@@ -321,7 +323,7 @@ def c_n_exact(p: float, t: float, n: int) -> float:
 
 def c_limit_exact(p: float, t: float) -> float:
     """Limit of c_n(-t): max(-t, log p)."""
-    _require_example(p)
+    p, _ = _require_example(p)
     return max(-check_real("t", t), float(np.log(p)))
 
 
@@ -332,8 +334,9 @@ def log_event_probability(p: float, b: float, n: int) -> float:
     p^n, and 1 elsewhere, so this is -inf for b < 0, n log p for
     0 <= b < 1 and 0 for b >= 1.
     """
-    _require_example(p, n)
-    if np.isnan(check_numbers("b", b)):
+    p, n = _require_example(p, n)
+    b = float(check_numbers("b", b))
+    if np.isnan(b):
         raise ValueError(f"b must be a number, got {b!r}")
     if b < 0.0:
         return -np.inf
@@ -446,8 +449,9 @@ def ldp_upper_bound(
 def bernoulli_ldp_bound(p: float, b: float) -> Tuple[float, float]:
     """Bound for the worked example via its closed-form c: uses the
     bracket [0, 10 |log p|]."""
-    _require_example(p)
-    if not (0.0 < float(check_numbers("b", b)) < 1.0):
+    p, _ = _require_example(p)
+    b = float(check_numbers("b", b))
+    if not 0.0 < b < 1.0:
         raise ValueError("b must lie in (0, 1)")
     return ldp_upper_bound(
         lambda t: c_limit_exact(p, t), b, sup_f=1.0,

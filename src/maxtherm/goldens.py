@@ -145,7 +145,7 @@ def check_gibbs_equilibrium(
 ) -> GoldenResult:
     """Lattice search recovers the softmax equilibrium and its pressure:
     ``per_d`` random observables on each ``(d, m)`` simplex grid."""
-    check_count("per_d", per_d, 1)
+    per_d = check_count("per_d", per_d, 1)
     check_count("number of grids", len(grids), 1)
     start = time.perf_counter()
     rng = np.random.default_rng(check_count("seed", seed))
@@ -247,11 +247,12 @@ def check_contraction_bounds(
     trial's d^(depth+1) image masses.  The trials of a block with the same
     kernel depth are then one group: one shrink of each kernel table, four
     ``dual_rows`` images and four paired W1 passes."""
-    check_count("trials", trials, 1)
-    check_count("depth", depth, 1)
+    trials = check_count("trials", trials, 1)
+    depth = check_count("depth", depth, 1)
     start = time.perf_counter()
     rng = np.random.default_rng(check_count("seed", seed))
     space = ShiftSpace(d, gamma)
+    d = space.d
     shift.check_cells(f"an image of {d}^{shift.count_text(depth + 1)} masses", "depth",
                       depth, lambda n: d ** (n + 1), f"d = {d}")
     r = space.contraction_rate
@@ -315,9 +316,10 @@ def check_section_identity(seed: int = 14, trials: int = 1000) -> GoldenResult:
     and its observable.  The trials of a block with the same (measure
     depth, kernel depth) are then one group of tables: one ``dual_rows``
     image, one pushforward and one ``transfer_rows`` image."""
-    check_count("trials", trials, 1)
+    trials = check_count("trials", trials, 1)
+    seed = check_count("seed", seed)
     start = time.perf_counter()
-    rng = np.random.default_rng(check_count("seed", seed))
+    rng = np.random.default_rng(seed)
     f_rng = np.random.default_rng([seed, 1])
     space = ShiftSpace(2, 0.3)
     worst = worst_dual = 0.0
@@ -486,19 +488,21 @@ def check_ifs_invariant_pressure(
     notes.append(f"2^{length} words match brute force exactly: {exact}")
 
     # density entropy on a short exact sample (a query costs one W1 per
-    # leaf): an image carries the best weight of the words sharing it (one
-    # word unless p == p2), and a point mass off the attractor carries bottom
+    # leaf): an image carries the best weight of the words whose images lie
+    # within W1 eps = 0 of it, and a point mass off the attractor carries bottom
     small = ifs.attractor_build(fam2, 5, nu0, eps=0.0)
+    weights = np.array([leaf.weight for leaf in small.leaves])
+    levels = transport.tree_levels(np.array([leaf.measure.masses for leaf in small.leaves]),
+                                   space.d)
 
-    def sharing(leaf: ifs.AttractorLeaf) -> Tuple[float, int]:
-        weights = [other.weight for other in small.leaves
-                   if np.array_equal(other.measure.masses, leaf.measure.masses)]
-        return max(weights), len(weights)
+    def sharing(i: int) -> Tuple[float, int]:
+        near = transport.w1_tree_levels(space, levels, levels[i]) <= small.epsilon
+        return float(weights[near].max()), int(near.sum())
 
     density = all(
-        (est.value.value, est.matched) == sharing(leaf)
-        for leaf in small.leaves[::4]
-        for est in [ifs.density_entropy_estimate(small, leaf.measure)]
+        (est.value.value, est.matched) == sharing(i)
+        for i in range(0, len(small.leaves), 4)
+        for est in [ifs.density_entropy_estimate(small, small.leaves[i].measure)]
     )
     far = CylinderMeasure.point_mass(space, (1,) * small.leaves[0].measure.depth)
     density &= ifs.density_entropy_estimate(small, far).value.is_bottom
@@ -530,9 +534,9 @@ def check_mpifs_operators(
     system).  Duality compares ``mpifs_markov`` with the pressure of the
     Ruelle image; the invariance check's density and pressure (functional)
     residuals must agree on the fixed density and on a perturbed one."""
-    check_count("systems", systems, 1)
+    systems = check_count("systems", systems, 1)
     if points is not None:
-        check_count("points", points, 1)
+        points = check_count("points", points, 1)
     start = time.perf_counter()
     rng = np.random.default_rng(check_count("seed", seed))
     worst_dual = 0.0
@@ -618,8 +622,9 @@ def check_ldp_worked_example(
     rate; with ``mc_samples`` > 0 also a Monte Carlo c_n and interval from
     that many orbits at ``seed``, whose coverage is reported, not gated."""
     t_star, bound = dynamics.bernoulli_ldp_bound(p, b)   # checks 0 < p, b < 1
-    check_count("n_max", n_max, 1)
-    check_count("mc_samples", mc_samples)
+    p, b = float(p), float(b)
+    n_max = check_count("n_max", n_max, 1)
+    mc_samples = check_count("mc_samples", mc_samples)
     start = time.perf_counter()
     notes = []
     ok = True
@@ -745,8 +750,8 @@ def check_convex_pressure_suite(
     at mu = (e, 1, ..., 1) / (e + d - 1).  On the d = 2 grid at ``m`` a
     two-bump density lies below its recovered entropy and projects as its
     concave envelope over ``linspace(0, 1, m + 1)`` does."""
-    check_count("trials", trials, 1)
-    check_count("seed", seed)
+    trials = check_count("trials", trials, 1)
+    seed = check_count("seed", seed)
     start = time.perf_counter()
     notes = []
     ok = True

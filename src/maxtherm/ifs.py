@@ -288,7 +288,9 @@ def density_entropy_estimate(
 ) -> DensityEstimate:
     """Best cumulative weight among leaves within eps of ``mu`` (else bottom):
     the pressure of the max-plus indicator of that ball (0 in it, -inf out).
-    A ``mu`` of another depth than the leaves fails ``w1_tree``'s check."""
+    At eps=0, images closer than float64 can resolve, whose W1 rounds to 0,
+    count as one image.  A ``mu`` of another depth than the leaves fails
+    ``w1_tree``'s check."""
     margin = sample.rate ** sample.word_length / (1.0 - sample.rate)
     near = np.array(
         [w1_tree(leaf.measure, mu) <= sample.epsilon for leaf in sample.leaves]

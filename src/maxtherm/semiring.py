@@ -37,9 +37,12 @@ NORMALIZATION_TOL = 1e-12  # slack of both probability normalizations
 
 
 def check_numbers(name: str, value) -> np.ndarray:
-    """``value`` as a new float array, 0-d for a number, once its dtype is integer or float."""
+    """``value`` as a new float array, 0-d for a number, once its dtype is integer
+    or float and, for a list or tuple, which numpy would upcast, no entry is a bool."""
     table = np.asarray(value)
-    if table.dtype.kind not in "iuf":
+    mixed = isinstance(value, (list, tuple)) and not {bool, np.bool_}.isdisjoint(
+        map(type, np.asarray(value, dtype=object).flat))
+    if mixed or table.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be a number, got {value!r}")
     return table.astype(float)
 

@@ -14,6 +14,9 @@ an alphabet size, depth, word length, orbit length, count or seed, goes
 through ``check_count``; every finite real argument or table, whether a
 rate, tilt, tolerance, function table or observable, through ``check_real``,
 which reads it, as a measure reads its masses, by ``semiring.check_numbers``.
+A function keeps what a reader returned under the argument's own name and
+computes with that alone, so a float16 rate computes in float64 and an
+int64 count as a Python int.
 
 The memory rule: a table sized by a count holds at most ``MAX_CELLS``
 cells, checked by ``check_cells``, and a streamed pass reads a table in
@@ -88,7 +91,8 @@ def word_index(word: Sequence[int], d: int) -> int:
 def symbol_table(depth: int, d: int) -> np.ndarray:
     """(d^depth, depth) array listing every word in lexicographic order."""
     depth = check_count("depth", depth)
-    n = check_count("alphabet size d", d, 1) ** depth
+    d = check_count("alphabet size d", d, 1)
+    n = d ** depth
     out = np.empty((n, depth), dtype=np.int64)
     codes = np.arange(n)
     for j in range(depth - 1, -1, -1):
@@ -115,7 +119,8 @@ class DepthKFunction:
 
     def at_depth(self, depth: int) -> np.ndarray:
         """Table of this function viewed at a deeper resolution."""
-        if check_count("depth", depth) < self.depth:
+        depth = check_count("depth", depth)
+        if depth < self.depth:
             raise ValueError("cannot view a table at a shallower depth")
         return np.repeat(self.values, self.space.d ** (depth - self.depth))
 
@@ -154,7 +159,8 @@ class Jacobian(DepthKFunction):
     """
 
     def __init__(self, space: ShiftSpace, depth: int, values):
-        if check_count("depth", depth) < 1:
+        depth = check_count("depth", depth)
+        if depth < 1:
             raise ValueError("a transfer kernel must read at least one symbol")
         super().__init__(space, depth, values)
         check_kernel_rows(space, self.values[None], lipschitz_constant(self))
@@ -188,7 +194,8 @@ def make_bernoulli_jacobian(p: float, space: ShiftSpace) -> Jacobian:
     """Depth-1 kernel giving weight p to symbol 1 and 1-p to symbol 2."""
     if space.d != 2:
         raise ValueError("Bernoulli kernels are defined for d = 2")
-    if not (0.0 <= float(check_numbers("p", p)) <= 1.0):
+    p = float(check_numbers("p", p))
+    if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     return Jacobian(space, 1, [p, 1.0 - p])
 
@@ -313,8 +320,9 @@ class CylinderMeasure:
     def bernoulli(cls, space: ShiftSpace, probs, depth: int) -> "CylinderMeasure":
         """Product measure of the depth-1 measure ``probs`` at every coordinate."""
         p = cls(space, 1, probs).masses
+        depth = check_count("depth", depth)
         m = np.array([1.0])
-        for _ in range(check_count("depth", depth)):
+        for _ in range(depth):
             m = np.kron(m, p)
         return cls(space, depth, m)
 

@@ -379,7 +379,7 @@ def pressure_axioms_check(
     Violations are bounded by the grid error of the maximization, so they
     must be small but need not be exactly zero.
     """
-    check_count("trials", trials, 1)
+    trials = check_count("trials", trials, 1)
     rng = np.random.default_rng(check_count("seed", seed))
     family, consts = [], []
     for _ in range(trials):

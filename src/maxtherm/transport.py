@@ -147,7 +147,8 @@ def w1_tree(mu: CylinderMeasure, nu: CylinderMeasure) -> float:
 
 def distance_matrix(space: ShiftSpace, depth: int) -> np.ndarray:
     """Pairwise gamma^(first difference) over all depth-n words."""
-    if check_count("depth", depth) == 0:
+    depth = check_count("depth", depth)
+    if depth == 0:
         return np.zeros((1, 1))   # the empty word; argmax needs a digit
     digits = symbol_table(depth, space.d)
     diff = digits[:, None, :] != digits[None, :, :]

@@ -123,6 +123,9 @@ def test_subcommand_flags_are_its_checks_parameters(command, check):
 @pytest.mark.parametrize("argv", [
     ["gamma", "--m", "200", "--trials", "2"],
     ["ifs", "--length", "4"],
+    # two kernels whose images differ only in a subnormal mass
+    ["ifs", "--p", "5e-324", "--p2", "0", "--q2", "0", "--length", "1"],
+    ["ifs", "--p", "5e-324", "--p2", "0", "--q2", "-1", "--length", "1"],
     ["ldp", "--n-max", "3", "--mc-samples", "50"],
 ])
 def test_experiment_subcommand_exits_0(capsys, argv):

@@ -333,7 +333,7 @@ def test_check_real_returns_a_new_float_array_for_a_table(value):
     (True, "True"), (np.True_, "np.True_"), ("0.1", "'0.1'"), (None, "None"),
     (1j, "1j"), (np.nan, "nan"), (np.float32(np.inf), "inf"), (-math.inf, "-inf"),
     ([0.0, 1.0, math.nan, math.inf], "nan"), ([[0.5, None]], "[[0.5, None]]"),
-    (10 ** 400, str(10 ** 400)),
+    ([True, 0.5], "[True, 0.5]"), (10 ** 400, str(10 ** 400)),
 ])
 def test_check_real_names_what_it_refuses(value, shown):
     # a number that is not finite is named by its float; anything else,
@@ -451,7 +451,7 @@ FRACTIONS = {"c_n_exact.p", "c_limit_exact.p", "log_event_probability.p",
              "bernoulli_ldp_bound.p", "bernoulli_ldp_bound.b", "chebyshev_step_exact.p",
              "check_ldp_worked_example.p", "check_ldp_worked_example.b"}
 NON_NUMBERS = {"bool": True, "numpy-bool": np.True_, "str": "0.5", "None": None,
-               "complex": 1j, "list-with-None": [0.5, None]}
+               "complex": 1j, "list-with-None": [0.5, None], "list-with-bool": [True, 0.5]}
 
 
 def _filled(value):
@@ -496,7 +496,9 @@ def test_check_numbers_returns_a_new_float_array(value):
 @pytest.mark.parametrize("value, shown", [
     (True, "True"), (np.True_, "np.True_"), ("0.5", "'0.5'"), (None, "None"),
     (1j, "1j"), ([0.5, None], "[0.5, None]"), (np.array(["1"]), "array(['1'], dtype='<U1')"),
-], ids=["bool", "numpy-bool", "str", "None", "complex", "list-with-None", "str-table"])
+    ([True, 0.5], "[True, 0.5]"), ((0.5, np.True_), "(0.5, np.True_)"),
+], ids=["bool", "numpy-bool", "str", "None", "complex", "list-with-None", "str-table",
+        "list-with-bool", "tuple-with-numpy-bool"])
 def test_check_numbers_names_what_it_refuses(value, shown):
     with pytest.raises(ValueError, match=f"^x must be a number, got {re.escape(shown)}$"):
         check_numbers("x", value)

@@ -681,6 +681,17 @@ class TestEmpiricalRate:
             chebyshev_step_exact(0.5, 0.1, np.nan, 3)
 
 
+@pytest.mark.parametrize("kind", [np.float32, np.float16])
+@pytest.mark.parametrize("closed_form, args", [
+    (c_n_exact, (2.0, 20)), (c_limit_exact, (2.0,)), (log_event_probability, (0.5, 20)),
+    (bernoulli_ldp_bound, (0.5,)), (chebyshev_step_exact, (2.0, 0.5, 20)),
+], ids=["c_n_exact", "c_limit_exact", "log_event_probability", "bernoulli_ldp_bound",
+        "chebyshev_step_exact"])
+def test_the_worked_example_computes_in_float64_at_a_narrow_p(closed_form, args, kind):
+    # 0.5 is exact in every float type; log p in float32 or float16 is not
+    assert closed_form(kind(0.5), *args) == closed_form(0.5, *args)
+
+
 class TestChebyshevStep:
     def test_exact_inequality_in_the_example(self):
         rng = np.random.default_rng(14)

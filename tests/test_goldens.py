@@ -161,6 +161,26 @@ def test_the_density_line_holds_when_both_kernels_make_one_image():
     assert (est.value.value, est.matched) == (0.0, 32)
 
 
+@pytest.mark.parametrize("q2", [0.0, -1.0])
+def test_the_density_line_holds_when_two_images_differ_in_a_subnormal_mass(q2):
+    # Bernoulli(5e-324) and Bernoulli(0) make images that differ only in one
+    # subnormal mass; their W1 rounds to 0, so a query at one matches both
+    result = goldens.check_ifs_invariant_pressure(p=5e-324, p2=0.0, q2=q2, length=1)
+    assert result.passed is True, result.detail
+    space = ShiftSpace(2, 0.3)
+    fam = ifs.WeightedJacobianFamily(
+        [make_bernoulli_jacobian(5e-324, space), make_bernoulli_jacobian(0.0, space)],
+        [0.0, q2])
+    small = ifs.attractor_build(fam, 5, CylinderMeasure.point_mass(space, (2,)), eps=0.0)
+    leaf = small.leaves[0]
+    same = [other for other in small.leaves
+            if not np.array_equal(other.measure.masses, leaf.measure.masses)
+            and transport.w1_tree(other.measure, leaf.measure) == 0.0]
+    assert same
+    est = ifs.density_entropy_estimate(small, leaf.measure)
+    assert est.matched > 1
+
+
 @pytest.mark.parametrize("seed", [19, 22])
 def test_mpifs_operators_accepts_perturbed_densities_that_stay_invariant(seed):
     # at these seeds a 2-point system has the fixed density [0, 0], and
@@ -275,6 +295,24 @@ def test_contraction_bounds_refuse_an_absurd_depth_with_the_budget_message():
                                          r"at least 2\^65 cells, .*use depth <= 24$"):
         goldens.check_contraction_bounds(trials=1, depth=10 ** 5000)
     assert time.perf_counter() - start < 1.0
+
+
+def test_contraction_bounds_size_an_image_with_the_alphabet_they_read():
+    # np.int64(2) ** 71 wraps to 0, so sizing with the raw d would fit any depth
+    with pytest.raises(ValueError, match=r"^an image of 2\^71 masses needs "
+                                         r"at least 2\^65 cells, .*use depth <= 24$"):
+        goldens.check_contraction_bounds(trials=1, d=np.int64(2), depth=70)
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.float16])
+def test_ldp_worked_example_passes_at_narrow_float_flags(kind):
+    result = goldens.check_ldp_worked_example(p=kind(0.3), b=kind(0.3))
+    assert result.passed is True, result.detail
+
+
+def test_ifs_invariant_pressure_passes_at_a_float16_p():
+    result = goldens.check_ifs_invariant_pressure(p=np.float16(0.3))
+    assert result.passed is True, result.detail
 
 
 @pytest.mark.parametrize("plan", [((2, 0.3, 30, 1),), ((2, 0.3, 11, 1),),

@@ -9,12 +9,15 @@ name is bound (assigned, or defined by ``def`` or ``class``) in two
 modules, so that a constant such as a tolerance has one definition.
 Every call to ``check_maxplus_probability`` keeps its result: the check
 returns the table with its near-zero values made exactly 0, and a caller
-that keeps its own table keeps a column max that is not 0.  No function
-tests finiteness with ``isfinite`` or ``isnan`` but the few in
-``FINITENESS_TESTS``: a real argument or table that must be finite goes
-through ``shift.check_real``.  No ``np.array`` or ``np.asarray`` call
-passes ``dtype=float``, which parses text and reads bools as 0 and 1: a
-number or float table from a caller is read by ``semiring.check_numbers``.
+that keeps its own table keeps a column max that is not 0.  So does every
+reader's call on a parameter (``READERS``), and once a reader has read a
+parameter, the function computes with the value it returned, never with
+the parameter again.  No function tests finiteness with ``isfinite`` or
+``isnan`` but the few in ``FINITENESS_TESTS``: a real argument or table
+that must be finite goes through ``shift.check_real``.  No ``np.array`` or
+``np.asarray`` call passes ``dtype=float``, which parses text and reads
+bools as 0 and 1: a number or float table from a caller is read by
+``semiring.check_numbers``.
 
 No linter is a dependency, so this parses the sources with ``ast``.  The
 package ``__init__`` is exempt from the import rule, since its imports are
@@ -138,14 +141,95 @@ def unread_parameters(tree: ast.AST) -> list:
     return out
 
 
-def discarded_maxplus_checks(tree: ast.AST) -> list:
-    """Line of each ``check_maxplus_probability`` call made as a bare
-    statement, so that its checked table is dropped."""
-    return [
-        node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
-        and "check_maxplus_probability" in references(node.value.func)
-    ]
+# each reader of an argument: the position and keyword of the value it
+# reads, or None when it reads every argument
+READERS = {
+    "check_count": (1, "value"),
+    "check_real": (1, "value"),
+    "check_numbers": (1, "value"),
+    "check_maxplus_values": (0, "values"),
+    "check_maxplus_probability": (0, "table"),
+    "_require_example": None,
+}
+
+
+def called(call: ast.Call) -> str:
+    """The name of the function a call calls, as ``f`` or ``obj.f``."""
+    return ast.unparse(call.func).split(".")[-1]
+
+
+def read_values(call: ast.Call) -> list:
+    """The value arguments of a reader call, or [] for another call."""
+    name = called(call)
+    if name not in READERS:
+        return []
+    if READERS[name] is None:
+        return call.args + [kw.value for kw in call.keywords]
+    index, keyword = READERS[name]
+    return call.args[index:index + 1] + [kw.value for kw in call.keywords if kw.arg == keyword]
+
+
+def unbound_reads(tree: ast.AST) -> list:
+    """``function:line`` of each read whose value is lost, named by the
+    innermost function holding it (``Class.method`` for a method).
+
+    A reader's result is discarded when the call is a bare statement: any
+    ``check_maxplus_probability`` call, or another reader's call on a bare
+    parameter.  After a reader has read a parameter, the function loads
+    the parameter again, before rebinding it, at each line listed.  Events
+    are taken in source order, with an assignment's targets bound at the
+    statement's end, so that ``x = check_real("x", x)`` rebinds ``x``.
+    """
+    out = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                check(child, prefix + child.name)
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            else:
+                visit(child, prefix)
+
+    def check(func: ast.AST, name: str) -> None:
+        a = func.args
+        params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs} - {"self", "cls"}
+        events = []   # (position, kind, parameter, line)
+        for stmt in func.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+                    if called(node.value) == "check_maxplus_probability" or any(
+                            isinstance(v, ast.Name) and v.id in params
+                            for v in read_values(node.value)):
+                        out.append(f"{name}:{node.lineno}")
+                if isinstance(node, ast.Call):
+                    for v in read_values(node):
+                        if isinstance(v, ast.Name) and v.id in params:
+                            end = (node.end_lineno, node.end_col_offset)
+                            events.append((end, "read", v.id, node.lineno))
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.NamedExpr)):
+                    end = (node.end_lineno, node.end_col_offset)
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for target in targets:
+                        for sub in ast.walk(target):
+                            if isinstance(sub, ast.Name) and sub.id in params:
+                                events.append((end, "bind", sub.id, node.lineno))
+                elif (isinstance(node, ast.Name) and node.id in params
+                      and isinstance(node.ctx, ast.Load)):
+                    start = (node.lineno, node.col_offset)
+                    events.append((start, "load", node.id, node.lineno))
+        state = dict.fromkeys(params, "raw")
+        for _, kind, param, line in sorted(events):
+            if kind == "bind":
+                state[param] = "bound"
+            elif state[param] == "read" and kind == "load":
+                out.append(f"{name}:{line}")
+            elif state[param] == "raw" and kind == "read":
+                state[param] = "read"
+
+    visit(tree, "")
+    return sorted(set(out), key=lambda site: (int(site.rsplit(":", 1)[1]), site))
 
 
 # the functions that may call isfinite or isnan: the one real check, the
@@ -171,8 +255,7 @@ def finiteness_tests(tree: ast.AST) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            called = isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1]
-            if called in ("isfinite", "isnan"):
+            if isinstance(child, ast.Call) and called(child) in ("isfinite", "isnan"):
                 out.append(f"{owner}:{child.lineno}")
             visit(child, owner)
 
@@ -262,9 +345,11 @@ def test_a_name_bound_in_two_modules_is_reported():
     assert bound_twice(trees) == ["TOL", "f", "y"]
 
 
+# the lint of every reader, which keeps the rule that no checked max-plus
+# table is dropped
 @pytest.mark.parametrize("name", sorted(TREES))
 def test_every_checked_maxplus_table_is_used(name):
-    assert discarded_maxplus_checks(TREES[name]) == []
+    assert unbound_reads(TREES[name]) == []
 
 
 def test_a_discarded_maxplus_check_is_reported():
@@ -277,7 +362,38 @@ def test_a_discarded_maxplus_check_is_reported():
         "    semiring.check_maxplus_probability(q)\n"
         "    return check_maxplus_probability(q)\n"
     )
-    assert discarded_maxplus_checks(ast.parse(source)) == [4, 6]
+    # line 5 reads h again after line 4 read it
+    assert unbound_reads(ast.parse(source)) == ["f:4", "f:5", "f:6"]
+
+
+def test_an_unbound_read_is_reported():
+    source = (
+        "from . import shift\n"
+        "from .shift import check_count, check_real\n"
+        "def f(n, x, t, table, u=0):\n"
+        "    check_count('n', n, 1)\n"
+        "    x = check_real('x', x)\n"
+        "    if shift.check_real('t', t) < check_count('u', len(table)):\n"
+        "        return t\n"
+        "    y = check_maxplus_values(table, 'w') + u\n"
+        "    return n * x + table.sum() + y\n"
+        "class K:\n"
+        "    def g(self, p, n):\n"
+        "        _require_example(p, n)\n"
+        "        p, n = _require_example(p, n=n)\n"
+        "        return lambda: p * n\n"
+        "def h(d, s):\n"
+        "    depth = check_count('depth', d)\n"
+        "    d, s = 2, check_real('s', value=s)\n"
+        "    def inner():\n"
+        "        return s + d ** depth\n"
+        "    return inner\n"
+        "def k(v):\n"
+        "    w = check_numbers('v', value=v)\n"
+        "    return lambda: v + w\n"
+    )
+    assert unbound_reads(ast.parse(source)) == [
+        "f:4", "f:7", "f:9", "K.g:12", "K.g:13", "k:23"]
 
 
 @pytest.mark.parametrize("name", sorted(TREES))

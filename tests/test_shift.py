@@ -135,6 +135,11 @@ class TestJacobianValidation:
         with pytest.raises(ValueError):
             make_bernoulli_jacobian(1.2, SPACE)
 
+    def test_a_float16_p_is_read_as_a_float(self):
+        # 1 - p in float16 would sum with p to 1.000244140625
+        j = make_bernoulli_jacobian(np.float16(0.3), SPACE)
+        assert j.values.tolist() == [float(np.float16(0.3)), 1.0 - float(np.float16(0.3))]
+
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
             Jacobian(SPACE, 1, [0.3, 0.3])
